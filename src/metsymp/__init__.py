@@ -29,7 +29,6 @@ from .contact import (
     ContactMetricStructure,
     KmuReport,
     boeckx_index,
-    compute_h,
     d_homothety,
     eta_einstein_fit,
     fit_kappa_mu,

@@ -19,6 +19,8 @@ import argparse
 import os
 import sys
 
+import numpy as np
+
 from .catalog import catalog_load, catalog_names
 from .contact import (
     boeckx_index,
@@ -28,6 +30,7 @@ from .contact import (
     verify_compatibility,
 )
 from .errors import ConfigError, GeometryError, SasakianDegeneracyError, UnknownEntryError
+from .fields import sup_norm
 from .structfile import StructureFileError, load_structure_file
 from .suite import SuiteConfig, report_emit, run_suite
 
@@ -164,6 +167,7 @@ def _cmd_symplectize(args) -> int:
 
     def show(label, residual, threshold):
         nonlocal failures
+        residual = sup_norm(residual)
         ok = residual < threshold
         failures += 0 if ok else 1
         print(f"[{'PASS' if ok else 'FAIL'}] {label:<24} residual={residual:.3e} "
@@ -171,9 +175,11 @@ def _cmd_symplectize(args) -> int:
 
     symp = verify_symplectic(B, n, seed=args.seed)
     show("closed", symp.closed_residual, 1e-10)
-    show("nondegenerate", max(0.0, 1e-10 - symp.min_top_coefficient), 1e-10)
-    show("acs_table", max(acs_table_residuals(B, n, seed=args.seed).values()), 1e-10)
-    show("metric_blocks", max(block_structure_residuals(B, n, seed=args.seed).values()), 1e-10)
+    # the top coefficient must clear the floor; NaN propagates and fails
+    show("nondegenerate", np.maximum(1e-10 - symp.min_top_coefficient, 0.0), 1e-10)
+    show("acs_table", sup_norm(*acs_table_residuals(B, n, seed=args.seed).values()), 1e-10)
+    show("metric_blocks", sup_norm(*block_structure_residuals(B, n, seed=args.seed).values()),
+         1e-10)
     dt_field = TensorField.coordinate_vector(B.chart, B.chart.dim - 1)
     show("liouville", verify_liouville(B, dt_field, n, seed=args.seed).cartan_residual, 1e-9)
     show("fundamental_tensor", verify_fundamental_tensors(B, min(n, 30), seed=args.seed).max_residual, 1e-7)
@@ -200,9 +206,10 @@ def _cmd_dhomothety(args) -> int:
     if not args.verify:
         return 0
     compat = verify_compatibility(S2, args.samples, seed=args.seed)
-    residual = max(compat.max_residual, abs(after.kappa - kp), after.residual)
+    defects = [compat.max_residual, after.kappa - kp, after.residual]
     if mp is not None and after.mu is not None:
-        residual = max(residual, abs(after.mu - mp))
+        defects.append(after.mu - mp)
+    residual = sup_norm(*defects)
     ok = residual < 1e-6
     print(f"[{'PASS' if ok else 'FAIL'}] rescale verification residual={residual:.3e} "
           f"threshold=1.0e-06")

@@ -44,6 +44,7 @@ from .fields import (
     inverse_matrix_exprs,
     lie_derivative,
     pullback,
+    sup_norm,
     wedge,
 )
 
@@ -61,7 +62,6 @@ __all__ = [
     "verify_contact_form",
     "solve_reeb",
     "verify_compatibility",
-    "compute_h",
     "is_K_contact",
     "fit_kappa_mu",
     "d_homothety",
@@ -158,8 +158,8 @@ class CompatibilityReport:
 
     @property
     def max_residual(self) -> float:
-        return max(self.residual_reeb_pairing, self.residual_phi_square,
-                   self.residual_deta_pairing)
+        return sup_norm(self.residual_reeb_pairing, self.residual_phi_square,
+                        self.residual_deta_pairing)
 
     @property
     def passed(self) -> bool:
@@ -202,7 +202,7 @@ class KmuCurvatureReport:
 
     @property
     def max_residual(self) -> float:
-        return max(self.identity_residuals)
+        return sup_norm(self.identity_residuals)
 
 
 @dataclass(frozen=True)
@@ -220,7 +220,7 @@ class IsomorphismReport:
 
     @property
     def max_residual(self) -> float:
-        return max(self.eta_residual, self.metric_residual)
+        return sup_norm(self.eta_residual, self.metric_residual)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +264,7 @@ def solve_reeb(eta: TensorField, chart: Chart, point: np.ndarray) -> np.ndarray:
     sol, _, rank, _ = np.linalg.lstsq(rows, rhs, rcond=None)
     if rank < chart.dim:
         raise NotContactError("the form is not contact at this point (singular Reeb system)")
-    residual = float(np.max(np.abs(rows @ sol - rhs)))
+    residual = sup_norm(rows @ sol - rhs)
     if residual > REEB_TOL:
         raise NotContactError(
             f"Reeb defining equations unsatisfied (residual {residual:.3e}); "
@@ -284,18 +284,13 @@ def verify_compatibility(S: ContactMetricStructure, n_samples: int = 100,
     pv = S.phi.values(pts)           # pv[n, i, j] = phi^i_j
     dev = exterior_derivative(S.eta).values(pts)
 
-    r1 = float(np.max(np.abs(np.einsum("nij,nj->ni", gv, xv) - ev)))
+    r1 = sup_norm(np.einsum("nij,nj->ni", gv, xv) - ev)
     phi2 = np.einsum("nia,naj->nij", pv, pv)
     target = -np.eye(d)[None, :, :] + np.einsum("ni,nj->nij", xv, ev)
-    r2 = float(np.max(np.abs(phi2 - target)))
+    r2 = sup_norm(phi2 - target)
     pairing = np.einsum("nik,nkj->nij", gv, pv)   # g(d_i, phi d_j)
-    r3 = float(np.max(np.abs(dev - pairing)))
+    r3 = sup_norm(dev - pairing)
     return CompatibilityReport(r1, r2, r3, n_samples)
-
-
-def compute_h(S: ContactMetricStructure) -> TensorField:
-    """The tensor h, half the Lie derivative of phi along the Reeb field."""
-    return S.h
 
 
 def h_norms(S: ContactMetricStructure, points: np.ndarray) -> np.ndarray:
@@ -311,7 +306,7 @@ def is_K_contact(S: ContactMetricStructure, n_samples: int = 100,
                  seed: int | None = None) -> KContactReport:
     pts = S.chart.samples(n_samples, seed=seed)
     norms = h_norms(S, pts)
-    max_norm = float(np.max(norms))
+    max_norm = sup_norm(norms)
     return KContactReport(max_norm, n_samples, max_norm < H_VANISH_TOL)
 
 
@@ -336,21 +331,21 @@ def fit_kappa_mu(S: ContactMetricStructure, n_samples: int = 50,
     colA = np.einsum("nj,li->nlij", ev, eye) - np.einsum("ni,lj->nlij", ev, eye)
     colB = np.einsum("nj,nli->nlij", ev, hv) - np.einsum("ni,nlj->nlij", ev, hv)
 
-    h_max = float(np.max(h_norms(S, pts)))
+    h_max = sup_norm(h_norms(S, pts))
     b = lhs.ravel()
     if h_max < H_VANISH_TOL:
         a = colA.ravel()[:, None]
         sol, *_ = np.linalg.lstsq(a, b, rcond=None)
         kappa = float(sol[0])
         fitted = kappa * colA
-        residual = float(np.max(np.abs(lhs - fitted)))
+        residual = sup_norm(lhs - fitted)
         return KmuReport(kappa=kappa, mu=None, residual=residual,
                          sasakian_flag=True, lam=None)
     a = np.stack([colA.ravel(), colB.ravel()], axis=1)
     sol, *_ = np.linalg.lstsq(a, b, rcond=None)
     kappa, mu = float(sol[0]), float(sol[1])
     fitted = kappa * colA + mu * colB
-    residual = float(np.max(np.abs(lhs - fitted)))
+    residual = sup_norm(lhs - fitted)
     lam = math.sqrt(max(1.0 - kappa, 0.0))
     return KmuReport(kappa=kappa, mu=mu, residual=residual,
                      sasakian_flag=False, lam=lam)
@@ -426,13 +421,13 @@ def h_eigendecomposition(S: ContactMetricStructure, point: np.ndarray,
         if nz.size and vectors[i, nz[0]] < 0:
             vectors[i] = -vectors[i]
 
-    lam = float(np.max(np.abs(w)))
+    lam = sup_norm(w)
     plus, minus, zero = [], [], []
-    spectrum_residual = 0.0
+    distances = []
     for i, val in enumerate(w):
         dplus, dminus, dzero = abs(val - lam), abs(val + lam), abs(val)
         best = min(dplus, dminus, dzero)
-        spectrum_residual = max(spectrum_residual, best)
+        distances.append(best)
         if best == dzero:
             zero.append(i)
         elif best == dplus:
@@ -441,19 +436,19 @@ def h_eigendecomposition(S: ContactMetricStructure, point: np.ndarray,
             minus.append(i)
 
     gram = vectors @ gmat @ vectors.T
-    ortho_residual = float(np.max(np.abs(gram - np.eye(len(w)))))
+    ortho_residual = sup_norm(gram - np.eye(len(w)))
 
     xi_res = 1.0
     xin = xi / math.sqrt(float(xi @ gmat @ xi))
     for i in zero:
         v = vectors[i]
-        xi_res = min(xi_res, float(min(np.max(np.abs(v - xin)), np.max(np.abs(v + xin)))))
+        xi_res = min(xi_res, sup_norm(v - xin), sup_norm(v + xin))
 
     return HEigenReport(
         eigenvalues=w, vectors=vectors, lam=lam,
         plus_indices=tuple(plus), minus_indices=tuple(minus),
         zero_indices=tuple(zero),
-        spectrum_residual=spectrum_residual,
+        spectrum_residual=sup_norm(distances),
         orthonormality_residual=ortho_residual,
         xi_alignment_residual=xi_res,
     )
@@ -486,7 +481,7 @@ def verify_kmu_curvature(S: ContactMetricStructure, kappa: float, mu: float,
     data = christoffel_batch(S.g, pts)
     riem_all = riemann_components(data)
     lam = math.sqrt(max(1.0 - kappa, 0.0))
-    res = [0.0] * 6
+    defects = ([], [], [], [], [], [])
 
     for idx in range(pts.shape[0]):
         p = pts[idx]
@@ -511,41 +506,41 @@ def verify_kmu_curvature(S: ContactMetricStructure, kappa: float, mu: float,
                 for M in Ms:
                     lhs = R(P1, P2, M)
                     rhs = (kappa - mu) * (gp(ph(P2), M) * ph(P1) - gp(ph(P1), M) * ph(P2))
-                    res[0] = max(res[0], float(np.max(np.abs(lhs - rhs))))
+                    defects[0].append(lhs - rhs)
         for M1 in Ms:
             for M2 in Ms:
                 for P in Ps:
                     lhs = R(M1, M2, P)
                     rhs = (kappa - mu) * (gp(ph(M2), P) * ph(M1) - gp(ph(M1), P) * ph(M2))
-                    res[1] = max(res[1], float(np.max(np.abs(lhs - rhs))))
+                    defects[1].append(lhs - rhs)
         for P in Ps:
             for M1 in Ms:
                 for M2 in Ms:
                     lhs = R(P, M1, M2)
                     rhs = kappa * gp(ph(P), M2) * ph(M1) + mu * gp(ph(P), M1) * ph(M2)
-                    res[2] = max(res[2], float(np.max(np.abs(lhs - rhs))))
+                    defects[2].append(lhs - rhs)
         for P1 in Ps:
             for M in Ms:
                 for P2 in Ps:
                     lhs = R(P1, M, P2)
                     rhs = -kappa * gp(ph(M), P2) * ph(P1) - mu * gp(ph(M), P1) * ph(P2)
-                    res[3] = max(res[3], float(np.max(np.abs(lhs - rhs))))
+                    defects[3].append(lhs - rhs)
         c5 = 2.0 * (1.0 + lam) - mu
         for P1 in Ps:
             for P2 in Ps:
                 for P3 in Ps:
                     lhs = R(P1, P2, P3)
                     rhs = c5 * (gp(P2, P3) * P1 - gp(P1, P3) * P2)
-                    res[4] = max(res[4], float(np.max(np.abs(lhs - rhs))))
+                    defects[4].append(lhs - rhs)
         c6 = 2.0 * (1.0 - lam) - mu
         for M1 in Ms:
             for M2 in Ms:
                 for M3 in Ms:
                     lhs = R(M1, M2, M3)
                     rhs = c6 * (gp(M2, M3) * M1 - gp(M1, M3) * M2)
-                    res[5] = max(res[5], float(np.max(np.abs(lhs - rhs))))
+                    defects[5].append(lhs - rhs)
 
-    return KmuCurvatureReport(tuple(res), n_samples)
+    return KmuCurvatureReport(tuple(sup_norm(*parts) for parts in defects), n_samples)
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +560,7 @@ def eta_einstein_fit(S: ContactMetricStructure, n_samples: int = 50,
     a = np.stack([gv.ravel(), outer.ravel()], axis=1)
     sol, *_ = np.linalg.lstsq(a, ric.ravel(), rcond=None)
     alpha, beta = float(sol[0]), float(sol[1])
-    residual = float(np.max(np.abs(ric - alpha * gv - beta * outer)))
+    residual = sup_norm(ric - alpha * gv - beta * outer)
     return EtaEinsteinReport(alpha, beta, residual)
 
 
@@ -578,6 +573,6 @@ def verify_structure_isomorphism(F: SmoothMap, S1: ContactMetricStructure,
     pts = S1.chart.samples(n_samples, seed=seed)
     eta_pull = pullback(F, S2.eta)
     g_pull = pullback(F, S2.g)
-    r_eta = float(np.max(np.abs(eta_pull.values(pts) - S1.eta.values(pts))))
-    r_g = float(np.max(np.abs(g_pull.values(pts) - S1.g.values(pts))))
+    r_eta = sup_norm(eta_pull.values(pts) - S1.eta.values(pts))
+    r_g = sup_norm(g_pull.values(pts) - S1.g.values(pts))
     return IsomorphismReport(r_eta, r_g, n_samples)

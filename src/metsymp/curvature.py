@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateMetricError, GeometryError, RankError
-from .fields import TensorField
+from .fields import TensorField, sup_norm
 
 __all__ = [
     "ChristoffelData",
@@ -69,6 +69,9 @@ def christoffel_batch(g: TensorField, points: np.ndarray) -> ChristoffelData:
     return christoffel_from_blocks(pts, vals, grads, hesses)
 
 
+METRIC_COND_LIMIT = 1e12
+
+
 def christoffel_from_blocks(pts: np.ndarray, vals: np.ndarray, grads: np.ndarray,
                             hesses: np.ndarray) -> ChristoffelData:
     """Connection data from precomputed metric jet blocks.
@@ -76,11 +79,19 @@ def christoffel_from_blocks(pts: np.ndarray, vals: np.ndarray, grads: np.ndarray
     Exists so that an ambient evaluation can be restricted (for example to
     the leading coordinates of a product chart) and still drive the same
     curvature pipeline.  ``vals[n,i,j] = g_ij``, ``grads[n,i,j,m] = d_m
-    g_ij``, ``hesses[n,i,j,m,l] = d_m d_l g_ij``.
+    g_ij``, ``hesses[n,i,j,m,l] = d_m d_l g_ij``.  Raises
+    ``DegenerateMetricError`` where g is not finite or its 2-norm condition
+    number exceeds ``METRIC_COND_LIMIT``; the test is relative, so a
+    uniformly rescaled metric passes or fails as the original does.
     """
-    det = np.linalg.det(vals)
-    if np.any(np.abs(det) < 1e-14):
-        raise DegenerateMetricError("metric is degenerate at an evaluation point")
+    finite = np.isfinite(vals).all(axis=(-2, -1))
+    cond = np.linalg.cond(np.where(finite[:, None, None], vals, 0.0))  # inf where not finite
+    bad = np.flatnonzero(~(cond <= METRIC_COND_LIMIT))
+    if bad.size:
+        k = bad[0]
+        what = ("is not finite" if not finite[k] else
+                f"is nearly singular (condition number {cond[k]:.3e} > {METRIC_COND_LIMIT:.0e})")
+        raise DegenerateMetricError(f"metric at evaluation point {k} {pts[k].tolist()} {what}")
     ginv = np.linalg.inv(vals)
 
     # combo[n,i,j,l] = d_i g_jl + d_j g_il - d_l g_ij
@@ -262,7 +273,7 @@ def first_bianchi_check(g: TensorField, points: np.ndarray) -> BianchiReport:
     r2 = np.einsum("nlijk->nlkij", riem)  # R(d_j, d_k) d_i along d_l
     r3 = np.einsum("nljki->nlkij", riem)  # R(d_k, d_i) d_j along d_l
     total = riem + r2 + r3
-    return BianchiReport(float(np.max(np.abs(total))), pts.shape[0])
+    return BianchiReport(sup_norm(total), pts.shape[0])
 
 
 def gram_schmidt_frame(gmat: np.ndarray, seeds: np.ndarray | None = None,

@@ -52,6 +52,7 @@ __all__ = [
     "lower_index",
     "inverse_metric",
     "pointwise_solve",
+    "sup_norm",
 ]
 
 
@@ -88,9 +89,22 @@ def jet_eval(f: ScalarField, point: np.ndarray) -> Jet2:
     return f.jet(point)
 
 
-def coordinate_field(chart: Chart, i: int) -> ScalarField:
-    """The i-th coordinate function as a scalar field."""
-    return ScalarField(chart, Coord(i, chart.coord_names[i]))
+def sup_norm(*parts) -> float:
+    """The residual of a check: the largest absolute entry over all parts.
+
+    Every verifier reduces its sampled defects through this one function.
+    Parts are scalars or arrays of any shape; no parts, or only empty ones,
+    give 0.0.  Any NaN or infinite entry makes the result ``inf``, so a
+    defect that fails to evaluate can never read as a pass.  On finite
+    data the result is exact, whatever the order of the parts.
+    """
+    worst = 0.0
+    for part in parts:
+        top = float(np.max(np.abs(part), initial=0.0))
+        if not top < math.inf:
+            return math.inf
+        worst = max(worst, top)
+    return worst
 
 
 # ---------------------------------------------------------------------------

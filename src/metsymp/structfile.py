@@ -165,12 +165,18 @@ def parse_structure_text(text: str, name: str = "<string>") -> ContactMetricStru
     phi = TensorField(chart, 1, 1, phi_c)
 
     # reject non-Riemannian input early; downstream eigensolves assume a
-    # positive definite metric
-    eigs = np.linalg.eigvalsh(g.values(chart.samples(16)))
-    if np.min(eigs) <= 1e-12:
-        raise StructureFileError(
-            f"metric is not positive definite on the chart "
-            f"(smallest sampled eigenvalue {np.min(eigs):.3e})", 1)
+    # positive definite metric.  The eigenvalue test is relative to the
+    # largest eigenvalue, so it does not depend on the scale of g.
+    pts = chart.samples(16)
+    gv = g.values(pts)
+    finite = np.isfinite(gv).all(axis=(1, 2))
+    eigs = np.linalg.eigvalsh(np.where(finite[:, None, None], gv, 0.0))   # ascending
+    bad = np.flatnonzero(eigs[:, 0] <= 1e-12 * eigs[:, -1])
+    if bad.size:
+        k = bad[0]
+        what = ("not finite" if not finite[k] else "not positive definite (smallest "
+                f"eigenvalue {eigs[k, 0]:.3e} against largest {eigs[k, -1]:.3e})")
+        raise StructureFileError(f"metric is {what} at sample point {pts[k].tolist()}", 1)
     try:
         return ContactMetricStructure.build(chart, eta, g, phi)
     except GeometryError as err:

@@ -35,7 +35,7 @@ from .curvature import (
 )
 from .errors import GeometryError
 from .expressions import Const
-from .fields import TensorField
+from .fields import TensorField, sup_norm
 from .symplectization import (
     SymplecticMetricStructure,
     extend_to_product,
@@ -94,7 +94,7 @@ def submersion_frame(B: SymplecticMetricStructure, point: np.ndarray) -> Submers
     frame = gram_schmidt_frame(gmat, seeds=np.stack([xit, et]))
     horizontal = frame[1:2]
     vertical = np.concatenate([frame[0:1], frame[2:]], axis=0)
-    cross = float(np.max(np.abs(vertical @ gmat @ horizontal.T)))
+    cross = sup_norm(vertical @ gmat @ horizontal.T)
     return SubmersionFrame(p, vertical, horizontal, cross)
 
 
@@ -117,32 +117,21 @@ def split(B: SymplecticMetricStructure, V: np.ndarray, point: np.ndarray
 # ---------------------------------------------------------------------------
 
 
-def _vertical_field(B: SymplecticMetricStructure, E: TensorField) -> TensorField:
-    """E minus its gbar-projection on d_t, as a field."""
+def _split_field(B: SymplecticMetricStructure, E: TensorField
+                 ) -> tuple[TensorField, TensorField]:
+    """(vertical, horizontal) parts of a vector field: E minus its
+    gbar-projection s d_t on the line, and s d_t itself."""
     D = B.chart.dim
     ti = B.t_index
     s = Const(0.0)
     for c in range(D):
         s = s + B.gbar.components[c, ti] * E.components[c]
     s = s / B.gbar.components[ti, ti]
-    comps = np.empty(D, dtype=object)
-    for k in range(D):
-        comps[k] = E.components[k]
-    comps[ti] = E.components[ti] - s
-    return TensorField(B.chart, 1, 0, comps)
-
-
-def _horizontal_field(B: SymplecticMetricStructure, E: TensorField) -> TensorField:
-    D = B.chart.dim
-    ti = B.t_index
-    s = Const(0.0)
-    for c in range(D):
-        s = s + B.gbar.components[c, ti] * E.components[c]
-    s = s / B.gbar.components[ti, ti]
-    comps = np.empty(D, dtype=object)
-    comps[...] = Const(0.0)
-    comps[ti] = s
-    return TensorField(B.chart, 1, 0, comps)
+    vertical = E.components.copy()
+    vertical[ti] = E.components[ti] - s
+    horizontal = np.full(D, Const(0.0), dtype=object)
+    horizontal[ti] = s
+    return TensorField(B.chart, 1, 0, vertical), TensorField(B.chart, 1, 0, horizontal)
 
 
 def _project_values(B: SymplecticMetricStructure, vecs: np.ndarray,
@@ -155,6 +144,27 @@ def _project_values(B: SymplecticMetricStructure, vecs: np.ndarray,
     return horiz if horizontal else vecs - horiz
 
 
+def _oneill(B: SymplecticMetricStructure, E1: TensorField, E2: TensorField,
+            points: np.ndarray, data: ChristoffelData | None,
+            horizontal_e1: bool) -> np.ndarray:
+    """H nabla_{P E1} V E2 + V nabla_{P E1} H E2, with P = H or V."""
+    _require_product(B)
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim == 1:
+        pts = pts[None, :]
+    if data is None:
+        data = christoffel_batch(B.gbar, pts)
+    gv = data.g
+    pe1 = _project_values(B, E1.values(pts), gv, horizontal=horizontal_e1)
+    ve2_field, he2_field = _split_field(B, E2)
+    nabla_v = covariant_derivative_values(B.gbar, ve2_field, pts, data)
+    nabla_h = covariant_derivative_values(B.gbar, he2_field, pts, data)
+    d_v = np.einsum("nkm,nm->nk", nabla_v, pe1)
+    d_h = np.einsum("nkm,nm->nk", nabla_h, pe1)
+    return (_project_values(B, d_v, gv, horizontal=True)
+            + _project_values(B, d_h, gv, horizontal=False))
+
+
 def oneill_T(B: SymplecticMetricStructure, E1: TensorField, E2: TensorField,
              points: np.ndarray, data: ChristoffelData | None = None) -> np.ndarray:
     """T_{E1} E2 from the definition, at a batch of points.
@@ -162,43 +172,16 @@ def oneill_T(B: SymplecticMetricStructure, E1: TensorField, E2: TensorField,
     T_{E1}E2 = H nabla_{V E1} V E2 + V nabla_{V E1} H E2 with H and V the
     horizontal and vertical projections.
     """
-    _require_product(B)
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[None, :]
-    if data is None:
-        data = christoffel_batch(B.gbar, pts)
-    gv = data.g
-    ve1 = _project_values(B, E1.values(pts), gv, horizontal=False)
-    ve2_field = _vertical_field(B, E2)
-    he2_field = _horizontal_field(B, E2)
-    nabla_v = covariant_derivative_values(B.gbar, ve2_field, pts, data)
-    nabla_h = covariant_derivative_values(B.gbar, he2_field, pts, data)
-    d_v = np.einsum("nkm,nm->nk", nabla_v, ve1)
-    d_h = np.einsum("nkm,nm->nk", nabla_h, ve1)
-    return (_project_values(B, d_v, gv, horizontal=True)
-            + _project_values(B, d_h, gv, horizontal=False))
+    return _oneill(B, E1, E2, points, data, horizontal_e1=False)
 
 
 def oneill_A(B: SymplecticMetricStructure, E1: TensorField, E2: TensorField,
              points: np.ndarray, data: ChristoffelData | None = None) -> np.ndarray:
-    """A_{E1} E2 from the definition, at a batch of points."""
-    _require_product(B)
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[None, :]
-    if data is None:
-        data = christoffel_batch(B.gbar, pts)
-    gv = data.g
-    he1 = _project_values(B, E1.values(pts), gv, horizontal=True)
-    ve2_field = _vertical_field(B, E2)
-    he2_field = _horizontal_field(B, E2)
-    nabla_v = covariant_derivative_values(B.gbar, ve2_field, pts, data)
-    nabla_h = covariant_derivative_values(B.gbar, he2_field, pts, data)
-    d_v = np.einsum("nkm,nm->nk", nabla_v, he1)
-    d_h = np.einsum("nkm,nm->nk", nabla_h, he1)
-    return (_project_values(B, d_v, gv, horizontal=True)
-            + _project_values(B, d_h, gv, horizontal=False))
+    """A_{E1} E2 from the definition, at a batch of points.
+
+    A_{E1}E2 = H nabla_{H E1} V E2 + V nabla_{H E1} H E2.
+    """
+    return _oneill(B, E1, E2, points, data, horizontal_e1=True)
 
 
 def fundamental_T_field(B: SymplecticMetricStructure) -> TensorField:
@@ -268,8 +251,8 @@ class FundamentalTensorReport:
 
     @property
     def max_residual(self) -> float:
-        return max(self.vertical_pair_residual, self.mixed_pair_residual,
-                   self.horizontal_rows_residual, self.a_tensor_residual)
+        return sup_norm(self.vertical_pair_residual, self.mixed_pair_residual,
+                        self.horizontal_rows_residual, self.a_tensor_residual)
 
 
 def verify_fundamental_tensors(B: SymplecticMetricStructure, n_samples: int = 50,
@@ -286,29 +269,23 @@ def verify_fundamental_tensors(B: SymplecticMetricStructure, n_samples: int = 50
     xit = extended_slice_reeb(S, B.chart).values(pts)
     coord_fields = [TensorField.coordinate_vector(B.chart, i) for i in range(D)]
 
-    r_vv = 0.0
-    r_vt = 0.0
-    r_h = 0.0
-    r_a = 0.0
+    vv, vt = [], []
     for a in range(d):
         Ta_t = oneill_T(B, coord_fields[a], coord_fields[ti], pts, data)
         expected = np.zeros_like(Ta_t)
         expected[:, a] = 1.0
         expected += etat[:, a:a + 1] * xit
-        r_vt = max(r_vt, float(np.max(np.abs(Ta_t - expected))))
+        vt.append(Ta_t - expected)
         for b in range(d):
             Tab = oneill_T(B, coord_fields[a], coord_fields[b], pts, data)
             expected = np.zeros_like(Tab)
             expected[:, ti] = -(gv[:, a, b] + etat[:, a] * etat[:, b])
-            r_vv = max(r_vv, float(np.max(np.abs(Tab - expected))))
-    for b in range(D):
-        Ttb = oneill_T(B, coord_fields[ti], coord_fields[b], pts, data)
-        r_h = max(r_h, float(np.max(np.abs(Ttb))))
-    for a in range(D):
-        for b in range(D):
-            Aab = oneill_A(B, coord_fields[a], coord_fields[b], pts, data)
-            r_a = max(r_a, float(np.max(np.abs(Aab))))
-    return FundamentalTensorReport(r_vv, r_vt, r_h, r_a, n_samples)
+            vv.append(Tab - expected)
+    r_h = sup_norm(*(oneill_T(B, coord_fields[ti], coord_fields[b], pts, data)
+                     for b in range(D)))
+    r_a = sup_norm(*(oneill_A(B, coord_fields[a], coord_fields[b], pts, data)
+                     for a in range(D) for b in range(D)))
+    return FundamentalTensorReport(sup_norm(*vv), sup_norm(*vt), r_h, r_a, n_samples)
 
 
 @dataclass(frozen=True)
@@ -321,8 +298,8 @@ class OneillCurvatureReport:
 
     @property
     def max_residual(self) -> float:
-        return max(self.vertical_identity, self.three_vertical_identity,
-                   self.mixed_identity, self.two_pair_identity)
+        return sup_norm(self.vertical_identity, self.three_vertical_identity,
+                        self.mixed_identity, self.two_pair_identity)
 
 
 def verify_oneill_curvature(B: SymplecticMetricStructure, n_samples: int = 50,
@@ -357,38 +334,36 @@ def verify_oneill_curvature(B: SymplecticMetricStructure, n_samples: int = 50,
         """gbar(T(d_k1, d_a1), T(d_k2, d_a2)) batched."""
         return np.einsum("nc,ncd,nd->n", tv[:, :, k1, a1], gv, tv[:, :, k2, a2])
 
-    r1 = 0.0
+    d1, d2, d3, d4 = [], [], [], []
     for a in range(d):
         for b in range(d):
             for c in range(d):
                 for e in range(d):
                     lhs = rlow[:, e, c, a, b]
                     rhs = rlow_t[:, e, c, a, b] + pair(a, c, b, e) - pair(b, c, a, e)
-                    r1 = max(r1, float(np.max(np.abs(lhs - rhs))))
-    r2 = 0.0
+                    d1.append(lhs - rhs)
     for a in range(d):
         for b in range(d):
             for c in range(d):
                 lhs = rlow[:, ti, c, a, b]
                 dterm = dT[:, :, b, c, a] - dT[:, :, a, c, b]
                 rhs = np.einsum("nc,ncd,nd->n", dterm, gv, _unit(B, pts))
-                r2 = max(r2, float(np.max(np.abs(lhs - rhs))))
-    r3 = 0.0
+                d2.append(lhs - rhs)
     for a in range(d):
         for b in range(d):
             lhs = rlow[:, b, ti, ti, a]
             qterm = np.einsum("nc,ncd,nd->n", tv[:, :, a, ti], gv, tv[:, :, b, ti])
             dterm = np.einsum("nc,ncd,nd->n", dT[:, :, a, b, ti], gv, _unit(B, pts))
             rhs = qterm - dterm
-            r3 = max(r3, float(np.max(np.abs(lhs - rhs))))
-    r4 = 0.0
+            d3.append(lhs - rhs)
     for a in range(d):
         for b in range(d):
             lhs = rlow[:, ti, ti, a, b]
             rhs = (np.einsum("nc,ncd,nd->n", tv[:, :, a, ti], gv, tv[:, :, b, ti])
                    - np.einsum("nc,ncd,nd->n", tv[:, :, b, ti], gv, tv[:, :, a, ti]))
-            r4 = max(r4, float(np.max(np.abs(lhs - rhs))))
-    return OneillCurvatureReport(r1, r2, r3, r4, n_samples)
+            d4.append(lhs - rhs)
+    return OneillCurvatureReport(sup_norm(*d1), sup_norm(*d2), sup_norm(*d3), sup_norm(*d4),
+                                 n_samples)
 
 
 def _unit(B: SymplecticMetricStructure, pts: np.ndarray) -> np.ndarray:
@@ -416,8 +391,8 @@ class CurvatureRelationsReport:
 
     @property
     def max_residual(self) -> float:
-        return max(self.vertical_part, self.horizontal_part,
-                   self.radial_relation, self.degenerate_relation)
+        return sup_norm(self.vertical_part, self.horizontal_part,
+                        self.radial_relation, self.degenerate_relation)
 
 
 def verify_currel(B: SymplecticMetricStructure, n_samples: int = 50,
@@ -457,7 +432,7 @@ def verify_currel(B: SymplecticMetricStructure, n_samples: int = 50,
 
     P = gt + np.einsum("na,nb->nab", etat, etat)
 
-    r1 = 0.0
+    d1, d2, d3, d3_flipped = [], [], [], []
     for a in range(d):
         for b in range(d):
             for c in range(d):
@@ -467,9 +442,8 @@ def verify_currel(B: SymplecticMetricStructure, n_samples: int = 50,
                 rhs[:, a] -= P[:, b, c]
                 coeff = etat[:, b] * gt[:, a, c] - etat[:, a] * gt[:, b, c]
                 rhs += coeff[:, None] * xit
-                r1 = max(r1, float(np.max(np.abs(lhs - rhs))))
+                d1.append(lhs - rhs)
                 # the horizontal remainder of R(X,Y)Z is relation 2
-    r2 = 0.0
     for a in range(d):
         for b in range(d):
             for c in range(d):
@@ -481,18 +455,17 @@ def verify_currel(B: SymplecticMetricStructure, n_samples: int = 50,
                 phz = phiv[:, :, c]
                 rhs = -np.einsum("ni,nij,nj->n", phz, gt, w)
                 rhs += 2.0 * etat[:, c] * np.einsum("nj,nj->n", gt[:, b, :], phiv[:, :, a])
-                r2 = max(r2, float(np.max(np.abs(lhs - rhs))))
-    r3 = 0.0
-    r3_flipped = 0.0
+                d2.append(lhs - rhs)
     for a in range(d):
         for b in range(d):
             lhs = rlow[:, b, ti, ti, a]
             rhs = gt[:, a, b] + 3.0 * etat[:, a] * etat[:, b]
-            r3 = max(r3, float(np.max(np.abs(lhs - rhs))))
-            r3_flipped = max(r3_flipped, float(np.max(np.abs(lhs + rhs))))
-    r4 = float(np.max(np.abs(rlow[:, ti, ti, :d, :d])))
-    sign_flip = r3 > 1e-6 and r3_flipped < 1e-6
-    return CurvatureRelationsReport(r1, r2, r3, r4, sign_flip, n_samples)
+            d3.append(lhs - rhs)
+            d3_flipped.append(lhs + rhs)
+    r3 = sup_norm(*d3)
+    sign_flip = r3 > 1e-6 and sup_norm(*d3_flipped) < 1e-6
+    return CurvatureRelationsReport(sup_norm(*d1), sup_norm(*d2), r3,
+                                    sup_norm(rlow[:, ti, ti, :d, :d]), sign_flip, n_samples)
 
 
 @dataclass(frozen=True)
@@ -515,9 +488,9 @@ class RicciTableReport:
 
     @property
     def max_residual(self) -> float:
-        return max(self.distribution_block, self.distribution_reeb,
-                   self.distribution_line, self.reeb_line, self.reeb_reeb,
-                   self.line_line)
+        return sup_norm(self.distribution_block, self.distribution_reeb,
+                        self.distribution_line, self.reeb_line, self.reeb_reeb,
+                        self.line_line)
 
 
 def verify_ricci_relations(B: SymplecticMetricStructure, n_samples: int = 50,
@@ -535,8 +508,7 @@ def verify_ricci_relations(B: SymplecticMetricStructure, n_samples: int = 50,
     etat_full = extended_slice_form(S, B.chart).values(pts)
     xit_full = extended_slice_reeb(S, B.chart).values(pts)
 
-    r_block = r_dreeb = r_dline = r_rline = r_rr = r_ll = 0.0
-    r_ll_flipped = 0.0
+    block, dreeb, dline, rline, rr, ll, ll_flipped = ([] for _ in range(7))
     for k in range(len(pts)):
         gmat = data.g[k]
         seeds = [xit_full[k], _unit(B, pts)[k]]
@@ -551,17 +523,18 @@ def verify_ricci_relations(B: SymplecticMetricStructure, n_samples: int = 50,
 
         for i, ei in enumerate(es):
             for j, ej in enumerate(es):
-                val = float(ei @ rb @ ej) - ric_slice(ei, ej) + (2.0 * nn + 2.0) * (1.0 if i == j else 0.0)
-                r_block = max(r_block, abs(val))
-            r_dreeb = max(r_dreeb, abs(float(ei @ rb @ xi_hat) - ric_slice(ei, xi_hat)))
-            r_dline = max(r_dline, abs(float(ei @ rb @ e_t)))
-        r_rline = max(r_rline, abs(float(xi_hat @ rb @ e_t)))
-        r_rr = max(r_rr, abs(float(xi_hat @ rb @ xi_hat) - ric_slice(xi_hat, xi_hat) + 4.0 * nn + 4.0))
-        r_ll = max(r_ll, abs(float(e_t @ rb @ e_t) + 2.0 * nn + 4.0))
-        r_ll_flipped = max(r_ll_flipped, abs(float(e_t @ rb @ e_t) - 2.0 * nn - 4.0))
-    sign_flip = r_ll > 1e-6 and r_ll_flipped < 1e-6
-    return RicciTableReport(r_block, r_dreeb, r_dline, r_rline, r_rr, r_ll,
-                            sign_flip, n_samples)
+                block.append(float(ei @ rb @ ej) - ric_slice(ei, ej)
+                             + (2.0 * nn + 2.0) * (1.0 if i == j else 0.0))
+            dreeb.append(float(ei @ rb @ xi_hat) - ric_slice(ei, xi_hat))
+            dline.append(float(ei @ rb @ e_t))
+        rline.append(float(xi_hat @ rb @ e_t))
+        rr.append(float(xi_hat @ rb @ xi_hat) - ric_slice(xi_hat, xi_hat) + 4.0 * nn + 4.0)
+        ll.append(float(e_t @ rb @ e_t) + 2.0 * nn + 4.0)
+        ll_flipped.append(float(e_t @ rb @ e_t) - 2.0 * nn - 4.0)
+    r_ll = sup_norm(ll)
+    sign_flip = r_ll > 1e-6 and sup_norm(ll_flipped) < 1e-6
+    return RicciTableReport(sup_norm(block), sup_norm(dreeb), sup_norm(dline),
+                            sup_norm(rline), sup_norm(rr), r_ll, sign_flip, n_samples)
 
 
 @dataclass(frozen=True)
@@ -600,18 +573,18 @@ def fit_symplectization_kmu(B: SymplecticMetricStructure, t: float,
     colA = np.einsum("nb,la->nlab", etat, eye) - np.einsum("na,lb->nlab", etat, eye)
     colB = np.einsum("nb,nla->nlab", etat, hv) - np.einsum("na,nlb->nlab", etat, hv)
 
-    h_max = float(np.max(h_norms(S, base_pts)))
+    h_max = sup_norm(h_norms(S, base_pts))
     bvec = lhs.ravel()
     if h_max < 1e-8:
         amat = colA.ravel()[:, None]
         sol, *_ = np.linalg.lstsq(amat, bvec, rcond=None)
         kt = float(sol[0])
-        res = float(np.max(np.abs(lhs - kt * colA)))
+        res = sup_norm(lhs - kt * colA)
         return SymplectizationKmuReport(kt, None, res, float(t), n_samples)
     amat = np.stack([colA.ravel(), colB.ravel()], axis=1)
     sol, *_ = np.linalg.lstsq(amat, bvec, rcond=None)
     kt, mt = float(sol[0]), float(sol[1])
-    res = float(np.max(np.abs(lhs - kt * colA - mt * colB)))
+    res = sup_norm(lhs - kt * colA - mt * colB)
     return SymplectizationKmuReport(kt, mt, res, float(t), n_samples)
 
 
@@ -649,21 +622,22 @@ def verify_kumrig_negative(B: SymplecticMetricStructure, n_samples: int = 30,
     ric_bar = ricci_components(data)
     xit_full = extended_slice_reeb(S, B.chart).values(pts)
 
-    worst = -1.0
-    labels = ("", "")
+    D = B.chart.dim
+    names = ["xi_t", "d_t"] + [f"e{i+1}" for i in range(D - 2)]
+    dt_cov = np.zeros(D)
+    dt_cov[B.t_index] = 1.0
+    table = np.empty((len(pts), D, D))      # frame components of Ric + (2n+4) dt^2
     for k in range(len(pts)):
         gmat = data.g[k]
         frame = gram_schmidt_frame(gmat, seeds=np.stack([xit_full[k], _unit(B, pts)[k]]))
-        names = ["xi_t", "d_t"] + [f"e{i+1}" for i in range(len(frame) - 2)]
-        dt_cov = np.zeros(B.chart.dim)
-        dt_cov[B.t_index] = 1.0
-        for i in range(len(frame)):
-            for j in range(len(frame)):
+        for i in range(D):
+            for j in range(D):
                 val = float(frame[i] @ ric_bar[k] @ frame[j])
                 val += (2.0 * nn + 4.0) * float(frame[i] @ dt_cov) * float(frame[j] @ dt_cov)
-                if abs(val) > worst:
-                    worst = abs(val)
-                    labels = (names[i], names[j])
+                table[k, i, j] = val
+    worst = sup_norm(table)
+    _, i, j = np.unravel_index(np.argmax(np.abs(table)), table.shape)
+    labels = (names[i], names[j])
     hypothesis_holds = worst < 1e-6
 
     # forward arithmetic: under the hypothesis the implemented rows give
@@ -676,7 +650,7 @@ def verify_kumrig_negative(B: SymplecticMetricStructure, n_samples: int = 30,
     alpha = beta = 2.0 * nn + 2.0
     model = alpha * np.eye(dim_v)
     model[dim_v - 1, dim_v - 1] += beta
-    forward_res = float(np.max(np.abs(hyp_rows - model)))
+    forward_res = sup_norm(hyp_rows - model)
 
     slice_fits = {}
     for t0 in slice_ts:

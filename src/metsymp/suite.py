@@ -6,6 +6,11 @@ carries an anchor string stating the identity it verifies, a residual, a
 threshold and a pass flag; check failures are recorded, never raised, so a
 single bad identity cannot hide the rest of the report.
 
+Every residual is reduced by :func:`metsymp.fields.sup_norm`: the largest
+absolute defect over all samples, with any NaN or infinite defect reported
+as ``inf``.  A check passes only when its residual is finite and below its
+threshold; a check that raises is recorded with residual ``inf``.
+
 ``report_emit`` serializes a report deterministically.  The JSON schema is
 
     {"entry": ..., "config": {"samples", "seed", "t_range", "thresholds"},
@@ -39,7 +44,7 @@ from .contact import (
 )
 from .curvature import christoffel_batch, riemann_components
 from .errors import ConfigError, SasakianDegeneracyError
-from .fields import TensorField, exterior_derivative
+from .fields import TensorField, exterior_derivative, sup_norm
 from .submersion import (
     fit_symplectization_kmu,
     verify_currel,
@@ -177,6 +182,14 @@ class SuiteReport:
 # ---------------------------------------------------------------------------
 
 
+def _constant_defects(kappa, mu, want_kappa, want_mu) -> list[float]:
+    """Fitted (kappa, mu) minus the expected pair; mu defined on one side only
+    is an infinite defect."""
+    if (mu is None) != (want_mu is None):
+        return [kappa - want_kappa, math.inf]
+    return [kappa - want_kappa] + ([] if mu is None else [mu - want_mu])
+
+
 def _check_compatibility(S, cfg, ctx):
     return verify_compatibility(S, cfg.samples, seed=cfg.seed).max_residual
 
@@ -187,13 +200,9 @@ def _check_reeb(S, cfg, ctx):
     dv = deta.values(pts)
     ev = S.eta.values(pts)
     xv = S.xi.values(pts)
-    r_pair = float(np.max(np.abs(np.einsum("ni,nij->nj", xv, dv))))
-    r_unit = float(np.max(np.abs(np.einsum("ni,ni->n", ev, xv) - 1.0)))
-    r_solver = 0.0
-    for p in pts[: min(10, len(pts))]:
-        r_solver = max(r_solver, float(np.max(np.abs(solve_reeb(S.eta, S.chart, p)
-                                                     - S.xi.values(p)))))
-    return max(r_pair, r_unit, r_solver)
+    solver = [solve_reeb(S.eta, S.chart, p) - S.xi.values(p) for p in pts[: min(10, len(pts))]]
+    return sup_norm(np.einsum("ni,nij->nj", xv, dv), np.einsum("ni,ni->n", ev, xv) - 1.0,
+                    *solver)
 
 
 def _check_h_tensor(S, cfg, ctx):
@@ -203,21 +212,17 @@ def _check_h_tensor(S, cfg, ctx):
     anti = np.einsum("nia,naj->nij", hv, pv) + np.einsum("nia,naj->nij", pv, hv)
     trace = np.einsum("nii->n", hv)
     ctx["k_contact"] = bool(is_K_contact(S, cfg.samples, seed=cfg.seed + 2).is_k_contact)
-    return max(float(np.max(np.abs(anti))), float(np.max(np.abs(trace))))
+    return sup_norm(anti, trace)
 
 
 def _check_nullity_fit(S, cfg, ctx):
     rep = fit_kappa_mu(S, cfg.samples, seed=cfg.seed + 3)
     ctx["kmu"] = rep
-    residual = rep.residual
+    defects = [rep.residual]
     entry = ctx.get("entry")
     if entry is not None and entry.expected_kappa is not None:
-        residual = max(residual, abs(rep.kappa - entry.expected_kappa))
-        if entry.expected_mu is not None and rep.mu is not None:
-            residual = max(residual, abs(rep.mu - entry.expected_mu))
-        if (entry.expected_mu is None) != (rep.mu is None):
-            residual = float("inf")
-    return residual
+        defects += _constant_defects(rep.kappa, rep.mu, entry.expected_kappa, entry.expected_mu)
+    return sup_norm(*defects)
 
 
 def _check_h_eigenstructure(S, cfg, ctx):
@@ -227,18 +232,16 @@ def _check_h_eigenstructure(S, cfg, ctx):
     pv = S.phi.values(pts)
     h2 = np.einsum("nia,naj->nij", hv, hv)
     p2 = np.einsum("nia,naj->nij", pv, pv)
-    residual = float(np.max(np.abs(h2 + (1.0 - rep.kappa) * p2)))
+    defects = [h2 + (1.0 - rep.kappa) * p2]
     if not rep.sasakian_flag:
         lam = math.sqrt(1.0 - rep.kappa)
         for p in pts[: min(10, len(pts))]:
             eig = h_eigendecomposition(S, p)
             target = np.sort(np.concatenate([
                 np.full(S.n, lam), np.full(S.n, -lam), np.zeros(1)]))
-            residual = max(residual,
-                           float(np.max(np.abs(np.sort(eig.eigenvalues) - target))),
-                           eig.orthonormality_residual,
-                           eig.xi_alignment_residual)
-    return residual
+            defects += [np.sort(eig.eigenvalues) - target,
+                        eig.orthonormality_residual, eig.xi_alignment_residual]
+    return sup_norm(*defects)
 
 
 def _check_eigenspace_curvature(S, cfg, ctx):
@@ -254,31 +257,25 @@ def _check_eigenspace_curvature(S, cfg, ctx):
         lhs = np.einsum("nlkij,nk->nlij", riem, xv)
         eye = np.eye(S.chart.dim)
         rhs = np.einsum("nj,li->nlij", ev, eye) - np.einsum("ni,lj->nlij", ev, eye)
-        return float(np.max(np.abs(lhs - rhs)))
+        return sup_norm(lhs - rhs)
     rep6 = verify_kmu_curvature(S, rep.kappa, rep.mu, n_pts, seed=cfg.seed + 5)
     return rep6.max_residual
 
 
 def _check_rescale_equivariance(S, cfg, ctx):
     rep = ctx["kmu"]
-    worst = 0.0
+    defects = []
     n_pts = min(cfg.samples, 30)
     for a in (0.5, 2.0, math.e):
         S2 = d_homothety(S, a)
         pts = S.chart.samples(n_pts, seed=cfg.seed + 6)
-        worst = max(worst, float(np.max(np.abs(
-            S2.xi.values(pts) - S.xi.values(pts) / a))))
-        worst = max(worst, float(np.max(np.abs(
-            S2.h.values(pts) - S.h.values(pts) / a))))
-        worst = max(worst, verify_compatibility(S2, n_pts, seed=cfg.seed + 6).max_residual)
+        defects += [S2.xi.values(pts) - S.xi.values(pts) / a,
+                    S2.h.values(pts) - S.h.values(pts) / a,
+                    verify_compatibility(S2, n_pts, seed=cfg.seed + 6).max_residual]
         rep2 = fit_kappa_mu(S2, n_pts, seed=cfg.seed + 6)
         kp, mp = kappa_mu_after_rescale(rep.kappa, rep.mu, a)
-        worst = max(worst, abs(rep2.kappa - kp), rep2.residual)
-        if mp is not None and rep2.mu is not None:
-            worst = max(worst, abs(rep2.mu - mp))
-        elif (mp is None) != (rep2.mu is None):
-            worst = float("inf")
-    return worst
+        defects += [rep2.residual, *_constant_defects(rep2.kappa, rep2.mu, kp, mp)]
+    return sup_norm(*defects)
 
 
 def _check_index_invariance(S, cfg, ctx):
@@ -294,28 +291,26 @@ def _check_index_invariance(S, cfg, ctx):
         return float("inf")
     base = boeckx_index(rep.kappa, rep.mu)
     ctx["index"] = base
-    worst = 0.0
     n_pts = min(cfg.samples, 30)
-    for a in (0.5, 2.0, math.e):
-        rep2 = fit_kappa_mu(d_homothety(S, a), n_pts, seed=cfg.seed + 7)
-        worst = max(worst, abs(boeckx_index(rep2.kappa, rep2.mu) - base))
-    return worst
+    refits = [fit_kappa_mu(d_homothety(S, a), n_pts, seed=cfg.seed + 7)
+              for a in (0.5, 2.0, math.e)]
+    return sup_norm([boeckx_index(r.kappa, r.mu) - base for r in refits])
 
 
 def _check_symplectization_build(S, cfg, ctx):
     B = build_metric_symplectization(S, cfg.t_range)
     ctx["B"] = B
     n_pts = min(cfg.samples, 40)
-    worst = max(acs_table_residuals(B, n_pts, seed=cfg.seed + 8).values())
-    worst = max(worst, max(block_structure_residuals(B, n_pts, seed=cfg.seed + 8).values()))
-    worst = max(worst, unique_acs_witness_residual(B, min(n_pts, 15), seed=cfg.seed + 8))
+    defects = [*acs_table_residuals(B, n_pts, seed=cfg.seed + 8).values(),
+               *block_structure_residuals(B, n_pts, seed=cfg.seed + 8).values(),
+               unique_acs_witness_residual(B, min(n_pts, 15), seed=cfg.seed + 8)]
     pts = S.chart.samples(n_pts, seed=cfg.seed + 8)
     for t0 in (-0.5, 0.3):
         sl = slice_structure(B, t0).structure
         dh = d_homothety(S, math.exp(2.0 * t0))
         for f1, f2 in ((sl.eta, dh.eta), (sl.g, dh.g), (sl.phi, dh.phi)):
-            worst = max(worst, float(np.max(np.abs(f1.values(pts) - f2.values(pts)))))
-    return worst
+            defects.append(f1.values(pts) - f2.values(pts))
+    return sup_norm(*defects)
 
 
 def _check_liouville(S, cfg, ctx):
@@ -341,17 +336,13 @@ def _check_ricci_rows(S, cfg, ctx):
 def _check_symplectization_nullity(S, cfg, ctx):
     B = ctx["B"]
     rep = ctx["kmu"]
-    worst = 0.0
+    defects = []
     n_pts = min(cfg.samples, 30)
     for t in (-0.5, 0.0, 0.5):
         fit = fit_symplectization_kmu(B, t, n_pts, seed=cfg.seed + 13)
         kt, mt = kappa_mu_after_rescale(rep.kappa, rep.mu, math.exp(2.0 * t))
-        worst = max(worst, fit.residual, abs(fit.kappa_tilde - (kt - 2.0)))
-        if mt is not None and fit.mu_tilde is not None:
-            worst = max(worst, abs(fit.mu_tilde - mt))
-        elif (mt is None) != (fit.mu_tilde is None):
-            worst = float("inf")
-    return worst
+        defects += [fit.residual, *_constant_defects(fit.kappa_tilde, fit.mu_tilde, kt - 2.0, mt)]
+    return sup_norm(*defects)
 
 
 def _check_integrability(S, cfg, ctx):
@@ -363,11 +354,12 @@ def _check_integrability(S, cfg, ctx):
     Jn = natural_acs(S, cfg.t_range)
     norms_natural = nijenhuis_norms(nijenhuis(Jn), B.gbar, pts)
     if rep.sasakian_flag:
-        return max(float(np.max(norms_metric)), float(np.max(norms_natural)))
-    # non-Sasakian: both torsions must be bounded away from zero
+        return sup_norm(norms_metric, norms_natural)
+    # non-Sasakian: both torsions must be bounded away from zero; the
+    # residual is how far the smallest norm falls short of the floor
     floor = 1e-2
-    short = min(float(np.min(norms_metric)), float(np.min(norms_natural)))
-    return max(0.0, floor - short)
+    return sup_norm(np.maximum(floor - norms_metric, 0.0),
+                    np.maximum(floor - norms_natural, 0.0))
 
 
 def _check_translation_isomorphism(S, cfg, ctx):
@@ -406,7 +398,7 @@ def run_suite(entry: CatalogEntry, config: SuiteConfig | None = None) -> SuiteRe
     for check_id in CHECK_ORDER:
         threshold = cfg.thresholds[check_id]
         try:
-            residual = float(_CHECKS[check_id](S, cfg, ctx))
+            residual = sup_norm(_CHECKS[check_id](S, cfg, ctx))
             error = None
         except Exception as exc:  # noqa: BLE001 - the contract is never abort
             residual = float("inf")

@@ -42,6 +42,7 @@ from .fields import (
     inverse_matrix_exprs,
     lie_derivative,
     pullback,
+    sup_norm,
     wedge,
 )
 from .jets import coordinate_jets
@@ -271,7 +272,7 @@ def verify_symplectic(B: Union[SymplecticMetricStructure, TensorField],
     n = chart.dim // 2
     pts = chart.samples(n_samples, seed=seed)
     domega = exterior_derivative(omega)
-    closed = float(np.max(np.abs(domega.values(pts))))
+    closed = sup_norm(domega.values(pts))
     top = omega
     for _ in range(n - 1):
         top = wedge(top, omega)
@@ -314,14 +315,14 @@ def verify_liouville(B: Union[SymplecticMetricStructure, TensorField],
     pts = chart.samples(n_samples, seed=seed)
     iy = interior_product(Y, omega)
     lhs = exterior_derivative(iy) + interior_product(Y, exterior_derivative(omega))
-    cartan = float(np.max(np.abs(lhs.values(pts) - omega.values(pts))))
+    cartan = sup_norm(lhs.values(pts) - omega.values(pts))
 
     lie = lie_derivative(Y, omega)
     lv = lie.values(pts).ravel()
     ov = omega.values(pts).ravel()
     denom = float(ov @ ov)
     c = float(lv @ ov) / denom if denom > 0 else 0.0
-    lie_res = float(np.max(np.abs(lv - c * ov)))
+    lie_res = sup_norm(lv - c * ov)
     return LiouvilleReport(cartan, c, lie_res, n_samples)
 
 
@@ -393,7 +394,7 @@ def induced_contact_on_hypersurface(
     img = embedding(pts)
     gv = B.gbar.values(img)
     yv = Y.values(img)
-    unit_res = float(np.max(np.abs(np.einsum("nij,ni,nj->n", gv, yv, yv) - 1.0)))
+    unit_res = sup_norm(np.einsum("nij,ni,nj->n", gv, yv, yv) - 1.0)
     if unit_res > tol:
         raise GeometryError(f"Y is not unit along the hypersurface (residual {unit_res:.3e})")
     jac_exprs = [[embedding.exprs[c].diff(i) for c in range(D)] for i in range(d)]
@@ -404,7 +405,7 @@ def induced_contact_on_hypersurface(
         for c in range(D):
             jac_vals[:, i, c] = jac_exprs[i][c].evaluate(jets, memo).value
     orth = np.einsum("nic,ncb,nb->ni", jac_vals, gv, yv)
-    orth_res = float(np.max(np.abs(orth)))
+    orth_res = sup_norm(orth)
     if orth_res > tol:
         raise GeometryError(
             f"Y is not orthogonal to the hypersurface (residual {orth_res:.3e})"
@@ -524,20 +525,20 @@ def acs_table_residuals(B: SymplecticMetricStructure, n_samples: int = 50,
     xt = extended_slice_reeb(S, chart).values(pts)
     et = np.zeros((len(pts), D))
     et[:, D - 1] = 1.0
-    r1 = float(np.max(np.abs(np.einsum("nij,nj->ni", jv, xt) - et)))
-    r2 = float(np.max(np.abs(np.einsum("nij,nj->ni", jv, et) + xt)))
+    r1 = sup_norm(np.einsum("nij,nj->ni", jv, xt) - et)
+    r2 = sup_norm(np.einsum("nij,nj->ni", jv, et) + xt)
     # distribution vectors v_a = d_a - eta(d_a) xi, tangent to slices
     ev = extend_to_product(S.eta, chart).values(pts)
     xv = extend_to_product(S.xi, chart).values(pts)
     pv = extend_to_product(S.phi, chart).values(pts)
-    r3 = 0.0
+    defects = []
     for a in range(d):
         v = -ev[:, a:a + 1] * xv
         v[:, a] += 1.0
         lhs = np.einsum("nij,nj->ni", jv, v)
         rhs = np.einsum("nij,nj->ni", pv, v)
-        r3 = max(r3, float(np.max(np.abs(lhs - rhs))))
-    return {"J_xi_t": r1, "J_d_t": r2, "J_on_distribution": r3}
+        defects.append(lhs - rhs)
+    return {"J_xi_t": r1, "J_d_t": r2, "J_on_distribution": sup_norm(*defects)}
 
 
 def block_structure_residuals(B: SymplecticMetricStructure, n_samples: int = 50,
@@ -550,10 +551,10 @@ def block_structure_residuals(B: SymplecticMetricStructure, n_samples: int = 50,
     D = B.chart.dim
     d = S.chart.dim
     gv = B.gbar.values(pts)
-    unit = float(np.max(np.abs(gv[:, D - 1, D - 1] - 1.0)))
-    orth = float(np.max(np.abs(gv[:, D - 1, :d])))
+    unit = sup_norm(gv[:, D - 1, D - 1] - 1.0)
+    orth = sup_norm(gv[:, D - 1, :d])
     gt = slice_metric_field(S, B.chart).values(pts)
-    block = float(np.max(np.abs(gv[:, :d, :d] - gt[:, :d, :d])))
+    block = sup_norm(gv[:, :d, :d] - gt[:, :d, :d])
     compat = _compatibility_residual(B, pts)
     return {"dt_unit": unit, "dt_orthogonal": orth, "slice_block": block,
             "omega_pairing": compat}
@@ -565,7 +566,7 @@ def _compatibility_residual(B: SymplecticMetricStructure, pts: np.ndarray) -> fl
     jv = B.J.values(pts)
     ov = B.omega.values(pts)
     lhs = np.einsum("nia,naj->nij", gv, jv)
-    return float(np.max(np.abs(lhs - ov)))
+    return sup_norm(lhs - ov)
 
 
 def unique_acs_witness_residual(B: SymplecticMetricStructure, n_samples: int = 25,
@@ -588,7 +589,7 @@ def unique_acs_witness_residual(B: SymplecticMetricStructure, n_samples: int = 2
     xt = extended_slice_reeb(S, B.chart).values(pts)
     ev = extend_to_product(S.eta, B.chart).values(pts)
     xv = extend_to_product(S.xi, B.chart).values(pts)
-    worst = 0.0
+    defects = []
     for nidx in range(len(pts)):
         rows = [xt[nidx]]
         for a in range(d):
@@ -605,8 +606,8 @@ def unique_acs_witness_residual(B: SymplecticMetricStructure, n_samples: int = 2
         rhs = np.zeros(len(rows))
         rhs[-1] = 1.0
         sol, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
-        worst = max(worst, float(np.max(np.abs(sol + xt[nidx]))))
-    return worst
+        defects.append(sol + xt[nidx])
+    return sup_norm(*defects)
 
 
 # ---------------------------------------------------------------------------
@@ -622,7 +623,7 @@ class TranslationReport:
 
     @property
     def max_residual(self) -> float:
-        return max(self.omega_residual, self.metric_residual)
+        return sup_norm(self.omega_residual, self.metric_residual)
 
 
 def translation_isomorphism_check(S: ContactMetricStructure, t_shift: float,
@@ -659,6 +660,6 @@ def translation_isomorphism_check(S: ContactMetricStructure, t_shift: float,
     rng = np.random.default_rng(chart.sampler_seed if seed is None else seed)
     pts[:, -1] = rng.uniform(t_lo, t_hi, size=len(pts))
 
-    om_res = float(np.max(np.abs(pullback(shift, B1.omega).values(pts) - B2.omega.values(pts))))
-    g_res = float(np.max(np.abs(pullback(shift, B1.gbar).values(pts) - B2.gbar.values(pts))))
+    om_res = sup_norm(pullback(shift, B1.omega).values(pts) - B2.omega.values(pts))
+    g_res = sup_norm(pullback(shift, B1.gbar).values(pts) - B2.gbar.values(pts))
     return TranslationReport(om_res, g_res, n_samples)

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from metsymp.cli import main
 
 GOOD_FILE = """
@@ -20,6 +22,10 @@ phi z y = y
 """
 
 INCOMPATIBLE_FILE = GOOD_FILE.replace("g y y = 1/2", "g y y = 1")
+
+# NaN wherever x < 0
+NAN_PHI_FILE = GOOD_FILE.replace("phi x y = 1", "phi x y = sqrt(x)/sqrt(x)")
+NAN_METRIC_FILE = GOOD_FILE.replace("g y y = 1/2", "g y y = 1/2*sqrt(x)/sqrt(x)")
 
 BROKEN_FILE = GOOD_FILE.replace("eta x = -y", "eta x = -y +")
 
@@ -76,11 +82,21 @@ def test_fit_file(tmp_path, capsys):
     assert "kappa=1" in out and "mu=undefined" in out
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_fit_incompatible_file_fails(tmp_path, capsys):
     path = tmp_path / "bad.txt"
-    path.write_text(INCOMPATIBLE_FILE)
-    assert main(["fit-kmu", str(path), "--samples", "15"]) == 1
-    assert "compatibility" in capsys.readouterr().out
+    for text in (INCOMPATIBLE_FILE, NAN_PHI_FILE):
+        path.write_text(text)
+        assert main(["fit-kmu", str(path), "--samples", "15"]) == 1
+        assert "compatibility" in capsys.readouterr().out
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_fit_non_finite_metric_file_is_bad_input(tmp_path, capsys):
+    path = tmp_path / "nan.txt"
+    path.write_text(NAN_METRIC_FILE)
+    assert main(["fit-kmu", str(path)]) == 2
+    assert "not finite" in capsys.readouterr().err
 
 
 def test_fit_parse_error(tmp_path, capsys):

@@ -131,6 +131,14 @@ def test_doubled_metric_fails_pairing_axiom(sasakian):
     assert rep.residual_deta_pairing > 1e-3
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_nan_in_phi_fails_compatibility_with_infinite_residual(nan_masked_sasakian_entry):
+    rep = verify_compatibility(nan_masked_sasakian_entry.structure, 30)
+    assert rep.residual_phi_square == math.inf
+    assert rep.max_residual == math.inf
+    assert not rep.passed
+
+
 def test_phi_annihilates_reeb(any_entry):
     S = any_entry.structure
     pts = S.chart.samples(100)
@@ -234,6 +242,15 @@ def test_rescale_of_flat_bundle_hits_the_law(flat_bundle):
     rep = fit_kappa_mu(S2, 40)
     assert_allclose([rep.kappa, rep.mu], [0.75, 1.0], atol=1e-9)
     assert rep.residual < 1e-9
+
+
+def test_strong_rescale_of_flat_bundle_hits_the_law(flat_bundle):
+    """At a = 1e-4 the metric is small but well conditioned; no guard trips."""
+    a = 1e-4
+    rep = fit_kappa_mu(d_homothety(flat_bundle, a), 20)
+    law = ((a * a - 1.0) / (a * a), (2.0 * a - 2.0) / a)
+    assert_allclose([rep.kappa, rep.mu], law, rtol=1e-12)
+    assert rep.residual < 1e-12 * abs(law[0])
 
 
 def test_rescale_equivariance_random_factors(any_entry):

@@ -27,7 +27,7 @@ from metsymp.curvature import (
     sectional,
 )
 from metsymp.errors import DegenerateMetricError, GeometryError
-from metsymp.expressions import Const, Coord, sin
+from metsymp.expressions import Const, Coord, sin, sqrt
 from metsymp.fd_oracle import fd_christoffel, fd_riemann
 from metsymp.fields import TensorField, lie_bracket
 
@@ -163,6 +163,7 @@ def test_sectional_rejects_dependent_arguments(sphere):
         sectional(g, np.array([1.0, 0.0]), np.array([2.0, 0.0]), p)
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_degenerate_metric_rejected():
     chart = Chart(("x", "y"), ((-1, 1), (-1, 1)))
     comps = np.empty((2, 2), dtype=object)
@@ -171,6 +172,26 @@ def test_degenerate_metric_rejected():
     g = TensorField(chart, 0, 2, comps, "symmetric")
     with pytest.raises(DegenerateMetricError):
         christoffel(g, np.array([0.0, 0.0]))
+
+    # nearly singular at any scale, and NaN where x < 0
+    comps[0, 0] = Const(1e-8)
+    comps[1, 1] = Const(1e-21)
+    with pytest.raises(DegenerateMetricError, match="nearly singular"):
+        christoffel(TensorField(chart, 0, 2, comps, "symmetric"), np.array([0.0, 0.0]))
+    x = Coord(0, "x")
+    comps[1, 1] = sqrt(x) / sqrt(x)
+    with pytest.raises(DegenerateMetricError, match="not finite"):
+        christoffel(TensorField(chart, 0, 2, comps, "symmetric"), np.array([-0.5, 0.0]))
+
+
+def test_metric_guard_is_relative():
+    """A uniformly tiny metric is as well conditioned as the unit one."""
+    chart = Chart(("x", "y"), ((-1, 1), (-1, 1)))
+    comps = np.empty((2, 2), dtype=object)
+    comps[...] = Const(0.0)
+    comps[0, 0] = comps[1, 1] = Const(1e-8)
+    data = christoffel(TensorField(chart, 0, 2, comps, "symmetric"), np.array([0.0, 0.0]))
+    assert np.all(data.gamma == 0.0)
 
 
 def test_fd_oracle_agreement_on_catalog_metrics(any_entry):

@@ -22,6 +22,7 @@ from metsymp.fields import (
     pointwise_solve,
     pullback,
     raise_index,
+    sup_norm,
     wedge,
 )
 
@@ -382,3 +383,33 @@ def test_symmetry_tags_are_structural(r3):
     S = TensorField(r3, 0, 2, raw, "symmetric")
     vals = S.values(pts)
     assert np.array_equal(vals, np.swapaxes(vals, 1, 2))
+
+
+# ---------------------------------------------------------------------------
+# the residual reducer
+# ---------------------------------------------------------------------------
+
+
+def test_sup_norm_is_the_exact_max_abs_on_finite_data():
+    rng = np.random.default_rng(5)
+    parts = [rng.normal(size=(4, 3)) * 10.0 ** rng.integers(-20, 20, size=(4, 3)),
+             rng.normal(size=7), -2.5, np.float64(1e-300), np.zeros((0, 3))]
+    reference = max(float(np.max(np.abs(p))) for p in parts if np.size(p))
+    assert sup_norm(*parts) == reference
+    assert sup_norm(*reversed(parts)) == reference
+    assert sup_norm(parts[0]) == float(np.max(np.abs(parts[0])))
+    assert sup_norm(-3.0, [1.0, -2.0]) == 3.0
+    assert sup_norm() == 0.0
+    assert sup_norm(np.zeros(0)) == 0.0
+    assert type(sup_norm(np.ones(2))) is float
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_sup_norm_maps_any_non_finite_entry_to_inf(bad):
+    arr = np.ones((3, 2))
+    arr[1, 0] = bad
+    assert sup_norm(arr) == math.inf
+    assert sup_norm(0.0, arr, 5.0) == math.inf
+    assert sup_norm(bad) == math.inf
+    # the order of the parts does not matter, unlike max(0.0, nan) == 0.0
+    assert sup_norm(bad, 0.0) == sup_norm(0.0, bad) == math.inf

@@ -107,6 +107,14 @@ def test_indefinite_metric_rejected():
     assert "positive definite" in str(err.value)
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_non_finite_metric_rejected():
+    text = RESCALED_R3.replace("g y y = 1/2", "g y y = 1/2*sqrt(x)/sqrt(x)")
+    with pytest.raises(StructureFileError) as err:
+        parse_structure_text(text)
+    assert "not finite" in str(err.value)
+
+
 def test_symmetric_mirror_fill():
     text = """
 chart x [-1.5, 1.5]

@@ -1,10 +1,14 @@
 """Suite orchestration, the report schema, and determinism."""
 
 import json
+import math
 
+import numpy as np
 import pytest
 
+from metsymp import suite
 from metsymp.catalog import catalog_load
+from metsymp.contact import KmuReport
 from metsymp.errors import ConfigError
 from metsymp.suite import (
     CHECK_ORDER,
@@ -133,3 +137,30 @@ def test_check_errors_are_recorded_not_raised():
     assert rep.failed >= 1
     # remaining checks still executed
     assert len(rep.checks) == 16
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_nan_residuals_fail_and_are_reported_as_inf(nan_masked_sasakian_entry):
+    rep = run_suite(nan_masked_sasakian_entry, SuiteConfig(samples=10, seed=42))
+    by_id = {c.id: c for c in rep.checks}
+    for check_id in ("compatibility", "rescale_equivariance"):
+        assert by_id[check_id].residual == math.inf
+        assert not by_id[check_id].passed
+    assert not any(math.isnan(c.residual) for c in rep.checks)
+
+
+@pytest.mark.parametrize("short_norms, expected", [
+    ([0.5, 0.7], 0.0),
+    ([0.5, 0.004], 1e-2 - 0.004),
+    ([0.5, math.nan], math.inf),
+])
+def test_integrability_floor_off_the_sasakian_case(monkeypatch, sasakian, sasakian_symp,
+                                                   short_norms, expected):
+    """Off h = 0 both torsion norms must clear 1e-2; a NaN norm fails."""
+    norms = iter([np.array([0.9, 0.8]), np.array(short_norms)])
+    monkeypatch.setattr(suite, "nijenhuis", lambda J: J)
+    monkeypatch.setattr(suite, "nijenhuis_norms", lambda N, g, pts: next(norms))
+    ctx = {"B": sasakian_symp,
+           "kmu": KmuReport(kappa=0.0, mu=0.0, residual=0.0, sasakian_flag=False, lam=1.0)}
+    residual = suite._check_integrability(sasakian, SuiteConfig(samples=2), ctx)
+    assert residual == expected
