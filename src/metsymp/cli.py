@@ -32,7 +32,7 @@ from .contact import (
 from .errors import ConfigError, GeometryError, SasakianDegeneracyError, UnknownEntryError
 from .fields import sup_norm
 from .structfile import StructureFileError, load_structure_file
-from .suite import SuiteConfig, report_emit, run_suite
+from .suite import SuiteConfig, _constant_defects, report_emit, run_suite
 
 __all__ = ["main"]
 
@@ -206,10 +206,8 @@ def _cmd_dhomothety(args) -> int:
     if not args.verify:
         return 0
     compat = verify_compatibility(S2, args.samples, seed=args.seed)
-    defects = [compat.max_residual, after.kappa - kp, after.residual]
-    if mp is not None and after.mu is not None:
-        defects.append(after.mu - mp)
-    residual = sup_norm(*defects)
+    residual = sup_norm(compat.max_residual, after.residual,
+                        *_constant_defects(after.kappa, after.mu, kp, mp))
     ok = residual < 1e-6
     print(f"[{'PASS' if ok else 'FAIL'}] rescale verification residual={residual:.3e} "
           f"threshold=1.0e-06")

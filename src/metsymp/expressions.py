@@ -8,9 +8,18 @@ constant exponent, exp, sin, cos and sqrt.  Trees support
 
   * exact symbolic partial differentiation (``diff``), which is how the
     first-order operators (d, Lie derivative, bracket, Nijenhuis) produce
-    new component functions, and
-  * evaluation on second-order jets (``evaluate``), which is how every
-    numeric derivative in the package is obtained.
+    new component functions.  Each node caches its partials, so a
+    subtree shared by many parents is differentiated once and its
+    derivative is shared by identity as well;
+  * substitution of expressions for the coordinates (``subs``), one
+    rebuild per shared node within a call;
+  * numeric evaluation by one evaluator, :func:`evaluate`, which walks the
+    union of a set of roots once, iteratively, visiting each shared node
+    once.  It propagates only the Taylor order its caller consumes:
+    order 0 gives plain value arrays, order 2 gives second-order jets
+    (:class:`metsymp.jets.Jet2`).  Order-0 values repeat the value part
+    of the jet arithmetic operation for operation, so they are bit for
+    bit the values of the order-2 jets.
 
 Trees are immutable.  The constructors fold constants and prune additive
 and multiplicative identities so that fields with many structurally zero
@@ -20,15 +29,20 @@ components stay cheap to evaluate.
 from __future__ import annotations
 
 import math
+from types import MappingProxyType
 from typing import Sequence
 
-from .jets import Jet2
+import numpy as np
+
+from .jets import Jet2, coordinate_jets
 
 __all__ = [
     "Expr",
     "Const",
     "Coord",
     "as_expr",
+    "evaluate",
+    "substitute",
     "parse_expression",
     "ExpressionSyntaxError",
     "ZERO",
@@ -45,28 +59,19 @@ class Expr:
         raise NotImplementedError
 
     def evaluate(self, jets: Sequence[Jet2], memo: dict | None = None) -> Jet2:
-        """Evaluate on jets, sharing work across repeated subtrees.
+        """Second-order jet of this expression, given the coordinate jets.
 
-        ``memo`` caches results by node identity; callers evaluating many
-        components of one field at the same points pass a common dict so
-        shared subexpressions (an inverse determinant, a Reeb component)
-        are computed once.
+        ``memo`` holds results by node identity; callers that pass one
+        dict to several calls evaluate each shared node once.  For a
+        batch of points prefer :func:`evaluate`, which also evaluates to
+        order 0.
         """
-        if memo is None:
-            memo = {}
-        key = id(self)
-        hit = memo.get(key)
-        if hit is None:
-            hit = self._eval(jets, memo)
-            memo[key] = hit
-        return hit
-
-    def _eval(self, jets: Sequence[Jet2], memo: dict) -> Jet2:
-        raise NotImplementedError
+        done = _walk((self,), _jet_leaf(jets), _JET_RULES, {} if memo is None else memo)
+        return done[self]
 
     def subs(self, replacements: Sequence["Expr"]) -> "Expr":
         """Substitute ``replacements[k]`` for coordinate ``k``."""
-        raise NotImplementedError
+        return substitute([self], replacements)[0]
 
     # Operator sugar.  All algebra goes through the simplifying helpers.
 
@@ -117,12 +122,6 @@ class Const(Expr):
     def diff(self, i):
         return ZERO
 
-    def _eval(self, jets, memo):
-        return jets[0].constant_like(self.value)
-
-    def subs(self, replacements):
-        return self
-
     def __repr__(self):
         return repr(self.value)
 
@@ -137,35 +136,51 @@ class Coord(Expr):
     def diff(self, i):
         return ONE if i == self.index else ZERO
 
-    def _eval(self, jets, memo):
-        return jets[self.index]
-
-    def subs(self, replacements):
-        return replacements[self.index]
-
     def __repr__(self):
         return self.name
 
 
-class _Binary(Expr):
+# shared by every node that has not been differentiated yet
+_NO_DIFFS = MappingProxyType({})
+
+
+class _Operation(Expr):
+    """A node with operands.  ``_diffs`` maps a coordinate slot to the
+    cached partial derivative; ``_diff`` is the node's differentiation
+    rule, which reads its operands' partials from their caches."""
+
+    __slots__ = ("_diffs",)
+
+    def diff(self, i):
+        hit = self._diffs.get(i)
+        return _differentiate(self, i) if hit is None else hit
+
+    def _diff(self, i: int) -> Expr:
+        raise NotImplementedError
+
+
+class _Unary(_Operation):
+    __slots__ = ("a",)
+
+    def __init__(self, a: Expr):
+        self.a = a
+        self._diffs = _NO_DIFFS
+
+
+class _Binary(_Operation):
     __slots__ = ("a", "b")
 
     def __init__(self, a: Expr, b: Expr):
         self.a = a
         self.b = b
+        self._diffs = _NO_DIFFS
 
 
 class Add(_Binary):
     __slots__ = ()
 
-    def diff(self, i):
+    def _diff(self, i):
         return _add(self.a.diff(i), self.b.diff(i))
-
-    def _eval(self, jets, memo):
-        return self.a.evaluate(jets, memo) + self.b.evaluate(jets, memo)
-
-    def subs(self, r):
-        return _add(self.a.subs(r), self.b.subs(r))
 
     def __repr__(self):
         return f"({self.a!r} + {self.b!r})"
@@ -174,14 +189,8 @@ class Add(_Binary):
 class Sub(_Binary):
     __slots__ = ()
 
-    def diff(self, i):
+    def _diff(self, i):
         return _sub(self.a.diff(i), self.b.diff(i))
-
-    def _eval(self, jets, memo):
-        return self.a.evaluate(jets, memo) - self.b.evaluate(jets, memo)
-
-    def subs(self, r):
-        return _sub(self.a.subs(r), self.b.subs(r))
 
     def __repr__(self):
         return f"({self.a!r} - {self.b!r})"
@@ -190,14 +199,8 @@ class Sub(_Binary):
 class Mul(_Binary):
     __slots__ = ()
 
-    def diff(self, i):
+    def _diff(self, i):
         return _add(_mul(self.a.diff(i), self.b), _mul(self.a, self.b.diff(i)))
-
-    def _eval(self, jets, memo):
-        return self.a.evaluate(jets, memo) * self.b.evaluate(jets, memo)
-
-    def subs(self, r):
-        return _mul(self.a.subs(r), self.b.subs(r))
 
     def __repr__(self):
         return f"({self.a!r} * {self.b!r})"
@@ -206,78 +209,44 @@ class Mul(_Binary):
 class Div(_Binary):
     __slots__ = ()
 
-    def diff(self, i):
+    def _diff(self, i):
         num = _sub(_mul(self.a.diff(i), self.b), _mul(self.a, self.b.diff(i)))
         return _div(num, _mul(self.b, self.b))
-
-    def _eval(self, jets, memo):
-        return self.a.evaluate(jets, memo) / self.b.evaluate(jets, memo)
-
-    def subs(self, r):
-        return _div(self.a.subs(r), self.b.subs(r))
 
     def __repr__(self):
         return f"({self.a!r} / {self.b!r})"
 
 
-class Neg(Expr):
-    __slots__ = ("a",)
+class Neg(_Unary):
+    __slots__ = ()
 
-    def __init__(self, a: Expr):
-        self.a = a
-
-    def diff(self, i):
+    def _diff(self, i):
         return _neg(self.a.diff(i))
-
-    def _eval(self, jets, memo):
-        return -self.a.evaluate(jets, memo)
-
-    def subs(self, r):
-        return _neg(self.a.subs(r))
 
     def __repr__(self):
         return f"(-{self.a!r})"
 
 
-class Pow(Expr):
-    __slots__ = ("a", "exponent")
+class Pow(_Unary):
+    __slots__ = ("exponent",)
 
     def __init__(self, a: Expr, exponent: float):
-        self.a = a
+        super().__init__(a)
         self.exponent = float(exponent)
 
-    def diff(self, i):
+    def _diff(self, i):
         n = self.exponent
         return _mul(_mul(Const(n), _pow(self.a, n - 1.0)), self.a.diff(i))
-
-    def _eval(self, jets, memo):
-        return self.a.evaluate(jets, memo).power(self.exponent)
-
-    def subs(self, r):
-        return _pow(self.a.subs(r), self.exponent)
 
     def __repr__(self):
         return f"({self.a!r} ^ {self.exponent})"
 
 
-class _Unary(Expr):
-    __slots__ = ("a",)
-
-    def __init__(self, a: Expr):
-        self.a = a
-
-
 class Exp(_Unary):
     __slots__ = ()
 
-    def diff(self, i):
+    def _diff(self, i):
         return _mul(self, self.a.diff(i))
-
-    def _eval(self, jets, memo):
-        return self.a.evaluate(jets, memo).exp()
-
-    def subs(self, r):
-        return exp(self.a.subs(r))
 
     def __repr__(self):
         return f"exp({self.a!r})"
@@ -286,14 +255,8 @@ class Exp(_Unary):
 class Sin(_Unary):
     __slots__ = ()
 
-    def diff(self, i):
+    def _diff(self, i):
         return _mul(cos(self.a), self.a.diff(i))
-
-    def _eval(self, jets, memo):
-        return self.a.evaluate(jets, memo).sin()
-
-    def subs(self, r):
-        return sin(self.a.subs(r))
 
     def __repr__(self):
         return f"sin({self.a!r})"
@@ -302,14 +265,8 @@ class Sin(_Unary):
 class Cos(_Unary):
     __slots__ = ()
 
-    def diff(self, i):
+    def _diff(self, i):
         return _neg(_mul(sin(self.a), self.a.diff(i)))
-
-    def _eval(self, jets, memo):
-        return self.a.evaluate(jets, memo).cos()
-
-    def subs(self, r):
-        return cos(self.a.subs(r))
 
     def __repr__(self):
         return f"cos({self.a!r})"
@@ -318,14 +275,8 @@ class Cos(_Unary):
 class Sqrt(_Unary):
     __slots__ = ()
 
-    def diff(self, i):
+    def _diff(self, i):
         return _div(self.a.diff(i), _mul(Const(2.0), self))
-
-    def _eval(self, jets, memo):
-        return self.a.evaluate(jets, memo).sqrt()
-
-    def subs(self, r):
-        return sqrt(self.a.subs(r))
 
     def __repr__(self):
         return f"sqrt({self.a!r})"
@@ -431,6 +382,179 @@ def sqrt(a) -> Expr:
     if isinstance(a, Const):
         return Const(math.sqrt(a.value))
     return Sqrt(a)
+
+
+# ---------------------------------------------------------------------------
+# Walks over a DAG of nodes.  Evaluation at order 0, evaluation at order 2
+# and substitution are one walk that differs only in what it does at a leaf
+# and at an operation; differentiation walks to fill the per-node caches.
+# ---------------------------------------------------------------------------
+
+
+def _operands(node: _Operation) -> tuple[Expr, ...]:
+    return (node.a, node.b) if isinstance(node, _Binary) else (node.a,)
+
+
+def _walk(roots: Sequence[Expr], leaf, rules: dict, done: dict) -> dict:
+    """Fill ``done[node]`` for every node under ``roots``, operands first.
+
+    ``leaf(node)`` gives the result at a constant or a coordinate, and
+    ``rules[type(node)](node, *operand_results)`` the result at an
+    operation.  Nodes compare by identity, so ``done`` is keyed by node
+    identity; a node already in it is not visited again, and a node shared
+    by several parents or roots is computed once.  The walk keeps its own
+    stack: the depth of a tree is not bounded by the recursion limit.
+    """
+    stack = list(roots)
+    push, pop = stack.append, stack.pop
+    while stack:
+        node = stack[-1]
+        if node in done:
+            pop()
+            continue
+        if isinstance(node, _Binary):
+            a, b = node.a, node.b
+            if a not in done:
+                push(a)
+                if b not in done:
+                    push(b)
+                continue
+            if b not in done:
+                push(b)
+                continue
+            done[node] = rules[type(node)](node, done[a], done[b])
+        elif isinstance(node, _Unary):
+            a = node.a
+            if a not in done:
+                push(a)
+                continue
+            done[node] = rules[type(node)](node, done[a])
+        else:
+            done[node] = leaf(node)
+        pop()
+    return done
+
+
+def _differentiate(root: _Operation, i: int) -> Expr:
+    """The partial of ``root`` along slot ``i``.
+
+    Caches it on ``root`` and on every operation below that lacks one,
+    operands first, so each rule finds its operands' partials cached and
+    no rule recurses.  Threads that differentiate the same node may each
+    build the partial; they build equal trees, and either may be kept.
+    """
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        if i in node._diffs:
+            stack.pop()
+            continue
+        pending = [c for c in _operands(node)
+                   if isinstance(c, _Operation) and i not in c._diffs]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        partial = node._diff(i)
+        if node._diffs is _NO_DIFFS:
+            node._diffs = {}
+        node._diffs[i] = partial
+        if node is root:
+            return partial
+    return root._diffs[i]
+
+
+def _value_power(v, n: float):
+    """The value part of ``Jet2.power``, operation for operation."""
+    if n == 0.0:
+        return np.full_like(v, 1.0)
+    if n == 1.0:
+        return v
+    if float(n).is_integer():
+        return v ** int(n)
+    return v ** n
+
+
+_RING_RULES = {
+    Add: lambda e, a, b: a + b,
+    Sub: lambda e, a, b: a - b,
+    Mul: lambda e, a, b: a * b,
+    Neg: lambda e, a: -a,
+}
+
+# Order 0 repeats the value part of the Jet2 arithmetic exactly, so order-0
+# values are bit for bit the values of order-2 jets.
+_VALUE_RULES = {
+    **_RING_RULES,
+    Div: lambda e, a, b: a * (1.0 / b),  # Jet2 divides by multiplying by the reciprocal
+    Pow: lambda e, a: _value_power(a, e.exponent),
+    Exp: lambda e, a: np.exp(a),
+    Sin: lambda e, a: np.sin(a),
+    Cos: lambda e, a: np.cos(a),
+    Sqrt: lambda e, a: np.sqrt(a),
+}
+
+_JET_RULES = {
+    **_RING_RULES,
+    Div: lambda e, a, b: a / b,
+    Pow: lambda e, a: a.power(e.exponent),
+    Exp: lambda e, a: a.exp(),
+    Sin: lambda e, a: a.sin(),
+    Cos: lambda e, a: a.cos(),
+    Sqrt: lambda e, a: a.sqrt(),
+}
+
+_SUBS_RULES = {
+    Add: lambda e, a, b: _add(a, b),
+    Sub: lambda e, a, b: _sub(a, b),
+    Mul: lambda e, a, b: _mul(a, b),
+    Div: lambda e, a, b: _div(a, b),
+    Neg: lambda e, a: _neg(a),
+    Pow: lambda e, a: _pow(a, e.exponent),
+    Exp: lambda e, a: exp(a),
+    Sin: lambda e, a: sin(a),
+    Cos: lambda e, a: cos(a),
+    Sqrt: lambda e, a: sqrt(a),
+}
+
+
+def _jet_leaf(jets: Sequence[Jet2]):
+    return lambda e: jets[e.index] if isinstance(e, Coord) else jets[0].constant_like(e.value)
+
+
+def _value_leaf(coords: Sequence[np.ndarray]):
+    return lambda e: coords[e.index] if isinstance(e, Coord) else np.full_like(coords[0], e.value)
+
+
+def evaluate(roots: Sequence[Expr], points, order: int = 0) -> list:
+    """Evaluate every root on a batch of points, to the order the caller needs.
+
+    ``points`` has shape ``(dim,)`` for one point or ``(n, dim)`` for a
+    batch.  Order 0 returns one value array per root (a scalar for one
+    point); order 2 returns one :class:`Jet2` per root.  The roots are
+    walked together, so a node shared within a root or between roots is
+    evaluated once.
+    """
+    pts = np.asarray(points, dtype=float)
+    if order == 0:
+        leaf, rules = _value_leaf([pts[..., k] for k in range(pts.shape[-1])]), _VALUE_RULES
+    elif order == 2:
+        leaf, rules = _jet_leaf(coordinate_jets(pts)), _JET_RULES
+    else:
+        raise ValueError(f"evaluation order must be 0 or 2, not {order!r}")
+    done = _walk(roots, leaf, rules, {})
+    return [done[root] for root in roots]
+
+
+def substitute(roots: Sequence[Expr], replacements: Sequence[Expr]) -> list[Expr]:
+    """Substitute ``replacements[k]`` for coordinate ``k`` in every root.
+
+    The roots are rebuilt in one walk, so a node shared within a root or
+    between roots is rebuilt once and its image is shared by identity.
+    """
+    done = _walk(roots, lambda e: replacements[e.index] if isinstance(e, Coord) else e,
+                 _SUBS_RULES, {})
+    return [done[root] for root in roots]
 
 
 # ---------------------------------------------------------------------------

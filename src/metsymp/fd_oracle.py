@@ -2,7 +2,7 @@
 
 Jet arithmetic is the production differentiation path.  These routines
 re-derive the same quantities from plain value evaluations so the two can
-be compared; they must never call into the jet gradients or Hessians.
+be compared; they evaluate at order 0 only and never run jet arithmetic.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ __all__ = ["fd_gradient", "fd_hessian", "fd_christoffel", "fd_riemann"]
 
 
 def _value(f: ScalarField, p: np.ndarray) -> float:
-    return float(f.jets(p[None, :]).value[0])
+    return float(f.values(p[None, :])[0])
 
 
 def fd_gradient(f: ScalarField, point: np.ndarray, step: float = 1e-4) -> np.ndarray:

@@ -1,10 +1,19 @@
 """Scalar and tensor fields on a chart, and the multilinear calculus.
 
-Components are expression trees (:mod:`metsymp.expressions`); every numeric
-derivative is taken by evaluating those trees on second-order jets.  The
-first-order operators below (exterior derivative, bracket, Lie derivative,
-pullback) build their results symbolically, so derived fields remain fields
-and can be differentiated again without loss.
+Components are expression trees (:mod:`metsymp.expressions`), evaluated by
+its one evaluator to the order each caller consumes.
+``TensorField.values``, ``ScalarField.values`` and ``SmoothMap.__call__``
+evaluate at order 0 (values only); ``TensorField.jet_blocks`` and
+``ScalarField.jet``/``jets`` evaluate at order 2 (value, gradient and
+Hessian), and every numeric derivative is taken from those jets.  The
+order-0 values are bit for bit the values of the order-2 jets.  Either
+way, all components of a field are evaluated in one walk, so a node they
+share is evaluated once.  The first-order operators below (exterior
+derivative, bracket, Lie derivative, pullback) build their results
+symbolically, from the partials cached on each node, so derived fields
+remain fields and can be differentiated again without loss.
+``inverse_metric`` caches its result on the metric field itself, so the
+inverse lives exactly as long as the metric.
 
 Convention.  Forms are stored as fully antisymmetric component arrays and
 evaluated by plain contraction, and both the wedge product and the exterior
@@ -33,8 +42,8 @@ import numpy as np
 
 from .charts import Chart
 from .errors import ChartMismatchError, RankError, SingularMatrixError
-from .expressions import Const, Coord, Expr, ZERO, as_expr
-from .jets import Jet2, coordinate_jets
+from .expressions import ONE, ZERO, Const, Coord, Expr, as_expr, evaluate, substitute
+from .jets import Jet2
 
 __all__ = [
     "ScalarField",
@@ -70,15 +79,15 @@ class ScalarField:
 
     def jet(self, point: np.ndarray) -> Jet2:
         """Second-order jet at a single point of the chart domain."""
-        p = self.chart.require_inside(point)
-        return self.expr.evaluate(coordinate_jets(p), {})
+        return self.jets(self.chart.require_inside(point))
 
     def jets(self, points: np.ndarray) -> Jet2:
         """Batched jet over ``(n, dim)`` sample points (no domain check)."""
-        return self.expr.evaluate(coordinate_jets(np.asarray(points, dtype=float)), {})
+        return evaluate([self.expr], points, order=2)[0]
 
     def values(self, points: np.ndarray) -> np.ndarray:
-        return self.jets(points).value
+        """Values only (order 0), bit for bit ``jets(points).value``."""
+        return evaluate([self.expr], points)[0]
 
     def diff(self, i: int) -> "ScalarField":
         return ScalarField(self.chart, self.expr.diff(i))
@@ -175,7 +184,8 @@ class TensorField:
     construction.
     """
 
-    __slots__ = ("chart", "r", "s", "components", "sym")
+    # ``_inverse`` caches ``inverse_metric`` of this field; it dies with it
+    __slots__ = ("chart", "r", "s", "components", "sym", "_inverse", "__weakref__")
 
     def __init__(self, chart: Chart, r: int, s: int, components, sym: str = "none"):
         if r < 0 or s < 0:
@@ -194,6 +204,7 @@ class TensorField:
         self.s = s
         self.components = arr
         self.sym = sym
+        self._inverse = None
 
     # -- constructors -------------------------------------------------------
 
@@ -267,40 +278,34 @@ class TensorField:
 
     # -- evaluation ----------------------------------------------------------
 
+    def _evaluate(self, points: np.ndarray, order: int):
+        """(index, result) for every component that is not structurally zero."""
+        live = [(idx, e) for idx, e in np.ndenumerate(self.components) if not e.is_zero()]
+        results = evaluate([e for _, e in live], points, order)
+        return [(idx, r) for (idx, _), r in zip(live, results)]
+
     def values(self, points: np.ndarray) -> np.ndarray:
-        """Component values, shape ``batch + (dim,)*(r+s)``."""
+        """Component values (order 0), shape ``batch + (dim,)*(r+s)``."""
         pts = np.asarray(points, dtype=float)
-        jets = coordinate_jets(pts)
-        batch = pts.shape[:-1]
-        memo: dict = {}
-        out = np.zeros(batch + self.components.shape)
-        for idx in np.ndindex(self.components.shape):
-            expr = self.components[idx]
-            if expr.is_zero():
-                continue
-            out[(Ellipsis,) + idx] = expr.evaluate(jets, memo).value
+        out = np.zeros(pts.shape[:-1] + self.components.shape)
+        for idx, v in self._evaluate(pts, 0):
+            out[(Ellipsis,) + idx] = v
         return out
 
     def jet_blocks(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Values, first and second partials of all components.
+        """Values, first and second partials of all components (order 2).
 
         Shapes: ``batch + comp``, ``batch + comp + (d,)`` and
         ``batch + comp + (d, d)`` where ``comp = (dim,)*(r+s)``.
         """
         pts = np.asarray(points, dtype=float)
-        jets = coordinate_jets(pts)
         batch = pts.shape[:-1]
         d = self.chart.dim
         comp = self.components.shape
         vals = np.zeros(batch + comp)
         grads = np.zeros(batch + comp + (d,))
         hesses = np.zeros(batch + comp + (d, d))
-        memo: dict = {}
-        for idx in np.ndindex(comp):
-            expr = self.components[idx]
-            if expr.is_zero():
-                continue
-            j = expr.evaluate(jets, memo)
+        for idx, j in self._evaluate(pts, 2):
             sel = (Ellipsis,) + idx
             vals[sel] = j.value
             grads[sel + (slice(None),)] = j.grad
@@ -333,17 +338,14 @@ class SmoothMap:
         object.__setattr__(self, "exprs", tuple(as_expr(e) for e in self.exprs))
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
-        jets = coordinate_jets(np.asarray(points, dtype=float))
-        memo: dict = {}
-        cols = [e.evaluate(jets, memo).value for e in self.exprs]
+        cols = evaluate(self.exprs, points)
         return np.stack(np.broadcast_arrays(*cols), axis=-1)
 
     def compose(self, inner: "SmoothMap") -> "SmoothMap":
         """The composite self after inner (inner runs first)."""
         if inner.target != self.source:
             raise ChartMismatchError("charts do not line up for composition")
-        return SmoothMap(inner.source, self.target,
-                         tuple(e.subs(inner.exprs) for e in self.exprs))
+        return SmoothMap(inner.source, self.target, tuple(substitute(self.exprs, inner.exprs)))
 
     @staticmethod
     def identity(chart: Chart) -> "SmoothMap":
@@ -487,14 +489,12 @@ def pullback(F: SmoothMap, T: TensorField) -> TensorField:
     d_src = F.source.dim
     d_tgt = F.target.dim
     jac = [[F.exprs[j].diff(i) for j in range(d_tgt)] for i in range(d_src)]
+    live = [(jdx, comp) for jdx, comp in np.ndenumerate(T.components) if not comp.is_zero()]
+    moved = substitute([comp for _, comp in live], F.exprs)
     out = _expr_array((d_src,) * s)
     for idx in np.ndindex(out.shape):
         total = ZERO
-        for jdx in np.ndindex(T.components.shape):
-            comp = T.components[jdx]
-            if comp.is_zero():
-                continue
-            factor = comp.subs(F.exprs)
+        for (jdx, _), factor in zip(live, moved):
             dead = False
             for slot in range(s):
                 entry = jac[idx[slot]][jdx[slot]]
@@ -535,63 +535,60 @@ def contract(T: TensorField, contra_slot: int, cov_slot: int) -> TensorField:
     return TensorField(T.chart, T.r - 1, T.s - 1, out)
 
 
-def _minor(matrix: list[list[Expr]], row: int, col: int) -> list[list[Expr]]:
-    return [
-        [matrix[i][j] for j in range(len(matrix)) if j != col]
-        for i in range(len(matrix)) if i != row
-    ]
-
-
-def det_expr(matrix: list[list[Expr]]) -> Expr:
-    n = len(matrix)
-    if n == 1:
-        return matrix[0][0]
+def _minor_det(matrix: list[list[Expr]], rows: tuple[int, ...], cols: tuple[int, ...],
+               memo: dict) -> Expr:
+    """Determinant of the submatrix on ``rows`` x ``cols``, by cofactor
+    expansion along its first row; ``memo`` shares each sub-determinant."""
+    if not rows:
+        return ONE  # the empty minor, the cofactor of a 1 x 1 matrix
+    if len(rows) == 1:
+        return matrix[rows[0]][cols[0]]
+    hit = memo.get((rows, cols))
+    if hit is not None:
+        return hit
     total = ZERO
-    for j in range(n):
-        entry = matrix[0][j]
+    for k, j in enumerate(cols):
+        entry = matrix[rows[0]][j]
         if entry.is_zero():
             continue
-        cof = det_expr(_minor(matrix, 0, j))
-        term = entry * cof
-        total = total + term if j % 2 == 0 else total - term
+        term = entry * _minor_det(matrix, rows[1:], cols[:k] + cols[k + 1:], memo)
+        total = total + term if k % 2 == 0 else total - term
+    memo[(rows, cols)] = total
     return total
 
 
 def inverse_matrix_exprs(matrix: list[list[Expr]]) -> list[list[Expr]]:
-    """Symbolic inverse via the adjugate; fine for the dimensions used here."""
+    """Symbolic inverse via the adjugate; fine for the dimensions used here.
+
+    Sub-determinants are shared across the cofactors, so each minor is
+    expanded once per inverse.
+    """
     n = len(matrix)
-    det = det_expr(matrix)
+    full = tuple(range(n))
+    memo: dict = {}
+    det = _minor_det(matrix, full, full, memo)
     inv: list[list[Expr]] = [[ZERO] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            cof = det_expr(_minor(matrix, j, i))
+            cof = _minor_det(matrix, full[:j] + full[j + 1:], full[:i] + full[i + 1:], memo)
             signed = cof if (i + j) % 2 == 0 else -cof
             inv[i][j] = signed / det
     return inv
 
 
-# keyed by object identity; the key object is retained alongside the value
-# so a recycled id can never alias a dead metric's cache slot
-_INVERSE_CACHE: dict[int, tuple["TensorField", "TensorField"]] = {}
-
-
 def inverse_metric(g: TensorField) -> TensorField:
-    """Inverse metric as a (2, 0) tensor field (cached per field object)."""
+    """Inverse metric as a (2, 0) tensor field, cached on ``g`` itself.
+
+    Threads that ask at once may each build the inverse; the builds are
+    equal, and either may be kept.
+    """
     if (g.r, g.s) != (0, 2):
         raise RankError("inverse_metric needs a (0,2) tensor field")
-    cached = _INVERSE_CACHE.get(id(g))
-    if cached is not None and cached[0] is g:
-        return cached[1]
-    d = g.chart.dim
-    mat = [[g.components[i, j] for j in range(d)] for i in range(d)]
-    inv = inverse_matrix_exprs(mat)
-    out = _expr_array((d, d))
-    for i in range(d):
-        for j in range(d):
-            out[i, j] = inv[i][j]
-    result = TensorField(g.chart, 2, 0, out)
-    _INVERSE_CACHE[id(g)] = (g, result)
-    return result
+    if g._inverse is None:
+        d = g.chart.dim
+        mat = [[g.components[i, j] for j in range(d)] for i in range(d)]
+        g._inverse = TensorField(g.chart, 2, 0, inverse_matrix_exprs(mat))
+    return g._inverse
 
 
 def raise_index(g: TensorField, T: TensorField, cov_slot: int) -> TensorField:

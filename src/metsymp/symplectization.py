@@ -33,7 +33,7 @@ import numpy as np
 from .charts import Chart, product_with_line
 from .contact import ContactMetricStructure, reeb_field
 from .errors import DomainError, GeometryError, RankError
-from .expressions import Const, Coord, exp
+from .expressions import Const, Coord, evaluate, exp
 from .fields import (
     SmoothMap,
     TensorField,
@@ -45,7 +45,6 @@ from .fields import (
     sup_norm,
     wedge,
 )
-from .jets import coordinate_jets
 
 __all__ = [
     "SymplecticMetricStructure",
@@ -398,12 +397,8 @@ def induced_contact_on_hypersurface(
     if unit_res > tol:
         raise GeometryError(f"Y is not unit along the hypersurface (residual {unit_res:.3e})")
     jac_exprs = [[embedding.exprs[c].diff(i) for c in range(D)] for i in range(d)]
-    jac_vals = np.zeros((len(pts), d, D))
-    jets = coordinate_jets(pts)
-    memo: dict = {}
-    for i in range(d):
-        for c in range(D):
-            jac_vals[:, i, c] = jac_exprs[i][c].evaluate(jets, memo).value
+    jac_vals = np.stack(evaluate([e for row in jac_exprs for e in row], pts),
+                        axis=-1).reshape(len(pts), d, D)
     orth = np.einsum("nic,ncb,nb->ni", jac_vals, gv, yv)
     orth_res = sup_norm(orth)
     if orth_res > tol:

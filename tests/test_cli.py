@@ -134,3 +134,25 @@ def test_dhomothety_verify(capsys):
 
 def test_dhomothety_bad_factor(capsys):
     assert main(["dhomothety", "unit-tangent-flat-plane", "--a", "-1"]) == 2
+
+
+def test_dhomothety_verify_fails_when_mu_is_defined_on_one_side_only(monkeypatch, capsys):
+    import dataclasses
+
+    import metsymp.cli
+
+    fits = []
+    real_fit = metsymp.cli.fit_kappa_mu
+
+    def fit(*args, **kwargs):
+        rep = real_fit(*args, **kwargs)
+        fits.append(rep)
+        # the Sasakian model has no mu; give the rescaled fit one
+        return rep if len(fits) == 1 else dataclasses.replace(rep, mu=0.5)
+
+    monkeypatch.setattr(metsymp.cli, "fit_kappa_mu", fit)
+    assert main(["dhomothety", "darboux-sasakian-r3", "--a", "2",
+                 "--verify", "--samples", "10"]) == 1
+    out = capsys.readouterr().out
+    assert "law predicts (1, undefined)" in out
+    assert "[FAIL] rescale verification residual=inf" in out

@@ -11,6 +11,7 @@ from metsymp.expressions import (
     Coord,
     ExpressionSyntaxError,
     cos,
+    evaluate,
     exp,
     parse_expression,
     sin,
@@ -97,3 +98,46 @@ def test_substitution_composes():
     sub = expr.subs((y + Const(1.0), x * y))
     # x -> y + 1, y -> x y
     assert_allclose(_value(sub, [2.0, 3.0]), 16.0 + math.sin(6.0))
+
+
+def test_partials_are_cached_on_the_node():
+    x, y = Coord(0, "x"), Coord(1, "y")
+    expr = sin(x * y) * exp(x) + (Const(1.0) + y * y) ** 2 / (Const(3.0) + x)
+    for i in range(2):
+        assert expr.diff(i) is expr.diff(i)
+    assert expr.diff(0).diff(1) is expr.diff(0).diff(1)
+
+
+def test_substitution_rebuilds_a_shared_node_once():
+    x, y = Coord(0, "x"), Coord(1, "y")
+    shared = sin(x * y)
+    expr = shared * shared + shared
+    out = expr.subs((y, x + Const(1.0)))
+    assert out.a.a is out.a.b is out.b
+
+
+def test_evaluation_orders_agree_on_a_batch():
+    x, y = Coord(0, "x"), Coord(1, "y")
+    roots = [sin(x * y) * exp(x), (Const(1.0) + y * y) ** 2.5 / (Const(3.0) + x),
+             x ** -3, Const(2.0), y]
+    pts = np.random.default_rng(1).uniform(0.1, 1.0, size=(9, 2))
+    jets = evaluate(roots, pts, order=2)
+    for value, jet in zip(evaluate(roots, pts), jets):
+        assert np.array_equal(value, jet.value)
+    with pytest.raises(ValueError):
+        evaluate(roots, pts, order=1)
+
+
+def test_a_deep_tree_needs_no_recursion():
+    x = Coord(0, "x")
+    total = Const(0.0)
+    for k in range(1, 5001):
+        total = total + Const(float(k)) * x
+    pts = np.array([[0.5], [2.0]])
+    expected = 0.5 * 5000 * 5001 * pts[:, 0]
+    assert np.array_equal(evaluate([total], pts)[0], expected)
+    jet = evaluate([total], pts, order=2)[0]
+    assert np.array_equal(jet.value, expected)
+    assert np.array_equal(jet.grad[:, 0], [0.5 * 5000 * 5001] * 2)
+    assert total.diff(0).value == 0.5 * 5000 * 5001
+    assert _value(total.subs((Const(2.0),)), [0.0]) == 5000 * 5001

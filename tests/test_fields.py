@@ -1,6 +1,9 @@
-"""Exterior and Lie calculus, pullbacks, contractions, pointwise solves."""
+"""Exterior and Lie calculus, pullbacks, contractions, pointwise solves,
+and the two evaluation orders of a field."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -8,13 +11,14 @@ from numpy.testing import assert_allclose
 
 from metsymp.charts import Chart, product_with_line
 from metsymp.errors import ChartMismatchError, RankError, SingularMatrixError
-from metsymp.expressions import Const, Coord, cos, exp, sin
+from metsymp.expressions import ONE, ZERO, Const, Coord, cos, evaluate, exp, sin
 from metsymp.fields import (
     SmoothMap,
     TensorField,
     contract,
     exterior_derivative,
     interior_product,
+    inverse_matrix_exprs,
     inverse_metric,
     lie_bracket,
     lie_derivative,
@@ -25,6 +29,7 @@ from metsymp.fields import (
     sup_norm,
     wedge,
 )
+from metsymp.symplectization import nijenhuis
 
 
 @pytest.fixture()
@@ -352,6 +357,52 @@ def test_inverse_metric_is_pointwise_inverse(sasakian):
     assert np.max(np.abs(prod - np.eye(3))) < 1e-12
 
 
+def test_a_dropped_metric_is_collected_with_its_cached_inverse(r3):
+    x, y, z = _coords(r3)
+    g = TensorField(r3, 0, 2, [[Const(1.0) + x * x, ZERO, ZERO], [ZERO, ONE, y],
+                               [ZERO, y, Const(2.0) + z * z]], "symmetric")
+    ginv = inverse_metric(g)
+    assert inverse_metric(g) is ginv
+    alive = weakref.ref(g)
+    del g, ginv
+    gc.collect()
+    assert alive() is None
+
+
+def _reference_det(m):
+    """Cofactor expansion along the first row, every minor expanded afresh."""
+    if len(m) == 1:
+        return m[0][0]
+    total = ZERO
+    for j, entry in enumerate(m[0]):
+        if entry.is_zero():
+            continue
+        term = entry * _reference_det([row[:j] + row[j + 1:] for row in m[1:]])
+        total = total + term if j % 2 == 0 else total - term
+    return total
+
+
+def test_shared_minors_keep_the_cofactor_expressions():
+    x, y, z, w = (Coord(i, n) for i, n in enumerate("xyzw"))
+    m = [[Const(1.0) + x * x, y, ZERO, z],
+         [y, ONE, x * w, ZERO],
+         [ZERO, x * w, Const(2.0) + z, sin(y)],
+         [z, ZERO, sin(y), exp(w)]]
+    n = len(m)
+    det = _reference_det(m)
+    inv = inverse_matrix_exprs(m)
+    for i in range(n):
+        for j in range(n):
+            cof = _reference_det([row[:i] + row[i + 1:] for k, row in enumerate(m) if k != j])
+            expected = (cof if (i + j) % 2 == 0 else -cof) / det
+            assert repr(inv[i][j]) == repr(expected)
+
+
+def test_inverse_of_a_one_by_one_matrix():
+    (inv,), = inverse_matrix_exprs([[Coord(0, "x")]])
+    assert_allclose(evaluate([inv], np.array([[0.5], [2.0]]))[0], [2.0, 0.5])
+
+
 def test_pointwise_solve(r3):
     x, y, z = _coords(r3)
     eye = np.empty((3, 3), dtype=object)
@@ -413,3 +464,39 @@ def test_sup_norm_maps_any_non_finite_entry_to_inf(bad):
     assert sup_norm(bad) == math.inf
     # the order of the parts does not matter, unlike max(0.0, nan) == 0.0
     assert sup_norm(bad, 0.0) == sup_norm(0.0, bad) == math.inf
+
+
+# ---------------------------------------------------------------------------
+# evaluation orders: values (order 0) against jets (order 2)
+# ---------------------------------------------------------------------------
+
+
+def _assert_values_are_the_jet_values(T, pts):
+    vals = T.values(pts)
+    assert np.array_equal(vals, T.jet_blocks(pts)[0], equal_nan=True)
+    assert np.array_equal(T.values(pts[0]), T.jet_blocks(pts[0])[0], equal_nan=True)
+    return vals
+
+
+def test_values_are_bit_for_bit_the_jet_values(any_entry):
+    S = any_entry.structure
+    pts = S.chart.samples(12, seed=3)
+    for T in (S.g, S.phi, S.eta, S.xi, S.h):
+        _assert_values_are_the_jet_values(T, pts)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_values_are_the_jet_values_where_they_are_nan(nan_masked_sasakian_entry):
+    S = nan_masked_sasakian_entry.structure
+    pts = S.chart.samples(12, seed=3)
+    assert np.isnan(_assert_values_are_the_jet_values(S.phi, pts)).any()
+    for T in (S.g, S.eta, S.xi, S.h):
+        _assert_values_are_the_jet_values(T, pts)
+
+
+@pytest.mark.parametrize("symp", ["sasakian_symp", "flat_bundle_symp"])
+def test_symplectization_values_are_bit_for_bit_the_jet_values(symp, request):
+    B = request.getfixturevalue(symp)
+    pts = B.chart.samples(8, seed=4)
+    for T in (B.gbar, B.J, nijenhuis(B.J)):
+        _assert_values_are_the_jet_values(T, pts)

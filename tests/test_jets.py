@@ -9,6 +9,7 @@ from metsymp.errors import DomainError
 from metsymp.expressions import Const, Coord, cos, exp, sin, sqrt
 from metsymp.fd_oracle import fd_gradient, fd_hessian
 from metsymp.fields import ScalarField, jet_eval
+from metsymp.jets import Jet2
 
 
 @pytest.fixture()
@@ -112,3 +113,17 @@ def test_difference_oracle_on_catalog_components(any_entry):
             j = f.jet(p)
             assert_allclose(j.grad, fd_gradient(f, p), atol=1e-6)
             assert_allclose(j.hess, fd_hessian(f, p), atol=1e-3)
+
+
+def test_difference_oracle_runs_no_jet_arithmetic(chart_xy, monkeypatch):
+    x, y = Coord(0, "x"), Coord(1, "y")
+    f = ScalarField(chart_xy, x * x * y + sin(x))
+
+    def refuse(self, other):
+        raise AssertionError("the difference oracle multiplied jets")
+
+    monkeypatch.setattr(Jet2, "__mul__", refuse)
+    p = np.array([0.3, -0.7])
+    assert_allclose(fd_gradient(f, p), [2 * 0.3 * -0.7 + np.cos(0.3), 0.3 ** 2], atol=1e-7)
+    with pytest.raises(AssertionError):
+        f.jets(p[None, :])
