@@ -199,8 +199,10 @@ def sectional(g: TensorField, X: np.ndarray, Y: np.ndarray, point: np.ndarray,
     X = np.asarray(X, float)
     Y = np.asarray(Y, float)
     num = float(X @ gmat @ riemann(g, X, Y, Y, point, data))
-    gram = float(X @ gmat @ X) * float(Y @ gmat @ Y) - float(X @ gmat @ Y) ** 2
-    if abs(gram) < 1e-12:
+    xx, yy = float(X @ gmat @ X), float(Y @ gmat @ Y)
+    gram = xx * yy - float(X @ gmat @ Y) ** 2
+    # relative to |X|^2 |Y|^2, so the test ignores the scale of X and Y; NaN fails it
+    if not gram > 1e-12 * xx * yy:
         raise GeometryError("sectional curvature needs linearly independent arguments")
     return num / gram
 

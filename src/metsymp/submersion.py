@@ -10,8 +10,11 @@ and the horizontal line field integrable, one fundamental tensor vanishes
     T_X d_t = X + eta_t(X) xi_t,
 
 for slice-tangent X, Y.  The verifiers below evaluate the fundamental
-tensors from their definition (projected covariant derivatives), compare
-against the closed form, and check the standard curvature relations that
+tensors from their definition (projected covariant derivatives) as tables
+T[n, k, a, b], A[n, k, a, b] on coordinate fields, built from the
+Christoffel data alone.  T and A are tensorial in both slots, so the
+tables determine them on any pair of vector fields.  The verifiers compare
+T against the closed form, and check the standard curvature relations that
 the submersion implies, with the slice curvature computed intrinsically on
 the base chart so the comparison stays a genuine cross-check.
 """
@@ -117,52 +120,55 @@ def split(B: SymplecticMetricStructure, V: np.ndarray, point: np.ndarray
 # ---------------------------------------------------------------------------
 
 
-def _split_field(B: SymplecticMetricStructure, E: TensorField
-                 ) -> tuple[TensorField, TensorField]:
-    """(vertical, horizontal) parts of a vector field: E minus its
-    gbar-projection s d_t on the line, and s d_t itself."""
+def _oneill_tables(B: SymplecticMetricStructure, data: ChristoffelData
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """T[n, k, a, b] and A[n, k, a, b]: the d_k component at sample n of
+    T_{d_a} d_b and A_{d_a} d_b, from the connection data alone.
+
+    With s_c = gbar_ct / gbar_tt the horizontal part of d_c is H d_c = s_c d_t
+    and its vertical part V d_c = d_c - s_c d_t, so
+    nabla_{d_m} H d_c = (d_m s_c) d_t + s_c Gamma^k_mt d_k and
+    nabla_{d_m} V d_c = Gamma^k_mc d_k - nabla_{d_m} H d_c.
+    """
+    ti = B.t_index
     D = B.chart.dim
-    ti = B.t_index
-    s = Const(0.0)
-    for c in range(D):
-        s = s + B.gbar.components[c, ti] * E.components[c]
-    s = s / B.gbar.components[ti, ti]
-    vertical = E.components.copy()
-    vertical[ti] = E.components[ti] - s
-    horizontal = np.full(D, Const(0.0), dtype=object)
-    horizontal[ti] = s
-    return TensorField(B.chart, 1, 0, vertical), TensorField(B.chart, 1, 0, horizontal)
+    g, dg, gamma = data.g, data.dg, data.gamma
+    gtt = g[:, ti, ti]
+    s = g[:, :, ti] / gtt[:, None]
+    ds = (dg[:, :, ti, :] - s[:, :, None] * dg[:, None, ti, ti, :]) / gtt[:, None, None]
+    hmat = np.zeros_like(g)                      # H[n, k, c] = delta_kt s_c
+    hmat[:, ti, :] = s
+    vmat = np.eye(D) - hmat
+    # nabla_h[n, k, c, m] is the d_k component of nabla_{d_m} H d_c
+    nabla_h = np.einsum("nc,nkm->nkcm", s, gamma[:, :, :, ti])
+    nabla_h[:, ti] += ds
+    nabla_v = np.einsum("nkmc->nkcm", gamma) - nabla_h
 
+    def table(first: np.ndarray) -> np.ndarray:
+        """H nabla_{P d_a} V d_b + V nabla_{P d_a} H d_b, with P = first."""
+        # pairwise contractions cost n D^4 each; one three-operand einsum
+        # would loop over j and m together, n D^5
+        along_v = np.einsum("njbm,nma->njab", nabla_v, first)
+        along_h = np.einsum("njbm,nma->njab", nabla_h, first)
+        return (np.einsum("nkj,njab->nkab", hmat, along_v)
+                + np.einsum("nkj,njab->nkab", vmat, along_h))
 
-def _project_values(B: SymplecticMetricStructure, vecs: np.ndarray,
-                    gv: np.ndarray, horizontal: bool) -> np.ndarray:
-    """Pointwise gbar-projection of value vectors on/off the d_t line."""
-    ti = B.t_index
-    coeff = np.einsum("nc,nc->n", gv[:, :, ti], vecs) / gv[:, ti, ti]
-    horiz = np.zeros_like(vecs)
-    horiz[:, ti] = coeff
-    return horiz if horizontal else vecs - horiz
+    return table(vmat), table(hmat)
 
 
 def _oneill(B: SymplecticMetricStructure, E1: TensorField, E2: TensorField,
             points: np.ndarray, data: ChristoffelData | None,
             horizontal_e1: bool) -> np.ndarray:
-    """H nabla_{P E1} V E2 + V nabla_{P E1} H E2, with P = H or V."""
+    """The table of A (horizontal E1) or T, contracted with E1 and E2."""
     _require_product(B)
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[None, :]
     if data is None:
         data = christoffel_batch(B.gbar, pts)
-    gv = data.g
-    pe1 = _project_values(B, E1.values(pts), gv, horizontal=horizontal_e1)
-    ve2_field, he2_field = _split_field(B, E2)
-    nabla_v = covariant_derivative_values(B.gbar, ve2_field, pts, data)
-    nabla_h = covariant_derivative_values(B.gbar, he2_field, pts, data)
-    d_v = np.einsum("nkm,nm->nk", nabla_v, pe1)
-    d_h = np.einsum("nkm,nm->nk", nabla_h, pe1)
-    return (_project_values(B, d_v, gv, horizontal=True)
-            + _project_values(B, d_h, gv, horizontal=False))
+    T, A = _oneill_tables(B, data)
+    return np.einsum("nkab,na,nb->nk", A if horizontal_e1 else T,
+                     E1.values(pts), E2.values(pts))
 
 
 def oneill_T(B: SymplecticMetricStructure, E1: TensorField, E2: TensorField,
@@ -170,7 +176,9 @@ def oneill_T(B: SymplecticMetricStructure, E1: TensorField, E2: TensorField,
     """T_{E1} E2 from the definition, at a batch of points.
 
     T_{E1}E2 = H nabla_{V E1} V E2 + V nabla_{V E1} H E2 with H and V the
-    horizontal and vertical projections.
+    horizontal and vertical projections.  T is tensorial in both slots, so
+    this contracts the coordinate table of T with the values of E1 and E2;
+    the result equals the definition for any vector fields.
     """
     return _oneill(B, E1, E2, points, data, horizontal_e1=False)
 
@@ -179,7 +187,8 @@ def oneill_A(B: SymplecticMetricStructure, E1: TensorField, E2: TensorField,
              points: np.ndarray, data: ChristoffelData | None = None) -> np.ndarray:
     """A_{E1} E2 from the definition, at a batch of points.
 
-    A_{E1}E2 = H nabla_{H E1} V E2 + V nabla_{H E1} H E2.
+    A_{E1}E2 = H nabla_{H E1} V E2 + V nabla_{H E1} H E2.  Like T, A is
+    tensorial in both slots and is contracted from its coordinate table.
     """
     return _oneill(B, E1, E2, points, data, horizontal_e1=True)
 
@@ -267,25 +276,15 @@ def verify_fundamental_tensors(B: SymplecticMetricStructure, n_samples: int = 50
     gv = data.g
     etat = extended_slice_form(S, B.chart).values(pts)
     xit = extended_slice_reeb(S, B.chart).values(pts)
-    coord_fields = [TensorField.coordinate_vector(B.chart, i) for i in range(D)]
+    T, A = _oneill_tables(B, data)
 
-    vv, vt = [], []
-    for a in range(d):
-        Ta_t = oneill_T(B, coord_fields[a], coord_fields[ti], pts, data)
-        expected = np.zeros_like(Ta_t)
-        expected[:, a] = 1.0
-        expected += etat[:, a:a + 1] * xit
-        vt.append(Ta_t - expected)
-        for b in range(d):
-            Tab = oneill_T(B, coord_fields[a], coord_fields[b], pts, data)
-            expected = np.zeros_like(Tab)
-            expected[:, ti] = -(gv[:, a, b] + etat[:, a] * etat[:, b])
-            vv.append(Tab - expected)
-    r_h = sup_norm(*(oneill_T(B, coord_fields[ti], coord_fields[b], pts, data)
-                     for b in range(D)))
-    r_a = sup_norm(*(oneill_A(B, coord_fields[a], coord_fields[b], pts, data)
-                     for a in range(D) for b in range(D)))
-    return FundamentalTensorReport(sup_norm(*vv), sup_norm(*vt), r_h, r_a, n_samples)
+    # T(d_a, d_b) = -(gbar_ab + etat_a etat_b) d_t for slice indices a, b
+    vv = T[:, :, :d, :d].copy()
+    vv[:, ti] += gv[:, :d, :d] + etat[:, :d, None] * etat[:, None, :d]
+    # T(d_a, d_t) = d_a + etat_a xi_t, as [n, k, a]
+    vt = T[:, :, :d, ti] - (np.eye(D)[:, :d] + xit[:, :, None] * etat[:, None, :d])
+    return FundamentalTensorReport(sup_norm(vv), sup_norm(vt), sup_norm(T[:, :, ti, :]),
+                                   sup_norm(A), n_samples)
 
 
 @dataclass(frozen=True)

@@ -163,6 +163,20 @@ def test_sectional_rejects_dependent_arguments(sphere):
         sectional(g, np.array([1.0, 0.0]), np.array([2.0, 0.0]), p)
 
 
+def test_sectional_ignores_the_scale_of_its_arguments(sasakian):
+    p = sasakian.chart.samples(1, seed=5)[0]
+    e1, e2 = np.eye(3)[0], np.eye(3)[1]
+    unscaled = sectional(sasakian.g, e1, e2, p)
+    for scale in (1e-3, 1e3):
+        assert_allclose(sectional(sasakian.g, scale * e1, scale * e2, p), unscaled, rtol=1e-12)
+
+
+def test_sectional_rejects_a_nan_argument(sasakian):
+    p = sasakian.chart.samples(1, seed=5)[0]
+    with pytest.raises(GeometryError):
+        sectional(sasakian.g, np.array([np.nan, 0.0, 0.0]), np.eye(3)[1], p)
+
+
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_degenerate_metric_rejected():
     chart = Chart(("x", "y"), ((-1, 1), (-1, 1)))

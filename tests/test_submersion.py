@@ -12,13 +12,16 @@ Frozen values exercised here (n = 1 throughout, so 2n + 1 = 3):
   model.
 """
 
+import dataclasses
 import math
 
 import numpy as np
+import pytest
 from numpy.testing import assert_allclose
 
 from metsymp.contact import kappa_mu_after_rescale
-from metsymp.curvature import christoffel_batch
+from metsymp.curvature import christoffel_batch, covariant_derivative_values
+from metsymp.expressions import Const, Coord, sin
 from metsymp.fields import TensorField
 from metsymp.submersion import (
     fit_symplectization_kmu,
@@ -134,6 +137,78 @@ def test_oneill_definition_matches_closed_form_pointwise(sasakian_symp):
         for b in range(4):
             direct = oneill_T(B, coords[a], coords[b], pts, data)
             assert np.max(np.abs(direct - tf[:, :, a, b])) < 1e-10
+
+
+def _oneill_by_pairs(B, E1, E2, pts, data, horizontal_e1):
+    """Reference: T (or A) on one pair straight from the definition.
+
+    E2 is split symbolically into its vertical and horizontal fields, both
+    parts are differentiated along the projected E1, and the results are
+    projected again.  Nothing here uses tensoriality.
+    """
+    D, ti = B.chart.dim, B.t_index
+    s = Const(0.0)
+    for c in range(D):
+        s = s + B.gbar.components[c, ti] * E2.components[c]
+    s = s / B.gbar.components[ti, ti]
+    vertical = E2.components.copy()
+    vertical[ti] = E2.components[ti] - s
+    horizontal = np.full(D, Const(0.0), dtype=object)
+    horizontal[ti] = s
+
+    def project(vecs, onto_line):
+        coeff = np.einsum("nc,nc->n", data.g[:, :, ti], vecs) / data.g[:, ti, ti]
+        line = np.zeros_like(vecs)
+        line[:, ti] = coeff
+        return line if onto_line else vecs - line
+
+    pe1 = project(E1.values(pts), horizontal_e1)
+    nabla_v = covariant_derivative_values(B.gbar, TensorField(B.chart, 1, 0, vertical), pts, data)
+    nabla_h = covariant_derivative_values(B.gbar, TensorField(B.chart, 1, 0, horizontal), pts, data)
+    return (project(np.einsum("nkm,nm->nk", nabla_v, pe1), True)
+            + project(np.einsum("nkm,nm->nk", nabla_h, pe1), False))
+
+
+def _sheared(B):
+    """B with a metric whose d_t is not gbar-orthogonal to the slices and
+    whose |d_t| varies, so the projections have non-constant coefficients."""
+    ti = B.t_index
+    x0, x1, t = Coord(0), Coord(1), Coord(ti)
+    comps = B.gbar.components.copy()
+    comps[0, ti] = comps[ti, 0] = comps[0, ti] + Const(0.1) * sin(x1)
+    comps[ti, ti] = comps[ti, ti] * (Const(1.5) + Const(0.3) * sin(x0 * t))
+    return dataclasses.replace(B, gbar=TensorField(B.chart, 0, 2, comps, "symmetric"))
+
+
+@pytest.mark.parametrize("shear", [False, True])
+def test_tables_match_the_definition_pair_by_pair(any_entry, shear, sasakian_symp,
+                                                  flat_bundle_symp):
+    """Coordinate pairs, and pairs of non-coordinate fields, which pins the
+    tensoriality that the contraction of the tables relies on."""
+    B = _symp(any_entry.name, sasakian_symp, flat_bundle_symp)
+    if shear:
+        B = _sheared(B)
+    pts = B.chart.samples(20, seed=7)
+    data = christoffel_batch(B.gbar, pts)
+    x0, x1, t = Coord(0), Coord(1), Coord(B.t_index)
+    wavy = TensorField.vector(B.chart, [x1 * t, sin(x0), Const(1.0), Const(1.0)])
+    fields = [TensorField.coordinate_vector(B.chart, i) for i in range(4)]
+    fields += [extended_slice_reeb(B.base, B.chart), wavy]
+    for E1 in fields:
+        for E2 in fields:
+            for got, horizontal_e1 in ((oneill_T(B, E1, E2, pts, data), False),
+                                       (oneill_A(B, E1, E2, pts, data), True)):
+                want = _oneill_by_pairs(B, E1, E2, pts, data, horizontal_e1)
+                assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_fundamental_tensors_reject_a_wrong_metric(any_entry, sasakian_symp, flat_bundle_symp):
+    B = _symp(any_entry.name, sasakian_symp, flat_bundle_symp)
+    ti = B.t_index
+    comps = B.gbar.components.copy()
+    comps[ti, ti] = Const(2.0) * comps[ti, ti]
+    wrong = dataclasses.replace(B, gbar=TensorField(B.chart, 0, 2, comps, "symmetric"))
+    assert verify_fundamental_tensors(wrong, 20, seed=3).vertical_pair_residual > 1e-3
 
 
 # ---------------------------------------------------------------------------
