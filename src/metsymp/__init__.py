@@ -33,10 +33,12 @@ from .contact import (
     eta_einstein_fit,
     fit_kappa_mu,
     h_eigendecomposition,
+    h_eigendecomposition_batch,
     is_K_contact,
     kappa_mu_after_rescale,
     reeb_field,
     solve_reeb,
+    solve_reeb_batch,
     verify_compatibility,
     verify_contact_form,
     verify_kmu_curvature,

@@ -32,6 +32,7 @@ from .curvature import christoffel_batch, ricci_components, riemann_components
 from .errors import (
     ChartMismatchError,
     DegenerateMetricError,
+    DomainError,
     GeometryError,
     NotContactError,
     SasakianDegeneracyError,
@@ -61,6 +62,7 @@ __all__ = [
     "reeb_field",
     "verify_contact_form",
     "solve_reeb",
+    "solve_reeb_batch",
     "verify_compatibility",
     "is_K_contact",
     "fit_kappa_mu",
@@ -68,6 +70,7 @@ __all__ = [
     "kappa_mu_after_rescale",
     "boeckx_index",
     "h_eigendecomposition",
+    "h_eigendecomposition_batch",
     "verify_kmu_curvature",
     "eta_einstein_fit",
     "verify_structure_isomorphism",
@@ -246,31 +249,63 @@ def verify_contact_form(eta: TensorField, chart: Chart, n_samples: int = 50,
     return ContactFormReport(min_abs, n_samples, min_abs > threshold)
 
 
-def solve_reeb(eta: TensorField, chart: Chart, point: np.ndarray) -> np.ndarray:
-    """Numeric Reeb vector at one point, from the stacked linear system.
+def _require_batch(chart: Chart, points: np.ndarray) -> np.ndarray:
+    """The points as an (n, dim) array, each one inside the chart."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2:
+        raise DomainError(f"expected points of shape (n, {chart.dim}), got {pts.shape}")
+    for p in pts:
+        chart.require_inside(p)
+    return pts
 
-    Rows are d eta(. , d_j) for every j plus the row eta(.) = 1; the
-    least-squares solution of this (dim+1) x dim stack is the Reeb vector
-    whenever eta is contact at the point, and the defining equations are
-    re-checked to 1e-9 before returning.
+
+def _at(pts: np.ndarray, k: int) -> str:
+    """Where a batch check failed: the sample index and its coordinates."""
+    return f"sample {k} {pts[k].tolist()}"
+
+
+def solve_reeb_batch(eta: TensorField, chart: Chart, points: np.ndarray) -> np.ndarray:
+    """Numeric Reeb vectors at a batch of points, shape (n, dim).
+
+    d eta is built once and d eta and eta are evaluated once on the batch;
+    :func:`_reeb_from_values` solves and re-checks each point.
     """
-    p = chart.require_inside(point)
-    deta = exterior_derivative(eta)
-    dv = deta.values(p)        # dv[i, j] = d eta(d_i, d_j)
-    ev = eta.values(p)
-    rows = np.vstack([dv.T, ev[None, :]])   # d eta(xi, d_j) = xi^i dv[i, j]
-    rhs = np.zeros(chart.dim + 1)
+    pts = _require_batch(chart, points)
+    return _reeb_from_values(exterior_derivative(eta).values(pts), eta.values(pts), pts)
+
+
+def _reeb_from_values(dv: np.ndarray, ev: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Reeb vectors from d eta and eta evaluated on the batch ``pts``.
+
+    ``dv[n, i, j] = d eta(d_i, d_j)`` and ``ev[n, i] = eta_i``.  At each
+    point the rows are d eta(. , d_j) for every j plus the row eta(.) = 1;
+    the least-squares solution of this (dim+1) x dim stack is the Reeb
+    vector whenever eta is contact at the point, and the defining equations
+    are re-checked to 1e-9.  A rejection names the first failing sample.
+    """
+    dim = pts.shape[1]
+    rhs = np.zeros(dim + 1)
     rhs[-1] = 1.0
-    sol, _, rank, _ = np.linalg.lstsq(rows, rhs, rcond=None)
-    if rank < chart.dim:
-        raise NotContactError("the form is not contact at this point (singular Reeb system)")
-    residual = sup_norm(rows @ sol - rhs)
-    if residual > REEB_TOL:
-        raise NotContactError(
-            f"Reeb defining equations unsatisfied (residual {residual:.3e}); "
-            "the form is likely not contact here"
-        )
-    return sol
+    out = np.empty(pts.shape)
+    for k in range(pts.shape[0]):
+        rows = np.vstack([dv[k].T, ev[k][None, :]])   # d eta(xi, d_j) = xi^i dv[i, j]
+        sol, _, rank, _ = np.linalg.lstsq(rows, rhs, rcond=None)
+        if rank < dim:
+            raise NotContactError(
+                f"the form is not contact at {_at(pts, k)} (singular Reeb system)")
+        residual = sup_norm(rows @ sol - rhs)
+        if residual > REEB_TOL:
+            raise NotContactError(
+                f"Reeb defining equations unsatisfied at {_at(pts, k)} "
+                f"(residual {residual:.3e}); the form is likely not contact here"
+            )
+        out[k] = sol
+    return out
+
+
+def solve_reeb(eta: TensorField, chart: Chart, point: np.ndarray) -> np.ndarray:
+    """Numeric Reeb vector at one point: :func:`solve_reeb_batch` of one."""
+    return solve_reeb_batch(eta, chart, chart.require_inside(point)[None, :])[0]
 
 
 def verify_compatibility(S: ContactMetricStructure, n_samples: int = 100,
@@ -293,13 +328,16 @@ def verify_compatibility(S: ContactMetricStructure, n_samples: int = 100,
     return CompatibilityReport(r1, r2, r3, n_samples)
 
 
-def h_norms(S: ContactMetricStructure, points: np.ndarray) -> np.ndarray:
-    """Frobenius norm of h with respect to g at each sample."""
-    gv = S.g.values(points)
-    hv = S.h.values(points)
+def _h_norms(gv: np.ndarray, hv: np.ndarray) -> np.ndarray:
+    """Frobenius norm of h with respect to g, from their values on a batch."""
     ginv = np.linalg.inv(gv)
     sq = np.einsum("nik,nij,nkl,njl->n", gv, hv, hv, ginv)
     return np.sqrt(np.maximum(sq, 0.0))
+
+
+def h_norms(S: ContactMetricStructure, points: np.ndarray) -> np.ndarray:
+    """Frobenius norm of h with respect to g at each sample."""
+    return _h_norms(S.g.values(points), S.h.values(points))
 
 
 def is_K_contact(S: ContactMetricStructure, n_samples: int = 100,
@@ -386,33 +424,58 @@ def boeckx_index(kappa: float, mu: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def h_eigendecomposition(S: ContactMetricStructure, point: np.ndarray,
-                         tol: float = 1e-8) -> HEigenReport:
-    """g-orthonormal eigenbasis of h at a point, grouped by eigenvalue.
+def h_eigendecomposition_batch(S: ContactMetricStructure,
+                               points: np.ndarray) -> list[HEigenReport]:
+    """g-orthonormal eigenbasis of h at each point, grouped by eigenvalue.
 
-    Eigenvalues are sorted descending and each vector's sign is fixed by
-    making its first nonzero component positive.  Raises when h vanishes at
-    the point, since the grouping is meaningless there.
+    g, h and xi are evaluated once on the batch, and the Cholesky
+    reduction of h to a symmetric matrix and its eigensolve run once over
+    shape (n, d, d); only the sort, sign fix, grouping and residuals loop
+    over the points.  Eigenvalues are sorted descending and each vector's
+    sign is fixed by making its first nonzero component positive.  Raises,
+    naming the first failing sample, where g is not finite or not positive
+    definite, where h is not finite, or where the g-norm of h is below
+    ``H_VANISH_TOL`` (the grouping is meaningless there).
     """
-    p = S.chart.require_inside(point)
-    gmat = S.g.values(p)
-    hmat = S.h.values(p)
-    xi = S.xi.values(p)
-    hnorm = float(h_norms(S, p[None, :])[0])
-    if hnorm < H_VANISH_TOL:
-        raise SasakianDegeneracyError("h vanishes here; no eigenstructure to extract")
-
-    sym = gmat @ hmat                     # g-self-adjointness makes this symmetric
+    pts = _require_batch(S.chart, points)
+    gv = S.g.values(pts)
+    hv = S.h.values(pts)
+    xv = S.xi.values(pts)
+    bad_g = np.flatnonzero(~np.isfinite(gv).all(axis=(1, 2)))
+    if bad_g.size:
+        raise DegenerateMetricError(f"metric is not finite at {_at(pts, bad_g[0])}")
     try:
-        L = np.linalg.cholesky(gmat)
+        L = np.linalg.cholesky(gv)
     except np.linalg.LinAlgError:
-        raise DegenerateMetricError(
-            "metric is not positive definite at the point") from None
-    Linv = np.linalg.inv(L)
-    reduced = Linv @ sym @ Linv.T
-    w, u = np.linalg.eigh(0.5 * (reduced + reduced.T))
-    vectors = (Linv.T @ u).T              # rows, g-orthonormal
+        for k in range(pts.shape[0]):
+            try:
+                np.linalg.cholesky(gv[k])
+            except np.linalg.LinAlgError:
+                raise DegenerateMetricError(
+                    f"metric is not positive definite at {_at(pts, k)}") from None
+        raise
+    hnorm = _h_norms(gv, hv)                # NaN where h is not finite
+    bad_h = np.flatnonzero(~(hnorm >= H_VANISH_TOL))
+    if bad_h.size:
+        k = bad_h[0]
+        if not np.isfinite(hv[k]).all():
+            raise GeometryError(f"h is not finite at {_at(pts, k)}")
+        raise SasakianDegeneracyError(
+            f"h vanishes at {_at(pts, k)} (g-norm {hnorm[k]:.3e} < {H_VANISH_TOL:.1e}); "
+            "no eigenstructure to extract")
 
+    sym = gv @ hv                         # g-self-adjointness makes this symmetric
+    Linv = np.linalg.inv(L)
+    LinvT = np.swapaxes(Linv, -1, -2)
+    reduced = Linv @ sym @ LinvT
+    w, u = np.linalg.eigh(0.5 * (reduced + np.swapaxes(reduced, -1, -2)))
+    vectors = np.swapaxes(LinvT @ u, -1, -2)   # rows, g-orthonormal
+    return [_eigen_report(w[k], vectors[k], gv[k], xv[k]) for k in range(pts.shape[0])]
+
+
+def _eigen_report(w: np.ndarray, vectors: np.ndarray, gmat: np.ndarray,
+                  xi: np.ndarray) -> HEigenReport:
+    """Sort, sign-fix and group one point's eigenpairs, with their residuals."""
     order = np.argsort(-w)
     w = w[order]
     vectors = vectors[order]
@@ -454,6 +517,11 @@ def h_eigendecomposition(S: ContactMetricStructure, point: np.ndarray,
     )
 
 
+def h_eigendecomposition(S: ContactMetricStructure, point: np.ndarray) -> HEigenReport:
+    """Eigenstructure of h at one point: :func:`h_eigendecomposition_batch` of one."""
+    return h_eigendecomposition_batch(S, S.chart.require_inside(point)[None, :])[0]
+
+
 # ---------------------------------------------------------------------------
 # the six curvature identities of a non-Sasakian nullity structure
 # ---------------------------------------------------------------------------
@@ -481,15 +549,15 @@ def verify_kmu_curvature(S: ContactMetricStructure, kappa: float, mu: float,
     data = christoffel_batch(S.g, pts)
     riem_all = riemann_components(data)
     lam = math.sqrt(max(1.0 - kappa, 0.0))
+    eigs = h_eigendecomposition_batch(S, pts)
+    phi_all = S.phi.values(pts)
     defects = ([], [], [], [], [], [])
 
-    for idx in range(pts.shape[0]):
-        p = pts[idx]
-        eig = h_eigendecomposition(S, p)
+    for idx, eig in enumerate(eigs):
         Ps = [eig.vectors[i] for i in eig.plus_indices]
         Ms = [eig.vectors[i] for i in eig.minus_indices]
         gmat = data.g[idx]
-        phimat = S.phi.values(p)
+        phimat = phi_all[idx]
         riem = riem_all[idx]
 
         def R(X, Y, Z):

@@ -32,13 +32,13 @@ import numpy as np
 from . import __version__
 from .catalog import CatalogEntry
 from .contact import (
+    _reeb_from_values,
     boeckx_index,
     d_homothety,
     fit_kappa_mu,
-    h_eigendecomposition,
+    h_eigendecomposition_batch,
     is_K_contact,
     kappa_mu_after_rescale,
-    solve_reeb,
     verify_compatibility,
     verify_kmu_curvature,
 )
@@ -200,9 +200,10 @@ def _check_reeb(S, cfg, ctx):
     dv = deta.values(pts)
     ev = S.eta.values(pts)
     xv = S.xi.values(pts)
-    solver = [solve_reeb(S.eta, S.chart, p) - S.xi.values(p) for p in pts[: min(10, len(pts))]]
+    n = min(10, len(pts))
+    solver = _reeb_from_values(dv[:n], ev[:n], pts[:n]) - xv[:n]
     return sup_norm(np.einsum("ni,nij->nj", xv, dv), np.einsum("ni,ni->n", ev, xv) - 1.0,
-                    *solver)
+                    solver)
 
 
 def _check_h_tensor(S, cfg, ctx):
@@ -235,10 +236,8 @@ def _check_h_eigenstructure(S, cfg, ctx):
     defects = [h2 + (1.0 - rep.kappa) * p2]
     if not rep.sasakian_flag:
         lam = math.sqrt(1.0 - rep.kappa)
-        for p in pts[: min(10, len(pts))]:
-            eig = h_eigendecomposition(S, p)
-            target = np.sort(np.concatenate([
-                np.full(S.n, lam), np.full(S.n, -lam), np.zeros(1)]))
+        target = np.sort(np.concatenate([np.full(S.n, lam), np.full(S.n, -lam), np.zeros(1)]))
+        for eig in h_eigendecomposition_batch(S, pts[: min(10, len(pts))]):
             defects += [np.sort(eig.eigenvalues) - target,
                         eig.orthonormality_residual, eig.xi_alignment_residual]
     return sup_norm(*defects)

@@ -497,7 +497,7 @@ def nijenhuis_norms(N: TensorField, g: TensorField, points: np.ndarray) -> np.nd
     nv = N.values(points)
     gv = g.values(points)
     ginv = np.linalg.inv(gv)
-    sq = np.einsum("nkc,nia,njb,nkij,ncab->n", gv, ginv, ginv, nv, nv)
+    sq = np.einsum("nkc,nia,njb,nkij,ncab->n", gv, ginv, ginv, nv, nv, optimize=True)
     return np.sqrt(np.maximum(sq, 0.0))
 
 

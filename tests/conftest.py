@@ -1,10 +1,13 @@
 """Shared fixtures and the acceptance-criteria terminal summary."""
 
+import math
+
 import pytest
 
 from metsymp.catalog import CatalogEntry, catalog_load
+from metsymp.charts import Chart
 from metsymp.contact import ContactMetricStructure
-from metsymp.expressions import Coord, sqrt
+from metsymp.expressions import Const, Coord, cos, sin, sqrt
 from metsymp.fields import TensorField
 from metsymp.symplectization import build_metric_symplectization
 
@@ -57,6 +60,36 @@ def flat_bundle_symp(flat_bundle):
 @pytest.fixture(scope="session", params=["darboux-sasakian-r3", "unit-tangent-flat-plane"])
 def any_entry(request):
     return catalog_load(request.param)
+
+
+@pytest.fixture(scope="session")
+def curved():
+    """The index-2 nullity structure (kappa, mu) = (0, -2) of ``test_curved_model``.
+
+    g is orthonormal on the rescaled rotation-invariant frame
+    E1 = sqrt(2) X1, E2 = sqrt(6) X2, E3 = sqrt(3) d_w of an Euler-angle
+    chart, with eta dual to E3 and phi E1 = E2.
+    """
+    chart = Chart(("u", "v", "w"),
+                  ((-2.8, 2.8), (0.5, 2.6), (-2.8, 2.8)), sampler_seed=37)
+    u, v, w = (Coord(i, n) for i, n in enumerate(chart.coord_names))
+    zero = Const(0.0)
+    sv, cv, sw, cw = sin(v), cos(v), sin(w), cos(w)
+
+    sigma1 = TensorField.covector(chart, [sw * sv, cw, zero])
+    sigma2 = TensorField.covector(chart, [cw * sv, -sw, zero])
+    sigma3 = TensorField.covector(chart, [cv, zero, Const(1.0)])
+    X1 = TensorField.vector(chart, [sw / sv, cw, -(sw * cv) / sv])
+    X2 = TensorField.vector(chart, [cw / sv, -sw, -(cw * cv) / sv])
+
+    r3 = math.sqrt(3.0)
+    eta = sigma3.scale(Const(1.0 / r3))
+    g_raw = (sigma1.outer(sigma1).scale(Const(0.5))
+             + sigma2.outer(sigma2).scale(Const(1.0 / 6.0))
+             + sigma3.outer(sigma3).scale(Const(1.0 / 3.0)))
+    g = TensorField(chart, 0, 2, g_raw.components, "symmetric")
+    phi = X2.outer(sigma1).scale(Const(r3)) - X1.outer(sigma2).scale(Const(1.0 / r3))
+    return ContactMetricStructure.build(chart, eta, g, phi)
 
 
 @pytest.fixture(scope="session")

@@ -15,7 +15,9 @@ Frozen expected values and where they come from:
   the fitted pair is cross-checked against a direct Ricci evaluation.
 """
 
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -29,11 +31,13 @@ from metsymp.contact import (
     eta_einstein_fit,
     fit_kappa_mu,
     h_eigendecomposition,
+    h_eigendecomposition_batch,
     h_norms,
     is_K_contact,
     kappa_mu_after_rescale,
     reeb_field,
     solve_reeb,
+    solve_reeb_batch,
     verify_compatibility,
     verify_contact_form,
     verify_kmu_curvature,
@@ -41,12 +45,13 @@ from metsymp.contact import (
 )
 from metsymp.curvature import christoffel_batch, ricci_components
 from metsymp.errors import (
+    DegenerateMetricError,
     GeometryError,
     NotContactError,
     SasakianDegeneracyError,
 )
-from metsymp.expressions import Const, Coord
-from metsymp.fields import SmoothMap, TensorField
+from metsymp.expressions import Const, Coord, sqrt
+from metsymp.fields import SmoothMap, TensorField, exterior_derivative
 
 
 # ---------------------------------------------------------------------------
@@ -394,3 +399,136 @@ def test_h_norm_helper_matches_eigenvalues(flat_bundle):
     norms = h_norms(flat_bundle, pts)
     # h has eigenvalues {0, 1, -1} and the frame norm is sqrt(2)
     assert_allclose(norms, math.sqrt(2.0), atol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# batch paths against the per-point algorithm
+# ---------------------------------------------------------------------------
+
+
+def _reference_eigen(S, p):
+    """The per-point eigenstructure of h: one evaluation and one Cholesky
+    reduction per point, kept here as the reference for the batch."""
+    gmat = S.g.values(p)
+    hmat = S.h.values(p)
+    xi = S.xi.values(p)
+    sym = gmat @ hmat
+    L = np.linalg.cholesky(gmat)
+    Linv = np.linalg.inv(L)
+    reduced = Linv @ sym @ Linv.T
+    w, u = np.linalg.eigh(0.5 * (reduced + reduced.T))
+    vectors = (Linv.T @ u).T
+    order = np.argsort(-w)
+    w = w[order]
+    vectors = vectors[order]
+    for i in range(vectors.shape[0]):
+        nz = np.nonzero(np.abs(vectors[i]) > 1e-12)[0]
+        if nz.size and vectors[i, nz[0]] < 0:
+            vectors[i] = -vectors[i]
+    lam = float(np.max(np.abs(w)))
+    groups = {"plus": [], "minus": [], "zero": []}
+    distances = []
+    for i, val in enumerate(w):
+        dplus, dminus, dzero = abs(val - lam), abs(val + lam), abs(val)
+        best = min(dplus, dminus, dzero)
+        distances.append(best)
+        key = "zero" if best == dzero else "plus" if best == dplus else "minus"
+        groups[key].append(i)
+    gram = vectors @ gmat @ vectors.T
+    xin = xi / math.sqrt(float(xi @ gmat @ xi))
+    xi_res = 1.0
+    for i in groups["zero"]:
+        v = vectors[i]
+        xi_res = min(xi_res, float(np.max(np.abs(v - xin))), float(np.max(np.abs(v + xin))))
+    return {
+        "eigenvalues": w, "vectors": vectors, "lam": lam,
+        "plus_indices": tuple(groups["plus"]), "minus_indices": tuple(groups["minus"]),
+        "zero_indices": tuple(groups["zero"]),
+        "spectrum_residual": max(distances),
+        "orthonormality_residual": float(np.max(np.abs(gram - np.eye(len(w))))),
+        "xi_alignment_residual": xi_res,
+    }
+
+
+@pytest.fixture(params=["flat_bundle", "curved", "curved_rescaled"])
+def non_sasakian(request):
+    if request.param == "curved_rescaled":
+        return d_homothety(request.getfixturevalue("curved"), 0.3)
+    return request.getfixturevalue(request.param)
+
+
+def test_h_eigendecomposition_batch_is_bit_identical_to_the_per_point_reference(non_sasakian):
+    S = non_sasakian
+    pts = S.chart.samples(12, seed=5)
+    reports = h_eigendecomposition_batch(S, pts)
+    assert len(reports) == len(pts)
+    for p, rep in zip(pts, reports):
+        ref = _reference_eigen(S, p)
+        for name, want in ref.items():
+            got = getattr(rep, name)
+            if isinstance(want, tuple):
+                assert got == want, name
+            else:
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), name
+        one = h_eigendecomposition(S, p)
+        assert one.vectors.tobytes() == rep.vectors.tobytes()
+        assert one.eigenvalues.tobytes() == rep.eigenvalues.tobytes()
+
+
+def test_solve_reeb_batch_is_bit_identical_to_per_point_lstsq(any_entry):
+    S = any_entry.structure
+    pts = S.chart.samples(12, seed=6)
+    batch = solve_reeb_batch(S.eta, S.chart, pts)
+    deta = exterior_derivative(S.eta)
+    rhs = np.zeros(S.chart.dim + 1)
+    rhs[-1] = 1.0
+    for p, got in zip(pts, batch):
+        rows = np.vstack([deta.values(p).T, S.eta.values(p)[None, :]])
+        want, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
+        assert got.tobytes() == want.tobytes()
+        assert solve_reeb(S.eta, S.chart, p).tobytes() == want.tobytes()
+
+
+def _vanishing_at(S, pts, k):
+    """The scalar field x0 - pts[k, 0], exactly zero at sample k only."""
+    return Coord(0, S.chart.coord_names[0]) - Const(float(pts[k, 0]))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_batch_rejections_name_the_failing_sample(flat_bundle):
+    S = flat_bundle
+    pts = S.chart.samples(6, seed=8)
+    k = int(np.argmin(pts[:, 0]))
+    where = f"sample {k} {pts[k].tolist()}"
+
+    # h scaled by a factor that is zero at sample k only
+    S_h = dataclasses.replace(S, h=S.h.scale(_vanishing_at(S, pts, k)))
+    with pytest.raises(SasakianDegeneracyError, match=re.escape(where)):
+        h_eigendecomposition_batch(S_h, pts)
+
+    # g scaled by a factor that is negative, then zero, at sample k only;
+    # |h|_g is unchanged elsewhere
+    shift = Const(0.5 * float(np.partition(pts[:, 0], 1)[1] - pts[k, 0]))
+    for factor in (_vanishing_at(S, pts, k) - shift, _vanishing_at(S, pts, k)):
+        S_g = dataclasses.replace(S, g=S.g.scale(factor))
+        with pytest.raises(DegenerateMetricError, match=re.escape(where)):
+            h_eigendecomposition_batch(S_g, pts)
+
+    # g or h multiplied by sqrt(f) / sqrt(f), where f < 0 at sample k only:
+    # the factor is NaN there and 1 elsewhere
+    f = _vanishing_at(S, pts, k) - shift
+    nan_at_k = sqrt(f) / sqrt(f)
+    S_g = dataclasses.replace(S, g=S.g.scale(nan_at_k))
+    with pytest.raises(DegenerateMetricError, match=re.escape(f"not finite at {where}")):
+        h_eigendecomposition_batch(S_g, pts)
+    S_h = dataclasses.replace(S, h=S.h.scale(nan_at_k))
+    with pytest.raises(GeometryError, match=re.escape(f"h is not finite at {where}")):
+        h_eigendecomposition_batch(S_h, pts)
+
+    # the Martinet form dz - y^2 dx is contact except on y = 0
+    chart = Chart(("x", "y", "z"), ((-1, 1),) * 3)
+    y = Coord(1, "y")
+    eta = TensorField.covector(chart, [-(y * y), Const(0.0), Const(1.0)])
+    batch = np.array([[0.1, 0.5, 0.2], [0.3, 0.0, 0.1], [-0.2, 0.7, 0.4]])
+    with pytest.raises(NotContactError, match=re.escape("sample 1 [0.3, 0.0, 0.1]")):
+        solve_reeb_batch(eta, chart, batch)

@@ -16,18 +16,14 @@ A frame computation of the curvature gives R(E1,xi)xi = 2 E1 and
 R(E2,xi)xi = -2 E2 with h = diag(-1, +1, 0) on (E1, E2, xi), so the
 nullity constants are (kappa, mu) = (0, -2), lambda = 1, and the index is
 (1 - mu/2)/sqrt(1 - kappa) = 2.  With mu different from 2 - 2n = 0 the
-structure is not eta-Einstein.
+structure is not eta-Einstein.  The structure is the ``curved`` fixture
+of ``conftest.py``.
 """
 
-import math
-
 import numpy as np
-import pytest
 from numpy.testing import assert_allclose
 
-from metsymp.charts import Chart
 from metsymp.contact import (
-    ContactMetricStructure,
     boeckx_index,
     d_homothety,
     eta_einstein_fit,
@@ -38,34 +34,8 @@ from metsymp.contact import (
     verify_kmu_curvature,
 )
 from metsymp.curvature import christoffel_batch, ricci_components
-from metsymp.expressions import Const, Coord, cos, sin
-from metsymp.fields import TensorField
 from metsymp.submersion import fit_symplectization_kmu, verify_currel, verify_ricci_relations
 from metsymp.symplectization import build_metric_symplectization, nijenhuis, nijenhuis_norms
-
-
-@pytest.fixture(scope="module")
-def curved():
-    chart = Chart(("u", "v", "w"),
-                  ((-2.8, 2.8), (0.5, 2.6), (-2.8, 2.8)), sampler_seed=37)
-    u, v, w = (Coord(i, n) for i, n in enumerate(chart.coord_names))
-    zero = Const(0.0)
-    sv, cv, sw, cw = sin(v), cos(v), sin(w), cos(w)
-
-    sigma1 = TensorField.covector(chart, [sw * sv, cw, zero])
-    sigma2 = TensorField.covector(chart, [cw * sv, -sw, zero])
-    sigma3 = TensorField.covector(chart, [cv, zero, Const(1.0)])
-    X1 = TensorField.vector(chart, [sw / sv, cw, -(sw * cv) / sv])
-    X2 = TensorField.vector(chart, [cw / sv, -sw, -(cw * cv) / sv])
-
-    r3 = math.sqrt(3.0)
-    eta = sigma3.scale(Const(1.0 / r3))
-    g_raw = (sigma1.outer(sigma1).scale(Const(0.5))
-             + sigma2.outer(sigma2).scale(Const(1.0 / 6.0))
-             + sigma3.outer(sigma3).scale(Const(1.0 / 3.0)))
-    g = TensorField(chart, 0, 2, g_raw.components, "symmetric")
-    phi = X2.outer(sigma1).scale(Const(r3)) - X1.outer(sigma2).scale(Const(1.0 / r3))
-    return ContactMetricStructure.build(chart, eta, g, phi)
 
 
 def test_compatibility(curved):

@@ -315,6 +315,22 @@ def test_torsions_vanish_precisely_for_sasakian(sasakian, flat_bundle,
         assert np.min(norms) > 1e-2
 
 
+def test_torsion_norm_matches_the_unplanned_contraction(flat_bundle, flat_bundle_symp):
+    """The planned five-operand contraction agrees with numpy's plain
+    nested loop over all seven indices."""
+    B = flat_bundle_symp
+    pts = B.chart.samples(20, seed=4)
+    for J in (B.J, natural_acs(flat_bundle)):
+        N = nijenhuis(J)
+        norms = nijenhuis_norms(N, B.gbar, pts)
+        nv = N.values(pts)
+        gv = B.gbar.values(pts)
+        ginv = np.linalg.inv(gv)
+        sq = np.einsum("nkc,nia,njb,nkij,ncab->n", gv, ginv, ginv, nv, nv, optimize=False)
+        assert np.min(norms) > 1e-2
+        assert_allclose(norms, np.sqrt(np.maximum(sq, 0.0)), rtol=1e-13, atol=0.0)
+
+
 # ---------------------------------------------------------------------------
 # translations between symplectizations
 # ---------------------------------------------------------------------------
