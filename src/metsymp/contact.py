@@ -547,68 +547,57 @@ def verify_kmu_curvature(S: ContactMetricStructure, kappa: float, mu: float,
     """
     pts = S.chart.samples(n_samples, seed=seed)
     data = christoffel_batch(S.g, pts)
-    riem_all = riemann_components(data)
+    riem = riemann_components(data)
     lam = math.sqrt(max(1.0 - kappa, 0.0))
     eigs = h_eigendecomposition_batch(S, pts)
-    phi_all = S.phi.values(pts)
-    defects = ([], [], [], [], [], [])
+    gmat = data.g
+    phimat = S.phi.values(pts)
 
-    for idx, eig in enumerate(eigs):
-        Ps = [eig.vectors[i] for i in eig.plus_indices]
-        Ms = [eig.vectors[i] for i in eig.minus_indices]
-        gmat = data.g[idx]
-        phimat = phi_all[idx]
-        riem = riem_all[idx]
+    # the eigenbases stacked as [n, s, d]; a sample with fewer vectors is
+    # padded with zero vectors, whose defects are exactly zero because every
+    # identity is linear in each argument
+    def stacked(index_sets):
+        out = np.zeros((len(eigs), max(map(len, index_sets)), S.chart.dim))
+        for k, (eig, idx) in enumerate(zip(eigs, index_sets)):
+            out[k, :len(idx)] = eig.vectors[list(idx)]
+        return out
 
-        def R(X, Y, Z):
-            return np.einsum("lkij,k,i,j->l", riem, Z, X, Y)
+    Ps = stacked([eig.plus_indices for eig in eigs])
+    Ms = stacked([eig.minus_indices for eig in eigs])
 
-        def gp(X, Y):
-            return float(X @ gmat @ Y)
+    def R(X, Y, Z):
+        """R(X_a, Y_b) Z_c as [n, a, b, c, l]."""
+        t = np.einsum("nlkij,nck->nclij", riem, Z)
+        t = np.einsum("nclij,nai->ncalj", t, X)
+        return np.einsum("ncalj,nbj->nabcl", t, Y)
 
-        def ph(X):
-            return phimat @ X
+    def gp(X, Y):
+        """g(X_a, Y_b) as [n, a, b]."""
+        return X @ gmat @ np.swapaxes(Y, 1, 2)
 
-        for P1 in Ps:
-            for P2 in Ps:
-                for M in Ms:
-                    lhs = R(P1, P2, M)
-                    rhs = (kappa - mu) * (gp(ph(P2), M) * ph(P1) - gp(ph(P1), M) * ph(P2))
-                    defects[0].append(lhs - rhs)
-        for M1 in Ms:
-            for M2 in Ms:
-                for P in Ps:
-                    lhs = R(M1, M2, P)
-                    rhs = (kappa - mu) * (gp(ph(M2), P) * ph(M1) - gp(ph(M1), P) * ph(M2))
-                    defects[1].append(lhs - rhs)
-        for P in Ps:
-            for M1 in Ms:
-                for M2 in Ms:
-                    lhs = R(P, M1, M2)
-                    rhs = kappa * gp(ph(P), M2) * ph(M1) + mu * gp(ph(P), M1) * ph(M2)
-                    defects[2].append(lhs - rhs)
-        for P1 in Ps:
-            for M in Ms:
-                for P2 in Ps:
-                    lhs = R(P1, M, P2)
-                    rhs = -kappa * gp(ph(M), P2) * ph(P1) - mu * gp(ph(M), P1) * ph(P2)
-                    defects[3].append(lhs - rhs)
-        c5 = 2.0 * (1.0 + lam) - mu
-        for P1 in Ps:
-            for P2 in Ps:
-                for P3 in Ps:
-                    lhs = R(P1, P2, P3)
-                    rhs = c5 * (gp(P2, P3) * P1 - gp(P1, P3) * P2)
-                    defects[4].append(lhs - rhs)
-        c6 = 2.0 * (1.0 - lam) - mu
-        for M1 in Ms:
-            for M2 in Ms:
-                for M3 in Ms:
-                    lhs = R(M1, M2, M3)
-                    rhs = c6 * (gp(M2, M3) * M1 - gp(M1, M3) * M2)
-                    defects[5].append(lhs - rhs)
+    def ph(X):
+        return X @ np.swapaxes(phimat, 1, 2)
 
-    return KmuCurvatureReport(tuple(sup_norm(*parts) for parts in defects), n_samples)
+    def pair(gXW, X):
+        """gXW[b, c] X_a - gXW[a, c] X_b as [n, a, b, c, l]."""
+        return (gXW[:, None, :, :, None] * X[:, :, None, None, :]
+                - gXW[:, :, None, :, None] * X[:, None, :, None, :])
+
+    phP, phM = ph(Ps), ph(Ms)
+    gPM, gMP = gp(phP, Ms), gp(phM, Ps)     # g(phi P, M) and g(phi M, P)
+    c5 = 2.0 * (1.0 + lam) - mu
+    c6 = 2.0 * (1.0 - lam) - mu
+    defects = (
+        R(Ps, Ps, Ms) - (kappa - mu) * pair(gPM, phP),
+        R(Ms, Ms, Ps) - (kappa - mu) * pair(gMP, phM),
+        R(Ps, Ms, Ms) - (kappa * gPM[:, :, None, :, None] * phM[:, None, :, None, :]
+                         + mu * gPM[:, :, :, None, None] * phM[:, None, None, :, :]),
+        R(Ps, Ms, Ps) - (-kappa * gMP[:, None, :, :, None] * phP[:, :, None, None, :]
+                         - mu * np.swapaxes(gMP, 1, 2)[:, :, :, None, None] * phP[:, None, None, :, :]),
+        R(Ps, Ps, Ps) - c5 * pair(gp(Ps, Ps), Ps),
+        R(Ms, Ms, Ms) - c6 * pair(gp(Ms, Ms), Ms),
+    )
+    return KmuCurvatureReport(tuple(sup_norm(part) for part in defects), n_samples)
 
 
 # ---------------------------------------------------------------------------

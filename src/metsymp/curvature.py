@@ -10,6 +10,17 @@ components.  Sign conventions, fixed once for the whole package:
 With these choices the round unit 2-sphere has sec = +1 and Ric = g.
 Component storage: ``riem[l, k, i, j]`` is the coefficient along ``d_l`` of
 ``R(d_i, d_j) d_k``.
+
+The connection derivative comes from differentiating
+g_ka Gamma^a_ij = (d_i g_ja + d_j g_ia - d_a g_ij) / 2 along d_m:
+
+    d_m Gamma^k_ij = g^{ka} (d_m (d_i g_ja + d_j g_ia - d_a g_ij) / 2
+                             - d_m g_ab Gamma^b_ij),
+
+so the derivative of the inverse metric is never formed.  That product and
+the quadratic term Gamma^l_ia Gamma^a_jk of the curvature are batched
+matrix products over the sample axis, O(n D^5) work for n points in
+dimension D.
 """
 
 from __future__ import annotations
@@ -102,18 +113,18 @@ def christoffel_from_blocks(pts: np.ndarray, vals: np.ndarray, grads: np.ndarray
     )
     gamma = 0.5 * np.einsum("nkl,nijl->nkij", ginv, combo)
 
-    # d_m g^{kl} = -g^{ka} (d_m g_ab) g^{bl}
-    dginv = -np.einsum("nka,nabm,nbl->nklm", ginv, grads, ginv)
-    # dcombo[n,i,j,l,m] = d_m combo[n,i,j,l]
-    dcombo = (
-        np.einsum("njlmi->nijlm", hesses)
-        + np.einsum("nilmj->nijlm", hesses)
-        - np.einsum("nijml->nijlm", hesses)
-    )
-    dgamma = 0.5 * (
-        np.einsum("nklm,nijl->nkijm", dginv, combo)
-        + np.einsum("nkl,nijlm->nkijm", ginv, dcombo)
-    )
+    # d_m Gamma^k_ij = g^{ka} (d_m combo_ija / 2 - d_m g_ab Gamma^b_ij) (module
+    # docstring) as two batched products: (a m, b) @ (b, i j), then (k, a) @ (a, i j m)
+    n, D = vals.shape[0], vals.shape[-1]
+    dg_gamma = (np.swapaxes(grads, 2, 3).reshape(n, D * D, D)
+                @ gamma.reshape(n, D, D * D)).reshape(n, D, D, D, D)   # [n, a, m, i, j]
+    # inner[n,a,i,j,m] = d_m combo[n,i,j,a] / 2 - d_m g_ab Gamma^b_ij
+    inner = 0.5 * (
+        np.einsum("njami->naijm", hesses)
+        + np.einsum("niamj->naijm", hesses)
+        - np.einsum("nijma->naijm", hesses)
+    ) - np.einsum("namij->naijm", dg_gamma)
+    dgamma = (ginv @ inner.reshape(n, D, D ** 3)).reshape(n, D, D, D, D)
     return ChristoffelData(points=pts, g=vals, ginv=ginv, dg=grads, gamma=gamma, dgamma=dgamma)
 
 
@@ -135,10 +146,14 @@ def riemann_components(data: ChristoffelData) -> np.ndarray:
     """riem[..., l, k, i, j]: coefficient of R(d_i, d_j)d_k along d_l."""
     gamma = data.gamma
     dgamma = data.dgamma
+    batch, D = gamma.shape[:-3], gamma.shape[-1]
     t1 = np.einsum("...ljki->...lkij", dgamma)  # d_i Gamma^l_jk
     t2 = np.einsum("...likj->...lkij", dgamma)  # d_j Gamma^l_ik
-    q1 = np.einsum("...lia,...ajk->...lkij", gamma, gamma)
-    q2 = np.einsum("...lja,...aik->...lkij", gamma, gamma)
+    # quad[..., l, i, j, k] = Gamma^l_ia Gamma^a_jk, one product (l i, a) @ (a, j k)
+    quad = (gamma.reshape(batch + (D * D, D))
+            @ gamma.reshape(batch + (D, D * D))).reshape(batch + (D,) * 4)
+    q1 = np.einsum("...lijk->...lkij", quad)
+    q2 = np.swapaxes(q1, -1, -2)                # Gamma^l_ja Gamma^a_ik
     return t1 - t2 + q1 - q2
 
 
@@ -282,8 +297,11 @@ def gram_schmidt_frame(gmat: np.ndarray, seeds: np.ndarray | None = None,
                        tol: float = 1e-10) -> np.ndarray:
     """A g-orthonormal frame from seed vectors plus the coordinate basis.
 
-    Near-null candidates are skipped (pivoting) so dependent seeds cannot
-    poison the frame.  Returns rows of shape (dim, dim).
+    A candidate whose remainder after projection has g-norm^2 at most
+    ``tol`` times its own is skipped (pivoting), so zero, dependent or NaN
+    seeds cannot poison the frame; the test is relative, so a uniformly
+    rescaled metric s g gives the frame of g divided by sqrt(s).  Returns
+    rows of shape (dim, dim).
     """
     d = gmat.shape[-1]
     candidates: list[np.ndarray] = []
@@ -296,7 +314,7 @@ def gram_schmidt_frame(gmat: np.ndarray, seeds: np.ndarray | None = None,
         for u in frame:
             w = w - (u @ gmat @ w) * u
         norm2 = float(w @ gmat @ w)
-        if norm2 < tol:
+        if not norm2 > tol * float(v @ gmat @ v):
             continue
         frame.append(w / np.sqrt(norm2))
         if len(frame) == d:

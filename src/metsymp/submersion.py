@@ -371,6 +371,19 @@ def _unit(B: SymplecticMetricStructure, pts: np.ndarray) -> np.ndarray:
     return et
 
 
+def _product_frames(B: SymplecticMetricStructure, gv: np.ndarray,
+                    xit: np.ndarray) -> np.ndarray:
+    """gbar-orthonormal frames [n, D, D] seeded by xi_t and d_t, one per sample."""
+    et = np.eye(B.chart.dim)[B.t_index]
+    return np.stack([gram_schmidt_frame(gv[k], seeds=np.stack([xit[k], et]))
+                     for k in range(len(gv))])
+
+
+def _frame_components(frames: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """out[n, i, j] = frames[n, i] @ M[n] @ frames[n, j]."""
+    return frames @ M @ np.swapaxes(frames, 1, 2)
+
+
 @dataclass(frozen=True)
 class CurvatureRelationsReport:
     """Residuals of the four relations, plus a sign-flip diagnostic.
@@ -413,12 +426,11 @@ def verify_currel(B: SymplecticMetricStructure, n_samples: int = 50,
     S = _require_product(B)
     pts = B.chart.samples(n_samples, seed=seed)
     data = christoffel_batch(B.gbar, pts)
-    D = B.chart.dim
     d = S.chart.dim
     ti = B.t_index
     gv = data.g
     riem = riemann_components(data)
-    rlow = np.einsum("nel,nlkij->nekij", gv, riem)
+    rt = np.einsum("nl,nlkij->nkij", gv[:, ti], riem)  # gbar(R(d_i, d_j) d_k, d_t)
 
     sl = slice_christoffel_batch(B, pts)
     riem_t = riemann_components(sl)                 # base-sized arrays
@@ -430,41 +442,32 @@ def verify_currel(B: SymplecticMetricStructure, n_samples: int = 50,
     hv = extend_to_product(S.h, B.chart).values(pts)[:, :d, :d] / e2t[:, None, None]
 
     P = gt + np.einsum("na,nb->nab", etat, etat)
+    eye = np.eye(d)
 
-    d1, d2, d3, d3_flipped = [], [], [], []
-    for a in range(d):
-        for b in range(d):
-            for c in range(d):
-                lhs = riem[:, :d, c, a, b]
-                rhs = riem_t[:, :, c, a, b].copy()
-                rhs[:, b] += P[:, a, c]
-                rhs[:, a] -= P[:, b, c]
-                coeff = etat[:, b] * gt[:, a, c] - etat[:, a] * gt[:, b, c]
-                rhs += coeff[:, None] * xit
-                d1.append(lhs - rhs)
-                # the horizontal remainder of R(X,Y)Z is relation 2
-    for a in range(d):
-        for b in range(d):
-            for c in range(d):
-                lhs = rlow[:, ti, c, a, b]
-                w = np.zeros_like(xit)
-                w[:, a] += etat[:, b]
-                w[:, b] -= etat[:, a]
-                w += etat[:, b, None] * hv[:, :, a] - etat[:, a, None] * hv[:, :, b]
-                phz = phiv[:, :, c]
-                rhs = -np.einsum("ni,nij,nj->n", phz, gt, w)
-                rhs += 2.0 * etat[:, c] * np.einsum("nj,nj->n", gt[:, b, :], phiv[:, :, a])
-                d2.append(lhs - rhs)
-    for a in range(d):
-        for b in range(d):
-            lhs = rlow[:, b, ti, ti, a]
-            rhs = gt[:, a, b] + 3.0 * etat[:, a] * etat[:, b]
-            d3.append(lhs - rhs)
-            d3_flipped.append(lhs + rhs)
-    r3 = sup_norm(*d3)
-    sign_flip = r3 > 1e-6 and sup_norm(*d3_flipped) < 1e-6
-    return CurvatureRelationsReport(sup_norm(*d1), sup_norm(*d2), r3,
-                                    sup_norm(rlow[:, ti, ti, :d, :d]), sign_flip, n_samples)
+    # relation 1 over [n, l, c, a, b], X = d_a, Y = d_b, Z = d_c; the
+    # horizontal remainder of R(X,Y)Z is relation 2
+    Pt, gtt = np.swapaxes(P, 1, 2), np.swapaxes(gt, 1, 2)             # [n, c, a]
+    rhs1 = (riem_t + eye[:, None, None, :] * Pt[:, None, :, :, None]
+            - eye[:, None, :, None] * Pt[:, None, :, None, :])
+    coeff = (etat[:, None, None, :] * gtt[:, :, :, None]
+             - etat[:, None, :, None] * gtt[:, :, None, :])             # [n, c, a, b]
+    rhs1 += coeff[:, None] * xit[:, :, None, None, None]
+    d1 = riem[:, :d, :d, :d, :d] - rhs1
+
+    # relation 2 over [n, c, a, b]: with K = phi^T g_t (I + h_t), the first
+    # term is -(K[c, a] eta_t(Y) - K[c, b] eta_t(X))
+    K = np.swapaxes(phiv, 1, 2) @ gt @ (eye + hv)
+    rhs2 = -(K[:, :, :, None] * etat[:, None, None, :] - K[:, :, None, :] * etat[:, None, :, None])
+    rhs2 += 2.0 * etat[:, :, None, None] * np.swapaxes(gt @ phiv, 1, 2)[:, None]
+    d2 = rt[:, :d, :d, :d] - rhs2
+
+    # relation 3 over [n, b, a]
+    lhs3 = np.einsum("nbl,nla->nba", gv[:, :d], riem[:, :, ti, ti, :d])
+    rhs3 = gtt + 3.0 * etat[:, None, :] * etat[:, :, None]
+    r3 = sup_norm(lhs3 - rhs3)
+    sign_flip = r3 > 1e-6 and sup_norm(lhs3 + rhs3) < 1e-6
+    return CurvatureRelationsReport(sup_norm(d1), sup_norm(d2), r3,
+                                    sup_norm(rt[:, ti, :d, :d]), sign_flip, n_samples)
 
 
 @dataclass(frozen=True)
@@ -500,36 +503,22 @@ def verify_ricci_relations(B: SymplecticMetricStructure, n_samples: int = 50,
     D = B.chart.dim
     d = S.chart.dim
     nn = S.n
-    ti = B.t_index
     ric_bar = ricci_components(data)
     sl = slice_christoffel_batch(B, pts)
     ric_t = ricci_components(sl)
-    etat_full = extended_slice_form(S, B.chart).values(pts)
     xit_full = extended_slice_reeb(S, B.chart).values(pts)
 
-    block, dreeb, dline, rline, rr, ll, ll_flipped = ([] for _ in range(7))
-    for k in range(len(pts)):
-        gmat = data.g[k]
-        seeds = [xit_full[k], _unit(B, pts)[k]]
-        frame = gram_schmidt_frame(gmat, seeds=np.stack(seeds))
-        xi_hat, e_t = frame[0], frame[1]
-        es = frame[2:]
-        rb = ric_bar[k]
-        rt = ric_t[k]
-
-        def ric_slice(u, v):
-            return float(u[:d] @ rt @ v[:d])
-
-        for i, ei in enumerate(es):
-            for j, ej in enumerate(es):
-                block.append(float(ei @ rb @ ej) - ric_slice(ei, ej)
-                             + (2.0 * nn + 2.0) * (1.0 if i == j else 0.0))
-            dreeb.append(float(ei @ rb @ xi_hat) - ric_slice(ei, xi_hat))
-            dline.append(float(ei @ rb @ e_t))
-        rline.append(float(xi_hat @ rb @ e_t))
-        rr.append(float(xi_hat @ rb @ xi_hat) - ric_slice(xi_hat, xi_hat) + 4.0 * nn + 4.0)
-        ll.append(float(e_t @ rb @ e_t) + 2.0 * nn + 4.0)
-        ll_flipped.append(float(e_t @ rb @ e_t) - 2.0 * nn - 4.0)
+    # frame rows: xi_hat, e_t, then the distribution e_i
+    frames = _product_frames(B, data.g, xit_full)
+    rb = _frame_components(frames, ric_bar)
+    rt = _frame_components(frames[:, :, :d], ric_t)
+    block = rb[:, 2:, 2:] - rt[:, 2:, 2:] + (2.0 * nn + 2.0) * np.eye(D - 2)
+    dreeb = rb[:, 2:, 0] - rt[:, 2:, 0]
+    dline = rb[:, 2:, 1]
+    rline = rb[:, 0, 1]
+    rr = rb[:, 0, 0] - rt[:, 0, 0] + 4.0 * nn + 4.0
+    ll = rb[:, 1, 1] + 2.0 * nn + 4.0
+    ll_flipped = rb[:, 1, 1] - 2.0 * nn - 4.0
     r_ll = sup_norm(ll)
     sign_flip = r_ll > 1e-6 and sup_norm(ll_flipped) < 1e-6
     return RicciTableReport(sup_norm(block), sup_norm(dreeb), sup_norm(dline),
@@ -623,17 +612,11 @@ def verify_kumrig_negative(B: SymplecticMetricStructure, n_samples: int = 30,
 
     D = B.chart.dim
     names = ["xi_t", "d_t"] + [f"e{i+1}" for i in range(D - 2)]
-    dt_cov = np.zeros(D)
-    dt_cov[B.t_index] = 1.0
-    table = np.empty((len(pts), D, D))      # frame components of Ric + (2n+4) dt^2
-    for k in range(len(pts)):
-        gmat = data.g[k]
-        frame = gram_schmidt_frame(gmat, seeds=np.stack([xit_full[k], _unit(B, pts)[k]]))
-        for i in range(D):
-            for j in range(D):
-                val = float(frame[i] @ ric_bar[k] @ frame[j])
-                val += (2.0 * nn + 4.0) * float(frame[i] @ dt_cov) * float(frame[j] @ dt_cov)
-                table[k, i, j] = val
+    # frame components of Ric + (2n+4) dt^2
+    frames = _product_frames(B, data.g, xit_full)
+    dt_f = frames[:, :, B.t_index]
+    table = (_frame_components(frames, ric_bar)
+             + (2.0 * nn + 4.0) * dt_f[:, :, None] * dt_f[:, None, :])
     worst = sup_norm(table)
     _, i, j = np.unravel_index(np.argmax(np.abs(table)), table.shape)
     labels = (names[i], names[j])

@@ -261,12 +261,23 @@ def _check_eigenspace_curvature(S, cfg, ctx):
     return rep6.max_residual
 
 
+_RESCALE_FACTORS = (0.5, 2.0, math.e)
+
+
+def _rescaled(S, ctx, a):
+    """d_homothety(S, a), built at most once per run and shared by the checks."""
+    built = ctx.setdefault("rescaled", {})
+    if a not in built:
+        built[a] = d_homothety(S, a)
+    return built[a]
+
+
 def _check_rescale_equivariance(S, cfg, ctx):
     rep = ctx["kmu"]
     defects = []
     n_pts = min(cfg.samples, 30)
-    for a in (0.5, 2.0, math.e):
-        S2 = d_homothety(S, a)
+    for a in _RESCALE_FACTORS:
+        S2 = _rescaled(S, ctx, a)
         pts = S.chart.samples(n_pts, seed=cfg.seed + 6)
         defects += [S2.xi.values(pts) - S.xi.values(pts) / a,
                     S2.h.values(pts) - S.h.values(pts) / a,
@@ -291,8 +302,8 @@ def _check_index_invariance(S, cfg, ctx):
     base = boeckx_index(rep.kappa, rep.mu)
     ctx["index"] = base
     n_pts = min(cfg.samples, 30)
-    refits = [fit_kappa_mu(d_homothety(S, a), n_pts, seed=cfg.seed + 7)
-              for a in (0.5, 2.0, math.e)]
+    refits = [fit_kappa_mu(_rescaled(S, ctx, a), n_pts, seed=cfg.seed + 7)
+              for a in _RESCALE_FACTORS]
     return sup_norm([boeckx_index(r.kappa, r.mu) - base for r in refits])
 
 

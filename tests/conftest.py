@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from metsymp.catalog import CatalogEntry, catalog_load
@@ -90,6 +91,44 @@ def curved():
     g = TensorField(chart, 0, 2, g_raw.components, "symmetric")
     phi = X2.outer(sigma1).scale(Const(r3)) - X1.outer(sigma2).scale(Const(1.0 / r3))
     return ContactMetricStructure.build(chart, eta, g, phi)
+
+
+@pytest.fixture(scope="session")
+def sasakian7_symp():
+    """The symplectization (dimension 8) of the standard Sasakian R^7.
+
+    The n = 3 member of the family of ``test_dimension_five``: form
+    (dz - sum y_i dx_i)/2, metric (sum dx_i^2 + dy_i^2)/4 + eta (x) eta, and
+    phi(d_y) = d_x + y d_z, phi(d_x) = -d_y, phi(d_z) = 0 in each block.
+    """
+    n, d = 3, 7
+    names = ("x1", "x2", "x3", "y1", "y2", "y3", "z")
+    chart = Chart(names, ((-1.2, 1.2),) * d, sampler_seed=19)
+    ys = [Coord(n + i, names[n + i]) for i in range(n)]
+    zero = Const(0.0)
+    eta_c = [Const(-0.5) * y for y in ys] + [zero] * n + [Const(0.5)]
+    g_c = np.empty((d, d), dtype=object)
+    g_c[...] = zero
+    for i in range(2 * n):
+        g_c[i, i] = Const(0.25)
+    for i in range(d):
+        for j in range(d):
+            g_c[i, j] = g_c[i, j] + eta_c[i] * eta_c[j]
+    phi_c = np.empty((d, d), dtype=object)
+    phi_c[...] = zero
+    for i in range(n):
+        phi_c[i, n + i] = Const(1.0)
+        phi_c[d - 1, n + i] = ys[i]
+        phi_c[n + i, i] = Const(-1.0)
+    S = ContactMetricStructure.build(chart, TensorField.covector(chart, eta_c),
+                                     TensorField(chart, 0, 2, g_c, "symmetric"),
+                                     TensorField(chart, 1, 1, phi_c))
+    return build_metric_symplectization(S)
+
+
+@pytest.fixture(scope="session")
+def curved_symp(curved):
+    return build_metric_symplectization(curved)
 
 
 @pytest.fixture(scope="session")

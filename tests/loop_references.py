@@ -1,0 +1,225 @@
+"""Per-index reference formulas for the batched curvature code.
+
+The library computes the connection derivative, the Riemann tensor and the
+curvature verifiers with batched matrix products over whole arrays.  The
+functions here are the direct transcriptions they replaced: the derivative
+of the inverse metric d g^{-1} = -g^{-1} (d g) g^{-1} with three einsums, the
+four-einsum Riemann tensor, and verifiers that loop over index triples and
+eigenvector triples one at a time.  Tests compare the two to roundoff.
+"""
+
+import math
+
+import numpy as np
+
+from metsymp import contact
+from metsymp.curvature import (
+    christoffel_batch,
+    gram_schmidt_frame,
+    ricci_components,
+    riemann_components,
+)
+from metsymp.fields import sup_norm
+from metsymp.submersion import slice_christoffel_batch
+from metsymp.symplectization import extend_to_product, extended_slice_form, extended_slice_reeb
+
+
+def dgamma_reference(ginv, grads, hesses):
+    """d_m Gamma^k_ij from d g^{-1} and the partials of the Christoffel combination."""
+    combo = (np.einsum("njli->nijl", grads) + np.einsum("nilj->nijl", grads)
+             - np.einsum("nijl->nijl", grads))
+    dginv = -np.einsum("nka,nabm,nbl->nklm", ginv, grads, ginv)
+    dcombo = (np.einsum("njlmi->nijlm", hesses) + np.einsum("nilmj->nijlm", hesses)
+              - np.einsum("nijml->nijlm", hesses))
+    return 0.5 * (np.einsum("nklm,nijl->nkijm", dginv, combo)
+                  + np.einsum("nkl,nijlm->nkijm", ginv, dcombo))
+
+
+def riemann_reference(gamma, dgamma):
+    """riem[..., l, k, i, j] with both quadratic terms contracted separately."""
+    t1 = np.einsum("...ljki->...lkij", dgamma)
+    t2 = np.einsum("...likj->...lkij", dgamma)
+    q1 = np.einsum("...lia,...ajk->...lkij", gamma, gamma)
+    q2 = np.einsum("...lja,...aik->...lkij", gamma, gamma)
+    return t1 - t2 + q1 - q2
+
+
+def assert_connection_matches_reference(g, pts):
+    """dgamma and the Riemann tensor against the einsum formulas, relative to their size."""
+    data = christoffel_batch(g, pts)
+    _, grads, hesses = g.jet_blocks(pts)
+    want = dgamma_reference(data.ginv, grads, hesses)
+    assert np.max(np.abs(data.dgamma - want)) <= 1e-13 * np.max(np.abs(want))
+    want = riemann_reference(data.gamma, data.dgamma)
+    assert np.max(np.abs(riemann_components(data) - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def _unit(B, n):
+    et = np.zeros((n, B.chart.dim))
+    et[:, B.t_index] = 1.0
+    return et
+
+
+def currel_reference(B, n_samples, seed):
+    """verify_currel field by field: (vertical, horizontal, radial, degenerate, sign_flip)."""
+    S = B.base
+    pts = B.chart.samples(n_samples, seed=seed)
+    data = christoffel_batch(B.gbar, pts)
+    d = S.chart.dim
+    ti = B.t_index
+    riem = riemann_components(data)
+    rlow = np.einsum("nel,nlkij->nekij", data.g, riem)
+    sl = slice_christoffel_batch(B, pts)
+    riem_t = riemann_components(sl)
+    gt = sl.g
+    etat = extended_slice_form(S, B.chart).values(pts)[:, :d]
+    xit = extended_slice_reeb(S, B.chart).values(pts)[:, :d]
+    phiv = extend_to_product(S.phi, B.chart).values(pts)[:, :d, :d]
+    e2t = np.exp(2.0 * pts[:, ti])
+    hv = extend_to_product(S.h, B.chart).values(pts)[:, :d, :d] / e2t[:, None, None]
+    P = gt + np.einsum("na,nb->nab", etat, etat)
+
+    d1, d2, d3, d3_flipped = [], [], [], []
+    for a in range(d):
+        for b in range(d):
+            for c in range(d):
+                rhs = riem_t[:, :, c, a, b].copy()
+                rhs[:, b] += P[:, a, c]
+                rhs[:, a] -= P[:, b, c]
+                coeff = etat[:, b] * gt[:, a, c] - etat[:, a] * gt[:, b, c]
+                rhs += coeff[:, None] * xit
+                d1.append(riem[:, :d, c, a, b] - rhs)
+    for a in range(d):
+        for b in range(d):
+            for c in range(d):
+                w = np.zeros_like(xit)
+                w[:, a] += etat[:, b]
+                w[:, b] -= etat[:, a]
+                w += etat[:, b, None] * hv[:, :, a] - etat[:, a, None] * hv[:, :, b]
+                rhs = -np.einsum("ni,nij,nj->n", phiv[:, :, c], gt, w)
+                rhs += 2.0 * etat[:, c] * np.einsum("nj,nj->n", gt[:, b, :], phiv[:, :, a])
+                d2.append(rlow[:, ti, c, a, b] - rhs)
+    for a in range(d):
+        for b in range(d):
+            lhs = rlow[:, b, ti, ti, a]
+            rhs = gt[:, a, b] + 3.0 * etat[:, a] * etat[:, b]
+            d3.append(lhs - rhs)
+            d3_flipped.append(lhs + rhs)
+    r3 = sup_norm(*d3)
+    sign_flip = r3 > 1e-6 and sup_norm(*d3_flipped) < 1e-6
+    return (sup_norm(*d1), sup_norm(*d2), r3, sup_norm(rlow[:, ti, ti, :d, :d]), sign_flip)
+
+
+def _frame(B, gmat, xit):
+    return gram_schmidt_frame(gmat, seeds=np.stack([xit, _unit(B, 1)[0]]))
+
+
+def ricci_rows_reference(B, n_samples, seed):
+    """verify_ricci_relations field by field, one frame product at a time."""
+    S = B.base
+    pts = B.chart.samples(n_samples, seed=seed)
+    data = christoffel_batch(B.gbar, pts)
+    d = S.chart.dim
+    nn = S.n
+    ric_bar = ricci_components(data)
+    ric_t = ricci_components(slice_christoffel_batch(B, pts))
+    xit_full = extended_slice_reeb(S, B.chart).values(pts)
+
+    block, dreeb, dline, rline, rr, ll, ll_flipped = ([] for _ in range(7))
+    for k in range(len(pts)):
+        frame = _frame(B, data.g[k], xit_full[k])
+        xi_hat, e_t, es = frame[0], frame[1], frame[2:]
+        rb, rt = ric_bar[k], ric_t[k]
+
+        def ric_slice(u, v):
+            return float(u[:d] @ rt @ v[:d])
+
+        for i, ei in enumerate(es):
+            for j, ej in enumerate(es):
+                block.append(float(ei @ rb @ ej) - ric_slice(ei, ej)
+                             + (2.0 * nn + 2.0) * (1.0 if i == j else 0.0))
+            dreeb.append(float(ei @ rb @ xi_hat) - ric_slice(ei, xi_hat))
+            dline.append(float(ei @ rb @ e_t))
+        rline.append(float(xi_hat @ rb @ e_t))
+        rr.append(float(xi_hat @ rb @ xi_hat) - ric_slice(xi_hat, xi_hat) + 4.0 * nn + 4.0)
+        ll.append(float(e_t @ rb @ e_t) + 2.0 * nn + 4.0)
+        ll_flipped.append(float(e_t @ rb @ e_t) - 2.0 * nn - 4.0)
+    r_ll = sup_norm(ll)
+    sign_flip = r_ll > 1e-6 and sup_norm(ll_flipped) < 1e-6
+    return (sup_norm(block), sup_norm(dreeb), sup_norm(dline), sup_norm(rline),
+            sup_norm(rr), r_ll, sign_flip)
+
+
+def rigidity_table_reference(B, n_samples, seed):
+    """The frame table of verify_kumrig_negative, entry by entry."""
+    S = B.base
+    pts = B.chart.samples(n_samples, seed=seed)
+    data = christoffel_batch(B.gbar, pts)
+    ric_bar = ricci_components(data)
+    xit_full = extended_slice_reeb(S, B.chart).values(pts)
+    D = B.chart.dim
+    dt_cov = _unit(B, 1)[0]
+    table = np.empty((len(pts), D, D))
+    for k in range(len(pts)):
+        frame = _frame(B, data.g[k], xit_full[k])
+        for i in range(D):
+            for j in range(D):
+                val = float(frame[i] @ ric_bar[k] @ frame[j])
+                val += (2.0 * S.n + 4.0) * float(frame[i] @ dt_cov) * float(frame[j] @ dt_cov)
+                table[k, i, j] = val
+    return table
+
+
+def kmu_curvature_reference(S, kappa, mu, n_samples, seed):
+    """The six eigenspace identity residuals, one eigenvector triple at a time."""
+    pts = S.chart.samples(n_samples, seed=seed)
+    data = christoffel_batch(S.g, pts)
+    riem_all = riemann_components(data)
+    lam = math.sqrt(max(1.0 - kappa, 0.0))
+    phi_all = S.phi.values(pts)
+    defects = ([], [], [], [], [], [])
+    for idx, eig in enumerate(contact.h_eigendecomposition_batch(S, pts)):
+        Ps = [eig.vectors[i] for i in eig.plus_indices]
+        Ms = [eig.vectors[i] for i in eig.minus_indices]
+        gmat, phimat, riem = data.g[idx], phi_all[idx], riem_all[idx]
+
+        def R(X, Y, Z):
+            return np.einsum("lkij,k,i,j->l", riem, Z, X, Y)
+
+        def gp(X, Y):
+            return float(X @ gmat @ Y)
+
+        def ph(X):
+            return phimat @ X
+
+        for P1 in Ps:
+            for P2 in Ps:
+                for M in Ms:
+                    rhs = (kappa - mu) * (gp(ph(P2), M) * ph(P1) - gp(ph(P1), M) * ph(P2))
+                    defects[0].append(R(P1, P2, M) - rhs)
+        for M1 in Ms:
+            for M2 in Ms:
+                for P in Ps:
+                    rhs = (kappa - mu) * (gp(ph(M2), P) * ph(M1) - gp(ph(M1), P) * ph(M2))
+                    defects[1].append(R(M1, M2, P) - rhs)
+        for P in Ps:
+            for M1 in Ms:
+                for M2 in Ms:
+                    rhs = kappa * gp(ph(P), M2) * ph(M1) + mu * gp(ph(P), M1) * ph(M2)
+                    defects[2].append(R(P, M1, M2) - rhs)
+        for P1 in Ps:
+            for M in Ms:
+                for P2 in Ps:
+                    rhs = -kappa * gp(ph(M), P2) * ph(P1) - mu * gp(ph(M), P1) * ph(P2)
+                    defects[3].append(R(P1, M, P2) - rhs)
+        c5 = 2.0 * (1.0 + lam) - mu
+        for P1 in Ps:
+            for P2 in Ps:
+                for P3 in Ps:
+                    defects[4].append(R(P1, P2, P3) - c5 * (gp(P2, P3) * P1 - gp(P1, P3) * P2))
+        c6 = 2.0 * (1.0 - lam) - mu
+        for M1 in Ms:
+            for M2 in Ms:
+                for M3 in Ms:
+                    defects[5].append(R(M1, M2, M3) - c6 * (gp(M2, M3) * M1 - gp(M1, M3) * M2))
+    return tuple(sup_norm(*parts) for parts in defects)

@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from metsymp import contact
 from metsymp.charts import Chart
 from metsymp.contact import (
     ContactMetricStructure,
@@ -52,6 +53,8 @@ from metsymp.errors import (
 )
 from metsymp.expressions import Const, Coord, sqrt
 from metsymp.fields import SmoothMap, TensorField, exterior_derivative
+
+from loop_references import kmu_curvature_reference
 
 
 # ---------------------------------------------------------------------------
@@ -532,3 +535,38 @@ def test_batch_rejections_name_the_failing_sample(flat_bundle):
     batch = np.array([[0.1, 0.5, 0.2], [0.3, 0.0, 0.1], [-0.2, 0.7, 0.4]])
     with pytest.raises(NotContactError, match=re.escape("sample 1 [0.3, 0.0, 0.1]")):
         solve_reeb_batch(eta, chart, batch)
+
+
+def test_kmu_identities_match_the_loop_reference(non_sasakian):
+    S = non_sasakian
+    fit = fit_kappa_mu(S, 20)
+    for kappa, mu in ((fit.kappa, fit.mu), (0.0, 0.5)):
+        got = verify_kmu_curvature(S, kappa, mu, 12, seed=3).identity_residuals
+        want = kmu_curvature_reference(S, kappa, mu, 12, seed=3)
+        assert_allclose(got, want, rtol=0, atol=1e-13)
+
+
+def test_kmu_identities_on_uneven_vector_sets_match_the_loop_reference(curved, monkeypatch):
+    """Vector sets of different sizes per sample, two vectors in some, so that
+    every index slot of the batched contractions is exercised; a sample
+    with fewer vectors contributes only its own triples."""
+    real = contact.h_eigendecomposition_batch
+
+    def uneven(S, pts):
+        reps = real(S, pts)
+        sets = [((0, 2), ()), ((), (1, 2)), ((0, 1), (1, 2)), ((2,), (0, 1, 2))]
+        return [dataclasses.replace(rep, plus_indices=plus, minus_indices=minus)
+                for rep, (plus, minus) in zip(reps, sets * len(reps))]
+
+    monkeypatch.setattr(contact, "h_eigendecomposition_batch", uneven)
+    for kappa, mu in ((0.0, 0.0), (0.3, -0.7), (40.0, 0.0), (0.0, -40.0)):
+        got = verify_kmu_curvature(curved, kappa, mu, 10, seed=3).identity_residuals
+        want = kmu_curvature_reference(curved, kappa, mu, 10, seed=3)
+        assert min(want) > 1e-3
+        assert_allclose(got, want, rtol=1e-13, atol=1e-13)
+
+
+def test_kmu_identities_reject_wrong_constants(flat_bundle):
+    rep = verify_kmu_curvature(flat_bundle, 0.0, 0.5, 20, seed=3)
+    assert rep.identity_residuals[2] > 1e-3
+    assert rep.identity_residuals[3] > 1e-3

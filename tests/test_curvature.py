@@ -31,6 +31,8 @@ from metsymp.expressions import Const, Coord, sin, sqrt
 from metsymp.fd_oracle import fd_christoffel, fd_riemann
 from metsymp.fields import TensorField, lie_bracket
 
+from loop_references import assert_connection_matches_reference, riemann_reference
+
 
 @pytest.fixture(scope="module")
 def sphere():
@@ -223,3 +225,43 @@ def test_gram_schmidt_pivots_past_null_seeds(sasakian):
     frame = gram_schmidt_frame(gmat, seeds=seeds)
     gram = frame @ gmat @ frame.T
     assert np.max(np.abs(gram - np.eye(3))) < 1e-12
+
+
+@pytest.mark.parametrize("scale", [1e-11, 1e11])
+def test_gram_schmidt_pivot_is_relative(scale, sasakian):
+    """A uniformly rescaled metric s g gives the frame of g divided by sqrt(s)."""
+    gmat = np.diag([1.0, 2.0, 0.25])
+    assert_allclose(gram_schmidt_frame(scale * gmat), gram_schmidt_frame(gmat) / np.sqrt(scale),
+                    rtol=1e-12)
+    gmat = sasakian.g.values(sasakian.chart.samples(1)[0])
+    seeds = np.array([[0.3, 1.0, 0.5], [1.0, 0.0, 0.0]])
+    assert_allclose(gram_schmidt_frame(scale * gmat, seeds),
+                    gram_schmidt_frame(gmat, seeds) / np.sqrt(scale), rtol=1e-12)
+
+
+def test_gram_schmidt_skips_nan_and_dependent_seeds(sasakian):
+    gmat = sasakian.g.values(sasakian.chart.samples(1)[0])
+    seeds = np.array([[np.nan, 0.0, 0.0], [1.0, 2.0, 0.0], [2.0, 4.0, 0.0]])
+    frame = gram_schmidt_frame(gmat, seeds=seeds)
+    assert_allclose(frame[0], seeds[1] / np.sqrt(seeds[1] @ gmat @ seeds[1]), rtol=1e-14)
+    assert np.max(np.abs(frame @ gmat @ frame.T - np.eye(3))) < 1e-12
+
+
+@pytest.mark.parametrize("which", ["flat_bundle", "sasakian7_symp"])
+def test_connection_and_curvature_match_the_einsum_reference(which, request):
+    structure = request.getfixturevalue(which)
+    g = structure.g if which == "flat_bundle" else structure.gbar
+    assert_connection_matches_reference(g, structure.chart.samples(30, seed=5))
+
+
+def test_single_point_riemann_matches_the_reference_and_the_batch(sasakian7_symp):
+    g = sasakian7_symp.gbar
+    pts = sasakian7_symp.chart.samples(3, seed=5)
+    batch = riemann_components(christoffel_batch(g, pts))
+    for k, p in enumerate(pts):
+        data = christoffel(g, p)
+        riem = riemann_components(data)
+        want = riemann_reference(data.gamma, data.dgamma)
+        assert riem.shape == (8, 8, 8, 8)
+        assert np.max(np.abs(riem - want)) <= 1e-13 * np.max(np.abs(want))
+        assert_allclose(riem, batch[k], rtol=0, atol=1e-13 * np.max(np.abs(want)))

@@ -38,6 +38,13 @@ from metsymp.submersion import (
 )
 from metsymp.symplectization import extended_slice_reeb
 
+from loop_references import (
+    assert_connection_matches_reference,
+    currel_reference,
+    ricci_rows_reference,
+    rigidity_table_reference,
+)
+
 
 def _symp(name, sas, flat):
     return sas if name == "darboux-sasakian-r3" else flat
@@ -200,6 +207,12 @@ def test_tables_match_the_definition_pair_by_pair(any_entry, shear, sasakian_sym
                                        (oneill_A(B, E1, E2, pts, data), True)):
                 want = _oneill_by_pairs(B, E1, E2, pts, data, horizontal_e1)
                 assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_sheared_connection_and_curvature_match_the_einsum_reference(any_entry, sasakian_symp,
+                                                                    flat_bundle_symp):
+    B = _sheared(_symp(any_entry.name, sasakian_symp, flat_bundle_symp))
+    assert_connection_matches_reference(B.gbar, B.chart.samples(20, seed=7))
 
 
 def test_fundamental_tensors_reject_a_wrong_metric(any_entry, sasakian_symp, flat_bundle_symp):
@@ -378,3 +391,45 @@ def test_rigidity_report_only_on_sasakian(sasakian_symp):
     rep = verify_kumrig_negative(sasakian_symp, 15)
     assert isinstance(rep.hypothesis_holds, bool)
     assert rep.forward_arithmetic_residual < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the batched verifiers against their per-index loops
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("which", ["flat_bundle_symp", "sasakian_symp", "curved_symp"])
+def test_batched_verifiers_match_the_loop_references(which, request):
+    B = request.getfixturevalue(which)
+    rep = verify_currel(B, 15, seed=4)
+    want = currel_reference(B, 15, seed=4)
+    got = (rep.vertical_part, rep.horizontal_part, rep.radial_relation, rep.degenerate_relation)
+    assert_allclose(got, want[:4], rtol=0, atol=1e-13)
+    assert rep.sign_flip_detected == want[4]
+
+    rep = verify_ricci_relations(B, 15, seed=4)
+    want = ricci_rows_reference(B, 15, seed=4)
+    got = (rep.distribution_block, rep.distribution_reeb, rep.distribution_line,
+           rep.reeb_line, rep.reeb_reeb, rep.line_line)
+    assert_allclose(got, want[:6], rtol=0, atol=1e-13)
+    assert rep.sign_flip_detected == want[6]
+
+    rep = verify_kumrig_negative(B, 15, seed=4, slice_ts=())
+    table = rigidity_table_reference(B, 15, seed=4)
+    assert_allclose(rep.hypothesis_residual, np.max(np.abs(table)), rtol=0, atol=1e-13)
+    names = ["xi_t", "d_t"] + [f"e{i + 1}" for i in range(B.chart.dim - 2)]
+    _, i, j = np.unravel_index(np.argmax(np.abs(table)), table.shape)
+    assert rep.witness_labels == (names[i], names[j])
+
+
+def test_batched_verifiers_reject_a_doubled_line_metric(flat_bundle_symp):
+    B = flat_bundle_symp
+    ti = B.t_index
+    comps = B.gbar.components.copy()
+    comps[ti, ti] = Const(2.0) * comps[ti, ti]
+    wrong = dataclasses.replace(B, gbar=TensorField(B.chart, 0, 2, comps, "symmetric"))
+    assert verify_currel(wrong, 20, seed=3).vertical_part > 1e-3
+    rows = verify_ricci_relations(wrong, 20, seed=3)
+    assert rows.distribution_block > 1e-3
+    assert rows.reeb_reeb > 1e-3
+    assert rows.line_line > 1e-3

@@ -164,3 +164,36 @@ def test_integrability_floor_off_the_sasakian_case(monkeypatch, sasakian, sasaki
            "kmu": KmuReport(kappa=0.0, mu=0.0, residual=0.0, sasakian_flag=False, lam=1.0)}
     residual = suite._check_integrability(sasakian, SuiteConfig(samples=2), ctx)
     assert residual == expected
+
+
+def test_rescaled_structures_are_built_once_per_run(monkeypatch):
+    built = []
+    real = suite.d_homothety
+    monkeypatch.setattr(suite, "d_homothety", lambda S, a: built.append(a) or real(S, a))
+    run_suite(catalog_load("unit-tangent-flat-plane"), SuiteConfig(samples=10, seed=42))
+    assert sorted(a for a in built if a in suite._RESCALE_FACTORS) == sorted(suite._RESCALE_FACTORS)
+
+
+def test_index_invariance_on_shared_structures_is_bit_identical(flat_bundle):
+    """Structures already evaluated by the rescale check give the same bits as fresh ones."""
+    cfg = SuiteConfig(samples=20, seed=42)
+    shared, fresh = {}, {}
+    suite._check_nullity_fit(flat_bundle, cfg, shared)
+    suite._check_rescale_equivariance(flat_bundle, cfg, shared)
+    warm = shared["rescaled"]
+    residual = suite._check_index_invariance(flat_bundle, cfg, shared)
+    assert shared["rescaled"] is warm
+    suite._check_nullity_fit(flat_bundle, cfg, fresh)
+    assert suite._check_index_invariance(flat_bundle, cfg, fresh) == residual
+    assert all(fresh["rescaled"][a] is not warm[a] for a in suite._RESCALE_FACTORS)
+
+
+def test_index_invariance_builds_the_structures_when_the_rescale_check_raised(monkeypatch):
+    def broken(S, cfg, ctx):
+        raise RuntimeError("rescale check broke")
+
+    monkeypatch.setitem(suite._CHECKS, "rescale_equivariance", broken)
+    rep = run_suite(catalog_load("unit-tangent-flat-plane"), SuiteConfig(samples=10, seed=42))
+    checks = {c.id: c for c in rep.checks}
+    assert checks["rescale_equivariance"].error == "RuntimeError: rescale check broke"
+    assert checks["index_invariance"].passed
