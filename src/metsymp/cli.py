@@ -3,11 +3,15 @@
 Subcommands:
 
     metsymp list
-    metsymp check <entry> [--samples N] [--seed S] [--t-range a,b]
-                          [--format json|text] [--out FILE]
+    metsymp check <entry-or-file> [--samples N] [--seed S] [--t-range a,b]
+                                  [--format json|text] [--out FILE]
     metsymp fit-kmu <entry-or-file>
-    metsymp symplectize <entry> [--verify]
-    metsymp dhomothety <entry> --a X [--verify]
+    metsymp symplectize <entry-or-file> [--verify]
+    metsymp dhomothety <entry-or-file> --a X [--verify]
+
+A structure file stands for an entry with no expected constants.
+``symplectize --verify`` runs the suite's symplectization checks, and
+``dhomothety --verify`` its rescale law at the factor ``--a``.
 
 Exit codes: 0 when everything requested passed, 1 when a verification
 failed, 2 on bad input (unknown entry, parse error, bad options).
@@ -16,12 +20,13 @@ failed, 2 on bad input (unknown entry, parse error, bad options).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
 import numpy as np
 
-from .catalog import catalog_load, catalog_names
+from .catalog import CatalogEntry, catalog_load, catalog_names
 from .contact import (
     boeckx_index,
     d_homothety,
@@ -32,20 +37,41 @@ from .contact import (
 from .errors import ConfigError, GeometryError, SasakianDegeneracyError, UnknownEntryError
 from .fields import sup_norm
 from .structfile import StructureFileError, load_structure_file
-from .suite import SuiteConfig, _constant_defects, report_emit, run_suite
+from .suite import (
+    SuiteConfig,
+    _rescale_defects,
+    _Run,
+    _run_checks,
+    default_thresholds,
+    report_emit,
+    run_suite,
+)
+from .symplectization import verify_symplectic
 
 __all__ = ["main"]
 
+_SYMPLECTIZE_IDS = ("symplectization_build", "liouville", "fundamental_tensor",
+                       "curvature_relations", "ricci_rows")
+
 
 def _parse_t_range(text: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ConfigError("t-range must look like 'a,b'")
     try:
-        lo, hi = float(parts[0]), float(parts[1])
+        lo, hi = map(float, text.split(","))
     except ValueError:
-        raise ConfigError(f"bad t-range {text!r}") from None
+        raise ConfigError(f"bad t-range {text!r}; it must look like 'a,b'") from None
     return lo, hi
+
+
+def _or_undefined(x: float | None) -> str:
+    return "undefined" if x is None else f"{x:.9g}"
+
+
+def _verdict(label: str, residual: float, threshold: float, error: str | None = None) -> bool:
+    """Print one verification line; True when it passed."""
+    ok = bool(residual < threshold)
+    print(f"[{'PASS' if ok else 'FAIL'}] {label} residual={residual:.3e} threshold={threshold:.1e}"
+          + (f" [error: {error}]" if error else ""))
+    return ok
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -53,50 +79,50 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="metsymp",
         description="Verify contact metric structures and their metric symplectizations.",
     )
+    sampled = argparse.ArgumentParser(add_help=False)
+    sampled.add_argument("--samples", type=int, default=50)
+    sampled.add_argument("--seed", type=int, default=42)
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("list", help="list the built-in catalog entries")
 
-    p_check = sub.add_parser("check", help="run the full verification suite on an entry")
+    p_check = sub.add_parser("check", parents=[sampled],
+                             help="run the full verification suite on an entry")
     p_check.add_argument("entry")
-    p_check.add_argument("--samples", type=int, default=50)
-    p_check.add_argument("--seed", type=int, default=42)
     p_check.add_argument("--t-range", default="-1,1")
     p_check.add_argument("--format", choices=("json", "text"), default="text")
     p_check.add_argument("--out", default=None)
 
-    p_fit = sub.add_parser("fit-kmu", help="fit the nullity constants of an entry or file")
+    p_fit = sub.add_parser("fit-kmu", parents=[sampled],
+                           help="fit the nullity constants of an entry or file")
     p_fit.add_argument("entry_or_file")
-    p_fit.add_argument("--samples", type=int, default=50)
-    p_fit.add_argument("--seed", type=int, default=42)
 
-    p_symp = sub.add_parser("symplectize", help="build the metric symplectization")
+    p_symp = sub.add_parser("symplectize", parents=[sampled],
+                            help="build the metric symplectization")
     p_symp.add_argument("entry")
     p_symp.add_argument("--verify", action="store_true")
-    p_symp.add_argument("--samples", type=int, default=50)
-    p_symp.add_argument("--seed", type=int, default=42)
     p_symp.add_argument("--t-range", default="-1,1")
 
-    p_dh = sub.add_parser("dhomothety", help="rescale an entry and refit")
+    p_dh = sub.add_parser("dhomothety", parents=[sampled], help="rescale an entry and refit")
     p_dh.add_argument("entry")
     p_dh.add_argument("--a", type=float, required=True)
     p_dh.add_argument("--verify", action="store_true")
-    p_dh.add_argument("--samples", type=int, default=50)
-    p_dh.add_argument("--seed", type=int, default=42)
     return parser
 
 
-def _load_entry_or_file(name: str) -> tuple[str, object]:
+def _load_entry_or_file(name: str) -> CatalogEntry:
+    """A catalog entry, or else a structure file as an entry with no expected constants."""
     try:
-        entry = catalog_load(name)
-        return entry.name, entry.structure
+        return catalog_load(name)
     except UnknownEntryError:
         if os.path.exists(name):
-            return name, load_structure_file(name)
+            return CatalogEntry(name=name, structure=load_structure_file(name),
+                                expected_kappa=None, expected_mu=None,
+                                description=f"structure file {name}")
         raise
 
 
-def _cmd_list() -> int:
+def _cmd_list(args) -> int:
     for name in catalog_names():
         entry = catalog_load(name)
         print(f"{name}: {entry.description}")
@@ -104,7 +130,7 @@ def _cmd_list() -> int:
 
 
 def _cmd_check(args) -> int:
-    entry = catalog_load(args.entry)
+    entry = _load_entry_or_file(args.entry)
     cfg = SuiteConfig(samples=args.samples, seed=args.seed,
                       t_range=_parse_t_range(args.t_range))
     report = run_suite(entry, cfg)
@@ -117,20 +143,20 @@ def _cmd_check(args) -> int:
     return 0 if report.all_passed else 1
 
 
-def _print_fit(name: str, S, samples: int, seed: int) -> int:
-    compat = verify_compatibility(S, samples, seed=seed)
+def _cmd_fit(args) -> int:
+    entry = _load_entry_or_file(args.entry_or_file)
+    name, S = entry.name, entry.structure
+    compat = verify_compatibility(S, args.samples, seed=args.seed)
     if not compat.passed:
         print(f"{name}: structure fails the compatibility axioms "
               f"(residual {compat.max_residual:.3e}); refusing to fit")
         return 1
-    rep = fit_kappa_mu(S, samples, seed=seed)
-    mu = "undefined" if rep.mu is None else f"{rep.mu:.9g}"
-    lam = "undefined" if rep.lam is None else f"{rep.lam:.9g}"
+    rep = fit_kappa_mu(S, args.samples, seed=args.seed)
+    mu, lam = _or_undefined(rep.mu), _or_undefined(rep.lam)
     print(f"{name}: kappa={rep.kappa:.9g} mu={mu} lambda={lam} "
           f"residual={rep.residual:.3e} sasakian={rep.sasakian_flag}")
     if not rep.sasakian_flag:
-        idx = boeckx_index(rep.kappa, rep.mu)
-        print(f"{name}: index={idx:.9g}")
+        print(f"{name}: index={boeckx_index(rep.kappa, rep.mu):.9g}")
     ok = rep.residual < 1e-6
     if not ok:
         print(f"{name}: fit residual above 1e-6; the structure does not satisfy "
@@ -138,104 +164,61 @@ def _print_fit(name: str, S, samples: int, seed: int) -> int:
     return 0 if ok else 1
 
 
-def _cmd_fit(args) -> int:
-    name, S = _load_entry_or_file(args.entry_or_file)
-    return _print_fit(name, S, args.samples, args.seed)
-
-
 def _cmd_symplectize(args) -> int:
-    from .fields import TensorField
-    from .submersion import verify_currel, verify_fundamental_tensors, verify_ricci_relations
-    from .symplectization import (
-        acs_table_residuals,
-        block_structure_residuals,
-        build_metric_symplectization,
-        verify_liouville,
-        verify_symplectic,
-    )
-
-    entry = catalog_load(args.entry)
     t_range = _parse_t_range(args.t_range)
-    B = build_metric_symplectization(entry.structure, t_range)
+    run = _Run(_load_entry_or_file(args.entry),
+               SuiteConfig(samples=args.samples, seed=args.seed, t_range=t_range))
+    B = run.B
     names = ", ".join(B.chart.coord_names)
-    print(f"{entry.name}: product chart ({names}), t in [{t_range[0]}, {t_range[1]}]")
+    print(f"{run.entry.name}: product chart ({names}), t in [{t_range[0]}, {t_range[1]}]")
     if not args.verify:
         print("built; run with --verify for the residual checks")
         return 0
-    n = args.samples
-    failures = 0
-
-    def show(label, residual, threshold):
-        nonlocal failures
-        residual = sup_norm(residual)
-        ok = residual < threshold
-        failures += 0 if ok else 1
-        print(f"[{'PASS' if ok else 'FAIL'}] {label:<24} residual={residual:.3e} "
-              f"threshold={threshold:.1e}")
-
-    symp = verify_symplectic(B, n, seed=args.seed)
-    show("closed", symp.closed_residual, 1e-10)
-    # the top coefficient must clear the floor; NaN propagates and fails
-    show("nondegenerate", np.maximum(1e-10 - symp.min_top_coefficient, 0.0), 1e-10)
-    show("acs_table", sup_norm(*acs_table_residuals(B, n, seed=args.seed).values()), 1e-10)
-    show("metric_blocks", sup_norm(*block_structure_residuals(B, n, seed=args.seed).values()),
-         1e-10)
-    dt_field = TensorField.coordinate_vector(B.chart, B.chart.dim - 1)
-    show("liouville", verify_liouville(B, dt_field, n, seed=args.seed).cartan_residual, 1e-9)
-    show("fundamental_tensor", verify_fundamental_tensors(B, min(n, 30), seed=args.seed).max_residual, 1e-7)
-    show("curvature_relations", verify_currel(B, min(n, 40), seed=args.seed).max_residual, 1e-6)
-    show("ricci_rows", verify_ricci_relations(B, min(n, 30), seed=args.seed).max_residual, 1e-6)
-    return 0 if failures == 0 else 1
+    symp = verify_symplectic(B, args.samples, seed=args.seed)
+    oks = [_verdict(f"{'closed':<24}", sup_norm(symp.closed_residual), 1e-10),
+           # the top coefficient must clear the floor; NaN propagates and fails
+           _verdict(f"{'nondegenerate':<24}",
+                    sup_norm(np.maximum(1e-10 - symp.min_top_coefficient, 0.0)), 1e-10)]
+    oks += [_verdict(f"{r.id:<24}", r.residual, r.threshold, r.error)
+            for r in _run_checks(run, _SYMPLECTIZE_IDS)]
+    return 0 if all(oks) else 1
 
 
 def _cmd_dhomothety(args) -> int:
-    entry = catalog_load(args.entry)
-    if args.a <= 0:
-        raise ConfigError("--a must be positive")
+    a = args.a
+    if not (math.isfinite(a) and a > 0):
+        raise ConfigError(f"--a must be finite and positive, got {a!r}")
+    entry = _load_entry_or_file(args.entry)
     S = entry.structure
     before = fit_kappa_mu(S, args.samples, seed=args.seed)
-    S2 = d_homothety(S, args.a)
-    after = fit_kappa_mu(S2, args.samples, seed=args.seed)
-    kp, mp = kappa_mu_after_rescale(before.kappa, before.mu, args.a)
-    mu_b = "undefined" if before.mu is None else f"{before.mu:.9g}"
-    mu_a = "undefined" if after.mu is None else f"{after.mu:.9g}"
-    mu_e = "undefined" if mp is None else f"{mp:.9g}"
-    print(f"{entry.name}: (kappa, mu) = ({before.kappa:.9g}, {mu_b})")
-    print(f"rescaled by a={args.a:.9g}: fitted ({after.kappa:.9g}, {mu_a}), "
-          f"law predicts ({kp:.9g}, {mu_e})")
+    S2 = d_homothety(S, a)
+    if args.verify:
+        after, defects = _rescale_defects(S, S2, a, before, args.samples, args.seed)
+    else:
+        after = fit_kappa_mu(S2, args.samples, seed=args.seed)
+    kp, mp = kappa_mu_after_rescale(before.kappa, before.mu, a)
+    print(f"{entry.name}: (kappa, mu) = ({before.kappa:.9g}, {_or_undefined(before.mu)})")
+    print(f"rescaled by a={a:.9g}: fitted ({after.kappa:.9g}, {_or_undefined(after.mu)}), "
+          f"law predicts ({kp:.9g}, {_or_undefined(mp)})")
     if not args.verify:
         return 0
-    compat = verify_compatibility(S2, args.samples, seed=args.seed)
-    residual = sup_norm(compat.max_residual, after.residual,
-                        *_constant_defects(after.kappa, after.mu, kp, mp))
-    ok = residual < 1e-6
-    print(f"[{'PASS' if ok else 'FAIL'}] rescale verification residual={residual:.3e} "
-          f"threshold=1.0e-06")
+    ok = _verdict("rescale verification", sup_norm(*defects),
+                  default_thresholds()["rescale_equivariance"])
     return 0 if ok else 1
 
 
+_COMMANDS = {"list": _cmd_list, "check": _cmd_check, "fit-kmu": _cmd_fit,
+             "symplectize": _cmd_symplectize, "dhomothety": _cmd_dhomothety}
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "list":
-            return _cmd_list()
-        if args.command == "check":
-            return _cmd_check(args)
-        if args.command == "fit-kmu":
-            return _cmd_fit(args)
-        if args.command == "symplectize":
-            return _cmd_symplectize(args)
-        if args.command == "dhomothety":
-            return _cmd_dhomothety(args)
-        parser.error(f"unknown command {args.command!r}")
-    except (UnknownEntryError, StructureFileError, ConfigError, FileNotFoundError) as err:
+        return _COMMANDS[args.command](args)
+    except (UnknownEntryError, StructureFileError, ConfigError, FileNotFoundError,
+            GeometryError, SasakianDegeneracyError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (GeometryError, SasakianDegeneracyError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    return 2
 
 
 if __name__ == "__main__":

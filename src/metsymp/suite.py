@@ -1,10 +1,19 @@
 """The verification suite: one entry in, one structured report out.
 
-``run_suite`` executes sixteen checks in a fixed order against a catalog
-entry (or any contact metric structure wrapped in an entry).  Each check
-carries an anchor string stating the identity it verifies, a residual, a
-threshold and a pass flag; check failures are recorded, never raised, so a
-single bad identity cannot hide the rest of the report.
+``run_suite`` executes sixteen checks against a catalog entry (or any
+contact metric structure wrapped in an entry).  The checks live in one
+ordered table, ``_TABLE``: each row is a ``Check`` with its id, the anchor
+string stating the identity it verifies, its default threshold and the
+function that computes its residual.  ``CHECK_ORDER`` and
+``default_thresholds`` are views of that table.  A check failure is
+recorded, never raised, so a single bad identity cannot hide the rest of
+the report.
+
+The checks of one run share a few artifacts through a per-run object: the
+(kappa, mu) fit, the metric symplectization, the Boeckx index and the
+rescaled structures ``d_homothety(S, a)``.  Each artifact is built on first
+read and at most once.  When a build raises, every check that reads the
+artifact records that build's own error, not a missing key.
 
 Every residual is reduced by :func:`metsymp.fields.sup_norm`: the largest
 absolute defect over all samples, with any NaN or infinite defect reported
@@ -26,6 +35,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -37,7 +47,6 @@ from .contact import (
     d_homothety,
     fit_kappa_mu,
     h_eigendecomposition_batch,
-    is_K_contact,
     kappa_mu_after_rescale,
     verify_compatibility,
     verify_kmu_curvature,
@@ -68,58 +77,301 @@ __all__ = ["SuiteConfig", "CheckRecord", "SuiteReport", "run_suite",
            "report_emit", "default_thresholds", "CHECK_ORDER"]
 
 
+class _Run:
+    """One suite run: the entry, its config, and the artifacts its checks share.
+
+    An artifact is built on first read and at most once.  A build that
+    raises is remembered, and every read of it raises that same error.
+    """
+
+    def __init__(self, entry: CatalogEntry, cfg: SuiteConfig):
+        self.entry, self.S, self.cfg = entry, entry.structure, cfg
+        self._built: dict = {}
+
+    def _artifact(self, key, build, *args, **kwargs):
+        if key not in self._built:
+            try:
+                self._built[key] = (build(*args, **kwargs), None)
+            except Exception as exc:  # noqa: BLE001 - raised again on every read
+                self._built[key] = (None, exc)
+        value, error = self._built[key]
+        if error is not None:
+            raise error
+        return value
+
+    def peek(self, key):
+        """An artifact already built without error, else None; builds nothing."""
+        return self._built.get(key, (None, None))[0]
+
+    @property
+    def kmu(self):
+        """The (kappa, mu) fit of the structure."""
+        return self._artifact("kmu", fit_kappa_mu, self.S, self.cfg.samples, seed=self.cfg.seed + 3)
+
+    @property
+    def B(self):
+        """The metric symplectization over the configured t range."""
+        return self._artifact("B", build_metric_symplectization, self.S, self.cfg.t_range)
+
+    @property
+    def index(self) -> float | None:
+        """The Boeckx index of the fit; None where h = 0 leaves it undefined."""
+        rep = self.kmu
+        if rep.sasakian_flag:
+            return None
+        return self._artifact("index", boeckx_index, rep.kappa, rep.mu)
+
+    def rescaled(self, a: float):
+        return self._artifact(("rescaled", a), d_homothety, self.S, a)
+
+
+# ---------------------------------------------------------------------------
+# individual checks; each reads the run and returns a residual
+# ---------------------------------------------------------------------------
+
+
+def _constant_defects(kappa, mu, want_kappa, want_mu) -> list[float]:
+    """Fitted (kappa, mu) minus the expected pair; mu defined on one side only
+    is an infinite defect."""
+    if (mu is None) != (want_mu is None):
+        return [kappa - want_kappa, math.inf]
+    return [kappa - want_kappa] + ([] if mu is None else [mu - want_mu])
+
+
+def _rescale_defects(S, S2, a, kmu, n_pts, seed):
+    """The D-homothety law at one factor a, with S2 = d_homothety(S, a):
+    xi' = xi/a, h' = h/a, S2 compatible, and the refit of S2 against the
+    law applied to ``kmu``.  Returns the refit and the defects."""
+    pts = S.chart.samples(n_pts, seed=seed)
+    defects = [S2.xi.values(pts) - S.xi.values(pts) / a,
+               S2.h.values(pts) - S.h.values(pts) / a,
+               verify_compatibility(S2, n_pts, seed=seed).max_residual]
+    fit = fit_kappa_mu(S2, n_pts, seed=seed)
+    kp, mp = kappa_mu_after_rescale(kmu.kappa, kmu.mu, a)
+    return fit, defects + [fit.residual, *_constant_defects(fit.kappa, fit.mu, kp, mp)]
+
+
+def _check_compatibility(run):
+    return verify_compatibility(run.S, run.cfg.samples, seed=run.cfg.seed).max_residual
+
+
+def _check_reeb(run):
+    S = run.S
+    pts = S.chart.samples(run.cfg.samples, seed=run.cfg.seed + 1)
+    deta = exterior_derivative(S.eta)
+    dv = deta.values(pts)
+    ev = S.eta.values(pts)
+    xv = S.xi.values(pts)
+    n = min(10, len(pts))
+    solver = _reeb_from_values(dv[:n], ev[:n], pts[:n]) - xv[:n]
+    return sup_norm(np.einsum("ni,nij->nj", xv, dv), np.einsum("ni,ni->n", ev, xv) - 1.0,
+                    solver)
+
+
+def _check_h_tensor(run):
+    S = run.S
+    pts = S.chart.samples(run.cfg.samples, seed=run.cfg.seed + 2)
+    hv = S.h.values(pts)
+    pv = S.phi.values(pts)
+    anti = np.einsum("nia,naj->nij", hv, pv) + np.einsum("nia,naj->nij", pv, hv)
+    trace = np.einsum("nii->n", hv)
+    return sup_norm(anti, trace)
+
+
+def _check_nullity_fit(run):
+    rep, entry = run.kmu, run.entry
+    defects = [rep.residual]
+    if entry.expected_kappa is not None:
+        defects += _constant_defects(rep.kappa, rep.mu, entry.expected_kappa, entry.expected_mu)
+    return sup_norm(*defects)
+
+
+def _check_h_eigenstructure(run):
+    S, cfg, rep = run.S, run.cfg, run.kmu
+    pts = S.chart.samples(min(cfg.samples, 25), seed=cfg.seed + 4)
+    hv = S.h.values(pts)
+    pv = S.phi.values(pts)
+    h2 = np.einsum("nia,naj->nij", hv, hv)
+    p2 = np.einsum("nia,naj->nij", pv, pv)
+    defects = [h2 + (1.0 - rep.kappa) * p2]
+    if not rep.sasakian_flag:
+        lam = math.sqrt(1.0 - rep.kappa)
+        target = np.sort(np.concatenate([np.full(S.n, lam), np.full(S.n, -lam), np.zeros(1)]))
+        for eig in h_eigendecomposition_batch(S, pts[: min(10, len(pts))]):
+            defects += [np.sort(eig.eigenvalues) - target,
+                        eig.orthonormality_residual, eig.xi_alignment_residual]
+    return sup_norm(*defects)
+
+
+def _check_eigenspace_curvature(run):
+    S, cfg, rep = run.S, run.cfg, run.kmu
+    n_pts = min(cfg.samples, 20)
+    if rep.sasakian_flag:
+        # kappa = 1 specialization: R(X, Y) xi = eta(Y) X - eta(X) Y
+        pts = S.chart.samples(n_pts, seed=cfg.seed + 5)
+        data = christoffel_batch(S.g, pts)
+        riem = riemann_components(data)
+        xv = S.xi.values(pts)
+        ev = S.eta.values(pts)
+        lhs = np.einsum("nlkij,nk->nlij", riem, xv)
+        eye = np.eye(S.chart.dim)
+        rhs = np.einsum("nj,li->nlij", ev, eye) - np.einsum("ni,lj->nlij", ev, eye)
+        return sup_norm(lhs - rhs)
+    rep6 = verify_kmu_curvature(S, rep.kappa, rep.mu, n_pts, seed=cfg.seed + 5)
+    return rep6.max_residual
+
+
+_RESCALE_FACTORS = (0.5, 2.0, math.e)
+
+
+def _check_rescale_equivariance(run):
+    rep = run.kmu
+    defects = []
+    for a in _RESCALE_FACTORS:
+        _, law = _rescale_defects(run.S, run.rescaled(a), a, rep, min(run.cfg.samples, 30),
+                                  run.cfg.seed + 6)
+        defects += law
+    return sup_norm(*defects)
+
+
+def _check_index_invariance(run):
+    base = run.index
+    if base is None:
+        # the index is undefined when h vanishes; nothing to compare, but
+        # the guard of the index function must hold at the exact boundary
+        try:
+            boeckx_index(1.0, 0.0)
+        except SasakianDegeneracyError:
+            return 0.0
+        return float("inf")
+    n_pts = min(run.cfg.samples, 30)
+    refits = [fit_kappa_mu(run.rescaled(a), n_pts, seed=run.cfg.seed + 7)
+              for a in _RESCALE_FACTORS]
+    return sup_norm([boeckx_index(r.kappa, r.mu) - base for r in refits])
+
+
+def _check_symplectization_build(run):
+    S, cfg, B = run.S, run.cfg, run.B
+    n_pts = min(cfg.samples, 40)
+    defects = [*acs_table_residuals(B, n_pts, seed=cfg.seed + 8).values(),
+               *block_structure_residuals(B, n_pts, seed=cfg.seed + 8).values(),
+               unique_acs_witness_residual(B, min(n_pts, 15), seed=cfg.seed + 8)]
+    pts = S.chart.samples(n_pts, seed=cfg.seed + 8)
+    for t0 in (-0.5, 0.3):
+        sl = slice_structure(B, t0).structure
+        dh = d_homothety(S, math.exp(2.0 * t0))
+        for f1, f2 in ((sl.eta, dh.eta), (sl.g, dh.g), (sl.phi, dh.phi)):
+            defects.append(f1.values(pts) - f2.values(pts))
+    return sup_norm(*defects)
+
+
+def _check_liouville(run):
+    B = run.B
+    dt_field = TensorField.coordinate_vector(B.chart, B.chart.dim - 1)
+    return verify_liouville(B, dt_field, min(run.cfg.samples, 40),
+                            seed=run.cfg.seed + 9).cartan_residual
+
+
+def _check_fundamental_tensor(run):
+    return verify_fundamental_tensors(run.B, min(run.cfg.samples, 30),
+                                      seed=run.cfg.seed + 10).max_residual
+
+
+def _check_curvature_relations(run):
+    return verify_currel(run.B, min(run.cfg.samples, 40), seed=run.cfg.seed + 11).max_residual
+
+
+def _check_ricci_rows(run):
+    return verify_ricci_relations(run.B, min(run.cfg.samples, 30),
+                                  seed=run.cfg.seed + 12).max_residual
+
+
+def _check_symplectization_nullity(run):
+    B, rep = run.B, run.kmu
+    defects = []
+    n_pts = min(run.cfg.samples, 30)
+    for t in (-0.5, 0.0, 0.5):
+        fit = fit_symplectization_kmu(B, t, n_pts, seed=run.cfg.seed + 13)
+        kt, mt = kappa_mu_after_rescale(rep.kappa, rep.mu, math.exp(2.0 * t))
+        defects += [fit.residual, *_constant_defects(fit.kappa_tilde, fit.mu_tilde, kt - 2.0, mt)]
+    return sup_norm(*defects)
+
+
+def _check_integrability(run):
+    B, rep, cfg = run.B, run.kmu, run.cfg
+    n_pts = min(cfg.samples, 30)
+    pts = B.chart.samples(n_pts, seed=cfg.seed + 14)
+    norms_metric = nijenhuis_norms(nijenhuis(B.J), B.gbar, pts)
+    Jn = natural_acs(run.S, cfg.t_range)
+    norms_natural = nijenhuis_norms(nijenhuis(Jn), B.gbar, pts)
+    if rep.sasakian_flag:
+        return sup_norm(norms_metric, norms_natural)
+    # non-Sasakian: both torsions must be bounded away from zero; the
+    # residual is how far the smallest norm falls short of the floor
+    floor = 1e-2
+    return sup_norm(np.maximum(floor - norms_metric, 0.0),
+                    np.maximum(floor - norms_natural, 0.0))
+
+
+def _check_translation_isomorphism(run):
+    rep = translation_isomorphism_check(run.S, 0.3, min(run.cfg.samples, 30),
+                                        seed=run.cfg.seed + 15, t_range=run.cfg.t_range)
+    return rep.max_residual
+
+
+@dataclass(frozen=True)
+class Check:
+    id: str
+    anchor: str
+    threshold: float
+    run: Callable[[_Run], object]
+
+
+_TABLE = (
+    Check("compatibility", "g(X,xi)=eta(X); phi^2=-I+eta(x)xi; d_eta(X,Y)=g(X,phi Y)",
+          1e-8, _check_compatibility),
+    Check("reeb", "eta(xi)=1 and d_eta(xi,.)=0", 1e-9, _check_reeb),
+    Check("h_tensor", "h=(1/2) Lie_xi phi; h phi + phi h = 0; tr h = 0; K-contact iff h=0",
+          1e-8, _check_h_tensor),
+    Check("nullity_fit", "R(X,Y)xi=(kappa I + mu h)(eta(Y)X - eta(X)Y), kappa and mu constant",
+          1e-6, _check_nullity_fit),
+    Check("h_eigenstructure", "h^2=-(1-kappa) phi^2; spectrum {0, +sqrt(1-kappa), -sqrt(1-kappa)}",
+          1e-6, _check_h_eigenstructure),
+    Check("eigenspace_curvature", "curvature determined by (kappa, mu) on the h eigenspaces"
+          ", e.g. R(X+,Y+)Z+=[2(1+lam)-mu][g(Y+,Z+)X+-g(X+,Z+)Y+]",
+          1e-6, _check_eigenspace_curvature),
+    Check("rescale_equivariance", "under eta->a eta, g->a g+a(a-1) eta(x)eta: xi'=xi/a, h'=h/a,"
+          " kappa'=(kappa+a^2-1)/a^2, mu'=(mu+2a-2)/a", 1e-6, _check_rescale_equivariance),
+    Check("index_invariance", "(1-mu/2)/sqrt(1-kappa) is invariant under the rescaling family",
+          1e-6, _check_index_invariance),
+    Check("symplectization_build", "unique compatible metric: J=phi on ker(eta_t), J xi_t=d_t,"
+          " J d_t=-xi_t, gbar=g_t+dt^2, slice(t)=rescale by exp(2t)",
+          1e-10, _check_symplectization_build),
+    Check("liouville", "d(i_Y omega) + i_Y(d omega) = omega for Y = d_t on omega=d(exp(2t) eta)",
+          1e-9, _check_liouville),
+    Check("fundamental_tensor",
+          "T_X Y=-(gbar(X,Y)+eta_t(X)eta_t(Y)) d_t; T_X d_t=X+eta_t(X)xi_t; A=0",
+          1e-7, _check_fundamental_tensor),
+    Check("curvature_relations", "V(R(X,Y)Z) and the d_t components against slice data;"
+          " gbar(R(d_t,X)d_t,Y)=g_t(X,Y)+3 eta_t(X)eta_t(Y); gbar(R(X,Y)d_t,d_t)=0",
+          1e-6, _check_curvature_relations),
+    Check("ricci_rows", "Ric(d_t,d_t)=-2n-4; Ric(xi_t,d_t)=0;"
+          " Ric(xi_t,xi_t)=Ric_t(xi_t,xi_t)-4n-4; distribution rows", 1e-6, _check_ricci_rows),
+    Check("symplectization_nullity",
+          "V(R(X,Y)xi_t)=((kappa_t-2) I + mu_t h_t)(eta_t(Y)X-eta_t(X)Y) on every slice",
+          1e-5, _check_symplectization_nullity),
+    Check("integrability", "Sasakian iff the almost complex structure of the symplectization"
+          " is integrable, for the classical and the metric construction",
+          1e-8, _check_integrability),
+    Check("translation_isomorphism", "(x,t)->(x,t+s) identifies the symplectization data of a"
+          " structure with that of its rescale by exp(2s)", 1e-8, _check_translation_isomorphism),
+)
+
+CHECK_ORDER = tuple(c.id for c in _TABLE)
+
+
 def default_thresholds() -> dict[str, float]:
-    return {
-        "compatibility": 1e-8,
-        "reeb": 1e-9,
-        "h_tensor": 1e-8,
-        "nullity_fit": 1e-6,
-        "h_eigenstructure": 1e-6,
-        "eigenspace_curvature": 1e-6,
-        "rescale_equivariance": 1e-6,
-        "index_invariance": 1e-6,
-        "symplectization_build": 1e-10,
-        "liouville": 1e-9,
-        "fundamental_tensor": 1e-7,
-        "curvature_relations": 1e-6,
-        "ricci_rows": 1e-6,
-        "symplectization_nullity": 1e-5,
-        "integrability": 1e-8,
-        "translation_isomorphism": 1e-8,
-    }
-
-
-CHECK_ORDER = tuple(default_thresholds())
-
-
-_ANCHORS = {
-    "compatibility": "g(X,xi)=eta(X); phi^2=-I+eta(x)xi; d_eta(X,Y)=g(X,phi Y)",
-    "reeb": "eta(xi)=1 and d_eta(xi,.)=0",
-    "h_tensor": "h=(1/2) Lie_xi phi; h phi + phi h = 0; tr h = 0; K-contact iff h=0",
-    "nullity_fit": "R(X,Y)xi=(kappa I + mu h)(eta(Y)X - eta(X)Y), kappa and mu constant",
-    "h_eigenstructure": "h^2=-(1-kappa) phi^2; spectrum {0, +sqrt(1-kappa), -sqrt(1-kappa)}",
-    "eigenspace_curvature": "curvature determined by (kappa, mu) on the h eigenspaces"
-                            ", e.g. R(X+,Y+)Z+=[2(1+lam)-mu][g(Y+,Z+)X+-g(X+,Z+)Y+]",
-    "rescale_equivariance": "under eta->a eta, g->a g+a(a-1) eta(x)eta: xi'=xi/a, h'=h/a,"
-                            " kappa'=(kappa+a^2-1)/a^2, mu'=(mu+2a-2)/a",
-    "index_invariance": "(1-mu/2)/sqrt(1-kappa) is invariant under the rescaling family",
-    "symplectization_build": "unique compatible metric: J=phi on ker(eta_t), J xi_t=d_t,"
-                             " J d_t=-xi_t, gbar=g_t+dt^2, slice(t)=rescale by exp(2t)",
-    "liouville": "d(i_Y omega) + i_Y(d omega) = omega for Y = d_t on omega=d(exp(2t) eta)",
-    "fundamental_tensor": "T_X Y=-(gbar(X,Y)+eta_t(X)eta_t(Y)) d_t; T_X d_t=X+eta_t(X)xi_t;"
-                          " A=0",
-    "curvature_relations": "V(R(X,Y)Z) and the d_t components against slice data;"
-                           " gbar(R(d_t,X)d_t,Y)=g_t(X,Y)+3 eta_t(X)eta_t(Y);"
-                           " gbar(R(X,Y)d_t,d_t)=0",
-    "ricci_rows": "Ric(d_t,d_t)=-2n-4; Ric(xi_t,d_t)=0;"
-                  " Ric(xi_t,xi_t)=Ric_t(xi_t,xi_t)-4n-4; distribution rows",
-    "symplectization_nullity": "V(R(X,Y)xi_t)=((kappa_t-2) I + mu_t h_t)"
-                               "(eta_t(Y)X-eta_t(X)Y) on every slice",
-    "integrability": "Sasakian iff the almost complex structure of the symplectization"
-                     " is integrable, for the classical and the metric construction",
-    "translation_isomorphism": "(x,t)->(x,t+s) identifies the symplectization data of a"
-                               " structure with that of its rescale by exp(2s)",
-}
+    return {c.id: c.threshold for c in _TABLE}
 
 
 @dataclass(frozen=True)
@@ -135,6 +387,10 @@ class SuiteConfig:
         lo, hi = self.t_range
         if not lo < hi:
             raise ConfigError("t_range must be a nonempty interval")
+        for check_id in self.thresholds:
+            if check_id not in CHECK_ORDER:
+                raise ConfigError(f"threshold for unknown check {check_id!r};"
+                                  f" the checks are {', '.join(CHECK_ORDER)}")
         merged = default_thresholds()
         merged.update(self.thresholds)
         object.__setattr__(self, "thresholds", merged)
@@ -177,245 +433,23 @@ class SuiteReport:
         return self.failed == 0
 
 
-# ---------------------------------------------------------------------------
-# individual checks; each returns a residual
-# ---------------------------------------------------------------------------
-
-
-def _constant_defects(kappa, mu, want_kappa, want_mu) -> list[float]:
-    """Fitted (kappa, mu) minus the expected pair; mu defined on one side only
-    is an infinite defect."""
-    if (mu is None) != (want_mu is None):
-        return [kappa - want_kappa, math.inf]
-    return [kappa - want_kappa] + ([] if mu is None else [mu - want_mu])
-
-
-def _check_compatibility(S, cfg, ctx):
-    return verify_compatibility(S, cfg.samples, seed=cfg.seed).max_residual
-
-
-def _check_reeb(S, cfg, ctx):
-    pts = S.chart.samples(cfg.samples, seed=cfg.seed + 1)
-    deta = exterior_derivative(S.eta)
-    dv = deta.values(pts)
-    ev = S.eta.values(pts)
-    xv = S.xi.values(pts)
-    n = min(10, len(pts))
-    solver = _reeb_from_values(dv[:n], ev[:n], pts[:n]) - xv[:n]
-    return sup_norm(np.einsum("ni,nij->nj", xv, dv), np.einsum("ni,ni->n", ev, xv) - 1.0,
-                    solver)
-
-
-def _check_h_tensor(S, cfg, ctx):
-    pts = S.chart.samples(cfg.samples, seed=cfg.seed + 2)
-    hv = S.h.values(pts)
-    pv = S.phi.values(pts)
-    anti = np.einsum("nia,naj->nij", hv, pv) + np.einsum("nia,naj->nij", pv, hv)
-    trace = np.einsum("nii->n", hv)
-    ctx["k_contact"] = bool(is_K_contact(S, cfg.samples, seed=cfg.seed + 2).is_k_contact)
-    return sup_norm(anti, trace)
-
-
-def _check_nullity_fit(S, cfg, ctx):
-    rep = fit_kappa_mu(S, cfg.samples, seed=cfg.seed + 3)
-    ctx["kmu"] = rep
-    defects = [rep.residual]
-    entry = ctx.get("entry")
-    if entry is not None and entry.expected_kappa is not None:
-        defects += _constant_defects(rep.kappa, rep.mu, entry.expected_kappa, entry.expected_mu)
-    return sup_norm(*defects)
-
-
-def _check_h_eigenstructure(S, cfg, ctx):
-    rep = ctx["kmu"]
-    pts = S.chart.samples(min(cfg.samples, 25), seed=cfg.seed + 4)
-    hv = S.h.values(pts)
-    pv = S.phi.values(pts)
-    h2 = np.einsum("nia,naj->nij", hv, hv)
-    p2 = np.einsum("nia,naj->nij", pv, pv)
-    defects = [h2 + (1.0 - rep.kappa) * p2]
-    if not rep.sasakian_flag:
-        lam = math.sqrt(1.0 - rep.kappa)
-        target = np.sort(np.concatenate([np.full(S.n, lam), np.full(S.n, -lam), np.zeros(1)]))
-        for eig in h_eigendecomposition_batch(S, pts[: min(10, len(pts))]):
-            defects += [np.sort(eig.eigenvalues) - target,
-                        eig.orthonormality_residual, eig.xi_alignment_residual]
-    return sup_norm(*defects)
-
-
-def _check_eigenspace_curvature(S, cfg, ctx):
-    rep = ctx["kmu"]
-    n_pts = min(cfg.samples, 20)
-    if rep.sasakian_flag:
-        # kappa = 1 specialization: R(X, Y) xi = eta(Y) X - eta(X) Y
-        pts = S.chart.samples(n_pts, seed=cfg.seed + 5)
-        data = christoffel_batch(S.g, pts)
-        riem = riemann_components(data)
-        xv = S.xi.values(pts)
-        ev = S.eta.values(pts)
-        lhs = np.einsum("nlkij,nk->nlij", riem, xv)
-        eye = np.eye(S.chart.dim)
-        rhs = np.einsum("nj,li->nlij", ev, eye) - np.einsum("ni,lj->nlij", ev, eye)
-        return sup_norm(lhs - rhs)
-    rep6 = verify_kmu_curvature(S, rep.kappa, rep.mu, n_pts, seed=cfg.seed + 5)
-    return rep6.max_residual
-
-
-_RESCALE_FACTORS = (0.5, 2.0, math.e)
-
-
-def _rescaled(S, ctx, a):
-    """d_homothety(S, a), built at most once per run and shared by the checks."""
-    built = ctx.setdefault("rescaled", {})
-    if a not in built:
-        built[a] = d_homothety(S, a)
-    return built[a]
-
-
-def _check_rescale_equivariance(S, cfg, ctx):
-    rep = ctx["kmu"]
-    defects = []
-    n_pts = min(cfg.samples, 30)
-    for a in _RESCALE_FACTORS:
-        S2 = _rescaled(S, ctx, a)
-        pts = S.chart.samples(n_pts, seed=cfg.seed + 6)
-        defects += [S2.xi.values(pts) - S.xi.values(pts) / a,
-                    S2.h.values(pts) - S.h.values(pts) / a,
-                    verify_compatibility(S2, n_pts, seed=cfg.seed + 6).max_residual]
-        rep2 = fit_kappa_mu(S2, n_pts, seed=cfg.seed + 6)
-        kp, mp = kappa_mu_after_rescale(rep.kappa, rep.mu, a)
-        defects += [rep2.residual, *_constant_defects(rep2.kappa, rep2.mu, kp, mp)]
-    return sup_norm(*defects)
-
-
-def _check_index_invariance(S, cfg, ctx):
-    rep = ctx["kmu"]
-    if rep.sasakian_flag:
-        # the index is undefined when h vanishes; nothing to compare, but
-        # the guard of the index function must hold at the exact boundary
-        ctx["index"] = None
-        try:
-            boeckx_index(1.0, 0.0)
-        except SasakianDegeneracyError:
-            return 0.0
-        return float("inf")
-    base = boeckx_index(rep.kappa, rep.mu)
-    ctx["index"] = base
-    n_pts = min(cfg.samples, 30)
-    refits = [fit_kappa_mu(_rescaled(S, ctx, a), n_pts, seed=cfg.seed + 7)
-              for a in _RESCALE_FACTORS]
-    return sup_norm([boeckx_index(r.kappa, r.mu) - base for r in refits])
-
-
-def _check_symplectization_build(S, cfg, ctx):
-    B = build_metric_symplectization(S, cfg.t_range)
-    ctx["B"] = B
-    n_pts = min(cfg.samples, 40)
-    defects = [*acs_table_residuals(B, n_pts, seed=cfg.seed + 8).values(),
-               *block_structure_residuals(B, n_pts, seed=cfg.seed + 8).values(),
-               unique_acs_witness_residual(B, min(n_pts, 15), seed=cfg.seed + 8)]
-    pts = S.chart.samples(n_pts, seed=cfg.seed + 8)
-    for t0 in (-0.5, 0.3):
-        sl = slice_structure(B, t0).structure
-        dh = d_homothety(S, math.exp(2.0 * t0))
-        for f1, f2 in ((sl.eta, dh.eta), (sl.g, dh.g), (sl.phi, dh.phi)):
-            defects.append(f1.values(pts) - f2.values(pts))
-    return sup_norm(*defects)
-
-
-def _check_liouville(S, cfg, ctx):
-    B = ctx["B"]
-    dt_field = TensorField.coordinate_vector(B.chart, B.chart.dim - 1)
-    rep = verify_liouville(B, dt_field, min(cfg.samples, 40), seed=cfg.seed + 9)
-    ctx["liouville_lie_constant"] = rep.lie_constant
-    return rep.cartan_residual
-
-
-def _check_fundamental_tensor(S, cfg, ctx):
-    return verify_fundamental_tensors(ctx["B"], min(cfg.samples, 30), seed=cfg.seed + 10).max_residual
-
-
-def _check_curvature_relations(S, cfg, ctx):
-    return verify_currel(ctx["B"], min(cfg.samples, 40), seed=cfg.seed + 11).max_residual
-
-
-def _check_ricci_rows(S, cfg, ctx):
-    return verify_ricci_relations(ctx["B"], min(cfg.samples, 30), seed=cfg.seed + 12).max_residual
-
-
-def _check_symplectization_nullity(S, cfg, ctx):
-    B = ctx["B"]
-    rep = ctx["kmu"]
-    defects = []
-    n_pts = min(cfg.samples, 30)
-    for t in (-0.5, 0.0, 0.5):
-        fit = fit_symplectization_kmu(B, t, n_pts, seed=cfg.seed + 13)
-        kt, mt = kappa_mu_after_rescale(rep.kappa, rep.mu, math.exp(2.0 * t))
-        defects += [fit.residual, *_constant_defects(fit.kappa_tilde, fit.mu_tilde, kt - 2.0, mt)]
-    return sup_norm(*defects)
-
-
-def _check_integrability(S, cfg, ctx):
-    B = ctx["B"]
-    rep = ctx["kmu"]
-    n_pts = min(cfg.samples, 30)
-    pts = B.chart.samples(n_pts, seed=cfg.seed + 14)
-    norms_metric = nijenhuis_norms(nijenhuis(B.J), B.gbar, pts)
-    Jn = natural_acs(S, cfg.t_range)
-    norms_natural = nijenhuis_norms(nijenhuis(Jn), B.gbar, pts)
-    if rep.sasakian_flag:
-        return sup_norm(norms_metric, norms_natural)
-    # non-Sasakian: both torsions must be bounded away from zero; the
-    # residual is how far the smallest norm falls short of the floor
-    floor = 1e-2
-    return sup_norm(np.maximum(floor - norms_metric, 0.0),
-                    np.maximum(floor - norms_natural, 0.0))
-
-
-def _check_translation_isomorphism(S, cfg, ctx):
-    rep = translation_isomorphism_check(S, 0.3, min(cfg.samples, 30),
-                                        seed=cfg.seed + 15, t_range=cfg.t_range)
-    return rep.max_residual
-
-
-_CHECKS = {
-    "compatibility": _check_compatibility,
-    "reeb": _check_reeb,
-    "h_tensor": _check_h_tensor,
-    "nullity_fit": _check_nullity_fit,
-    "h_eigenstructure": _check_h_eigenstructure,
-    "eigenspace_curvature": _check_eigenspace_curvature,
-    "rescale_equivariance": _check_rescale_equivariance,
-    "index_invariance": _check_index_invariance,
-    "symplectization_build": _check_symplectization_build,
-    "liouville": _check_liouville,
-    "fundamental_tensor": _check_fundamental_tensor,
-    "curvature_relations": _check_curvature_relations,
-    "ricci_rows": _check_ricci_rows,
-    "symplectization_nullity": _check_symplectization_nullity,
-    "integrability": _check_integrability,
-    "translation_isomorphism": _check_translation_isomorphism,
-}
-
-
-def run_suite(entry: CatalogEntry, config: SuiteConfig | None = None) -> SuiteReport:
-    """Run every check against one entry; failures are recorded, not raised."""
-    cfg = config or SuiteConfig()
-    S = entry.structure
-    ctx: dict = {"entry": entry}
+def _run_checks(run: _Run, ids) -> list[CheckRecord]:
+    """The records of the table's checks named in ``ids``, in table order."""
+    cfg = run.cfg
     records = []
-    start = time.perf_counter()
-    for check_id in CHECK_ORDER:
-        threshold = cfg.thresholds[check_id]
+    for check in _TABLE:
+        if check.id not in ids:
+            continue
+        threshold = cfg.thresholds[check.id]
         try:
-            residual = sup_norm(_CHECKS[check_id](S, cfg, ctx))
+            residual = sup_norm(check.run(run))
             error = None
         except Exception as exc:  # noqa: BLE001 - the contract is never abort
             residual = float("inf")
             error = f"{type(exc).__name__}: {exc}"
         records.append(CheckRecord(
-            id=check_id,
-            anchor=_ANCHORS[check_id],
+            id=check.id,
+            anchor=check.anchor,
             residual=residual,
             threshold=threshold,
             passed=bool(residual < threshold),
@@ -423,8 +457,17 @@ def run_suite(entry: CatalogEntry, config: SuiteConfig | None = None) -> SuiteRe
             seed=cfg.seed,
             error=error,
         ))
+    return records
+
+
+def run_suite(entry: CatalogEntry, config: SuiteConfig | None = None) -> SuiteReport:
+    """Run every check against one entry; failures are recorded, not raised."""
+    cfg = config or SuiteConfig()
+    run = _Run(entry, cfg)
+    start = time.perf_counter()
+    records = _run_checks(run, CHECK_ORDER)
     wall = time.perf_counter() - start
-    kmu = ctx.get("kmu")
+    kmu = run.peek("kmu")
     return SuiteReport(
         version=__version__,
         entry=entry.name,
@@ -432,7 +475,7 @@ def run_suite(entry: CatalogEntry, config: SuiteConfig | None = None) -> SuiteRe
         checks=tuple(records),
         kappa=None if kmu is None else kmu.kappa,
         mu=None if kmu is None else kmu.mu,
-        index=ctx.get("index"),
+        index=run.peek("index"),
         wall_time=wall,
     )
 

@@ -1,10 +1,16 @@
 """Command line behaviour and exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+from metsymp.catalog import catalog_load
 from metsymp.cli import main
+from metsymp.suite import SuiteConfig, run_suite
+
+# phi is NaN wherever x < 0: the report holds non-finite residuals
+NAN_PHI_PATH = Path(__file__).parent / "data" / "nan_phi_r3.txt"
 
 GOOD_FILE = """
 chart x [-1.5, 1.5]
@@ -68,6 +74,21 @@ def test_check_bad_samples(capsys):
     assert main(["check", "darboux-sasakian-r3", "--samples", "0"]) == 2
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_check_structure_file(tmp_path, capsys):
+    """A file runs as an entry with no expected constants; failures exit 1."""
+    path = tmp_path / "s.txt"
+    path.write_text(GOOD_FILE)
+    assert main(["check", str(path), "--samples", "10"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"entry: {path} ") and out.count("[PASS]") == 16
+    assert main(["check", str(NAN_PHI_PATH), "--samples", "10", "--format", "json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["summary"]["failed"] > 0
+    by_id = {c["id"]: c for c in payload["checks"]}
+    assert by_id["compatibility"]["residual"] == float("inf")
+
+
 def test_fit_entry(capsys):
     assert main(["fit-kmu", "unit-tangent-flat-plane", "--samples", "15"]) == 0
     out = capsys.readouterr().out
@@ -121,7 +142,29 @@ def test_symplectize_verify(capsys):
     assert main(["symplectize", "unit-tangent-flat-plane", "--verify",
                  "--samples", "15"]) == 0
     out = capsys.readouterr().out
-    assert out.count("[PASS]") == 8
+    assert out.count("[PASS]") == 7
+
+
+def test_symplectize_verify_prints_the_suite_residuals(capsys):
+    """The symplectization lines of --verify are the suite's records for the same config."""
+    assert main(["symplectize", "unit-tangent-flat-plane", "--verify", "--samples", "12",
+                 "--seed", "5", "--t-range=-0.5,0.8"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    report = run_suite(catalog_load("unit-tangent-flat-plane"),
+                       SuiteConfig(samples=12, seed=5, t_range=(-0.5, 0.8)))
+    ids = ("symplectization_build", "liouville", "fundamental_tensor",
+           "curvature_relations", "ricci_rows")
+    expected = [f"[PASS] {c.id:<24} residual={c.residual:.3e} threshold={c.threshold:.1e}"
+                for c in report.checks if c.id in ids]
+    assert len(expected) == 5
+    assert lines[-5:] == expected
+
+
+def test_symplectize_structure_file(tmp_path, capsys):
+    path = tmp_path / "s.txt"
+    path.write_text(GOOD_FILE)
+    assert main(["symplectize", str(path)]) == 0
+    assert "product chart (x, y, z, t)" in capsys.readouterr().out
 
 
 def test_dhomothety_verify(capsys):
@@ -136,23 +179,32 @@ def test_dhomothety_bad_factor(capsys):
     assert main(["dhomothety", "unit-tangent-flat-plane", "--a", "-1"]) == 2
 
 
+@pytest.mark.parametrize("factor", ["nan", "inf"])
+def test_dhomothety_factor_must_be_finite(capsys, factor):
+    assert main(["dhomothety", "unit-tangent-flat-plane", "--a", factor, "--verify"]) == 2
+    err = capsys.readouterr().err
+    assert "--a must be finite and positive" in err and factor in err
+
+
 def test_dhomothety_verify_fails_when_mu_is_defined_on_one_side_only(monkeypatch, capsys):
     import dataclasses
 
-    import metsymp.cli
+    import metsymp.suite
 
     fits = []
-    real_fit = metsymp.cli.fit_kappa_mu
+    real_fit = metsymp.suite.fit_kappa_mu
 
     def fit(*args, **kwargs):
         rep = real_fit(*args, **kwargs)
         fits.append(rep)
         # the Sasakian model has no mu; give the rescaled fit one
-        return rep if len(fits) == 1 else dataclasses.replace(rep, mu=0.5)
+        return dataclasses.replace(rep, mu=0.5)
 
-    monkeypatch.setattr(metsymp.cli, "fit_kappa_mu", fit)
+    # the base fit is the command's own; the refit is the rescale law's
+    monkeypatch.setattr(metsymp.suite, "fit_kappa_mu", fit)
     assert main(["dhomothety", "darboux-sasakian-r3", "--a", "2",
                  "--verify", "--samples", "10"]) == 1
     out = capsys.readouterr().out
+    assert len(fits) == 1
     assert "law predicts (1, undefined)" in out
     assert "[FAIL] rescale verification residual=inf" in out

@@ -1,5 +1,6 @@
 """Suite orchestration, the report schema, and determinism."""
 
+import dataclasses
 import json
 import math
 
@@ -126,6 +127,12 @@ def test_config_validation():
     assert cfg.thresholds["compatibility"] == default_thresholds()["compatibility"]
 
 
+def test_config_rejects_a_threshold_for_an_unknown_check():
+    """A misspelled id must not leave the real check at its default unnoticed."""
+    with pytest.raises(ConfigError, match="'compatibilty'"):
+        SuiteConfig(thresholds={"compatibilty": 1.0})
+
+
 def test_check_errors_are_recorded_not_raised():
     """A sabotaged threshold table must not abort the run."""
     entry = catalog_load("darboux-sasakian-r3")
@@ -154,15 +161,17 @@ def test_nan_residuals_fail_and_are_reported_as_inf(nan_masked_sasakian_entry):
     ([0.5, 0.004], 1e-2 - 0.004),
     ([0.5, math.nan], math.inf),
 ])
-def test_integrability_floor_off_the_sasakian_case(monkeypatch, sasakian, sasakian_symp,
+def test_integrability_floor_off_the_sasakian_case(monkeypatch, sasakian_entry, sasakian_symp,
                                                    short_norms, expected):
     """Off h = 0 both torsion norms must clear 1e-2; a NaN norm fails."""
     norms = iter([np.array([0.9, 0.8]), np.array(short_norms)])
     monkeypatch.setattr(suite, "nijenhuis", lambda J: J)
     monkeypatch.setattr(suite, "nijenhuis_norms", lambda N, g, pts: next(norms))
-    ctx = {"B": sasakian_symp,
-           "kmu": KmuReport(kappa=0.0, mu=0.0, residual=0.0, sasakian_flag=False, lam=1.0)}
-    residual = suite._check_integrability(sasakian, SuiteConfig(samples=2), ctx)
+    monkeypatch.setattr(suite, "build_metric_symplectization", lambda S, t_range: sasakian_symp)
+    monkeypatch.setattr(suite, "fit_kappa_mu", lambda S, n, seed: KmuReport(
+        kappa=0.0, mu=0.0, residual=0.0, sasakian_flag=False, lam=1.0))
+    run = suite._Run(sasakian_entry, SuiteConfig(samples=2))
+    residual = suite._check_integrability(run)
     assert residual == expected
 
 
@@ -174,26 +183,66 @@ def test_rescaled_structures_are_built_once_per_run(monkeypatch):
     assert sorted(a for a in built if a in suite._RESCALE_FACTORS) == sorted(suite._RESCALE_FACTORS)
 
 
-def test_index_invariance_on_shared_structures_is_bit_identical(flat_bundle):
+def test_index_invariance_on_shared_structures_is_bit_identical(flat_bundle_entry):
     """Structures already evaluated by the rescale check give the same bits as fresh ones."""
     cfg = SuiteConfig(samples=20, seed=42)
-    shared, fresh = {}, {}
-    suite._check_nullity_fit(flat_bundle, cfg, shared)
-    suite._check_rescale_equivariance(flat_bundle, cfg, shared)
-    warm = shared["rescaled"]
-    residual = suite._check_index_invariance(flat_bundle, cfg, shared)
-    assert shared["rescaled"] is warm
-    suite._check_nullity_fit(flat_bundle, cfg, fresh)
-    assert suite._check_index_invariance(flat_bundle, cfg, fresh) == residual
-    assert all(fresh["rescaled"][a] is not warm[a] for a in suite._RESCALE_FACTORS)
+    factors = suite._RESCALE_FACTORS
+    shared = suite._Run(flat_bundle_entry, cfg)
+    suite._check_nullity_fit(shared)
+    suite._check_rescale_equivariance(shared)
+    warm = {a: shared.peek(("rescaled", a)) for a in factors}
+    assert None not in warm.values()
+    residual = suite._check_index_invariance(shared)
+    assert all(shared.rescaled(a) is warm[a] for a in factors)
+    fresh = suite._Run(flat_bundle_entry, cfg)
+    suite._check_nullity_fit(fresh)
+    assert suite._check_index_invariance(fresh) == residual
+    assert all(fresh.rescaled(a) is not warm[a] for a in factors)
 
 
 def test_index_invariance_builds_the_structures_when_the_rescale_check_raised(monkeypatch):
-    def broken(S, cfg, ctx):
+    def broken(run):
         raise RuntimeError("rescale check broke")
 
-    monkeypatch.setitem(suite._CHECKS, "rescale_equivariance", broken)
+    monkeypatch.setattr(suite, "_TABLE", tuple(
+        dataclasses.replace(c, run=broken) if c.id == "rescale_equivariance" else c
+        for c in suite._TABLE))
     rep = run_suite(catalog_load("unit-tangent-flat-plane"), SuiteConfig(samples=10, seed=42))
     checks = {c.id: c for c in rep.checks}
     assert checks["rescale_equivariance"].error == "RuntimeError: rescale check broke"
     assert checks["index_invariance"].passed
+
+
+KMU_READERS = ("nullity_fit", "h_eigenstructure", "eigenspace_curvature", "rescale_equivariance",
+               "index_invariance", "symplectization_nullity", "integrability")
+B_READERS = ("symplectization_build", "liouville", "fundamental_tensor", "curvature_relations",
+             "ricci_rows", "symplectization_nullity", "integrability")
+
+
+@pytest.mark.parametrize("artifact, readers", [
+    ("fit_kappa_mu", KMU_READERS),
+    ("build_metric_symplectization", B_READERS),
+])
+def test_a_raising_artifact_is_the_error_of_every_check_that_reads_it(monkeypatch, artifact,
+                                                                      readers):
+    """Each reader records the build's own error, and the build runs once."""
+    entry = catalog_load("darboux-sasakian-r3")
+    real, calls = getattr(suite, artifact), []
+
+    def build(S, *args, **kwargs):
+        if S is entry.structure:
+            calls.append(S)
+            raise RuntimeError(f"{artifact} broke")
+        return real(S, *args, **kwargs)
+
+    monkeypatch.setattr(suite, artifact, build)
+    rep = run_suite(entry, SuiteConfig(samples=8, seed=1))
+    assert len(calls) == 1
+    for c in rep.checks:
+        if c.id in readers:
+            assert c.error == f"RuntimeError: {artifact} broke", c.id
+            assert c.residual == math.inf and not c.passed
+        else:
+            assert c.error is None and c.passed, c.id
+    if artifact == "fit_kappa_mu":
+        assert rep.kappa is None and rep.mu is None and rep.index is None
