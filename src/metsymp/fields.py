@@ -15,6 +15,16 @@ remain fields and can be differentiated again without loss.
 ``inverse_metric`` caches its result on the metric field itself, so the
 inverse lives exactly as long as the metric.
 
+Storage.  A ``symmetric`` or ``antisymmetric`` tag means one expression per
+index orbit: all permutations of a sorted index hold the same node, odd
+permutations of an antisymmetric index hold its negation, and antisymmetric
+indices that repeat a slot hold ``ZERO``.  The operators below compute each
+entry once, at the sorted index (``_fill``); the constructor keeps an array
+already in that form as it is and averages any other orbit once, sharing
+the result.  As IEEE addition commutes and x - y = -(y - x), a rank-2
+entry is bit for bit the average over both slot orders at its own index;
+from rank 3 up the two agree to roundoff.
+
 Convention.  Forms are stored as fully antisymmetric component arrays and
 evaluated by plain contraction, and both the wedge product and the exterior
 derivative carry the alternating-average normalization:
@@ -33,6 +43,7 @@ the test suite.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -42,7 +53,7 @@ import numpy as np
 
 from .charts import Chart
 from .errors import ChartMismatchError, RankError, SingularMatrixError
-from .expressions import ONE, ZERO, Const, Coord, Expr, as_expr, evaluate, substitute
+from .expressions import ONE, ZERO, Const, Coord, Expr, Neg, as_expr, evaluate, substitute
 from .jets import Jet2
 
 __all__ = [
@@ -137,41 +148,93 @@ def _as_expr_array(components, shape: tuple[int, ...]) -> np.ndarray:
     return arr
 
 
-def _symmetrize(arr: np.ndarray, sign: int) -> np.ndarray:
-    """Canonical (anti)symmetrization of a pure covariant component array."""
+@functools.lru_cache(maxsize=None)
+def _orbits(dim: int, rank: int) -> tuple:
+    """The index orbits of ``(dim,) * rank`` under permutations of the slots.
+
+    One ``(rep, members, repeated)`` per orbit: ``rep`` is the sorted
+    representative; ``members`` are the ``(index, odd)`` pairs of the
+    orbit, the representative first, with ``odd`` telling whether an odd
+    permutation takes ``rep`` to the index; ``repeated`` tells whether
+    ``rep`` repeats an index (an antisymmetric tensor vanishes on such an
+    orbit, and ``odd`` means nothing there).
+    """
+    table = []
+    for rep in itertools.combinations_with_replacement(range(dim), rank):
+        members = tuple((idx, _odd(idx)) for idx in sorted(set(itertools.permutations(rep))))
+        table.append((rep, members, len(set(rep)) < rank))
+    return tuple(table)
+
+
+def _odd(seq: Sequence[int]) -> bool:
+    """Whether sorting ``seq``, of distinct entries, is an odd permutation."""
+    return sum(a > b for a, b in itertools.combinations(seq, 2)) % 2 == 1
+
+
+def _negates(x: Expr, y: Expr) -> bool:
+    """Whether ``x`` is structurally ``-y``."""
+    if isinstance(x, Const) and isinstance(y, Const):
+        return x.value == -y.value
+    return (isinstance(x, Neg) and x.a is y) or (isinstance(y, Neg) and y.a is x)
+
+
+def _average(arr: np.ndarray, idx: tuple[int, ...], sign: int) -> Expr:
+    """The (anti)symmetric average of ``arr`` at ``idx``, over all k! slot
+    permutations in ``itertools.permutations`` order."""
     k = arr.ndim
-    if k < 2:
-        return arr
-    out = _expr_array(arr.shape)
-    perms = list(itertools.permutations(range(k)))
-    factor = Const(1.0 / math.factorial(k))
-    for idx in np.ndindex(arr.shape):
-        total = ZERO
-        for perm in perms:
-            s = 1.0
-            if sign < 0:
-                s = _perm_sign(perm)
-            term = arr[tuple(idx[p] for p in perm)]
-            total = total + Const(s) * term if s != 1.0 else total + term
-        out[idx] = factor * total
+    total = ZERO
+    for perm in itertools.permutations(range(k)):
+        term = arr[tuple(idx[p] for p in perm)]
+        s = -1.0 if sign < 0 and _odd(perm) else 1.0
+        total = total + Const(s) * term if s != 1.0 else total + term
+    return Const(1.0 / math.factorial(k)) * total
+
+
+def _store(out: np.ndarray, members, even: Expr, anti: bool) -> None:
+    """Put ``even`` on the even members of an orbit and, in an antisymmetric
+    array, its negation on the odd ones."""
+    odd = -even if anti and not even.is_zero() else even
+    for idx, is_odd in members:
+        out[idx] = odd if is_odd else even
+
+
+def _fill(shape: tuple[int, ...], sym: str, fn) -> np.ndarray:
+    """A component array of the given symmetry with ``fn(idx)`` as entries.
+
+    Untagged arrays call ``fn`` at every index.  Tagged ones call it once
+    per orbit, at the sorted representative, and share the result over the
+    orbit; antisymmetric orbits with a repeated index are ``ZERO`` and call
+    nothing.
+    """
+    out = np.empty(shape, dtype=object)
+    if sym == "none":
+        for idx in np.ndindex(shape):
+            out[idx] = fn(idx)
+        return out
+    anti = sym == "antisymmetric"
+    for rep, members, repeated in _orbits(shape[0], len(shape)):
+        _store(out, members, ZERO if anti and repeated else fn(rep), anti)
     return out
 
 
-def _perm_sign(perm: Sequence[int]) -> float:
-    sign = 1.0
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+def _symmetrize(arr: np.ndarray, sign: int) -> np.ndarray:
+    """Canonicalize a pure covariant component array in place, and return it.
+
+    In a canonical array every member of an orbit holds the same node, odd
+    members of an antisymmetric orbit hold its negation, and antisymmetric
+    orbits with a repeated index hold ``ZERO``.  Orbits already in that form
+    are kept as they are; any other orbit is replaced by its average over
+    all slot permutations, taken once at the representative and shared.
+    """
+    anti = sign < 0
+    for rep, members, repeated in _orbits(arr.shape[0], arr.ndim):
+        head = arr[rep]
+        if anti and repeated:
+            _store(arr, members, ZERO, anti)
+        elif not all(_negates(arr[idx], head) if anti and is_odd else arr[idx] is head
+                     for idx, is_odd in members[1:]):
+            _store(arr, members, _average(arr, rep, sign), anti)
+    return arr
 
 
 class TensorField:
@@ -180,7 +243,8 @@ class TensorField:
     Component array layout: the ``r`` contravariant slots come first, then
     the ``s`` covariant slots.  A declared ``sym`` tag ("symmetric" or
     "antisymmetric", applying to the covariant slots of a purely covariant
-    tensor) is enforced structurally: components are canonicalized on
+    tensor) is enforced structurally: components are stored one expression
+    per index orbit (see the module docstring), canonicalized on
     construction.
     """
 
@@ -240,10 +304,9 @@ class TensorField:
 
     def __add__(self, other: "TensorField") -> "TensorField":
         self._check_same_type(other)
-        out = _expr_array(self.components.shape)
-        for idx in np.ndindex(out.shape):
-            out[idx] = self.components[idx] + other.components[idx]
+        a, b = self.components, other.components
         sym = self.sym if self.sym == other.sym else "none"
+        out = _fill(a.shape, sym, lambda idx: a[idx] + b[idx])
         return TensorField(self.chart, self.r, self.s, out, sym)
 
     def __sub__(self, other: "TensorField") -> "TensorField":
@@ -251,9 +314,8 @@ class TensorField:
 
     def scale(self, factor) -> "TensorField":
         f = as_expr(factor)
-        out = _expr_array(self.components.shape)
-        for idx in np.ndindex(out.shape):
-            out[idx] = f * self.components[idx]
+        a = self.components
+        out = _fill(a.shape, self.sym, lambda idx: f * a[idx])
         return TensorField(self.chart, self.r, self.s, out, self.sym)
 
     def outer(self, other: "TensorField") -> "TensorField":
@@ -372,17 +434,17 @@ def exterior_derivative(alpha: TensorField) -> TensorField:
     d = alpha.chart.dim
     if k >= d:
         raise RankError(f"cannot take d of a {k}-form on a {d}-dimensional chart")
-    out = _expr_array((d,) * (k + 1))
     inv = Const(1.0 / (k + 1))
-    for idx in np.ndindex(out.shape):
+
+    def entry(idx):
         total = ZERO
         for m in range(k + 1):
-            rest = idx[:m] + idx[m + 1:]
-            term = alpha.components[rest].diff(idx[m]) if k > 0 else alpha.components[()].diff(idx[m])
+            term = alpha.components[idx[:m] + idx[m + 1:]].diff(idx[m])
             total = total + term if m % 2 == 0 else total - term
-        out[idx] = inv * total
+        return inv * total
+
     sym = "antisymmetric" if k + 1 >= 2 else "none"
-    return TensorField(alpha.chart, 0, k + 1, out, sym)
+    return TensorField(alpha.chart, 0, k + 1, _fill((d,) * (k + 1), sym, entry), sym)
 
 
 def wedge(alpha: TensorField, beta: TensorField) -> TensorField:
@@ -398,7 +460,8 @@ def wedge(alpha: TensorField, beta: TensorField) -> TensorField:
     raw = alpha.outer(beta)
     if k + l < 2:
         return TensorField(alpha.chart, 0, k + l, raw.components)
-    comps = _symmetrize(raw.components, -1)
+    comps = _fill(raw.components.shape, "antisymmetric",
+                  lambda idx: _average(raw.components, idx, -1))
     return TensorField(alpha.chart, 0, k + l, comps, "antisymmetric")
 
 
@@ -413,14 +476,15 @@ def interior_product(X: TensorField, alpha: TensorField) -> TensorField:
         raise RankError("cannot contract a vector into a 0-form")
     d = alpha.chart.dim
     k = alpha.s
-    out = _expr_array((d,) * (k - 1))
-    for idx in np.ndindex(out.shape):
+
+    def entry(idx):
         total = ZERO
         for a in range(d):
             total = total + X.components[a] * alpha.components[(a,) + idx]
-        out[idx] = total
+        return total
+
     sym = "antisymmetric" if k - 1 >= 2 else "none"
-    return TensorField(alpha.chart, 0, k - 1, out, sym)
+    return TensorField(alpha.chart, 0, k - 1, _fill((d,) * (k - 1), sym, entry), sym)
 
 
 # ---------------------------------------------------------------------------
@@ -453,9 +517,8 @@ def lie_derivative(X: TensorField, T: TensorField) -> TensorField:
     if X.chart != T.chart:
         raise ChartMismatchError("direction and tensor live on different charts")
     d = T.chart.dim
-    shape = T.components.shape
-    out = _expr_array(shape)
-    for idx in np.ndindex(shape):
+
+    def entry(idx):
         total = ZERO
         for a in range(d):
             total = total + X.components[a] * T.components[idx].diff(a)
@@ -470,8 +533,9 @@ def lie_derivative(X: TensorField, T: TensorField) -> TensorField:
             for a in range(d):
                 swapped = idx[:slot] + (a,) + idx[slot + 1:]
                 total = total + X.components[a].diff(idx[slot]) * T.components[swapped]
-        out[idx] = total
-    return TensorField(T.chart, T.r, T.s, out, T.sym)
+        return total
+
+    return TensorField(T.chart, T.r, T.s, _fill(T.components.shape, T.sym, entry), T.sym)
 
 
 # ---------------------------------------------------------------------------
@@ -491,21 +555,22 @@ def pullback(F: SmoothMap, T: TensorField) -> TensorField:
     jac = [[F.exprs[j].diff(i) for j in range(d_tgt)] for i in range(d_src)]
     live = [(jdx, comp) for jdx, comp in np.ndenumerate(T.components) if not comp.is_zero()]
     moved = substitute([comp for _, comp in live], F.exprs)
-    out = _expr_array((d_src,) * s)
-    for idx in np.ndindex(out.shape):
+
+    def entry(idx):
         total = ZERO
         for (jdx, _), factor in zip(live, moved):
             dead = False
             for slot in range(s):
-                entry = jac[idx[slot]][jdx[slot]]
-                if entry.is_zero():
+                partial = jac[idx[slot]][jdx[slot]]
+                if partial.is_zero():
                     dead = True
                     break
-                factor = factor * entry
+                factor = factor * partial
             if not dead:
                 total = total + factor
-        out[idx] = total
-    return TensorField(F.source, 0, s, out, T.sym)
+        return total
+
+    return TensorField(F.source, 0, s, _fill((d_src,) * s, T.sym, entry), T.sym)
 
 
 # ---------------------------------------------------------------------------

@@ -31,19 +31,25 @@ from typing import Union
 import numpy as np
 
 from .charts import Chart, product_with_line
-from .contact import ContactMetricStructure, reeb_field
+from .contact import (
+    ContactMetricStructure,
+    _rescaled_metric,
+    _top_coefficient_abs,
+    d_homothety,
+    reeb_field,
+)
 from .errors import DomainError, GeometryError, RankError
 from .expressions import Const, Coord, evaluate, exp
 from .fields import (
     SmoothMap,
     TensorField,
+    _fill,
     exterior_derivative,
     interior_product,
     inverse_matrix_exprs,
     lie_derivative,
     pullback,
     sup_norm,
-    wedge,
 )
 
 __all__ = [
@@ -118,7 +124,7 @@ def extend_to_product(T: TensorField, chart: Chart) -> TensorField:
     out[...] = Const(0.0)
     for idx in np.ndindex(T.components.shape):
         out[idx] = T.components[idx]
-    return TensorField(chart, T.r, T.s, out, T.sym if T.sym != "none" else "none")
+    return TensorField(chart, T.r, T.s, out, T.sym)
 
 
 def extended_slice_form(S: ContactMetricStructure, chart: Chart) -> TensorField:
@@ -139,10 +145,9 @@ def slice_metric_field(S: ContactMetricStructure, chart: Chart) -> TensorField:
     """The slice family exp(2t) g + exp(2t)(exp(2t)-1) eta (x) eta."""
     t = Coord(chart.dim - 1, chart.coord_names[-1])
     a = exp(Const(2.0) * t)
-    g_ext = extend_to_product(S.g, chart)
-    outer = extend_to_product(S.eta.outer(S.eta), chart)
-    combined = g_ext.scale(a) + outer.scale(a * (a - Const(1.0)))
-    return TensorField(chart, 0, 2, combined.components, "symmetric")
+    comps = _rescaled_metric(extend_to_product(S.g, chart).components,
+                             extend_to_product(S.eta, chart).components, a, a * (a - Const(1.0)))
+    return TensorField(chart, 0, 2, comps, "symmetric")
 
 
 # ---------------------------------------------------------------------------
@@ -153,17 +158,16 @@ def slice_metric_field(S: ContactMetricStructure, chart: Chart) -> TensorField:
 def _compatible_metric(J: TensorField, omega: TensorField) -> TensorField:
     """gbar(X, Y) = omega(J X, Y), symmetrized so the tag holds structurally."""
     D = J.chart.dim
-    gbar = np.empty((D, D), dtype=object)
-    for a in range(D):
-        for b in range(a, D):
-            total = Const(0.0)
-            for c in range(D):
-                total = total + J.components[c, a] * omega.components[c, b]
-                total = total + J.components[c, b] * omega.components[c, a]
-            entry = Const(0.5) * total
-            gbar[a, b] = entry
-            gbar[b, a] = entry
-    return TensorField(J.chart, 0, 2, gbar, "symmetric")
+
+    def entry(ab):
+        a, b = ab
+        total = Const(0.0)
+        for c in range(D):
+            total = total + J.components[c, a] * omega.components[c, b]
+            total = total + J.components[c, b] * omega.components[c, a]
+        return Const(0.5) * total
+
+    return TensorField(J.chart, 0, 2, _fill((D, D), "symmetric", entry), "symmetric")
 
 
 def build_metric_symplectization(
@@ -262,22 +266,21 @@ def _omega_of(B: Union[SymplecticMetricStructure, TensorField]) -> tuple[TensorF
 
 def verify_symplectic(B: Union[SymplecticMetricStructure, TensorField],
                       n_samples: int = 50, seed: int | None = None) -> SymplecticReport:
-    """Closedness residual and nondegeneracy margin of a 2-form."""
+    """Closedness residual and nondegeneracy margin of a 2-form.
+
+    The margin is the smallest |top coefficient| of omega^n over the
+    samples, taken from the values of omega by
+    :func:`metsymp.contact._top_coefficient_abs`.
+    """
     omega, chart = _omega_of(B)
     if chart.dim % 2 != 0:
         raise GeometryError("symplectic forms need an even-dimensional chart")
     if (omega.r, omega.s) != (0, 2):
         raise RankError("expected a 2-form")
-    n = chart.dim // 2
     pts = chart.samples(n_samples, seed=seed)
-    domega = exterior_derivative(omega)
-    closed = sup_norm(domega.values(pts))
-    top = omega
-    for _ in range(n - 1):
-        top = wedge(top, omega)
-    idx = (Ellipsis,) + tuple(range(chart.dim))
-    coeff = top.values(pts)[idx]
-    return SymplecticReport(closed, float(np.min(np.abs(coeff))), n_samples)
+    closed = sup_norm(exterior_derivative(omega).values(pts))
+    top = _top_coefficient_abs(omega.values(pts), chart.dim)
+    return SymplecticReport(closed, float(np.min(top)), n_samples)
 
 
 @dataclass(frozen=True)
@@ -333,7 +336,8 @@ def verify_liouville(B: Union[SymplecticMetricStructure, TensorField],
 def slice_structure(B: SymplecticMetricStructure, t0: float) -> SliceStructure:
     """The contact metric structure carried by the slice at t0.
 
-    Built directly from the slice formulas; the independent construction
+    Built directly from the slice formulas, as the D_a homothety of the
+    base structure with a = exp(2 t0); the independent construction
     through the ambient pullback machinery is
     ``induced_contact_on_hypersurface`` and the two are cross-checked in
     the test suite.
@@ -343,12 +347,7 @@ def slice_structure(B: SymplecticMetricStructure, t0: float) -> SliceStructure:
     lo, hi = B.chart.domain[B.t_index]
     if not lo <= t0 <= hi:
         raise DomainError(f"slice parameter {t0} outside [{lo}, {hi}]")
-    S = B.base
-    a = math.exp(2.0 * t0)
-    eta_t = S.eta.scale(Const(a))
-    g_t_raw = S.g.scale(Const(a)) + S.eta.outer(S.eta).scale(Const(a * (a - 1.0)))
-    g_t = TensorField(S.chart, 0, 2, g_t_raw.components, "symmetric")
-    return SliceStructure(t0, ContactMetricStructure.build(S.chart, eta_t, g_t, S.phi))
+    return SliceStructure(t0, d_homothety(B.base, math.exp(2.0 * t0)))
 
 
 def slice_embedding(B: SymplecticMetricStructure, t0: float) -> SmoothMap:

@@ -6,8 +6,13 @@ functions here are the direct transcriptions they replaced: the derivative
 of the inverse metric d g^{-1} = -g^{-1} (d g) g^{-1} with three einsums, the
 four-einsum Riemann tensor, and verifiers that loop over index triples and
 eigenvector triples one at a time.  Tests compare the two to roundoff.
+
+The symmetrization the tensor fields used before they stored one expression
+per index orbit, and the top coefficients of omega^n and eta ^ (d eta)^n by
+repeated wedge products, are kept here for the same purpose.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -19,7 +24,8 @@ from metsymp.curvature import (
     ricci_components,
     riemann_components,
 )
-from metsymp.fields import sup_norm
+from metsymp.expressions import ZERO, Const
+from metsymp.fields import exterior_derivative, sup_norm, wedge
 from metsymp.submersion import slice_christoffel_batch
 from metsymp.symplectization import extend_to_product, extended_slice_form, extended_slice_reeb
 
@@ -223,3 +229,57 @@ def kmu_curvature_reference(S, kappa, mu, n_samples, seed):
                 for M3 in Ms:
                     defects[5].append(R(M1, M2, M3) - c6 * (gp(M2, M3) * M1 - gp(M1, M3) * M2))
     return tuple(sup_norm(*parts) for parts in defects)
+
+
+def _perm_sign(perm):
+    sign = 1.0
+    seen = [False] * len(perm)
+    for i in range(len(perm)):
+        if seen[i]:
+            continue
+        j = i
+        length = 0
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def symmetrize_reference(arr, sign):
+    """Every entry averaged over all k! slot permutations, one node per index."""
+    k = arr.ndim
+    if k < 2:
+        return arr
+    out = np.empty(arr.shape, dtype=object)
+    perms = list(itertools.permutations(range(k)))
+    factor = Const(1.0 / math.factorial(k))
+    for idx in np.ndindex(arr.shape):
+        total = ZERO
+        for perm in perms:
+            s = 1.0
+            if sign < 0:
+                s = _perm_sign(perm)
+            term = arr[tuple(idx[p] for p in perm)]
+            total = total + Const(s) * term if s != 1.0 else total + term
+        out[idx] = factor * total
+    return out
+
+
+def symplectic_top_reference(omega, pts):
+    """The coefficient of omega^n on dx^0 ^ ... ^ dx^(2n-1), by repeated wedges."""
+    top = omega
+    for _ in range(omega.chart.dim // 2 - 1):
+        top = wedge(top, omega)
+    return top.values(pts)[(Ellipsis,) + tuple(range(omega.chart.dim))]
+
+
+def contact_top_reference(eta, pts):
+    """The coefficient of eta ^ (d eta)^n on dx^0 ^ ... ^ dx^(2n), by repeated wedges."""
+    deta = exterior_derivative(eta)
+    top = eta
+    for _ in range(eta.chart.dim // 2):
+        top = wedge(top, deta)
+    return top.values(pts)[(Ellipsis,) + tuple(range(eta.chart.dim))]

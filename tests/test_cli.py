@@ -11,6 +11,8 @@ from metsymp.suite import SuiteConfig, run_suite
 
 # phi is NaN wherever x < 0: the report holds non-finite residuals
 NAN_PHI_PATH = Path(__file__).parent / "data" / "nan_phi_r3.txt"
+# the standard Sasakian R^5 of test_dimension_five.py: a six-dimensional symplectization
+SASAKIAN_R5_PATH = Path(__file__).parent / "data" / "sasakian_r5.txt"
 
 GOOD_FILE = """
 chart x [-1.5, 1.5]
@@ -165,6 +167,13 @@ def test_symplectize_structure_file(tmp_path, capsys):
     path.write_text(GOOD_FILE)
     assert main(["symplectize", str(path)]) == 0
     assert "product chart (x, y, z, t)" in capsys.readouterr().out
+
+
+def test_symplectize_verify_in_dimension_six(capsys):
+    assert main(["symplectize", str(SASAKIAN_R5_PATH), "--verify"]) == 0
+    out = capsys.readouterr().out
+    assert "product chart (x1, x2, y1, y2, z, t)" in out
+    assert out.count("[PASS]") == 7
 
 
 def test_dhomothety_verify(capsys):

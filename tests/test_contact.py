@@ -18,6 +18,7 @@ Frozen expected values and where they come from:
 import dataclasses
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -53,8 +54,9 @@ from metsymp.errors import (
 )
 from metsymp.expressions import Const, Coord, sqrt
 from metsymp.fields import SmoothMap, TensorField, exterior_derivative
+from metsymp.structfile import load_structure_file
 
-from loop_references import kmu_curvature_reference
+from loop_references import contact_top_reference, kmu_curvature_reference
 
 
 # ---------------------------------------------------------------------------
@@ -69,6 +71,30 @@ def test_darboux_form_is_contact_and_plain_z_form_is_not():
     assert verify_contact_form(eta, chart, 50).passed
     dz = TensorField.covector(chart, [Const(0.0), Const(0.0), Const(1.0)])
     assert not verify_contact_form(dz, chart, 20).passed
+
+
+@pytest.mark.parametrize("which", ["sasakian", "flat_bundle", "curved", "sasakian_r5"])
+def test_contact_top_coefficient_matches_the_repeated_wedge(which, request):
+    """The margin from the bordered determinant equals the one read off eta ^ (d eta)^n."""
+    if which == "sasakian_r5":
+        S = load_structure_file(Path(__file__).parent / "data" / "sasakian_r5.txt")
+    else:
+        S = request.getfixturevalue(which)
+    pts = S.chart.samples(12, seed=4)
+    want = np.min(np.abs(contact_top_reference(S.eta, pts)))
+    rep = verify_contact_form(S.eta, S.chart, 12, seed=4)
+    assert_allclose(rep.min_top_coefficient, want, rtol=1e-12, atol=0)
+    assert rep.passed
+
+
+def test_nan_contact_form_fails():
+    chart = Chart(("x", "y", "z"), ((-2, 2),) * 3, sampler_seed=2)
+    x, y = Coord(0, "x"), Coord(1, "y")
+    eta = TensorField.covector(chart, [-y * (sqrt(x) / sqrt(x)), Const(0.0), Const(1.0)])
+    with np.errstate(invalid="ignore"):
+        rep = verify_contact_form(eta, chart, 30)
+    assert math.isnan(rep.min_top_coefficient)
+    assert not rep.passed
 
 
 def test_even_dimensional_chart_rejected():

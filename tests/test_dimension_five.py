@@ -8,6 +8,8 @@ Ricci entry -2n - 4 = -8, the Reeb row offset 4n + 4 = 12, and the
 distribution-block offset 2n + 2 = 6.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -23,6 +25,7 @@ from metsymp.contact import (
 from metsymp.curvature import christoffel_batch, ricci_components
 from metsymp.expressions import Const, Coord
 from metsymp.fields import TensorField
+from metsymp.structfile import load_structure_file
 from metsymp.submersion import (
     fit_symplectization_kmu,
     verify_currel,
@@ -70,6 +73,15 @@ def five_dim():
 @pytest.fixture(scope="module")
 def five_dim_symp(five_dim):
     return build_metric_symplectization(five_dim)
+
+
+def test_the_committed_structure_file_is_this_structure(five_dim):
+    S = load_structure_file(Path(__file__).parent / "data" / "sasakian_r5.txt")
+    assert S.chart == five_dim.chart
+    pts = five_dim.chart.samples(20)
+    for name in ("eta", "g", "phi", "xi"):
+        assert_allclose(getattr(S, name).values(pts), getattr(five_dim, name).values(pts),
+                        rtol=0, atol=1e-15)
 
 
 def test_compatibility_and_reeb(five_dim):

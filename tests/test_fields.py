@@ -7,14 +7,19 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from metsymp.charts import Chart, product_with_line
+from metsymp.contact import d_homothety
 from metsymp.errors import ChartMismatchError, RankError, SingularMatrixError
-from metsymp.expressions import ONE, ZERO, Const, Coord, cos, evaluate, exp, sin
+from metsymp.expressions import ONE, ZERO, Const, Coord, Expr, Neg, cos, evaluate, exp, sin
 from metsymp.fields import (
     SmoothMap,
     TensorField,
+    _fill,
+    _orbits,
     contract,
     exterior_derivative,
     interior_product,
@@ -29,7 +34,10 @@ from metsymp.fields import (
     sup_norm,
     wedge,
 )
-from metsymp.symplectization import nijenhuis
+from metsymp.structfile import StructureFileError, parse_structure_text
+from metsymp.symplectization import nijenhuis, slice_metric_field
+
+from loop_references import symmetrize_reference
 
 
 @pytest.fixture()
@@ -500,3 +508,164 @@ def test_symplectization_values_are_bit_for_bit_the_jet_values(symp, request):
     pts = B.chart.samples(8, seed=4)
     for T in (B.gbar, B.J, nijenhuis(B.J)):
         _assert_values_are_the_jet_values(T, pts)
+
+
+# ---------------------------------------------------------------------------
+# storage of tagged tensors: one expression per index orbit
+# ---------------------------------------------------------------------------
+
+
+def _tagged_fields(sasakian, sasakian_symp):
+    """Symmetric and antisymmetric fields built by every path that makes them."""
+    dt = TensorField.coordinate_vector(sasakian_symp.chart, 3)
+    omega = sasakian_symp.omega
+    return {
+        "g": sasakian.g,
+        "d_homothety g": d_homothety(sasakian, 2.5).g,
+        "gbar": sasakian_symp.gbar,
+        "slice metric": slice_metric_field(sasakian, sasakian_symp.chart),
+        "L_xi g": lie_derivative(sasakian.xi, sasakian.g),
+        "g + g": sasakian.g + sasakian.g.scale(3.0),
+        "omega": omega,
+        "L_dt omega": lie_derivative(dt, omega),
+        "d eta ^ eta": wedge(exterior_derivative(sasakian.eta), sasakian.eta),
+        "eta ^ d eta": wedge(sasakian.eta, exterior_derivative(sasakian.eta)),
+        "dt ^ omega": wedge(TensorField.covector(sasakian_symp.chart, [ZERO] * 3 + [ONE]), omega),
+    }
+
+
+def _is_negation(x, y):
+    """x is -y as a node: a constant's negation, or a Neg of the other node."""
+    if isinstance(x, Const) and isinstance(y, Const):
+        return x.value == -y.value
+    return (isinstance(x, Neg) and x.a is y) or (isinstance(y, Neg) and y.a is x)
+
+
+def test_tagged_tensors_store_one_expression_per_orbit(sasakian, sasakian_symp):
+    for name, T in _tagged_fields(sasakian, sasakian_symp).items():
+        comps = T.components
+        for rep, members, repeated in _orbits(T.chart.dim, T.s):
+            head = comps[rep]
+            for idx, odd in members:
+                if T.sym == "symmetric":
+                    assert comps[idx] is head, (name, idx)
+                elif repeated:
+                    assert comps[idx].is_zero(), (name, idx)
+                elif odd:
+                    assert _is_negation(comps[idx], head), (name, idx)
+                else:
+                    assert comps[idx] is head, (name, idx)
+
+
+def test_symmetric_mirror_entries_are_one_node(sasakian):
+    g = sasakian.g
+    d = g.chart.dim
+    assert all(g.components[i, j] is g.components[j, i] for i in range(d) for j in range(d))
+
+
+def test_antisymmetric_repeated_index_components_are_zero(sasakian_symp):
+    omega = sasakian_symp.omega
+    top = wedge(omega, TensorField.covector(omega.chart, [ONE, ZERO, ZERO, ONE]))
+    for T in (omega, top):
+        for idx in np.ndindex(T.components.shape):
+            if len(set(idx)) < len(idx):
+                assert T.components[idx].is_zero()
+
+
+def test_rebuilding_a_tagged_tensor_creates_no_node(sasakian, sasakian_symp):
+    for T in _tagged_fields(sasakian, sasakian_symp).values():
+        again = TensorField(T.chart, 0, T.s, T.components, T.sym)
+        assert all(a is b for a, b in zip(again.components.flat, T.components.flat))
+
+
+@pytest.mark.parametrize("sym, rank, calls", [("symmetric", 2, math.comb(5, 2)),
+                                              ("antisymmetric", 3, math.comb(4, 3)),
+                                              ("antisymmetric", 2, math.comb(4, 2)),
+                                              ("none", 2, 16)])
+def test_fill_calls_its_entry_once_per_orbit(sym, rank, calls):
+    seen = []
+
+    def entry(idx):
+        seen.append(idx)
+        return Coord(idx[0]) * Const(float(len(seen)))
+
+    out = _fill((4,) * rank, sym, entry)
+    assert len(seen) == calls
+    assert len(set(seen)) == calls
+    if sym != "none":
+        assert all(list(idx) == sorted(idx) for idx in seen)
+    assert all(isinstance(e, Expr) for e in out.flat)
+
+
+def test_a_metric_with_unequal_mirror_entries_is_averaged(r3):
+    x, y, z = _coords(r3)
+    comps = np.array([[ONE, x, ZERO], [y * z, ONE, ZERO], [ZERO, ZERO, ONE]], dtype=object)
+    g = TensorField(r3, 0, 2, comps, "symmetric")
+    assert g.components[0, 1] is g.components[1, 0]
+    assert g.components[0, 0] is ONE
+    pts = r3.samples(20)
+    assert_allclose(g.values(pts)[:, 0, 1], 0.5 * (pts[:, 0] + pts[:, 1] * pts[:, 2]),
+                    rtol=1e-15, atol=0)
+    # rebuilding keeps the averaged node
+    assert TensorField(r3, 0, 2, g.components, "symmetric").components[0, 1] is g.components[0, 1]
+
+
+def test_a_structure_file_cannot_give_both_orders_of_a_metric_entry():
+    text = "\n".join(["chart x [-1, 1]", "chart y [-1, 1]", "chart z [-1, 1]",
+                      "eta z = 1", "g x x = 1", "g y y = 1", "g z z = 1",
+                      "g x y = x", "g y x = y"])
+    with pytest.raises(StructureFileError, match="duplicate metric component"):
+        parse_structure_text(text)
+
+
+# Polynomial components c0 + c1 * x_a * x_b, or the zero node.
+_COEFF = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False, allow_infinity=False,
+                   allow_subnormal=False)
+
+
+@st.composite
+def _polynomial(draw, dim):
+    if draw(st.integers(0, 5)) == 0:
+        return ZERO
+    c0, c1 = draw(_COEFF), draw(_COEFF)
+    a, b = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
+    return Const(c0) + Const(c1) * Coord(a) * Coord(b)
+
+
+@st.composite
+def _tagged_arrays(draw):
+    """(array, sign): canonical or not, symmetric (+1) or antisymmetric (-1)."""
+    dim, rank = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+    sign = draw(st.sampled_from([1, -1]))
+    arr = np.empty((dim,) * rank, dtype=object)
+    if draw(st.booleans()):
+        for idx in np.ndindex(arr.shape):
+            arr[idx] = draw(_polynomial(dim))
+        return arr, sign
+    for rep, members, repeated in _orbits(dim, rank):
+        head = ZERO if sign < 0 and repeated else draw(_polynomial(dim))
+        for idx, odd in members:
+            arr[idx] = -head if sign < 0 and odd else head
+    return arr, sign
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_tagged_arrays())
+def test_orbit_storage_keeps_the_values_of_the_full_average(case):
+    arr, sign = case
+    rank = arr.ndim
+    chart = Chart(tuple(f"x{i}" for i in range(arr.shape[0])), ((-2.0, 2.0),) * arr.shape[0],
+                  sampler_seed=5)
+    pts = chart.samples(16)
+    T = TensorField(chart, 0, rank, arr, "symmetric" if sign > 0 else "antisymmetric")
+    ref = symmetrize_reference(arr, sign)
+    got, want = (np.array(evaluate(list(a.flat), pts)) for a in (T.components, ref))
+    if rank == 2:
+        assert np.array_equal(got, want)
+        for mine, theirs in zip(evaluate(list(T.components.flat), pts, order=2),
+                                evaluate(list(ref.flat), pts, order=2)):
+            assert np.array_equal(mine.grad, theirs.grad)
+            assert np.array_equal(mine.hess, theirs.hess)
+    else:
+        scale = np.max(np.abs(np.array(evaluate(list(arr.flat), pts))), axis=0)
+        assert np.all(np.abs(got - want) <= 1e-15 * scale)

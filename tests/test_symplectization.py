@@ -11,15 +11,21 @@ vanish precisely on the Sasakian entry.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from metsymp.charts import Chart
-from metsymp.contact import ContactMetricStructure, d_homothety, verify_compatibility
+from metsymp.contact import (
+    ContactMetricStructure,
+    _top_coefficient_abs,
+    d_homothety,
+    verify_compatibility,
+)
 from metsymp.errors import DomainError, GeometryError
-from metsymp.expressions import Const, Coord
+from metsymp.expressions import Const, Coord, sqrt
 from metsymp.fields import (
     SmoothMap,
     TensorField,
@@ -30,6 +36,7 @@ from metsymp.fields import (
 from metsymp.symplectization import (
     acs_table_residuals,
     block_structure_residuals,
+    build_metric_symplectization,
     induced_contact_on_hypersurface,
     natural_acs,
     natural_symplectic_metric_structure,
@@ -42,6 +49,11 @@ from metsymp.symplectization import (
     verify_liouville,
     verify_symplectic,
 )
+from metsymp.structfile import load_structure_file
+
+from loop_references import symplectic_top_reference
+
+R5_PATH = Path(__file__).parent / "data" / "sasakian_r5.txt"
 
 
 def _dt(B):
@@ -124,6 +136,36 @@ def test_standard_r4_form_passes_and_degenerate_fails():
     rep = verify_symplectic(degenerate, 30)
     assert not rep.passed
     assert rep.min_top_coefficient < 1e-14
+
+
+@pytest.mark.parametrize("which", ["sasakian_symp", "flat_bundle_symp", "curved_symp",
+                                   "standard_r4", "sasakian_r5"])
+def test_top_coefficient_matches_the_repeated_wedge(which, request):
+    """The nondegeneracy margin from det(omega) equals the one read off omega^n."""
+    if which == "standard_r4":
+        omega = _standard_r4()[1]
+    elif which == "sasakian_r5":
+        omega = build_metric_symplectization(load_structure_file(R5_PATH)).omega
+    else:
+        omega = request.getfixturevalue(which).omega
+    pts = omega.chart.samples(12, seed=4)
+    want = np.abs(symplectic_top_reference(omega, pts))
+    assert_allclose(_top_coefficient_abs(omega.values(pts), omega.chart.dim), want,
+                    rtol=1e-12, atol=0)
+    assert_allclose(verify_symplectic(omega, 12, seed=4).min_top_coefficient, np.min(want),
+                    rtol=1e-12, atol=0)
+
+
+def test_nan_two_form_fails_the_symplectic_check():
+    chart, omega = _standard_r4()
+    comps = np.array(omega.components)
+    x = Coord(0, "x")
+    comps[0, 1] = comps[0, 1] * (sqrt(x) / sqrt(x))          # NaN where x < 0
+    masked = TensorField(chart, 0, 2, comps, "antisymmetric")
+    with np.errstate(invalid="ignore"):
+        rep = verify_symplectic(masked, 30, seed=1)
+    assert math.isnan(rep.min_top_coefficient)
+    assert not rep.passed
 
 
 def test_odd_chart_rejected_by_symplectic_check(sasakian):
