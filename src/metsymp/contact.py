@@ -37,13 +37,12 @@ from .errors import (
     NotContactError,
     SasakianDegeneracyError,
 )
-from .expressions import Const, Expr
+from .expressions import ONE, ZERO, Const, Expr
 from .fields import (
     SmoothMap,
     TensorField,
     _fill,
     exterior_derivative,
-    inverse_matrix_exprs,
     lie_derivative,
     pullback,
     sup_norm,
@@ -86,30 +85,66 @@ FIT_TOL = 1e-6
 REEB_TOL = 1e-9
 
 
+def _pfaffian(A: np.ndarray, idx: tuple[int, ...], memo: dict) -> Expr:
+    """Pfaffian of the skew matrix ``A`` on the sorted, even-sized index set
+    ``idx``, by expansion along its first index.
+
+    Only the canonical entries ``A[i, j]`` with i < j are read.  ``memo``
+    shares each sub-Pfaffian by its index set.
+    """
+    if not idx:
+        return ONE
+    hit = memo.get(idx)
+    if hit is not None:
+        return hit
+    first, rest = idx[0], idx[1:]
+    total = ZERO
+    for k, j in enumerate(rest):
+        entry = A[first, j]
+        if entry.is_zero():
+            continue
+        term = entry * _pfaffian(A, rest[:k] + rest[k + 1:], memo)
+        total = total + term if k % 2 == 0 else total - term
+    memo[idx] = total
+    return total
+
+
 def reeb_field(eta: TensorField) -> TensorField:
     """The Reeb vector field of a contact form, as a closed-form field.
 
-    Solves the pointwise system (d eta + eta (x) eta) xi = eta in closed
-    form via the adjugate.  The combined matrix is invertible exactly where
-    eta is contact, and the solution satisfies eta(xi) = 1 and
-    d eta(xi, .) = 0 there.
+    With A = d eta, skew of odd size D = 2n + 1, set
+
+        v_i = (-1)^i Pf(A with row and column i removed).
+
+    Then A v = 0: (A v)_j is the Pfaffian of A bordered by its own row j,
+    a matrix with two equal rows.  Expanding along its first index,
+
+        eta(v) = Pf([[0, eta], [-eta^T, A]]),
+
+    a fixed non-zero multiple of the top coefficient of eta ^ (d eta)^n.
+    So eta(v) != 0 exactly where eta is contact, and there xi = v / eta(v)
+    satisfies eta(xi) = 1 and d eta(xi, .) = 0.
+
+    Raises ``NotContactError`` when eta(v) is structurally zero, that is
+    when eta ^ (d eta)^n vanishes identically.
     """
     if (eta.r, eta.s) != (0, 1):
         raise GeometryError("reeb_field needs a 1-form")
     d = eta.chart.dim
-    deta = exterior_derivative(eta)
-    mat = [
-        [deta.components[i, j] + eta.components[i] * eta.components[j] for j in range(d)]
-        for i in range(d)
-    ]
-    inv = inverse_matrix_exprs(mat)
-    comps = np.empty(d, dtype=object)
-    for i in range(d):
-        total = Const(0.0)
-        for j in range(d):
-            total = total + inv[i][j] * eta.components[j]
-        comps[i] = total
-    return TensorField(eta.chart, 1, 0, comps)
+    deta = exterior_derivative(eta).components
+    full = tuple(range(d))
+    memo: dict = {}
+    v = []
+    for i in full:
+        pf = _pfaffian(deta, full[:i] + full[i + 1:], memo)
+        v.append(-pf if i % 2 else pf)
+    eta_v = ZERO
+    for i in full:
+        eta_v = eta_v + eta.components[i] * v[i]
+    if eta_v.is_zero():
+        raise NotContactError(
+            "eta ^ (d eta)^n vanishes identically: the form is contact nowhere")
+    return TensorField.vector(eta.chart, [vi / eta_v for vi in v])
 
 
 @dataclass(frozen=True)
@@ -390,7 +425,7 @@ def fit_kappa_mu(S: ContactMetricStructure, n_samples: int = 50,
     colA = np.einsum("nj,li->nlij", ev, eye) - np.einsum("ni,lj->nlij", ev, eye)
     colB = np.einsum("nj,nli->nlij", ev, hv) - np.einsum("ni,nlj->nlij", ev, hv)
 
-    h_max = sup_norm(h_norms(S, pts))
+    h_max = sup_norm(_h_norms(data.g, hv))
     b = lhs.ravel()
     if h_max < H_VANISH_TOL:
         a = colA.ravel()[:, None]

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contact import ContactMetricStructure, h_norms
+from .contact import ContactMetricStructure, _h_norms
 from .curvature import (
     ChristoffelData,
     christoffel_batch,
@@ -553,7 +553,8 @@ def fit_symplectization_kmu(B: SymplecticMetricStructure, t: float,
     xit = extended_slice_reeb(S, B.chart).values(pts)
     etat = extended_slice_form(S, B.chart).values(pts)[:, :d]
     e2t = math.exp(2.0 * t)
-    hv = S.h.values(base_pts) / e2t
+    h_base = S.h.values(base_pts)
+    hv = h_base / e2t
 
     # V(R(d_a, d_b) xi_t), base components
     lhs = np.einsum("nlkab,nk->nlab", riem[:, :d, :, :d, :d], xit)
@@ -561,7 +562,7 @@ def fit_symplectization_kmu(B: SymplecticMetricStructure, t: float,
     colA = np.einsum("nb,la->nlab", etat, eye) - np.einsum("na,lb->nlab", etat, eye)
     colB = np.einsum("nb,nla->nlab", etat, hv) - np.einsum("na,nlb->nlab", etat, hv)
 
-    h_max = sup_norm(h_norms(S, base_pts))
+    h_max = sup_norm(_h_norms(S.g.values(base_pts), h_base))
     bvec = lhs.ravel()
     if h_max < 1e-8:
         amat = colA.ravel()[:, None]

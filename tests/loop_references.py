@@ -8,8 +8,9 @@ four-einsum Riemann tensor, and verifiers that loop over index triples and
 eigenvector triples one at a time.  Tests compare the two to roundoff.
 
 The symmetrization the tensor fields used before they stored one expression
-per index orbit, and the top coefficients of omega^n and eta ^ (d eta)^n by
-repeated wedge products, are kept here for the same purpose.
+per index orbit, the top coefficients of omega^n and eta ^ (d eta)^n by
+repeated wedge products, and the Reeb field through the adjugate of
+d eta + eta (x) eta, are kept here for the same purpose.
 """
 
 import itertools
@@ -25,7 +26,13 @@ from metsymp.curvature import (
     riemann_components,
 )
 from metsymp.expressions import ZERO, Const
-from metsymp.fields import exterior_derivative, sup_norm, wedge
+from metsymp.fields import (
+    TensorField,
+    exterior_derivative,
+    inverse_matrix_exprs,
+    sup_norm,
+    wedge,
+)
 from metsymp.submersion import slice_christoffel_batch
 from metsymp.symplectization import extend_to_product, extended_slice_form, extended_slice_reeb
 
@@ -283,3 +290,20 @@ def contact_top_reference(eta, pts):
     for _ in range(eta.chart.dim // 2):
         top = wedge(top, deta)
     return top.values(pts)[(Ellipsis,) + tuple(range(eta.chart.dim))]
+
+
+def reeb_field_adjugate(eta):
+    """The Reeb field solving (d eta + eta (x) eta) xi = eta through the
+    symbolic adjugate of the combined matrix, invertible where eta is contact."""
+    d = eta.chart.dim
+    deta = exterior_derivative(eta)
+    mat = [[deta.components[i, j] + eta.components[i] * eta.components[j] for j in range(d)]
+           for i in range(d)]
+    inv = inverse_matrix_exprs(mat)
+    comps = []
+    for i in range(d):
+        total = ZERO
+        for j in range(d):
+            total = total + inv[i][j] * eta.components[j]
+        comps.append(total)
+    return TensorField.vector(eta.chart, comps)

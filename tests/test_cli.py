@@ -1,10 +1,14 @@
 """Command line behaviour and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import metsymp
 from metsymp.catalog import catalog_load
 from metsymp.cli import main
 from metsymp.suite import SuiteConfig, run_suite
@@ -36,6 +40,9 @@ NAN_PHI_FILE = GOOD_FILE.replace("phi x y = 1", "phi x y = sqrt(x)/sqrt(x)")
 NAN_METRIC_FILE = GOOD_FILE.replace("g y y = 1/2", "g y y = 1/2*sqrt(x)/sqrt(x)")
 
 BROKEN_FILE = GOOD_FILE.replace("eta x = -y", "eta x = -y +")
+
+# eta = dz: eta ^ (d eta)^n vanishes identically
+NOT_CONTACT_FILE = GOOD_FILE.replace("eta x = -y\n", "")
 
 
 def test_list(capsys):
@@ -120,6 +127,28 @@ def test_fit_non_finite_metric_file_is_bad_input(tmp_path, capsys):
     path.write_text(NAN_METRIC_FILE)
     assert main(["fit-kmu", str(path)]) == 2
     assert "not finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["check", "fit-kmu"])
+def test_a_nowhere_contact_file_is_bad_input(tmp_path, capsys, command):
+    path = tmp_path / "dz.txt"
+    path.write_text(NOT_CONTACT_FILE)
+    assert main([command, str(path), "--samples", "10"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "eta ^ (d eta)^n vanishes identically" in err
+
+
+def test_check_of_a_nan_file_writes_nothing_to_stderr():
+    """The NaN defects are in the report as inf; numpy's warnings are not printed."""
+    src = Path(metsymp.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "metsymp.cli", "check", str(NAN_PHI_PATH), "--samples", "10"],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 1
+    assert "[FAIL]" in proc.stdout
+    assert proc.stderr == ""
 
 
 def test_fit_parse_error(tmp_path, capsys):

@@ -22,6 +22,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from metsymp import contact
@@ -52,11 +54,17 @@ from metsymp.errors import (
     NotContactError,
     SasakianDegeneracyError,
 )
-from metsymp.expressions import Const, Coord, sqrt
+from metsymp.expressions import ZERO, Const, Coord, _operands, _Operation, sqrt
 from metsymp.fields import SmoothMap, TensorField, exterior_derivative
 from metsymp.structfile import load_structure_file
 
-from loop_references import contact_top_reference, kmu_curvature_reference
+from loop_references import (
+    contact_top_reference,
+    kmu_curvature_reference,
+    reeb_field_adjugate,
+)
+
+SASAKIAN_R5_PATH = Path(__file__).parent / "data" / "sasakian_r5.txt"
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +85,7 @@ def test_darboux_form_is_contact_and_plain_z_form_is_not():
 def test_contact_top_coefficient_matches_the_repeated_wedge(which, request):
     """The margin from the bordered determinant equals the one read off eta ^ (d eta)^n."""
     if which == "sasakian_r5":
-        S = load_structure_file(Path(__file__).parent / "data" / "sasakian_r5.txt")
+        S = load_structure_file(SASAKIAN_R5_PATH)
     else:
         S = request.getfixturevalue(which)
     pts = S.chart.samples(12, seed=4)
@@ -118,6 +126,16 @@ def test_reeb_of_plain_darboux_form():
     assert_allclose(xi_sym.values(pts), expected, atol=1e-12)
 
 
+def test_a_nowhere_contact_form_cannot_build_a_structure():
+    """eta = dz: eta ^ (d eta)^n vanishes identically, so there is no Reeb field."""
+    chart = Chart(("x", "y", "z"), ((-2, 2),) * 3)
+    dz = TensorField.covector(chart, [ZERO, ZERO, Const(1.0)])
+    eye = np.diag([Const(1.0)] * 3)
+    with pytest.raises(NotContactError, match=re.escape("eta ^ (d eta)^n vanishes identically")):
+        ContactMetricStructure.build(chart, dz, TensorField(chart, 0, 2, eye, "symmetric"),
+                                     TensorField(chart, 1, 1, eye))
+
+
 def test_reeb_solver_rejects_non_contact_form():
     chart = Chart(("x", "y", "z"), ((-2, 2),) * 3)
     dz = TensorField.covector(chart, [Const(0.0), Const(0.0), Const(1.0)])
@@ -145,6 +163,71 @@ def test_slice_form_reeb_scales_inversely(sasakian):
         xi_t = reeb_field(eta_t)
         pts = sasakian.chart.samples(20)
         assert np.max(np.abs(xi_t.values(pts) - sasakian.xi.values(pts) / a)) < 1e-11
+
+
+@pytest.mark.parametrize("which", ["sasakian", "flat_bundle", "curved", "sasakian_r5",
+                                   "sasakian7"])
+def test_reeb_field_matches_the_adjugate_construction(which, request):
+    if which == "sasakian_r5":
+        S = load_structure_file(SASAKIAN_R5_PATH)
+    elif which == "sasakian7":
+        S = request.getfixturevalue("sasakian7_symp").base
+    else:
+        S = request.getfixturevalue(which)
+    pts = S.chart.samples(20, seed=6)
+    want = reeb_field_adjugate(S.eta).values(pts)
+    assert_allclose(reeb_field(S.eta).values(pts), want, rtol=1e-12,
+                    atol=1e-12 * np.max(np.abs(want)))
+
+
+def _shared_nodes(roots) -> int:
+    """The number of distinct node objects under ``roots``."""
+    seen, stack = set(), list(roots)
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            if isinstance(node, _Operation):
+                stack.extend(_operands(node))
+    return len(seen)
+
+
+def test_reeb_field_folds_where_d_eta_is_constant(sasakian7_symp, flat_bundle):
+    """On the standard R^7 the Pfaffians of the constant d eta fold to constants;
+    the flat bundle's h stays small (209 shared nodes through the adjugate)."""
+    assert all(isinstance(c, Const) for c in sasakian7_symp.base.xi.components.flat)
+    assert _shared_nodes(flat_bundle.h.components.flat) <= 80
+
+
+_PERTURBATION = st.floats(min_value=-0.05, max_value=0.05, allow_nan=False,
+                          allow_infinity=False, allow_subnormal=False)
+
+
+@st.composite
+def _perturbed_darboux_forms(draw):
+    """dz - sum y_i dx_i plus c0 + c1 x_a x_b in each component, |c| <= 0.05,
+    on [-1, 1]^D with D = 3 or 5."""
+    n = draw(st.sampled_from([1, 2]))
+    dim = 2 * n + 1
+    chart = Chart(tuple(f"x{i}" for i in range(dim)), ((-1.0, 1.0),) * dim, sampler_seed=11)
+    xs = [Coord(i, chart.coord_names[i]) for i in range(dim)]
+    comps = [-xs[n + i] for i in range(n)] + [ZERO] * n + [Const(1.0)]
+    for i in range(dim):
+        if draw(st.booleans()):
+            a, b = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
+            c0, c1 = Const(draw(_PERTURBATION)), Const(draw(_PERTURBATION))
+            comps[i] = comps[i] + c0 + c1 * xs[a] * xs[b]
+    return TensorField.covector(chart, comps)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_perturbed_darboux_forms())
+def test_reeb_field_of_a_perturbed_darboux_form(eta):
+    pts = eta.chart.samples(16, seed=2)
+    xv = reeb_field(eta).values(pts)
+    dv = exterior_derivative(eta).values(pts)
+    assert np.max(np.abs(np.einsum("ni,nij->nj", xv, dv))) <= 1e-12
+    assert np.max(np.abs(np.einsum("ni,ni->n", xv, eta.values(pts)) - 1.0)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from metsymp.contact import kappa_mu_after_rescale
+from metsymp.contact import fit_kappa_mu, kappa_mu_after_rescale
 from metsymp.curvature import christoffel_batch, covariant_derivative_values
 from metsymp.expressions import Const, Coord, sin
 from metsymp.fields import TensorField
@@ -433,3 +433,20 @@ def test_batched_verifiers_reject_a_doubled_line_metric(flat_bundle_symp):
     assert rows.distribution_block > 1e-3
     assert rows.reeb_reeb > 1e-3
     assert rows.line_line > 1e-3
+
+
+def test_the_nullity_fits_evaluate_h_once(flat_bundle, flat_bundle_symp, monkeypatch):
+    """Both fits take the norm of h from the values they already hold."""
+    calls = []
+    real = TensorField.values
+
+    def counting(self, points):
+        if self is flat_bundle.h:
+            calls.append(len(points))
+        return real(self, points)
+
+    monkeypatch.setattr(TensorField, "values", counting)
+    fit_kappa_mu(flat_bundle, 10, seed=1)
+    assert calls == [10]
+    fit_symplectization_kmu(flat_bundle_symp, 0.3, 12, seed=1)
+    assert calls == [10, 12]

@@ -3,13 +3,14 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from metsymp import suite
 from metsymp.catalog import catalog_load
-from metsymp.contact import KmuReport
+from metsymp.contact import KmuReport, d_homothety, verify_compatibility
 from metsymp.errors import ConfigError
 from metsymp.suite import (
     CHECK_ORDER,
@@ -18,6 +19,7 @@ from metsymp.suite import (
     report_emit,
     run_suite,
 )
+from metsymp.symplectization import SliceStructure
 
 
 @pytest.fixture(scope="module")
@@ -246,3 +248,24 @@ def test_a_raising_artifact_is_the_error_of_every_check_that_reads_it(monkeypatc
             assert c.error is None and c.passed, c.id
     if artifact == "fit_kappa_mu":
         assert rep.kappa is None and rep.mu is None and rep.index is None
+
+
+def test_symplectization_build_rejects_slices_at_the_wrong_factor(monkeypatch, flat_bundle_entry):
+    """The slices are compared with B's own data, so a slice at exp(t0) in place
+    of exp(2 t0) fails the check."""
+    cfg = SuiteConfig(samples=10, seed=42)
+    assert suite._check_symplectization_build(suite._Run(flat_bundle_entry, cfg)) < 1e-10
+    monkeypatch.setattr(suite, "slice_structure",
+                        lambda B, t0: SliceStructure(t0, d_homothety(B.base, math.exp(t0))))
+    assert suite._check_symplectization_build(suite._Run(flat_bundle_entry, cfg)) > 1e-2
+
+
+def test_a_nan_structure_runs_the_suite_without_warnings(nan_masked_sasakian_entry):
+    """The report records the NaN defects as inf; the library outside the suite still warns."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rep = run_suite(nan_masked_sasakian_entry, SuiteConfig(samples=10, seed=42))
+    assert [str(w.message) for w in caught] == []
+    assert rep.failed > 0
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        verify_compatibility(nan_masked_sasakian_entry.structure, 10)
