@@ -11,7 +11,9 @@ Subcommands:
 
 A structure file stands for an entry with no expected constants.
 ``symplectize --verify`` runs the suite's symplectization checks, and
-``dhomothety --verify`` its rescale law at the factor ``--a``.
+``dhomothety --verify`` its rescale law at the factor ``--a``.  ``fit-kmu``
+and ``dhomothety`` refuse, with exit code 1, a structure that fails the
+compatibility axioms.
 
 Exit codes: 0 when everything requested passed, 1 when a verification
 failed, 2 on bad input (unknown entry, parse error, bad options).
@@ -143,13 +145,22 @@ def _cmd_check(args) -> int:
     return 0 if report.all_passed else 1
 
 
+def _compatible(entry: CatalogEntry, args) -> bool:
+    """Whether the structure satisfies the compatibility axioms on the
+    samples; prints the refusal when it does not.  A NaN component gives
+    an ``inf`` residual, so numpy's invalid-value warnings are silenced."""
+    with np.errstate(invalid="ignore"):
+        compat = verify_compatibility(entry.structure, args.samples, seed=args.seed)
+    if not compat.passed:
+        print(f"{entry.name}: structure fails the compatibility axioms "
+              f"(residual {compat.max_residual:.3e}); refusing to fit")
+    return compat.passed
+
+
 def _cmd_fit(args) -> int:
     entry = _load_entry_or_file(args.entry_or_file)
     name, S = entry.name, entry.structure
-    compat = verify_compatibility(S, args.samples, seed=args.seed)
-    if not compat.passed:
-        print(f"{name}: structure fails the compatibility axioms "
-              f"(residual {compat.max_residual:.3e}); refusing to fit")
+    if not _compatible(entry, args):
         return 1
     rep = fit_kappa_mu(S, args.samples, seed=args.seed)
     mu, lam = _or_undefined(rep.mu), _or_undefined(rep.lam)
@@ -189,6 +200,8 @@ def _cmd_dhomothety(args) -> int:
     if not (math.isfinite(a) and a > 0):
         raise ConfigError(f"--a must be finite and positive, got {a!r}")
     entry = _load_entry_or_file(args.entry)
+    if not _compatible(entry, args):
+        return 1
     S = entry.structure
     before = fit_kappa_mu(S, args.samples, seed=args.seed)
     S2 = d_homothety(S, a)

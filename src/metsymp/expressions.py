@@ -22,8 +22,18 @@ constant exponent, exp, sin, cos and sqrt.  Trees support
     bit the values of the order-2 jets.
 
 Trees are immutable.  The constructors fold constants and prune additive
-and multiplicative identities so that fields with many structurally zero
-components stay cheap to evaluate.
+and multiplicative identities, so an operation has at most one constant
+operand and a structurally zero component is the leaf ``ZERO``.
+
+Constants evaluate as plain floats at both orders: no array or jet is made
+for a ``Const`` leaf, and an operation with one constant operand is a
+scalar operation on the other (``c * J`` scales a jet, it is not a full jet
+product).  A float is broadcast to the batch only where a result needs the
+batch's shape: at a root that is a constant, and at an operation whose
+operands are all constants, which only a hand-built node can have.  Values
+are bit for bit those of evaluating constants as full arrays and jets;
+derivatives are too, except for the sign of a zero and, where a value is
+already non-finite, the ``0 * NaN`` terms of a zero gradient.
 """
 
 from __future__ import annotations
@@ -66,8 +76,9 @@ class Expr:
         batch of points prefer :func:`evaluate`, which also evaluates to
         order 0.
         """
-        done = _walk((self,), _jet_leaf(jets), _JET_RULES, {} if memo is None else memo)
-        return done[self]
+        lift = jets[0].constant_like
+        done = _walk((self,), _leaf(jets), _JET_RULES, {} if memo is None else memo, lift)
+        return lift(self.value) if isinstance(self, Const) else done[self]
 
     def subs(self, replacements: Sequence["Expr"]) -> "Expr":
         """Substitute ``replacements[k]`` for coordinate ``k``."""
@@ -395,7 +406,7 @@ def _operands(node: _Operation) -> tuple[Expr, ...]:
     return (node.a, node.b) if isinstance(node, _Binary) else (node.a,)
 
 
-def _walk(roots: Sequence[Expr], leaf, rules: dict, done: dict) -> dict:
+def _walk(roots: Sequence[Expr], leaf, rules: dict, done: dict, lift=None) -> dict:
     """Fill ``done[node]`` for every node under ``roots``, operands first.
 
     ``leaf(node)`` gives the result at a constant or a coordinate, and
@@ -404,6 +415,10 @@ def _walk(roots: Sequence[Expr], leaf, rules: dict, done: dict) -> dict:
     identity; a node already in it is not visited again, and a node shared
     by several parents or roots is computed once.  The walk keeps its own
     stack: the depth of a tree is not bounded by the recursion limit.
+
+    A float result is a constant.  When every operand of an operation is
+    one, ``lift`` broadcasts the first to the batch before the rule runs,
+    so the rule computes what it would on a full array or jet.
     """
     stack = list(roots)
     push, pop = stack.append, stack.pop
@@ -422,13 +437,19 @@ def _walk(roots: Sequence[Expr], leaf, rules: dict, done: dict) -> dict:
             if b not in done:
                 push(b)
                 continue
-            done[node] = rules[type(node)](node, done[a], done[b])
+            x, y = done[a], done[b]
+            if type(x) is float and type(y) is float:
+                x = lift(x)
+            done[node] = rules[type(node)](node, x, y)
         elif isinstance(node, _Unary):
             a = node.a
             if a not in done:
                 push(a)
                 continue
-            done[node] = rules[type(node)](node, done[a])
+            x = done[a]
+            if type(x) is float:
+                x = lift(x)
+            done[node] = rules[type(node)](node, x)
         else:
             done[node] = leaf(node)
         pop()
@@ -518,12 +539,9 @@ _SUBS_RULES = {
 }
 
 
-def _jet_leaf(jets: Sequence[Jet2]):
-    return lambda e: jets[e.index] if isinstance(e, Coord) else jets[0].constant_like(e.value)
-
-
-def _value_leaf(coords: Sequence[np.ndarray]):
-    return lambda e: coords[e.index] if isinstance(e, Coord) else np.full_like(coords[0], e.value)
+def _leaf(seeds: Sequence):
+    """Coordinate k evaluates to ``seeds[k]``, a constant to its float."""
+    return lambda e: seeds[e.index] if isinstance(e, Coord) else e.value
 
 
 def evaluate(roots: Sequence[Expr], points, order: int = 0) -> list:
@@ -537,13 +555,15 @@ def evaluate(roots: Sequence[Expr], points, order: int = 0) -> list:
     """
     pts = np.asarray(points, dtype=float)
     if order == 0:
-        leaf, rules = _value_leaf([pts[..., k] for k in range(pts.shape[-1])]), _VALUE_RULES
+        seeds = [pts[..., k] for k in range(pts.shape[-1])]
+        rules, lift = _VALUE_RULES, lambda c: np.full_like(seeds[0], c)
     elif order == 2:
-        leaf, rules = _jet_leaf(coordinate_jets(pts)), _JET_RULES
+        seeds = coordinate_jets(pts)
+        rules, lift = _JET_RULES, seeds[0].constant_like
     else:
         raise ValueError(f"evaluation order must be 0 or 2, not {order!r}")
-    done = _walk(roots, leaf, rules, {})
-    return [done[root] for root in roots]
+    done = _walk(roots, _leaf(seeds), rules, {}, lift)
+    return [lift(root.value) if isinstance(root, Const) else done[root] for root in roots]
 
 
 def substitute(roots: Sequence[Expr], replacements: Sequence[Expr]) -> list[Expr]:

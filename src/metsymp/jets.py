@@ -13,6 +13,16 @@ Jets are batch friendly.  ``value`` has an arbitrary leading shape S
 ``S + (dim, dim)``.  The Hessian stays exactly symmetric: every update is
 assembled as ``outer + outer.swap`` so symmetry holds to representation
 equality, not merely to rounding.
+
+The ring operations also take a plain float, a constant, on either side:
+``c + J`` changes only the value (and shares J's gradient and Hessian
+arrays, which no operation writes to), ``c * J`` scales all three parts by
+c, ``J / c`` scales them by ``1.0 / c`` and ``c / J`` scales
+``J.reciprocal()`` by c.  So a constant is never a jet of zero derivatives,
+and a product with one computes none of the zero terms of a full jet
+product.  Values are bit for bit those of that all-jet arithmetic;
+derivatives are too, except for the sign of a zero and, where a value is
+already non-finite, the ``0 * NaN`` terms that no longer appear.
 """
 
 from __future__ import annotations
@@ -25,7 +35,7 @@ __all__ = ["Jet2", "coordinate_jets", "constant_jet"]
 
 
 def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.einsum("...i,...j->...ij", a, b)
+    return a[..., :, None] * b[..., None, :]
 
 
 def _sym_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -53,17 +63,32 @@ class Jet2:
         )
 
     # -- ring operations ---------------------------------------------------
+    # ``other`` is a Jet2 or a float.  The reflected forms go through
+    # ``__add__``, ``__mul__`` and ``__neg__`` so that patching or counting
+    # those sees every operation.
 
-    def __add__(self, other: "Jet2") -> "Jet2":
+    def __add__(self, other: "Jet2 | float") -> "Jet2":
+        if not isinstance(other, Jet2):
+            return Jet2(self.value + other, self.grad, self.hess)
         return Jet2(self.value + other.value, self.grad + other.grad, self.hess + other.hess)
 
-    def __sub__(self, other: "Jet2") -> "Jet2":
+    def __radd__(self, other: float) -> "Jet2":
+        return self + other
+
+    def __sub__(self, other: "Jet2 | float") -> "Jet2":
+        if not isinstance(other, Jet2):
+            return Jet2(self.value - other, self.grad, self.hess)
         return Jet2(self.value - other.value, self.grad - other.grad, self.hess - other.hess)
+
+    def __rsub__(self, other: float) -> "Jet2":
+        return -self + other  # c + (-v) is c - v to the bit
 
     def __neg__(self) -> "Jet2":
         return Jet2(-self.value, -self.grad, -self.hess)
 
-    def __mul__(self, other: "Jet2") -> "Jet2":
+    def __mul__(self, other: "Jet2 | float") -> "Jet2":
+        if not isinstance(other, Jet2):
+            return Jet2(self.value * other, self.grad * other, self.hess * other)
         v = self.value * other.value
         g = self.grad * other.value[..., None] + other.grad * self.value[..., None]
         h = (
@@ -73,6 +98,9 @@ class Jet2:
         )
         return Jet2(v, g, h)
 
+    def __rmul__(self, other: float) -> "Jet2":
+        return self * other
+
     def reciprocal(self) -> "Jet2":
         inv = 1.0 / self.value
         inv2 = inv * inv
@@ -81,8 +109,13 @@ class Jet2:
         h = -self.hess * inv2[..., None, None] + _sym_outer(self.grad, self.grad) * inv3[..., None, None]
         return Jet2(inv, g, h)
 
-    def __truediv__(self, other: "Jet2") -> "Jet2":
+    def __truediv__(self, other: "Jet2 | float") -> "Jet2":
+        if not isinstance(other, Jet2):
+            return self * (1.0 / other)
         return self * other.reciprocal()
+
+    def __rtruediv__(self, other: float) -> "Jet2":
+        return self.reciprocal() * other
 
     # -- smooth univariate maps, via the chain rule ------------------------
 

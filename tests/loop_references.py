@@ -10,7 +10,10 @@ eigenvector triples one at a time.  Tests compare the two to roundoff.
 The symmetrization the tensor fields used before they stored one expression
 per index orbit, the top coefficients of omega^n and eta ^ (d eta)^n by
 repeated wedge products, and the Reeb field through the adjugate of
-d eta + eta (x) eta, are kept here for the same purpose.
+d eta + eta (x) eta, are kept here for the same purpose.  So is the
+expression evaluator from before constants evaluated as floats: every
+``Const`` leaf there becomes a full array or a jet of zero derivatives, and
+every operation with a constant operand is a full array or jet operation.
 """
 
 import itertools
@@ -25,7 +28,9 @@ from metsymp.curvature import (
     ricci_components,
     riemann_components,
 )
-from metsymp.expressions import ZERO, Const
+from metsymp import expressions as E
+from metsymp.expressions import ZERO, Const, Coord
+from metsymp.jets import coordinate_jets
 from metsymp.fields import (
     TensorField,
     exterior_derivative,
@@ -307,3 +312,46 @@ def reeb_field_adjugate(eta):
             total = total + inv[i][j] * eta.components[j]
         comps.append(total)
     return TensorField.vector(eta.chart, comps)
+
+
+_REFERENCE_VALUE_RULES = {
+    E.Add: lambda e, a, b: a + b,
+    E.Sub: lambda e, a, b: a - b,
+    E.Mul: lambda e, a, b: a * b,
+    E.Neg: lambda e, a: -a,
+    E.Div: lambda e, a, b: a * (1.0 / b),
+    E.Pow: lambda e, a: E._value_power(a, e.exponent),
+    E.Exp: lambda e, a: np.exp(a),
+    E.Sin: lambda e, a: np.sin(a),
+    E.Cos: lambda e, a: np.cos(a),
+    E.Sqrt: lambda e, a: np.sqrt(a),
+}
+
+_REFERENCE_JET_RULES = {
+    E.Add: lambda e, a, b: a + b,
+    E.Sub: lambda e, a, b: a - b,
+    E.Mul: lambda e, a, b: a * b,
+    E.Neg: lambda e, a: -a,
+    E.Div: lambda e, a, b: a / b,
+    E.Pow: lambda e, a: a.power(e.exponent),
+    E.Exp: lambda e, a: a.exp(),
+    E.Sin: lambda e, a: a.sin(),
+    E.Cos: lambda e, a: a.cos(),
+    E.Sqrt: lambda e, a: a.sqrt(),
+}
+
+
+def evaluate_reference(roots, points, order=0):
+    """``expressions.evaluate`` with every constant a full array (order 0)
+    or a jet of zero gradient and Hessian (order 2), in the shape of the
+    batch, so no operation ever sees a float operand."""
+    pts = np.asarray(points, dtype=float)
+    if order == 0:
+        seeds = [pts[..., k] for k in range(pts.shape[-1])]
+        const, rules = (lambda c: np.full_like(seeds[0], c)), _REFERENCE_VALUE_RULES
+    else:
+        seeds = coordinate_jets(pts)
+        const, rules = seeds[0].constant_like, _REFERENCE_JET_RULES
+    done = E._walk(roots, lambda e: seeds[e.index] if isinstance(e, Coord) else const(e.value),
+                   rules, {})
+    return [done[root] for root in roots]

@@ -138,16 +138,29 @@ def test_a_nowhere_contact_file_is_bad_input(tmp_path, capsys, command):
     assert err.startswith("error: ") and "eta ^ (d eta)^n vanishes identically" in err
 
 
-def test_check_of_a_nan_file_writes_nothing_to_stderr():
-    """The NaN defects are in the report as inf; numpy's warnings are not printed."""
+def _run_cli(*args: str) -> subprocess.CompletedProcess:
+    """``metsymp <args>`` in a fresh interpreter, capturing both streams."""
     src = Path(metsymp.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "metsymp.cli", "check", str(NAN_PHI_PATH), "--samples", "10"],
-        capture_output=True, text=True, env=env, timeout=300)
+    return subprocess.run([sys.executable, "-m", "metsymp.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=300)
+
+
+def test_check_of_a_nan_file_writes_nothing_to_stderr():
+    """The NaN defects are in the report as inf; numpy's warnings are not printed."""
+    proc = _run_cli("check", str(NAN_PHI_PATH), "--samples", "10")
     assert proc.returncode == 1
     assert "[FAIL]" in proc.stdout
+    assert proc.stderr == ""
+
+
+@pytest.mark.parametrize("command", [["fit-kmu"], ["dhomothety", "--a", "2"]])
+def test_fitting_commands_refuse_a_nan_file_without_warnings(command):
+    """Both commands stop at the compatibility gate, which prints no numpy warning."""
+    proc = _run_cli(command[0], str(NAN_PHI_PATH), *command[1:], "--samples", "10")
+    assert proc.returncode == 1
+    assert "fails the compatibility axioms (residual inf)" in proc.stdout
     assert proc.stderr == ""
 
 

@@ -4,19 +4,29 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from metsymp.expressions import (
+    ONE,
+    ZERO,
     Const,
     Coord,
+    Div,
+    Exp,
     ExpressionSyntaxError,
+    Sqrt,
     cos,
     evaluate,
     exp,
     parse_expression,
     sin,
+    sqrt,
 )
-from metsymp.jets import coordinate_jets
+from metsymp.jets import Jet2, coordinate_jets
+
+from loop_references import evaluate_reference
 
 
 def _value(expr, point):
@@ -141,3 +151,105 @@ def test_a_deep_tree_needs_no_recursion():
     assert np.array_equal(jet.grad[:, 0], [0.5 * 5000 * 5001] * 2)
     assert total.diff(0).value == 0.5 * 5000 * 5001
     assert _value(total.subs((Const(2.0),)), [0.0]) == 5000 * 5001
+
+
+# ---------------------------------------------------------------------------
+# Constants evaluate as floats: against the evaluator that made them jets
+# ---------------------------------------------------------------------------
+
+_POINTS = np.random.default_rng(8).uniform(-1.0, 1.0, size=(6, 3))
+_AT = pytest.mark.parametrize("pts", [_POINTS, _POINTS[2]], ids=["batch", "point"])
+
+
+def _positive(x):
+    return Const(1.5) + x * x
+
+
+# each builds one node from two pool nodes and a constant; a constant goes on
+# either side of the four operations, and every denominator is nonzero
+_BUILDERS = (
+    lambda a, b, c: c + a, lambda a, b, c: a + c, lambda a, b, c: a + b,
+    lambda a, b, c: c - a, lambda a, b, c: a - c, lambda a, b, c: a - b,
+    lambda a, b, c: c * a, lambda a, b, c: a * c, lambda a, b, c: a * b,
+    lambda a, b, c: c / _positive(a), lambda a, b, c: a / (ONE if c.is_zero() else c),
+    lambda a, b, c: a / _positive(b),
+    lambda a, b, c: -a, lambda a, b, c: exp(a), lambda a, b, c: sin(a), lambda a, b, c: cos(a),
+    lambda a, b, c: sqrt(_positive(a)), lambda a, b, c: a ** 3,
+    lambda a, b, c: _positive(a) ** -1.5,
+    lambda a, b, c: a * ZERO, lambda a, b, c: c * Const(3.0),  # fold to constants
+)
+
+
+@st.composite
+def _dags(draw):
+    """Roots of a random DAG over three coordinates: pool nodes are reused as
+    operands, so nodes are shared within and between roots, and some roots
+    fold to constants."""
+    consts = st.floats(-2.0, 2.0, allow_nan=False).map(Const)
+    pool = [Coord(k) for k in range(3)] + [draw(consts), draw(consts)]
+    pick = st.integers(0, 10 ** 6).map(lambda i: pool[i % len(pool)])
+    for _ in range(draw(st.integers(4, 16))):
+        build = draw(st.sampled_from(_BUILDERS))
+        try:
+            pool.append(build(draw(pick), draw(pick), draw(consts)))
+        except OverflowError:  # folding constants with Python's math
+            pass
+    roots = [pool[-1]] + draw(st.lists(pick, min_size=1, max_size=4))
+    return roots + [draw(consts) * draw(consts)]
+
+
+def _assert_same_bits(a, b):
+    assert np.shape(a) == np.shape(b)
+    assert np.array_equal(a, b, equal_nan=True)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def _finite_rows(jet):
+    """Mask of the points where value, gradient and Hessian are all finite."""
+    return (np.isfinite(jet.value) & np.isfinite(jet.grad).all(axis=-1)
+            & np.isfinite(jet.hess).all(axis=(-2, -1)))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_dags())
+def test_constants_as_floats_match_the_evaluator_of_constant_jets(roots):
+    for pts in (_POINTS, _POINTS[2]):
+        values, jets = evaluate(roots, pts), evaluate(roots, pts, order=2)
+        ref_values, ref_jets = evaluate_reference(roots, pts), evaluate_reference(roots, pts, 2)
+        for value, jet, ref_value, ref in zip(values, jets, ref_values, ref_jets):
+            _assert_same_bits(value, jet.value)
+            assert np.shape(value) == np.shape(ref_value)
+            assert np.array_equal(value, ref_value, equal_nan=True)
+            assert isinstance(jet, Jet2) and jet.hess.shape == ref.hess.shape
+            # derivatives may differ only where a value is already non-finite
+            ok = _finite_rows(ref)
+            for mine, theirs in ((jet.value, ref.value), (jet.grad, ref.grad),
+                                 (jet.hess, ref.hess)):
+                assert np.array_equal(mine[ok], theirs[ok])
+
+
+@_AT
+def test_a_constant_root_is_broadcast_to_the_batch(pts):
+    batch = pts.shape[:-1]
+    value, = evaluate([Const(2.5)], pts)
+    assert np.shape(value) == batch and np.all(value == 2.5)
+    jets = coordinate_jets(pts)
+    for jet in (evaluate([Const(2.5)], pts, order=2)[0], Const(2.5).evaluate(jets),
+                Const(2.5).evaluate(jets, {})):
+        assert isinstance(jet, Jet2)
+        assert np.shape(jet.value) == batch and np.all(jet.value == 2.5)
+        assert jet.grad.shape == batch + (3,) and not jet.grad.any()
+        assert jet.hess.shape == batch + (3, 3) and not jet.hess.any()
+
+
+@_AT
+def test_hand_built_operations_on_constants_keep_their_bits(pts):
+    """The constructors fold these; built by hand, their operands are
+    broadcast to the batch first, as a full evaluation would have them.
+    (5 / 3 rounds differently from 5 * (1 / 3), the division rule.)"""
+    roots = [Exp(Const(0.3)), Sqrt(Const(2.0)), Div(Const(5.0), Const(3.0))]
+    for value, ref in zip(evaluate(roots, pts), evaluate_reference(roots, pts)):
+        _assert_same_bits(value, ref)
+    for jet, ref in zip(evaluate(roots, pts, order=2), evaluate_reference(roots, pts, 2)):
+        for mine, theirs in ((jet.value, ref.value), (jet.grad, ref.grad), (jet.hess, ref.hess)):
+            _assert_same_bits(mine, theirs)

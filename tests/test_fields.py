@@ -14,7 +14,22 @@ from numpy.testing import assert_allclose
 from metsymp.charts import Chart, product_with_line
 from metsymp.contact import d_homothety
 from metsymp.errors import ChartMismatchError, RankError, SingularMatrixError
-from metsymp.expressions import ONE, ZERO, Const, Coord, Expr, Neg, cos, evaluate, exp, sin
+from metsymp.expressions import (
+    ONE,
+    ZERO,
+    Const,
+    Coord,
+    Div,
+    Expr,
+    Mul,
+    Neg,
+    _Binary,
+    _Unary,
+    cos,
+    evaluate,
+    exp,
+    sin,
+)
 from metsymp.fields import (
     SmoothMap,
     TensorField,
@@ -34,6 +49,7 @@ from metsymp.fields import (
     sup_norm,
     wedge,
 )
+from metsymp.jets import Jet2
 from metsymp.structfile import StructureFileError, parse_structure_text
 from metsymp.symplectization import nijenhuis, slice_metric_field
 
@@ -669,3 +685,47 @@ def test_orbit_storage_keeps_the_values_of_the_full_average(case):
     else:
         scale = np.max(np.abs(np.array(evaluate(list(arr.flat), pts))), axis=0)
         assert np.all(np.abs(got - want) <= 1e-15 * scale)
+
+
+@pytest.mark.parametrize("single", [False, True], ids=["batch", "point"])
+def test_jet_blocks_of_a_constant_metric(single):
+    chart = Chart(("x", "y"), ((-1.0, 1.0), (-1.0, 1.0)))
+    gmat = [[2.0, 0.5], [0.5, 3.0]]
+    g = TensorField(chart, 0, 2, [[Const(c) for c in row] for row in gmat], "symmetric")
+    pts = chart.samples(5, seed=2)
+    pts = pts[0] if single else pts
+    batch = pts.shape[:-1]
+    vals, grads, hesses = g.jet_blocks(pts)
+    assert np.array_equal(vals, np.broadcast_to(gmat, batch + (2, 2)))
+    assert grads.shape == batch + (2, 2, 2) and not grads.any()
+    assert hesses.shape == batch + (2, 2, 2, 2) and not hesses.any()
+
+
+def test_jet_products_are_made_only_for_two_non_constant_operands(curved, monkeypatch):
+    """A constant operand scales a jet: the only jet-by-jet products of the
+    order-2 walk are those of the DAG's products of two non-constants."""
+    g = d_homothety(curved, 1.7).g
+    products, seen, stack = 0, set(), [e for e in g.components.flat if not e.is_zero()]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if isinstance(node, _Binary):
+            assert not isinstance(node, Div)  # J / K would be one more product
+            products += isinstance(node, Mul) and not (isinstance(node.a, Const)
+                                                       or isinstance(node.b, Const))
+            stack += [node.a, node.b]
+        elif isinstance(node, _Unary):
+            stack.append(node.a)
+    both_jets = []
+    real_mul = Jet2.__mul__
+
+    def counted(self, other):
+        both_jets.append(isinstance(other, Jet2))
+        return real_mul(self, other)
+
+    monkeypatch.setattr(Jet2, "__mul__", counted)
+    g.jet_blocks(curved.chart.samples(4, seed=1))
+    assert sum(both_jets) == products > 0
+    assert len(both_jets) > products  # the constant operands, as scalars
