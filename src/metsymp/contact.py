@@ -22,6 +22,7 @@ constraint on mu).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -37,7 +38,7 @@ from .errors import (
     NotContactError,
     SasakianDegeneracyError,
 )
-from .expressions import ONE, ZERO, Const, Expr
+from .expressions import ONE, Const, Expr, sum_of_products
 from .fields import (
     SmoothMap,
     TensorField,
@@ -98,13 +99,10 @@ def _pfaffian(A: np.ndarray, idx: tuple[int, ...], memo: dict) -> Expr:
     if hit is not None:
         return hit
     first, rest = idx[0], idx[1:]
-    total = ZERO
-    for k, j in enumerate(rest):
-        entry = A[first, j]
-        if entry.is_zero():
-            continue
-        term = entry * _pfaffian(A, rest[:k] + rest[k + 1:], memo)
-        total = total + term if k % 2 == 0 else total - term
+    total = sum_of_products(
+        (-1 if k % 2 else 1, A[first, j],
+         functools.partial(_pfaffian, A, rest[:k] + rest[k + 1:], memo))
+        for k, j in enumerate(rest))
     memo[idx] = total
     return total
 
@@ -138,9 +136,7 @@ def reeb_field(eta: TensorField) -> TensorField:
     for i in full:
         pf = _pfaffian(deta, full[:i] + full[i + 1:], memo)
         v.append(-pf if i % 2 else pf)
-    eta_v = ZERO
-    for i in full:
-        eta_v = eta_v + eta.components[i] * v[i]
+    eta_v = sum_of_products((1, eta.components[i], v[i]) for i in full)
     if eta_v.is_zero():
         raise NotContactError(
             "eta ^ (d eta)^n vanishes identically: the form is contact nowhere")

@@ -25,6 +25,15 @@ Trees are immutable.  The constructors fold constants and prune additive
 and multiplicative identities, so an operation has at most one constant
 operand and a structurally zero component is the leaf ``ZERO``.
 
+Every symbolic contraction (Lie derivative, bracket, interior product,
+index raising, Nijenhuis tensor, Pfaffian and cofactor expansions) is a
+signed sum of two-factor products built by :func:`sum_of_products`.  It
+skips a term with a structurally zero factor before building anything for
+it, not even the other factor when that is a partial derivative still to
+be taken.  The sum it builds is the tree of the plain loop
+``total = total +- x * y`` (``ZERO + p`` is ``p``, ``ZERO - p`` is ``-p``),
+so trees and values are unchanged, up to the sign of a zero.
+
 Constants evaluate as plain floats at both orders: no array or jet is made
 for a ``Const`` leaf, and an operation with one constant operand is a
 scalar operation on the other (``c * J`` scales a jet, it is not a full jet
@@ -53,6 +62,7 @@ __all__ = [
     "as_expr",
     "evaluate",
     "substitute",
+    "sum_of_products",
     "parse_expression",
     "ExpressionSyntaxError",
     "ZERO",
@@ -363,7 +373,7 @@ def _pow(a: Expr, n: float) -> Expr:
     if n == 1.0:
         return a
     if isinstance(a, Const):
-        return Const(a.value ** n)
+        return Const(math.pow(a.value, n))  # raises where ** would give a complex
     return Pow(a, n)
 
 
@@ -393,6 +403,35 @@ def sqrt(a) -> Expr:
     if isinstance(a, Const):
         return Const(math.sqrt(a.value))
     return Sqrt(a)
+
+
+def sum_of_products(terms) -> Expr:
+    """The signed sum of two-factor products ``x * y``, in the given order.
+
+    ``terms`` yields ``(sign, x, y)`` with ``sign`` +1 or -1.  The result is
+    ``ZERO +- x * y +- ...`` folded left to right by the constructors,
+    except that a term with a structurally zero factor is skipped: it
+    builds no product and no sum.  Either factor may instead be a
+    zero-argument callable that builds it, such as a partial derivative not
+    yet taken; it is called only when the other factor is not structurally
+    zero.  A zero factor drops its term even against a non-finite constant,
+    where the constructors would fold ``0 * inf`` to NaN.
+    """
+    total = ZERO
+    for sign, x, y in terms:
+        if (type(x) is Const and x.value == 0.0) or (type(y) is Const and y.value == 0.0):
+            continue
+        if not isinstance(x, Expr):
+            x = x()
+            if x.is_zero():
+                continue
+        if not isinstance(y, Expr):
+            y = y()
+            if y.is_zero():
+                continue
+        product = _mul(x, y)
+        total = _add(total, product) if sign > 0 else _sub(total, product)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -670,6 +709,14 @@ class _Parser:
     def fail(self, message: str, tok: _Token):
         raise ExpressionSyntaxError(message, self.line, tok.column)
 
+    def fold(self, tok: _Token, build, *operands) -> Expr:
+        """``build(*operands)``, failing at ``tok`` where the constructor
+        folds a constant that has no finite real value."""
+        try:
+            return build(*operands)
+        except (OverflowError, ZeroDivisionError, ValueError) as err:
+            self.fail(f"no finite real value here ({err})", tok)
+
     def parse(self) -> Expr:
         e = self.expression()
         tok = self.peek()
@@ -680,17 +727,15 @@ class _Parser:
     def expression(self) -> Expr:
         e = self.term()
         while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.next().text
-            rhs = self.term()
-            e = e + rhs if op == "+" else e - rhs
+            op = self.next()
+            e = self.fold(op, _add if op.text == "+" else _sub, e, self.term())
         return e
 
     def term(self) -> Expr:
         e = self.unary()
         while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.next().text
-            rhs = self.unary()
-            e = e * rhs if op == "*" else e / rhs
+            op = self.next()
+            e = self.fold(op, _mul if op.text == "*" else _div, e, self.unary())
         return e
 
     def unary(self) -> Expr:
@@ -711,7 +756,7 @@ class _Parser:
             exponent = self.unary_power_operand()
             if not isinstance(exponent, Const):
                 self.fail("exponent must be a constant", op_tok)
-            return base ** exponent.value
+            return self.fold(op_tok, _pow, base, exponent.value)
         return base
 
     def unary_power_operand(self) -> Expr:
@@ -736,7 +781,7 @@ class _Parser:
                 close = self.next()
                 if not (close.kind == "op" and close.text == ")"):
                     self.fail("expected ')'", close)
-                return _FUNCTIONS[name](arg)
+                return self.fold(tok, _FUNCTIONS[name], arg)
             if name in self.coords:
                 return Coord(self.coords[name], name)
             if name in _NAMED_CONSTANTS:

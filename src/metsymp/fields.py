@@ -53,7 +53,8 @@ import numpy as np
 
 from .charts import Chart
 from .errors import ChartMismatchError, RankError, SingularMatrixError
-from .expressions import ONE, ZERO, Const, Coord, Expr, Neg, as_expr, evaluate, substitute
+from .expressions import (ONE, ZERO, Const, Coord, Expr, Neg, as_expr, evaluate, substitute,
+                          sum_of_products)
 from .jets import Jet2
 
 __all__ = [
@@ -182,11 +183,9 @@ def _average(arr: np.ndarray, idx: tuple[int, ...], sign: int) -> Expr:
     """The (anti)symmetric average of ``arr`` at ``idx``, over all k! slot
     permutations in ``itertools.permutations`` order."""
     k = arr.ndim
-    total = ZERO
-    for perm in itertools.permutations(range(k)):
-        term = arr[tuple(idx[p] for p in perm)]
-        s = -1.0 if sign < 0 and _odd(perm) else 1.0
-        total = total + Const(s) * term if s != 1.0 else total + term
+    total = sum_of_products(
+        (1, Const(-1.0) if sign < 0 and _odd(perm) else ONE, arr[tuple(idx[p] for p in perm)])
+        for perm in itertools.permutations(range(k)))
     return Const(1.0 / math.factorial(k)) * total
 
 
@@ -478,10 +477,8 @@ def interior_product(X: TensorField, alpha: TensorField) -> TensorField:
     k = alpha.s
 
     def entry(idx):
-        total = ZERO
-        for a in range(d):
-            total = total + X.components[a] * alpha.components[(a,) + idx]
-        return total
+        return sum_of_products((1, X.components[a], alpha.components[(a,) + idx])
+                               for a in range(d))
 
     sym = "antisymmetric" if k - 1 >= 2 else "none"
     return TensorField(alpha.chart, 0, k - 1, _fill((d,) * (k - 1), sym, entry), sym)
@@ -500,13 +497,11 @@ def lie_bracket(X: TensorField, Y: TensorField) -> TensorField:
     if X.chart != Y.chart:
         raise ChartMismatchError("bracket arguments live on different charts")
     d = X.chart.dim
-    out = _expr_array((d,))
-    for k in range(d):
-        total = ZERO
-        for i in range(d):
-            total = total + X.components[i] * Y.components[k].diff(i)
-            total = total - Y.components[i] * X.components[k].diff(i)
-        out[k] = total
+    Xc, Yc = X.components, Y.components
+    out = [sum_of_products(term for i in range(d) for term in (
+               (1, Xc[i], functools.partial(Yc[k].diff, i)),
+               (-1, Yc[i], functools.partial(Xc[k].diff, i))))
+           for k in range(d)]
     return TensorField(X.chart, 1, 0, out)
 
 
@@ -517,23 +512,21 @@ def lie_derivative(X: TensorField, T: TensorField) -> TensorField:
     if X.chart != T.chart:
         raise ChartMismatchError("direction and tensor live on different charts")
     d = T.chart.dim
+    Xc, Tc = X.components, T.components
 
     def entry(idx):
-        total = ZERO
-        for a in range(d):
-            total = total + X.components[a] * T.components[idx].diff(a)
+        # the partials are passed unbuilt: a term whose other factor is
+        # structurally zero never takes its partial
+        terms = [(1, Xc[a], functools.partial(Tc[idx].diff, a)) for a in range(d)]
         # contravariant slots pick up -dX corrections
         for p in range(T.r):
-            for a in range(d):
-                swapped = idx[:p] + (a,) + idx[p + 1:]
-                total = total - X.components[idx[p]].diff(a) * T.components[swapped]
+            terms += [(-1, functools.partial(Xc[idx[p]].diff, a), Tc[idx[:p] + (a,) + idx[p + 1:]])
+                      for a in range(d)]
         # covariant slots pick up +dX corrections
-        for q in range(T.s):
-            slot = T.r + q
-            for a in range(d):
-                swapped = idx[:slot] + (a,) + idx[slot + 1:]
-                total = total + X.components[a].diff(idx[slot]) * T.components[swapped]
-        return total
+        for slot in range(T.r, T.r + T.s):
+            terms += [(1, functools.partial(Xc[a].diff, idx[slot]),
+                       Tc[idx[:slot] + (a,) + idx[slot + 1:]]) for a in range(d)]
+        return sum_of_products(terms)
 
     return TensorField(T.chart, T.r, T.s, _fill(T.components.shape, T.sym, entry), T.sym)
 
@@ -611,13 +604,10 @@ def _minor_det(matrix: list[list[Expr]], rows: tuple[int, ...], cols: tuple[int,
     hit = memo.get((rows, cols))
     if hit is not None:
         return hit
-    total = ZERO
-    for k, j in enumerate(cols):
-        entry = matrix[rows[0]][j]
-        if entry.is_zero():
-            continue
-        term = entry * _minor_det(matrix, rows[1:], cols[:k] + cols[k + 1:], memo)
-        total = total + term if k % 2 == 0 else total - term
+    total = sum_of_products(
+        (-1 if k % 2 else 1, matrix[rows[0]][j],
+         functools.partial(_minor_det, matrix, rows[1:], cols[:k] + cols[k + 1:], memo))
+        for k, j in enumerate(cols))
     memo[(rows, cols)] = total
     return total
 
@@ -662,23 +652,14 @@ def raise_index(g: TensorField, T: TensorField, cov_slot: int) -> TensorField:
     if not (0 <= cov_slot < T.s):
         raise RankError(f"no covariant slot {cov_slot}")
     d = T.chart.dim
-    shape = T.components.shape
     axis = T.r + cov_slot
     out_shape = (d,) * (T.r + 1 + T.s - 1)
     out = _expr_array(out_shape)
     for idx in np.ndindex(out_shape):
-        new_contra = idx[: T.r + 1]
-        new_cov = idx[T.r + 1:]
-        raised = new_contra[-1]
-        total = ZERO
-        for a in range(d):
-            old_idx = list(new_contra[:-1]) + list(new_cov)
-            old_idx.insert(axis, a)
-            comp = T.components[tuple(old_idx)]
-            if comp.is_zero():
-                continue
-            total = total + ginv.components[raised, a] * comp
-        out[idx] = total
+        rest = idx[:T.r] + idx[T.r + 1:]         # idx without its raised slot
+        out[idx] = sum_of_products(
+            (1, ginv.components[idx[T.r], a], T.components[rest[:axis] + (a,) + rest[axis:]])
+            for a in range(d))
     return TensorField(T.chart, T.r + 1, T.s - 1, out)
 
 
@@ -692,18 +673,11 @@ def lower_index(g: TensorField, T: TensorField, contra_slot: int) -> TensorField
     out_shape = (d,) * (T.r - 1 + T.s + 1)
     out = _expr_array(out_shape)
     for idx in np.ndindex(out_shape):
-        new_contra = idx[: T.r - 1]
-        new_cov = idx[T.r - 1:]
-        lowered = new_cov[0]
-        total = ZERO
-        for a in range(d):
-            old_idx = list(new_contra) + list(new_cov[1:])
-            old_idx.insert(contra_slot, a)
-            comp = T.components[tuple(old_idx)]
-            if comp.is_zero():
-                continue
-            total = total + g.components[lowered, a] * comp
-        out[idx] = total
+        rest = idx[:T.r - 1] + idx[T.r:]         # idx without its lowered slot
+        out[idx] = sum_of_products(
+            (1, g.components[idx[T.r - 1], a],
+             T.components[rest[:contra_slot] + (a,) + rest[contra_slot:]])
+            for a in range(d))
     return TensorField(T.chart, T.r - 1, T.s + 1, out)
 
 

@@ -104,12 +104,13 @@ def parse_structure_text(text: str, name: str = "<string>") -> ContactMetricStru
                     )
                 return coord_names.index(cn)
 
-            column_offset = raw.index("=") + 2 if "=" in raw else 1
+            # the 0-based position of the expression in the raw line
+            rhs_start = len(raw) - len(raw.lstrip()) + m.start(4)
             try:
                 expr = parse_expression(rhs, coord_names, line=lineno)
             except ExpressionSyntaxError as err:
                 raise StructureFileError(str(err).split(": ", 1)[1],
-                                         lineno, err.column + column_offset - 1) from None
+                                         lineno, rhs_start + err.column) from None
             if kind == "eta":
                 if c2 is not None:
                     raise StructureFileError("eta takes one coordinate", lineno)

@@ -39,7 +39,7 @@ from .contact import (
     reeb_field,
 )
 from .errors import DomainError, GeometryError, RankError
-from .expressions import Const, Coord, evaluate, exp
+from .expressions import Const, Coord, evaluate, exp, sum_of_products
 from .fields import (
     SmoothMap,
     TensorField,
@@ -161,11 +161,9 @@ def _compatible_metric(J: TensorField, omega: TensorField) -> TensorField:
 
     def entry(ab):
         a, b = ab
-        total = Const(0.0)
-        for c in range(D):
-            total = total + J.components[c, a] * omega.components[c, b]
-            total = total + J.components[c, b] * omega.components[c, a]
-        return Const(0.5) * total
+        return Const(0.5) * sum_of_products(term for c in range(D) for term in (
+            (1, J.components[c, a], omega.components[c, b]),
+            (1, J.components[c, b], omega.components[c, a])))
 
     return TensorField(J.chart, 0, 2, _fill((D, D), "symmetric", entry), "symmetric")
 
@@ -412,13 +410,8 @@ def induced_contact_on_hypersurface(
 
     # phi = tangential part of J applied to the contact component.
     # Solve the tangency through the embedding's symbolic pseudo-inverse.
-    gram = [[None] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(d):
-            total = Const(0.0)
-            for c in range(D):
-                total = total + jac_exprs[i][c] * jac_exprs[j][c]
-            gram[i][j] = total
+    gram = [[sum_of_products((1, jac_exprs[i][c], jac_exprs[j][c]) for c in range(D))
+             for j in range(d)] for i in range(d)]
     gram_inv = inverse_matrix_exprs(gram)
 
     J_src = [[B.J.components[c, b].subs(embedding.exprs) for b in range(D)]
@@ -427,35 +420,24 @@ def induced_contact_on_hypersurface(
                 for c in range(D)]
     Y_src = [Y.components[c].subs(embedding.exprs) for c in range(D)]
 
-    xi_push = [Const(0.0)] * D          # the induced Reeb field, pushed forward
-    for i in range(d):
-        for c in range(D):
-            xi_push[c] = xi_push[c] + jac_exprs[i][c] * xi_ind.components[i]
+    # the induced Reeb field, pushed forward
+    xi_push = [sum_of_products((1, jac_exprs[i][c], xi_ind.components[i]) for i in range(d))
+               for c in range(D)]
 
     phi_comps = np.empty((d, d), dtype=object)
-    phi_comps[...] = Const(0.0)
     for j in range(d):
         # contact component of the pushed-forward frame vector
         v = [jac_exprs[j][c] for c in range(D)]
         w = [v[c] - eta_ind.components[j] * xi_push[c] for c in range(D)]
-        jw = [Const(0.0)] * D
-        for c in range(D):
-            for b in range(D):
-                jw[c] = jw[c] + J_src[c][b] * w[b]
+        jw = [sum_of_products((1, J_src[c][b], w[b]) for b in range(D)) for c in range(D)]
         # remove the Y component, then pull tangential part back to the source
-        yc = Const(0.0)
-        for c in range(D):
-            for b in range(D):
-                yc = yc + gbar_src[c][b] * jw[c] * Y_src[b]
+        yc = sum_of_products((1, gbar_src[c][b] * jw[c], Y_src[b])
+                             for c in range(D) for b in range(D))
         jw_tan = [jw[c] - yc * Y_src[c] for c in range(D)]
+        dots = [sum_of_products((1, jac_exprs[k][c], jw_tan[c]) for c in range(D))
+                for k in range(d)]
         for i in range(d):
-            total = Const(0.0)
-            for k in range(d):
-                dot = Const(0.0)
-                for c in range(D):
-                    dot = dot + jac_exprs[k][c] * jw_tan[c]
-                total = total + gram_inv[i][k] * dot
-            phi_comps[i, j] = total
+            phi_comps[i, j] = sum_of_products((1, gram_inv[i][k], dots[k]) for k in range(d))
     phi_ind = TensorField(src, 1, 1, phi_comps)
     return ContactMetricStructure.build(src, eta_ind, g_ind, phi_ind)
 
@@ -474,18 +456,19 @@ def nijenhuis(J: TensorField) -> TensorField:
     if (J.r, J.s) != (1, 1):
         raise RankError("nijenhuis needs a (1,1) field")
     d = J.chart.dim
-    comps = J.components
+    comps = J.components.tolist()
+    # dJ[a][k][j] is the partial d_a J^k_j, taken once for every term that reads it
+    dJ = [[[comps[k][j].diff(a) for j in range(d)] for k in range(d)] for a in range(d)]
     out = np.empty((d, d, d), dtype=object)
     out[...] = Const(0.0)
     for k in range(d):
         for i in range(d):
             for j in range(i + 1, d):
-                total = Const(0.0)
-                for a in range(d):
-                    total = total + comps[a, i] * comps[k, j].diff(a)
-                    total = total - comps[a, j] * comps[k, i].diff(a)
-                    total = total + comps[k, a] * comps[a, i].diff(j)
-                    total = total - comps[k, a] * comps[a, j].diff(i)
+                total = sum_of_products(term for a in range(d) for term in (
+                    (1, comps[a][i], dJ[a][k][j]),
+                    (-1, comps[a][j], dJ[a][k][i]),
+                    (1, comps[k][a], dJ[j][a][i]),
+                    (-1, comps[k][a], dJ[i][a][j])))
                 out[k, i, j] = total
                 out[k, j, i] = -total
     return TensorField(J.chart, 1, 2, out)

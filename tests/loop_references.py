@@ -14,6 +14,11 @@ d eta + eta (x) eta, are kept here for the same purpose.  So is the
 expression evaluator from before constants evaluated as floats: every
 ``Const`` leaf there becomes a full array or a jet of zero derivatives, and
 every operation with a constant operand is a full array or jet operation.
+
+The Nijenhuis tensor, Lie derivative, bracket and interior product are kept
+as the loops that built them one ``total = total + x * y`` at a time,
+before every contraction went through ``expressions.sum_of_products``;
+``node_counts`` counts their trees the way the benchmark does.
 """
 
 import itertools
@@ -33,6 +38,8 @@ from metsymp.expressions import ZERO, Const, Coord
 from metsymp.jets import coordinate_jets
 from metsymp.fields import (
     TensorField,
+    _expr_array,
+    _fill,
     exterior_derivative,
     inverse_matrix_exprs,
     sup_norm,
@@ -355,3 +362,97 @@ def evaluate_reference(roots, points, order=0):
     done = E._walk(roots, lambda e: seeds[e.index] if isinstance(e, Coord) else const(e.value),
                    rules, {})
     return [done[root] for root in roots]
+
+
+def nijenhuis_loop(J):
+    """N^k_ij summed one term at a time, four partials taken per term."""
+    d = J.chart.dim
+    comps = J.components
+    out = np.empty((d, d, d), dtype=object)
+    out[...] = Const(0.0)
+    for k in range(d):
+        for i in range(d):
+            for j in range(i + 1, d):
+                total = Const(0.0)
+                for a in range(d):
+                    total = total + comps[a, i] * comps[k, j].diff(a)
+                    total = total - comps[a, j] * comps[k, i].diff(a)
+                    total = total + comps[k, a] * comps[a, i].diff(j)
+                    total = total - comps[k, a] * comps[a, j].diff(i)
+                out[k, i, j] = total
+                out[k, j, i] = -total
+    return TensorField(J.chart, 1, 2, out)
+
+
+def lie_derivative_loop(X, T):
+    """L_X T with every term built, its partial taken, before it is summed."""
+    d = T.chart.dim
+
+    def entry(idx):
+        total = ZERO
+        for a in range(d):
+            total = total + X.components[a] * T.components[idx].diff(a)
+        for p in range(T.r):
+            for a in range(d):
+                swapped = idx[:p] + (a,) + idx[p + 1:]
+                total = total - X.components[idx[p]].diff(a) * T.components[swapped]
+        for q in range(T.s):
+            slot = T.r + q
+            for a in range(d):
+                swapped = idx[:slot] + (a,) + idx[slot + 1:]
+                total = total + X.components[a].diff(idx[slot]) * T.components[swapped]
+        return total
+
+    return TensorField(T.chart, T.r, T.s, _fill(T.components.shape, T.sym, entry), T.sym)
+
+
+def lie_bracket_loop(X, Y):
+    d = X.chart.dim
+    out = _expr_array((d,))
+    for k in range(d):
+        total = ZERO
+        for i in range(d):
+            total = total + X.components[i] * Y.components[k].diff(i)
+            total = total - Y.components[i] * X.components[k].diff(i)
+        out[k] = total
+    return TensorField(X.chart, 1, 0, out)
+
+
+def interior_product_loop(X, alpha):
+    d = alpha.chart.dim
+    k = alpha.s
+
+    def entry(idx):
+        total = ZERO
+        for a in range(d):
+            total = total + X.components[a] * alpha.components[(a,) + idx]
+        return total
+
+    sym = "antisymmetric" if k - 1 >= 2 else "none"
+    return TensorField(alpha.chart, 0, k - 1, _fill((d,) * (k - 1), sym, entry), sym)
+
+
+def node_counts(roots):
+    """(tree, unique) node counts of a set of roots, as the benchmark's
+    tracing counts them: tree expands every root as a tree; unique counts
+    structurally distinct nodes (same type, leaf data and children)."""
+    size, key, interned = {}, {}, {}
+    stack = list(roots)
+    while stack:
+        expr = stack[-1]
+        if id(expr) in size:
+            stack.pop()
+            continue
+        kids = [c for c in (getattr(expr, "a", None), getattr(expr, "b", None))
+                if isinstance(c, E.Expr)]
+        todo = [c for c in kids if id(c) not in size]
+        if todo:
+            stack.extend(todo)
+            continue
+        stack.pop()
+        leaf = (expr.value if isinstance(expr, Const) else
+                expr.index if isinstance(expr, Coord) else getattr(expr, "exponent", None))
+        size[id(expr)] = 1 + sum(size[id(c)] for c in kids)
+        signature = (type(expr).__name__, leaf) + tuple(key[id(c)] for c in kids)
+        key[id(expr)] = interned.setdefault(signature, len(interned))
+    return sum(size[id(root)] for root in roots), len(interned)

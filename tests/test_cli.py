@@ -172,6 +172,19 @@ def test_fit_parse_error(tmp_path, capsys):
     assert "line 5" in err
 
 
+@pytest.mark.parametrize("constant", ["exp(1000)", "10^400"])
+def test_fit_a_constant_out_of_range_is_a_parse_error(tmp_path, capsys, constant):
+    """Folding the constant overflows: exit 2 naming the line, not a traceback."""
+    text = (NAN_PHI_PATH.read_text(encoding="utf-8")
+            .replace("g z z = 1\n", f"g z z = 1 + 0*{constant}\n")
+            .replace("phi x y = sqrt(x)/sqrt(x)", "phi x y = 1"))
+    path = tmp_path / "overflow.txt"
+    path.write_text(text, encoding="utf-8")
+    assert main(["fit-kmu", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 12, column ") and "math range error" in err
+
+
 def test_fit_missing_path(capsys):
     assert main(["fit-kmu", "no-such-entry-or-file"]) == 2
 

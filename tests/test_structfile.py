@@ -76,7 +76,7 @@ def _expect_error(text, needle, line=None):
 def test_parse_errors_carry_positions():
     err = _expect_error("chart x [-1, 1]\nchart y [-1, 1]\nchart z [-1, 1]\n"
                         "eta x = 1 + $\n", "unexpected character", line=4)
-    assert err.column is not None
+    assert err.column == 13
 
     _expect_error("eta x = 1\n", "component before any chart", line=1)
     _expect_error("chart x [-1, 1]\nchart x [-1, 1]\n", "duplicate coordinate", line=2)
@@ -98,6 +98,21 @@ def test_parse_errors_carry_positions():
                   "eta z 1 = 1\n", "takes one coordinate")
     _expect_error("chart x [-1, 1]\nchart y [-1, 1]\nchart z [-1, 1]\n"
                   "eta z = 1\ng x = 1\n", "takes two coordinates")
+
+
+@pytest.mark.parametrize("rhs, column, reason", [
+    ("1 + 0*exp(1000)", 15, "math range error"),           # at exp
+    ("1 + 0*10^400", 17, "math range error"),              # at ^
+    ("  1 + 0/0", 16, "division by the zero expression"),  # at /
+    ("1 + 0*sqrt(-1)", 15, "math domain error"),
+    ("1 + 0*(-8)^0.5", 19, "math domain error"),
+])
+def test_a_constant_without_a_finite_real_value_is_a_parse_error(rhs, column, reason):
+    text = RESCALED_R3.replace("g z z = 1", f"g z z = {rhs}")
+    line = text.splitlines().index(f"g z z = {rhs}") + 1
+    err = _expect_error(text, reason, line=line)
+    assert err.column == column
+    assert "no finite real value" in str(err)
 
 
 def test_indefinite_metric_rejected():

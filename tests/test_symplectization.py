@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from metsymp.catalog import CatalogEntry
 from metsymp.charts import Chart
 from metsymp.contact import (
     ContactMetricStructure,
@@ -50,6 +51,7 @@ from metsymp.symplectization import (
     verify_symplectic,
 )
 from metsymp.structfile import load_structure_file
+from metsymp.suite import SuiteConfig, run_suite
 
 from loop_references import symplectic_top_reference
 
@@ -336,6 +338,21 @@ def test_both_acs_agree_on_distribution_at_zero_slice(sasakian, sasakian_symp):
 # ---------------------------------------------------------------------------
 # integrability dichotomy
 # ---------------------------------------------------------------------------
+
+
+def test_the_committed_r7_file_is_the_fixture_structure(sasakian7_symp):
+    """tests/data/sasakian_r7.txt, whose symplectization has dimension 8."""
+    S = load_structure_file(Path(__file__).parent / "data" / "sasakian_r7.txt")
+    want = sasakian7_symp.base
+    assert S.chart == want.chart
+    pts = want.chart.samples(20)
+    for name in ("eta", "g", "phi"):
+        assert_allclose(getattr(S, name).values(pts), getattr(want, name).values(pts),
+                        rtol=0, atol=1e-15)
+    entry = CatalogEntry(name="sasakian_r7", structure=S, expected_kappa=None,
+                         expected_mu=None, description="standard Sasakian R^7")
+    report = run_suite(entry, SuiteConfig(samples=10))
+    assert report.passed == 16
 
 
 def test_torsion_antisymmetry(flat_bundle_symp):
