@@ -48,8 +48,6 @@ from .catalog import CatalogEntry, catalog_load, catalog_names
 from .curvature import (
     ChristoffelData,
     christoffel,
-    covariant_derivative,
-    first_bianchi_check,
     ricci,
     riemann,
     sectional,
@@ -61,7 +59,6 @@ from .fields import (
     contract,
     exterior_derivative,
     interior_product,
-    jet_eval,
     lie_bracket,
     lie_derivative,
     lower_index,
@@ -76,11 +73,8 @@ from .submersion import (
     fit_symplectization_kmu,
     oneill_A,
     oneill_T,
-    split,
     verify_currel,
-    verify_kumrig_negative,
     verify_fundamental_tensors,
-    verify_oneill_curvature,
     verify_ricci_relations,
 )
 from .suite import SuiteConfig, SuiteReport, report_emit, run_suite

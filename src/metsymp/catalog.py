@@ -16,11 +16,10 @@ Two calibrated models ship with the package:
     Reeb field, so the fit returns (kappa, mu) = (0, 0) with h eigenvalues
     {0, +1, -1}.
 
-The normalizations are frozen, and ``scan_normalizations`` re-runs the
-calibration search (powers of two on the form and the metric) so a test
-can assert that exactly the frozen scaling satisfies the compatibility
-axioms.  Any rescaling of the form forces the companion metric through the
-axioms, which is why the scan has a unique fixed point.
+The normalizations are frozen: among the power-of-two rescalings of the
+form and the metric, only the shipped pair satisfies the compatibility
+axioms, because any rescaling of the form forces the companion metric
+through them.  ``tests/test_catalog.py`` re-runs that scan.
 """
 
 from __future__ import annotations
@@ -30,12 +29,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charts import Chart
-from .contact import ContactMetricStructure, verify_compatibility
+from .contact import ContactMetricStructure
 from .errors import UnknownEntryError
 from .expressions import Const, Coord, cos, sin
 from .fields import TensorField
 
-__all__ = ["CatalogEntry", "catalog_load", "catalog_names", "scan_normalizations"]
+__all__ = ["CatalogEntry", "catalog_load", "catalog_names"]
 
 
 @dataclass(frozen=True)
@@ -135,24 +134,3 @@ def catalog_load(name: str) -> CatalogEntry:
         raise UnknownEntryError(f"unknown entry {name!r}; known entries: {known}") from None
     return builder()
 
-
-def scan_normalizations(entry: CatalogEntry, n_samples: int = 40,
-                        scales: tuple[float, ...] = (0.25, 0.5, 1.0, 2.0, 4.0)
-                        ) -> list[tuple[float, float]]:
-    """Re-run the calibration scan around a frozen entry.
-
-    Tries every pair (a, b) of scalings eta -> a eta, g -> b g from the
-    grid and returns the pairs that still satisfy the compatibility axioms.
-    The frozen normalization is calibrated so that exactly (1, 1) survives.
-    """
-    S = entry.structure
-    survivors = []
-    for a in scales:
-        for b in scales:
-            eta2 = S.eta.scale(Const(a))
-            g2 = S.g.scale(Const(b))
-            cand = ContactMetricStructure.build(S.chart, eta2, g2, S.phi)
-            rep = verify_compatibility(cand, n_samples=n_samples)
-            if rep.passed:
-                survivors.append((a, b))
-    return survivors

@@ -30,6 +30,7 @@ import numpy as np
 
 from .catalog import CatalogEntry, catalog_load, catalog_names
 from .contact import (
+    FIT_TOL,
     boeckx_index,
     d_homothety,
     fit_kappa_mu,
@@ -168,9 +169,9 @@ def _cmd_fit(args) -> int:
           f"residual={rep.residual:.3e} sasakian={rep.sasakian_flag}")
     if not rep.sasakian_flag:
         print(f"{name}: index={boeckx_index(rep.kappa, rep.mu):.9g}")
-    ok = rep.residual < 1e-6
+    ok = rep.residual < FIT_TOL
     if not ok:
-        print(f"{name}: fit residual above 1e-6; the structure does not satisfy "
+        print(f"{name}: fit residual above {FIT_TOL:.1e}; the structure does not satisfy "
               "the nullity condition with constant coefficients")
     return 0 if ok else 1
 

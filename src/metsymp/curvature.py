@@ -30,14 +30,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateMetricError, GeometryError, RankError
-from .fields import TensorField, sup_norm
+from .fields import TensorField
 
 __all__ = [
     "ChristoffelData",
     "christoffel",
     "christoffel_batch",
     "christoffel_from_blocks",
-    "covariant_derivative",
     "covariant_derivative_values",
     "riemann",
     "riemann_components",
@@ -45,8 +44,6 @@ __all__ = [
     "ricci_components",
     "ricci_frame_trace",
     "sectional",
-    "first_bianchi_check",
-    "BianchiReport",
     "gram_schmidt_frame",
 ]
 
@@ -252,45 +249,6 @@ def covariant_derivative_values(
         corr = np.einsum("n...a,namb->n...bm", t_moved, gamma)
         out -= np.moveaxis(corr, -2, axis)
     return out
-
-
-def covariant_derivative(
-    g: TensorField, T: TensorField, X: np.ndarray, point: np.ndarray,
-    data: ChristoffelData | None = None,
-) -> np.ndarray:
-    """The value of nabla_X T at one point, X a concrete vector."""
-    p = np.asarray(point, dtype=float)
-    batch = None
-    if data is not None:
-        batch = ChristoffelData(
-            points=p[None, :], g=data.g[None], ginv=data.ginv[None],
-            dg=data.dg[None], gamma=data.gamma[None], dgamma=data.dgamma[None],
-        )
-    full = covariant_derivative_values(g, T, p[None, :], data=batch)
-    return np.einsum("...m,m->...", full[0], np.asarray(X, dtype=float))
-
-
-@dataclass(frozen=True)
-class BianchiReport:
-    max_residual: float
-    samples: int
-
-    @property
-    def passed(self) -> bool:
-        return self.max_residual < 1e-8
-
-
-def first_bianchi_check(g: TensorField, points: np.ndarray) -> BianchiReport:
-    """Max residual of R(X,Y)Z + R(Y,Z)X + R(Z,X)Y over coordinate triples."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[None, :]
-    data = christoffel_batch(g, pts)
-    riem = riemann_components(data)
-    r2 = np.einsum("nlijk->nlkij", riem)  # R(d_j, d_k) d_i along d_l
-    r3 = np.einsum("nljki->nlkij", riem)  # R(d_k, d_i) d_j along d_l
-    total = riem + r2 + r3
-    return BianchiReport(sup_norm(total), pts.shape[0])
 
 
 def gram_schmidt_frame(gmat: np.ndarray, seeds: np.ndarray | None = None,

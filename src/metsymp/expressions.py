@@ -53,7 +53,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .jets import Jet2, coordinate_jets
+from .jets import coordinate_jets
 
 __all__ = [
     "Expr",
@@ -77,18 +77,6 @@ class Expr:
 
     def diff(self, i: int) -> "Expr":
         raise NotImplementedError
-
-    def evaluate(self, jets: Sequence[Jet2], memo: dict | None = None) -> Jet2:
-        """Second-order jet of this expression, given the coordinate jets.
-
-        ``memo`` holds results by node identity; callers that pass one
-        dict to several calls evaluate each shared node once.  For a
-        batch of points prefer :func:`evaluate`, which also evaluates to
-        order 0.
-        """
-        lift = jets[0].constant_like
-        done = _walk((self,), _leaf(jets), _JET_RULES, {} if memo is None else memo, lift)
-        return lift(self.value) if isinstance(self, Const) else done[self]
 
     def subs(self, replacements: Sequence["Expr"]) -> "Expr":
         """Substitute ``replacements[k]`` for coordinate ``k``."""
@@ -445,20 +433,22 @@ def _operands(node: _Operation) -> tuple[Expr, ...]:
     return (node.a, node.b) if isinstance(node, _Binary) else (node.a,)
 
 
-def _walk(roots: Sequence[Expr], leaf, rules: dict, done: dict, lift=None) -> dict:
-    """Fill ``done[node]`` for every node under ``roots``, operands first.
+def _walk(roots: Sequence[Expr], leaf, rules: dict, lift=None) -> dict:
+    """The result at every node under ``roots``, operands first.
 
     ``leaf(node)`` gives the result at a constant or a coordinate, and
     ``rules[type(node)](node, *operand_results)`` the result at an
-    operation.  Nodes compare by identity, so ``done`` is keyed by node
-    identity; a node already in it is not visited again, and a node shared
-    by several parents or roots is computed once.  The walk keeps its own
-    stack: the depth of a tree is not bounded by the recursion limit.
+    operation.  Nodes compare by identity, so the returned dict is keyed by
+    node identity; a node already in it is not visited again, and a node
+    shared by several parents or roots is computed once.  The walk keeps
+    its own stack: the depth of a tree is not bounded by the recursion
+    limit.
 
     A float result is a constant.  When every operand of an operation is
     one, ``lift`` broadcasts the first to the batch before the rule runs,
     so the rule computes what it would on a full array or jet.
     """
+    done: dict = {}
     stack = list(roots)
     push, pop = stack.append, stack.pop
     while stack:
@@ -601,7 +591,7 @@ def evaluate(roots: Sequence[Expr], points, order: int = 0) -> list:
         rules, lift = _JET_RULES, seeds[0].constant_like
     else:
         raise ValueError(f"evaluation order must be 0 or 2, not {order!r}")
-    done = _walk(roots, _leaf(seeds), rules, {}, lift)
+    done = _walk(roots, _leaf(seeds), rules, lift)
     return [lift(root.value) if isinstance(root, Const) else done[root] for root in roots]
 
 
@@ -612,7 +602,7 @@ def substitute(roots: Sequence[Expr], replacements: Sequence[Expr]) -> list[Expr
     between roots is rebuilt once and its image is shared by identity.
     """
     done = _walk(roots, lambda e: replacements[e.index] if isinstance(e, Coord) else e,
-                 _SUBS_RULES, {})
+                 _SUBS_RULES)
     return [done[root] for root in roots]
 
 
@@ -673,9 +663,12 @@ def _tokenize(text: str, line: int) -> list[_Token]:
                 j += 1
             lit = text[i:j]
             try:
-                float(lit)
+                value = float(lit)
             except ValueError:
                 raise ExpressionSyntaxError(f"bad numeric literal {lit!r}", line, col)
+            if not math.isfinite(value):
+                raise ExpressionSyntaxError(f"numeric literal {lit!r} overflows a float",
+                                            line, col)
             tokens.append(_Token("number", lit, col))
             i = j
             continue

@@ -61,7 +61,6 @@ __all__ = [
     "ScalarField",
     "TensorField",
     "SmoothMap",
-    "jet_eval",
     "exterior_derivative",
     "wedge",
     "interior_product",
@@ -103,11 +102,6 @@ class ScalarField:
 
     def diff(self, i: int) -> "ScalarField":
         return ScalarField(self.chart, self.expr.diff(i))
-
-
-def jet_eval(f: ScalarField, point: np.ndarray) -> Jet2:
-    """Taylor data of ``f`` at ``point`` to order two, by jet arithmetic."""
-    return f.jet(point)
 
 
 def sup_norm(*parts) -> float:

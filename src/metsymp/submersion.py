@@ -26,12 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contact import ContactMetricStructure, _h_norms
+from .contact import H_VANISH_TOL, ContactMetricStructure, _h_norms
 from .curvature import (
     ChristoffelData,
     christoffel_batch,
     christoffel_from_blocks,
-    covariant_derivative_values,
     gram_schmidt_frame,
     ricci_components,
     riemann_components,
@@ -48,24 +47,17 @@ from .symplectization import (
 )
 
 __all__ = [
-    "SubmersionFrame",
-    "submersion_frame",
-    "split",
     "oneill_T",
     "oneill_A",
     "fundamental_T_field",
     "verify_fundamental_tensors",
-    "verify_oneill_curvature",
     "verify_currel",
     "verify_ricci_relations",
     "fit_symplectization_kmu",
-    "verify_kumrig_negative",
     "FundamentalTensorReport",
-    "OneillCurvatureReport",
     "CurvatureRelationsReport",
     "RicciTableReport",
     "SymplectizationKmuReport",
-    "RigidityReport",
     "slice_christoffel_batch",
 ]
 
@@ -74,45 +66,6 @@ def _require_product(B: SymplecticMetricStructure) -> ContactMetricStructure:
     if B.base is None or B.t_index is None:
         raise GeometryError("this verifier needs a product-type metric structure")
     return B.base
-
-
-@dataclass(frozen=True)
-class SubmersionFrame:
-    """gbar-orthonormal vertical and horizontal bases at one point."""
-
-    point: np.ndarray
-    vertical: np.ndarray     # (2n+1, dim) rows tangent to the slice
-    horizontal: np.ndarray   # (1, dim), the d_t direction
-    cross_orthogonality: float
-
-
-def submersion_frame(B: SymplecticMetricStructure, point: np.ndarray) -> SubmersionFrame:
-    """Orthonormal frame at a point, split into slice and line directions."""
-    S = _require_product(B)
-    p = np.asarray(point, dtype=float)
-    gmat = B.gbar.values(p)
-    xit = extended_slice_reeb(S, B.chart).values(p)
-    et = np.zeros(B.chart.dim)
-    et[B.t_index] = 1.0
-    frame = gram_schmidt_frame(gmat, seeds=np.stack([xit, et]))
-    horizontal = frame[1:2]
-    vertical = np.concatenate([frame[0:1], frame[2:]], axis=0)
-    cross = sup_norm(vertical @ gmat @ horizontal.T)
-    return SubmersionFrame(p, vertical, horizontal, cross)
-
-
-def split(B: SymplecticMetricStructure, V: np.ndarray, point: np.ndarray
-          ) -> tuple[np.ndarray, np.ndarray]:
-    """gbar-orthogonal (horizontal, vertical) parts of a vector at a point."""
-    _require_product(B)
-    p = np.asarray(point, dtype=float)
-    v = np.asarray(V, dtype=float)
-    gmat = B.gbar.values(p)
-    et = np.zeros(B.chart.dim)
-    et[B.t_index] = 1.0
-    coeff = float(v @ gmat @ et) / float(et @ gmat @ et)
-    horizontal = coeff * et
-    return horizontal, v - horizontal
 
 
 # ---------------------------------------------------------------------------
@@ -285,90 +238,6 @@ def verify_fundamental_tensors(B: SymplecticMetricStructure, n_samples: int = 50
     vt = T[:, :, :d, ti] - (np.eye(D)[:, :d] + xit[:, :, None] * etat[:, None, :d])
     return FundamentalTensorReport(sup_norm(vv), sup_norm(vt), sup_norm(T[:, :, ti, :]),
                                    sup_norm(A), n_samples)
-
-
-@dataclass(frozen=True)
-class OneillCurvatureReport:
-    vertical_identity: float      # four vertical slots
-    three_vertical_identity: float
-    mixed_identity: float         # horizontal-vertical-horizontal-vertical
-    two_pair_identity: float      # vertical pair against horizontal pair
-    samples: int
-
-    @property
-    def max_residual(self) -> float:
-        return sup_norm(self.vertical_identity, self.three_vertical_identity,
-                        self.mixed_identity, self.two_pair_identity)
-
-
-def verify_oneill_curvature(B: SymplecticMetricStructure, n_samples: int = 50,
-                            seed: int | None = None) -> OneillCurvatureReport:
-    """The four curvature relations of a submersion with a line base.
-
-    Writing (V1,V2,V3,V4) for gbar(R(V1,V2)V3, V4), the relations compare
-    the ambient curvature against the intrinsic slice curvature plus
-    quadratic and differentiated terms in T.  The slice curvature comes
-    from ``slice_christoffel_batch`` and T from its closed form, so both
-    sides are computed along independent paths.
-    """
-    S = _require_product(B)
-    pts = B.chart.samples(n_samples, seed=seed)
-    data = christoffel_batch(B.gbar, pts)
-    D = B.chart.dim
-    d = S.chart.dim
-    ti = B.t_index
-    gv = data.g
-    riem = riemann_components(data)
-    rlow = np.einsum("nel,nlkij->nekij", gv, riem)  # gbar(R(d_i,d_j)d_k, d_e)
-
-    sl = slice_christoffel_batch(B, pts)
-    riem_t = riemann_components(sl)
-    rlow_t = np.einsum("nel,nlkij->nekij", sl.g, riem_t)
-
-    Tf = fundamental_T_field(B)
-    tv = Tf.values(pts)                    # tv[n, k, a, b]
-    dT = covariant_derivative_values(B.gbar, Tf, pts, data)  # [n,k,a,b,m]
-
-    def pair(k1, a1, k2, a2):
-        """gbar(T(d_k1, d_a1), T(d_k2, d_a2)) batched."""
-        return np.einsum("nc,ncd,nd->n", tv[:, :, k1, a1], gv, tv[:, :, k2, a2])
-
-    d1, d2, d3, d4 = [], [], [], []
-    for a in range(d):
-        for b in range(d):
-            for c in range(d):
-                for e in range(d):
-                    lhs = rlow[:, e, c, a, b]
-                    rhs = rlow_t[:, e, c, a, b] + pair(a, c, b, e) - pair(b, c, a, e)
-                    d1.append(lhs - rhs)
-    for a in range(d):
-        for b in range(d):
-            for c in range(d):
-                lhs = rlow[:, ti, c, a, b]
-                dterm = dT[:, :, b, c, a] - dT[:, :, a, c, b]
-                rhs = np.einsum("nc,ncd,nd->n", dterm, gv, _unit(B, pts))
-                d2.append(lhs - rhs)
-    for a in range(d):
-        for b in range(d):
-            lhs = rlow[:, b, ti, ti, a]
-            qterm = np.einsum("nc,ncd,nd->n", tv[:, :, a, ti], gv, tv[:, :, b, ti])
-            dterm = np.einsum("nc,ncd,nd->n", dT[:, :, a, b, ti], gv, _unit(B, pts))
-            rhs = qterm - dterm
-            d3.append(lhs - rhs)
-    for a in range(d):
-        for b in range(d):
-            lhs = rlow[:, ti, ti, a, b]
-            rhs = (np.einsum("nc,ncd,nd->n", tv[:, :, a, ti], gv, tv[:, :, b, ti])
-                   - np.einsum("nc,ncd,nd->n", tv[:, :, b, ti], gv, tv[:, :, a, ti]))
-            d4.append(lhs - rhs)
-    return OneillCurvatureReport(sup_norm(*d1), sup_norm(*d2), sup_norm(*d3), sup_norm(*d4),
-                                 n_samples)
-
-
-def _unit(B: SymplecticMetricStructure, pts: np.ndarray) -> np.ndarray:
-    et = np.zeros((len(pts), B.chart.dim))
-    et[:, B.t_index] = 1.0
-    return et
 
 
 def _product_frames(B: SymplecticMetricStructure, gv: np.ndarray,
@@ -564,7 +433,7 @@ def fit_symplectization_kmu(B: SymplecticMetricStructure, t: float,
 
     h_max = sup_norm(_h_norms(S.g.values(base_pts), h_base))
     bvec = lhs.ravel()
-    if h_max < 1e-8:
+    if h_max < H_VANISH_TOL:
         amat = colA.ravel()[:, None]
         sol, *_ = np.linalg.lstsq(amat, bvec, rcond=None)
         kt = float(sol[0])
@@ -576,70 +445,3 @@ def fit_symplectization_kmu(B: SymplecticMetricStructure, t: float,
     res = sup_norm(lhs - kt * colA - mt * colB)
     return SymplectizationKmuReport(kt, mt, res, float(t), n_samples)
 
-
-@dataclass(frozen=True)
-class RigidityReport:
-    """Diagnostics for the constant-Ricci-form rigidity criterion.
-
-    ``hypothesis_residual`` is the largest frame component of
-    Ric + (2n+4) dt (x) dt; the hypothesis of the rigidity statement holds
-    only when this vanishes.  ``forward_arithmetic_residual`` checks that
-    the implemented Ricci rows, under the hypothesis, force the slice to be
-    eta-Einstein with both coefficients 2n + 2.  ``slice_eta_einstein``
-    maps slice parameters to their fitted (alpha, beta, residual).
-    """
-
-    hypothesis_residual: float
-    hypothesis_holds: bool
-    witness_labels: tuple[str, str]
-    forward_arithmetic_residual: float
-    slice_eta_einstein: dict
-    samples: int
-
-
-def verify_kumrig_negative(B: SymplecticMetricStructure, n_samples: int = 30,
-                           seed: int | None = None,
-                           slice_ts: tuple[float, ...] = (0.0, 0.4)
-                           ) -> RigidityReport:
-    from .contact import eta_einstein_fit
-    from .symplectization import slice_structure
-
-    S = _require_product(B)
-    pts = B.chart.samples(n_samples, seed=seed)
-    data = christoffel_batch(B.gbar, pts)
-    nn = S.n
-    ric_bar = ricci_components(data)
-    xit_full = extended_slice_reeb(S, B.chart).values(pts)
-
-    D = B.chart.dim
-    names = ["xi_t", "d_t"] + [f"e{i+1}" for i in range(D - 2)]
-    # frame components of Ric + (2n+4) dt^2
-    frames = _product_frames(B, data.g, xit_full)
-    dt_f = frames[:, :, B.t_index]
-    table = (_frame_components(frames, ric_bar)
-             + (2.0 * nn + 4.0) * dt_f[:, :, None] * dt_f[:, None, :])
-    worst = sup_norm(table)
-    _, i, j = np.unravel_index(np.argmax(np.abs(table)), table.shape)
-    labels = (names[i], names[j])
-    hypothesis_holds = worst < 1e-6
-
-    # forward arithmetic: under the hypothesis the implemented rows give
-    # Ric_t(e_i, e_j) = (2n+2) delta, Ric_t(e_i, xi) = 0,
-    # Ric_t(xi, xi) = 4n + 4, i.e. Ric_t = (2n+2) g_t + (2n+2) etat (x) etat.
-    dim_v = 2 * nn + 1
-    hyp_rows = np.zeros((dim_v, dim_v))
-    hyp_rows[:dim_v - 1, :dim_v - 1] = (2.0 * nn + 2.0) * np.eye(dim_v - 1)
-    hyp_rows[dim_v - 1, dim_v - 1] = 4.0 * nn + 4.0
-    alpha = beta = 2.0 * nn + 2.0
-    model = alpha * np.eye(dim_v)
-    model[dim_v - 1, dim_v - 1] += beta
-    forward_res = sup_norm(hyp_rows - model)
-
-    slice_fits = {}
-    for t0 in slice_ts:
-        sl = slice_structure(B, t0)
-        rep = eta_einstein_fit(sl.structure, n_samples=max(20, n_samples // 2), seed=seed)
-        slice_fits[t0] = (rep.alpha, rep.beta, rep.residual)
-
-    return RigidityReport(worst, hypothesis_holds, labels, forward_res,
-                          slice_fits, n_samples)

@@ -175,26 +175,6 @@ def ricci_rows_reference(B, n_samples, seed):
             sup_norm(rr), r_ll, sign_flip)
 
 
-def rigidity_table_reference(B, n_samples, seed):
-    """The frame table of verify_kumrig_negative, entry by entry."""
-    S = B.base
-    pts = B.chart.samples(n_samples, seed=seed)
-    data = christoffel_batch(B.gbar, pts)
-    ric_bar = ricci_components(data)
-    xit_full = extended_slice_reeb(S, B.chart).values(pts)
-    D = B.chart.dim
-    dt_cov = _unit(B, 1)[0]
-    table = np.empty((len(pts), D, D))
-    for k in range(len(pts)):
-        frame = _frame(B, data.g[k], xit_full[k])
-        for i in range(D):
-            for j in range(D):
-                val = float(frame[i] @ ric_bar[k] @ frame[j])
-                val += (2.0 * S.n + 4.0) * float(frame[i] @ dt_cov) * float(frame[j] @ dt_cov)
-                table[k, i, j] = val
-    return table
-
-
 def kmu_curvature_reference(S, kappa, mu, n_samples, seed):
     """The six eigenspace identity residuals, one eigenvector triple at a time."""
     pts = S.chart.samples(n_samples, seed=seed)
@@ -360,7 +340,7 @@ def evaluate_reference(roots, points, order=0):
         seeds = coordinate_jets(pts)
         const, rules = seeds[0].constant_like, _REFERENCE_JET_RULES
     done = E._walk(roots, lambda e: seeds[e.index] if isinstance(e, Coord) else const(e.value),
-                   rules, {})
+                   rules)
     return [done[root] for root in roots]
 
 

@@ -112,6 +112,19 @@ def test_fit_file(tmp_path, capsys):
     assert "kappa=1" in out and "mu=undefined" in out
 
 
+def test_fit_refuses_a_residual_at_the_fit_tolerance(monkeypatch, capsys):
+    import dataclasses
+
+    import metsymp.cli
+    from metsymp.contact import FIT_TOL
+
+    real_fit = metsymp.cli.fit_kappa_mu
+    monkeypatch.setattr(metsymp.cli, "fit_kappa_mu", lambda *args, **kwargs: dataclasses.replace(
+        real_fit(*args, **kwargs), residual=FIT_TOL))
+    assert main(["fit-kmu", "unit-tangent-flat-plane", "--samples", "10"]) == 1
+    assert "fit residual above 1.0e-06;" in capsys.readouterr().out
+
+
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_fit_incompatible_file_fails(tmp_path, capsys):
     path = tmp_path / "bad.txt"
@@ -183,6 +196,20 @@ def test_fit_a_constant_out_of_range_is_a_parse_error(tmp_path, capsys, constant
     assert main(["fit-kmu", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: line 12, column ") and "math range error" in err
+
+
+def test_fit_an_overflowing_literal_is_a_parse_error(tmp_path, capsys):
+    """``1e400*0`` would fold to NaN and fail the compatibility gate (exit 1);
+    the literal itself is the error, so the exit is 2 and names the line."""
+    text = (NAN_PHI_PATH.read_text(encoding="utf-8")
+            .replace("eta x = -y\n", "eta x = -y + 1e400*0\n")
+            .replace("phi x y = sqrt(x)/sqrt(x)", "phi x y = 1"))
+    path = tmp_path / "overflow.txt"
+    path.write_text(text, encoding="utf-8")
+    assert main(["fit-kmu", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 7, column 14: numeric literal '1e400' overflows")
+    assert "Traceback" not in err
 
 
 def test_fit_missing_path(capsys):

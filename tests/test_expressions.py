@@ -24,23 +24,22 @@ from metsymp.expressions import (
     sin,
     sqrt,
 )
-from metsymp.jets import Jet2, coordinate_jets
+from metsymp.jets import Jet2
 
 from loop_references import evaluate_reference
 
 
 def _value(expr, point):
-    return float(expr.evaluate(coordinate_jets(np.asarray(point, dtype=float))).value)
+    return float(evaluate([expr], np.asarray(point, dtype=float))[0])
 
 
 def test_symbolic_diff_matches_jet_gradient():
     x, y = Coord(0, "x"), Coord(1, "y")
     expr = sin(x * y) * exp(x) + (Const(1.0) + y * y) ** 2 / (Const(3.0) + x)
     pts = np.random.default_rng(0).uniform(-1, 1, size=(20, 2))
-    jets = coordinate_jets(pts)
-    j = expr.evaluate(jets, {})
+    j = evaluate([expr], pts, order=2)[0]
     for i in range(2):
-        di = expr.diff(i).evaluate(jets, {})
+        di = evaluate([expr.diff(i)], pts, order=2)[0]
         assert_allclose(di.value, j.grad[:, i], atol=1e-13)
 
 
@@ -95,6 +94,14 @@ def test_parse_error_reports_line_and_column():
     with pytest.raises(ExpressionSyntaxError) as err:
         parse_expression("x ^ y", ("x", "y"))
     assert "constant" in str(err.value)
+
+    # a literal that overflows a float is rejected where it stands, like a folded 2^2000
+    for text, column in (("1e400*0", 1), ("x + 2.5E+999", 5)):
+        with pytest.raises(ExpressionSyntaxError) as err:
+            parse_expression(text, ("x",), line=3)
+        assert (err.value.line, err.value.column) == (3, column)
+        assert "overflows a float" in str(err.value)
+    assert parse_expression("1e308", ("x",)).value == 1e308
 
 
 def test_negative_constant_exponent():
@@ -233,13 +240,11 @@ def test_a_constant_root_is_broadcast_to_the_batch(pts):
     batch = pts.shape[:-1]
     value, = evaluate([Const(2.5)], pts)
     assert np.shape(value) == batch and np.all(value == 2.5)
-    jets = coordinate_jets(pts)
-    for jet in (evaluate([Const(2.5)], pts, order=2)[0], Const(2.5).evaluate(jets),
-                Const(2.5).evaluate(jets, {})):
-        assert isinstance(jet, Jet2)
-        assert np.shape(jet.value) == batch and np.all(jet.value == 2.5)
-        assert jet.grad.shape == batch + (3,) and not jet.grad.any()
-        assert jet.hess.shape == batch + (3, 3) and not jet.hess.any()
+    jet, = evaluate([Const(2.5)], pts, order=2)
+    assert isinstance(jet, Jet2)
+    assert np.shape(jet.value) == batch and np.all(jet.value == 2.5)
+    assert jet.grad.shape == batch + (3,) and not jet.grad.any()
+    assert jet.hess.shape == batch + (3, 3) and not jet.hess.any()
 
 
 @_AT

@@ -8,7 +8,7 @@ from metsymp.charts import Chart
 from metsymp.errors import DomainError
 from metsymp.expressions import Const, Coord, cos, exp, sin, sqrt
 from metsymp.fd_oracle import fd_gradient, fd_hessian
-from metsymp.fields import ScalarField, jet_eval
+from metsymp.fields import ScalarField
 from metsymp.jets import Jet2
 
 
@@ -20,7 +20,7 @@ def chart_xy():
 def test_polynomial_jet(chart_xy):
     x, y = Coord(0, "x"), Coord(1, "y")
     f = ScalarField(chart_xy, x * x * y)
-    j = jet_eval(f, np.array([1.0, 2.0]))
+    j = f.jet(np.array([1.0, 2.0]))
     assert j.value == 2.0
     assert_allclose(j.grad, [4.0, 1.0])
     assert_allclose(j.hess, [[4.0, 2.0], [2.0, 0.0]])
@@ -29,13 +29,13 @@ def test_polynomial_jet(chart_xy):
 def test_exponential_jet():
     chart = Chart(("t",), ((-2.0, 2.0),))
     f = ScalarField(chart, exp(Const(2.0) * Coord(0, "t")))
-    j = jet_eval(f, np.array([0.0]))
+    j = f.jet(np.array([0.0]))
     assert_allclose([j.value, j.grad[0], j.hess[0, 0]], [1.0, 2.0, 4.0])
 
 
 def test_constant_jet(chart_xy):
     f = ScalarField(chart_xy, Const(7.25))
-    j = jet_eval(f, np.array([0.4, -0.9]))
+    j = f.jet(np.array([0.4, -0.9]))
     assert j.value == 7.25
     assert np.all(j.grad == 0.0)
     assert np.all(j.hess == 0.0)
@@ -44,7 +44,7 @@ def test_constant_jet(chart_xy):
 def test_out_of_domain_point_rejected(chart_xy):
     f = ScalarField(chart_xy, Coord(0, "x"))
     with pytest.raises(DomainError):
-        jet_eval(f, np.array([10.0, 0.0]))
+        f.jet(np.array([10.0, 0.0]))
 
 
 def test_quotient_and_composition(chart_xy):

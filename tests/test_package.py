@@ -1,0 +1,40 @@
+"""The public surface: exported names and the README's library example."""
+
+import importlib
+import pkgutil
+import re
+import sys
+from pathlib import Path
+
+import metsymp
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_every_exported_name_resolves():
+    """Each name in a module's ``__all__`` is bound in that module, and each
+    name the package re-exports is in its home module's ``__all__``, so a
+    stale export fails here and not only on ``import *``."""
+    stale = []
+    for info in pkgutil.iter_modules(metsymp.__path__):
+        module = importlib.import_module(f"metsymp.{info.name}")
+        stale += [f"{module.__name__}.{name}" for name in getattr(module, "__all__", ())
+                  if not hasattr(module, name)]
+    stale += [f"metsymp.{name}" for name in getattr(metsymp, "__all__", ())
+              if not hasattr(metsymp, name)]
+    for name, value in vars(metsymp).items():
+        home = getattr(value, "__module__", None) or ""
+        if not name.startswith("_") and home.startswith("metsymp."):
+            if name not in getattr(sys.modules[home], "__all__", (name,)):
+                stale.append(f"metsymp.{name} (not in {home}.__all__)")
+    assert not stale
+
+
+def test_the_readme_example_runs(capsys):
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"),
+                        re.MULTILINE | re.DOTALL)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], str(README), "exec"), {})
+    fit, line_line = capsys.readouterr().out.splitlines()
+    assert "kappa=" in fit
+    assert abs(float(line_line)) < 1e-10   # the -6 row of the Ricci table

@@ -19,8 +19,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from metsymp.contact import fit_kappa_mu, kappa_mu_after_rescale
-from metsymp.curvature import christoffel_batch, covariant_derivative_values
+from metsymp.contact import eta_einstein_fit, fit_kappa_mu, kappa_mu_after_rescale
+from metsymp.curvature import (
+    christoffel_batch,
+    covariant_derivative_values,
+    gram_schmidt_frame,
+    ricci_components,
+)
 from metsymp.expressions import Const, Coord, sin
 from metsymp.fields import TensorField
 from metsymp.submersion import (
@@ -28,21 +33,16 @@ from metsymp.submersion import (
     fundamental_T_field,
     oneill_A,
     oneill_T,
-    split,
-    submersion_frame,
     verify_currel,
-    verify_kumrig_negative,
     verify_fundamental_tensors,
-    verify_oneill_curvature,
     verify_ricci_relations,
 )
-from metsymp.symplectization import extended_slice_reeb
+from metsymp.symplectization import extended_slice_reeb, slice_structure
 
 from loop_references import (
     assert_connection_matches_reference,
     currel_reference,
     ricci_rows_reference,
-    rigidity_table_reference,
 )
 
 
@@ -51,33 +51,24 @@ def _symp(name, sas, flat):
 
 
 # ---------------------------------------------------------------------------
-# splitting and frames
+# frames
 # ---------------------------------------------------------------------------
 
 
-def test_split_examples(flat_bundle_symp):
-    B = flat_bundle_symp
-    p = B.chart.samples(1, seed=3)[0]
-    et = np.array([0.0, 0.0, 0.0, 1.0])
-    h, v = split(B, et, p)
-    assert_allclose(h, et, atol=1e-14)
-    assert_allclose(v, 0.0, atol=1e-14)
-    xit = extended_slice_reeb(B.base, B.chart).values(p)
-    h, v = split(B, xit, p)
-    assert_allclose(h, 0.0, atol=1e-13)
-    assert_allclose(v, xit, atol=1e-13)
-    h, v = split(B, xit + 2.0 * et, p)
-    assert_allclose(h, 2.0 * et, atol=1e-13)
-    assert_allclose(v, xit, atol=1e-13)
-
-
 def test_submersion_frame_orthogonality(any_entry, sasakian_symp, flat_bundle_symp):
+    """The gbar-orthonormal frame seeded by xi_t and d_t, the per-sample frame
+    of the Ricci rows: d_t is its second row, and the other rows are
+    gbar-orthogonal to it, so they are tangent to the slice."""
     B = _symp(any_entry.name, sasakian_symp, flat_bundle_symp)
+    et = np.eye(4)[B.t_index]
+    xit_field = extended_slice_reeb(B.base, B.chart)
     for p in B.chart.samples(5):
-        fr = submersion_frame(B, p)
-        assert fr.vertical.shape == (3, 4)
-        assert fr.horizontal.shape == (1, 4)
-        assert fr.cross_orthogonality < 1e-10
+        gmat = B.gbar.values(p)
+        frame = gram_schmidt_frame(gmat, seeds=np.stack([xit_field.values(p), et]))
+        assert_allclose(frame @ gmat @ frame.T, np.eye(4), atol=1e-12)
+        assert_allclose(frame[1], et, atol=1e-12)
+        vertical = np.delete(frame, 1, axis=0)
+        assert np.max(np.abs(vertical @ gmat @ et)) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -229,15 +220,6 @@ def test_fundamental_tensors_reject_a_wrong_metric(any_entry, sasakian_symp, fla
 # ---------------------------------------------------------------------------
 
 
-def test_oneill_curvature_identities(any_entry, sasakian_symp, flat_bundle_symp):
-    B = _symp(any_entry.name, sasakian_symp, flat_bundle_symp)
-    rep = verify_oneill_curvature(B, 50)
-    assert rep.vertical_identity < 1e-6
-    assert rep.three_vertical_identity < 1e-6
-    assert rep.mixed_identity < 1e-6
-    assert rep.two_pair_identity < 1e-8
-
-
 def test_curvature_relations(any_entry, sasakian_symp, flat_bundle_symp):
     B = _symp(any_entry.name, sasakian_symp, flat_bundle_symp)
     rep = verify_currel(B, 60)
@@ -372,25 +354,21 @@ def test_slice_fit_sasakian(sasakian_symp):
 
 
 # ---------------------------------------------------------------------------
-# the rigidity diagnostic
+# the rigidity hypothesis
 # ---------------------------------------------------------------------------
 
 
 def test_rigidity_hypothesis_fails_on_flat_bundle(flat_bundle_symp):
-    rep = verify_kumrig_negative(flat_bundle_symp, 20)
-    assert not rep.hypothesis_holds
-    assert rep.hypothesis_residual > 1e-3
-    assert rep.forward_arithmetic_residual < 1e-12
-    alpha0, beta0, res0 = rep.slice_eta_einstein[0.0]
-    assert res0 < 1e-6          # mu = 0 = 2 - 2n: this slice is eta-Einstein
-    _, _, res1 = rep.slice_eta_einstein[0.4]
-    assert res1 > 1e-3          # rescaled slice has mu != 0 and is not
-
-
-def test_rigidity_report_only_on_sasakian(sasakian_symp):
-    rep = verify_kumrig_negative(sasakian_symp, 15)
-    assert isinstance(rep.hypothesis_holds, bool)
-    assert rep.forward_arithmetic_residual < 1e-12
+    """Ric + (2n+4) dt (x) dt, the form whose vanishing the rigidity statement
+    assumes, does not vanish on the flat bundle's symplectization."""
+    B = flat_bundle_symp
+    ric = ricci_components(christoffel_batch(B.gbar, B.chart.samples(20)))
+    ric[:, B.t_index, B.t_index] += 2.0 * B.base.n + 4.0
+    assert np.max(np.abs(ric)) > 1e-3
+    # mu = 0 = 2 - 2n: the slice at t = 0 is eta-Einstein
+    assert eta_einstein_fit(slice_structure(B, 0.0).structure, 20).residual < 1e-6
+    # the slice at t = 0.4 is a D-homothety of it with mu != 0, and is not
+    assert eta_einstein_fit(slice_structure(B, 0.4).structure, 20).residual > 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -413,13 +391,6 @@ def test_batched_verifiers_match_the_loop_references(which, request):
            rep.reeb_line, rep.reeb_reeb, rep.line_line)
     assert_allclose(got, want[:6], rtol=0, atol=1e-13)
     assert rep.sign_flip_detected == want[6]
-
-    rep = verify_kumrig_negative(B, 15, seed=4, slice_ts=())
-    table = rigidity_table_reference(B, 15, seed=4)
-    assert_allclose(rep.hypothesis_residual, np.max(np.abs(table)), rtol=0, atol=1e-13)
-    names = ["xi_t", "d_t"] + [f"e{i + 1}" for i in range(B.chart.dim - 2)]
-    _, i, j = np.unravel_index(np.argmax(np.abs(table)), table.shape)
-    assert rep.witness_labels == (names[i], names[j])
 
 
 def test_batched_verifiers_reject_a_doubled_line_metric(flat_bundle_symp):
