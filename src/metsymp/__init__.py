@@ -48,7 +48,6 @@ from .catalog import CatalogEntry, catalog_load, catalog_names
 from .curvature import (
     ChristoffelData,
     christoffel,
-    ricci,
     riemann,
     sectional,
 )
@@ -79,7 +78,6 @@ from .submersion import (
 )
 from .suite import SuiteConfig, SuiteReport, report_emit, run_suite
 from .symplectization import (
-    SliceStructure,
     SymplecticMetricStructure,
     build_metric_symplectization,
     induced_contact_on_hypersurface,

@@ -186,7 +186,7 @@ def _cmd_symplectize(args) -> int:
     if not args.verify:
         print("built; run with --verify for the residual checks")
         return 0
-    symp = verify_symplectic(B, args.samples, seed=args.seed)
+    symp = verify_symplectic(B.omega, args.samples, seed=args.seed)
     oks = [_verdict(f"{'closed':<24}", sup_norm(symp.closed_residual), 1e-10),
            # the top coefficient must clear the floor; NaN propagates and fails
            _verdict(f"{'nondegenerate':<24}",

@@ -66,6 +66,7 @@ __all__ = [
     "verify_compatibility",
     "is_K_contact",
     "fit_kappa_mu",
+    "nullity_fit",
     "d_homothety",
     "kappa_mu_after_rescale",
     "boeckx_index",
@@ -405,40 +406,42 @@ def is_K_contact(S: ContactMetricStructure, n_samples: int = 100,
 # ---------------------------------------------------------------------------
 
 
+def nullity_fit(lhs: np.ndarray, eta: np.ndarray, h: np.ndarray | None
+                ) -> tuple[float, float | None, float]:
+    """Least-squares (kappa, mu, residual) of the nullity condition.
+
+    ``lhs[n, l, i, j]`` is the d_l component of R(d_i, d_j) xi at sample n,
+    ``eta[n, i]`` the values of eta and ``h[n, l, i]`` those of h.  The fit
+    is lhs = kappa A + mu B over all samples and coordinate pairs, with
+    A = eta(d_j) d_i - eta(d_i) d_j and B = h A; with ``h`` None it fits
+    kappa alone and mu is None.  The residual is the sup norm of
+    lhs - (kappa A + mu B).
+    """
+    eye = np.eye(eta.shape[1])
+    colA = np.einsum("nj,li->nlij", eta, eye) - np.einsum("ni,lj->nlij", eta, eye)
+    b = lhs.ravel()
+    if h is None:
+        sol, *_ = np.linalg.lstsq(colA.ravel()[:, None], b, rcond=None)
+        kappa = float(sol[0])
+        return kappa, None, sup_norm(lhs - kappa * colA)
+    colB = np.einsum("nj,nli->nlij", eta, h) - np.einsum("ni,nlj->nlij", eta, h)
+    sol, *_ = np.linalg.lstsq(np.stack([colA.ravel(), colB.ravel()], axis=1), b, rcond=None)
+    kappa, mu = float(sol[0]), float(sol[1])
+    return kappa, mu, sup_norm(lhs - (kappa * colA + mu * colB))
+
+
 def fit_kappa_mu(S: ContactMetricStructure, n_samples: int = 50,
                  seed: int | None = None) -> KmuReport:
     """Least-squares (kappa, mu) over all samples and coordinate pairs."""
     pts = S.chart.samples(n_samples, seed=seed)
-    d = S.chart.dim
     data = christoffel_batch(S.g, pts)
     riem = riemann_components(data)
-    xv = S.xi.values(pts)
-    ev = S.eta.values(pts)
     hv = S.h.values(pts)
-
-    lhs = np.einsum("nlkij,nk->nlij", riem, xv)
-    eye = np.eye(d)
-    colA = np.einsum("nj,li->nlij", ev, eye) - np.einsum("ni,lj->nlij", ev, eye)
-    colB = np.einsum("nj,nli->nlij", ev, hv) - np.einsum("ni,nlj->nlij", ev, hv)
-
-    h_max = sup_norm(_h_norms(data.g, hv))
-    b = lhs.ravel()
-    if h_max < H_VANISH_TOL:
-        a = colA.ravel()[:, None]
-        sol, *_ = np.linalg.lstsq(a, b, rcond=None)
-        kappa = float(sol[0])
-        fitted = kappa * colA
-        residual = sup_norm(lhs - fitted)
-        return KmuReport(kappa=kappa, mu=None, residual=residual,
-                         sasakian_flag=True, lam=None)
-    a = np.stack([colA.ravel(), colB.ravel()], axis=1)
-    sol, *_ = np.linalg.lstsq(a, b, rcond=None)
-    kappa, mu = float(sol[0]), float(sol[1])
-    fitted = kappa * colA + mu * colB
-    residual = sup_norm(lhs - fitted)
-    lam = math.sqrt(max(1.0 - kappa, 0.0))
-    return KmuReport(kappa=kappa, mu=mu, residual=residual,
-                     sasakian_flag=False, lam=lam)
+    lhs = np.einsum("nlkij,nk->nlij", riem, S.xi.values(pts))
+    sasakian = sup_norm(_h_norms(data.g, hv)) < H_VANISH_TOL
+    kappa, mu, residual = nullity_fit(lhs, S.eta.values(pts), None if sasakian else hv)
+    lam = None if sasakian else math.sqrt(max(1.0 - kappa, 0.0))
+    return KmuReport(kappa=kappa, mu=mu, residual=residual, sasakian_flag=sasakian, lam=lam)
 
 
 def kappa_mu_after_rescale(kappa: float, mu: float | None, a: float

@@ -40,7 +40,6 @@ __all__ = [
     "covariant_derivative_values",
     "riemann",
     "riemann_components",
-    "ricci",
     "ricci_components",
     "ricci_frame_trace",
     "sectional",
@@ -168,14 +167,6 @@ def ricci_components(data: ChristoffelData) -> np.ndarray:
     """Ric[..., p, q] = Ric(d_p, d_q) by direct contraction."""
     riem = riemann_components(data)
     return np.einsum("...aqap->...pq", riem)
-
-
-def ricci(g: TensorField, X: np.ndarray, Y: np.ndarray, point: np.ndarray,
-          data: ChristoffelData | None = None) -> float:
-    if data is None:
-        data = christoffel(g, point)
-    ric = ricci_components(data)
-    return float(np.einsum("pq,p,q->", ric, np.asarray(X, float), np.asarray(Y, float)))
 
 
 def ricci_frame_trace(data: ChristoffelData) -> np.ndarray:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Jet2", "coordinate_jets", "constant_jet"]
+__all__ = ["Jet2", "coordinate_jets"]
 
 
 def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -181,10 +181,3 @@ def coordinate_jets(points: np.ndarray) -> tuple[Jet2, ...]:
         else:
             jets.append(Jet2(value, grad, hess))
     return tuple(jets)
-
-
-def constant_jet(c: float, dim: int, batch: int | None = None) -> Jet2:
-    """A jet holding the constant ``c`` on a chart of dimension ``dim``."""
-    if batch is None:
-        return Jet2(np.asarray(float(c)), np.zeros(dim), np.zeros((dim, dim)))
-    return Jet2(np.full(batch, float(c)), np.zeros((batch, dim)), np.zeros((batch, dim, dim)))

@@ -30,6 +30,7 @@ coordinate names.  All parse errors carry a line and column.
 
 from __future__ import annotations
 
+import math
 import re
 
 import numpy as np
@@ -83,6 +84,10 @@ def parse_structure_text(text: str, name: str = "<string>") -> ContactMetricStru
                 raise StructureFileError(f"duplicate coordinate {cname!r}", lineno)
             if not lo < hi:
                 raise StructureFileError(f"empty interval for {cname!r}", lineno)
+            if not math.isfinite(hi - lo):
+                raise StructureFileError(
+                    f"interval for {cname!r} needs finite ends and width, got [{lo}, {hi}]",
+                    lineno)
             coord_names.append(cname)
             intervals.append((lo, hi))
             continue

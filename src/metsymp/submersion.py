@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contact import H_VANISH_TOL, ContactMetricStructure, _h_norms
+from .contact import H_VANISH_TOL, _h_norms, nullity_fit
 from .curvature import (
     ChristoffelData,
     christoffel_batch,
@@ -35,14 +35,13 @@ from .curvature import (
     ricci_components,
     riemann_components,
 )
-from .errors import GeometryError
 from .expressions import Const
 from .fields import TensorField, sup_norm
 from .symplectization import (
     SymplecticMetricStructure,
-    extend_to_product,
     extended_slice_form,
     extended_slice_reeb,
+    slice_form_values,
     slice_metric_field,
 )
 
@@ -60,12 +59,6 @@ __all__ = [
     "SymplectizationKmuReport",
     "slice_christoffel_batch",
 ]
-
-
-def _require_product(B: SymplecticMetricStructure) -> ContactMetricStructure:
-    if B.base is None or B.t_index is None:
-        raise GeometryError("this verifier needs a product-type metric structure")
-    return B.base
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +106,6 @@ def _oneill(B: SymplecticMetricStructure, E1: TensorField, E2: TensorField,
             points: np.ndarray, data: ChristoffelData | None,
             horizontal_e1: bool) -> np.ndarray:
     """The table of A (horizontal E1) or T, contracted with E1 and E2."""
-    _require_product(B)
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[None, :]
@@ -153,7 +145,7 @@ def fundamental_T_field(B: SymplecticMetricStructure) -> TensorField:
     indices a, b, and T(d_a, d_t) = d_a + etat_a xi_t; horizontal first
     slot gives zero.
     """
-    S = _require_product(B)
+    S = B.base
     chart = B.chart
     D = chart.dim
     ti = B.t_index
@@ -186,7 +178,7 @@ def slice_christoffel_batch(B: SymplecticMetricStructure, points: np.ndarray
     partial derivatives enter, so this is the intrinsic curvature of the
     slice through each point, independent of the ambient pipeline.
     """
-    S = _require_product(B)
+    S = B.base
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[None, :]
@@ -220,15 +212,14 @@ class FundamentalTensorReport:
 def verify_fundamental_tensors(B: SymplecticMetricStructure, n_samples: int = 50,
                    seed: int | None = None) -> FundamentalTensorReport:
     """Fundamental tensors from the definition versus the closed form."""
-    S = _require_product(B)
+    S = B.base
     pts = B.chart.samples(n_samples, seed=seed)
     data = christoffel_batch(B.gbar, pts)
     D = B.chart.dim
     d = S.chart.dim
     ti = B.t_index
     gv = data.g
-    etat = extended_slice_form(S, B.chart).values(pts)
-    xit = extended_slice_reeb(S, B.chart).values(pts)
+    etat, xit = slice_form_values(S, pts)
     T, A = _oneill_tables(B, data)
 
     # T(d_a, d_b) = -(gbar_ab + etat_a etat_b) d_t for slice indices a, b
@@ -292,7 +283,7 @@ def verify_currel(B: SymplecticMetricStructure, n_samples: int = 50,
       3. gbar(R(d_t, X) d_t, Y) = g_t(X, Y) + 3 eta_t(X) eta_t(Y)
       4. gbar(R(X, Y) d_t, d_t) = 0
     """
-    S = _require_product(B)
+    S = B.base
     pts = B.chart.samples(n_samples, seed=seed)
     data = christoffel_batch(B.gbar, pts)
     d = S.chart.dim
@@ -304,11 +295,10 @@ def verify_currel(B: SymplecticMetricStructure, n_samples: int = 50,
     sl = slice_christoffel_batch(B, pts)
     riem_t = riemann_components(sl)                 # base-sized arrays
     gt = sl.g
-    etat = extended_slice_form(S, B.chart).values(pts)[:, :d]
-    xit = extended_slice_reeb(S, B.chart).values(pts)[:, :d]
-    phiv = extend_to_product(S.phi, B.chart).values(pts)[:, :d, :d]
+    etat, xit = (v[:, :d] for v in slice_form_values(S, pts))
+    phiv = S.phi.values(pts[:, :d])
     e2t = np.exp(2.0 * pts[:, ti])
-    hv = extend_to_product(S.h, B.chart).values(pts)[:, :d, :d] / e2t[:, None, None]
+    hv = S.h.values(pts[:, :d]) / e2t[:, None, None]
 
     P = gt + np.einsum("na,nb->nab", etat, etat)
     eye = np.eye(d)
@@ -366,7 +356,7 @@ class RicciTableReport:
 
 def verify_ricci_relations(B: SymplecticMetricStructure, n_samples: int = 50,
                            seed: int | None = None) -> RicciTableReport:
-    S = _require_product(B)
+    S = B.base
     pts = B.chart.samples(n_samples, seed=seed)
     data = christoffel_batch(B.gbar, pts)
     D = B.chart.dim
@@ -375,7 +365,7 @@ def verify_ricci_relations(B: SymplecticMetricStructure, n_samples: int = 50,
     ric_bar = ricci_components(data)
     sl = slice_christoffel_batch(B, pts)
     ric_t = ricci_components(sl)
-    xit_full = extended_slice_reeb(S, B.chart).values(pts)
+    _, xit_full = slice_form_values(S, pts)
 
     # frame rows: xi_hat, e_t, then the distribution e_i
     frames = _product_frames(B, data.g, xit_full)
@@ -413,35 +403,17 @@ def fit_symplectization_kmu(B: SymplecticMetricStructure, t: float,
     condition with constants (kappa_t, mu_t), the fitted values are
     (kappa_t - 2, mu_t); mu is undefined when h vanishes.
     """
-    S = _require_product(B)
+    S = B.base
     d = S.chart.dim
     base_pts = S.chart.samples(n_samples, seed=seed)
     pts = np.concatenate([base_pts, np.full((len(base_pts), 1), float(t))], axis=1)
-    data = christoffel_batch(B.gbar, pts)
-    riem = riemann_components(data)
-    xit = extended_slice_reeb(S, B.chart).values(pts)
-    etat = extended_slice_form(S, B.chart).values(pts)[:, :d]
-    e2t = math.exp(2.0 * t)
+    riem = riemann_components(christoffel_batch(B.gbar, pts))
+    etat, xit = slice_form_values(S, pts)
     h_base = S.h.values(base_pts)
-    hv = h_base / e2t
+    h_vanishes = sup_norm(_h_norms(S.g.values(base_pts), h_base)) < H_VANISH_TOL
 
     # V(R(d_a, d_b) xi_t), base components
     lhs = np.einsum("nlkab,nk->nlab", riem[:, :d, :, :d, :d], xit)
-    eye = np.eye(d)
-    colA = np.einsum("nb,la->nlab", etat, eye) - np.einsum("na,lb->nlab", etat, eye)
-    colB = np.einsum("nb,nla->nlab", etat, hv) - np.einsum("na,nlb->nlab", etat, hv)
-
-    h_max = sup_norm(_h_norms(S.g.values(base_pts), h_base))
-    bvec = lhs.ravel()
-    if h_max < H_VANISH_TOL:
-        amat = colA.ravel()[:, None]
-        sol, *_ = np.linalg.lstsq(amat, bvec, rcond=None)
-        kt = float(sol[0])
-        res = sup_norm(lhs - kt * colA)
-        return SymplectizationKmuReport(kt, None, res, float(t), n_samples)
-    amat = np.stack([colA.ravel(), colB.ravel()], axis=1)
-    sol, *_ = np.linalg.lstsq(amat, bvec, rcond=None)
-    kt, mt = float(sol[0]), float(sol[1])
-    res = sup_norm(lhs - kt * colA - mt * colB)
+    kt, mt, res = nullity_fit(lhs, etat[:, :d], None if h_vanishes else h_base / math.exp(2.0 * t))
     return SymplectizationKmuReport(kt, mt, res, float(t), n_samples)
 

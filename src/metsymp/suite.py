@@ -64,11 +64,11 @@ from .symplectization import (
     acs_table_residuals,
     block_structure_residuals,
     build_metric_symplectization,
-    extended_slice_form,
     natural_acs,
     nijenhuis,
     nijenhuis_norms,
     slice_embedding,
+    slice_form_values,
     slice_structure,
     translation_isomorphism_check,
     unique_acs_witness_residual,
@@ -237,8 +237,8 @@ def _check_rescale_equivariance(run):
 
 
 def _check_index_invariance(run):
-    base = run.index
-    if base is None:
+    index = run.index
+    if index is None:
         # the index is undefined when h vanishes; nothing to compare, but
         # the guard of the index function must hold at the exact boundary
         try:
@@ -249,7 +249,7 @@ def _check_index_invariance(run):
     n_pts = min(run.cfg.samples, 30)
     refits = [fit_kappa_mu(run.rescaled(a), n_pts, seed=run.cfg.seed + 7)
               for a in _RESCALE_FACTORS]
-    return sup_norm([boeckx_index(r.kappa, r.mu) - base for r in refits])
+    return sup_norm([boeckx_index(r.kappa, r.mu) - index for r in refits])
 
 
 def _check_symplectization_build(run):
@@ -262,11 +262,10 @@ def _check_symplectization_build(run):
     # and the base blocks of gbar and J
     pts = S.chart.samples(n_pts, seed=cfg.seed + 8)
     d = S.chart.dim
-    eta_t = extended_slice_form(S, B.chart)
     for t0 in (-0.5, 0.3):
-        sl = slice_structure(B, t0).structure
+        sl = slice_structure(B, t0)
         lifted = slice_embedding(B, t0)(pts)
-        defects += [sl.eta.values(pts) - eta_t.values(lifted)[:, :d],
+        defects += [sl.eta.values(pts) - slice_form_values(S, lifted)[0][:, :d],
                     sl.g.values(pts) - B.gbar.values(lifted)[:, :d, :d],
                     sl.phi.values(pts) - B.J.values(lifted)[:, :d, :d]]
     return sup_norm(*defects)
@@ -275,7 +274,7 @@ def _check_symplectization_build(run):
 def _check_liouville(run):
     B = run.B
     dt_field = TensorField.coordinate_vector(B.chart, B.chart.dim - 1)
-    return verify_liouville(B, dt_field, min(run.cfg.samples, 40),
+    return verify_liouville(B.omega, dt_field, min(run.cfg.samples, 40),
                             seed=run.cfg.seed + 9).cartan_residual
 
 
@@ -394,6 +393,8 @@ class SuiteConfig:
         lo, hi = self.t_range
         if not lo < hi:
             raise ConfigError("t_range must be a nonempty interval")
+        if not math.isfinite(hi - lo):
+            raise ConfigError(f"t_range must have finite ends and width, got [{lo}, {hi}]")
         for check_id in self.thresholds:
             if check_id not in CHECK_ORDER:
                 raise ConfigError(f"threshold for unknown check {check_id!r};"

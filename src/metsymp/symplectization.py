@@ -20,13 +20,21 @@ which splits as gbar = g_t + dt (x) dt with the slice metric
 The slice at t is therefore the D_a rescaling of the original structure
 with a = exp(2t).  Everything above is constructed symbolically here and
 verified numerically by the check functions and the test suite.
+
+A symplectization is always a product over its base structure, with the
+line coordinate t last on the product chart.  The slice data eta_t, xi_t
+at sample points are therefore read from the base fields:
+:func:`slice_form_values` evaluates eta and xi at the base coordinates,
+scales them by exp(+-2t) and leaves the t slot zero.  The symbolic lifts
+(:func:`extend_to_product` and the two ``extended_slice_*`` fields) are
+built only where a field is needed, such as omega and the closed form of
+the fundamental tensor.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -39,7 +47,7 @@ from .contact import (
     reeb_field,
 )
 from .errors import DomainError, GeometryError, RankError
-from .expressions import Const, Coord, evaluate, exp, sum_of_products
+from .expressions import ONE, Const, Coord, Expr, evaluate, exp, sum_of_products
 from .fields import (
     SmoothMap,
     TensorField,
@@ -55,7 +63,8 @@ from .fields import (
 __all__ = [
     "SymplecticMetricStructure",
     "extend_to_product",
-    "SliceStructure",
+    "lifted_values",
+    "slice_form_values",
     "build_metric_symplectization",
     "natural_acs",
     "natural_symplectic_metric_structure",
@@ -78,33 +87,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SymplecticMetricStructure:
-    """Bundle (omega, gbar, J) on an even-dimensional chart.
+    """Bundle (omega, gbar, J) on the product of ``base.chart`` with a line.
 
-    When built as a metric symplectization the chart is a product with the
-    line coordinate last (``t_index``) and ``base`` holds the underlying
-    contact metric structure.
+    The product chart shares the base coordinates and puts the line
+    coordinate t last (``t_index``).
     """
 
     chart: Chart
     omega: TensorField
     gbar: TensorField
     J: TensorField
-    t_index: int | None = None
-    base: ContactMetricStructure | None = None
+    base: ContactMetricStructure
 
     @property
-    def n(self) -> int:
-        if self.base is None:
-            raise GeometryError("not a product-type structure")
-        return self.base.n
-
-
-@dataclass(frozen=True)
-class SliceStructure:
-    """The induced contact metric structure on the slice at t0."""
-
-    t0: float
-    structure: ContactMetricStructure
+    def t_index(self) -> int:
+        return self.chart.dim - 1
 
 
 # ---------------------------------------------------------------------------
@@ -118,13 +115,37 @@ def extend_to_product(T: TensorField, chart: Chart) -> TensorField:
     Valid because the product chart shares the leading coordinates, so the
     component expressions need no rewriting.
     """
-    d = T.chart.dim
     D = chart.dim
     out = np.empty((D,) * (T.r + T.s), dtype=object)
     out[...] = Const(0.0)
     for idx in np.ndindex(T.components.shape):
         out[idx] = T.components[idx]
     return TensorField(chart, T.r, T.s, out, T.sym)
+
+
+def lifted_values(T: TensorField, pts: np.ndarray) -> np.ndarray:
+    """The values of ``extend_to_product(T, chart)`` at product points.
+
+    T is evaluated at the base coordinates ``pts[:, :T.chart.dim]``; every
+    t slot of the result is zero.
+    """
+    d = T.chart.dim
+    rank = T.r + T.s
+    out = np.zeros((len(pts),) + (d + 1,) * rank)
+    out[(slice(None),) + (slice(0, d),) * rank] = T.values(pts[:, :d])
+    return out
+
+
+def slice_form_values(S: ContactMetricStructure, pts: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """eta_t = exp(2t) eta and xi_t = exp(-2t) xi at product points (t last).
+
+    The values of :func:`extended_slice_form` and :func:`extended_slice_reeb`,
+    read from the base fields without building either.
+    """
+    t = pts[:, -1:]
+    return (lifted_values(S.eta, pts) * np.exp(2.0 * t),
+            lifted_values(S.xi, pts) * np.exp(-2.0 * t))
 
 
 def extended_slice_form(S: ContactMetricStructure, chart: Chart) -> TensorField:
@@ -168,6 +189,36 @@ def _compatible_metric(J: TensorField, omega: TensorField) -> TensorField:
     return TensorField(J.chart, 0, 2, _fill((D, D), "symmetric", entry), "symmetric")
 
 
+def _product_acs(S: ContactMetricStructure, chart: Chart, up: Expr, down: Expr
+                 ) -> TensorField:
+    """The (1,1) field with J = phi on base directions, d_t component
+    up * eta(X) of J X, and J d_t = -down * xi.
+
+    The metric J has up = exp(2t) and down = exp(-2t); the classical J has
+    both equal to 1.
+    """
+    d = S.chart.dim
+    D = chart.dim
+    J = np.empty((D, D), dtype=object)
+    J[...] = Const(0.0)
+    for i in range(d):
+        for j in range(d):
+            J[i, j] = S.phi.components[i, j]
+    for j in range(d):
+        J[D - 1, j] = up * S.eta.components[j]
+    for i in range(d):
+        J[i, D - 1] = -(down * S.xi.components[i])
+    return TensorField(chart, 1, 1, J)
+
+
+def _with_compatible_metric(S: ContactMetricStructure, J: TensorField
+                            ) -> SymplecticMetricStructure:
+    """omega = d(exp(2t) eta) on J's chart, and the metric omega(J X, Y)."""
+    omega = exterior_derivative(extended_slice_form(S, J.chart))
+    return SymplecticMetricStructure(chart=J.chart, omega=omega,
+                                     gbar=_compatible_metric(J, omega), J=J, base=S)
+
+
 def build_metric_symplectization(
     S: ContactMetricStructure,
     t_range: tuple[float, float] = (-1.0, 1.0),
@@ -180,30 +231,9 @@ def build_metric_symplectization(
     explicit symmetrization so the symmetry holds structurally.
     """
     chart = product_with_line(S.chart, t_name, t_range)
-    d = S.chart.dim
-    D = chart.dim
-    t = Coord(D - 1, t_name)
-    e2t = exp(Const(2.0) * t)
-    em2t = exp(Const(-2.0) * t)
-
-    alpha = extended_slice_form(S, chart)
-    omega = exterior_derivative(alpha)
-
-    J = np.empty((D, D), dtype=object)
-    J[...] = Const(0.0)
-    for i in range(d):
-        for j in range(d):
-            J[i, j] = S.phi.components[i, j]
-    for j in range(d):
-        J[D - 1, j] = e2t * S.eta.components[j]
-    for i in range(d):
-        J[i, D - 1] = -(em2t * S.xi.components[i])
-    Jfield = TensorField(chart, 1, 1, J)
-
-    return SymplecticMetricStructure(
-        chart=chart, omega=omega, gbar=_compatible_metric(Jfield, omega),
-        J=Jfield, t_index=D - 1, base=S,
-    )
+    t = Coord(chart.dim - 1, t_name)
+    J = _product_acs(S, chart, exp(Const(2.0) * t), exp(Const(-2.0) * t))
+    return _with_compatible_metric(S, J)
 
 
 def natural_acs(S: ContactMetricStructure,
@@ -211,19 +241,7 @@ def natural_acs(S: ContactMetricStructure,
                 t_name: str = "t") -> TensorField:
     """The classical almost complex structure J(X, f d_t) = (phi X - f xi,
     eta(X) d_t) on the symplectization, as a (1,1) field."""
-    chart = product_with_line(S.chart, t_name, t_range)
-    d = S.chart.dim
-    D = chart.dim
-    J = np.empty((D, D), dtype=object)
-    J[...] = Const(0.0)
-    for i in range(d):
-        for j in range(d):
-            J[i, j] = S.phi.components[i, j]
-    for j in range(d):
-        J[D - 1, j] = S.eta.components[j]
-    for i in range(d):
-        J[i, D - 1] = -S.xi.components[i]
-    return TensorField(chart, 1, 1, J)
+    return _product_acs(S, product_with_line(S.chart, t_name, t_range), ONE, ONE)
 
 
 def natural_symplectic_metric_structure(
@@ -232,12 +250,7 @@ def natural_symplectic_metric_structure(
     t_name: str = "t",
 ) -> SymplecticMetricStructure:
     """The symplectization equipped with the classical J and its metric."""
-    Jf = natural_acs(S, t_range, t_name)
-    alpha = extended_slice_form(S, Jf.chart)
-    omega = exterior_derivative(alpha)
-    return SymplecticMetricStructure(
-        chart=Jf.chart, omega=omega, gbar=_compatible_metric(Jf, omega),
-        J=Jf, t_index=Jf.chart.dim - 1, base=S)
+    return _with_compatible_metric(S, natural_acs(S, t_range, t_name))
 
 
 # ---------------------------------------------------------------------------
@@ -256,21 +269,15 @@ class SymplecticReport:
         return self.closed_residual < 1e-10 and self.min_top_coefficient > 1e-10
 
 
-def _omega_of(B: Union[SymplecticMetricStructure, TensorField]) -> tuple[TensorField, Chart]:
-    if isinstance(B, SymplecticMetricStructure):
-        return B.omega, B.chart
-    return B, B.chart
-
-
-def verify_symplectic(B: Union[SymplecticMetricStructure, TensorField],
-                      n_samples: int = 50, seed: int | None = None) -> SymplecticReport:
+def verify_symplectic(omega: TensorField, n_samples: int = 50,
+                      seed: int | None = None) -> SymplecticReport:
     """Closedness residual and nondegeneracy margin of a 2-form.
 
     The margin is the smallest |top coefficient| of omega^n over the
     samples, taken from the values of omega by
     :func:`metsymp.contact._top_coefficient_abs`.
     """
-    omega, chart = _omega_of(B)
+    chart = omega.chart
     if chart.dim % 2 != 0:
         raise GeometryError("symplectic forms need an even-dimensional chart")
     if (omega.r, omega.s) != (0, 2):
@@ -306,10 +313,9 @@ class LiouvilleReport:
         return self.cartan_residual < 1e-9
 
 
-def verify_liouville(B: Union[SymplecticMetricStructure, TensorField],
-                     Y: TensorField, n_samples: int = 50,
+def verify_liouville(omega: TensorField, Y: TensorField, n_samples: int = 50,
                      seed: int | None = None) -> LiouvilleReport:
-    omega, chart = _omega_of(B)
+    chart = omega.chart
     if Y.chart != chart:
         raise GeometryError("candidate field lives on the wrong chart")
     pts = chart.samples(n_samples, seed=seed)
@@ -331,7 +337,7 @@ def verify_liouville(B: Union[SymplecticMetricStructure, TensorField],
 # ---------------------------------------------------------------------------
 
 
-def slice_structure(B: SymplecticMetricStructure, t0: float) -> SliceStructure:
+def slice_structure(B: SymplecticMetricStructure, t0: float) -> ContactMetricStructure:
     """The contact metric structure carried by the slice at t0.
 
     Built directly from the slice formulas, as the D_a homothety of the
@@ -340,18 +346,14 @@ def slice_structure(B: SymplecticMetricStructure, t0: float) -> SliceStructure:
     ``induced_contact_on_hypersurface`` and the two are cross-checked in
     the test suite.
     """
-    if B.base is None or B.t_index is None:
-        raise GeometryError("slice_structure needs a product-type structure")
     lo, hi = B.chart.domain[B.t_index]
     if not lo <= t0 <= hi:
         raise DomainError(f"slice parameter {t0} outside [{lo}, {hi}]")
-    return SliceStructure(t0, d_homothety(B.base, math.exp(2.0 * t0)))
+    return d_homothety(B.base, math.exp(2.0 * t0))
 
 
 def slice_embedding(B: SymplecticMetricStructure, t0: float) -> SmoothMap:
     """The embedding x -> (x, t0) of the base chart into the product."""
-    if B.base is None:
-        raise GeometryError("slice_embedding needs a product-type structure")
     src = B.base.chart
     exprs = [Coord(i, src.coord_names[i]) for i in range(src.dim)]
     exprs.append(Const(float(t0)))
@@ -491,23 +493,20 @@ def nijenhuis_norms(N: TensorField, g: TensorField, points: np.ndarray) -> np.nd
 def acs_table_residuals(B: SymplecticMetricStructure, n_samples: int = 50,
                         seed: int | None = None) -> dict[str, float]:
     """Residuals of J xi_t = d_t, J d_t = -xi_t, J = phi on Ker(eta)."""
-    if B.base is None:
-        raise GeometryError("needs a product-type structure")
     S = B.base
-    chart = B.chart
-    pts = chart.samples(n_samples, seed=seed)
-    D = chart.dim
+    pts = B.chart.samples(n_samples, seed=seed)
+    D = B.chart.dim
     d = S.chart.dim
     jv = B.J.values(pts)
-    xt = extended_slice_reeb(S, chart).values(pts)
+    _, xt = slice_form_values(S, pts)
     et = np.zeros((len(pts), D))
     et[:, D - 1] = 1.0
     r1 = sup_norm(np.einsum("nij,nj->ni", jv, xt) - et)
     r2 = sup_norm(np.einsum("nij,nj->ni", jv, et) + xt)
     # distribution vectors v_a = d_a - eta(d_a) xi, tangent to slices
-    ev = extend_to_product(S.eta, chart).values(pts)
-    xv = extend_to_product(S.xi, chart).values(pts)
-    pv = extend_to_product(S.phi, chart).values(pts)
+    ev = lifted_values(S.eta, pts)
+    xv = lifted_values(S.xi, pts)
+    pv = lifted_values(S.phi, pts)
     defects = []
     for a in range(d):
         v = -ev[:, a:a + 1] * xv
@@ -520,9 +519,8 @@ def acs_table_residuals(B: SymplecticMetricStructure, n_samples: int = 50,
 
 def block_structure_residuals(B: SymplecticMetricStructure, n_samples: int = 50,
                               seed: int | None = None) -> dict[str, float]:
-    """gbar = g_t + dt^2: unit d_t, slice-orthogonal d_t, slice blocks."""
-    if B.base is None:
-        raise GeometryError("needs a product-type structure")
+    """gbar = g_t + dt^2: unit d_t, slice-orthogonal d_t, slice blocks, and
+    gbar(X, J Y) = omega(X, Y) on coordinate frames."""
     S = B.base
     pts = B.chart.samples(n_samples, seed=seed)
     D = B.chart.dim
@@ -532,18 +530,9 @@ def block_structure_residuals(B: SymplecticMetricStructure, n_samples: int = 50,
     orth = sup_norm(gv[:, D - 1, :d])
     gt = slice_metric_field(S, B.chart).values(pts)
     block = sup_norm(gv[:, :d, :d] - gt[:, :d, :d])
-    compat = _compatibility_residual(B, pts)
+    compat = sup_norm(np.einsum("nia,naj->nij", gv, B.J.values(pts)) - B.omega.values(pts))
     return {"dt_unit": unit, "dt_orthogonal": orth, "slice_block": block,
             "omega_pairing": compat}
-
-
-def _compatibility_residual(B: SymplecticMetricStructure, pts: np.ndarray) -> float:
-    """Residual of gbar(X, J Y) = omega(X, Y) on coordinate frames."""
-    gv = B.gbar.values(pts)
-    jv = B.J.values(pts)
-    ov = B.omega.values(pts)
-    lhs = np.einsum("nia,naj->nij", gv, jv)
-    return sup_norm(lhs - ov)
 
 
 def unique_acs_witness_residual(B: SymplecticMetricStructure, n_samples: int = 25,
@@ -556,16 +545,14 @@ def unique_acs_witness_residual(B: SymplecticMetricStructure, n_samples: int = 2
     omega(w, d_t) = 1, where w = J' d_t.  Nondegeneracy of omega makes the
     solution unique; the witness checks it coincides with -xi_t.
     """
-    if B.base is None:
-        raise GeometryError("needs a product-type structure")
     S = B.base
     pts = B.chart.samples(n_samples, seed=seed)
     D = B.chart.dim
     d = S.chart.dim
     ov = B.omega.values(pts)
-    xt = extended_slice_reeb(S, B.chart).values(pts)
-    ev = extend_to_product(S.eta, B.chart).values(pts)
-    xv = extend_to_product(S.xi, B.chart).values(pts)
+    _, xt = slice_form_values(S, pts)
+    ev = lifted_values(S.eta, pts)
+    xv = lifted_values(S.xi, pts)
     defects = []
     for nidx in range(len(pts)):
         rows = [xt[nidx]]
@@ -614,8 +601,6 @@ def translation_isomorphism_check(S: ContactMetricStructure, t_shift: float,
     a = exp(2 t_shift).  Samples are restricted so the shifted points stay
     inside the product box.
     """
-    from .contact import d_homothety
-
     B1 = build_metric_symplectization(S, t_range)
     S2 = d_homothety(S, math.exp(2.0 * t_shift))
     B2 = build_metric_symplectization(S2, t_range)

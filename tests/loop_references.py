@@ -19,6 +19,10 @@ The Nijenhuis tensor, Lie derivative, bracket and interior product are kept
 as the loops that built them one ``total = total + x * y`` at a time,
 before every contraction went through ``expressions.sum_of_products``;
 ``node_counts`` counts their trees the way the benchmark does.
+
+The two nullity fits are kept as they were written before they shared
+``contact.nullity_fit``: each builds its own least-squares columns, and the
+slice fit reads eta_t and xi_t from freshly lifted product-chart fields.
 """
 
 import itertools
@@ -77,6 +81,62 @@ def assert_connection_matches_reference(g, pts):
     assert np.max(np.abs(data.dgamma - want)) <= 1e-13 * np.max(np.abs(want))
     want = riemann_reference(data.gamma, data.dgamma)
     assert np.max(np.abs(riemann_components(data) - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def fit_kappa_mu_reference(S, n_samples, seed):
+    """(kappa, mu, residual) of ``contact.fit_kappa_mu``, with its own columns."""
+    pts = S.chart.samples(n_samples, seed=seed)
+    d = S.chart.dim
+    data = christoffel_batch(S.g, pts)
+    riem = riemann_components(data)
+    xv = S.xi.values(pts)
+    ev = S.eta.values(pts)
+    hv = S.h.values(pts)
+
+    lhs = np.einsum("nlkij,nk->nlij", riem, xv)
+    eye = np.eye(d)
+    colA = np.einsum("nj,li->nlij", ev, eye) - np.einsum("ni,lj->nlij", ev, eye)
+    colB = np.einsum("nj,nli->nlij", ev, hv) - np.einsum("ni,nlj->nlij", ev, hv)
+
+    h_max = sup_norm(contact._h_norms(data.g, hv))
+    b = lhs.ravel()
+    if h_max < contact.H_VANISH_TOL:
+        sol, *_ = np.linalg.lstsq(colA.ravel()[:, None], b, rcond=None)
+        kappa = float(sol[0])
+        return kappa, None, sup_norm(lhs - kappa * colA)
+    a = np.stack([colA.ravel(), colB.ravel()], axis=1)
+    sol, *_ = np.linalg.lstsq(a, b, rcond=None)
+    kappa, mu = float(sol[0]), float(sol[1])
+    return kappa, mu, sup_norm(lhs - (kappa * colA + mu * colB))
+
+
+def fit_symplectization_kmu_reference(B, t, n_samples, seed):
+    """(kappa_tilde, mu_tilde, residual) of ``submersion.fit_symplectization_kmu``."""
+    S = B.base
+    d = S.chart.dim
+    base_pts = S.chart.samples(n_samples, seed=seed)
+    pts = np.concatenate([base_pts, np.full((len(base_pts), 1), float(t))], axis=1)
+    riem = riemann_components(christoffel_batch(B.gbar, pts))
+    xit = extended_slice_reeb(S, B.chart).values(pts)
+    etat = extended_slice_form(S, B.chart).values(pts)[:, :d]
+    h_base = S.h.values(base_pts)
+    hv = h_base / math.exp(2.0 * t)
+
+    lhs = np.einsum("nlkab,nk->nlab", riem[:, :d, :, :d, :d], xit)
+    eye = np.eye(d)
+    colA = np.einsum("nb,la->nlab", etat, eye) - np.einsum("na,lb->nlab", etat, eye)
+    colB = np.einsum("nb,nla->nlab", etat, hv) - np.einsum("na,nlb->nlab", etat, hv)
+
+    h_max = sup_norm(contact._h_norms(S.g.values(base_pts), h_base))
+    bvec = lhs.ravel()
+    if h_max < contact.H_VANISH_TOL:
+        sol, *_ = np.linalg.lstsq(colA.ravel()[:, None], bvec, rcond=None)
+        kt = float(sol[0])
+        return kt, None, sup_norm(lhs - kt * colA)
+    amat = np.stack([colA.ravel(), colB.ravel()], axis=1)
+    sol, *_ = np.linalg.lstsq(amat, bvec, rcond=None)
+    kt, mt = float(sol[0]), float(sol[1])
+    return kt, mt, sup_norm(lhs - kt * colA - mt * colB)
 
 
 def _unit(B, n):

@@ -140,7 +140,7 @@ def test_criterion_06_metric_symplectization():
         residual = max(residual, max(acs_table_residuals(B, 50).values()))
         pts = S.chart.samples(30)
         for t0 in (-0.5, 0.3):
-            sl = slice_structure(B, t0).structure
+            sl = slice_structure(B, t0)
             dh = d_homothety(S, math.exp(2.0 * t0))
             for f1, f2 in ((sl.eta, dh.eta), (sl.g, dh.g), (sl.phi, dh.phi)):
                 residual = max(residual,
@@ -153,7 +153,7 @@ def test_criterion_07_liouville_property():
     residual = 0.0
     for _, B in BOTH:
         dt = TensorField.coordinate_vector(B.chart, B.chart.dim - 1)
-        residual = max(residual, verify_liouville(B, dt, 50).cartan_residual)
+        residual = max(residual, verify_liouville(B.omega, dt, 50).cartan_residual)
     _report(7, "expansion property of the line field (Cartan evaluation)",
             residual, 1e-9)
 

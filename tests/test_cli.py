@@ -79,6 +79,14 @@ def test_check_bad_t_range(capsys):
     assert main(["check", "darboux-sasakian-r3", "--t-range", "1;2"]) == 2
 
 
+@pytest.mark.parametrize("command", [["check", "darboux-sasakian-r3"],
+                                     ["symplectize", "darboux-sasakian-r3", "--verify"]])
+@pytest.mark.parametrize("t_range", ["-inf,inf", "0,inf", "-1e308,1e308"])
+def test_a_non_finite_t_range_is_bad_input(capsys, command, t_range):
+    assert main(command + [f"--t-range={t_range}"]) == 2
+    assert "t_range must have finite ends and width" in capsys.readouterr().err
+
+
 def test_check_bad_samples(capsys):
     assert main(["check", "darboux-sasakian-r3", "--samples", "0"]) == 2
 

@@ -17,7 +17,6 @@ from metsymp.curvature import (
     christoffel_batch,
     covariant_derivative_values,
     gram_schmidt_frame,
-    ricci,
     ricci_components,
     ricci_frame_trace,
     riemann,

@@ -126,7 +126,7 @@ def test_fundamental_tensors_and_relations(five_dim_symp):
 
 def test_expansion_property(five_dim_symp):
     dt = TensorField.coordinate_vector(five_dim_symp.chart, 5)
-    rep = verify_liouville(five_dim_symp, dt, 10)
+    rep = verify_liouville(five_dim_symp.omega, dt, 10)
     assert rep.cartan_residual < 1e-10
     assert_allclose(rep.lie_constant, 2.0, atol=1e-10)
 

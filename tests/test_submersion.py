@@ -42,6 +42,8 @@ from metsymp.symplectization import extended_slice_reeb, slice_structure
 from loop_references import (
     assert_connection_matches_reference,
     currel_reference,
+    fit_kappa_mu_reference,
+    fit_symplectization_kmu_reference,
     ricci_rows_reference,
 )
 
@@ -366,9 +368,9 @@ def test_rigidity_hypothesis_fails_on_flat_bundle(flat_bundle_symp):
     ric[:, B.t_index, B.t_index] += 2.0 * B.base.n + 4.0
     assert np.max(np.abs(ric)) > 1e-3
     # mu = 0 = 2 - 2n: the slice at t = 0 is eta-Einstein
-    assert eta_einstein_fit(slice_structure(B, 0.0).structure, 20).residual < 1e-6
+    assert eta_einstein_fit(slice_structure(B, 0.0), 20).residual < 1e-6
     # the slice at t = 0.4 is a D-homothety of it with mu != 0, and is not
-    assert eta_einstein_fit(slice_structure(B, 0.4).structure, 20).residual > 1e-3
+    assert eta_einstein_fit(slice_structure(B, 0.4), 20).residual > 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +393,24 @@ def test_batched_verifiers_match_the_loop_references(which, request):
            rep.reeb_line, rep.reeb_reeb, rep.line_line)
     assert_allclose(got, want[:6], rtol=0, atol=1e-13)
     assert rep.sign_flip_detected == want[6]
+
+
+@pytest.mark.parametrize("which", ["flat_bundle_symp", "sasakian_symp", "curved_symp",
+                                   "sasakian7_symp"])
+def test_the_shared_nullity_fit_matches_both_reference_fits(which, request):
+    """fit_kappa_mu and fit_symplectization_kmu, through contact.nullity_fit,
+    give the constants of their former bodies bit for bit."""
+    B = request.getfixturevalue(which)
+    rep = fit_kappa_mu(B.base, 12, seed=2)
+    got = [(rep.kappa, rep.mu, rep.residual)]
+    want = [fit_kappa_mu_reference(B.base, 12, seed=2)]
+    for t in (-0.5, 0.0, 0.5):
+        fit = fit_symplectization_kmu(B, t, 12, seed=2)
+        got.append((fit.kappa_tilde, fit.mu_tilde, fit.residual))
+        want.append(fit_symplectization_kmu_reference(B, t, 12, seed=2))
+    for (kappa, mu, residual), (want_kappa, want_mu, want_residual) in zip(got, want):
+        assert kappa == want_kappa and mu == want_mu
+        assert abs(residual - want_residual) <= 1e-15
 
 
 def test_batched_verifiers_reject_a_doubled_line_metric(flat_bundle_symp):

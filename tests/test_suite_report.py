@@ -19,7 +19,6 @@ from metsymp.suite import (
     report_emit,
     run_suite,
 )
-from metsymp.symplectization import SliceStructure
 
 
 @pytest.fixture(scope="module")
@@ -256,7 +255,7 @@ def test_symplectization_build_rejects_slices_at_the_wrong_factor(monkeypatch, f
     cfg = SuiteConfig(samples=10, seed=42)
     assert suite._check_symplectization_build(suite._Run(flat_bundle_entry, cfg)) < 1e-10
     monkeypatch.setattr(suite, "slice_structure",
-                        lambda B, t0: SliceStructure(t0, d_homothety(B.base, math.exp(t0))))
+                        lambda B, t0: d_homothety(B.base, math.exp(t0)))
     assert suite._check_symplectization_build(suite._Run(flat_bundle_entry, cfg)) > 1e-2
 
 

@@ -38,12 +38,17 @@ from metsymp.symplectization import (
     acs_table_residuals,
     block_structure_residuals,
     build_metric_symplectization,
+    extend_to_product,
+    extended_slice_form,
+    extended_slice_reeb,
     induced_contact_on_hypersurface,
+    lifted_values,
     natural_acs,
     natural_symplectic_metric_structure,
     nijenhuis,
     nijenhuis_norms,
     slice_embedding,
+    slice_form_values,
     slice_structure,
     translation_isomorphism_check,
     unique_acs_witness_residual,
@@ -86,6 +91,27 @@ def test_acs_three_case_table(any_entry, sasakian_symp, flat_bundle_symp):
     assert max(res.values()) < 1e-10
 
 
+@pytest.mark.parametrize("which", ["flat_bundle_symp", "sasakian_symp", "curved_symp",
+                                   "sasakian_r5", "sasakian7_symp"])
+def test_slice_values_equal_the_lifted_fields_bit_for_bit(which, request):
+    """Values read from the base fields equal those of the symbolic lifts,
+    sign bits included."""
+    if which == "sasakian_r5":
+        B = build_metric_symplectization(load_structure_file(R5_PATH))
+    else:
+        B = request.getfixturevalue(which)
+    S = B.base
+    pts = B.chart.samples(20, seed=6)
+    eta_t, xi_t = slice_form_values(S, pts)
+    pairs = [(eta_t, extended_slice_form(S, B.chart)), (xi_t, extended_slice_reeb(S, B.chart))]
+    pairs += [(lifted_values(T, pts), extend_to_product(T, B.chart))
+              for T in (S.eta, S.xi, S.g, S.phi, S.h)]
+    for got, field in pairs:
+        want = field.values(pts)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def test_acs_squares_to_minus_identity(sasakian_symp):
     pts = sasakian_symp.chart.samples(40)
     jv = sasakian_symp.J.values(pts)
@@ -112,7 +138,7 @@ def test_uniqueness_witness(any_entry, sasakian_symp, flat_bundle_symp):
 
 def test_symplectization_form_is_symplectic(any_entry, sasakian_symp, flat_bundle_symp):
     B = _symp(None, any_entry.name, sasakian_symp, flat_bundle_symp)
-    rep = verify_symplectic(B, 50)
+    rep = verify_symplectic(B.omega, 50)
     assert rep.closed_residual < 1e-12
     assert rep.min_top_coefficient > 1e-10
 
@@ -184,7 +210,7 @@ def test_odd_chart_rejected_by_symplectic_check(sasakian):
 
 def test_line_field_expands_the_form(any_entry, sasakian_symp, flat_bundle_symp):
     B = _symp(None, any_entry.name, sasakian_symp, flat_bundle_symp)
-    rep = verify_liouville(B, _dt(B), 50)
+    rep = verify_liouville(B.omega, _dt(B), 50)
     assert rep.cartan_residual < 1e-12
     # the exp(2t) weight makes the plain Lie derivative exactly twice the
     # form; the verifier reports that constant for transparency
@@ -194,7 +220,7 @@ def test_line_field_expands_the_form(any_entry, sasakian_symp, flat_bundle_symp)
 
 def test_doubled_line_field_fails(sasakian_symp):
     doubled = _dt(sasakian_symp).scale(Const(2.0))
-    rep = verify_liouville(sasakian_symp, doubled, 30)
+    rep = verify_liouville(sasakian_symp.omega, doubled, 30)
     assert rep.cartan_residual > 1e-2
 
 
@@ -227,8 +253,8 @@ def test_radial_field_on_standard_r4():
 def test_zero_slice_reproduces_the_structure(sasakian, sasakian_symp):
     sl = slice_structure(sasakian_symp, 0.0)
     pts = sasakian.chart.samples(25)
-    for f1, f2 in ((sl.structure.eta, sasakian.eta), (sl.structure.g, sasakian.g),
-                   (sl.structure.phi, sasakian.phi)):
+    for f1, f2 in ((sl.eta, sasakian.eta), (sl.g, sasakian.g),
+                   (sl.phi, sasakian.phi)):
         assert np.max(np.abs(f1.values(pts) - f2.values(pts))) < 1e-14
 
 
@@ -237,7 +263,7 @@ def test_slice_equals_rescale_componentwise(any_entry, sasakian_symp, flat_bundl
     S = B.base
     pts = S.chart.samples(25)
     for t0 in (-0.5, 0.3):
-        sl = slice_structure(B, t0).structure
+        sl = slice_structure(B, t0)
         dh = d_homothety(S, math.exp(2.0 * t0))
         for f1, f2 in ((sl.eta, dh.eta), (sl.g, dh.g), (sl.phi, dh.phi)):
             assert np.max(np.abs(f1.values(pts) - f2.values(pts))) < 1e-10
@@ -259,7 +285,7 @@ def test_induced_structure_reproduces_slice(any_entry, sasakian_symp, flat_bundl
     S = B.base
     emb = slice_embedding(B, 0.3)
     ind = induced_contact_on_hypersurface(B, _dt(B), emb)
-    sl = slice_structure(B, 0.3).structure
+    sl = slice_structure(B, 0.3)
     pts = S.chart.samples(20)
     for f1, f2 in ((ind.eta, sl.eta), (ind.g, sl.g), (ind.phi, sl.phi)):
         assert np.max(np.abs(f1.values(pts) - f2.values(pts))) < 1e-9
