@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -10,12 +11,16 @@ from .errors import DomainError, GeometryError
 
 __all__ = ["Chart", "product_with_line"]
 
+# the fraction of each side's width that sample sweeps keep clear of
+_SAMPLE_MARGIN = 0.05
+
 
 @dataclass(frozen=True)
 class Chart:
     """A coordinate box with named coordinates.
 
-    ``domain`` holds one closed interval per coordinate.  ``sampler_seed``
+    ``domain`` holds one closed interval per coordinate, with finite ends
+    and width.  ``sampler_seed``
     makes sample sweeps reproducible per chart; callers may override the
     seed per sweep.
     """
@@ -41,6 +46,9 @@ class Chart:
         for name, (lo, hi) in zip(names, dom):
             if not lo < hi:
                 raise GeometryError(f"empty interval for coordinate {name!r}: [{lo}, {hi}]")
+            if not math.isfinite(hi - lo):
+                raise GeometryError(f"interval for coordinate {name!r} needs finite ends"
+                                    f" and width, got [{lo}, {hi}]")
 
     def index(self, name: str) -> int:
         try:
@@ -62,8 +70,8 @@ class Chart:
             raise DomainError(f"point {p.tolist()} lies outside the chart domain")
         return p
 
-    def samples(self, n: int, seed: int | None = None, margin: float = 0.05) -> np.ndarray:
-        """Uniform samples over the box shrunk by ``margin`` per side.
+    def samples(self, n: int, seed: int | None = None) -> np.ndarray:
+        """Uniform samples over the box shrunk by 5% of its width per side.
 
         The shrink keeps sweeps away from the boundary where derived
         quantities such as inverse metrics can degrade.
@@ -74,25 +82,17 @@ class Chart:
         lo = np.array([a for a, _ in self.domain])
         hi = np.array([b for _, b in self.domain])
         width = hi - lo
-        lo_eff = lo + margin * width
-        hi_eff = hi - margin * width
+        lo_eff = lo + _SAMPLE_MARGIN * width
+        hi_eff = hi - _SAMPLE_MARGIN * width
         return rng.uniform(lo_eff, hi_eff, size=(n, self.dim))
 
 
-def product_with_line(
-    base: Chart,
-    coord_name: str = "t",
-    interval: tuple[float, float] = (-1.0, 1.0),
-    seed: int | None = None,
-) -> Chart:
-    """The product of ``base`` with one extra line coordinate, appended last."""
+def product_with_line(base: Chart, coord_name: str = "t",
+                      interval: tuple[float, float] = (-1.0, 1.0)) -> Chart:
+    """The product of ``base`` with one extra line coordinate, appended last,
+    sampled with the base's seed."""
     if coord_name in base.coord_names:
-        raise GeometryError(
-            f"coordinate {coord_name!r} already exists on the base chart; "
-            "rename the line coordinate"
-        )
-    return Chart(
-        coord_names=base.coord_names + (coord_name,),
-        domain=base.domain + ((float(interval[0]), float(interval[1])),),
-        sampler_seed=base.sampler_seed if seed is None else seed,
-    )
+        raise GeometryError(f"coordinate {coord_name!r} already exists on the base chart")
+    return Chart(coord_names=base.coord_names + (coord_name,),
+                 domain=base.domain + ((float(interval[0]), float(interval[1])),),
+                 sampler_seed=base.sampler_seed)

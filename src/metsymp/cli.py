@@ -30,6 +30,7 @@ import numpy as np
 
 from .catalog import CatalogEntry, catalog_load, catalog_names
 from .contact import (
+    COMPAT_TOL,
     FIT_TOL,
     boeckx_index,
     d_homothety,
@@ -49,7 +50,7 @@ from .suite import (
     report_emit,
     run_suite,
 )
-from .symplectization import verify_symplectic
+from .symplectization import SYMPLECTIC_TOL, verify_symplectic
 
 __all__ = ["main"]
 
@@ -151,11 +152,12 @@ def _compatible(entry: CatalogEntry, args) -> bool:
     samples; prints the refusal when it does not.  A NaN component gives
     an ``inf`` residual, so numpy's invalid-value warnings are silenced."""
     with np.errstate(invalid="ignore"):
-        compat = verify_compatibility(entry.structure, args.samples, seed=args.seed)
-    if not compat.passed:
+        residual = sup_norm(*verify_compatibility(entry.structure, args.samples,
+                                                  seed=args.seed).values())
+    if not residual < COMPAT_TOL:
         print(f"{entry.name}: structure fails the compatibility axioms "
-              f"(residual {compat.max_residual:.3e}); refusing to fit")
-    return compat.passed
+              f"(residual {residual:.3e}); refusing to fit")
+    return residual < COMPAT_TOL
 
 
 def _cmd_fit(args) -> int:
@@ -182,15 +184,17 @@ def _cmd_symplectize(args) -> int:
                SuiteConfig(samples=args.samples, seed=args.seed, t_range=t_range))
     B = run.B
     names = ", ".join(B.chart.coord_names)
-    print(f"{run.entry.name}: product chart ({names}), t in [{t_range[0]}, {t_range[1]}]")
+    print(f"{run.entry.name}: product chart ({names}), "
+          f"{B.chart.coord_names[-1]} in [{t_range[0]}, {t_range[1]}]")
     if not args.verify:
         print("built; run with --verify for the residual checks")
         return 0
     symp = verify_symplectic(B.omega, args.samples, seed=args.seed)
-    oks = [_verdict(f"{'closed':<24}", sup_norm(symp.closed_residual), 1e-10),
+    oks = [_verdict(f"{'closed':<24}", sup_norm(symp.closed_residual), SYMPLECTIC_TOL),
            # the top coefficient must clear the floor; NaN propagates and fails
            _verdict(f"{'nondegenerate':<24}",
-                    sup_norm(np.maximum(1e-10 - symp.min_top_coefficient, 0.0)), 1e-10)]
+                    sup_norm(np.maximum(SYMPLECTIC_TOL - symp.min_top_coefficient, 0.0)),
+                    SYMPLECTIC_TOL)]
     oks += [_verdict(f"{r.id:<24}", r.residual, r.threshold, r.error)
             for r in _run_checks(run, _SYMPLECTIZE_IDS)]
     return 0 if all(oks) else 1

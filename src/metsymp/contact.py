@@ -52,13 +52,10 @@ from .fields import (
 __all__ = [
     "ContactMetricStructure",
     "ContactFormReport",
-    "CompatibilityReport",
     "KContactReport",
     "KmuReport",
     "HEigenReport",
-    "KmuCurvatureReport",
     "EtaEinsteinReport",
-    "IsomorphismReport",
     "reeb_field",
     "verify_contact_form",
     "solve_reeb",
@@ -180,31 +177,12 @@ class ContactMetricStructure:
 @dataclass(frozen=True)
 class ContactFormReport:
     min_top_coefficient: float
-    samples: int
     passed: bool
-
-
-@dataclass(frozen=True)
-class CompatibilityReport:
-    residual_reeb_pairing: float
-    residual_phi_square: float
-    residual_deta_pairing: float
-    samples: int
-
-    @property
-    def max_residual(self) -> float:
-        return sup_norm(self.residual_reeb_pairing, self.residual_phi_square,
-                        self.residual_deta_pairing)
-
-    @property
-    def passed(self) -> bool:
-        return self.max_residual < COMPAT_TOL
 
 
 @dataclass(frozen=True)
 class KContactReport:
     max_h_norm: float
-    samples: int
     is_k_contact: bool
 
 
@@ -231,31 +209,10 @@ class HEigenReport:
 
 
 @dataclass(frozen=True)
-class KmuCurvatureReport:
-    identity_residuals: tuple[float, ...]
-    samples: int
-
-    @property
-    def max_residual(self) -> float:
-        return sup_norm(self.identity_residuals)
-
-
-@dataclass(frozen=True)
 class EtaEinsteinReport:
     alpha: float
     beta: float
     residual: float
-
-
-@dataclass(frozen=True)
-class IsomorphismReport:
-    eta_residual: float
-    metric_residual: float
-    samples: int
-
-    @property
-    def max_residual(self) -> float:
-        return sup_norm(self.eta_residual, self.metric_residual)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +256,7 @@ def verify_contact_form(eta: TensorField, chart: Chart, n_samples: int = 50,
     bordered[:, 1:, 0] = -ev
     bordered[:, 1:, 1:] = exterior_derivative(eta).values(pts)
     min_abs = float(np.min(_top_coefficient_abs(bordered, chart.dim)))
-    return ContactFormReport(min_abs, n_samples, min_abs > threshold)
+    return ContactFormReport(min_abs, min_abs > threshold)
 
 
 def _require_batch(chart: Chart, points: np.ndarray) -> np.ndarray:
@@ -362,8 +319,11 @@ def solve_reeb(eta: TensorField, chart: Chart, point: np.ndarray) -> np.ndarray:
 
 
 def verify_compatibility(S: ContactMetricStructure, n_samples: int = 100,
-                         seed: int | None = None) -> CompatibilityReport:
-    """Max residual of the three structure axioms over samples and frames."""
+                         seed: int | None = None) -> dict[str, float]:
+    """Residuals of the three structure axioms over samples and frames:
+    ``reeb_pairing`` for g(X, xi) = eta(X), ``phi_square`` for
+    phi^2 = -I + eta (x) xi and ``deta_pairing`` for d eta(X, Y) = g(X, phi Y).
+    """
     pts = S.chart.samples(n_samples, seed=seed)
     d = S.chart.dim
     gv = S.g.values(pts)
@@ -378,7 +338,7 @@ def verify_compatibility(S: ContactMetricStructure, n_samples: int = 100,
     r2 = sup_norm(phi2 - target)
     pairing = np.einsum("nik,nkj->nij", gv, pv)   # g(d_i, phi d_j)
     r3 = sup_norm(dev - pairing)
-    return CompatibilityReport(r1, r2, r3, n_samples)
+    return {"reeb_pairing": r1, "phi_square": r2, "deta_pairing": r3}
 
 
 def _h_norms(gv: np.ndarray, hv: np.ndarray) -> np.ndarray:
@@ -398,12 +358,19 @@ def is_K_contact(S: ContactMetricStructure, n_samples: int = 100,
     pts = S.chart.samples(n_samples, seed=seed)
     norms = h_norms(S, pts)
     max_norm = sup_norm(norms)
-    return KContactReport(max_norm, n_samples, max_norm < H_VANISH_TOL)
+    return KContactReport(max_norm, max_norm < H_VANISH_TOL)
 
 
 # ---------------------------------------------------------------------------
 # nullity-condition fitting
 # ---------------------------------------------------------------------------
+
+
+def _nullity_basis(eta: np.ndarray) -> np.ndarray:
+    """A[n, l, i, j], the d_l component of eta(d_j) d_i - eta(d_i) d_j at
+    sample n, from the values ``eta[n, i]``."""
+    eye = np.eye(eta.shape[1])
+    return np.einsum("nj,li->nlij", eta, eye) - np.einsum("ni,lj->nlij", eta, eye)
 
 
 def nullity_fit(lhs: np.ndarray, eta: np.ndarray, h: np.ndarray | None
@@ -417,8 +384,7 @@ def nullity_fit(lhs: np.ndarray, eta: np.ndarray, h: np.ndarray | None
     kappa alone and mu is None.  The residual is the sup norm of
     lhs - (kappa A + mu B).
     """
-    eye = np.eye(eta.shape[1])
-    colA = np.einsum("nj,li->nlij", eta, eye) - np.einsum("ni,lj->nlij", eta, eye)
+    colA = _nullity_basis(eta)
     b = lhs.ravel()
     if h is None:
         sol, *_ = np.linalg.lstsq(colA.ravel()[:, None], b, rcond=None)
@@ -588,7 +554,7 @@ def h_eigendecomposition(S: ContactMetricStructure, point: np.ndarray) -> HEigen
 
 def verify_kmu_curvature(S: ContactMetricStructure, kappa: float, mu: float,
                          n_samples: int = 50, seed: int | None = None
-                         ) -> KmuCurvatureReport:
+                         ) -> dict[str, float]:
     """Residuals of the six eigenspace curvature identities.
 
     Arguments run over the +lam and -lam eigenbases of h at each sample.
@@ -602,7 +568,9 @@ def verify_kmu_curvature(S: ContactMetricStructure, kappa: float, mu: float,
       5. R(P1,P2)P3   = [2(1+lam)-m][g(P2,P3) P1 - g(P1,P3) P2]
       6. R(M1,M2)M3   = [2(1-lam)-m][g(M2,M3) M1 - g(M1,M3) M2]
 
-    with k = kappa and m = mu.
+    with k = kappa and m = mu.  The residuals are keyed in that order by
+    the eigenspaces of the three arguments: ``ppm``, ``mmp``, ``pmm``,
+    ``pmp``, ``ppp`` and ``mmm``.
     """
     pts = S.chart.samples(n_samples, seed=seed)
     data = christoffel_batch(S.g, pts)
@@ -646,17 +614,18 @@ def verify_kmu_curvature(S: ContactMetricStructure, kappa: float, mu: float,
     gPM, gMP = gp(phP, Ms), gp(phM, Ps)     # g(phi P, M) and g(phi M, P)
     c5 = 2.0 * (1.0 + lam) - mu
     c6 = 2.0 * (1.0 - lam) - mu
-    defects = (
-        R(Ps, Ps, Ms) - (kappa - mu) * pair(gPM, phP),
-        R(Ms, Ms, Ps) - (kappa - mu) * pair(gMP, phM),
-        R(Ps, Ms, Ms) - (kappa * gPM[:, :, None, :, None] * phM[:, None, :, None, :]
-                         + mu * gPM[:, :, :, None, None] * phM[:, None, None, :, :]),
-        R(Ps, Ms, Ps) - (-kappa * gMP[:, None, :, :, None] * phP[:, :, None, None, :]
-                         - mu * np.swapaxes(gMP, 1, 2)[:, :, :, None, None] * phP[:, None, None, :, :]),
-        R(Ps, Ps, Ps) - c5 * pair(gp(Ps, Ps), Ps),
-        R(Ms, Ms, Ms) - c6 * pair(gp(Ms, Ms), Ms),
-    )
-    return KmuCurvatureReport(tuple(sup_norm(part) for part in defects), n_samples)
+    defects = {
+        "ppm": R(Ps, Ps, Ms) - (kappa - mu) * pair(gPM, phP),
+        "mmp": R(Ms, Ms, Ps) - (kappa - mu) * pair(gMP, phM),
+        "pmm": R(Ps, Ms, Ms) - (kappa * gPM[:, :, None, :, None] * phM[:, None, :, None, :]
+                                + mu * gPM[:, :, :, None, None] * phM[:, None, None, :, :]),
+        "pmp": R(Ps, Ms, Ps) - (-kappa * gMP[:, None, :, :, None] * phP[:, :, None, None, :]
+                                - mu * np.swapaxes(gMP, 1, 2)[:, :, :, None, None]
+                                * phP[:, None, None, :, :]),
+        "ppp": R(Ps, Ps, Ps) - c5 * pair(gp(Ps, Ps), Ps),
+        "mmm": R(Ms, Ms, Ms) - c6 * pair(gp(Ms, Ms), Ms),
+    }
+    return {key: sup_norm(part) for key, part in defects.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -682,8 +651,9 @@ def eta_einstein_fit(S: ContactMetricStructure, n_samples: int = 50,
 
 def verify_structure_isomorphism(F: SmoothMap, S1: ContactMetricStructure,
                                  S2: ContactMetricStructure, n_samples: int = 50,
-                                 seed: int | None = None) -> IsomorphismReport:
-    """Residuals of F* eta2 = eta1 and F* g2 = g1 over source samples."""
+                                 seed: int | None = None) -> dict[str, float]:
+    """Residuals ``eta`` of F* eta2 = eta1 and ``metric`` of F* g2 = g1
+    over source samples."""
     if F.source != S1.chart or F.target != S2.chart:
         raise ChartMismatchError("map does not connect the two structure charts")
     pts = S1.chart.samples(n_samples, seed=seed)
@@ -691,4 +661,4 @@ def verify_structure_isomorphism(F: SmoothMap, S1: ContactMetricStructure,
     g_pull = pullback(F, S2.g)
     r_eta = sup_norm(eta_pull.values(pts) - S1.eta.values(pts))
     r_g = sup_norm(g_pull.values(pts) - S1.g.values(pts))
-    return IsomorphismReport(r_eta, r_g, n_samples)
+    return {"eta": r_eta, "metric": r_g}

@@ -242,12 +242,14 @@ def covariant_derivative_values(
     return out
 
 
-def gram_schmidt_frame(gmat: np.ndarray, seeds: np.ndarray | None = None,
-                       tol: float = 1e-10) -> np.ndarray:
+_FRAME_TOL = 1e-10
+
+
+def gram_schmidt_frame(gmat: np.ndarray, seeds: np.ndarray | None = None) -> np.ndarray:
     """A g-orthonormal frame from seed vectors plus the coordinate basis.
 
     A candidate whose remainder after projection has g-norm^2 at most
-    ``tol`` times its own is skipped (pivoting), so zero, dependent or NaN
+    ``_FRAME_TOL`` times its own is skipped (pivoting), so zero, dependent or NaN
     seeds cannot poison the frame; the test is relative, so a uniformly
     rescaled metric s g gives the frame of g divided by sqrt(s).  Returns
     rows of shape (dim, dim).
@@ -263,7 +265,7 @@ def gram_schmidt_frame(gmat: np.ndarray, seeds: np.ndarray | None = None,
         for u in frame:
             w = w - (u @ gmat @ w) * u
         norm2 = float(w @ gmat @ w)
-        if not norm2 > tol * float(v @ gmat @ v):
+        if not norm2 > _FRAME_TOL * float(v @ gmat @ v):
             continue
         frame.append(w / np.sqrt(norm2))
         if len(frame) == d:

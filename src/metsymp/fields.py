@@ -675,9 +675,12 @@ def lower_index(g: TensorField, T: TensorField, contra_slot: int) -> TensorField
     return TensorField(T.chart, T.r - 1, T.s + 1, out)
 
 
-def pointwise_solve(A: TensorField, b: TensorField, point: np.ndarray,
-                    cond_limit: float = 1e12) -> np.ndarray:
-    """Solve A(p) x = b(p) exactly, refusing ill-conditioned systems."""
+_COND_LIMIT = 1e12
+
+
+def pointwise_solve(A: TensorField, b: TensorField, point: np.ndarray) -> np.ndarray:
+    """Solve A(p) x = b(p) exactly, refusing systems whose condition number
+    is not finite or exceeds ``_COND_LIMIT``."""
     if (A.r, A.s) not in ((1, 1), (0, 2), (2, 0)):
         raise RankError("pointwise_solve needs a square matrix field")
     if b.r + b.s != 1:
@@ -686,6 +689,6 @@ def pointwise_solve(A: TensorField, b: TensorField, point: np.ndarray,
     amat = A.values(p)
     bvec = b.values(p)
     cond = np.linalg.cond(amat)
-    if not np.isfinite(cond) or cond > cond_limit:
+    if not np.isfinite(cond) or cond > _COND_LIMIT:
         raise SingularMatrixError(f"matrix is singular at the point (cond estimate {cond:.3e})")
     return np.linalg.solve(amat, bvec)

@@ -16,7 +16,9 @@ Christoffel data alone.  T and A are tensorial in both slots, so the
 tables determine them on any pair of vector fields.  The verifiers compare
 T against the closed form, and check the standard curvature relations that
 the submersion implies, with the slice curvature computed intrinsically on
-the base chart so the comparison stays a genuine cross-check.
+the base chart so the comparison stays a genuine cross-check.  Each
+verifier returns its residuals as a dict from the name of the identity to
+its sup norm over the samples, in a fixed order.
 """
 
 from __future__ import annotations
@@ -53,9 +55,6 @@ __all__ = [
     "verify_currel",
     "verify_ricci_relations",
     "fit_symplectization_kmu",
-    "FundamentalTensorReport",
-    "CurvatureRelationsReport",
-    "RicciTableReport",
     "SymplectizationKmuReport",
     "slice_christoffel_batch",
 ]
@@ -191,27 +190,18 @@ def slice_christoffel_batch(B: SymplecticMetricStructure, points: np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# reports
+# residuals of the submersion identities
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FundamentalTensorReport:
-    vertical_pair_residual: float     # T(X, Y) closed form
-    mixed_pair_residual: float        # T(X, d_t) closed form
-    horizontal_rows_residual: float   # T vanishes on horizontal first slot
-    a_tensor_residual: float          # A = 0
-    samples: int
-
-    @property
-    def max_residual(self) -> float:
-        return sup_norm(self.vertical_pair_residual, self.mixed_pair_residual,
-                        self.horizontal_rows_residual, self.a_tensor_residual)
-
-
 def verify_fundamental_tensors(B: SymplecticMetricStructure, n_samples: int = 50,
-                   seed: int | None = None) -> FundamentalTensorReport:
-    """Fundamental tensors from the definition versus the closed form."""
+                               seed: int | None = None) -> dict[str, float]:
+    """Fundamental tensors from the definition versus the closed form.
+
+    The residuals are ``vertical_pair`` and ``mixed_pair`` for the closed
+    forms of T(X, Y) and T(X, d_t), ``horizontal_rows`` for T = 0 on a
+    horizontal first slot, and ``a_tensor`` for A = 0.
+    """
     S = B.base
     pts = B.chart.samples(n_samples, seed=seed)
     data = christoffel_batch(B.gbar, pts)
@@ -227,8 +217,8 @@ def verify_fundamental_tensors(B: SymplecticMetricStructure, n_samples: int = 50
     vv[:, ti] += gv[:, :d, :d] + etat[:, :d, None] * etat[:, None, :d]
     # T(d_a, d_t) = d_a + etat_a xi_t, as [n, k, a]
     vt = T[:, :, :d, ti] - (np.eye(D)[:, :d] + xit[:, :, None] * etat[:, None, :d])
-    return FundamentalTensorReport(sup_norm(vv), sup_norm(vt), sup_norm(T[:, :, ti, :]),
-                                   sup_norm(A), n_samples)
+    return {"vertical_pair": sup_norm(vv), "mixed_pair": sup_norm(vt),
+            "horizontal_rows": sup_norm(T[:, :, ti, :]), "a_tensor": sup_norm(A)}
 
 
 def _product_frames(B: SymplecticMetricStructure, gv: np.ndarray,
@@ -244,31 +234,8 @@ def _frame_components(frames: np.ndarray, M: np.ndarray) -> np.ndarray:
     return frames @ M @ np.swapaxes(frames, 1, 2)
 
 
-@dataclass(frozen=True)
-class CurvatureRelationsReport:
-    """Residuals of the four relations, plus a sign-flip diagnostic.
-
-    ``sign_flip_detected`` is set when the radial relation fails as stated
-    but holds after negating the ambient curvature; that separates a
-    curvature-sign-convention dispute from a genuine defect instead of
-    letting the two fail identically.
-    """
-
-    vertical_part: float        # relation for V(R(X,Y)Z)
-    horizontal_part: float      # relation for the d_t component of R(X,Y)Z
-    radial_relation: float      # gbar(R(d_t,X)d_t, Y) = g_t(X,Y) + 3 etat etat
-    degenerate_relation: float  # gbar(R(X,Y)d_t, d_t) = 0
-    sign_flip_detected: bool
-    samples: int
-
-    @property
-    def max_residual(self) -> float:
-        return sup_norm(self.vertical_part, self.horizontal_part,
-                        self.radial_relation, self.degenerate_relation)
-
-
 def verify_currel(B: SymplecticMetricStructure, n_samples: int = 50,
-                  seed: int | None = None) -> CurvatureRelationsReport:
+                  seed: int | None = None) -> dict[str, float]:
     """Curvature of the product against slice data, four relations.
 
     For slice-tangent coordinate fields X, Y, Z (with eta_t, xi_t, g_t, h_t
@@ -282,6 +249,9 @@ def verify_currel(B: SymplecticMetricStructure, n_samples: int = 50,
                       + 2 eta_t(Z) g_t(Y, phi X)
       3. gbar(R(d_t, X) d_t, Y) = g_t(X, Y) + 3 eta_t(X) eta_t(Y)
       4. gbar(R(X, Y) d_t, d_t) = 0
+
+    Their residuals are ``vertical_part``, ``horizontal_part``,
+    ``radial_relation`` and ``degenerate_relation``.
     """
     S = B.base
     pts = B.chart.samples(n_samples, seed=seed)
@@ -323,39 +293,27 @@ def verify_currel(B: SymplecticMetricStructure, n_samples: int = 50,
     # relation 3 over [n, b, a]
     lhs3 = np.einsum("nbl,nla->nba", gv[:, :d], riem[:, :, ti, ti, :d])
     rhs3 = gtt + 3.0 * etat[:, None, :] * etat[:, :, None]
-    r3 = sup_norm(lhs3 - rhs3)
-    sign_flip = r3 > 1e-6 and sup_norm(lhs3 + rhs3) < 1e-6
-    return CurvatureRelationsReport(sup_norm(d1), sup_norm(d2), r3,
-                                    sup_norm(rt[:, ti, :d, :d]), sign_flip, n_samples)
-
-
-@dataclass(frozen=True)
-class RicciTableReport:
-    """Residuals of the Ricci rows of the submersion, frame by frame.
-
-    The distribution-block row uses the constant 2n + 2, which is what the
-    radial relation (relation 3 above) together with the vertical relation
-    forces; the verification derivation is spelled out in the test suite.
-    """
-
-    distribution_block: float   # Ric(e_i, e_j) = Ric_t(e_i, e_j) - (2n+2) delta_ij
-    distribution_reeb: float    # Ric(e_i, xi_t) = Ric_t(e_i, xi_t)
-    distribution_line: float    # Ric(e_i, d_t) = 0
-    reeb_line: float            # Ric(xi_t, d_t) = 0
-    reeb_reeb: float            # Ric(xi_t, xi_t) = Ric_t(xi_t, xi_t) - 4n - 4
-    line_line: float            # Ric(d_t, d_t) = -2n - 4
-    sign_flip_detected: bool    # line row holds only with negated curvature
-    samples: int
-
-    @property
-    def max_residual(self) -> float:
-        return sup_norm(self.distribution_block, self.distribution_reeb,
-                        self.distribution_line, self.reeb_line, self.reeb_reeb,
-                        self.line_line)
+    return {"vertical_part": sup_norm(d1), "horizontal_part": sup_norm(d2),
+            "radial_relation": sup_norm(lhs3 - rhs3),
+            "degenerate_relation": sup_norm(rt[:, ti, :d, :d])}
 
 
 def verify_ricci_relations(B: SymplecticMetricStructure, n_samples: int = 50,
-                           seed: int | None = None) -> RicciTableReport:
+                           seed: int | None = None) -> dict[str, float]:
+    """Residuals of the Ricci rows of the submersion, in a gbar-orthonormal
+    frame (xi_t, d_t, e_i) with e_i spanning the contact distribution:
+
+      distribution_block  Ric(e_i, e_j) = Ric_t(e_i, e_j) - (2n+2) delta_ij
+      distribution_reeb   Ric(e_i, xi_t) = Ric_t(e_i, xi_t)
+      distribution_line   Ric(e_i, d_t) = 0
+      reeb_line           Ric(xi_t, d_t) = 0
+      reeb_reeb           Ric(xi_t, xi_t) = Ric_t(xi_t, xi_t) - 4n - 4
+      line_line           Ric(d_t, d_t) = -2n - 4
+
+    The distribution-block constant 2n + 2 is what the radial relation of
+    :func:`verify_currel` together with the vertical relation forces; the
+    derivation is spelled out in the test suite.
+    """
     S = B.base
     pts = B.chart.samples(n_samples, seed=seed)
     data = christoffel_batch(B.gbar, pts)
@@ -377,11 +335,9 @@ def verify_ricci_relations(B: SymplecticMetricStructure, n_samples: int = 50,
     rline = rb[:, 0, 1]
     rr = rb[:, 0, 0] - rt[:, 0, 0] + 4.0 * nn + 4.0
     ll = rb[:, 1, 1] + 2.0 * nn + 4.0
-    ll_flipped = rb[:, 1, 1] - 2.0 * nn - 4.0
-    r_ll = sup_norm(ll)
-    sign_flip = r_ll > 1e-6 and sup_norm(ll_flipped) < 1e-6
-    return RicciTableReport(sup_norm(block), sup_norm(dreeb), sup_norm(dline),
-                            sup_norm(rline), sup_norm(rr), r_ll, sign_flip, n_samples)
+    return {"distribution_block": sup_norm(block), "distribution_reeb": sup_norm(dreeb),
+            "distribution_line": sup_norm(dline), "reeb_line": sup_norm(rline),
+            "reeb_reeb": sup_norm(rr), "line_line": sup_norm(ll)}
 
 
 @dataclass(frozen=True)
@@ -389,8 +345,6 @@ class SymplectizationKmuReport:
     kappa_tilde: float
     mu_tilde: float | None
     residual: float
-    t: float
-    samples: int
 
 
 def fit_symplectization_kmu(B: SymplecticMetricStructure, t: float,
@@ -415,5 +369,5 @@ def fit_symplectization_kmu(B: SymplecticMetricStructure, t: float,
     # V(R(d_a, d_b) xi_t), base components
     lhs = np.einsum("nlkab,nk->nlab", riem[:, :d, :, :d, :d], xit)
     kt, mt, res = nullity_fit(lhs, etat[:, :d], None if h_vanishes else h_base / math.exp(2.0 * t))
-    return SymplectizationKmuReport(kt, mt, res, float(t), n_samples)
+    return SymplectizationKmuReport(kt, mt, res)
 

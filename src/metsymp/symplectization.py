@@ -78,11 +78,18 @@ __all__ = [
     "nijenhuis",
     "nijenhuis_norms",
     "translation_isomorphism_check",
-    "TranslationReport",
     "acs_table_residuals",
     "block_structure_residuals",
     "unique_acs_witness_residual",
 ]
+
+# closedness and nondegeneracy floor of a symplectic form's sampled values
+SYMPLECTIC_TOL = 1e-10
+# the Cartan-formula residual of the expansion property
+LIOUVILLE_TOL = 1e-9
+# samples and tolerance of the unit and orthogonality checks on Y
+_HYPERSURFACE_SAMPLES = 25
+_HYPERSURFACE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -148,24 +155,24 @@ def slice_form_values(S: ContactMetricStructure, pts: np.ndarray
             lifted_values(S.xi, pts) * np.exp(-2.0 * t))
 
 
+def _exp_t(chart: Chart, c: float) -> Expr:
+    """exp(c t), with t the last coordinate of ``chart``."""
+    return exp(Const(c) * Coord(chart.dim - 1, chart.coord_names[-1]))
+
+
 def extended_slice_form(S: ContactMetricStructure, chart: Chart) -> TensorField:
     """exp(2t) eta as a 1-form on the product chart (zero dt component)."""
-    t = Coord(chart.dim - 1, chart.coord_names[-1])
-    factor = exp(Const(2.0) * t)
-    return extend_to_product(S.eta, chart).scale(factor)
+    return extend_to_product(S.eta, chart).scale(_exp_t(chart, 2.0))
 
 
 def extended_slice_reeb(S: ContactMetricStructure, chart: Chart) -> TensorField:
     """exp(-2t) xi as a vector field on the product chart."""
-    t = Coord(chart.dim - 1, chart.coord_names[-1])
-    factor = exp(Const(-2.0) * t)
-    return extend_to_product(S.xi, chart).scale(factor)
+    return extend_to_product(S.xi, chart).scale(_exp_t(chart, -2.0))
 
 
 def slice_metric_field(S: ContactMetricStructure, chart: Chart) -> TensorField:
     """The slice family exp(2t) g + exp(2t)(exp(2t)-1) eta (x) eta."""
-    t = Coord(chart.dim - 1, chart.coord_names[-1])
-    a = exp(Const(2.0) * t)
+    a = _exp_t(chart, 2.0)
     comps = _rescaled_metric(extend_to_product(S.g, chart).components,
                              extend_to_product(S.eta, chart).components, a, a * (a - Const(1.0)))
     return TensorField(chart, 0, 2, comps, "symmetric")
@@ -219,38 +226,41 @@ def _with_compatible_metric(S: ContactMetricStructure, J: TensorField
                                      gbar=_compatible_metric(J, omega), J=J, base=S)
 
 
-def build_metric_symplectization(
-    S: ContactMetricStructure,
-    t_range: tuple[float, float] = (-1.0, 1.0),
-    t_name: str = "t",
-) -> SymplecticMetricStructure:
+def _product_chart(S: ContactMetricStructure, t_range: tuple[float, float]) -> Chart:
+    """The base chart times the line, whose coordinate is named ``t``, or
+    ``t1``, ``t2``, ... when the base already has a coordinate ``t``."""
+    names = S.chart.coord_names
+    name = next(n for n in ("t", *(f"t{k}" for k in range(1, len(names) + 1)))
+                if n not in names)
+    return product_with_line(S.chart, name, t_range)
+
+
+def build_metric_symplectization(S: ContactMetricStructure,
+                                 t_range: tuple[float, float] = (-1.0, 1.0)
+                                 ) -> SymplecticMetricStructure:
     """The unique compatible metric structure on the symplectization.
 
     omega comes from the exterior derivative of exp(2t) eta, J from the
     three-case formula above, and gbar(X, Y) = omega(J X, Y), stored with
     explicit symmetrization so the symmetry holds structurally.
     """
-    chart = product_with_line(S.chart, t_name, t_range)
-    t = Coord(chart.dim - 1, t_name)
-    J = _product_acs(S, chart, exp(Const(2.0) * t), exp(Const(-2.0) * t))
-    return _with_compatible_metric(S, J)
+    chart = _product_chart(S, t_range)
+    return _with_compatible_metric(S, _product_acs(S, chart, _exp_t(chart, 2.0),
+                                                   _exp_t(chart, -2.0)))
 
 
 def natural_acs(S: ContactMetricStructure,
-                t_range: tuple[float, float] = (-1.0, 1.0),
-                t_name: str = "t") -> TensorField:
+                t_range: tuple[float, float] = (-1.0, 1.0)) -> TensorField:
     """The classical almost complex structure J(X, f d_t) = (phi X - f xi,
     eta(X) d_t) on the symplectization, as a (1,1) field."""
-    return _product_acs(S, product_with_line(S.chart, t_name, t_range), ONE, ONE)
+    return _product_acs(S, _product_chart(S, t_range), ONE, ONE)
 
 
-def natural_symplectic_metric_structure(
-    S: ContactMetricStructure,
-    t_range: tuple[float, float] = (-1.0, 1.0),
-    t_name: str = "t",
-) -> SymplecticMetricStructure:
+def natural_symplectic_metric_structure(S: ContactMetricStructure,
+                                        t_range: tuple[float, float] = (-1.0, 1.0)
+                                        ) -> SymplecticMetricStructure:
     """The symplectization equipped with the classical J and its metric."""
-    return _with_compatible_metric(S, natural_acs(S, t_range, t_name))
+    return _with_compatible_metric(S, natural_acs(S, t_range))
 
 
 # ---------------------------------------------------------------------------
@@ -262,11 +272,11 @@ def natural_symplectic_metric_structure(
 class SymplecticReport:
     closed_residual: float
     min_top_coefficient: float
-    samples: int
 
     @property
     def passed(self) -> bool:
-        return self.closed_residual < 1e-10 and self.min_top_coefficient > 1e-10
+        return (self.closed_residual < SYMPLECTIC_TOL
+                and self.min_top_coefficient > SYMPLECTIC_TOL)
 
 
 def verify_symplectic(omega: TensorField, n_samples: int = 50,
@@ -285,7 +295,7 @@ def verify_symplectic(omega: TensorField, n_samples: int = 50,
     pts = chart.samples(n_samples, seed=seed)
     closed = sup_norm(exterior_derivative(omega).values(pts))
     top = _top_coefficient_abs(omega.values(pts), chart.dim)
-    return SymplecticReport(closed, float(np.min(top)), n_samples)
+    return SymplecticReport(closed, float(np.min(top)))
 
 
 @dataclass(frozen=True)
@@ -306,11 +316,10 @@ class LiouvilleReport:
     cartan_residual: float
     lie_constant: float
     lie_fit_residual: float
-    samples: int
 
     @property
     def passed(self) -> bool:
-        return self.cartan_residual < 1e-9
+        return self.cartan_residual < LIOUVILLE_TOL
 
 
 def verify_liouville(omega: TensorField, Y: TensorField, n_samples: int = 50,
@@ -329,7 +338,7 @@ def verify_liouville(omega: TensorField, Y: TensorField, n_samples: int = 50,
     denom = float(ov @ ov)
     c = float(lv @ ov) / denom if denom > 0 else 0.0
     lie_res = sup_norm(lv - c * ov)
-    return LiouvilleReport(cartan, c, lie_res, n_samples)
+    return LiouvilleReport(cartan, c, lie_res)
 
 
 # ---------------------------------------------------------------------------
@@ -364,8 +373,6 @@ def induced_contact_on_hypersurface(
     B: SymplecticMetricStructure,
     Y: TensorField,
     embedding: SmoothMap,
-    n_check_samples: int = 25,
-    tol: float = 1e-8,
 ) -> ContactMetricStructure:
     """Contact metric structure induced on a hypersurface orthogonal to Y.
 
@@ -388,19 +395,19 @@ def induced_contact_on_hypersurface(
     d = src.dim
     D = B.chart.dim
 
-    pts = src.samples(n_check_samples)
+    pts = src.samples(_HYPERSURFACE_SAMPLES)
     img = embedding(pts)
     gv = B.gbar.values(img)
     yv = Y.values(img)
     unit_res = sup_norm(np.einsum("nij,ni,nj->n", gv, yv, yv) - 1.0)
-    if unit_res > tol:
+    if unit_res > _HYPERSURFACE_TOL:
         raise GeometryError(f"Y is not unit along the hypersurface (residual {unit_res:.3e})")
     jac_exprs = [[embedding.exprs[c].diff(i) for c in range(D)] for i in range(d)]
     jac_vals = np.stack(evaluate([e for row in jac_exprs for e in row], pts),
                         axis=-1).reshape(len(pts), d, D)
     orth = np.einsum("nic,ncb,nb->ni", jac_vals, gv, yv)
     orth_res = sup_norm(orth)
-    if orth_res > tol:
+    if orth_res > _HYPERSURFACE_TOL:
         raise GeometryError(
             f"Y is not orthogonal to the hypersurface (residual {orth_res:.3e})"
         )
@@ -579,41 +586,23 @@ def unique_acs_witness_residual(B: SymplecticMetricStructure, n_samples: int = 2
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TranslationReport:
-    omega_residual: float
-    metric_residual: float
-    samples: int
+def translation_isomorphism_check(B: SymplecticMetricStructure, t_shift: float,
+                                  n_samples: int = 50, seed: int | None = None
+                                  ) -> dict[str, float]:
+    """Check (x, t) -> (x, t + t_shift) matches two symplectizations.
 
-    @property
-    def max_residual(self) -> float:
-        return sup_norm(self.omega_residual, self.metric_residual)
-
-
-def translation_isomorphism_check(S: ContactMetricStructure, t_shift: float,
-                                  n_samples: int = 50, seed: int | None = None,
-                                  t_range: tuple[float, float] = (-1.0, 1.0)
-                                  ) -> TranslationReport:
-    """Check (x, t) -> (x, t + t_shift) matches the two symplectizations.
-
-    Pulling the symplectization data of S back along the shift must land
-    exactly on the symplectization data of the D_a rescaling of S with
-    a = exp(2 t_shift).  Samples are restricted so the shifted points stay
-    inside the product box.
+    Pulling the data of ``B``, the symplectization of S, back along the
+    shift must land exactly on the symplectization data, over the same t
+    range, of the D_a rescaling of S with a = exp(2 t_shift): the
+    residuals are ``omega`` and ``metric``.  Samples are restricted so the
+    shifted points stay inside the product box.
     """
-    B1 = build_metric_symplectization(S, t_range)
-    S2 = d_homothety(S, math.exp(2.0 * t_shift))
-    B2 = build_metric_symplectization(S2, t_range)
+    lo, hi = B.chart.domain[B.t_index]
+    B2 = build_metric_symplectization(d_homothety(B.base, math.exp(2.0 * t_shift)), (lo, hi))
     chart = B2.chart
-    shift = SmoothMap(
-        chart, B1.chart,
-        tuple(
-            [Coord(i, chart.coord_names[i]) for i in range(chart.dim - 1)]
-            + [Coord(chart.dim - 1, chart.coord_names[-1]) + Const(float(t_shift))]
-        ),
-    )
+    coords = [Coord(i, name) for i, name in enumerate(chart.coord_names)]
+    shift = SmoothMap(chart, B.chart, tuple(coords[:-1] + [coords[-1] + Const(float(t_shift))]))
     pts = chart.samples(n_samples, seed=seed)
-    lo, hi = t_range
     # keep both the point and its shift inside the t interval
     t_lo = max(lo, lo - t_shift) + 0.05 * (hi - lo)
     t_hi = min(hi, hi - t_shift) - 0.05 * (hi - lo)
@@ -622,6 +611,5 @@ def translation_isomorphism_check(S: ContactMetricStructure, t_shift: float,
     rng = np.random.default_rng(chart.sampler_seed if seed is None else seed)
     pts[:, -1] = rng.uniform(t_lo, t_hi, size=len(pts))
 
-    om_res = sup_norm(pullback(shift, B1.omega).values(pts) - B2.omega.values(pts))
-    g_res = sup_norm(pullback(shift, B1.gbar).values(pts) - B2.gbar.values(pts))
-    return TranslationReport(om_res, g_res, n_samples)
+    return {"omega": sup_norm(pullback(shift, B.omega).values(pts) - B2.omega.values(pts)),
+            "metric": sup_norm(pullback(shift, B.gbar).values(pts) - B2.gbar.values(pts))}

@@ -146,7 +146,7 @@ def _unit(B, n):
 
 
 def currel_reference(B, n_samples, seed):
-    """verify_currel field by field: (vertical, horizontal, radial, degenerate, sign_flip)."""
+    """verify_currel key by key: (vertical, horizontal, radial, degenerate)."""
     S = B.base
     pts = B.chart.samples(n_samples, seed=seed)
     data = christoffel_batch(B.gbar, pts)
@@ -164,7 +164,7 @@ def currel_reference(B, n_samples, seed):
     hv = extend_to_product(S.h, B.chart).values(pts)[:, :d, :d] / e2t[:, None, None]
     P = gt + np.einsum("na,nb->nab", etat, etat)
 
-    d1, d2, d3, d3_flipped = [], [], [], []
+    d1, d2, d3 = [], [], []
     for a in range(d):
         for b in range(d):
             for c in range(d):
@@ -189,10 +189,7 @@ def currel_reference(B, n_samples, seed):
             lhs = rlow[:, b, ti, ti, a]
             rhs = gt[:, a, b] + 3.0 * etat[:, a] * etat[:, b]
             d3.append(lhs - rhs)
-            d3_flipped.append(lhs + rhs)
-    r3 = sup_norm(*d3)
-    sign_flip = r3 > 1e-6 and sup_norm(*d3_flipped) < 1e-6
-    return (sup_norm(*d1), sup_norm(*d2), r3, sup_norm(rlow[:, ti, ti, :d, :d]), sign_flip)
+    return (sup_norm(*d1), sup_norm(*d2), sup_norm(*d3), sup_norm(rlow[:, ti, ti, :d, :d]))
 
 
 def _frame(B, gmat, xit):
@@ -200,7 +197,7 @@ def _frame(B, gmat, xit):
 
 
 def ricci_rows_reference(B, n_samples, seed):
-    """verify_ricci_relations field by field, one frame product at a time."""
+    """verify_ricci_relations key by key, one frame product at a time."""
     S = B.base
     pts = B.chart.samples(n_samples, seed=seed)
     data = christoffel_batch(B.gbar, pts)
@@ -210,7 +207,7 @@ def ricci_rows_reference(B, n_samples, seed):
     ric_t = ricci_components(slice_christoffel_batch(B, pts))
     xit_full = extended_slice_reeb(S, B.chart).values(pts)
 
-    block, dreeb, dline, rline, rr, ll, ll_flipped = ([] for _ in range(7))
+    block, dreeb, dline, rline, rr, ll = ([] for _ in range(6))
     for k in range(len(pts)):
         frame = _frame(B, data.g[k], xit_full[k])
         xi_hat, e_t, es = frame[0], frame[1], frame[2:]
@@ -228,11 +225,8 @@ def ricci_rows_reference(B, n_samples, seed):
         rline.append(float(xi_hat @ rb @ e_t))
         rr.append(float(xi_hat @ rb @ xi_hat) - ric_slice(xi_hat, xi_hat) + 4.0 * nn + 4.0)
         ll.append(float(e_t @ rb @ e_t) + 2.0 * nn + 4.0)
-        ll_flipped.append(float(e_t @ rb @ e_t) - 2.0 * nn - 4.0)
-    r_ll = sup_norm(ll)
-    sign_flip = r_ll > 1e-6 and sup_norm(ll_flipped) < 1e-6
     return (sup_norm(block), sup_norm(dreeb), sup_norm(dline), sup_norm(rline),
-            sup_norm(rr), r_ll, sign_flip)
+            sup_norm(rr), sup_norm(ll))
 
 
 def kmu_curvature_reference(S, kappa, mu, n_samples, seed):

@@ -3,9 +3,10 @@
 import pytest
 
 from metsymp.catalog import catalog_load, catalog_names
-from metsymp.contact import ContactMetricStructure, verify_compatibility
+from metsymp.contact import COMPAT_TOL, ContactMetricStructure, verify_compatibility
 from metsymp.errors import UnknownEntryError
 from metsymp.expressions import Const
+from metsymp.fields import sup_norm
 
 
 def test_names_and_load():
@@ -15,7 +16,7 @@ def test_names_and_load():
         entry = catalog_load(name)
         assert entry.name == name
         assert entry.description
-        assert verify_compatibility(entry.structure, 50).passed
+        assert sup_norm(*verify_compatibility(entry.structure, 50).values()) < COMPAT_TOL
 
 
 def test_unknown_entry():
@@ -43,7 +44,8 @@ def test_frozen_normalization_is_the_unique_scan_survivor(name):
     scales = (0.25, 0.5, 1.0, 2.0, 4.0)
     survivors = [
         (a, b) for a in scales for b in scales
-        if verify_compatibility(ContactMetricStructure.build(
-            S.chart, S.eta.scale(Const(a)), S.g.scale(Const(b)), S.phi), n_samples=25).passed
+        if sup_norm(*verify_compatibility(ContactMetricStructure.build(
+            S.chart, S.eta.scale(Const(a)), S.g.scale(Const(b)), S.phi), n_samples=25).values())
+        < COMPAT_TOL
     ]
     assert survivors == [(1.0, 1.0)]

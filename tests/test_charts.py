@@ -1,5 +1,7 @@
 """Chart invariants and sampling behaviour."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,15 @@ def test_chart_validation():
         Chart(("x", "y"), ((-1, 1),))
     with pytest.raises(GeometryError):
         Chart(("x",), ((-1, 1),), dim=3)
+
+
+@pytest.mark.parametrize("interval", [(-math.inf, math.inf), (0.0, math.inf),
+                                      (-1e308, 1e308)])
+def test_a_non_finite_end_or_width_is_rejected(interval):
+    with pytest.raises(GeometryError, match="finite ends and width"):
+        Chart(("x", "y"), ((-1, 1), interval))
+    with pytest.raises(GeometryError, match="finite ends and width"):
+        product_with_line(Chart(("x",), ((-1, 1),)), "t", interval)
 
 
 def test_samples_avoid_boundary_and_are_reproducible():

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -32,6 +33,9 @@ phi x y = 1
 phi y x = -1
 phi z y = y
 """
+
+# the same structure with its third coordinate named t, the line coordinate's default name
+T_COORDINATE_FILE = re.sub(r"\bz\b", "t", GOOD_FILE)
 
 INCOMPATIBLE_FILE = GOOD_FILE.replace("g y y = 1/2", "g y y = 1")
 
@@ -257,6 +261,18 @@ def test_symplectize_structure_file(tmp_path, capsys):
     path.write_text(GOOD_FILE)
     assert main(["symplectize", str(path)]) == 0
     assert "product chart (x, y, z, t)" in capsys.readouterr().out
+
+
+def test_a_base_coordinate_named_t_moves_the_line_coordinate(tmp_path, capsys):
+    path = tmp_path / "t.txt"
+    path.write_text(T_COORDINATE_FILE)
+    assert main(["check", str(path), "--samples", "12"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("[PASS]") == 16
+    assert main(["symplectize", str(path), "--verify", "--samples", "12"]) == 0
+    out = capsys.readouterr().out
+    assert "product chart (x, y, t, t1), t1 in [-1.0, 1.0]" in out
+    assert out.count("[PASS]") == 7
 
 
 def test_symplectize_verify_in_dimension_six(capsys):

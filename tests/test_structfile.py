@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from metsymp.contact import fit_kappa_mu, verify_compatibility
+from metsymp.contact import COMPAT_TOL, fit_kappa_mu, verify_compatibility
+from metsymp.fields import sup_norm
 from metsymp.structfile import StructureFileError, load_structure_file, parse_structure_text
 
 RESCALED_R3 = """
@@ -31,7 +32,7 @@ def test_parse_and_fit_rescaled_model():
     S = parse_structure_text(RESCALED_R3)
     assert S.chart.coord_names == ("x", "y", "z")
     assert S.chart.sampler_seed == 7
-    assert verify_compatibility(S, 60).passed
+    assert sup_norm(*verify_compatibility(S, 60).values()) < COMPAT_TOL
     rep = fit_kappa_mu(S, 40)
     assert abs(rep.kappa - 1.0) < 1e-9
     assert rep.mu is None
@@ -61,7 +62,7 @@ def test_load_from_disk(tmp_path):
     path = tmp_path / "structure.txt"
     path.write_text(RESCALED_R3, encoding="utf-8")
     S = load_structure_file(path)
-    assert verify_compatibility(S, 20).passed
+    assert sup_norm(*verify_compatibility(S, 20).values()) < COMPAT_TOL
 
 
 def _expect_error(text, needle, line=None):
@@ -151,4 +152,4 @@ phi z y = y
     pts = S.chart.samples(10)
     gv = S.g.values(pts)
     assert np.array_equal(gv, np.swapaxes(gv, 1, 2))
-    assert verify_compatibility(S, 20).passed
+    assert sup_norm(*verify_compatibility(S, 20).values()) < COMPAT_TOL

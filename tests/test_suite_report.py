@@ -217,7 +217,7 @@ def test_index_invariance_builds_the_structures_when_the_rescale_check_raised(mo
 KMU_READERS = ("nullity_fit", "h_eigenstructure", "eigenspace_curvature", "rescale_equivariance",
                "index_invariance", "symplectization_nullity", "integrability")
 B_READERS = ("symplectization_build", "liouville", "fundamental_tensor", "curvature_relations",
-             "ricci_rows", "symplectization_nullity", "integrability")
+             "ricci_rows", "symplectization_nullity", "integrability", "translation_isomorphism")
 
 
 @pytest.mark.parametrize("artifact, readers", [

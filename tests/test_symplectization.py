@@ -20,6 +20,7 @@ from numpy.testing import assert_allclose
 from metsymp.catalog import CatalogEntry
 from metsymp.charts import Chart
 from metsymp.contact import (
+    COMPAT_TOL,
     ContactMetricStructure,
     _top_coefficient_abs,
     d_homothety,
@@ -32,6 +33,7 @@ from metsymp.fields import (
     TensorField,
     interior_product,
     pullback,
+    sup_norm,
     wedge,
 )
 from metsymp.symplectization import (
@@ -55,7 +57,7 @@ from metsymp.symplectization import (
     verify_liouville,
     verify_symplectic,
 )
-from metsymp.structfile import load_structure_file
+from metsymp.structfile import load_structure_file, parse_structure_text
 from metsymp.suite import SuiteConfig, run_suite
 
 from loop_references import symplectic_top_reference
@@ -83,6 +85,29 @@ def test_line_direction_unit_and_orthogonal(any_entry, sasakian_symp, flat_bundl
     assert res["dt_orthogonal"] < 1e-10
     assert res["slice_block"] < 1e-10
     assert res["omega_pairing"] < 1e-10
+
+
+def test_the_line_coordinate_takes_the_first_free_name():
+    """t, else t1, t2, ...: the R^3 model with coordinates named t, t1 and z."""
+    S = parse_structure_text("""
+chart t [-1.5, 1.5]
+chart t1 [-1.5, 1.5]
+chart z [-1.5, 1.5]
+eta t = -t1
+eta z = 1
+g t t = 1/2 + t1^2
+g t z = -t1
+g t1 t1 = 1/2
+g z z = 1
+phi t t1 = 1
+phi t1 t = -1
+phi z t1 = t1
+""")
+    B = build_metric_symplectization(S, (-0.5, 0.5))
+    assert B.chart.coord_names == ("t", "t1", "z", "t2")
+    assert B.chart.domain[-1] == (-0.5, 0.5)
+    assert natural_acs(S, (-0.5, 0.5)).chart == B.chart
+    assert max(acs_table_residuals(B, 20).values()) < 1e-10
 
 
 def test_acs_three_case_table(any_entry, sasakian_symp, flat_bundle_symp):
@@ -267,7 +292,7 @@ def test_slice_equals_rescale_componentwise(any_entry, sasakian_symp, flat_bundl
         dh = d_homothety(S, math.exp(2.0 * t0))
         for f1, f2 in ((sl.eta, dh.eta), (sl.g, dh.g), (sl.phi, dh.phi)):
             assert np.max(np.abs(f1.values(pts) - f2.values(pts))) < 1e-10
-        assert verify_compatibility(sl, 30).passed
+        assert sup_norm(*verify_compatibility(sl, 30).values()) < COMPAT_TOL
 
 
 def test_slice_outside_range_rejected(sasakian_symp):
@@ -289,7 +314,7 @@ def test_induced_structure_reproduces_slice(any_entry, sasakian_symp, flat_bundl
     pts = S.chart.samples(20)
     for f1, f2 in ((ind.eta, sl.eta), (ind.g, sl.g), (ind.phi, sl.phi)):
         assert np.max(np.abs(f1.values(pts) - f2.values(pts))) < 1e-9
-    assert verify_compatibility(ind, 25).passed
+    assert sup_norm(*verify_compatibility(ind, 25).values()) < COMPAT_TOL
     # the metric pairing with the Reeb field reproduces the form
     gv = ind.g.values(pts)
     xv = ind.xi.values(pts)
@@ -339,10 +364,10 @@ def test_natural_structure_slices_fail_compatibility_off_zero(sasakian):
         return ContactMetricStructure.build(sasakian.chart, eta_c, g_c, sasakian.phi)
 
     bad = verify_compatibility(candidate(0.4), 20)
-    assert not bad.passed
-    assert bad.residual_reeb_pairing > 1e-2
+    assert not sup_norm(*bad.values()) < COMPAT_TOL
+    assert bad["reeb_pairing"] > 1e-2
     good = verify_compatibility(candidate(0.0), 20)
-    assert good.passed
+    assert sup_norm(*good.values()) < COMPAT_TOL
 
 
 def test_both_acs_agree_on_distribution_at_zero_slice(sasakian, sasakian_symp):
@@ -421,12 +446,12 @@ def test_torsion_norm_matches_the_unplanned_contraction(flat_bundle, flat_bundle
 # ---------------------------------------------------------------------------
 
 
-def test_translation_identity_shift(flat_bundle):
-    rep = translation_isomorphism_check(flat_bundle, 0.0, 20)
-    assert rep.max_residual < 1e-14
+def test_translation_identity_shift(flat_bundle_symp):
+    rep = translation_isomorphism_check(flat_bundle_symp, 0.0, 20)
+    assert sup_norm(*rep.values()) < 1e-14
 
 
 def test_translation_matches_rescaled_symplectization(any_entry):
-    rep = translation_isomorphism_check(any_entry.structure, 0.3, 30)
-    assert rep.omega_residual < 1e-8
-    assert rep.metric_residual < 1e-8
+    rep = translation_isomorphism_check(build_metric_symplectization(any_entry.structure), 0.3, 30)
+    assert rep["omega"] < 1e-8
+    assert rep["metric"] < 1e-8
