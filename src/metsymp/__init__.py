@@ -7,10 +7,12 @@ The package is organized in layers:
 ``charts`` / ``fields``
     Coordinate boxes, tensor fields, and the exterior and Lie calculus.
 ``curvature``
-    Levi-Civita connection, curvature, Ricci, sectional curvature.
+    Levi-Civita connection, curvature and Ricci on sample batches, and
+    sectional curvature at a point.
 ``contact``
-    Contact metric structures, the h tensor, nullity-constant fitting,
-    rescalings, the classification index, eigenspace curvature identities.
+    Contact metric structures, the Reeb field and the h tensor,
+    nullity-constant fitting, rescalings, the classification index,
+    eigenspace curvature identities.
 ``symplectization``
     The product structure with form d(exp(2t) eta), the unique compatible
     metric, slices, induced hypersurface structures, integrability.
@@ -30,27 +32,19 @@ from .contact import (
     KmuReport,
     boeckx_index,
     d_homothety,
-    eta_einstein_fit,
     fit_kappa_mu,
     h_eigendecomposition,
     h_eigendecomposition_batch,
     is_K_contact,
     kappa_mu_after_rescale,
     reeb_field,
-    solve_reeb,
     solve_reeb_batch,
     verify_compatibility,
-    verify_contact_form,
     verify_kmu_curvature,
     verify_structure_isomorphism,
 )
 from .catalog import CatalogEntry, catalog_load, catalog_names
-from .curvature import (
-    ChristoffelData,
-    christoffel,
-    riemann,
-    sectional,
-)
+from .curvature import ChristoffelData, sectional
 from .fields import (
     ScalarField,
     SmoothMap,
@@ -61,7 +55,6 @@ from .fields import (
     lie_bracket,
     lie_derivative,
     lower_index,
-    pointwise_solve,
     pullback,
     raise_index,
     wedge,

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charts import Chart
-from .curvature import christoffel_batch, ricci_components, riemann_components
+from .curvature import christoffel_batch, riemann_components
 from .errors import (
     ChartMismatchError,
     DegenerateMetricError,
@@ -51,14 +51,10 @@ from .fields import (
 
 __all__ = [
     "ContactMetricStructure",
-    "ContactFormReport",
     "KContactReport",
     "KmuReport",
     "HEigenReport",
-    "EtaEinsteinReport",
     "reeb_field",
-    "verify_contact_form",
-    "solve_reeb",
     "solve_reeb_batch",
     "verify_compatibility",
     "is_K_contact",
@@ -70,7 +66,6 @@ __all__ = [
     "h_eigendecomposition",
     "h_eigendecomposition_batch",
     "verify_kmu_curvature",
-    "eta_einstein_fit",
     "verify_structure_isomorphism",
     "h_norms",
     "COMPAT_TOL",
@@ -175,12 +170,6 @@ class ContactMetricStructure:
 
 
 @dataclass(frozen=True)
-class ContactFormReport:
-    min_top_coefficient: float
-    passed: bool
-
-
-@dataclass(frozen=True)
 class KContactReport:
     max_h_norm: float
     is_k_contact: bool
@@ -208,55 +197,9 @@ class HEigenReport:
     xi_alignment_residual: float
 
 
-@dataclass(frozen=True)
-class EtaEinsteinReport:
-    alpha: float
-    beta: float
-    residual: float
-
-
 # ---------------------------------------------------------------------------
 # basic verifications
 # ---------------------------------------------------------------------------
-
-
-def _top_coefficient_abs(skew: np.ndarray, degree: int) -> np.ndarray:
-    """|top coefficient| of a top-degree form, from an antisymmetric matrix
-    whose Pfaffian it is a fixed multiple of, batched over leading axes.
-
-    Under the Alt normalization of :mod:`metsymp.fields`, the coefficient of
-    omega^n on dx^0 ^ ... ^ dx^(2n-1) is c Pf(omega), and that of
-    eta ^ (d eta)^n on dx^0 ^ ... ^ dx^(2n) is c Pf([[0, eta], [-eta^T, d eta]]),
-    with c = 2^n n! / degree! (degree = 2n or 2n + 1).  Pf^2 = det, so the
-    magnitude is c sqrt(|det|).  A matrix with a NaN or infinite entry gives
-    NaN (LAPACK's determinant of such a matrix may read 0).
-    """
-    n = degree // 2
-    c = 2.0 ** n * math.factorial(n) / math.factorial(degree)
-    finite = np.isfinite(skew).all(axis=(-2, -1))
-    det = np.linalg.det(np.where(finite[..., None, None], skew, 0.0))
-    return np.where(finite, c * np.sqrt(np.abs(det)), np.nan)
-
-
-def verify_contact_form(eta: TensorField, chart: Chart, n_samples: int = 50,
-                        seed: int | None = None, threshold: float = 1e-8
-                        ) -> ContactFormReport:
-    """Check eta ^ (d eta)^n has a nowhere-small top coefficient on samples.
-
-    The coefficient comes from the values of eta and d eta through
-    :func:`_top_coefficient_abs` of the bordered matrix, without building
-    the top-degree form.
-    """
-    if chart.dim % 2 == 0:
-        raise GeometryError("contact forms need an odd-dimensional chart")
-    pts = chart.samples(n_samples, seed=seed)
-    ev = eta.values(pts)
-    bordered = np.zeros((len(pts), chart.dim + 1, chart.dim + 1))
-    bordered[:, 0, 1:] = ev
-    bordered[:, 1:, 0] = -ev
-    bordered[:, 1:, 1:] = exterior_derivative(eta).values(pts)
-    min_abs = float(np.min(_top_coefficient_abs(bordered, chart.dim)))
-    return ContactFormReport(min_abs, min_abs > threshold)
 
 
 def _require_batch(chart: Chart, points: np.ndarray) -> np.ndarray:
@@ -311,11 +254,6 @@ def _reeb_from_values(dv: np.ndarray, ev: np.ndarray, pts: np.ndarray) -> np.nda
             )
         out[k] = sol
     return out
-
-
-def solve_reeb(eta: TensorField, chart: Chart, point: np.ndarray) -> np.ndarray:
-    """Numeric Reeb vector at one point: :func:`solve_reeb_batch` of one."""
-    return solve_reeb_batch(eta, chart, chart.require_inside(point)[None, :])[0]
 
 
 def verify_compatibility(S: ContactMetricStructure, n_samples: int = 100,
@@ -629,24 +567,8 @@ def verify_kmu_curvature(S: ContactMetricStructure, kappa: float, mu: float,
 
 
 # ---------------------------------------------------------------------------
-# eta-Einstein fitting and structure isomorphism
+# structure isomorphism
 # ---------------------------------------------------------------------------
-
-
-def eta_einstein_fit(S: ContactMetricStructure, n_samples: int = 50,
-                     seed: int | None = None) -> EtaEinsteinReport:
-    """Least-squares (alpha, beta) in Ric = alpha g + beta eta (x) eta."""
-    pts = S.chart.samples(n_samples, seed=seed)
-    data = christoffel_batch(S.g, pts)
-    ric = ricci_components(data)
-    gv = data.g
-    ev = S.eta.values(pts)
-    outer = np.einsum("ni,nj->nij", ev, ev)
-    a = np.stack([gv.ravel(), outer.ravel()], axis=1)
-    sol, *_ = np.linalg.lstsq(a, ric.ravel(), rcond=None)
-    alpha, beta = float(sol[0]), float(sol[1])
-    residual = sup_norm(ric - alpha * gv - beta * outer)
-    return EtaEinsteinReport(alpha, beta, residual)
 
 
 def verify_structure_isomorphism(F: SmoothMap, S1: ContactMetricStructure,

@@ -34,11 +34,9 @@ from .fields import TensorField
 
 __all__ = [
     "ChristoffelData",
-    "christoffel",
     "christoffel_batch",
     "christoffel_from_blocks",
     "covariant_derivative_values",
-    "riemann",
     "riemann_components",
     "ricci_components",
     "ricci_frame_trace",
@@ -124,20 +122,6 @@ def christoffel_from_blocks(pts: np.ndarray, vals: np.ndarray, grads: np.ndarray
     return ChristoffelData(points=pts, g=vals, ginv=ginv, dg=grads, gamma=gamma, dgamma=dgamma)
 
 
-def christoffel(g: TensorField, point: np.ndarray) -> ChristoffelData:
-    """Connection data at one point (batch axis squeezed away)."""
-    p = np.asarray(point, dtype=float)
-    data = christoffel_batch(g, p[None, :])
-    return ChristoffelData(
-        points=p,
-        g=data.g[0],
-        ginv=data.ginv[0],
-        dg=data.dg[0],
-        gamma=data.gamma[0],
-        dgamma=data.dgamma[0],
-    )
-
-
 def riemann_components(data: ChristoffelData) -> np.ndarray:
     """riem[..., l, k, i, j]: coefficient of R(d_i, d_j)d_k along d_l."""
     gamma = data.gamma
@@ -153,16 +137,6 @@ def riemann_components(data: ChristoffelData) -> np.ndarray:
     return t1 - t2 + q1 - q2
 
 
-def riemann(g: TensorField, X: np.ndarray, Y: np.ndarray, Z: np.ndarray,
-            point: np.ndarray, data: ChristoffelData | None = None) -> np.ndarray:
-    """The vector R(X, Y)Z at a point, for concrete argument vectors."""
-    if data is None:
-        data = christoffel(g, point)
-    riem = riemann_components(data)
-    return np.einsum("lkij,k,i,j->l", riem, np.asarray(Z, float),
-                     np.asarray(X, float), np.asarray(Y, float))
-
-
 def ricci_components(data: ChristoffelData) -> np.ndarray:
     """Ric[..., p, q] = Ric(d_p, d_q) by direct contraction."""
     riem = riemann_components(data)
@@ -170,38 +144,35 @@ def ricci_components(data: ChristoffelData) -> np.ndarray:
 
 
 def ricci_frame_trace(data: ChristoffelData) -> np.ndarray:
-    """Ricci at one point by an explicit orthonormal-frame trace.
+    """Ric[n, p, q] by an explicit orthonormal-frame trace at each sample.
 
     Slower than the direct contraction; exists as an independent check of
     the trace convention.
     """
-    gmat = data.g
-    if gmat.ndim != 2:
-        raise GeometryError("ricci_frame_trace expects single-point data")
-    frame = gram_schmidt_frame(gmat)
     riem = riemann_components(data)
-    d = gmat.shape[0]
-    ric = np.zeros((d, d))
-    for p in range(d):
-        for q in range(d):
-            total = 0.0
-            for a in range(d):
-                Ea = frame[a]
-                # R(E_a, d_p) d_q
-                vec = np.einsum("lkij,i->lkj", riem, Ea)[:, q, p]
-                total += float(Ea @ gmat @ vec)
-            ric[p, q] = total
+    d = data.g.shape[-1]
+    ric = np.zeros(data.g.shape)
+    for n, gmat in enumerate(data.g):
+        frame = gram_schmidt_frame(gmat)
+        for p in range(d):
+            for q in range(d):
+                total = 0.0
+                for a in range(d):
+                    Ea = frame[a]
+                    # R(E_a, d_p) d_q
+                    vec = np.einsum("lkij,i->lkj", riem[n], Ea)[:, q, p]
+                    total += float(Ea @ gmat @ vec)
+                ric[n, p, q] = total
     return ric
 
 
-def sectional(g: TensorField, X: np.ndarray, Y: np.ndarray, point: np.ndarray,
-              data: ChristoffelData | None = None) -> float:
-    if data is None:
-        data = christoffel(g, point)
-    gmat = data.g
+def sectional(g: TensorField, X: np.ndarray, Y: np.ndarray, point: np.ndarray) -> float:
+    """sec(X, Y) at one point, from the connection data of a batch of one."""
+    data = christoffel_batch(g, np.asarray(point, dtype=float)[None, :])
+    gmat = data.g[0]
     X = np.asarray(X, float)
     Y = np.asarray(Y, float)
-    num = float(X @ gmat @ riemann(g, X, Y, Y, point, data))
+    num = float(X @ gmat @ np.einsum("lkij,k,i,j->l", riemann_components(data)[0], Y, X, Y))
     xx, yy = float(X @ gmat @ X), float(Y @ gmat @ Y)
     gram = xx * yy - float(X @ gmat @ Y) ** 2
     # relative to |X|^2 |Y|^2, so the test ignores the scale of X and Y; NaN fails it

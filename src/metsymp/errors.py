@@ -17,10 +17,6 @@ class DomainError(GeometryError):
     """A point falls outside the chart's coordinate box."""
 
 
-class SingularMatrixError(GeometryError):
-    """A pointwise linear solve met a singular or ill-conditioned matrix."""
-
-
 class DegenerateMetricError(GeometryError):
     """The metric is singular at the evaluation point."""
 

@@ -52,7 +52,7 @@ from typing import Sequence
 import numpy as np
 
 from .charts import Chart
-from .errors import ChartMismatchError, RankError, SingularMatrixError
+from .errors import ChartMismatchError, RankError
 from .expressions import (ONE, ZERO, Const, Coord, Expr, Neg, as_expr, evaluate, substitute,
                           sum_of_products)
 from .jets import Jet2
@@ -71,7 +71,6 @@ __all__ = [
     "raise_index",
     "lower_index",
     "inverse_metric",
-    "pointwise_solve",
     "sup_norm",
 ]
 
@@ -674,21 +673,3 @@ def lower_index(g: TensorField, T: TensorField, contra_slot: int) -> TensorField
             for a in range(d))
     return TensorField(T.chart, T.r - 1, T.s + 1, out)
 
-
-_COND_LIMIT = 1e12
-
-
-def pointwise_solve(A: TensorField, b: TensorField, point: np.ndarray) -> np.ndarray:
-    """Solve A(p) x = b(p) exactly, refusing systems whose condition number
-    is not finite or exceeds ``_COND_LIMIT``."""
-    if (A.r, A.s) not in ((1, 1), (0, 2), (2, 0)):
-        raise RankError("pointwise_solve needs a square matrix field")
-    if b.r + b.s != 1:
-        raise RankError("pointwise_solve needs a vector or covector right-hand side")
-    p = np.asarray(point, dtype=float)
-    amat = A.values(p)
-    bvec = b.values(p)
-    cond = np.linalg.cond(amat)
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
-        raise SingularMatrixError(f"matrix is singular at the point (cond estimate {cond:.3e})")
-    return np.linalg.solve(amat, bvec)

@@ -102,22 +102,17 @@ def _oneill_tables(B: SymplecticMetricStructure, data: ChristoffelData
 
 
 def _oneill(B: SymplecticMetricStructure, E1: TensorField, E2: TensorField,
-            points: np.ndarray, data: ChristoffelData | None,
-            horizontal_e1: bool) -> np.ndarray:
+            pts: np.ndarray, data: ChristoffelData, horizontal_e1: bool) -> np.ndarray:
     """The table of A (horizontal E1) or T, contracted with E1 and E2."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[None, :]
-    if data is None:
-        data = christoffel_batch(B.gbar, pts)
     T, A = _oneill_tables(B, data)
     return np.einsum("nkab,na,nb->nk", A if horizontal_e1 else T,
                      E1.values(pts), E2.values(pts))
 
 
 def oneill_T(B: SymplecticMetricStructure, E1: TensorField, E2: TensorField,
-             points: np.ndarray, data: ChristoffelData | None = None) -> np.ndarray:
-    """T_{E1} E2 from the definition, at a batch of points.
+             points: np.ndarray, data: ChristoffelData) -> np.ndarray:
+    """T_{E1} E2 from the definition, at a batch of points with connection
+    data ``data`` of gbar.
 
     T_{E1}E2 = H nabla_{V E1} V E2 + V nabla_{V E1} H E2 with H and V the
     horizontal and vertical projections.  T is tensorial in both slots, so
@@ -128,7 +123,7 @@ def oneill_T(B: SymplecticMetricStructure, E1: TensorField, E2: TensorField,
 
 
 def oneill_A(B: SymplecticMetricStructure, E1: TensorField, E2: TensorField,
-             points: np.ndarray, data: ChristoffelData | None = None) -> np.ndarray:
+             points: np.ndarray, data: ChristoffelData) -> np.ndarray:
     """A_{E1} E2 from the definition, at a batch of points.
 
     A_{E1}E2 = H nabla_{H E1} V E2 + V nabla_{H E1} H E2.  Like T, A is
@@ -177,15 +172,11 @@ def slice_christoffel_batch(B: SymplecticMetricStructure, points: np.ndarray
     partial derivatives enter, so this is the intrinsic curvature of the
     slice through each point, independent of the ambient pipeline.
     """
-    S = B.base
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[None, :]
-    d = S.chart.dim
-    gt = slice_metric_field(S, B.chart)
-    vals, grads, hesses = gt.jet_blocks(pts)
+    d = B.base.chart.dim
+    gt = slice_metric_field(B.base, B.chart)
+    vals, grads, hesses = gt.jet_blocks(points)
     return christoffel_from_blocks(
-        pts, vals[:, :d, :d], grads[:, :d, :d, :d], hesses[:, :d, :d, :d, :d]
+        points, vals[:, :d, :d], grads[:, :d, :d, :d], hesses[:, :d, :d, :d, :d]
     )
 
 

@@ -273,7 +273,7 @@ def _check_liouville(run):
     B = run.B
     dt_field = TensorField.coordinate_vector(B.chart, B.chart.dim - 1)
     return verify_liouville(B.omega, dt_field, min(run.cfg.samples, 40),
-                            seed=run.cfg.seed + 9).cartan_residual
+                            seed=run.cfg.seed + 9)["cartan"]
 
 
 def _check_fundamental_tensor(run):

@@ -39,13 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charts import Chart, product_with_line
-from .contact import (
-    ContactMetricStructure,
-    _rescaled_metric,
-    _top_coefficient_abs,
-    d_homothety,
-    reeb_field,
-)
+from .contact import ContactMetricStructure, _rescaled_metric, d_homothety, reeb_field
 from .errors import DomainError, GeometryError, RankError
 from .expressions import ONE, Const, Coord, Expr, evaluate, exp, sum_of_products
 from .fields import (
@@ -55,7 +49,6 @@ from .fields import (
     exterior_derivative,
     interior_product,
     inverse_matrix_exprs,
-    lie_derivative,
     pullback,
     sup_norm,
 )
@@ -67,11 +60,9 @@ __all__ = [
     "slice_form_values",
     "build_metric_symplectization",
     "natural_acs",
-    "natural_symplectic_metric_structure",
     "verify_symplectic",
     "verify_liouville",
     "SymplecticReport",
-    "LiouvilleReport",
     "slice_structure",
     "slice_embedding",
     "induced_contact_on_hypersurface",
@@ -256,13 +247,6 @@ def natural_acs(S: ContactMetricStructure,
     return _product_acs(S, _product_chart(S, t_range), ONE, ONE)
 
 
-def natural_symplectic_metric_structure(S: ContactMetricStructure,
-                                        t_range: tuple[float, float] = (-1.0, 1.0)
-                                        ) -> SymplecticMetricStructure:
-    """The symplectization equipped with the classical J and its metric."""
-    return _with_compatible_metric(S, natural_acs(S, t_range))
-
-
 # ---------------------------------------------------------------------------
 # verification reports
 # ---------------------------------------------------------------------------
@@ -273,10 +257,22 @@ class SymplecticReport:
     closed_residual: float
     min_top_coefficient: float
 
-    @property
-    def passed(self) -> bool:
-        return (self.closed_residual < SYMPLECTIC_TOL
-                and self.min_top_coefficient > SYMPLECTIC_TOL)
+
+def _top_coefficient_abs(skew: np.ndarray) -> np.ndarray:
+    """|top coefficient| of omega^n, from the values ``skew[..., i, j]`` of a
+    2-form omega in dimension 2n, batched over leading axes.
+
+    Under the Alt normalization of :mod:`metsymp.fields`, the coefficient of
+    omega^n on dx^0 ^ ... ^ dx^(2n-1) is c Pf(omega), with
+    c = 2^n n! / (2n)!.  Pf^2 = det, so the magnitude is c sqrt(|det|).  A
+    matrix with a NaN or infinite entry gives NaN (LAPACK's determinant of
+    such a matrix may read 0).
+    """
+    n = skew.shape[-1] // 2
+    c = 2.0 ** n * math.factorial(n) / math.factorial(2 * n)
+    finite = np.isfinite(skew).all(axis=(-2, -1))
+    det = np.linalg.det(np.where(finite[..., None, None], skew, 0.0))
+    return np.where(finite, c * np.sqrt(np.abs(det)), np.nan)
 
 
 def verify_symplectic(omega: TensorField, n_samples: int = 50,
@@ -284,8 +280,7 @@ def verify_symplectic(omega: TensorField, n_samples: int = 50,
     """Closedness residual and nondegeneracy margin of a 2-form.
 
     The margin is the smallest |top coefficient| of omega^n over the
-    samples, taken from the values of omega by
-    :func:`metsymp.contact._top_coefficient_abs`.
+    samples, taken from the values of omega by :func:`_top_coefficient_abs`.
     """
     chart = omega.chart
     if chart.dim % 2 != 0:
@@ -294,51 +289,27 @@ def verify_symplectic(omega: TensorField, n_samples: int = 50,
         raise RankError("expected a 2-form")
     pts = chart.samples(n_samples, seed=seed)
     closed = sup_norm(exterior_derivative(omega).values(pts))
-    top = _top_coefficient_abs(omega.values(pts), chart.dim)
+    top = _top_coefficient_abs(omega.values(pts))
     return SymplecticReport(closed, float(np.min(top)))
 
 
-@dataclass(frozen=True)
-class LiouvilleReport:
-    """Result of the expansion-property check for a candidate field Y.
-
-    ``cartan_residual`` is the sampled residual of
+def verify_liouville(omega: TensorField, Y: TensorField, n_samples: int = 50,
+                     seed: int | None = None) -> dict[str, float]:
+    """Residual ``cartan`` of the expansion property of a candidate field Y,
+    sampled through the Cartan formula
 
         d(i_Y omega) + i_Y(d omega) - omega,
 
-    the Cartan-formula evaluation of the expansion property; this is the
-    form of the condition under which the coordinate field of the product
-    factor expands the symplectization form with constant one.
-    ``lie_constant`` reports the proportionality constant c that best fits
-    the tensor Lie derivative, L_Y omega = c omega, as context.
+    the form of the condition under which the coordinate field of the
+    product factor expands the symplectization form with constant one.
     """
-
-    cartan_residual: float
-    lie_constant: float
-    lie_fit_residual: float
-
-    @property
-    def passed(self) -> bool:
-        return self.cartan_residual < LIOUVILLE_TOL
-
-
-def verify_liouville(omega: TensorField, Y: TensorField, n_samples: int = 50,
-                     seed: int | None = None) -> LiouvilleReport:
     chart = omega.chart
     if Y.chart != chart:
         raise GeometryError("candidate field lives on the wrong chart")
     pts = chart.samples(n_samples, seed=seed)
     iy = interior_product(Y, omega)
     lhs = exterior_derivative(iy) + interior_product(Y, exterior_derivative(omega))
-    cartan = sup_norm(lhs.values(pts) - omega.values(pts))
-
-    lie = lie_derivative(Y, omega)
-    lv = lie.values(pts).ravel()
-    ov = omega.values(pts).ravel()
-    denom = float(ov @ ov)
-    c = float(lv @ ov) / denom if denom > 0 else 0.0
-    lie_res = sup_norm(lv - c * ov)
-    return LiouvilleReport(cartan, c, lie_res)
+    return {"cartan": sup_norm(lhs.values(pts) - omega.values(pts))}
 
 
 # ---------------------------------------------------------------------------
@@ -497,6 +468,16 @@ def nijenhuis_norms(N: TensorField, g: TensorField, points: np.ndarray) -> np.nd
 # ---------------------------------------------------------------------------
 
 
+def _distribution_vectors(S: ContactMetricStructure, pts: np.ndarray) -> np.ndarray:
+    """V[n, a] = d_a - eta(d_a) xi at product points, for each base index a:
+    the coordinate fields projected onto the contact distribution, tangent
+    to the slices."""
+    d = S.chart.dim
+    V = -lifted_values(S.eta, pts)[:, :d, None] * lifted_values(S.xi, pts)[:, None, :]
+    V[:, range(d), range(d)] += 1.0
+    return V
+
+
 def acs_table_residuals(B: SymplecticMetricStructure, n_samples: int = 50,
                         seed: int | None = None) -> dict[str, float]:
     """Residuals of J xi_t = d_t, J d_t = -xi_t, J = phi on Ker(eta)."""
@@ -510,16 +491,12 @@ def acs_table_residuals(B: SymplecticMetricStructure, n_samples: int = 50,
     et[:, D - 1] = 1.0
     r1 = sup_norm(np.einsum("nij,nj->ni", jv, xt) - et)
     r2 = sup_norm(np.einsum("nij,nj->ni", jv, et) + xt)
-    # distribution vectors v_a = d_a - eta(d_a) xi, tangent to slices
-    ev = lifted_values(S.eta, pts)
-    xv = lifted_values(S.xi, pts)
+    V = _distribution_vectors(S, pts)
     pv = lifted_values(S.phi, pts)
     defects = []
     for a in range(d):
-        v = -ev[:, a:a + 1] * xv
-        v[:, a] += 1.0
-        lhs = np.einsum("nij,nj->ni", jv, v)
-        rhs = np.einsum("nij,nj->ni", pv, v)
+        lhs = np.einsum("nij,nj->ni", jv, V[:, a])
+        rhs = np.einsum("nij,nj->ni", pv, V[:, a])
         defects.append(lhs - rhs)
     return {"J_xi_t": r1, "J_d_t": r2, "J_on_distribution": sup_norm(*defects)}
 
@@ -555,26 +532,18 @@ def unique_acs_witness_residual(B: SymplecticMetricStructure, n_samples: int = 2
     S = B.base
     pts = B.chart.samples(n_samples, seed=seed)
     D = B.chart.dim
-    d = S.chart.dim
     ov = B.omega.values(pts)
     _, xt = slice_form_values(S, pts)
-    ev = lifted_values(S.eta, pts)
-    xv = lifted_values(S.xi, pts)
+    V = _distribution_vectors(S, pts)
+    et = np.zeros(D)
+    et[D - 1] = 1.0
     defects = []
     for nidx in range(len(pts)):
-        rows = [xt[nidx]]
-        for a in range(d):
-            v = -ev[nidx, a] * xv[nidx]
-            v[a] += 1.0
-            rows.append(v)
-        et = np.zeros(D)
-        et[D - 1] = 1.0
-        rows.append(et)
-        basis = np.stack(rows)
+        basis = np.vstack([xt[nidx], V[nidx], et])
         # omega(w, b_j) = w^c omega_{cb} b_j^b, so row j of the system
         # matrix is omega b_j, i.e. (basis @ omega^T)[j].
         mat = basis @ ov[nidx].T
-        rhs = np.zeros(len(rows))
+        rhs = np.zeros(len(basis))
         rhs[-1] = 1.0
         sol, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
         defects.append(sol + xt[nidx])

@@ -8,8 +8,8 @@ four-einsum Riemann tensor, and verifiers that loop over index triples and
 eigenvector triples one at a time.  Tests compare the two to roundoff.
 
 The symmetrization the tensor fields used before they stored one expression
-per index orbit, the top coefficients of omega^n and eta ^ (d eta)^n by
-repeated wedge products, and the Reeb field through the adjugate of
+per index orbit, the top coefficient of omega^n by repeated wedge
+products, and the Reeb field through the adjugate of
 d eta + eta (x) eta, are kept here for the same purpose.  So is the
 expression evaluator from before constants evaluated as floats: every
 ``Const`` leaf there becomes a full array or a jet of zero derivatives, and
@@ -23,6 +23,8 @@ before every contraction went through ``expressions.sum_of_products``;
 The two nullity fits are kept as they were written before they shared
 ``contact.nullity_fit``: each builds its own least-squares columns, and the
 slice fit reads eta_t and xi_t from freshly lifted product-chart fields.
+The eta-Einstein fit Ric = alpha g + beta eta (x) eta has no library
+route; tests fit it here.
 """
 
 import itertools
@@ -137,6 +139,20 @@ def fit_symplectization_kmu_reference(B, t, n_samples, seed):
     sol, *_ = np.linalg.lstsq(amat, bvec, rcond=None)
     kt, mt = float(sol[0]), float(sol[1])
     return kt, mt, sup_norm(lhs - kt * colA - mt * colB)
+
+
+def eta_einstein_fit_reference(S, n_samples, seed=None):
+    """Least-squares (alpha, beta) in Ric = alpha g + beta eta (x) eta over
+    samples and coordinate pairs, with the sup norm of the defect."""
+    pts = S.chart.samples(n_samples, seed=seed)
+    data = christoffel_batch(S.g, pts)
+    ric = ricci_components(data)
+    ev = S.eta.values(pts)
+    outer = np.einsum("ni,nj->nij", ev, ev)
+    sol, *_ = np.linalg.lstsq(np.stack([data.g.ravel(), outer.ravel()], axis=1), ric.ravel(),
+                              rcond=None)
+    alpha, beta = float(sol[0]), float(sol[1])
+    return alpha, beta, sup_norm(ric - alpha * data.g - beta * outer)
 
 
 def _unit(B, n):
@@ -327,15 +343,6 @@ def symplectic_top_reference(omega, pts):
     for _ in range(omega.chart.dim // 2 - 1):
         top = wedge(top, omega)
     return top.values(pts)[(Ellipsis,) + tuple(range(omega.chart.dim))]
-
-
-def contact_top_reference(eta, pts):
-    """The coefficient of eta ^ (d eta)^n on dx^0 ^ ... ^ dx^(2n), by repeated wedges."""
-    deta = exterior_derivative(eta)
-    top = eta
-    for _ in range(eta.chart.dim // 2):
-        top = wedge(top, deta)
-    return top.values(pts)[(Ellipsis,) + tuple(range(eta.chart.dim))]
 
 
 def reeb_field_adjugate(eta):

@@ -13,13 +13,11 @@ from numpy.testing import assert_allclose
 
 from metsymp.charts import Chart
 from metsymp.curvature import (
-    christoffel,
     christoffel_batch,
     covariant_derivative_values,
     gram_schmidt_frame,
     ricci_components,
     ricci_frame_trace,
-    riemann,
     riemann_components,
     sectional,
 )
@@ -70,8 +68,8 @@ def test_christoffel_symmetry(sphere, sasakian):
 def test_sphere_connection_value(sphere):
     chart, g = sphere
     p = np.array([np.pi / 4, 0.3])
-    data = christoffel(g, p)
-    assert_allclose(data.gamma[0, 1, 1], -0.5, atol=1e-13)
+    data = christoffel_batch(g, p[None])
+    assert_allclose(data.gamma[0, 0, 1, 1], -0.5, atol=1e-13)
     assert_allclose(fd_christoffel(g, p)[0, 1, 1], -0.5, atol=1e-6)
 
 
@@ -81,7 +79,8 @@ def test_sphere_sectional_and_ricci(sphere):
         e1 = np.array([1.0, 0.0])
         e2 = np.array([0.0, 1.0 / np.sin(p[0])])
         assert_allclose(sectional(g, e1, e2, p), 1.0, atol=1e-12)
-        val = float(e1 @ g.values(p) @ riemann(g, e1, e2, e2, p))
+        riem = riemann_components(christoffel_batch(g, p[None]))[0]
+        val = float(e1 @ g.values(p) @ np.einsum("lkij,k,i,j->l", riem, e2, e1, e2))
         assert_allclose(val, 1.0, atol=1e-12)
     data = christoffel_batch(g, chart.samples(25))
     assert np.max(np.abs(ricci_components(data) - data.g)) < 1e-12
@@ -151,9 +150,8 @@ def test_covariant_derivative_of_scalar_is_directional(sasakian):
 
 def test_ricci_frame_trace_agrees_with_contraction(any_entry):
     S = any_entry.structure
-    for p in S.chart.samples(5):
-        data = christoffel(S.g, p)
-        assert np.max(np.abs(ricci_frame_trace(data) - ricci_components(data))) < 1e-9
+    data = christoffel_batch(S.g, S.chart.samples(5))
+    assert np.max(np.abs(ricci_frame_trace(data) - ricci_components(data))) < 1e-9
 
 
 def test_ricci_symmetry(any_entry):
@@ -192,17 +190,17 @@ def test_degenerate_metric_rejected():
     comps[0, 0] = Const(1.0)
     g = TensorField(chart, 0, 2, comps, "symmetric")
     with pytest.raises(DegenerateMetricError):
-        christoffel(g, np.array([0.0, 0.0]))
+        christoffel_batch(g, np.array([[0.0, 0.0]]))
 
     # nearly singular at any scale, and NaN where x < 0
     comps[0, 0] = Const(1e-8)
     comps[1, 1] = Const(1e-21)
     with pytest.raises(DegenerateMetricError, match="nearly singular"):
-        christoffel(TensorField(chart, 0, 2, comps, "symmetric"), np.array([0.0, 0.0]))
+        christoffel_batch(TensorField(chart, 0, 2, comps, "symmetric"), np.array([[0.0, 0.0]]))
     x = Coord(0, "x")
     comps[1, 1] = sqrt(x) / sqrt(x)
     with pytest.raises(DegenerateMetricError, match="not finite"):
-        christoffel(TensorField(chart, 0, 2, comps, "symmetric"), np.array([-0.5, 0.0]))
+        christoffel_batch(TensorField(chart, 0, 2, comps, "symmetric"), np.array([[-0.5, 0.0]]))
 
 
 def test_metric_guard_is_relative():
@@ -211,16 +209,18 @@ def test_metric_guard_is_relative():
     comps = np.empty((2, 2), dtype=object)
     comps[...] = Const(0.0)
     comps[0, 0] = comps[1, 1] = Const(1e-8)
-    data = christoffel(TensorField(chart, 0, 2, comps, "symmetric"), np.array([0.0, 0.0]))
+    data = christoffel_batch(TensorField(chart, 0, 2, comps, "symmetric"), np.array([[0.0, 0.0]]))
     assert np.all(data.gamma == 0.0)
 
 
 def test_fd_oracle_agreement_on_catalog_metrics(any_entry):
     S = any_entry.structure
-    for p in S.chart.samples(3, seed=17):
-        data = christoffel(S.g, p)
-        assert np.max(np.abs(data.gamma - fd_christoffel(S.g, p))) < 1e-5
-        assert np.max(np.abs(riemann_components(data) - fd_riemann(S.g, p))) < 1e-5
+    pts = S.chart.samples(3, seed=17)
+    data = christoffel_batch(S.g, pts)
+    riem = riemann_components(data)
+    for k, p in enumerate(pts):
+        assert np.max(np.abs(data.gamma[k] - fd_christoffel(S.g, p))) < 1e-5
+        assert np.max(np.abs(riem[k] - fd_riemann(S.g, p))) < 1e-5
 
 
 def test_gram_schmidt_pivots_past_null_seeds(sasakian):
@@ -264,9 +264,9 @@ def test_single_point_riemann_matches_the_reference_and_the_batch(sasakian7_symp
     pts = sasakian7_symp.chart.samples(3, seed=5)
     batch = riemann_components(christoffel_batch(g, pts))
     for k, p in enumerate(pts):
-        data = christoffel(g, p)
-        riem = riemann_components(data)
-        want = riemann_reference(data.gamma, data.dgamma)
+        data = christoffel_batch(g, p[None])
+        riem = riemann_components(data)[0]
+        want = riemann_reference(data.gamma, data.dgamma)[0]
         assert riem.shape == (8, 8, 8, 8)
         assert np.max(np.abs(riem - want)) <= 1e-13 * np.max(np.abs(want))
         assert_allclose(riem, batch[k], rtol=0, atol=1e-13 * np.max(np.abs(want)))

@@ -1,5 +1,5 @@
-"""Exterior and Lie calculus, pullbacks, contractions, pointwise solves,
-and the two evaluation orders of a field."""
+"""Exterior and Lie calculus, pullbacks, contractions, and the two
+evaluation orders of a field."""
 
 import gc
 import math
@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from metsymp.charts import Chart, product_with_line
-from metsymp.contact import d_homothety
-from metsymp.errors import ChartMismatchError, RankError, SingularMatrixError
+from metsymp.contact import d_homothety, reeb_field, solve_reeb_batch
+from metsymp.errors import ChartMismatchError, NotContactError, RankError
 from metsymp.expressions import (
     ONE,
     ZERO,
@@ -43,7 +43,6 @@ from metsymp.fields import (
     lie_bracket,
     lie_derivative,
     lower_index,
-    pointwise_solve,
     pullback,
     raise_index,
     sup_norm,
@@ -147,16 +146,17 @@ def test_interior_product_examples(r3):
 
 
 def test_contact_volume_nonvanishing(r3, sasakian):
-    from metsymp.contact import verify_contact_form
-
-    rep = verify_contact_form(sasakian.eta, sasakian.chart, 50)
-    assert rep.passed
-    x, y, z = _coords(r3)
+    """The numeric Reeb system has full rank at every sample exactly where
+    eta ^ (d eta)^n does not vanish."""
     flat = TensorField.covector(r3, [Const(0.0), Const(0.0), Const(1.0)])
-    assert not verify_contact_form(flat, r3, 20).passed
+    with pytest.raises(NotContactError):
+        solve_reeb_batch(flat, r3, r3.samples(20))
     # any nonvanishing multiple of a contact form is again contact
     scaled = sasakian.eta.scale(exp(Coord(0, "x") * Const(0.25)) + Const(1.0))
-    assert verify_contact_form(scaled, sasakian.chart, 50).passed
+    pts = sasakian.chart.samples(50)
+    for eta in (sasakian.eta, scaled):
+        assert_allclose(solve_reeb_batch(eta, sasakian.chart, pts), reeb_field(eta).values(pts),
+                        atol=1e-12)
 
 
 def test_wedge_rank_overflow(r3):
@@ -425,25 +425,6 @@ def test_shared_minors_keep_the_cofactor_expressions():
 def test_inverse_of_a_one_by_one_matrix():
     (inv,), = inverse_matrix_exprs([[Coord(0, "x")]])
     assert_allclose(evaluate([inv], np.array([[0.5], [2.0]]))[0], [2.0, 0.5])
-
-
-def test_pointwise_solve(r3):
-    x, y, z = _coords(r3)
-    eye = np.empty((3, 3), dtype=object)
-    eye[...] = Const(0.0)
-    for i in range(3):
-        eye[i, i] = Const(1.0)
-    A = TensorField(r3, 1, 1, eye)
-    b = TensorField.vector(r3, [x, y, z])
-    p = np.array([0.2, -0.4, 1.1])
-    assert_allclose(pointwise_solve(A, b, p), p)
-
-    singular = np.empty((3, 3), dtype=object)
-    singular[...] = Const(0.0)
-    singular[0, 0] = Const(1.0)
-    Abad = TensorField(r3, 1, 1, singular)
-    with pytest.raises(SingularMatrixError):
-        pointwise_solve(Abad, b, p)
 
 
 def test_symmetry_tags_are_structural(r3):

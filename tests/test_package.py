@@ -1,5 +1,6 @@
 """The public surface: exported names and the README's library example."""
 
+import ast
 import importlib
 import pkgutil
 import re
@@ -9,6 +10,7 @@ from pathlib import Path
 import metsymp
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = Path(metsymp.__file__).resolve().parent
 
 
 def test_every_exported_name_resolves():
@@ -38,3 +40,26 @@ def test_the_readme_example_runs(capsys):
     fit, line_line = capsys.readouterr().out.splitlines()
     assert "kappa=" in fit
     assert abs(float(line_line)) < 1e-10   # the -6 row of the Ricci table
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    """Each name a module imports is read somewhere in it as a name, or is
+    re-exported through its ``__all__``.  The package ``__init__`` only
+    re-exports, so it is left out."""
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        exported = set(getattr(importlib.import_module(f"metsymp.{path.stem}"), "__all__", ()))
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in read | exported]
+    assert not unused

@@ -5,9 +5,9 @@ every slice; the almost complex structure acts by the three-case table;
 the slice at t equals the rescale by exp(2t) componentwise; the Cartan
 evaluation of the expansion property holds for the line coordinate field
 exactly, while the plain tensor Lie derivative of the form along it is
-twice the form (the factor that the exp(2t) weight forces, reported by the
-verifier as context); and the torsions of both almost complex structures
-vanish precisely on the Sasakian entry.
+twice the form (the factor that the exp(2t) weight forces); and the
+torsions of both almost complex structures vanish precisely on the
+Sasakian entry.
 """
 
 import math
@@ -22,7 +22,6 @@ from metsymp.charts import Chart
 from metsymp.contact import (
     COMPAT_TOL,
     ContactMetricStructure,
-    _top_coefficient_abs,
     d_homothety,
     verify_compatibility,
 )
@@ -32,11 +31,15 @@ from metsymp.fields import (
     SmoothMap,
     TensorField,
     interior_product,
+    lie_derivative,
     pullback,
     sup_norm,
     wedge,
 )
 from metsymp.symplectization import (
+    SYMPLECTIC_TOL,
+    _top_coefficient_abs,
+    _with_compatible_metric,
     acs_table_residuals,
     block_structure_residuals,
     build_metric_symplectization,
@@ -46,7 +49,6 @@ from metsymp.symplectization import (
     induced_contact_on_hypersurface,
     lifted_values,
     natural_acs,
-    natural_symplectic_metric_structure,
     nijenhuis,
     nijenhuis_norms,
     slice_embedding,
@@ -181,13 +183,14 @@ def _standard_r4():
 
 def test_standard_r4_form_passes_and_degenerate_fails():
     chart, omega = _standard_r4()
-    assert verify_symplectic(omega, 30).passed
+    rep = verify_symplectic(omega, 30)
+    assert rep.closed_residual < SYMPLECTIC_TOL and rep.min_top_coefficient > SYMPLECTIC_TOL
     degenerate = wedge(
         TensorField.covector(chart, [Const(1.0), Const(0.0), Const(0.0), Const(0.0)]),
         TensorField.covector(chart, [Const(0.0), Const(1.0), Const(0.0), Const(0.0)]),
     )
     rep = verify_symplectic(degenerate, 30)
-    assert not rep.passed
+    assert rep.closed_residual < SYMPLECTIC_TOL
     assert rep.min_top_coefficient < 1e-14
 
 
@@ -203,7 +206,7 @@ def test_top_coefficient_matches_the_repeated_wedge(which, request):
         omega = request.getfixturevalue(which).omega
     pts = omega.chart.samples(12, seed=4)
     want = np.abs(symplectic_top_reference(omega, pts))
-    assert_allclose(_top_coefficient_abs(omega.values(pts), omega.chart.dim), want,
+    assert_allclose(_top_coefficient_abs(omega.values(pts)), want,
                     rtol=1e-12, atol=0)
     assert_allclose(verify_symplectic(omega, 12, seed=4).min_top_coefficient, np.min(want),
                     rtol=1e-12, atol=0)
@@ -218,7 +221,7 @@ def test_nan_two_form_fails_the_symplectic_check():
     with np.errstate(invalid="ignore"):
         rep = verify_symplectic(masked, 30, seed=1)
     assert math.isnan(rep.min_top_coefficient)
-    assert not rep.passed
+    assert not rep.min_top_coefficient > SYMPLECTIC_TOL
 
 
 def test_odd_chart_rejected_by_symplectic_check(sasakian):
@@ -235,18 +238,16 @@ def test_odd_chart_rejected_by_symplectic_check(sasakian):
 
 def test_line_field_expands_the_form(any_entry, sasakian_symp, flat_bundle_symp):
     B = _symp(None, any_entry.name, sasakian_symp, flat_bundle_symp)
-    rep = verify_liouville(B.omega, _dt(B), 50)
-    assert rep.cartan_residual < 1e-12
-    # the exp(2t) weight makes the plain Lie derivative exactly twice the
-    # form; the verifier reports that constant for transparency
-    assert_allclose(rep.lie_constant, 2.0, atol=1e-12)
-    assert rep.lie_fit_residual < 1e-10
+    assert verify_liouville(B.omega, _dt(B), 50)["cartan"] < 1e-12
+    # the exp(2t) weight makes the plain Lie derivative exactly twice the form
+    pts = B.chart.samples(50)
+    assert_allclose(lie_derivative(_dt(B), B.omega).values(pts), 2.0 * B.omega.values(pts),
+                    rtol=0, atol=1e-12)
 
 
 def test_doubled_line_field_fails(sasakian_symp):
     doubled = _dt(sasakian_symp).scale(Const(2.0))
-    rep = verify_liouville(sasakian_symp.omega, doubled, 30)
-    assert rep.cartan_residual > 1e-2
+    assert verify_liouville(sasakian_symp.omega, doubled, 30)["cartan"] > 1e-2
 
 
 def test_radial_field_on_standard_r4():
@@ -261,13 +262,14 @@ def test_radial_field_on_standard_r4():
     chart, omega = _standard_r4()
     x, y, z, w = (Coord(i, n) for i, n in enumerate(chart.coord_names))
     radial = TensorField.vector(chart, [x, y, z, w])
-    rep = verify_liouville(omega, radial, 40)
-    assert rep.cartan_residual < 1e-12
-    assert_allclose(rep.lie_constant, 2.0, atol=1e-12)
+    pts = chart.samples(40)
+    assert verify_liouville(omega, radial, 40)["cartan"] < 1e-12
+    assert_allclose(lie_derivative(radial, omega).values(pts), 2.0 * omega.values(pts),
+                    rtol=0, atol=1e-12)
     halved = radial.scale(Const(0.5))
-    rep_h = verify_liouville(omega, halved, 40)
-    assert rep_h.cartan_residual > 1e-3
-    assert_allclose(rep_h.lie_constant, 1.0, atol=1e-12)
+    assert verify_liouville(omega, halved, 40)["cartan"] > 1e-3
+    assert_allclose(lie_derivative(halved, omega).values(pts), omega.values(pts),
+                    rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +355,7 @@ def test_natural_acs_squares_to_minus_identity(sasakian):
 def test_natural_structure_slices_fail_compatibility_off_zero(sasakian):
     """The classical metric's slices are uniform rescalings, which break
     the Reeb pairing axiom away from t = 0; at t = 0 they pass."""
-    Bn = natural_symplectic_metric_structure(sasakian)
+    Bn = _with_compatible_metric(sasakian, natural_acs(sasakian))
     dt = TensorField.coordinate_vector(Bn.chart, Bn.chart.dim - 1)
 
     def candidate(t0):
