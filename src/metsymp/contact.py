@@ -234,8 +234,13 @@ def _reeb_from_values(dv: np.ndarray, ev: np.ndarray, pts: np.ndarray) -> np.nda
     point the rows are d eta(. , d_j) for every j plus the row eta(.) = 1;
     the least-squares solution of this (dim+1) x dim stack is the Reeb
     vector whenever eta is contact at the point, and the defining equations
-    are re-checked to 1e-9.  A rejection names the first failing sample.
+    are re-checked to 1e-9.  A rejection names the first failing sample; a
+    sample where eta or d eta is not finite is rejected before any solve.
     """
+    finite = np.isfinite(dv).all(axis=(1, 2)) & np.isfinite(ev).all(axis=1)
+    bad = np.flatnonzero(~finite)
+    if bad.size:
+        raise NotContactError(f"eta or d eta is not finite at {_at(pts, bad[0])}")
     dim = pts.shape[1]
     rhs = np.zeros(dim + 1)
     rhs[-1] = 1.0

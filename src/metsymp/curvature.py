@@ -11,15 +11,19 @@ With these choices the round unit 2-sphere has sec = +1 and Ric = g.
 Component storage: ``riem[l, k, i, j]`` is the coefficient along ``d_l`` of
 ``R(d_i, d_j) d_k``.
 
-The connection derivative comes from differentiating
-g_ka Gamma^a_ij = (d_i g_ja + d_j g_ia - d_a g_ij) / 2 along d_m:
+The connection comes from the Christoffel symbols of the first kind,
+Gamma_{l,ij} = (d_i g_jl + d_j g_il - d_l g_ij) / 2, raised once:
+Gamma^k_ij = g^{kl} Gamma_{l,ij}.  The curvature is never assembled from
+the partials of Gamma.  Differentiating Gamma_{a,jk} and using
+d_i g_ab = Gamma_{a,ib} + Gamma_{b,ia}, the lowered tensor
+R_akij = g_al riem[l, k, i, j] reads
 
-    d_m Gamma^k_ij = g^{ka} (d_m (d_i g_ja + d_j g_ia - d_a g_ij) / 2
-                             - d_m g_ab Gamma^b_ij),
+    R_akij = (d_i d_k g_aj + d_j d_a g_ik - d_i d_a g_jk - d_j d_k g_ai) / 2
+             - Gamma_{b,ia} Gamma^b_jk + Gamma_{b,ja} Gamma^b_ik,
 
-so the derivative of the inverse metric is never formed.  That product and
-the quadratic term Gamma^l_ia Gamma^a_jk of the curvature are batched
-matrix products over the sample axis, O(n D^5) work for n points in
+so only the metric's second partials, the two kinds of Christoffel symbols
+and one product with g^{-1} enter.  The quadratic term and the raising are
+batched matrix products over the sample axis, O(n D^5) work for n points in
 dimension D.
 """
 
@@ -47,20 +51,23 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ChristoffelData:
-    """Connection coefficients and their first partials at a point batch.
+    """Connection coefficients at a point batch, with the metric jets they
+    came from.
 
-    ``gamma[..., k, i, j]`` is Gamma^k_ij (symmetric in i, j) and
-    ``dgamma[..., k, i, j, m]`` is its partial along coordinate m.  The
-    metric values, inverse and first partials ride along because most
-    consumers need them next.
+    ``gamma[n, k, i, j]`` is Gamma^k_ij and ``gamma_low[n, l, i, j]`` is
+    Gamma_{l,ij} = g_lk Gamma^k_ij, both symmetric in i, j.  The metric
+    values, inverse and first partials ride along because most consumers
+    need them next; ``hess[n, i, j, m, l] = d_m d_l g_ij`` is the block the
+    data was built from, not a copy, and only the curvature reads it.
     """
 
     points: np.ndarray
     g: np.ndarray
     ginv: np.ndarray
     dg: np.ndarray
+    hess: np.ndarray
+    gamma_low: np.ndarray
     gamma: np.ndarray
-    dgamma: np.ndarray
 
 
 def christoffel_batch(g: TensorField, points: np.ndarray) -> ChristoffelData:
@@ -68,13 +75,24 @@ def christoffel_batch(g: TensorField, points: np.ndarray) -> ChristoffelData:
     if (g.r, g.s) != (0, 2):
         raise RankError("christoffel needs a (0,2) metric field")
     pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[None, :]
     vals, grads, hesses = g.jet_blocks(pts)
     return christoffel_from_blocks(pts, vals, grads, hesses)
 
 
 METRIC_COND_LIMIT = 1e12
+
+
+def _symmetric_cond(vals: np.ndarray) -> np.ndarray:
+    """2-norm condition numbers of a batch of symmetric matrices.
+
+    For a symmetric matrix this is max|lambda| / min|lambda|, so
+    ``eigvalsh`` gives it without a singular value decomposition.  It is
+    inf where a sample is singular or not finite (masked to zero first).
+    """
+    finite = np.isfinite(vals).all(axis=(-2, -1))
+    lam = np.abs(np.linalg.eigvalsh(np.where(finite[:, None, None], vals, 0.0)))
+    lo, hi = lam.min(axis=-1), lam.max(axis=-1)
+    return np.divide(hi, lo, out=np.full_like(hi, np.inf), where=lo > 0)
 
 
 def christoffel_from_blocks(pts: np.ndarray, vals: np.ndarray, grads: np.ndarray,
@@ -89,52 +107,50 @@ def christoffel_from_blocks(pts: np.ndarray, vals: np.ndarray, grads: np.ndarray
     number exceeds ``METRIC_COND_LIMIT``; the test is relative, so a
     uniformly rescaled metric passes or fails as the original does.
     """
-    finite = np.isfinite(vals).all(axis=(-2, -1))
-    cond = np.linalg.cond(np.where(finite[:, None, None], vals, 0.0))  # inf where not finite
+    cond = _symmetric_cond(vals)
     bad = np.flatnonzero(~(cond <= METRIC_COND_LIMIT))
     if bad.size:
         k = bad[0]
-        what = ("is not finite" if not finite[k] else
+        what = ("is not finite" if not np.isfinite(vals[k]).all() else
                 f"is nearly singular (condition number {cond[k]:.3e} > {METRIC_COND_LIMIT:.0e})")
         raise DegenerateMetricError(f"metric at evaluation point {k} {pts[k].tolist()} {what}")
     ginv = np.linalg.inv(vals)
 
-    # combo[n,i,j,l] = d_i g_jl + d_j g_il - d_l g_ij
-    combo = (
-        np.einsum("njli->nijl", grads)
-        + np.einsum("nilj->nijl", grads)
-        - np.einsum("nijl->nijl", grads)
-    )
-    gamma = 0.5 * np.einsum("nkl,nijl->nkij", ginv, combo)
-
-    # d_m Gamma^k_ij = g^{ka} (d_m combo_ija / 2 - d_m g_ab Gamma^b_ij) (module
-    # docstring) as two batched products: (a m, b) @ (b, i j), then (k, a) @ (a, i j m)
+    # gamma_low[n,l,i,j] = (d_i g_jl + d_j g_il - d_l g_ij) / 2, read from
+    # grads[n,l,j,i], grads[n,l,i,j] and grads[n,i,j,l]
+    gamma_low = grads + np.swapaxes(grads, -1, -2)
+    gamma_low -= np.moveaxis(grads, -1, 1)
+    gamma_low *= 0.5
     n, D = vals.shape[0], vals.shape[-1]
-    dg_gamma = (np.swapaxes(grads, 2, 3).reshape(n, D * D, D)
-                @ gamma.reshape(n, D, D * D)).reshape(n, D, D, D, D)   # [n, a, m, i, j]
-    # inner[n,a,i,j,m] = d_m combo[n,i,j,a] / 2 - d_m g_ab Gamma^b_ij
-    inner = 0.5 * (
-        np.einsum("njami->naijm", hesses)
-        + np.einsum("niamj->naijm", hesses)
-        - np.einsum("nijma->naijm", hesses)
-    ) - np.einsum("namij->naijm", dg_gamma)
-    dgamma = (ginv @ inner.reshape(n, D, D ** 3)).reshape(n, D, D, D, D)
-    return ChristoffelData(points=pts, g=vals, ginv=ginv, dg=grads, gamma=gamma, dgamma=dgamma)
+    gamma = (ginv @ gamma_low.reshape(n, D, D * D)).reshape(n, D, D, D)
+    return ChristoffelData(points=pts, g=vals, ginv=ginv, dg=grads, hess=hesses,
+                           gamma_low=gamma_low, gamma=gamma)
 
 
 def riemann_components(data: ChristoffelData) -> np.ndarray:
-    """riem[..., l, k, i, j]: coefficient of R(d_i, d_j)d_k along d_l."""
-    gamma = data.gamma
-    dgamma = data.dgamma
-    batch, D = gamma.shape[:-3], gamma.shape[-1]
-    t1 = np.einsum("...ljki->...lkij", dgamma)  # d_i Gamma^l_jk
-    t2 = np.einsum("...likj->...lkij", dgamma)  # d_j Gamma^l_ik
-    # quad[..., l, i, j, k] = Gamma^l_ia Gamma^a_jk, one product (l i, a) @ (a, j k)
-    quad = (gamma.reshape(batch + (D * D, D))
-            @ gamma.reshape(batch + (D, D * D))).reshape(batch + (D,) * 4)
-    q1 = np.einsum("...lijk->...lkij", quad)
-    q2 = np.swapaxes(q1, -1, -2)                # Gamma^l_ja Gamma^a_ik
-    return t1 - t2 + q1 - q2
+    """riem[n, l, k, i, j]: coefficient of R(d_i, d_j)d_k along d_l.
+
+    Every term of the lowered tensor of the module docstring is a
+    rearrangement of
+
+        s[n, p, q, r, t] = d_r d_t g_pq + d_p d_q g_rt + 2 Gamma_{b,pq} Gamma^b_rt,
+
+    the hess block viewed as (n, D^2, D^2), plus its transpose, plus one
+    batched product: 2 R_akij = s[n, k, i, a, j] - s[n, a, i, k, j].  Both
+    reads keep j innermost, and one product with g^{-1} / 2 raises a.
+    """
+    n, D = data.gamma.shape[:2]
+    hess = data.hess.reshape(n, D * D, D * D)
+    # the factors 2 and 1/2 are powers of two, so they round exactly
+    s = (np.swapaxes((2.0 * data.gamma_low).reshape(n, D, D * D), 1, 2)
+         @ data.gamma.reshape(n, D, D * D))
+    s += hess
+    s += np.swapaxes(hess, 1, 2)
+    s4 = s.reshape(n, D, D, D, D)
+    r2 = s4.transpose(0, 3, 1, 2, 4) - s4.transpose(0, 1, 3, 2, 4)  # 2 R_akij at [n, a, k, i, j]
+    riem = s.reshape(n, D, D ** 3)                                   # s is spent: reuse its memory
+    np.matmul(0.5 * data.ginv, r2.reshape(n, D, D ** 3), out=riem)
+    return riem.reshape(n, D, D, D, D)
 
 
 def ricci_components(data: ChristoffelData) -> np.ndarray:
@@ -192,8 +208,6 @@ def covariant_derivative_values(
     sample n.
     """
     pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[None, :]
     if data is None:
         data = christoffel_batch(g, pts)
     vals, grads, _ = T.jet_blocks(pts)

@@ -1,11 +1,14 @@
 """Per-index reference formulas for the batched curvature code.
 
-The library computes the connection derivative, the Riemann tensor and the
+The library computes the Christoffel symbols, the Riemann tensor and the
 curvature verifiers with batched matrix products over whole arrays.  The
-functions here are the direct transcriptions they replaced: the derivative
-of the inverse metric d g^{-1} = -g^{-1} (d g) g^{-1} with three einsums, the
-four-einsum Riemann tensor, and verifiers that loop over index triples and
-eigenvector triples one at a time.  Tests compare the two to roundoff.
+functions here are direct transcriptions: the Christoffel symbols by one
+einsum; the connection derivative through the derivative of the inverse
+metric d g^{-1} = -g^{-1} (d g) g^{-1} with three einsums, and the
+four-einsum Riemann tensor built from it, a route the library, which reads
+the metric's second partials directly, never takes; and verifiers that loop
+over index triples and eigenvector triples one at a time.  Tests compare
+the two to roundoff.
 
 The symmetrization the tensor fields used before they stored one expression
 per index orbit, the top coefficient of omega^n by repeated wedge
@@ -55,10 +58,20 @@ from metsymp.submersion import slice_christoffel_batch
 from metsymp.symplectization import extend_to_product, extended_slice_form, extended_slice_reeb
 
 
+def _combo(grads):
+    """combo[n, i, j, l] = d_i g_jl + d_j g_il - d_l g_ij."""
+    return (np.einsum("njli->nijl", grads) + np.einsum("nilj->nijl", grads)
+            - np.einsum("nijl->nijl", grads))
+
+
+def gamma_reference(ginv, grads):
+    """Gamma^k_ij = g^{kl} combo_ijl / 2 by one einsum."""
+    return 0.5 * np.einsum("nkl,nijl->nkij", ginv, _combo(grads))
+
+
 def dgamma_reference(ginv, grads, hesses):
     """d_m Gamma^k_ij from d g^{-1} and the partials of the Christoffel combination."""
-    combo = (np.einsum("njli->nijl", grads) + np.einsum("nilj->nijl", grads)
-             - np.einsum("nijl->nijl", grads))
+    combo = _combo(grads)
     dginv = -np.einsum("nka,nabm,nbl->nklm", ginv, grads, ginv)
     dcombo = (np.einsum("njlmi->nijlm", hesses) + np.einsum("nilmj->nijlm", hesses)
               - np.einsum("nijml->nijlm", hesses))
@@ -76,12 +89,12 @@ def riemann_reference(gamma, dgamma):
 
 
 def assert_connection_matches_reference(g, pts):
-    """dgamma and the Riemann tensor against the einsum formulas, relative to their size."""
+    """Gamma and the Riemann tensor against the einsum formulas, relative to their size."""
     data = christoffel_batch(g, pts)
     _, grads, hesses = g.jet_blocks(pts)
-    want = dgamma_reference(data.ginv, grads, hesses)
-    assert np.max(np.abs(data.dgamma - want)) <= 1e-13 * np.max(np.abs(want))
-    want = riemann_reference(data.gamma, data.dgamma)
+    want = gamma_reference(data.ginv, grads)
+    assert np.max(np.abs(data.gamma - want)) <= 1e-13 * np.max(np.abs(want))
+    want = riemann_reference(data.gamma, dgamma_reference(data.ginv, grads, hesses))
     assert np.max(np.abs(riemann_components(data) - want)) <= 1e-13 * np.max(np.abs(want))
 
 

@@ -15,6 +15,7 @@ Frozen expected values and where they come from:
   the fitted pair is cross-checked against a direct Ricci evaluation.
 """
 
+import ctypes
 import dataclasses
 import math
 import re
@@ -611,6 +612,23 @@ def test_batch_rejections_name_the_failing_sample(flat_bundle):
     batch = np.array([[0.1, 0.5, 0.2], [0.3, 0.0, 0.1], [-0.2, 0.7, 0.4]])
     with pytest.raises(NotContactError, match=re.escape("sample 1 [0.3, 0.0, 0.1]")):
         solve_reeb_batch(eta, chart, batch)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_reeb_solve_rejects_a_non_finite_sample_before_lapack(sasakian, capfd):
+    # eta x sqrt(x) / sqrt(x) is NaN at x < 0, here at sample 1 only
+    S = sasakian
+    x = Coord(0, "x")
+    eta = S.eta.scale(sqrt(x) / sqrt(x))
+    pts = np.array([[0.3, 0.1, 0.2], [-0.4, 0.2, 0.1], [0.5, -0.3, 0.0]])
+    capfd.readouterr()
+    with pytest.raises(NotContactError,
+                       match=re.escape("eta or d eta is not finite at sample 1 [-0.4, 0.2, 0.1]")):
+        solve_reeb_batch(eta, S.chart, pts)
+    # LAPACK's "On entry to DLASCL ..." goes through C stdio, which is
+    # buffered until flushed
+    ctypes.CDLL(None).fflush(None)
+    assert capfd.readouterr() == ("", "")
 
 
 def test_kmu_identities_match_the_loop_reference(non_sasakian):

@@ -13,6 +13,7 @@ from numpy.testing import assert_allclose
 
 from metsymp.charts import Chart
 from metsymp.curvature import (
+    _symmetric_cond,
     christoffel_batch,
     covariant_derivative_values,
     gram_schmidt_frame,
@@ -26,7 +27,11 @@ from metsymp.expressions import Const, Coord, sin, sqrt
 from metsymp.fd_oracle import fd_christoffel, fd_riemann
 from metsymp.fields import TensorField, lie_bracket
 
-from loop_references import assert_connection_matches_reference, riemann_reference
+from loop_references import (
+    assert_connection_matches_reference,
+    dgamma_reference,
+    riemann_reference,
+)
 
 
 @pytest.fixture(scope="module")
@@ -143,7 +148,7 @@ def test_covariant_derivative_of_scalar_is_directional(sasakian):
     f = TensorField.from_scalar(chart, x * x * y + sin(y))
     p = chart.samples(1)[0]
     X = np.array([0.3, -1.0, 2.0])
-    got = covariant_derivative_values(sasakian.g, f, p)[0] @ X
+    got = covariant_derivative_values(sasakian.g, f, p[None])[0] @ X
     jets = TensorField.from_scalar(chart, x * x * y + sin(y)).jet_blocks(p[None, :])
     assert_allclose(got, float(jets[1][0] @ X), atol=1e-13)
 
@@ -213,6 +218,44 @@ def test_metric_guard_is_relative():
     assert np.all(data.gamma == 0.0)
 
 
+def test_condition_guard_matches_the_svd_condition_number():
+    rng = np.random.default_rng(12)
+    for dim in (2, 3, 8):
+        a = rng.standard_normal((40, dim, dim))
+        indefinite = a + np.swapaxes(a, 1, 2)
+        definite = a @ np.swapaxes(a, 1, 2) + 0.1 * np.eye(dim)
+        for mats in (indefinite, definite):
+            assert_allclose(_symmetric_cond(mats), np.linalg.cond(mats), rtol=1e-10)
+    # a sample that is singular or not finite reads inf
+    bad = np.array([[[1.0, 0.0], [0.0, 0.0]], [[np.nan, 0.0], [0.0, 1.0]]])
+    assert np.all(_symmetric_cond(bad) == np.inf)
+
+
+def test_well_conditioned_indefinite_metric_is_accepted():
+    chart = Chart(("t", "x"), ((-1, 1), (-1, 1)))
+    g = TensorField(chart, 0, 2, [[Const(-1.0), Const(0.0)], [Const(0.0), Const(1.0)]],
+                    "symmetric")
+    data = christoffel_batch(g, chart.samples(4))
+    assert np.all(data.gamma == 0.0) and np.all(riemann_components(data) == 0.0)
+
+
+@pytest.mark.parametrize("c", [1e-6, 3.0, 1e6])
+@pytest.mark.parametrize("which", ["sasakian", "flat_bundle", "sasakian7_symp"])
+def test_connection_and_curvature_ignore_a_constant_rescale(c, which, request):
+    """Gamma and the (1,3) tensor of c g are those of g, and the reference's."""
+    structure = request.getfixturevalue(which)
+    g = structure.gbar if which == "sasakian7_symp" else structure.g
+    pts = structure.chart.samples(10, seed=4)
+    data = christoffel_batch(g, pts)
+    scaled = christoffel_batch(g.scale(Const(c)), pts)
+    _, grads, hesses = g.jet_blocks(pts)
+    want = riemann_reference(data.gamma, dgamma_reference(data.ginv, grads, hesses))
+    for got, ref in ((scaled.gamma, data.gamma),
+                     (riemann_components(scaled), riemann_components(data)),
+                     (riemann_components(scaled), want)):
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def test_fd_oracle_agreement_on_catalog_metrics(any_entry):
     S = any_entry.structure
     pts = S.chart.samples(3, seed=17)
@@ -266,7 +309,8 @@ def test_single_point_riemann_matches_the_reference_and_the_batch(sasakian7_symp
     for k, p in enumerate(pts):
         data = christoffel_batch(g, p[None])
         riem = riemann_components(data)[0]
-        want = riemann_reference(data.gamma, data.dgamma)[0]
+        _, grads, hesses = g.jet_blocks(p[None])
+        want = riemann_reference(data.gamma, dgamma_reference(data.ginv, grads, hesses))[0]
         assert riem.shape == (8, 8, 8, 8)
         assert np.max(np.abs(riem - want)) <= 1e-13 * np.max(np.abs(want))
         assert_allclose(riem, batch[k], rtol=0, atol=1e-13 * np.max(np.abs(want)))
