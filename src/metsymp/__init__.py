@@ -5,7 +5,8 @@ The package is organized in layers:
 ``expressions`` / ``jets``
     Closed-form component functions and exact second-order jet arithmetic.
 ``charts`` / ``fields``
-    Coordinate boxes, tensor fields, and the exterior and Lie calculus.
+    Coordinate boxes, tensor fields (a scalar field is one of rank 0), and
+    the exterior and Lie calculus.
 ``curvature``
     Levi-Civita connection, curvature and Ricci on sample batches, and
     sectional curvature at a point.
@@ -46,7 +47,6 @@ from .contact import (
 from .catalog import CatalogEntry, catalog_load, catalog_names
 from .curvature import ChristoffelData, sectional
 from .fields import (
-    ScalarField,
     SmoothMap,
     TensorField,
     contract,

@@ -20,7 +20,7 @@ class Chart:
     """A coordinate box with named coordinates.
 
     ``domain`` holds one closed interval per coordinate, with finite ends
-    and width.  ``sampler_seed``
+    and width; ``dim`` is the number of coordinates.  ``sampler_seed``
     makes sample sweeps reproducible per chart; callers may override the
     seed per sweep.
     """
@@ -28,19 +28,18 @@ class Chart:
     coord_names: tuple[str, ...]
     domain: tuple[tuple[float, float], ...]
     sampler_seed: int = 0
-    dim: int = field(default=-1)
+    dim: int = field(init=False)
 
     def __post_init__(self):
         names = tuple(self.coord_names)
         dom = tuple((float(a), float(b)) for a, b in self.domain)
         object.__setattr__(self, "coord_names", names)
         object.__setattr__(self, "domain", dom)
-        if self.dim == -1:
-            object.__setattr__(self, "dim", len(names))
-        if self.dim <= 0:
+        object.__setattr__(self, "dim", len(names))
+        if not names:
             raise GeometryError("chart dimension must be positive")
-        if self.dim != len(names) or self.dim != len(dom):
-            raise GeometryError("dim, coord_names and domain lengths must agree")
+        if len(names) != len(dom):
+            raise GeometryError("coord_names and domain lengths must agree")
         if len(set(names)) != len(names):
             raise GeometryError(f"duplicate coordinate names in {names}")
         for name, (lo, hi) in zip(names, dom):
@@ -49,12 +48,6 @@ class Chart:
             if not math.isfinite(hi - lo):
                 raise GeometryError(f"interval for coordinate {name!r} needs finite ends"
                                     f" and width, got [{lo}, {hi}]")
-
-    def index(self, name: str) -> int:
-        try:
-            return self.coord_names.index(name)
-        except ValueError:
-            raise GeometryError(f"chart has no coordinate named {name!r}") from None
 
     def contains(self, point: np.ndarray) -> bool:
         p = np.asarray(point, dtype=float)

@@ -67,7 +67,6 @@ __all__ = [
     "h_eigendecomposition_batch",
     "verify_kmu_curvature",
     "verify_structure_isomorphism",
-    "h_norms",
     "COMPAT_TOL",
     "H_VANISH_TOL",
     "FIT_TOL",
@@ -217,6 +216,22 @@ def _at(pts: np.ndarray, k: int) -> str:
     return f"sample {k} {pts[k].tolist()}"
 
 
+def _require_finite(pts: np.ndarray, error: type[GeometryError], what: str, *arrays) -> None:
+    """Raise ``error`` naming the first sample at which one of ``arrays``
+    (sample axis first) is not finite.
+
+    Solvers call this before LAPACK sees the data: a least-squares solve
+    of a non-finite system fails without naming the sample, and LAPACK
+    prints its complaint to the process's standard output.
+    """
+    finite = np.ones(len(pts), dtype=bool)
+    for arr in arrays:
+        finite &= np.isfinite(arr).reshape(len(pts), -1).all(axis=1)
+    bad = np.flatnonzero(~finite)
+    if bad.size:
+        raise error(f"{what} is not finite at {_at(pts, bad[0])}")
+
+
 def solve_reeb_batch(eta: TensorField, chart: Chart, points: np.ndarray) -> np.ndarray:
     """Numeric Reeb vectors at a batch of points, shape (n, dim).
 
@@ -237,10 +252,7 @@ def _reeb_from_values(dv: np.ndarray, ev: np.ndarray, pts: np.ndarray) -> np.nda
     are re-checked to 1e-9.  A rejection names the first failing sample; a
     sample where eta or d eta is not finite is rejected before any solve.
     """
-    finite = np.isfinite(dv).all(axis=(1, 2)) & np.isfinite(ev).all(axis=1)
-    bad = np.flatnonzero(~finite)
-    if bad.size:
-        raise NotContactError(f"eta or d eta is not finite at {_at(pts, bad[0])}")
+    _require_finite(pts, NotContactError, "eta or d eta", dv, ev)
     dim = pts.shape[1]
     rhs = np.zeros(dim + 1)
     rhs[-1] = 1.0
@@ -291,15 +303,10 @@ def _h_norms(gv: np.ndarray, hv: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(sq, 0.0))
 
 
-def h_norms(S: ContactMetricStructure, points: np.ndarray) -> np.ndarray:
-    """Frobenius norm of h with respect to g at each sample."""
-    return _h_norms(S.g.values(points), S.h.values(points))
-
-
 def is_K_contact(S: ContactMetricStructure, n_samples: int = 100,
                  seed: int | None = None) -> KContactReport:
     pts = S.chart.samples(n_samples, seed=seed)
-    norms = h_norms(S, pts)
+    norms = _h_norms(S.g.values(pts), S.h.values(pts))
     max_norm = sup_norm(norms)
     return KContactReport(max_norm, max_norm < H_VANISH_TOL)
 
@@ -346,9 +353,11 @@ def fit_kappa_mu(S: ContactMetricStructure, n_samples: int = 50,
     data = christoffel_batch(S.g, pts)
     riem = riemann_components(data)
     hv = S.h.values(pts)
+    ev = S.eta.values(pts)
     lhs = np.einsum("nlkij,nk->nlij", riem, S.xi.values(pts))
+    _require_finite(pts, GeometryError, "R(X, Y) xi, eta or h", lhs, ev, hv)
     sasakian = sup_norm(_h_norms(data.g, hv)) < H_VANISH_TOL
-    kappa, mu, residual = nullity_fit(lhs, S.eta.values(pts), None if sasakian else hv)
+    kappa, mu, residual = nullity_fit(lhs, ev, None if sasakian else hv)
     lam = None if sasakian else math.sqrt(max(1.0 - kappa, 0.0))
     return KmuReport(kappa=kappa, mu=mu, residual=residual, sasakian_flag=sasakian, lam=lam)
 
@@ -409,9 +418,7 @@ def h_eigendecomposition_batch(S: ContactMetricStructure,
     gv = S.g.values(pts)
     hv = S.h.values(pts)
     xv = S.xi.values(pts)
-    bad_g = np.flatnonzero(~np.isfinite(gv).all(axis=(1, 2)))
-    if bad_g.size:
-        raise DegenerateMetricError(f"metric is not finite at {_at(pts, bad_g[0])}")
+    _require_finite(pts, DegenerateMetricError, "metric", gv)
     try:
         L = np.linalg.cholesky(gv)
     except np.linalg.LinAlgError:

@@ -43,7 +43,6 @@ __all__ = [
     "covariant_derivative_values",
     "riemann_components",
     "ricci_components",
-    "ricci_frame_trace",
     "sectional",
     "gram_schmidt_frame",
 ]
@@ -157,29 +156,6 @@ def ricci_components(data: ChristoffelData) -> np.ndarray:
     """Ric[..., p, q] = Ric(d_p, d_q) by direct contraction."""
     riem = riemann_components(data)
     return np.einsum("...aqap->...pq", riem)
-
-
-def ricci_frame_trace(data: ChristoffelData) -> np.ndarray:
-    """Ric[n, p, q] by an explicit orthonormal-frame trace at each sample.
-
-    Slower than the direct contraction; exists as an independent check of
-    the trace convention.
-    """
-    riem = riemann_components(data)
-    d = data.g.shape[-1]
-    ric = np.zeros(data.g.shape)
-    for n, gmat in enumerate(data.g):
-        frame = gram_schmidt_frame(gmat)
-        for p in range(d):
-            for q in range(d):
-                total = 0.0
-                for a in range(d):
-                    Ea = frame[a]
-                    # R(E_a, d_p) d_q
-                    vec = np.einsum("lkij,i->lkj", riem[n], Ea)[:, q, p]
-                    total += float(Ea @ gmat @ vec)
-                ric[n, p, q] = total
-    return ric
 
 
 def sectional(g: TensorField, X: np.ndarray, Y: np.ndarray, point: np.ndarray) -> float:

@@ -1,14 +1,14 @@
-"""Scalar and tensor fields on a chart, and the multilinear calculus.
+"""Tensor fields on a chart, and the multilinear calculus.
 
 Components are expression trees (:mod:`metsymp.expressions`), evaluated by
-its one evaluator to the order each caller consumes.
-``TensorField.values``, ``ScalarField.values`` and ``SmoothMap.__call__``
-evaluate at order 0 (values only); ``TensorField.jet_blocks`` and
-``ScalarField.jet``/``jets`` evaluate at order 2 (value, gradient and
-Hessian), and every numeric derivative is taken from those jets.  The
-order-0 values are bit for bit the values of the order-2 jets.  Either
-way, all components of a field are evaluated in one walk, so a node they
-share is evaluated once.  The first-order operators below (exterior
+its one evaluator to the order each caller consumes.  A scalar field is a
+rank-0 ``TensorField`` (``TensorField.from_scalar``).
+``TensorField.values`` and ``SmoothMap.__call__`` evaluate at order 0
+(values only); ``TensorField.jet_blocks`` evaluates at order 2 (value,
+gradient and Hessian), and every numeric derivative is taken from those
+jets.  The order-0 values are bit for bit the values of the order-2 jets.
+Either way, all components of a field are evaluated in one walk, so a
+node they share is evaluated once.  The first-order operators below (exterior
 derivative, bracket, Lie derivative, pullback) build their results
 symbolically, from the partials cached on each node, so derived fields
 remain fields and can be differentiated again without loss.
@@ -55,10 +55,8 @@ from .charts import Chart
 from .errors import ChartMismatchError, RankError
 from .expressions import (ONE, ZERO, Const, Coord, Expr, Neg, as_expr, evaluate, substitute,
                           sum_of_products)
-from .jets import Jet2
 
 __all__ = [
-    "ScalarField",
     "TensorField",
     "SmoothMap",
     "exterior_derivative",
@@ -73,34 +71,6 @@ __all__ = [
     "inverse_metric",
     "sup_norm",
 ]
-
-
-# ---------------------------------------------------------------------------
-# scalar fields
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ScalarField:
-    """A scalar component function on a chart."""
-
-    chart: Chart
-    expr: Expr
-
-    def jet(self, point: np.ndarray) -> Jet2:
-        """Second-order jet at a single point of the chart domain."""
-        return self.jets(self.chart.require_inside(point))
-
-    def jets(self, points: np.ndarray) -> Jet2:
-        """Batched jet over ``(n, dim)`` sample points (no domain check)."""
-        return evaluate([self.expr], points, order=2)[0]
-
-    def values(self, points: np.ndarray) -> np.ndarray:
-        """Values only (order 0), bit for bit ``jets(points).value``."""
-        return evaluate([self.expr], points)[0]
-
-    def diff(self, i: int) -> "ScalarField":
-        return ScalarField(self.chart, self.expr.diff(i))
 
 
 def sup_norm(*parts) -> float:
@@ -281,10 +251,6 @@ class TensorField:
         comps = _expr_array((chart.dim,))
         comps[i] = Const(1.0)
         return TensorField(chart, 1, 0, comps)
-
-    @staticmethod
-    def zero(chart: Chart, r: int, s: int, sym: str = "none") -> "TensorField":
-        return TensorField(chart, r, s, _expr_array((chart.dim,) * (r + s)), sym)
 
     # -- algebra -------------------------------------------------------------
 

@@ -4,8 +4,7 @@ A ``Jet2`` carries the second-order Taylor data of a scalar quantity at one
 or many points.  The arithmetic propagates that data exactly, so every
 derivative in the package comes out at machine precision instead of the
 1e-5 sort of accuracy a finite-difference scheme would give.  Finite
-differences are kept only as an independent cross-check (see
-``metsymp.fd_oracle``).
+differences are kept only as an independent cross-check, in the tests.
 
 Jets are batch friendly.  ``value`` has an arbitrary leading shape S
 (typically ``()`` for a single point or ``(n,)`` for a sample sweep),

@@ -38,7 +38,7 @@ import numpy as np
 from .charts import Chart
 from .contact import ContactMetricStructure
 from .errors import GeometryError
-from .expressions import Const, ExpressionSyntaxError, parse_expression
+from .expressions import Const, Expr, ExpressionSyntaxError, parse_expression
 from .fields import TensorField
 
 __all__ = ["StructureFileError", "parse_structure_text", "load_structure_file"]
@@ -61,13 +61,13 @@ _SEED_RE = re.compile(r"^seed\s+(-?\d+)\s*$")
 _COMP_RE = re.compile(r"^(eta|g|phi)\s+(\w+)(?:\s+(\w+))?\s*=\s*(.+)$")
 
 
-def parse_structure_text(text: str, name: str = "<string>") -> ContactMetricStructure:
+def parse_structure_text(text: str) -> ContactMetricStructure:
     coord_names: list[str] = []
     intervals: list[tuple[float, float]] = []
     seed = 0
-    eta_entries: dict[int, tuple] = {}
-    g_entries: dict[tuple[int, int], tuple] = {}
-    phi_entries: dict[tuple[int, int], tuple] = {}
+    eta_entries: dict[int, Expr] = {}
+    g_entries: dict[tuple[int, int], Expr] = {}
+    phi_entries: dict[tuple[int, int], Expr] = {}
 
     lines = text.splitlines()
     in_components = False
@@ -122,7 +122,7 @@ def parse_structure_text(text: str, name: str = "<string>") -> ContactMetricStru
                 i = coord_index(c1)
                 if i in eta_entries:
                     raise StructureFileError(f"duplicate eta component {c1!r}", lineno)
-                eta_entries[i] = (expr, lineno)
+                eta_entries[i] = expr
             else:
                 if c2 is None:
                     raise StructureFileError(f"{kind} takes two coordinates", lineno)
@@ -132,12 +132,12 @@ def parse_structure_text(text: str, name: str = "<string>") -> ContactMetricStru
                     if key in g_entries:
                         raise StructureFileError(
                             f"duplicate metric component {c1} {c2}", lineno)
-                    g_entries[key] = (expr, lineno)
+                    g_entries[key] = expr
                 else:
                     if (i, j) in phi_entries:
                         raise StructureFileError(
                             f"duplicate phi component {c1} {c2}", lineno)
-                    phi_entries[(i, j)] = (expr, lineno)
+                    phi_entries[(i, j)] = expr
             continue
         raise StructureFileError(f"unrecognized line {line!r}", lineno)
 
@@ -154,16 +154,16 @@ def parse_structure_text(text: str, name: str = "<string>") -> ContactMetricStru
     chart = Chart(tuple(coord_names), tuple(intervals), sampler_seed=seed)
     eta_c = np.empty(d, dtype=object)
     eta_c[...] = Const(0.0)
-    for i, (expr, _) in eta_entries.items():
+    for i, expr in eta_entries.items():
         eta_c[i] = expr
     g_c = np.empty((d, d), dtype=object)
     g_c[...] = Const(0.0)
-    for (i, j), (expr, _) in g_entries.items():
+    for (i, j), expr in g_entries.items():
         g_c[i, j] = expr
         g_c[j, i] = expr
     phi_c = np.empty((d, d), dtype=object)
     phi_c[...] = Const(0.0)
-    for (i, j), (expr, _) in phi_entries.items():
+    for (i, j), expr in phi_entries.items():
         phi_c[i, j] = expr
 
     eta = TensorField.covector(chart, eta_c)
@@ -192,4 +192,4 @@ def parse_structure_text(text: str, name: str = "<string>") -> ContactMetricStru
 def load_structure_file(path) -> ContactMetricStructure:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    return parse_structure_text(text, name=str(path))
+    return parse_structure_text(text)

@@ -14,8 +14,9 @@ tensors from their definition (projected covariant derivatives) as tables
 T[n, k, a, b], A[n, k, a, b] on coordinate fields, built from the
 Christoffel data alone.  T and A are tensorial in both slots, so the
 tables determine them on any pair of vector fields.  The verifiers compare
-T against the closed form, and check the standard curvature relations that
-the submersion implies, with the slice curvature computed intrinsically on
+T against the closed form above, evaluated from the slice values of
+eta_t and xi_t, and check the standard curvature relations that the
+submersion implies, with the slice curvature computed intrinsically on
 the base chart so the comparison stays a genuine cross-check.  Each
 verifier returns its residuals as a dict from the name of the identity to
 its sup norm over the samples, in a fixed order.
@@ -37,12 +38,9 @@ from .curvature import (
     ricci_components,
     riemann_components,
 )
-from .expressions import Const
 from .fields import TensorField, sup_norm
 from .symplectization import (
     SymplecticMetricStructure,
-    extended_slice_form,
-    extended_slice_reeb,
     slice_form_values,
     slice_metric_field,
 )
@@ -50,7 +48,6 @@ from .symplectization import (
 __all__ = [
     "oneill_T",
     "oneill_A",
-    "fundamental_T_field",
     "verify_fundamental_tensors",
     "verify_currel",
     "verify_ricci_relations",
@@ -130,33 +127,6 @@ def oneill_A(B: SymplecticMetricStructure, E1: TensorField, E2: TensorField,
     tensorial in both slots and is contracted from its coordinate table.
     """
     return _oneill(B, E1, E2, points, data, horizontal_e1=True)
-
-
-def fundamental_T_field(B: SymplecticMetricStructure) -> TensorField:
-    """The closed form of T as a (1,2) field on the product chart.
-
-    Components: T(d_a, d_b) = -(gbar_ab + etat_a etat_b) d_t for slice
-    indices a, b, and T(d_a, d_t) = d_a + etat_a xi_t; horizontal first
-    slot gives zero.
-    """
-    S = B.base
-    chart = B.chart
-    D = chart.dim
-    ti = B.t_index
-    etat = extended_slice_form(S, chart)
-    xit = extended_slice_reeb(S, chart)
-    comps = np.empty((D, D, D), dtype=object)
-    comps[...] = Const(0.0)
-    for a in range(D - 1):
-        for b in range(D - 1):
-            comps[ti, a, b] = -(B.gbar.components[a, b]
-                                + etat.components[a] * etat.components[b])
-        for k in range(D):
-            term = etat.components[a] * xit.components[k]
-            if k == a:
-                term = term + Const(1.0)
-            comps[k, a, ti] = term
-    return TensorField(chart, 1, 2, comps)
 
 
 # ---------------------------------------------------------------------------

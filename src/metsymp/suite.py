@@ -34,7 +34,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -383,7 +383,6 @@ class SuiteConfig:
     samples: int = 50
     seed: int = 42
     t_range: tuple[float, float] = (-1.0, 1.0)
-    thresholds: dict = field(default_factory=default_thresholds)
 
     def __post_init__(self):
         if self.samples <= 0:
@@ -393,13 +392,6 @@ class SuiteConfig:
             raise ConfigError("t_range must be a nonempty interval")
         if not math.isfinite(hi - lo):
             raise ConfigError(f"t_range must have finite ends and width, got [{lo}, {hi}]")
-        for check_id in self.thresholds:
-            if check_id not in CHECK_ORDER:
-                raise ConfigError(f"threshold for unknown check {check_id!r};"
-                                  f" the checks are {', '.join(CHECK_ORDER)}")
-        merged = default_thresholds()
-        merged.update(self.thresholds)
-        object.__setattr__(self, "thresholds", merged)
         object.__setattr__(self, "t_range", (float(lo), float(hi)))
 
 
@@ -446,7 +438,6 @@ def _run_checks(run: _Run, ids) -> list[CheckRecord]:
     for check in _TABLE:
         if check.id not in ids:
             continue
-        threshold = cfg.thresholds[check.id]
         try:
             # a NaN defect is already reported as an inf residual, so the
             # invalid-value warnings it raises on the way say nothing more
@@ -460,8 +451,8 @@ def _run_checks(run: _Run, ids) -> list[CheckRecord]:
             id=check.id,
             anchor=check.anchor,
             residual=residual,
-            threshold=threshold,
-            passed=bool(residual < threshold),
+            threshold=check.threshold,
+            passed=bool(residual < check.threshold),
             samples=cfg.samples,
             seed=cfg.seed,
             error=error,
@@ -503,7 +494,7 @@ def report_emit(report: SuiteReport, fmt: str) -> bytes:
                 "samples": report.config.samples,
                 "seed": report.config.seed,
                 "t_range": list(report.config.t_range),
-                "thresholds": {k: report.config.thresholds[k] for k in CHECK_ORDER},
+                "thresholds": default_thresholds(),
             },
             "checks": [
                 {

@@ -26,9 +26,9 @@ line coordinate t last on the product chart.  The slice data eta_t, xi_t
 at sample points are therefore read from the base fields:
 :func:`slice_form_values` evaluates eta and xi at the base coordinates,
 scales them by exp(+-2t) and leaves the t slot zero.  The symbolic lifts
-(:func:`extend_to_product` and the two ``extended_slice_*`` fields) are
-built only where a field is needed, such as omega and the closed form of
-the fundamental tensor.
+(:func:`extend_to_product`, :func:`extended_slice_form` and the slice
+metric family) are built only where a field is needed: omega and the jets
+of the slice metric.
 """
 
 from __future__ import annotations
@@ -39,7 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charts import Chart, product_with_line
-from .contact import ContactMetricStructure, _rescaled_metric, d_homothety, reeb_field
+from .contact import (ContactMetricStructure, _require_finite, _rescaled_metric, d_homothety,
+                      reeb_field)
 from .errors import DomainError, GeometryError, RankError
 from .expressions import ONE, Const, Coord, Expr, evaluate, exp, sum_of_products
 from .fields import (
@@ -138,8 +139,8 @@ def slice_form_values(S: ContactMetricStructure, pts: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray]:
     """eta_t = exp(2t) eta and xi_t = exp(-2t) xi at product points (t last).
 
-    The values of :func:`extended_slice_form` and :func:`extended_slice_reeb`,
-    read from the base fields without building either.
+    The values of :func:`extended_slice_form` and of the lift of xi scaled
+    by exp(-2t), read from the base fields without building either.
     """
     t = pts[:, -1:]
     return (lifted_values(S.eta, pts) * np.exp(2.0 * t),
@@ -154,11 +155,6 @@ def _exp_t(chart: Chart, c: float) -> Expr:
 def extended_slice_form(S: ContactMetricStructure, chart: Chart) -> TensorField:
     """exp(2t) eta as a 1-form on the product chart (zero dt component)."""
     return extend_to_product(S.eta, chart).scale(_exp_t(chart, 2.0))
-
-
-def extended_slice_reeb(S: ContactMetricStructure, chart: Chart) -> TensorField:
-    """exp(-2t) xi as a vector field on the product chart."""
-    return extend_to_product(S.xi, chart).scale(_exp_t(chart, -2.0))
 
 
 def slice_metric_field(S: ContactMetricStructure, chart: Chart) -> TensorField:
@@ -535,6 +531,7 @@ def unique_acs_witness_residual(B: SymplecticMetricStructure, n_samples: int = 2
     ov = B.omega.values(pts)
     _, xt = slice_form_values(S, pts)
     V = _distribution_vectors(S, pts)
+    _require_finite(pts, GeometryError, "omega, xi_t or the contact distribution", ov, xt, V)
     et = np.zeros(D)
     et[D - 1] = 1.0
     defects = []

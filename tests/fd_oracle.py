@@ -1,6 +1,6 @@
 """Central finite differences, kept as an independent cross-check.
 
-Jet arithmetic is the production differentiation path.  These routines
+Jet arithmetic is the library's differentiation path.  These routines
 re-derive the same quantities from plain value evaluations so the two can
 be compared; they evaluate at order 0 only and never run jet arithmetic.
 """
@@ -9,16 +9,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fields import ScalarField, TensorField
-
-__all__ = ["fd_gradient", "fd_hessian", "fd_christoffel", "fd_riemann"]
-
-
-def _value(f: ScalarField, p: np.ndarray) -> float:
-    return float(f.values(p[None, :])[0])
+from metsymp.expressions import Expr, evaluate
+from metsymp.fields import TensorField
 
 
-def fd_gradient(f: ScalarField, point: np.ndarray, step: float = 1e-4) -> np.ndarray:
+def _value(f: Expr, p: np.ndarray) -> float:
+    return float(evaluate([f], p[None, :])[0][0])
+
+
+def fd_gradient(f: Expr, point: np.ndarray, step: float = 1e-4) -> np.ndarray:
     p = np.asarray(point, dtype=float)
     d = p.shape[0]
     out = np.zeros(d)
@@ -29,7 +28,7 @@ def fd_gradient(f: ScalarField, point: np.ndarray, step: float = 1e-4) -> np.nda
     return out
 
 
-def fd_hessian(f: ScalarField, point: np.ndarray, step: float = 1e-4) -> np.ndarray:
+def fd_hessian(f: Expr, point: np.ndarray, step: float = 1e-4) -> np.ndarray:
     p = np.asarray(point, dtype=float)
     d = p.shape[0]
     out = np.zeros((d, d))
@@ -52,10 +51,6 @@ def fd_hessian(f: ScalarField, point: np.ndarray, step: float = 1e-4) -> np.ndar
     return out
 
 
-def _metric_at(g: TensorField, p: np.ndarray) -> np.ndarray:
-    return g.values(p)
-
-
 def _five_point(f, p: np.ndarray, m: int, step: float) -> np.ndarray:
     """Fourth-order central difference of a matrix-valued map along slot m."""
     e = np.zeros_like(p)
@@ -76,8 +71,8 @@ def fd_christoffel(g: TensorField, point: np.ndarray, step: float = 1e-3) -> np.
     d = p.shape[0]
     dg = np.zeros((d, d, d))  # dg[m, i, j] = d_m g_ij
     for m in range(d):
-        dg[m] = _five_point(lambda q: _metric_at(g, q), p, m, step)
-    ginv = np.linalg.inv(_metric_at(g, p))
+        dg[m] = _five_point(g.values, p, m, step)
+    ginv = np.linalg.inv(g.values(p))
     combo = np.zeros((d, d, d))  # combo[i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
     for i in range(d):
         for j in range(d):

@@ -27,7 +27,11 @@ The two nullity fits are kept as they were written before they shared
 ``contact.nullity_fit``: each builds its own least-squares columns, and the
 slice fit reads eta_t and xi_t from freshly lifted product-chart fields.
 The eta-Einstein fit Ric = alpha g + beta eta (x) eta has no library
-route; tests fit it here.
+route; tests fit it here.  So have two more references: the Ricci tensor
+as a trace over an orthonormal frame at each sample, against the library's
+direct contraction, and the closed form of the fundamental tensor T as a
+(1,2) field, built from the symbolic lift xi_t = exp(-2t) xi, against the
+library's T from its definition.
 """
 
 import itertools
@@ -55,7 +59,58 @@ from metsymp.fields import (
     wedge,
 )
 from metsymp.submersion import slice_christoffel_batch
-from metsymp.symplectization import extend_to_product, extended_slice_form, extended_slice_reeb
+from metsymp.symplectization import _exp_t, extend_to_product, extended_slice_form
+
+
+def extended_slice_reeb(S, chart):
+    """exp(-2t) xi as a vector field on the product chart."""
+    return extend_to_product(S.xi, chart).scale(_exp_t(chart, -2.0))
+
+
+def ricci_frame_trace(data):
+    """Ric[n, p, q] by an explicit orthonormal-frame trace at each sample."""
+    riem = riemann_components(data)
+    d = data.g.shape[-1]
+    ric = np.zeros(data.g.shape)
+    for n, gmat in enumerate(data.g):
+        frame = gram_schmidt_frame(gmat)
+        for p in range(d):
+            for q in range(d):
+                total = 0.0
+                for a in range(d):
+                    Ea = frame[a]
+                    # R(E_a, d_p) d_q
+                    vec = np.einsum("lkij,i->lkj", riem[n], Ea)[:, q, p]
+                    total += float(Ea @ gmat @ vec)
+                ric[n, p, q] = total
+    return ric
+
+
+def fundamental_T_field(B):
+    """The closed form of T as a (1,2) field on the product chart.
+
+    Components: T(d_a, d_b) = -(gbar_ab + etat_a etat_b) d_t for slice
+    indices a, b, and T(d_a, d_t) = d_a + etat_a xi_t; horizontal first
+    slot gives zero.
+    """
+    S = B.base
+    chart = B.chart
+    D = chart.dim
+    ti = B.t_index
+    etat = extended_slice_form(S, chart)
+    xit = extended_slice_reeb(S, chart)
+    comps = np.empty((D, D, D), dtype=object)
+    comps[...] = Const(0.0)
+    for a in range(D - 1):
+        for b in range(D - 1):
+            comps[ti, a, b] = -(B.gbar.components[a, b]
+                                + etat.components[a] * etat.components[b])
+        for k in range(D):
+            term = etat.components[a] * xit.components[k]
+            if k == a:
+                term = term + Const(1.0)
+            comps[k, a, ti] = term
+    return TensorField(chart, 1, 2, comps)
 
 
 def _combo(grads):

@@ -24,7 +24,6 @@ from metsymp.contact import (
     verify_kmu_curvature,
 )
 from metsymp.curvature import christoffel_batch, riemann_components
-from metsymp.fd_oracle import fd_christoffel, fd_riemann
 from metsymp.fields import TensorField, sup_norm
 from metsymp.submersion import (
     fit_symplectization_kmu,
@@ -43,6 +42,8 @@ from metsymp.symplectization import (
     translation_isomorphism_check,
     verify_liouville,
 )
+
+from fd_oracle import fd_christoffel, fd_riemann
 
 SASAKIAN = catalog_load("darboux-sasakian-r3")
 FLAT = catalog_load("unit-tangent-flat-plane")

@@ -17,7 +17,8 @@ def test_chart_validation():
     with pytest.raises(GeometryError):
         Chart(("x", "y"), ((-1, 1),))
     with pytest.raises(GeometryError):
-        Chart(("x",), ((-1, 1),), dim=3)
+        Chart((), ())
+    assert Chart(("x", "y"), ((-1, 1), (0, 2))).dim == 2
 
 
 @pytest.mark.parametrize("interval", [(-math.inf, math.inf), (0.0, math.inf),
@@ -39,13 +40,10 @@ def test_samples_avoid_boundary_and_are_reproducible():
     assert not np.array_equal(pts, chart.samples(200, seed=6))
 
 
-def test_contains_and_index():
+def test_contains():
     chart = Chart(("a", "b"), ((-1, 1), (0, 2)))
     assert chart.contains(np.array([0.0, 1.0]))
     assert not chart.contains(np.array([0.0, 3.0]))
-    assert chart.index("b") == 1
-    with pytest.raises(GeometryError):
-        chart.index("c")
 
 
 def test_product_with_line():

@@ -16,6 +16,8 @@ from metsymp.suite import SuiteConfig, run_suite
 
 # phi is NaN wherever x < 0: the report holds non-finite residuals
 NAN_PHI_PATH = Path(__file__).parent / "data" / "nan_phi_r3.txt"
+# eta is NaN wherever x < 0: the least-squares solves meet non-finite samples
+NAN_ETA_PATH = Path(__file__).parent / "data" / "nan_eta_r3.txt"
 # the standard Sasakian R^5 of test_dimension_five.py: a six-dimensional symplectization
 SASAKIAN_R5_PATH = Path(__file__).parent / "data" / "sasakian_r5.txt"
 
@@ -178,6 +180,26 @@ def test_check_of_a_nan_file_writes_nothing_to_stderr():
     assert proc.returncode == 1
     assert "[FAIL]" in proc.stdout
     assert proc.stderr == ""
+
+
+def test_check_of_a_nan_eta_file_names_samples_and_keeps_lapack_off_stdout():
+    """Every least-squares solve rejects a non-finite sample, by name, before
+    LAPACK sees it.  LAPACK prints its complaints to file descriptor 1, which
+    capsys does not capture, so the command runs in a subprocess."""
+    proc = _run_cli("check", str(NAN_ETA_PATH), "--format", "json")
+    assert proc.returncode == 1
+    assert "DLASCL" not in proc.stdout
+    json.loads(proc.stdout)
+    proc = _run_cli("check", str(NAN_ETA_PATH))
+    assert proc.returncode == 1
+    errors = dict(re.findall(r"^\[FAIL\] (\w+) .*\[error: (.*)\]$", proc.stdout, re.M))
+    # the checks that read the (kappa, mu) fit, and the unique-metric witness
+    assert {"nullity_fit", "h_eigenstructure", "eigenspace_curvature", "rescale_equivariance",
+            "index_invariance", "symplectization_build", "symplectization_nullity",
+            "integrability"} <= set(errors)
+    for check_id, error in errors.items():
+        assert re.search(r"(sample|point) \d+ \[", error), (check_id, error)
+        assert "LinAlgError" not in error, (check_id, error)
 
 
 @pytest.mark.parametrize("command", [["fit-kmu"], ["dhomothety", "--a", "2"]])

@@ -37,7 +37,6 @@ from metsymp.contact import (
     fit_kappa_mu,
     h_eigendecomposition,
     h_eigendecomposition_batch,
-    h_norms,
     is_K_contact,
     kappa_mu_after_rescale,
     reeb_field,
@@ -477,7 +476,7 @@ def test_isomorphism_detects_scaling_mismatch(sasakian):
 
 def test_h_norm_helper_matches_eigenvalues(flat_bundle):
     pts = flat_bundle.chart.samples(10)
-    norms = h_norms(flat_bundle, pts)
+    norms = contact._h_norms(flat_bundle.g.values(pts), flat_bundle.h.values(pts))
     # h has eigenvalues {0, 1, -1} and the frame norm is sqrt(2)
     assert_allclose(norms, math.sqrt(2.0), atol=1e-10)
 

@@ -18,18 +18,18 @@ from metsymp.curvature import (
     covariant_derivative_values,
     gram_schmidt_frame,
     ricci_components,
-    ricci_frame_trace,
     riemann_components,
     sectional,
 )
 from metsymp.errors import DegenerateMetricError, GeometryError
 from metsymp.expressions import Const, Coord, sin, sqrt
-from metsymp.fd_oracle import fd_christoffel, fd_riemann
 from metsymp.fields import TensorField, lie_bracket
 
+from fd_oracle import fd_christoffel, fd_riemann
 from loop_references import (
     assert_connection_matches_reference,
     dgamma_reference,
+    ricci_frame_trace,
     riemann_reference,
 )
 

@@ -31,21 +31,22 @@ from metsymp.expressions import Const, Coord, sin
 from metsymp.fields import TensorField, sup_norm
 from metsymp.submersion import (
     fit_symplectization_kmu,
-    fundamental_T_field,
     oneill_A,
     oneill_T,
     verify_currel,
     verify_fundamental_tensors,
     verify_ricci_relations,
 )
-from metsymp.symplectization import extended_slice_reeb, slice_structure
+from metsymp.symplectization import slice_structure
 
 from loop_references import (
     assert_connection_matches_reference,
     currel_reference,
     eta_einstein_fit_reference,
+    extended_slice_reeb,
     fit_kappa_mu_reference,
     fit_symplectization_kmu_reference,
+    fundamental_T_field,
     ricci_rows_reference,
 )
 

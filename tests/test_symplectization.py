@@ -45,7 +45,6 @@ from metsymp.symplectization import (
     build_metric_symplectization,
     extend_to_product,
     extended_slice_form,
-    extended_slice_reeb,
     induced_contact_on_hypersurface,
     lifted_values,
     natural_acs,
@@ -62,7 +61,7 @@ from metsymp.symplectization import (
 from metsymp.structfile import load_structure_file, parse_structure_text
 from metsymp.suite import SuiteConfig, run_suite
 
-from loop_references import symplectic_top_reference
+from loop_references import extended_slice_reeb, symplectic_top_reference
 
 R5_PATH = Path(__file__).parent / "data" / "sasakian_r5.txt"
 
