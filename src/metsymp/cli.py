@@ -43,6 +43,7 @@ from .fields import sup_norm
 from .structfile import StructureFileError, load_structure_file
 from .suite import (
     SuiteConfig,
+    _rescale_base,
     _rescale_defects,
     _Run,
     _run_checks,
@@ -211,7 +212,8 @@ def _cmd_dhomothety(args) -> int:
     before = fit_kappa_mu(S, args.samples, seed=args.seed)
     S2 = d_homothety(S, a)
     if args.verify:
-        after, defects = _rescale_defects(S, S2, a, before, args.samples, args.seed)
+        after, defects = _rescale_defects(S2, a, before, _rescale_base(S, args.samples, args.seed),
+                                          args.seed)
     else:
         after = fit_kappa_mu(S2, args.samples, seed=args.seed)
     kp, mp = kappa_mu_after_rescale(before.kappa, before.mu, a)

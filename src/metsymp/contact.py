@@ -37,6 +37,7 @@ from .errors import (
     GeometryError,
     NotContactError,
     SasakianDegeneracyError,
+    at_sample,
 )
 from .expressions import ONE, Const, Expr, sum_of_products
 from .fields import (
@@ -211,11 +212,6 @@ def _require_batch(chart: Chart, points: np.ndarray) -> np.ndarray:
     return pts
 
 
-def _at(pts: np.ndarray, k: int) -> str:
-    """Where a batch check failed: the sample index and its coordinates."""
-    return f"sample {k} {pts[k].tolist()}"
-
-
 def _require_finite(pts: np.ndarray, error: type[GeometryError], what: str, *arrays) -> None:
     """Raise ``error`` naming the first sample at which one of ``arrays``
     (sample axis first) is not finite.
@@ -229,7 +225,7 @@ def _require_finite(pts: np.ndarray, error: type[GeometryError], what: str, *arr
         finite &= np.isfinite(arr).reshape(len(pts), -1).all(axis=1)
     bad = np.flatnonzero(~finite)
     if bad.size:
-        raise error(f"{what} is not finite at {_at(pts, bad[0])}")
+        raise error(f"{what} is not finite at {at_sample(pts, bad[0])}")
 
 
 def solve_reeb_batch(eta: TensorField, chart: Chart, points: np.ndarray) -> np.ndarray:
@@ -262,11 +258,11 @@ def _reeb_from_values(dv: np.ndarray, ev: np.ndarray, pts: np.ndarray) -> np.nda
         sol, _, rank, _ = np.linalg.lstsq(rows, rhs, rcond=None)
         if rank < dim:
             raise NotContactError(
-                f"the form is not contact at {_at(pts, k)} (singular Reeb system)")
+                f"the form is not contact at {at_sample(pts, k)} (singular Reeb system)")
         residual = sup_norm(rows @ sol - rhs)
         if residual > REEB_TOL:
             raise NotContactError(
-                f"Reeb defining equations unsatisfied at {_at(pts, k)} "
+                f"Reeb defining equations unsatisfied at {at_sample(pts, k)} "
                 f"(residual {residual:.3e}); the form is likely not contact here"
             )
         out[k] = sol
@@ -297,9 +293,13 @@ def verify_compatibility(S: ContactMetricStructure, n_samples: int = 100,
 
 
 def _h_norms(gv: np.ndarray, hv: np.ndarray) -> np.ndarray:
-    """Frobenius norm of h with respect to g, from their values on a batch."""
-    ginv = np.linalg.inv(gv)
-    sq = np.einsum("nik,nij,nkl,njl->n", gv, hv, hv, ginv)
+    """Frobenius norm of h with respect to g, from their values on a batch.
+
+    |h|^2 = g_ik h^i_j g^{jl} h^k_l, the sum of g * (h g^{-1} h^T): two
+    batched products and one elementwise sum.  A sample where h is not
+    finite gives NaN there and only there.
+    """
+    sq = np.einsum("nik,nik->n", gv, hv @ np.linalg.inv(gv) @ np.swapaxes(hv, 1, 2))
     return np.sqrt(np.maximum(sq, 0.0))
 
 
@@ -405,14 +405,15 @@ def h_eigendecomposition_batch(S: ContactMetricStructure,
                                points: np.ndarray) -> list[HEigenReport]:
     """g-orthonormal eigenbasis of h at each point, grouped by eigenvalue.
 
-    g, h and xi are evaluated once on the batch, and the Cholesky
-    reduction of h to a symmetric matrix and its eigensolve run once over
-    shape (n, d, d); only the sort, sign fix, grouping and residuals loop
-    over the points.  Eigenvalues are sorted descending and each vector's
-    sign is fixed by making its first nonzero component positive.  Raises,
-    naming the first failing sample, where g is not finite or not positive
-    definite, where h is not finite, or where the g-norm of h is below
-    ``H_VANISH_TOL`` (the grouping is meaningless there).
+    g, h and xi are evaluated once on the batch.  The Cholesky reduction
+    of h to a symmetric matrix, its eigensolve, the sort, sign fix,
+    grouping and residuals each run once over shape (n, d, d); only the
+    reports are made per point.  Eigenvalues are sorted descending and
+    each vector's sign is fixed by making its first nonzero component
+    positive.  Raises, naming the first failing sample, where g is not
+    finite or not positive definite, where h is not finite, or where the
+    g-norm of h is below ``H_VANISH_TOL`` (the grouping is meaningless
+    there).
     """
     pts = _require_batch(S.chart, points)
     gv = S.g.values(pts)
@@ -427,16 +428,16 @@ def h_eigendecomposition_batch(S: ContactMetricStructure,
                 np.linalg.cholesky(gv[k])
             except np.linalg.LinAlgError:
                 raise DegenerateMetricError(
-                    f"metric is not positive definite at {_at(pts, k)}") from None
+                    f"metric is not positive definite at {at_sample(pts, k)}") from None
         raise
     hnorm = _h_norms(gv, hv)                # NaN where h is not finite
     bad_h = np.flatnonzero(~(hnorm >= H_VANISH_TOL))
     if bad_h.size:
         k = bad_h[0]
         if not np.isfinite(hv[k]).all():
-            raise GeometryError(f"h is not finite at {_at(pts, k)}")
+            raise GeometryError(f"h is not finite at {at_sample(pts, k)}")
         raise SasakianDegeneracyError(
-            f"h vanishes at {_at(pts, k)} (g-norm {hnorm[k]:.3e} < {H_VANISH_TOL:.1e}); "
+            f"h vanishes at {at_sample(pts, k)} (g-norm {hnorm[k]:.3e} < {H_VANISH_TOL:.1e}); "
             "no eigenstructure to extract")
 
     sym = gv @ hv                         # g-self-adjointness makes this symmetric
@@ -445,51 +446,48 @@ def h_eigendecomposition_batch(S: ContactMetricStructure,
     reduced = Linv @ sym @ LinvT
     w, u = np.linalg.eigh(0.5 * (reduced + np.swapaxes(reduced, -1, -2)))
     vectors = np.swapaxes(LinvT @ u, -1, -2)   # rows, g-orthonormal
-    return [_eigen_report(w[k], vectors[k], gv[k], xv[k]) for k in range(pts.shape[0])]
+
+    # sort descending, then make each vector's first component above 1e-12
+    # in modulus positive
+    order = np.argsort(-w, axis=-1)
+    w = np.take_along_axis(w, order, axis=-1)
+    vectors = np.take_along_axis(vectors, order[:, :, None], axis=1)
+    big = np.abs(vectors) > 1e-12
+    lead = np.take_along_axis(vectors, big.argmax(axis=-1)[:, :, None], axis=-1)[:, :, 0]
+    vectors = np.where((big.any(axis=-1) & (lead < 0))[:, :, None], -vectors, vectors)
+
+    # each eigenvalue joins the nearest of +lam, -lam and 0; a tie goes to 0,
+    # then to +lam
+    lam = _sample_sup(w, -1)
+    dplus, dminus, dzero = np.abs(w - lam[:, None]), np.abs(w + lam[:, None]), np.abs(w)
+    distances = np.minimum(np.minimum(dplus, dminus), dzero)
+    zero = distances == dzero
+    plus = ~zero & (distances == dplus)
+    minus = ~zero & ~plus
+
+    gram = vectors @ gv @ np.swapaxes(vectors, 1, 2)
+    ortho = _sample_sup(gram - np.eye(gv.shape[-1]), (1, 2))
+    xin = xv / np.sqrt((xv[:, None, :] @ gv @ xv[:, :, None])[:, 0])
+    aligned = np.minimum(_sample_sup(vectors - xin[:, None, :], -1),
+                         _sample_sup(vectors + xin[:, None, :], -1))
+    xi_res = np.min(aligned, axis=-1, initial=1.0, where=zero)
+    spectrum = _sample_sup(distances, -1)
+
+    # each report holds Python floats and tuples of indices
+    groups = [[tuple(i for i, hit in enumerate(row) if hit) for row in mask.tolist()]
+              for mask in (plus, minus, zero)]
+    return [HEigenReport(
+        eigenvalues=wk, vectors=vk, lam=lk, plus_indices=pk, minus_indices=mk, zero_indices=zk,
+        spectrum_residual=sk, orthonormality_residual=ok, xi_alignment_residual=xk,
+    ) for wk, vk, lk, pk, mk, zk, sk, ok, xk in zip(
+        w, vectors, lam.tolist(), *groups, spectrum.tolist(), ortho.tolist(), xi_res.tolist())]
 
 
-def _eigen_report(w: np.ndarray, vectors: np.ndarray, gmat: np.ndarray,
-                  xi: np.ndarray) -> HEigenReport:
-    """Sort, sign-fix and group one point's eigenpairs, with their residuals."""
-    order = np.argsort(-w)
-    w = w[order]
-    vectors = vectors[order]
-    for i in range(vectors.shape[0]):
-        nz = np.nonzero(np.abs(vectors[i]) > 1e-12)[0]
-        if nz.size and vectors[i, nz[0]] < 0:
-            vectors[i] = -vectors[i]
-
-    lam = sup_norm(w)
-    plus, minus, zero = [], [], []
-    distances = []
-    for i, val in enumerate(w):
-        dplus, dminus, dzero = abs(val - lam), abs(val + lam), abs(val)
-        best = min(dplus, dminus, dzero)
-        distances.append(best)
-        if best == dzero:
-            zero.append(i)
-        elif best == dplus:
-            plus.append(i)
-        else:
-            minus.append(i)
-
-    gram = vectors @ gmat @ vectors.T
-    ortho_residual = sup_norm(gram - np.eye(len(w)))
-
-    xi_res = 1.0
-    xin = xi / math.sqrt(float(xi @ gmat @ xi))
-    for i in zero:
-        v = vectors[i]
-        xi_res = min(xi_res, sup_norm(v - xin), sup_norm(v + xin))
-
-    return HEigenReport(
-        eigenvalues=w, vectors=vectors, lam=lam,
-        plus_indices=tuple(plus), minus_indices=tuple(minus),
-        zero_indices=tuple(zero),
-        spectrum_residual=sup_norm(distances),
-        orthonormality_residual=ortho_residual,
-        xi_alignment_residual=xi_res,
-    )
+def _sample_sup(x: np.ndarray, axis) -> np.ndarray:
+    """:func:`sup_norm` per sample: the largest absolute entry over ``axis``,
+    inf where one of those entries is NaN."""
+    top = np.max(np.abs(x), axis=axis)
+    return np.where(np.isnan(top), np.inf, top)
 
 
 def h_eigendecomposition(S: ContactMetricStructure, point: np.ndarray) -> HEigenReport:

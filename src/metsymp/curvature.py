@@ -25,6 +25,11 @@ so only the metric's second partials, the two kinds of Christoffel symbols
 and one product with g^{-1} enter.  The quadratic term and the raising are
 batched matrix products over the sample axis, O(n D^5) work for n points in
 dimension D.
+
+Orthonormal frames are built the same way: :func:`gram_schmidt_frame` runs
+modified Gram-Schmidt on a whole batch, one batched product per projection,
+with a pivot test per sample.  Every rejection names the first failing
+sample and its coordinates, as the other batch checks of the package do.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMetricError, GeometryError, RankError
+from .errors import DegenerateMetricError, GeometryError, RankError, at_sample
 from .fields import TensorField
 
 __all__ = [
@@ -102,9 +107,10 @@ def christoffel_from_blocks(pts: np.ndarray, vals: np.ndarray, grads: np.ndarray
     the leading coordinates of a product chart) and still drive the same
     curvature pipeline.  ``vals[n,i,j] = g_ij``, ``grads[n,i,j,m] = d_m
     g_ij``, ``hesses[n,i,j,m,l] = d_m d_l g_ij``.  Raises
-    ``DegenerateMetricError`` where g is not finite or its 2-norm condition
-    number exceeds ``METRIC_COND_LIMIT``; the test is relative, so a
-    uniformly rescaled metric passes or fails as the original does.
+    ``DegenerateMetricError``, naming the first failing sample, where g is
+    not finite or its 2-norm condition number exceeds ``METRIC_COND_LIMIT``;
+    the test is relative, so a uniformly rescaled metric passes or fails as
+    the original does.
     """
     cond = _symmetric_cond(vals)
     bad = np.flatnonzero(~(cond <= METRIC_COND_LIMIT))
@@ -112,7 +118,7 @@ def christoffel_from_blocks(pts: np.ndarray, vals: np.ndarray, grads: np.ndarray
         k = bad[0]
         what = ("is not finite" if not np.isfinite(vals[k]).all() else
                 f"is nearly singular (condition number {cond[k]:.3e} > {METRIC_COND_LIMIT:.0e})")
-        raise DegenerateMetricError(f"metric at evaluation point {k} {pts[k].tolist()} {what}")
+        raise DegenerateMetricError(f"metric {what} at {at_sample(pts, k)}")
     ginv = np.linalg.inv(vals)
 
     # gamma_low[n,l,i,j] = (d_i g_jl + d_j g_il - d_l g_ij) / 2, read from
@@ -206,31 +212,48 @@ def covariant_derivative_values(
 _FRAME_TOL = 1e-10
 
 
-def gram_schmidt_frame(gmat: np.ndarray, seeds: np.ndarray | None = None) -> np.ndarray:
-    """A g-orthonormal frame from seed vectors plus the coordinate basis.
+def gram_schmidt_frame(gmat: np.ndarray, seeds: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """g-orthonormal frames at a batch of points, from seed vectors plus the
+    coordinate basis.
 
-    A candidate whose remainder after projection has g-norm^2 at most
-    ``_FRAME_TOL`` times its own is skipped (pivoting), so zero, dependent or NaN
-    seeds cannot poison the frame; the test is relative, so a uniformly
-    rescaled metric s g gives the frame of g divided by sqrt(s).  Returns
-    rows of shape (dim, dim).
+    ``gmat`` is (n, D, D), ``seeds`` is (n, s, D) and ``points`` holds the n
+    sample points, which only an error message reads.  At each sample the
+    candidates are the s seeds, then d_0, ..., d_{D-1}; modified
+    Gram-Schmidt projects each against the frame vectors accepted so far.
+    A candidate whose remainder has g-norm^2 at most ``_FRAME_TOL`` times
+    its own is skipped at that sample (pivoting), so zero, dependent or NaN
+    seeds cannot poison the frame, and different samples may skip
+    different candidates.  The test is relative, so a uniformly rescaled
+    metric s g gives the frames of g divided by sqrt(s).  Every step is
+    one batched product over the samples.  Returns rows, shape (n, D, D);
+    raises ``DegenerateMetricError`` naming the first sample whose frame
+    stays incomplete.
     """
-    d = gmat.shape[-1]
-    candidates: list[np.ndarray] = []
-    if seeds is not None:
-        candidates.extend(np.asarray(v, dtype=float) for v in seeds)
-    candidates.extend(np.eye(d))
-    frame: list[np.ndarray] = []
-    for v in candidates:
-        w = v.copy()
-        for u in frame:
-            w = w - (u @ gmat @ w) * u
-        norm2 = float(w @ gmat @ w)
-        if not norm2 > _FRAME_TOL * float(v @ gmat @ v):
-            continue
-        frame.append(w / np.sqrt(norm2))
-        if len(frame) == d:
+    n, D = gmat.shape[0], gmat.shape[-1]
+    candidates = np.concatenate([seeds, np.broadcast_to(np.eye(D), (n, D, D))], axis=1)
+    # a non-finite candidate is replaced by zero, which the pivot test skips
+    candidates = np.where(np.isfinite(candidates).all(axis=-1, keepdims=True), candidates, 0.0)
+    frames = np.zeros((n, D, D))
+    lowered = np.zeros((n, D, 1, D))   # lowered[n, i] = frames[n, i] @ g, the covector of row i
+    filled = np.zeros(n, dtype=np.intp)
+    for j in range(candidates.shape[1]):
+        if filled.min() == D:
             break
-    if len(frame) < d:
-        raise DegenerateMetricError("could not complete an orthonormal frame")
-    return np.stack(frame)
+        v = candidates[:, j, :, None]
+        w = v
+        for i in range(filled.max()):
+            # a sample with at most i rows projects onto a zero row: a no-op
+            w = w - (lowered[:, i] @ w) * frames[:, i, :, None]
+        wg = np.swapaxes(w, 1, 2) @ gmat
+        norm2 = (wg @ w)[:, 0, 0]
+        own = (np.swapaxes(v, 1, 2) @ gmat @ v)[:, 0, 0]
+        take = np.flatnonzero((filled < D) & (norm2 > _FRAME_TOL * own))
+        u = w[take, :, 0] / np.sqrt(norm2[take, None])
+        frames[take, filled[take]] = u
+        lowered[take, filled[take]] = u[:, None, :] @ gmat[take]
+        filled[take] += 1
+    short = np.flatnonzero(filled < D)
+    if short.size:
+        raise DegenerateMetricError(
+            f"could not complete an orthonormal frame at {at_sample(points, short[0])}")
+    return frames

@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one way a batch
+rejection names the sample it failed at."""
+
+
+def at_sample(pts, k: int) -> str:
+    """Where a batch check failed: the sample index and its coordinates."""
+    return f"sample {k} {pts[k].tolist()}"
 
 
 class GeometryError(ValueError):

@@ -17,9 +17,11 @@ tables determine them on any pair of vector fields.  The verifiers compare
 T against the closed form above, evaluated from the slice values of
 eta_t and xi_t, and check the standard curvature relations that the
 submersion implies, with the slice curvature computed intrinsically on
-the base chart so the comparison stays a genuine cross-check.  Each
-verifier returns its residuals as a dict from the name of the identity to
-its sup norm over the samples, in a fixed order.
+the base chart so the comparison stays a genuine cross-check.  The Ricci
+rows are read in gbar-orthonormal frames (xi_t, d_t, e_i), built for the
+whole sample batch by one call of :func:`curvature.gram_schmidt_frame`.
+Each verifier returns its residuals as a dict from the name of the
+identity to its sup norm over the samples, in a fixed order.
 """
 
 from __future__ import annotations
@@ -182,12 +184,12 @@ def verify_fundamental_tensors(B: SymplecticMetricStructure, n_samples: int = 50
             "horizontal_rows": sup_norm(T[:, :, ti, :]), "a_tensor": sup_norm(A)}
 
 
-def _product_frames(B: SymplecticMetricStructure, gv: np.ndarray,
+def _product_frames(B: SymplecticMetricStructure, data: ChristoffelData,
                     xit: np.ndarray) -> np.ndarray:
-    """gbar-orthonormal frames [n, D, D] seeded by xi_t and d_t, one per sample."""
-    et = np.eye(B.chart.dim)[B.t_index]
-    return np.stack([gram_schmidt_frame(gv[k], seeds=np.stack([xit[k], et]))
-                     for k in range(len(gv))])
+    """gbar-orthonormal frames [n, D, D] seeded by xi_t and d_t at the samples
+    of ``data``, built for the whole batch at once."""
+    et = np.broadcast_to(np.eye(B.chart.dim)[B.t_index], xit.shape)
+    return gram_schmidt_frame(data.g, np.stack([xit, et], axis=1), data.points)
 
 
 def _frame_components(frames: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -287,7 +289,7 @@ def verify_ricci_relations(B: SymplecticMetricStructure, n_samples: int = 50,
     _, xit_full = slice_form_values(S, pts)
 
     # frame rows: xi_hat, e_t, then the distribution e_i
-    frames = _product_frames(B, data.g, xit_full)
+    frames = _product_frames(B, data, xit_full)
     rb = _frame_components(frames, ric_bar)
     rt = _frame_components(frames[:, :, :d], ric_t)
     block = rb[:, 2:, 2:] - rt[:, 2:, 2:] + (2.0 * nn + 2.0) * np.eye(D - 2)

@@ -144,13 +144,22 @@ def _constant_defects(kappa, mu, want_kappa, want_mu) -> list[float]:
     return [kappa - want_kappa] + ([] if mu is None else [mu - want_mu])
 
 
-def _rescale_defects(S, S2, a, kmu, n_pts, seed):
-    """The D-homothety law at one factor a, with S2 = d_homothety(S, a):
-    xi' = xi/a, h' = h/a, S2 compatible, and the refit of S2 against the
-    law applied to ``kmu``.  Returns the refit and the defects."""
+def _rescale_base(S, n_pts, seed):
+    """The samples of the rescale law and the values of xi and h of S there,
+    evaluated once for every factor the law is checked at."""
     pts = S.chart.samples(n_pts, seed=seed)
-    defects = [S2.xi.values(pts) - S.xi.values(pts) / a,
-               S2.h.values(pts) - S.h.values(pts) / a,
+    return pts, S.xi.values(pts), S.h.values(pts)
+
+
+def _rescale_defects(S2, a, kmu, base, seed):
+    """The D-homothety law at one factor a, with S2 = d_homothety(S, a) and
+    ``base`` = :func:`_rescale_base` of S: xi' = xi/a, h' = h/a, S2
+    compatible, and the refit of S2 against the law applied to ``kmu``.
+    Returns the refit and the defects."""
+    pts, xv, hv = base
+    n_pts = len(pts)
+    defects = [S2.xi.values(pts) - xv / a,
+               S2.h.values(pts) - hv / a,
                sup_norm(*verify_compatibility(S2, n_pts, seed=seed).values())]
     fit = fit_kappa_mu(S2, n_pts, seed=seed)
     kp, mp = kappa_mu_after_rescale(kmu.kappa, kmu.mu, a)
@@ -226,10 +235,11 @@ _RESCALE_FACTORS = (0.5, 2.0, math.e)
 
 def _check_rescale_equivariance(run):
     rep = run.kmu
+    seed = run.cfg.seed + 6
+    base = _rescale_base(run.S, min(run.cfg.samples, 30), seed)
     defects = []
     for a in _RESCALE_FACTORS:
-        _, law = _rescale_defects(run.S, run.rescaled(a), a, rep, min(run.cfg.samples, 30),
-                                  run.cfg.seed + 6)
+        _, law = _rescale_defects(run.rescaled(a), a, rep, base, seed)
         defects += law
     return sup_norm(*defects)
 

@@ -451,11 +451,21 @@ def nijenhuis(J: TensorField) -> TensorField:
 
 
 def nijenhuis_norms(N: TensorField, g: TensorField, points: np.ndarray) -> np.ndarray:
-    """g-norm of a (1,2) tensor at each sample."""
+    """g-norm of a (1,2) tensor at each sample.
+
+    |N|^2 = g_kc g^{ia} g^{jb} N^k_ij N^c_ab, taken as pairwise products:
+    raise both lower slots of N (one batched product per upper index c),
+    lower the upper slot with g, and sum against N.  Each step is n D^4.
+    """
     nv = N.values(points)
     gv = g.values(points)
     ginv = np.linalg.inv(gv)
-    sq = np.einsum("nkc,nia,njb,nkij,ncab->n", gv, ginv, ginv, nv, nv, optimize=True)
+    n, D = gv.shape[:2]
+    # raised[n, c, i, j] = g^{ia} N^c_ab g^{jb}, and lowered[n, k, (i j)] its
+    # upper slot lowered, g_kc raised[n, c, i, j]
+    raised = ginv[:, None] @ nv @ np.swapaxes(ginv, 1, 2)[:, None]
+    lowered = gv @ raised.reshape(n, D, D * D)
+    sq = np.einsum("nkx,nkx->n", nv.reshape(n, D, D * D), lowered)
     return np.sqrt(np.maximum(sq, 0.0))
 
 

@@ -32,6 +32,11 @@ as a trace over an orthonormal frame at each sample, against the library's
 direct contraction, and the closed form of the fundamental tensor T as a
 (1,2) field, built from the symbolic lift xi_t = exp(-2t) xi, against the
 library's T from its definition.
+
+The library builds its orthonormal frames, the g-norm of h and the g-norm
+of the Nijenhuis tensor with batched products over the sample axis.  Kept
+here: Gram-Schmidt one point, one candidate and one projection at a time,
+and both norms as the single einsum of their definition.
 """
 
 import itertools
@@ -41,12 +46,13 @@ import numpy as np
 
 from metsymp import contact
 from metsymp.curvature import (
+    _FRAME_TOL,
     christoffel_batch,
-    gram_schmidt_frame,
     ricci_components,
     riemann_components,
 )
 from metsymp import expressions as E
+from metsymp.errors import DegenerateMetricError
 from metsymp.expressions import ZERO, Const, Coord
 from metsymp.jets import coordinate_jets
 from metsymp.fields import (
@@ -67,13 +73,51 @@ def extended_slice_reeb(S, chart):
     return extend_to_product(S.xi, chart).scale(_exp_t(chart, -2.0))
 
 
+def gram_schmidt_frame_reference(gmat, seeds=None):
+    """A g-orthonormal frame at one point, one candidate and one projection
+    at a time: the seeds (if any), then the coordinate basis, skipping a
+    candidate whose remainder has g-norm^2 at most ``_FRAME_TOL`` times its
+    own.  Returns rows of shape (dim, dim)."""
+    d = gmat.shape[-1]
+    candidates = [] if seeds is None else [np.asarray(v, dtype=float) for v in seeds]
+    candidates.extend(np.eye(d))
+    frame = []
+    for v in candidates:
+        w = v.copy()
+        for u in frame:
+            w = w - (u @ gmat @ w) * u
+        norm2 = float(w @ gmat @ w)
+        if not norm2 > _FRAME_TOL * float(v @ gmat @ v):
+            continue
+        frame.append(w / np.sqrt(norm2))
+        if len(frame) == d:
+            break
+    if len(frame) < d:
+        raise DegenerateMetricError("could not complete an orthonormal frame")
+    return np.stack(frame)
+
+
+def h_norms_reference(gv, hv):
+    """The g-norm of h as one four-operand einsum over the batch."""
+    ginv = np.linalg.inv(gv)
+    sq = np.einsum("nik,nij,nkl,njl->n", gv, hv, hv, ginv)
+    return np.sqrt(np.maximum(sq, 0.0))
+
+
+def nijenhuis_norms_reference(nv, gv):
+    """The g-norm of a (1,2) tensor as one five-operand einsum over the batch."""
+    ginv = np.linalg.inv(gv)
+    sq = np.einsum("nkc,nia,njb,nkij,ncab->n", gv, ginv, ginv, nv, nv)
+    return np.sqrt(np.maximum(sq, 0.0))
+
+
 def ricci_frame_trace(data):
     """Ric[n, p, q] by an explicit orthonormal-frame trace at each sample."""
     riem = riemann_components(data)
     d = data.g.shape[-1]
     ric = np.zeros(data.g.shape)
     for n, gmat in enumerate(data.g):
-        frame = gram_schmidt_frame(gmat)
+        frame = gram_schmidt_frame_reference(gmat)
         for p in range(d):
             for q in range(d):
                 total = 0.0
@@ -277,7 +321,7 @@ def currel_reference(B, n_samples, seed):
 
 
 def _frame(B, gmat, xit):
-    return gram_schmidt_frame(gmat, seeds=np.stack([xit, _unit(B, 1)[0]]))
+    return gram_schmidt_frame_reference(gmat, seeds=np.stack([xit, _unit(B, 1)[0]]))
 
 
 def ricci_rows_reference(B, n_samples, seed):

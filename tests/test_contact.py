@@ -58,6 +58,7 @@ from metsymp.structfile import load_structure_file
 
 from loop_references import (
     eta_einstein_fit_reference,
+    h_norms_reference,
     kmu_curvature_reference,
     reeb_field_adjugate,
 )
@@ -479,6 +480,26 @@ def test_h_norm_helper_matches_eigenvalues(flat_bundle):
     norms = contact._h_norms(flat_bundle.g.values(pts), flat_bundle.h.values(pts))
     # h has eigenvalues {0, 1, -1} and the frame norm is sqrt(2)
     assert_allclose(norms, math.sqrt(2.0), atol=1e-10)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_h_norms_match_the_einsum_definition(non_sasakian, sasakian):
+    """The two matrix products against the four-operand einsum, on both
+    kinds of structure and on random metrics and matrices; h made NaN at
+    one sample gives NaN there and nowhere else."""
+    rng = np.random.default_rng(11)
+    A = rng.normal(size=(9, 5, 5))
+    cases = [(rng.normal(size=(9, 5, 5)), A @ np.swapaxes(A, 1, 2) + np.eye(5))]
+    for S in (non_sasakian, sasakian):
+        pts = S.chart.samples(9, seed=4)
+        cases.append((S.h.values(pts), S.g.values(pts)))
+    for hv, gv in cases:
+        assert_allclose(contact._h_norms(gv, hv), h_norms_reference(gv, hv), rtol=1e-13, atol=1e-15)
+        hv = hv.copy()
+        hv[3, 1, 0] = np.nan
+        norms = contact._h_norms(gv, hv)
+        assert np.isnan(norms[3])
+        assert np.isfinite(np.delete(norms, 3)).all()
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,13 @@ and Ricci equal to the metric; the finite-difference oracle re-derives the
 connection and curvature from metric values alone.
 """
 
+import re
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from metsymp.charts import Chart
@@ -29,6 +34,7 @@ from fd_oracle import fd_christoffel, fd_riemann
 from loop_references import (
     assert_connection_matches_reference,
     dgamma_reference,
+    gram_schmidt_frame_reference,
     ricci_frame_trace,
     riemann_reference,
 )
@@ -208,6 +214,24 @@ def test_degenerate_metric_rejected():
         christoffel_batch(TensorField(chart, 0, 2, comps, "symmetric"), np.array([[-0.5, 0.0]]))
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_metric_rejection_names_the_sample_as_every_batch_check_does():
+    chart = Chart(("x", "y"), ((-1, 1), (-1, 1)))
+    x = Coord(0, "x")
+    comps = np.empty((2, 2), dtype=object)
+    comps[...] = Const(0.0)
+    comps[0, 0] = Const(1.0)
+    comps[1, 1] = sqrt(x) / sqrt(x)
+    g = TensorField(chart, 0, 2, comps, "symmetric")
+    with pytest.raises(DegenerateMetricError,
+                       match=re.escape("metric is not finite at sample 1 [-0.5, 0.25]")):
+        christoffel_batch(g, np.array([[0.5, 0.0], [-0.5, 0.25], [-0.7, 0.0]]))
+    comps[1, 1] = x * 1e-13 + Const(1e-13)
+    with pytest.raises(DegenerateMetricError,
+                       match=r"metric is nearly singular \(.*\) at sample 0 \[0\.5, 0\.0\]"):
+        christoffel_batch(TensorField(chart, 0, 2, comps, "symmetric"), np.array([[0.5, 0.0]]))
+
+
 def test_metric_guard_is_relative():
     """A uniformly tiny metric is as well conditioned as the unit one."""
     chart = Chart(("x", "y"), ((-1, 1), (-1, 1)))
@@ -266,11 +290,18 @@ def test_fd_oracle_agreement_on_catalog_metrics(any_entry):
         assert np.max(np.abs(riem[k] - fd_riemann(S.g, p))) < 1e-5
 
 
+def _frame(gmat, seeds=()):
+    """The library's frame at one point: a batch of one."""
+    d = gmat.shape[-1]
+    seeds = np.asarray(seeds, dtype=float).reshape(1, -1, d)
+    return gram_schmidt_frame(gmat[None], seeds, np.zeros((1, d)))[0]
+
+
 def test_gram_schmidt_pivots_past_null_seeds(sasakian):
     p = sasakian.chart.samples(1)[0]
     gmat = sasakian.g.values(p)
     seeds = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-    frame = gram_schmidt_frame(gmat, seeds=seeds)
+    frame = _frame(gmat, seeds=seeds)
     gram = frame @ gmat @ frame.T
     assert np.max(np.abs(gram - np.eye(3))) < 1e-12
 
@@ -279,20 +310,71 @@ def test_gram_schmidt_pivots_past_null_seeds(sasakian):
 def test_gram_schmidt_pivot_is_relative(scale, sasakian):
     """A uniformly rescaled metric s g gives the frame of g divided by sqrt(s)."""
     gmat = np.diag([1.0, 2.0, 0.25])
-    assert_allclose(gram_schmidt_frame(scale * gmat), gram_schmidt_frame(gmat) / np.sqrt(scale),
-                    rtol=1e-12)
+    assert_allclose(_frame(scale * gmat), _frame(gmat) / np.sqrt(scale), rtol=1e-12)
     gmat = sasakian.g.values(sasakian.chart.samples(1)[0])
     seeds = np.array([[0.3, 1.0, 0.5], [1.0, 0.0, 0.0]])
-    assert_allclose(gram_schmidt_frame(scale * gmat, seeds),
-                    gram_schmidt_frame(gmat, seeds) / np.sqrt(scale), rtol=1e-12)
+    assert_allclose(_frame(scale * gmat, seeds), _frame(gmat, seeds) / np.sqrt(scale),
+                    rtol=1e-12)
 
 
 def test_gram_schmidt_skips_nan_and_dependent_seeds(sasakian):
     gmat = sasakian.g.values(sasakian.chart.samples(1)[0])
     seeds = np.array([[np.nan, 0.0, 0.0], [1.0, 2.0, 0.0], [2.0, 4.0, 0.0]])
-    frame = gram_schmidt_frame(gmat, seeds=seeds)
+    frame = _frame(gmat, seeds=seeds)
     assert_allclose(frame[0], seeds[1] / np.sqrt(seeds[1] @ gmat @ seeds[1]), rtol=1e-14)
     assert np.max(np.abs(frame @ gmat @ frame.T - np.eye(3))) < 1e-12
+
+
+_SEED_KINDS = ("random", "zero", "nan", "dependent")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(dim=st.integers(2, 7), n=st.integers(2, 6), exponent=st.integers(-6, 6),
+       rng_seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_batched_frames_match_the_per_point_reference(dim, n, exponent, rng_seed, data):
+    """Random SPD metrics over six decades of scale, four seeds per sample,
+    each random, zero, partly NaN or a multiple of the sum of the sample's
+    earlier finite seeds.  One sample holds a zero, a dependent and a NaN
+    seed, so the samples skip different candidates."""
+    rng = np.random.default_rng(rng_seed)
+    A = rng.normal(size=(n, dim, dim))
+    gmat = 10.0 ** exponent * (A @ np.swapaxes(A, 1, 2) + dim * np.eye(dim))
+    kinds = data.draw(st.lists(st.lists(st.sampled_from(_SEED_KINDS), min_size=4, max_size=4),
+                               min_size=n, max_size=n))
+    kinds[data.draw(st.integers(0, n - 1))] = ["zero", "random", "dependent", "nan"]
+    seeds = np.zeros((n, 4, dim))
+    for k, row in enumerate(kinds):
+        for j, kind in enumerate(row):
+            if kind == "random":
+                seeds[k, j] = rng.normal(size=dim)
+            elif kind == "nan":
+                seeds[k, j] = rng.normal(size=dim)
+                seeds[k, j, rng.integers(dim)] = np.nan
+            elif kind == "dependent":
+                earlier = seeds[k, :j][np.isfinite(seeds[k, :j]).all(axis=1)]
+                seeds[k, j] = -3.0 * earlier.sum(axis=0)
+    pts = rng.normal(size=(n, dim))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        frames = gram_schmidt_frame(gmat, seeds, pts)
+    for k in range(n):
+        want = gram_schmidt_frame_reference(gmat[k], seeds[k])
+        assert np.max(np.abs(frames[k] - want)) <= 1e-13 * np.max(np.abs(want))
+        assert np.max(np.abs(frames[k] @ gmat[k] @ frames[k].T - np.eye(dim))) <= 1e-12
+
+
+def test_an_incomplete_frame_names_its_first_sample():
+    """A metric that is singular, or not finite, at one sample leaves that
+    sample's frame short; the error names the first such sample."""
+    pts = np.arange(12.0).reshape(4, 3)
+    seeds = np.zeros((4, 1, 3))
+    gmat = np.stack([np.diag([1.0, 2.0, 3.0])] * 4)
+    gmat[3] = np.nan
+    with pytest.raises(DegenerateMetricError, match=re.escape("at sample 3 [9.0, 10.0, 11.0]")):
+        gram_schmidt_frame(gmat, seeds, pts)
+    gmat[2] = np.diag([1.0, 1.0, 0.0])
+    with pytest.raises(DegenerateMetricError, match=re.escape("at sample 2 [6.0, 7.0, 8.0]")):
+        gram_schmidt_frame(gmat, seeds, pts)
 
 
 @pytest.mark.parametrize("which", ["flat_bundle", "sasakian7_symp"])

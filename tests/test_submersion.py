@@ -66,10 +66,11 @@ def test_submersion_frame_orthogonality(any_entry, sasakian_symp, flat_bundle_sy
     gbar-orthogonal to it, so they are tangent to the slice."""
     B = _symp(any_entry.name, sasakian_symp, flat_bundle_symp)
     et = np.eye(4)[B.t_index]
-    xit_field = extended_slice_reeb(B.base, B.chart)
-    for p in B.chart.samples(5):
-        gmat = B.gbar.values(p)
-        frame = gram_schmidt_frame(gmat, seeds=np.stack([xit_field.values(p), et]))
+    pts = B.chart.samples(5)
+    seeds = np.stack([extended_slice_reeb(B.base, B.chart).values(pts),
+                      np.broadcast_to(et, (5, 4))], axis=1)
+    gv = B.gbar.values(pts)
+    for gmat, frame in zip(gv, gram_schmidt_frame(gv, seeds, pts)):
         assert_allclose(frame @ gmat @ frame.T, np.eye(4), atol=1e-12)
         assert_allclose(frame[1], et, atol=1e-12)
         vertical = np.delete(frame, 1, axis=0)

@@ -12,6 +12,7 @@ from metsymp import suite
 from metsymp.catalog import catalog_load
 from metsymp.contact import KmuReport, d_homothety, verify_compatibility
 from metsymp.errors import ConfigError
+from metsymp.fields import TensorField
 from metsymp.suite import (
     CHECK_ORDER,
     SuiteConfig,
@@ -181,6 +182,26 @@ def test_rescaled_structures_are_built_once_per_run(monkeypatch):
     monkeypatch.setattr(suite, "d_homothety", lambda S, a: built.append(a) or real(S, a))
     run_suite(catalog_load("unit-tangent-flat-plane"), SuiteConfig(samples=10, seed=42))
     assert sorted(a for a in built if a in suite._RESCALE_FACTORS) == sorted(suite._RESCALE_FACTORS)
+
+
+def test_the_rescale_check_evaluates_xi_and_h_of_the_structure_once(flat_bundle_entry,
+                                                                     monkeypatch):
+    """Every factor reads the same samples, so xi and h of the structure are
+    evaluated there once, not once per factor."""
+    run = suite._Run(flat_bundle_entry, SuiteConfig(samples=20, seed=42))
+    suite._check_nullity_fit(run)
+    S = run.S
+    evaluated = []
+    real = TensorField.values
+
+    def values(field, pts):
+        if field is S.xi or field is S.h:
+            evaluated.append(field)
+        return real(field, pts)
+
+    monkeypatch.setattr(TensorField, "values", values)
+    assert suite._check_rescale_equivariance(run) < 1e-6
+    assert len(evaluated) == 2 and evaluated[0] is not evaluated[1]
 
 
 def test_index_invariance_on_shared_structures_is_bit_identical(flat_bundle_entry):

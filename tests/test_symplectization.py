@@ -61,7 +61,11 @@ from metsymp.symplectization import (
 from metsymp.structfile import load_structure_file, parse_structure_text
 from metsymp.suite import SuiteConfig, run_suite
 
-from loop_references import extended_slice_reeb, symplectic_top_reference
+from loop_references import (
+    extended_slice_reeb,
+    nijenhuis_norms_reference,
+    symplectic_top_reference,
+)
 
 R5_PATH = Path(__file__).parent / "data" / "sasakian_r5.txt"
 
@@ -427,19 +431,32 @@ def test_torsions_vanish_precisely_for_sasakian(sasakian, flat_bundle,
 
 
 def test_torsion_norm_matches_the_unplanned_contraction(flat_bundle, flat_bundle_symp):
-    """The planned five-operand contraction agrees with numpy's plain
-    nested loop over all seven indices."""
+    """The pairwise products agree with the five-operand einsum of the
+    definition, numpy's plain nested loop over all seven indices."""
     B = flat_bundle_symp
     pts = B.chart.samples(20, seed=4)
     for J in (B.J, natural_acs(flat_bundle)):
         N = nijenhuis(J)
         norms = nijenhuis_norms(N, B.gbar, pts)
-        nv = N.values(pts)
-        gv = B.gbar.values(pts)
-        ginv = np.linalg.inv(gv)
-        sq = np.einsum("nkc,nia,njb,nkij,ncab->n", gv, ginv, ginv, nv, nv, optimize=False)
         assert np.min(norms) > 1e-2
-        assert_allclose(norms, np.sqrt(np.maximum(sq, 0.0)), rtol=1e-13, atol=0.0)
+        assert_allclose(norms, nijenhuis_norms_reference(N.values(pts), B.gbar.values(pts)),
+                        rtol=1e-13, atol=0.0)
+
+
+def test_torsion_norm_is_nan_only_where_the_torsion_is(flat_bundle_symp):
+    """N times sqrt(f)/sqrt(f), with f < 0 at one sample only: the norm is
+    NaN at that sample and matches the definition elsewhere."""
+    B = flat_bundle_symp
+    pts = B.chart.samples(8, seed=4)
+    k = int(np.argmin(pts[:, 0]))
+    x0 = Coord(0, B.chart.coord_names[0])
+    f = x0 - Const(0.5 * float(pts[k, 0] + np.partition(pts[:, 0], 1)[1]))
+    N = nijenhuis(B.J).scale(sqrt(f) / sqrt(f))
+    with np.errstate(invalid="ignore"):
+        norms = nijenhuis_norms(N, B.gbar, pts)
+        want = nijenhuis_norms_reference(N.values(pts), B.gbar.values(pts))
+    assert np.isnan(norms[k])
+    assert_allclose(np.delete(norms, k), np.delete(want, k), rtol=1e-13, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
