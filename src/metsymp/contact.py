@@ -203,12 +203,14 @@ class HEigenReport:
 
 
 def _require_batch(chart: Chart, points: np.ndarray) -> np.ndarray:
-    """The points as an (n, dim) array, each one inside the chart."""
+    """The points as an (n, dim) array, each inside the chart (NaN is not)."""
     pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2:
+    if pts.ndim != 2 or pts.shape[1] != chart.dim:
         raise DomainError(f"expected points of shape (n, {chart.dim}), got {pts.shape}")
-    for p in pts:
-        chart.require_inside(p)
+    lo, hi = np.array(chart.domain).T
+    bad = np.flatnonzero(~((lo <= pts) & (pts <= hi)).all(axis=1))
+    if bad.size:
+        raise DomainError(f"point outside the chart domain at {at_sample(pts, bad[0])}")
     return pts
 
 

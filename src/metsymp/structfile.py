@@ -79,7 +79,11 @@ def parse_structure_text(text: str) -> ContactMetricStructure:
         if m:
             if in_components:
                 raise StructureFileError("chart lines must precede components", lineno)
-            cname, lo, hi = m.group(1), float(m.group(2)), float(m.group(3))
+            cname = m.group(1)
+            try:
+                lo, hi = (float(b) for b in m.group(2, 3))
+            except ValueError as err:    # the pattern admits "1e" or "-1.5.2"
+                raise StructureFileError(f"interval for {cname!r}: {err}", lineno) from None
             if cname in coord_names:
                 raise StructureFileError(f"duplicate coordinate {cname!r}", lineno)
             if not lo < hi:

@@ -15,10 +15,14 @@ rescaled structures ``d_homothety(S, a)``.  Each artifact is built on first
 read and at most once.  When a build raises, every check that reads the
 artifact records that build's own error, not a missing key.
 
-Every residual is reduced by :func:`metsymp.fields.sup_norm`: the largest
-absolute defect over all samples, with any NaN or infinite defect reported
-as ``inf``.  A check passes only when its residual is finite and below its
-threshold; a check that raises is recorded with residual ``inf``.
+Most checks reduce the named residuals of one library verifier, as
+``symplectization_build`` reduces those of
+:func:`metsymp.symplectization.verify_symplectization_build`; the rest
+compute their defects here.  Every residual is reduced by
+:func:`metsymp.fields.sup_norm`: the largest absolute defect over all
+samples, with any NaN or infinite defect reported as ``inf``.  A check
+passes only when its residual is finite and below its threshold; a check
+that raises is recorded with residual ``inf``.
 
 ``report_emit`` serializes a report deterministically.  The JSON schema is
 
@@ -65,18 +69,13 @@ from .submersion import (
 )
 from .symplectization import (
     LIOUVILLE_TOL,
-    acs_table_residuals,
-    block_structure_residuals,
     build_metric_symplectization,
     natural_acs,
     nijenhuis,
     nijenhuis_norms,
-    slice_embedding,
-    slice_form_values,
-    slice_structure,
     translation_isomorphism_check,
-    unique_acs_witness_residual,
     verify_liouville,
+    verify_symplectization_build,
 )
 
 __all__ = ["SuiteConfig", "CheckRecord", "SuiteReport", "run_suite",
@@ -261,22 +260,8 @@ def _check_index_invariance(run):
 
 
 def _check_symplectization_build(run):
-    S, cfg, B = run.S, run.cfg, run.B
-    n_pts = min(cfg.samples, 40)
-    defects = [*acs_table_residuals(B, n_pts, seed=cfg.seed + 8).values(),
-               *block_structure_residuals(B, n_pts, seed=cfg.seed + 8).values(),
-               unique_acs_witness_residual(B, min(n_pts, 15), seed=cfg.seed + 8)]
-    # each slice structure against B's own data at (x, t0): exp(2 t0) eta,
-    # and the base blocks of gbar and J
-    pts = S.chart.samples(n_pts, seed=cfg.seed + 8)
-    d = S.chart.dim
-    for t0 in (-0.5, 0.3):
-        sl = slice_structure(B, t0)
-        lifted = slice_embedding(B, t0)(pts)
-        defects += [sl.eta.values(pts) - slice_form_values(S, lifted)[0][:, :d],
-                    sl.g.values(pts) - B.gbar.values(lifted)[:, :d, :d],
-                    sl.phi.values(pts) - B.J.values(lifted)[:, :d, :d]]
-    return sup_norm(*defects)
+    return sup_norm(*verify_symplectization_build(run.B, min(run.cfg.samples, 40),
+                                                  seed=run.cfg.seed + 8).values())
 
 
 def _check_liouville(run):

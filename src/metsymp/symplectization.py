@@ -18,8 +18,9 @@ which splits as gbar = g_t + dt (x) dt with the slice metric
     g_t = exp(2t) g + exp(2t) (exp(2t) - 1) eta (x) eta.
 
 The slice at t is therefore the D_a rescaling of the original structure
-with a = exp(2t).  Everything above is constructed symbolically here and
-verified numerically by the check functions and the test suite.
+with a = exp(2t).  Everything above is constructed symbolically here;
+:func:`verify_symplectization_build` samples each property, the slice law
+included, as one named residual.
 
 A symplectization is always a product over its base structure, with the
 line coordinate t last on the product chart.  The slice data eta_t, xi_t
@@ -70,9 +71,7 @@ __all__ = [
     "nijenhuis",
     "nijenhuis_norms",
     "translation_isomorphism_check",
-    "acs_table_residuals",
-    "block_structure_residuals",
-    "unique_acs_witness_residual",
+    "verify_symplectization_build",
 ]
 
 # closedness and nondegeneracy floor of a symplectic form's sampled values
@@ -82,6 +81,10 @@ LIOUVILLE_TOL = 1e-9
 # samples and tolerance of the unit and orthogonality checks on Y
 _HYPERSURFACE_SAMPLES = 25
 _HYPERSURFACE_TOL = 1e-8
+# the leading samples of the build check on which the uniqueness witness solves
+_WITNESS_SAMPLES = 15
+# the slice parameters at which the build check compares slices with the product
+_SLICE_TS = (-0.5, 0.3)
 
 
 @dataclass(frozen=True)
@@ -474,87 +477,73 @@ def nijenhuis_norms(N: TensorField, g: TensorField, points: np.ndarray) -> np.nd
 # ---------------------------------------------------------------------------
 
 
-def _distribution_vectors(S: ContactMetricStructure, pts: np.ndarray) -> np.ndarray:
-    """V[n, a] = d_a - eta(d_a) xi at product points, for each base index a:
-    the coordinate fields projected onto the contact distribution, tangent
-    to the slices."""
-    d = S.chart.dim
-    V = -lifted_values(S.eta, pts)[:, :d, None] * lifted_values(S.xi, pts)[:, None, :]
-    V[:, range(d), range(d)] += 1.0
-    return V
+def verify_symplectization_build(B: SymplecticMetricStructure, n_samples: int = 50,
+                                 seed: int | None = None) -> dict[str, float]:
+    """The named residuals of the construction, on one draw of product
+    samples where J, gbar, omega, xi_t, the contact distribution V and the
+    lifted phi are evaluated once:
 
-
-def acs_table_residuals(B: SymplecticMetricStructure, n_samples: int = 50,
-                        seed: int | None = None) -> dict[str, float]:
-    """Residuals of J xi_t = d_t, J d_t = -xi_t, J = phi on Ker(eta)."""
+    - ``J_xi_t``, ``J_d_t``, ``J_on_distribution``: the three-case table;
+    - ``dt_unit``, ``dt_orthogonal``, ``slice_block``: gbar = g_t + dt^2;
+    - ``omega_pairing``: gbar(X, J Y) = omega(X, Y) on coordinate frames;
+    - ``unique_acs``: on the first ``_WITNESS_SAMPLES`` samples, w = J' d_t
+      solved from omega(w, xi_t) = omega(w, V) = 0 and omega(w, d_t) = 1
+      (d_t unit and slice-orthogonal for gbar' = omega(J' ., .)), against -xi_t;
+    - ``slice_eta``, ``slice_g``, ``slice_phi``: :func:`slice_structure` at
+      each t0 of ``_SLICE_TS`` against exp(2 t0) eta and the base blocks of
+      gbar and J at (x, t0), on base samples drawn with the same seed.
+    """
     S = B.base
     pts = B.chart.samples(n_samples, seed=seed)
     D = B.chart.dim
     d = S.chart.dim
     jv = B.J.values(pts)
-    _, xt = slice_form_values(S, pts)
-    et = np.zeros((len(pts), D))
-    et[:, D - 1] = 1.0
-    r1 = sup_norm(np.einsum("nij,nj->ni", jv, xt) - et)
-    r2 = sup_norm(np.einsum("nij,nj->ni", jv, et) + xt)
-    V = _distribution_vectors(S, pts)
-    pv = lifted_values(S.phi, pts)
-    defects = []
-    for a in range(d):
-        lhs = np.einsum("nij,nj->ni", jv, V[:, a])
-        rhs = np.einsum("nij,nj->ni", pv, V[:, a])
-        defects.append(lhs - rhs)
-    return {"J_xi_t": r1, "J_d_t": r2, "J_on_distribution": sup_norm(*defects)}
-
-
-def block_structure_residuals(B: SymplecticMetricStructure, n_samples: int = 50,
-                              seed: int | None = None) -> dict[str, float]:
-    """gbar = g_t + dt^2: unit d_t, slice-orthogonal d_t, slice blocks, and
-    gbar(X, J Y) = omega(X, Y) on coordinate frames."""
-    S = B.base
-    pts = B.chart.samples(n_samples, seed=seed)
-    D = B.chart.dim
-    d = S.chart.dim
     gv = B.gbar.values(pts)
-    unit = sup_norm(gv[:, D - 1, D - 1] - 1.0)
-    orth = sup_norm(gv[:, D - 1, :d])
-    gt = slice_metric_field(S, B.chart).values(pts)
-    block = sup_norm(gv[:, :d, :d] - gt[:, :d, :d])
-    compat = sup_norm(np.einsum("nia,naj->nij", gv, B.J.values(pts)) - B.omega.values(pts))
-    return {"dt_unit": unit, "dt_orthogonal": orth, "slice_block": block,
-            "omega_pairing": compat}
-
-
-def unique_acs_witness_residual(B: SymplecticMetricStructure, n_samples: int = 25,
-                                seed: int | None = None) -> float:
-    """Solve the defining constraints for J' d_t pointwise; compare to -xi_t.
-
-    The constraints are the images under gbar'(X, Y) := omega(J' X, Y) of
-    the requirements that d_t be unit and orthogonal to the slice:
-    omega(w, xi_t) = 0, omega(w, V) = 0 for V in the contact distribution,
-    omega(w, d_t) = 1, where w = J' d_t.  Nondegeneracy of omega makes the
-    solution unique; the witness checks it coincides with -xi_t.
-    """
-    S = B.base
-    pts = B.chart.samples(n_samples, seed=seed)
-    D = B.chart.dim
     ov = B.omega.values(pts)
     _, xt = slice_form_values(S, pts)
-    V = _distribution_vectors(S, pts)
-    _require_finite(pts, GeometryError, "omega, xi_t or the contact distribution", ov, xt, V)
-    et = np.zeros(D)
-    et[D - 1] = 1.0
+    # V[:, a] = d_a - eta(d_a) xi: the base coordinate fields projected onto
+    # the contact distribution, tangent to the slices
+    V = -lifted_values(S.eta, pts)[:, :d, None] * lifted_values(S.xi, pts)[:, None, :]
+    V[:, range(d), range(d)] += 1.0
+    pv = lifted_values(S.phi, pts)
+    gt = slice_metric_field(S, B.chart).values(pts)
+    et = np.zeros((len(pts), D))
+    et[:, D - 1] = 1.0
+    res = {
+        "J_xi_t": sup_norm(np.einsum("nij,nj->ni", jv, xt) - et),
+        "J_d_t": sup_norm(np.einsum("nij,nj->ni", jv, et) + xt),
+        "J_on_distribution": sup_norm(*(np.einsum("nij,nj->ni", jv, V[:, a])
+                                        - np.einsum("nij,nj->ni", pv, V[:, a])
+                                        for a in range(d))),
+        "dt_unit": sup_norm(gv[:, D - 1, D - 1] - 1.0),
+        "dt_orthogonal": sup_norm(gv[:, D - 1, :d]),
+        "slice_block": sup_norm(gv[:, :d, :d] - gt[:, :d, :d]),
+        "omega_pairing": sup_norm(np.einsum("nia,naj->nij", gv, jv) - ov),
+    }
+
+    k = min(len(pts), _WITNESS_SAMPLES)
+    _require_finite(pts[:k], GeometryError, "omega, xi_t or the contact distribution",
+                    ov[:k], xt[:k], V[:k])
+    rhs = np.eye(D + 1)[-1]
     defects = []
-    for nidx in range(len(pts)):
-        basis = np.vstack([xt[nidx], V[nidx], et])
+    for n in range(k):
         # omega(w, b_j) = w^c omega_{cb} b_j^b, so row j of the system
-        # matrix is omega b_j, i.e. (basis @ omega^T)[j].
-        mat = basis @ ov[nidx].T
-        rhs = np.zeros(len(basis))
-        rhs[-1] = 1.0
-        sol, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
-        defects.append(sol + xt[nidx])
-    return sup_norm(*defects)
+        # matrix is omega b_j, i.e. (basis @ omega^T)[j]
+        basis = np.vstack([xt[n], V[n], et[n]])
+        sol, *_ = np.linalg.lstsq(basis @ ov[n].T, rhs, rcond=None)
+        defects.append(sol + xt[n])
+    res["unique_acs"] = sup_norm(*defects)
+
+    base_pts = S.chart.samples(n_samples, seed=seed)
+    eta_d, g_d, phi_d = [], [], []
+    for t0 in _SLICE_TS:
+        sl = slice_structure(B, t0)
+        lifted = np.concatenate([base_pts, np.full((len(base_pts), 1), t0)], axis=1)
+        eta_d.append(sl.eta.values(base_pts) - slice_form_values(S, lifted)[0][:, :d])
+        g_d.append(sl.g.values(base_pts) - B.gbar.values(lifted)[:, :d, :d])
+        phi_d.append(sl.phi.values(base_pts) - B.J.values(lifted)[:, :d, :d])
+    res.update(slice_eta=sup_norm(*eta_d), slice_g=sup_norm(*g_d), slice_phi=sup_norm(*phi_d))
+    return res
 
 
 # ---------------------------------------------------------------------------

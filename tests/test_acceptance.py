@@ -32,8 +32,6 @@ from metsymp.submersion import (
     verify_ricci_relations,
 )
 from metsymp.symplectization import (
-    acs_table_residuals,
-    block_structure_residuals,
     build_metric_symplectization,
     natural_acs,
     nijenhuis,
@@ -41,6 +39,7 @@ from metsymp.symplectization import (
     slice_structure,
     translation_isomorphism_check,
     verify_liouville,
+    verify_symplectization_build,
 )
 
 from fd_oracle import fd_christoffel, fd_riemann
@@ -136,9 +135,9 @@ def test_criterion_06_metric_symplectization():
     residual = 0.0
     for entry, B in BOTH:
         S = entry.structure
-        blocks = block_structure_residuals(B, 50)
-        residual = max(residual, blocks["dt_unit"], blocks["dt_orthogonal"])
-        residual = max(residual, max(acs_table_residuals(B, 50).values()))
+        res = verify_symplectization_build(B, 50)
+        residual = max(residual, res["dt_unit"], res["dt_orthogonal"],
+                       res["J_xi_t"], res["J_d_t"], res["J_on_distribution"])
         pts = S.chart.samples(30)
         for t0 in (-0.5, 0.3):
             sl = slice_structure(B, t0)

@@ -48,6 +48,7 @@ from metsymp.contact import (
 from metsymp.curvature import christoffel_batch, ricci_components
 from metsymp.errors import (
     DegenerateMetricError,
+    DomainError,
     GeometryError,
     NotContactError,
     SasakianDegeneracyError,
@@ -632,6 +633,24 @@ def test_batch_rejections_name_the_failing_sample(flat_bundle):
     batch = np.array([[0.1, 0.5, 0.2], [0.3, 0.0, 0.1], [-0.2, 0.7, 0.4]])
     with pytest.raises(NotContactError, match=re.escape("sample 1 [0.3, 0.0, 0.1]")):
         solve_reeb_batch(eta, chart, batch)
+
+
+@pytest.mark.parametrize("coord", [5.0, math.nan])
+def test_batch_points_outside_the_chart_are_named_by_sample(flat_bundle, coord):
+    """A coordinate beyond the box, or NaN, is outside; both batch routes name
+    the first such sample by index and coordinates."""
+    S = flat_bundle
+    pts = S.chart.samples(5, seed=2)
+    pts[3, 1] = coord
+    pts[4, 0] = coord
+    where = re.escape(f"point outside the chart domain at sample 3 {pts[3].tolist()}")
+    with pytest.raises(DomainError, match=where):
+        h_eigendecomposition_batch(S, pts)
+    with pytest.raises(DomainError, match=where):
+        solve_reeb_batch(S.eta, S.chart, pts)
+    for bad in (pts[0], pts[:, :2]):
+        with pytest.raises(DomainError, match=re.escape("expected points of shape (n, 3)")):
+            solve_reeb_batch(S.eta, S.chart, bad)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")

@@ -84,6 +84,10 @@ def test_parse_errors_carry_positions():
     _expect_error("chart x [2, 1]\n", "empty interval", line=1)
     _expect_error("chart x [-1, 1]\nchart x1 [-1e999, 1e999]\n", "finite ends", line=2)
     _expect_error("chart x [-1e308, 1e308]\n", "finite ends and width", line=1)
+    _expect_error("chart x [-1, 1]\nchart y [1e, 2]\n", "interval for 'y': could not convert string to float: '1e'",
+                  line=2)
+    _expect_error("chart x [-1.5.2, 2]\n", "interval for 'x': could not convert string to float: '-1.5.2'",
+                  line=1)
     _expect_error("chart x [-1, 1]\nwhatever\n", "unrecognized line", line=2)
     _expect_error("chart x [-1, 1]\nchart y [-1, 1]\n"
                   "eta x = 1\ng x x = 1\n", "dimension 2 is even")

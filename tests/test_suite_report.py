@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from metsymp import suite
+from metsymp import suite, symplectization
 from metsymp.catalog import catalog_load
 from metsymp.contact import KmuReport, d_homothety, verify_compatibility
 from metsymp.errors import ConfigError
@@ -274,7 +274,7 @@ def test_symplectization_build_rejects_slices_at_the_wrong_factor(monkeypatch, f
     of exp(2 t0) fails the check."""
     cfg = SuiteConfig(samples=10, seed=42)
     assert suite._check_symplectization_build(suite._Run(flat_bundle_entry, cfg)) < 1e-10
-    monkeypatch.setattr(suite, "slice_structure",
+    monkeypatch.setattr(symplectization, "slice_structure",
                         lambda B, t0: d_homothety(B.base, math.exp(t0)))
     assert suite._check_symplectization_build(suite._Run(flat_bundle_entry, cfg)) > 1e-2
 

@@ -10,6 +10,7 @@ torsions of both almost complex structures vanish precisely on the
 Sasakian entry.
 """
 
+import dataclasses
 import math
 from pathlib import Path
 
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from metsymp import symplectization
 from metsymp.catalog import CatalogEntry
 from metsymp.charts import Chart
 from metsymp.contact import (
@@ -40,8 +42,6 @@ from metsymp.symplectization import (
     SYMPLECTIC_TOL,
     _top_coefficient_abs,
     _with_compatible_metric,
-    acs_table_residuals,
-    block_structure_residuals,
     build_metric_symplectization,
     extend_to_product,
     extended_slice_form,
@@ -54,9 +54,9 @@ from metsymp.symplectization import (
     slice_form_values,
     slice_structure,
     translation_isomorphism_check,
-    unique_acs_witness_residual,
     verify_liouville,
     verify_symplectic,
+    verify_symplectization_build,
 )
 from metsymp.structfile import load_structure_file, parse_structure_text
 from metsymp.suite import SuiteConfig, run_suite
@@ -85,7 +85,7 @@ def _symp(request_fixture, name, sas, flat):
 
 def test_line_direction_unit_and_orthogonal(any_entry, sasakian_symp, flat_bundle_symp):
     B = _symp(None, any_entry.name, sasakian_symp, flat_bundle_symp)
-    res = block_structure_residuals(B, 50)
+    res = verify_symplectization_build(B, 50)
     assert res["dt_unit"] < 1e-10
     assert res["dt_orthogonal"] < 1e-10
     assert res["slice_block"] < 1e-10
@@ -112,13 +112,14 @@ phi z t1 = t1
     assert B.chart.coord_names == ("t", "t1", "z", "t2")
     assert B.chart.domain[-1] == (-0.5, 0.5)
     assert natural_acs(S, (-0.5, 0.5)).chart == B.chart
-    assert max(acs_table_residuals(B, 20).values()) < 1e-10
+    res = verify_symplectization_build(B, 20)
+    assert max(res["J_xi_t"], res["J_d_t"], res["J_on_distribution"]) < 1e-10
 
 
 def test_acs_three_case_table(any_entry, sasakian_symp, flat_bundle_symp):
     B = _symp(None, any_entry.name, sasakian_symp, flat_bundle_symp)
-    res = acs_table_residuals(B, 50)
-    assert max(res.values()) < 1e-10
+    res = verify_symplectization_build(B, 50)
+    assert max(res["J_xi_t"], res["J_d_t"], res["J_on_distribution"]) < 1e-10
 
 
 @pytest.mark.parametrize("which", ["flat_bundle_symp", "sasakian_symp", "curved_symp",
@@ -158,7 +159,61 @@ def test_metric_restricted_to_zero_slice_is_g(sasakian, sasakian_symp):
 
 def test_uniqueness_witness(any_entry, sasakian_symp, flat_bundle_symp):
     B = _symp(None, any_entry.name, sasakian_symp, flat_bundle_symp)
-    assert unique_acs_witness_residual(B, 20) < 1e-8
+    assert verify_symplectization_build(B, 20)["unique_acs"] < 1e-8
+
+
+BUILD_KEYS = ["J_xi_t", "J_d_t", "J_on_distribution", "dt_unit", "dt_orthogonal",
+              "slice_block", "omega_pairing", "unique_acs", "slice_eta", "slice_g", "slice_phi"]
+
+
+def _failing_keys(B):
+    """The keys of the build verifier at or above the check's threshold; each
+    failing one fails by far."""
+    res = verify_symplectization_build(B, 40, seed=50)
+    assert list(res) == BUILD_KEYS
+    failing = {k for k, v in res.items() if not v < 1e-10}
+    assert all(res[k] > 0.1 for k in failing)
+    return failing
+
+
+def test_the_build_verifier_passes_every_key(any_entry, sasakian_symp, flat_bundle_symp):
+    assert _failing_keys(_symp(None, any_entry.name, sasakian_symp, flat_bundle_symp)) == set()
+
+
+def test_the_classical_acs_fails_the_table_and_the_omega_pairing(any_entry, sasakian_symp,
+                                                                 flat_bundle_symp):
+    """J xi = d_t and J d_t = -xi miss the exp(-+2t) weights; phi on Ker(eta) holds."""
+    B = _symp(None, any_entry.name, sasakian_symp, flat_bundle_symp)
+    B = dataclasses.replace(B, J=natural_acs(B.base, B.chart.domain[-1]))
+    assert _failing_keys(B) == {"J_xi_t", "J_d_t", "omega_pairing"}
+
+
+def test_a_scaled_dt_entry_of_gbar_fails_dt_unit(any_entry, sasakian_symp, flat_bundle_symp):
+    B = _symp(None, any_entry.name, sasakian_symp, flat_bundle_symp)
+    comps = B.gbar.components.copy()
+    comps[-1, -1] = Const(1.5) * comps[-1, -1]
+    B = dataclasses.replace(B, gbar=TensorField(B.chart, 0, 2, comps, "symmetric"))
+    assert _failing_keys(B) == {"dt_unit", "omega_pairing"}
+
+
+def test_slices_at_the_wrong_factor_fail_the_slice_keys(monkeypatch, any_entry, sasakian_symp,
+                                                        flat_bundle_symp):
+    """exp(t0) in place of exp(2 t0); phi is the same for every factor, so only
+    eta and g can tell."""
+    B = _symp(None, any_entry.name, sasakian_symp, flat_bundle_symp)
+    monkeypatch.setattr(symplectization, "slice_structure",
+                        lambda B, t0: d_homothety(B.base, math.exp(t0)))
+    assert _failing_keys(B) == {"slice_eta", "slice_g"}
+
+
+@pytest.mark.parametrize("seed", [0, 7, 50, 123])
+def test_a_smaller_draw_is_a_prefix_of_a_larger_one(flat_bundle_symp, sasakian7_symp, seed):
+    """The witness reads the first rows of the build verifier's draw; that equals
+    a draw of that many samples with the same seed."""
+    for chart in (flat_bundle_symp.chart, flat_bundle_symp.base.chart, sasakian7_symp.chart):
+        big = chart.samples(40, seed=seed)
+        for k in (1, 15, 39):
+            assert chart.samples(k, seed=seed).tobytes() == big[:k].tobytes()
 
 
 # ---------------------------------------------------------------------------
