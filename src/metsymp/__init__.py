@@ -9,7 +9,7 @@ The package is organized in layers:
     the exterior and Lie calculus.
 ``curvature``
     Levi-Civita connection, curvature and Ricci on sample batches, and
-    sectional curvature at a point.
+    orthonormal frames.
 ``contact``
     Contact metric structures, the Reeb field and the h tensor,
     nullity-constant fitting, rescalings, the classification index,
@@ -39,22 +39,18 @@ from .contact import (
     is_K_contact,
     kappa_mu_after_rescale,
     reeb_field,
-    solve_reeb_batch,
     verify_compatibility,
     verify_kmu_curvature,
     verify_structure_isomorphism,
 )
 from .catalog import CatalogEntry, catalog_load, catalog_names
-from .curvature import ChristoffelData, sectional
+from .curvature import ChristoffelData
 from .fields import (
     SmoothMap,
     TensorField,
-    contract,
     exterior_derivative,
     interior_product,
-    lie_bracket,
     lie_derivative,
-    lower_index,
     pullback,
     raise_index,
     wedge,

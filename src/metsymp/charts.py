@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, GeometryError
+from .errors import GeometryError
 
 __all__ = ["Chart", "product_with_line"]
 
@@ -22,7 +22,7 @@ class Chart:
     ``domain`` holds one closed interval per coordinate, with finite ends
     and width; ``dim`` is the number of coordinates.  ``sampler_seed``
     makes sample sweeps reproducible per chart; callers may override the
-    seed per sweep.
+    seed per sweep.  Seeds are non-negative, as numpy's are.
     """
 
     coord_names: tuple[str, ...]
@@ -48,20 +48,8 @@ class Chart:
             if not math.isfinite(hi - lo):
                 raise GeometryError(f"interval for coordinate {name!r} needs finite ends"
                                     f" and width, got [{lo}, {hi}]")
-
-    def contains(self, point: np.ndarray) -> bool:
-        p = np.asarray(point, dtype=float)
-        if p.shape != (self.dim,):
-            return False
-        return all(lo <= x <= hi for x, (lo, hi) in zip(p, self.domain))
-
-    def require_inside(self, point: np.ndarray) -> np.ndarray:
-        p = np.asarray(point, dtype=float)
-        if p.shape != (self.dim,):
-            raise DomainError(f"point shape {p.shape} does not match chart dimension {self.dim}")
-        if not self.contains(p):
-            raise DomainError(f"point {p.tolist()} lies outside the chart domain")
-        return p
+        if self.sampler_seed < 0:
+            raise GeometryError(f"sample seed must be non-negative, got {self.sampler_seed}")
 
     def samples(self, n: int, seed: int | None = None) -> np.ndarray:
         """Uniform samples over the box shrunk by 5% of its width per side.
@@ -71,7 +59,11 @@ class Chart:
         """
         if n <= 0:
             raise GeometryError("sample count must be positive")
-        rng = np.random.default_rng(self.sampler_seed if seed is None else seed)
+        if seed is None:
+            seed = self.sampler_seed
+        elif seed < 0:   # numpy's generators take only non-negative seeds
+            raise GeometryError(f"sample seed must be non-negative, got {seed}")
+        rng = np.random.default_rng(seed)
         lo = np.array([a for a, _ in self.domain])
         hi = np.array([b for _, b in self.domain])
         width = hi - lo

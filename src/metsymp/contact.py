@@ -56,7 +56,6 @@ __all__ = [
     "KmuReport",
     "HEigenReport",
     "reeb_field",
-    "solve_reeb_batch",
     "verify_compatibility",
     "is_K_contact",
     "fit_kappa_mu",
@@ -228,16 +227,6 @@ def _require_finite(pts: np.ndarray, error: type[GeometryError], what: str, *arr
     bad = np.flatnonzero(~finite)
     if bad.size:
         raise error(f"{what} is not finite at {at_sample(pts, bad[0])}")
-
-
-def solve_reeb_batch(eta: TensorField, chart: Chart, points: np.ndarray) -> np.ndarray:
-    """Numeric Reeb vectors at a batch of points, shape (n, dim).
-
-    d eta is built once and d eta and eta are evaluated once on the batch;
-    :func:`_reeb_from_values` solves and re-checks each point.
-    """
-    pts = _require_batch(chart, points)
-    return _reeb_from_values(exterior_derivative(eta).values(pts), eta.values(pts), pts)
 
 
 def _reeb_from_values(dv: np.ndarray, ev: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -494,7 +483,7 @@ def _sample_sup(x: np.ndarray, axis) -> np.ndarray:
 
 def h_eigendecomposition(S: ContactMetricStructure, point: np.ndarray) -> HEigenReport:
     """Eigenstructure of h at one point: :func:`h_eigendecomposition_batch` of one."""
-    return h_eigendecomposition_batch(S, S.chart.require_inside(point)[None, :])[0]
+    return h_eigendecomposition_batch(S, np.asarray(point, dtype=float)[None, :])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMetricError, GeometryError, RankError, at_sample
+from .errors import DegenerateMetricError, RankError, at_sample
 from .fields import TensorField
 
 __all__ = [
@@ -48,7 +48,6 @@ __all__ = [
     "covariant_derivative_values",
     "riemann_components",
     "ricci_components",
-    "sectional",
     "gram_schmidt_frame",
 ]
 
@@ -162,21 +161,6 @@ def ricci_components(data: ChristoffelData) -> np.ndarray:
     """Ric[..., p, q] = Ric(d_p, d_q) by direct contraction."""
     riem = riemann_components(data)
     return np.einsum("...aqap->...pq", riem)
-
-
-def sectional(g: TensorField, X: np.ndarray, Y: np.ndarray, point: np.ndarray) -> float:
-    """sec(X, Y) at one point, from the connection data of a batch of one."""
-    data = christoffel_batch(g, np.asarray(point, dtype=float)[None, :])
-    gmat = data.g[0]
-    X = np.asarray(X, float)
-    Y = np.asarray(Y, float)
-    num = float(X @ gmat @ np.einsum("lkij,k,i,j->l", riemann_components(data)[0], Y, X, Y))
-    xx, yy = float(X @ gmat @ X), float(Y @ gmat @ Y)
-    gram = xx * yy - float(X @ gmat @ Y) ** 2
-    # relative to |X|^2 |Y|^2, so the test ignores the scale of X and Y; NaN fails it
-    if not gram > 1e-12 * xx * yy:
-        raise GeometryError("sectional curvature needs linearly independent arguments")
-    return num / gram
 
 
 def covariant_derivative_values(

@@ -9,11 +9,10 @@ gradient and Hessian), and every numeric derivative is taken from those
 jets.  The order-0 values are bit for bit the values of the order-2 jets.
 Either way, all components of a field are evaluated in one walk, so a
 node they share is evaluated once.  The first-order operators below (exterior
-derivative, bracket, Lie derivative, pullback) build their results
-symbolically, from the partials cached on each node, so derived fields
-remain fields and can be differentiated again without loss.
-``inverse_metric`` caches its result on the metric field itself, so the
-inverse lives exactly as long as the metric.
+derivative, Lie derivative, pullback) build their results symbolically,
+from the partials cached on each node, so derived fields remain fields and
+can be differentiated again without loss.  A field itself caches nothing:
+``inverse_metric`` builds the inverse on each call.
 
 Storage.  A ``symmetric`` or ``antisymmetric`` tag means one expression per
 index orbit: all permutations of a sorted index hold the same node, odd
@@ -62,12 +61,9 @@ __all__ = [
     "exterior_derivative",
     "wedge",
     "interior_product",
-    "lie_bracket",
     "lie_derivative",
     "pullback",
-    "contract",
     "raise_index",
-    "lower_index",
     "inverse_metric",
     "sup_norm",
 ]
@@ -210,8 +206,7 @@ class TensorField:
     construction.
     """
 
-    # ``_inverse`` caches ``inverse_metric`` of this field; it dies with it
-    __slots__ = ("chart", "r", "s", "components", "sym", "_inverse", "__weakref__")
+    __slots__ = ("chart", "r", "s", "components", "sym")
 
     def __init__(self, chart: Chart, r: int, s: int, components, sym: str = "none"):
         if r < 0 or s < 0:
@@ -230,7 +225,6 @@ class TensorField:
         self.s = s
         self.components = arr
         self.sym = sym
-        self._inverse = None
 
     # -- constructors -------------------------------------------------------
 
@@ -448,22 +442,6 @@ def interior_product(X: TensorField, alpha: TensorField) -> TensorField:
 # ---------------------------------------------------------------------------
 
 
-def lie_bracket(X: TensorField, Y: TensorField) -> TensorField:
-    """[X, Y]^k = X^i d_i Y^k - Y^i d_i X^k."""
-    for V in (X, Y):
-        if V.r != 1 or V.s != 0:
-            raise RankError("lie_bracket needs two vector fields")
-    if X.chart != Y.chart:
-        raise ChartMismatchError("bracket arguments live on different charts")
-    d = X.chart.dim
-    Xc, Yc = X.components, Y.components
-    out = [sum_of_products(term for i in range(d) for term in (
-               (1, Xc[i], functools.partial(Yc[k].diff, i)),
-               (-1, Yc[i], functools.partial(Xc[k].diff, i))))
-           for k in range(d)]
-    return TensorField(X.chart, 1, 0, out)
-
-
 def lie_derivative(X: TensorField, T: TensorField) -> TensorField:
     """Lie derivative of any (r, s) tensor field along a vector field."""
     if X.r != 1 or X.s != 0:
@@ -530,28 +508,6 @@ def pullback(F: SmoothMap, T: TensorField) -> TensorField:
 # ---------------------------------------------------------------------------
 
 
-def contract(T: TensorField, contra_slot: int, cov_slot: int) -> TensorField:
-    """Trace one contravariant slot against one covariant slot."""
-    if not (0 <= contra_slot < T.r):
-        raise RankError(f"no contravariant slot {contra_slot} on a ({T.r},{T.s}) tensor")
-    if not (0 <= cov_slot < T.s):
-        raise RankError(f"no covariant slot {cov_slot} on a ({T.r},{T.s}) tensor")
-    d = T.chart.dim
-    axis_a = contra_slot
-    axis_b = T.r + cov_slot
-    shape = (d,) * (T.r + T.s - 2)
-    out = _expr_array(shape)
-    for idx in np.ndindex(shape):
-        total = ZERO
-        for a in range(d):
-            full = list(idx)
-            full.insert(axis_a, a)
-            full.insert(axis_b, a)
-            total = total + T.components[tuple(full)]
-        out[idx] = total
-    return TensorField(T.chart, T.r - 1, T.s - 1, out)
-
-
 def _minor_det(matrix: list[list[Expr]], rows: tuple[int, ...], cols: tuple[int, ...],
                memo: dict) -> Expr:
     """Determinant of the submatrix on ``rows`` x ``cols``, by cofactor
@@ -591,18 +547,12 @@ def inverse_matrix_exprs(matrix: list[list[Expr]]) -> list[list[Expr]]:
 
 
 def inverse_metric(g: TensorField) -> TensorField:
-    """Inverse metric as a (2, 0) tensor field, cached on ``g`` itself.
-
-    Threads that ask at once may each build the inverse; the builds are
-    equal, and either may be kept.
-    """
+    """Inverse metric as a (2, 0) tensor field, built afresh on each call."""
     if (g.r, g.s) != (0, 2):
         raise RankError("inverse_metric needs a (0,2) tensor field")
-    if g._inverse is None:
-        d = g.chart.dim
-        mat = [[g.components[i, j] for j in range(d)] for i in range(d)]
-        g._inverse = TensorField(g.chart, 2, 0, inverse_matrix_exprs(mat))
-    return g._inverse
+    d = g.chart.dim
+    mat = [[g.components[i, j] for j in range(d)] for i in range(d)]
+    return TensorField(g.chart, 2, 0, inverse_matrix_exprs(mat))
 
 
 def raise_index(g: TensorField, T: TensorField, cov_slot: int) -> TensorField:
@@ -620,22 +570,3 @@ def raise_index(g: TensorField, T: TensorField, cov_slot: int) -> TensorField:
             (1, ginv.components[idx[T.r], a], T.components[rest[:axis] + (a,) + rest[axis:]])
             for a in range(d))
     return TensorField(T.chart, T.r + 1, T.s - 1, out)
-
-
-def lower_index(g: TensorField, T: TensorField, contra_slot: int) -> TensorField:
-    """Convert one contravariant slot to covariant using the metric."""
-    if (g.r, g.s) != (0, 2):
-        raise RankError("lower_index needs a (0,2) metric")
-    if not (0 <= contra_slot < T.r):
-        raise RankError(f"no contravariant slot {contra_slot}")
-    d = T.chart.dim
-    out_shape = (d,) * (T.r - 1 + T.s + 1)
-    out = _expr_array(out_shape)
-    for idx in np.ndindex(out_shape):
-        rest = idx[:T.r - 1] + idx[T.r:]         # idx without its lowered slot
-        out[idx] = sum_of_products(
-            (1, g.components[idx[T.r - 1], a],
-             T.components[rest[:contra_slot] + (a,) + rest[contra_slot:]])
-            for a in range(d))
-    return TensorField(T.chart, T.r - 1, T.s + 1, out)
-

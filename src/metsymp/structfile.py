@@ -20,7 +20,8 @@ small line-oriented format; blank lines and ``#`` comments are ignored:
     phi y x = -1
     phi z y = y
 
-``chart`` lines fix the coordinate order; omitted components are zero; the
+``chart`` lines fix the coordinate order; the optional ``seed`` line sets
+the chart's non-negative sample seed; omitted components are zero; the
 metric is symmetrized automatically, and giving both (a, b) and (b, a)
 with different expressions is an error.  Component expressions use the
 grammar of :func:`metsymp.expressions.parse_expression`: + - * / ^ with a
@@ -37,7 +38,7 @@ import numpy as np
 
 from .charts import Chart
 from .contact import ContactMetricStructure
-from .errors import GeometryError
+from .errors import GeometryError, at_sample
 from .expressions import Const, Expr, ExpressionSyntaxError, parse_expression
 from .fields import TensorField
 
@@ -98,6 +99,8 @@ def parse_structure_text(text: str) -> ContactMetricStructure:
         m = _SEED_RE.match(line)
         if m:
             seed = int(m.group(1))
+            if seed < 0:
+                raise StructureFileError(f"seed must be non-negative, got {seed}", lineno)
             continue
         m = _COMP_RE.match(line)
         if m:
@@ -186,7 +189,7 @@ def parse_structure_text(text: str) -> ContactMetricStructure:
         k = bad[0]
         what = ("not finite" if not finite[k] else "not positive definite (smallest "
                 f"eigenvalue {eigs[k, 0]:.3e} against largest {eigs[k, -1]:.3e})")
-        raise StructureFileError(f"metric is {what} at sample point {pts[k].tolist()}", 1)
+        raise StructureFileError(f"metric is {what} at {at_sample(pts, k)}", 1)
     try:
         return ContactMetricStructure.build(chart, eta, g, phi)
     except GeometryError as err:

@@ -382,6 +382,8 @@ class SuiteConfig:
     def __post_init__(self):
         if self.samples <= 0:
             raise ConfigError("samples must be a positive integer")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         lo, hi = self.t_range
         if not lo < hi:
             raise ConfigError("t_range must be a nonempty interval")

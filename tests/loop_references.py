@@ -21,7 +21,9 @@ every operation with a constant operand is a full array or jet operation.
 The Nijenhuis tensor, Lie derivative, bracket and interior product are kept
 as the loops that built them one ``total = total + x * y`` at a time,
 before every contraction went through ``expressions.sum_of_products``;
-``node_counts`` counts their trees the way the benchmark does.
+``node_counts`` counts their trees the way the benchmark does.  The
+library has no bracket of its own (``fields.lie_derivative`` of a vector
+field is one), so tests take [X, Y] from ``lie_bracket_loop``.
 
 The two nullity fits are kept as they were written before they shared
 ``contact.nullity_fit``: each builds its own least-squares columns, and the
@@ -36,7 +38,10 @@ library's T from its definition.
 The library builds its orthonormal frames, the g-norm of h and the g-norm
 of the Nijenhuis tensor with batched products over the sample axis.  Kept
 here: Gram-Schmidt one point, one candidate and one projection at a time,
-and both norms as the single einsum of their definition.
+and both norms as the single einsum of their definition.  So is the
+sectional curvature of one plane at one point, which pins the library's
+Riemann tensor to the closed-form curvatures of the sphere and of the
+symplectization's line planes.
 """
 
 import itertools
@@ -52,7 +57,7 @@ from metsymp.curvature import (
     riemann_components,
 )
 from metsymp import expressions as E
-from metsymp.errors import DegenerateMetricError
+from metsymp.errors import DegenerateMetricError, GeometryError
 from metsymp.expressions import ZERO, Const, Coord
 from metsymp.jets import coordinate_jets
 from metsymp.fields import (
@@ -128,6 +133,23 @@ def ricci_frame_trace(data):
                     total += float(Ea @ gmat @ vec)
                 ric[n, p, q] = total
     return ric
+
+
+def sectional(g, X, Y, point):
+    """sec(X, Y) at one point, from the connection data of a batch of one;
+    the oracle for the library's Riemann tensor on planes whose curvature is
+    known in closed form."""
+    data = christoffel_batch(g, np.asarray(point, dtype=float)[None, :])
+    gmat = data.g[0]
+    X = np.asarray(X, float)
+    Y = np.asarray(Y, float)
+    num = float(X @ gmat @ np.einsum("lkij,k,i,j->l", riemann_components(data)[0], Y, X, Y))
+    xx, yy = float(X @ gmat @ X), float(Y @ gmat @ Y)
+    gram = xx * yy - float(X @ gmat @ Y) ** 2
+    # relative to |X|^2 |Y|^2, so the test ignores the scale of X and Y; NaN fails it
+    if not gram > 1e-12 * xx * yy:
+        raise GeometryError("sectional curvature needs linearly independent arguments")
+    return num / gram
 
 
 def fundamental_T_field(B):

@@ -40,10 +40,14 @@ def test_samples_avoid_boundary_and_are_reproducible():
     assert not np.array_equal(pts, chart.samples(200, seed=6))
 
 
-def test_contains():
-    chart = Chart(("a", "b"), ((-1, 1), (0, 2)))
-    assert chart.contains(np.array([0.0, 1.0]))
-    assert not chart.contains(np.array([0.0, 3.0]))
+def test_a_negative_seed_is_rejected():
+    """numpy's generators take only non-negative seeds; the chart says so first."""
+    with pytest.raises(GeometryError, match="sample seed must be non-negative, got -1"):
+        Chart(("x",), ((-1, 1),), sampler_seed=-1)
+    chart = Chart(("x",), ((-1, 1),))
+    with pytest.raises(GeometryError, match="sample seed must be non-negative, got -3"):
+        chart.samples(4, seed=-3)
+    assert chart.samples(4, seed=0).shape == (4, 1)
 
 
 def test_product_with_line():

@@ -97,6 +97,28 @@ def test_check_bad_samples(capsys):
     assert main(["check", "darboux-sasakian-r3", "--samples", "0"]) == 2
 
 
+@pytest.mark.parametrize("command", [["check", "unit-tangent-flat-plane"],
+                                     ["fit-kmu", "unit-tangent-flat-plane"],
+                                     ["symplectize", "unit-tangent-flat-plane", "--verify"],
+                                     ["dhomothety", "unit-tangent-flat-plane", "--a", "2"]])
+def test_a_negative_seed_is_bad_input(capsys, command):
+    """numpy takes only non-negative seeds: bad input, not a failed check."""
+    assert main(command + ["--seed", "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "seed must be non-negative, got -1" in err
+
+
+def test_a_negative_seed_in_a_structure_file_is_bad_input(tmp_path, capsys):
+    path = tmp_path / "s.txt"
+    path.write_text(GOOD_FILE.replace("chart z [-1.5, 1.5]\n", "chart z [-1.5, 1.5]\nseed -5\n"))
+    for command in ("check", "fit-kmu"):
+        assert main([command, str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "line 5: seed must be non-negative, got -5" in err
+
+
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_check_structure_file(tmp_path, capsys):
     """A file runs as an entry with no expected constants; failures exit 1."""

@@ -32,6 +32,7 @@ from metsymp.charts import Chart
 from metsymp.contact import (
     COMPAT_TOL,
     ContactMetricStructure,
+    _reeb_from_values,
     boeckx_index,
     d_homothety,
     fit_kappa_mu,
@@ -40,7 +41,6 @@ from metsymp.contact import (
     is_K_contact,
     kappa_mu_after_rescale,
     reeb_field,
-    solve_reeb_batch,
     verify_compatibility,
     verify_kmu_curvature,
     verify_structure_isomorphism,
@@ -67,6 +67,11 @@ from loop_references import (
 SASAKIAN_R5_PATH = Path(__file__).parent / "data" / "sasakian_r5.txt"
 
 
+def _solve_reeb(eta, pts):
+    """The numeric Reeb vectors of ``eta`` at ``pts``, as the ``reeb`` check solves them."""
+    return _reeb_from_values(exterior_derivative(eta).values(pts), eta.values(pts), pts)
+
+
 # ---------------------------------------------------------------------------
 # contact condition and the Reeb field
 # ---------------------------------------------------------------------------
@@ -87,7 +92,7 @@ def test_reeb_of_plain_darboux_form():
     chart = Chart(("x", "y", "z"), ((-2, 2),) * 3, sampler_seed=2)
     y = Coord(1, "y")
     eta = TensorField.covector(chart, [-y, Const(0.0), Const(1.0)])
-    for xi in solve_reeb_batch(eta, chart, chart.samples(10)):
+    for xi in _solve_reeb(eta, chart.samples(10)):
         assert_allclose(xi, [0.0, 0.0, 1.0], atol=1e-12)
     xi_sym = reeb_field(eta)
     pts = chart.samples(20)
@@ -110,7 +115,7 @@ def test_reeb_solver_rejects_non_contact_form():
     chart = Chart(("x", "y", "z"), ((-2, 2),) * 3)
     dz = TensorField.covector(chart, [Const(0.0), Const(0.0), Const(1.0)])
     with pytest.raises(NotContactError):
-        solve_reeb_batch(dz, chart, np.array([[0.1, 0.2, 0.3]]))
+        _solve_reeb(dz, np.array([[0.1, 0.2, 0.3]]))
 
 
 def test_reeb_defining_equations_at_samples(any_entry):
@@ -580,7 +585,7 @@ def test_h_eigendecomposition_batch_is_bit_identical_to_the_per_point_reference(
 def test_solve_reeb_batch_is_bit_identical_to_per_point_lstsq(any_entry):
     S = any_entry.structure
     pts = S.chart.samples(12, seed=6)
-    batch = solve_reeb_batch(S.eta, S.chart, pts)
+    batch = _solve_reeb(S.eta, pts)
     deta = exterior_derivative(S.eta)
     rhs = np.zeros(S.chart.dim + 1)
     rhs[-1] = 1.0
@@ -632,13 +637,14 @@ def test_batch_rejections_name_the_failing_sample(flat_bundle):
     eta = TensorField.covector(chart, [-(y * y), Const(0.0), Const(1.0)])
     batch = np.array([[0.1, 0.5, 0.2], [0.3, 0.0, 0.1], [-0.2, 0.7, 0.4]])
     with pytest.raises(NotContactError, match=re.escape("sample 1 [0.3, 0.0, 0.1]")):
-        solve_reeb_batch(eta, chart, batch)
+        _solve_reeb(eta, batch)
 
 
 @pytest.mark.parametrize("coord", [5.0, math.nan])
 def test_batch_points_outside_the_chart_are_named_by_sample(flat_bundle, coord):
-    """A coordinate beyond the box, or NaN, is outside; both batch routes name
-    the first such sample by index and coordinates."""
+    """A coordinate beyond the box, or NaN, is outside; the batch route names
+    the first such sample by index and coordinates, and rejects a batch of
+    the wrong shape."""
     S = flat_bundle
     pts = S.chart.samples(5, seed=2)
     pts[3, 1] = coord
@@ -646,11 +652,22 @@ def test_batch_points_outside_the_chart_are_named_by_sample(flat_bundle, coord):
     where = re.escape(f"point outside the chart domain at sample 3 {pts[3].tolist()}")
     with pytest.raises(DomainError, match=where):
         h_eigendecomposition_batch(S, pts)
-    with pytest.raises(DomainError, match=where):
-        solve_reeb_batch(S.eta, S.chart, pts)
     for bad in (pts[0], pts[:, :2]):
         with pytest.raises(DomainError, match=re.escape("expected points of shape (n, 3)")):
-            solve_reeb_batch(S.eta, S.chart, bad)
+            h_eigendecomposition_batch(S, bad)
+
+
+@pytest.mark.parametrize("coord", [5.0, math.nan])
+def test_one_point_eigendecomposition_names_an_outside_point_as_sample_zero(flat_bundle, coord):
+    """The one-point route is the batch of one, and rejects like it."""
+    S = flat_bundle
+    p = S.chart.samples(1, seed=2)[0]
+    p[1] = coord
+    where = re.escape(f"point outside the chart domain at sample 0 {p.tolist()}")
+    with pytest.raises(DomainError, match=where):
+        h_eigendecomposition(S, p)
+    with pytest.raises(DomainError, match=re.escape("expected points of shape (n, 3)")):
+        h_eigendecomposition(S, p[:2])
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -663,7 +680,7 @@ def test_reeb_solve_rejects_a_non_finite_sample_before_lapack(sasakian, capfd):
     capfd.readouterr()
     with pytest.raises(NotContactError,
                        match=re.escape("eta or d eta is not finite at sample 1 [-0.4, 0.2, 0.1]")):
-        solve_reeb_batch(eta, S.chart, pts)
+        _solve_reeb(eta, pts)
     # LAPACK's "On entry to DLASCL ..." goes through C stdio, which is
     # buffered until flushed
     ctypes.CDLL(None).fflush(None)

@@ -20,7 +20,6 @@ from metsymp.fields import (
     TensorField,
     exterior_derivative,
     interior_product,
-    lie_bracket,
     lie_derivative,
 )
 from metsymp.structfile import load_structure_file
@@ -28,7 +27,6 @@ from metsymp.symplectization import build_metric_symplectization, natural_acs, n
 
 from loop_references import (
     interior_product_loop,
-    lie_bracket_loop,
     lie_derivative_loop,
     nijenhuis_loop,
     node_counts,
@@ -97,8 +95,6 @@ def _pairs(S, B):
     yield "L_V g", lie_derivative(V, S.g), lie_derivative_loop(V, S.g)
     yield "L_V eta", lie_derivative(V, S.eta), lie_derivative_loop(V, S.eta)
     yield "L_V W", lie_derivative(V, W), lie_derivative_loop(V, W)
-    yield "[V, W]", lie_bracket(V, W), lie_bracket_loop(V, W)
-    yield "[xi, V]", lie_bracket(S.xi, V), lie_bracket_loop(S.xi, V)
     yield "i_V d eta", interior_product(V, deta), interior_product_loop(V, deta)
     dt = TensorField.coordinate_vector(B.chart, B.t_index)
     yield "i_dt omega", interior_product(dt, B.omega), interior_product_loop(dt, B.omega)

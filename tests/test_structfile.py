@@ -1,5 +1,7 @@
 """The declarative structure file format."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,7 @@ def test_indefinite_metric_rejected():
     with pytest.raises(StructureFileError) as err:
         parse_structure_text(text)
     assert "positive definite" in str(err.value)
+    assert re.search(r"at sample \d+ \[", str(err.value))
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -135,6 +138,15 @@ def test_non_finite_metric_rejected():
     with pytest.raises(StructureFileError) as err:
         parse_structure_text(text)
     assert "not finite" in str(err.value)
+    assert re.search(r"at sample \d+ \[", str(err.value))
+
+
+def test_a_negative_seed_names_its_line():
+    """numpy takes only non-negative seeds; the file says which line is bad."""
+    text = RESCALED_R3.replace("seed 7", "seed -5")
+    with pytest.raises(StructureFileError, match="line 6: seed must be non-negative, got -5"):
+        parse_structure_text(text)
+    assert parse_structure_text(RESCALED_R3.replace("seed 7", "seed 0")).chart.sampler_seed == 0
 
 
 def test_symmetric_mirror_fill():

@@ -48,6 +48,7 @@ from loop_references import (
     fit_symplectization_kmu_reference,
     fundamental_T_field,
     ricci_rows_reference,
+    sectional,
 )
 
 
@@ -250,8 +251,6 @@ def test_sectional_curvatures_of_line_planes(any_entry, sasakian_symp, flat_bund
     plane spanned by d_t and a unit distribution vector has K = -1, and
     the (d_t, xi_t) plane has K = -(1 + 3) = -4.
     """
-    from metsymp.curvature import sectional
-
     B = _symp(any_entry.name, sasakian_symp, flat_bundle_symp)
     xit_field = extended_slice_reeb(B.base, B.chart)
     ev_field = B.base.eta

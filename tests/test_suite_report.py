@@ -126,6 +126,8 @@ def test_config_validation():
         SuiteConfig(samples=0)
     with pytest.raises(ConfigError):
         SuiteConfig(t_range=(1.0, -1.0))
+    with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
+        SuiteConfig(seed=-1)
 
 
 def test_check_errors_are_recorded_not_raised(monkeypatch):
