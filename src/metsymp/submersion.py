@@ -16,10 +16,11 @@ Christoffel data alone.  T and A are tensorial in both slots, so the
 tables determine them on any pair of vector fields.  The verifiers compare
 T against the closed form above, evaluated from the slice values of
 eta_t and xi_t, and check the standard curvature relations that the
-submersion implies, with the slice curvature computed intrinsically on
-the base chart so the comparison stays a genuine cross-check.  The Ricci
-rows are read in gbar-orthonormal frames (xi_t, d_t, e_i), built for the
-whole sample batch by one call of :func:`curvature.gram_schmidt_frame`.
+submersion implies, with the slice curvature computed intrinsically from
+the base block of gbar's jets, which hold g_t, so the comparison stays a
+genuine cross-check.  The Ricci rows are read in gbar-orthonormal frames
+(xi_t, d_t, e_i), built for the whole sample batch by one call of
+:func:`curvature.gram_schmidt_frame`.
 Each verifier returns its residuals as a dict from the name of the
 identity to its sup norm over the samples, in a fixed order.
 """
@@ -41,11 +42,7 @@ from .curvature import (
     riemann_components,
 )
 from .fields import TensorField, sup_norm
-from .symplectization import (
-    SymplecticMetricStructure,
-    slice_form_values,
-    slice_metric_field,
-)
+from .symplectization import SymplecticMetricStructure, slice_form_values
 
 __all__ = [
     "oneill_T",
@@ -136,20 +133,18 @@ def oneill_A(B: SymplecticMetricStructure, E1: TensorField, E2: TensorField,
 # ---------------------------------------------------------------------------
 
 
-def slice_christoffel_batch(B: SymplecticMetricStructure, points: np.ndarray
-                            ) -> ChristoffelData:
-    """Connection data of the slice metric g_t, restricted to base slots.
+def slice_christoffel_batch(data: ChristoffelData) -> ChristoffelData:
+    """Connection data of the slice metric g_t, from the connection data
+    ``data`` of gbar restricted to the base slots (all but the last).
 
-    The slice family is evaluated on the ambient points but only the base
-    partial derivatives enter, so this is the intrinsic curvature of the
-    slice through each point, independent of the ambient pipeline.
+    gbar = g_t + dt^2 holds the nodes of g_t in its base block, so the
+    restricted jets are bit for bit those of g_t.  Only the base partial
+    derivatives enter, so this is the intrinsic curvature of the slice
+    through each point, independent of the ambient pipeline.
     """
-    d = B.base.chart.dim
-    gt = slice_metric_field(B.base, B.chart)
-    vals, grads, hesses = gt.jet_blocks(points)
-    return christoffel_from_blocks(
-        points, vals[:, :d, :d], grads[:, :d, :d, :d], hesses[:, :d, :d, :d, :d]
-    )
+    b = slice(0, -1)
+    return christoffel_from_blocks(data.points, data.g[:, b, b], data.dg[:, b, b, b],
+                                   data.hess[:, b, b, b, b])
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +220,7 @@ def verify_currel(B: SymplecticMetricStructure, n_samples: int = 50,
     riem = riemann_components(data)
     rt = np.einsum("nl,nlkij->nkij", gv[:, ti], riem)  # gbar(R(d_i, d_j) d_k, d_t)
 
-    sl = slice_christoffel_batch(B, pts)
+    sl = slice_christoffel_batch(data)
     riem_t = riemann_components(sl)                 # base-sized arrays
     gt = sl.g
     etat, xit = (v[:, :d] for v in slice_form_values(S, pts))
@@ -284,7 +279,7 @@ def verify_ricci_relations(B: SymplecticMetricStructure, n_samples: int = 50,
     d = S.chart.dim
     nn = S.n
     ric_bar = ricci_components(data)
-    sl = slice_christoffel_batch(B, pts)
+    sl = slice_christoffel_batch(data)
     ric_t = ricci_components(sl)
     _, xit_full = slice_form_values(S, pts)
 

@@ -12,14 +12,16 @@ contact distribution of each slice; its almost complex structure is
 
     J X = phi X  on Ker(eta),   J xi_t = d_t,   J d_t = -xi_t,
 
-with xi_t = exp(-2t) xi, and the metric is gbar(X, Y) = omega(J X, Y),
-which splits as gbar = g_t + dt (x) dt with the slice metric
+with xi_t = exp(-2t) xi, and the metric gbar(X, Y) = omega(J X, Y) splits
+as gbar = g_t + dt (x) dt with the slice metric
 
     g_t = exp(2t) g + exp(2t) (exp(2t) - 1) eta (x) eta.
 
 The slice at t is therefore the D_a rescaling of the original structure
-with a = exp(2t).  Everything above is constructed symbolically here;
-:func:`verify_symplectization_build` samples each property, the slice law
+with a = exp(2t).  gbar is built from that slice law, the tree of
+:func:`slice_metric_field` plus a one at (t, t), so it reads neither J nor
+phi; :func:`verify_symplectization_build` samples the compatibility
+gbar(X, J Y) = omega(X, Y) and every other property, the slice law
 included, as one named residual.
 
 A symplectization is always a product over its base structure, with the
@@ -28,14 +30,13 @@ at sample points are therefore read from the base fields:
 :func:`slice_form_values` evaluates eta and xi at the base coordinates,
 scales them by exp(+-2t) and leaves the t slot zero.  The symbolic lifts
 (:func:`extend_to_product`, :func:`extended_slice_form` and the slice
-metric family) are built only where a field is needed: omega and the jets
-of the slice metric.
+metric family) are built only where a field is needed: omega and gbar.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -47,7 +48,6 @@ from .expressions import ONE, Const, Coord, Expr, evaluate, exp, sum_of_products
 from .fields import (
     SmoothMap,
     TensorField,
-    _fill,
     exterior_derivative,
     interior_product,
     inverse_matrix_exprs,
@@ -173,19 +173,6 @@ def slice_metric_field(S: ContactMetricStructure, chart: Chart) -> TensorField:
 # ---------------------------------------------------------------------------
 
 
-def _compatible_metric(J: TensorField, omega: TensorField) -> TensorField:
-    """gbar(X, Y) = omega(J X, Y), symmetrized so the tag holds structurally."""
-    D = J.chart.dim
-
-    def entry(ab):
-        a, b = ab
-        return Const(0.5) * sum_of_products(term for c in range(D) for term in (
-            (1, J.components[c, a], omega.components[c, b]),
-            (1, J.components[c, b], omega.components[c, a])))
-
-    return TensorField(J.chart, 0, 2, _fill((D, D), "symmetric", entry), "symmetric")
-
-
 def _product_acs(S: ContactMetricStructure, chart: Chart, up: Expr, down: Expr
                  ) -> TensorField:
     """The (1,1) field with J = phi on base directions, d_t component
@@ -208,14 +195,6 @@ def _product_acs(S: ContactMetricStructure, chart: Chart, up: Expr, down: Expr
     return TensorField(chart, 1, 1, J)
 
 
-def _with_compatible_metric(S: ContactMetricStructure, J: TensorField
-                            ) -> SymplecticMetricStructure:
-    """omega = d(exp(2t) eta) on J's chart, and the metric omega(J X, Y)."""
-    omega = exterior_derivative(extended_slice_form(S, J.chart))
-    return SymplecticMetricStructure(chart=J.chart, omega=omega,
-                                     gbar=_compatible_metric(J, omega), J=J, base=S)
-
-
 def _product_chart(S: ContactMetricStructure, t_range: tuple[float, float]) -> Chart:
     """The base chart times the line, whose coordinate is named ``t``, or
     ``t1``, ``t2``, ... when the base already has a coordinate ``t``."""
@@ -230,13 +209,17 @@ def build_metric_symplectization(S: ContactMetricStructure,
                                  ) -> SymplecticMetricStructure:
     """The unique compatible metric structure on the symplectization.
 
-    omega comes from the exterior derivative of exp(2t) eta, J from the
-    three-case formula above, and gbar(X, Y) = omega(J X, Y), stored with
-    explicit symmetrization so the symmetry holds structurally.
+    omega comes from the exterior derivative of exp(2t) eta and J from the
+    three-case formula above; gbar = g_t + dt^2 is the slice metric family
+    with a one at (t, t), so its base block holds the nodes of g_t.
     """
     chart = _product_chart(S, t_range)
-    return _with_compatible_metric(S, _product_acs(S, chart, _exp_t(chart, 2.0),
-                                                   _exp_t(chart, -2.0)))
+    gbar = slice_metric_field(S, chart).components.copy()
+    gbar[-1, -1] = ONE
+    return SymplecticMetricStructure(
+        chart=chart, omega=exterior_derivative(extended_slice_form(S, chart)),
+        gbar=TensorField(chart, 0, 2, gbar, "symmetric"),
+        J=_product_acs(S, chart, _exp_t(chart, 2.0), _exp_t(chart, -2.0)), base=S)
 
 
 def natural_acs(S: ContactMetricStructure,
@@ -484,8 +467,11 @@ def verify_symplectization_build(B: SymplecticMetricStructure, n_samples: int = 
     lifted phi are evaluated once:
 
     - ``J_xi_t``, ``J_d_t``, ``J_on_distribution``: the three-case table;
-    - ``dt_unit``, ``dt_orthogonal``, ``slice_block``: gbar = g_t + dt^2;
-    - ``omega_pairing``: gbar(X, J Y) = omega(X, Y) on coordinate frames;
+    - ``dt_unit``, ``dt_orthogonal``, ``slice_block``: gbar = g_t + dt^2,
+      the base block against exp(2t) g + exp(2t)(exp(2t) - 1) eta (x) eta
+      taken from the values of g and eta, not from a tree gbar shares;
+    - ``omega_pairing``: gbar(X, J Y) = omega(X, Y) on coordinate frames,
+      the compatibility of the slice-law gbar with J and omega;
     - ``unique_acs``: on the first ``_WITNESS_SAMPLES`` samples, w = J' d_t
       solved from omega(w, xi_t) = omega(w, V) = 0 and omega(w, d_t) = 1
       (d_t unit and slice-orthogonal for gbar' = omega(J' ., .)), against -xi_t;
@@ -501,12 +487,14 @@ def verify_symplectization_build(B: SymplecticMetricStructure, n_samples: int = 
     gv = B.gbar.values(pts)
     ov = B.omega.values(pts)
     _, xt = slice_form_values(S, pts)
+    ev = S.eta.values(pts[:, :d])
     # V[:, a] = d_a - eta(d_a) xi: the base coordinate fields projected onto
     # the contact distribution, tangent to the slices
-    V = -lifted_values(S.eta, pts)[:, :d, None] * lifted_values(S.xi, pts)[:, None, :]
+    V = -ev[:, :, None] * lifted_values(S.xi, pts)[:, None, :]
     V[:, range(d), range(d)] += 1.0
     pv = lifted_values(S.phi, pts)
-    gt = slice_metric_field(S, B.chart).values(pts)
+    e2t = np.exp(2.0 * pts[:, -1])[:, None, None]
+    gt = e2t * S.g.values(pts[:, :d]) + e2t * (e2t - 1.0) * (ev[:, :, None] * ev[:, None, :])
     et = np.zeros((len(pts), D))
     et[:, D - 1] = 1.0
     res = {
@@ -517,7 +505,7 @@ def verify_symplectization_build(B: SymplecticMetricStructure, n_samples: int = 
                                         for a in range(d))),
         "dt_unit": sup_norm(gv[:, D - 1, D - 1] - 1.0),
         "dt_orthogonal": sup_norm(gv[:, D - 1, :d]),
-        "slice_block": sup_norm(gv[:, :d, :d] - gt[:, :d, :d]),
+        "slice_block": sup_norm(gv[:, :d, :d] - gt),
         "omega_pairing": sup_norm(np.einsum("nia,naj->nij", gv, jv) - ov),
     }
 
@@ -559,22 +547,20 @@ def translation_isomorphism_check(B: SymplecticMetricStructure, t_shift: float,
     Pulling the data of ``B``, the symplectization of S, back along the
     shift must land exactly on the symplectization data, over the same t
     range, of the D_a rescaling of S with a = exp(2 t_shift): the
-    residuals are ``omega`` and ``metric``.  Samples are restricted so the
-    shifted points stay inside the product box.
+    residuals are ``omega`` and ``metric``.  The samples are one draw over
+    the product box with its t interval cut to the points whose shift stays
+    inside it.
     """
     lo, hi = B.chart.domain[B.t_index]
     B2 = build_metric_symplectization(d_homothety(B.base, math.exp(2.0 * t_shift)), (lo, hi))
     chart = B2.chart
     coords = [Coord(i, name) for i, name in enumerate(chart.coord_names)]
     shift = SmoothMap(chart, B.chart, tuple(coords[:-1] + [coords[-1] + Const(float(t_shift))]))
-    pts = chart.samples(n_samples, seed=seed)
-    # keep both the point and its shift inside the t interval
-    t_lo = max(lo, lo - t_shift) + 0.05 * (hi - lo)
-    t_hi = min(hi, hi - t_shift) - 0.05 * (hi - lo)
+    t_lo, t_hi = max(lo, lo - t_shift), min(hi, hi - t_shift)
     if t_lo >= t_hi:
         raise GeometryError("t shift leaves no overlap inside the product box")
-    rng = np.random.default_rng(chart.sampler_seed if seed is None else seed)
-    pts[:, -1] = rng.uniform(t_lo, t_hi, size=len(pts))
+    box = replace(chart, domain=chart.domain[:-1] + ((t_lo, t_hi),))
+    pts = box.samples(n_samples, seed=seed)
 
     return {"omega": sup_norm(pullback(shift, B.omega).values(pts) - B2.omega.values(pts)),
             "metric": sup_norm(pullback(shift, B.gbar).values(pts) - B2.gbar.values(pts))}

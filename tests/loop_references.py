@@ -25,6 +25,13 @@ before every contraction went through ``expressions.sum_of_products``;
 library has no bracket of its own (``fields.lie_derivative`` of a vector
 field is one), so tests take [X, Y] from ``lie_bracket_loop``.
 
+The symplectization's metric is kept as it was built before it came from
+the slice law g_t + dt^2: the symmetrized omega(J ., .), the oracle for
+``build_metric_symplectization`` and the metric of the classical J.  So
+is the slice connection from its own order-2 walk of g_t, which the
+verifiers now restrict from gbar's connection data; the curvature
+references read it.
+
 The two nullity fits are kept as they were written before they shared
 ``contact.nullity_fit``: each builds its own least-squares columns, and the
 slice fit reads eta_t and xi_t from freshly lifted product-chart fields.
@@ -53,6 +60,7 @@ from metsymp import contact
 from metsymp.curvature import (
     _FRAME_TOL,
     christoffel_batch,
+    christoffel_from_blocks,
     ricci_components,
     riemann_components,
 )
@@ -69,8 +77,39 @@ from metsymp.fields import (
     sup_norm,
     wedge,
 )
-from metsymp.submersion import slice_christoffel_batch
-from metsymp.symplectization import _exp_t, extend_to_product, extended_slice_form
+from metsymp.symplectization import (
+    SymplecticMetricStructure,
+    _exp_t,
+    extend_to_product,
+    extended_slice_form,
+    slice_metric_field,
+)
+
+
+def compatible_metric_reference(S, J):
+    """The symplectization with omega = d(exp(2t) eta) on J's chart and
+    gbar(X, Y) = omega(J X, Y), symmetrized, the way the library built gbar
+    before it took it from the slice law g_t + dt^2."""
+    omega = exterior_derivative(extended_slice_form(S, J.chart))
+    D = J.chart.dim
+
+    def entry(ab):
+        a, b = ab
+        return Const(0.5) * E.sum_of_products(term for c in range(D) for term in (
+            (1, J.components[c, a], omega.components[c, b]),
+            (1, J.components[c, b], omega.components[c, a])))
+
+    gbar = TensorField(J.chart, 0, 2, _fill((D, D), "symmetric", entry), "symmetric")
+    return SymplecticMetricStructure(chart=J.chart, omega=omega, gbar=gbar, J=J, base=S)
+
+
+def slice_christoffel_reference(B, pts):
+    """Connection data of g_t from its own order-2 walk of
+    ``slice_metric_field``, restricted to the base slots."""
+    d = B.base.chart.dim
+    vals, grads, hesses = slice_metric_field(B.base, B.chart).jet_blocks(pts)
+    return christoffel_from_blocks(pts, vals[:, :d, :d], grads[:, :d, :d, :d],
+                                   hesses[:, :d, :d, :d, :d])
 
 
 def extended_slice_reeb(S, chart):
@@ -304,7 +343,7 @@ def currel_reference(B, n_samples, seed):
     ti = B.t_index
     riem = riemann_components(data)
     rlow = np.einsum("nel,nlkij->nekij", data.g, riem)
-    sl = slice_christoffel_batch(B, pts)
+    sl = slice_christoffel_reference(B, pts)
     riem_t = riemann_components(sl)
     gt = sl.g
     etat = extended_slice_form(S, B.chart).values(pts)[:, :d]
@@ -354,7 +393,7 @@ def ricci_rows_reference(B, n_samples, seed):
     d = S.chart.dim
     nn = S.n
     ric_bar = ricci_components(data)
-    ric_t = ricci_components(slice_christoffel_batch(B, pts))
+    ric_t = ricci_components(slice_christoffel_reference(B, pts))
     xit_full = extended_slice_reeb(S, B.chart).values(pts)
 
     block, dreeb, dline, rline, rr, ll = ([] for _ in range(6))

@@ -196,6 +196,21 @@ def _run_cli(*args: str) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, env=env, timeout=300)
 
 
+# The checks of nan_phi_r3.txt that read phi, h or the J built from phi.
+# fundamental_tensor, ricci_rows, symplectization_nullity and
+# translation_isomorphism read only gbar = g_t + dt^2, eta_t and xi_t, and pass.
+NAN_PHI_FAILING = ["compatibility", "h_tensor", "h_eigenstructure", "rescale_equivariance",
+                   "symplectization_build", "curvature_relations", "integrability"]
+
+
+def test_check_of_the_nan_phi_file_fails_exactly_the_checks_that_read_phi(capsys):
+    assert main(["check", str(NAN_PHI_PATH), "--format", "json", "--seed", "42"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    failing = [c for c in checks if not c["pass"]]
+    assert [c["id"] for c in failing] == NAN_PHI_FAILING
+    assert all(c["residual"] == float("inf") for c in failing)
+
+
 def test_check_of_a_nan_file_writes_nothing_to_stderr():
     """The NaN defects are in the report as inf; numpy's warnings are not printed."""
     proc = _run_cli("check", str(NAN_PHI_PATH), "--samples", "10")
@@ -230,6 +245,17 @@ def test_fitting_commands_refuse_a_nan_file_without_warnings(command):
     proc = _run_cli(command[0], str(NAN_PHI_PATH), *command[1:], "--samples", "10")
     assert proc.returncode == 1
     assert "fails the compatibility axioms (residual inf)" in proc.stdout
+    assert proc.stderr == ""
+
+
+def test_symplectize_verify_refuses_the_nan_phi_file_without_warnings():
+    """gbar = g_t + dt^2 does not read phi, but J does: the file is refused
+    through symplectization_build, and the curvature relations that read
+    phi fail too."""
+    proc = _run_cli("symplectize", str(NAN_PHI_PATH), "--verify", "--samples", "10")
+    assert proc.returncode == 1
+    assert re.findall(r"^\[FAIL\] (\w+)", proc.stdout, re.M) == ["symplectization_build",
+                                                              "curvature_relations"]
     assert proc.stderr == ""
 
 

@@ -33,6 +33,7 @@ from metsymp.submersion import (
     fit_symplectization_kmu,
     oneill_A,
     oneill_T,
+    slice_christoffel_batch,
     verify_currel,
     verify_fundamental_tensors,
     verify_ricci_relations,
@@ -49,6 +50,7 @@ from loop_references import (
     fundamental_T_field,
     ricci_rows_reference,
     sectional,
+    slice_christoffel_reference,
 )
 
 
@@ -387,6 +389,20 @@ def test_batched_verifiers_match_the_loop_references(which, request):
            rep["reeb_line"], rep["reeb_reeb"], rep["line_line"])
     assert len(rep) == len(got)
     assert_allclose(got, want, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("which", ["flat_bundle_symp", "sasakian_symp", "curved_symp",
+                                   "sasakian7_symp"])
+def test_the_slice_connection_is_the_base_block_of_gbar_bit_for_bit(which, request):
+    """The base block of gbar = g_t + dt^2 holds the nodes of g_t, so its
+    restricted connection data equal those of g_t's own walk bit for bit."""
+    B = request.getfixturevalue(which)
+    pts = B.chart.samples(12, seed=5)
+    got = slice_christoffel_batch(christoffel_batch(B.gbar, pts))
+    want = slice_christoffel_reference(B, pts)
+    for field in dataclasses.fields(want):
+        assert np.array_equal(getattr(got, field.name), getattr(want, field.name))
+    assert np.array_equal(riemann_components(got), riemann_components(want))
 
 
 @pytest.mark.parametrize("which", ["flat_bundle_symp", "sasakian_symp", "curved_symp",

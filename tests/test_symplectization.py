@@ -19,7 +19,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from metsymp import symplectization
-from metsymp.catalog import CatalogEntry
+from metsymp.catalog import CatalogEntry, catalog_load
 from metsymp.charts import Chart
 from metsymp.contact import (
     COMPAT_TOL,
@@ -41,7 +41,6 @@ from metsymp.fields import (
 from metsymp.symplectization import (
     SYMPLECTIC_TOL,
     _top_coefficient_abs,
-    _with_compatible_metric,
     build_metric_symplectization,
     extend_to_product,
     extended_slice_form,
@@ -62,12 +61,14 @@ from metsymp.structfile import load_structure_file, parse_structure_text
 from metsymp.suite import SuiteConfig, run_suite
 
 from loop_references import (
+    compatible_metric_reference,
     extended_slice_reeb,
     nijenhuis_norms_reference,
     symplectic_top_reference,
 )
 
-R5_PATH = Path(__file__).parent / "data" / "sasakian_r5.txt"
+DATA = Path(__file__).parent / "data"
+R5_PATH = DATA / "sasakian_r5.txt"
 
 
 def _dt(B):
@@ -403,6 +404,28 @@ def test_non_unit_field_rejected(sasakian_symp):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("source", ["darboux-sasakian-r3", "unit-tangent-flat-plane",
+                                    "sasakian_r5.txt", "sasakian_r7.txt", "curved"])
+def test_gbar_is_the_compatible_metric_near_both_ends_of_t(source, request):
+    """gbar, built from the slice law g_t + dt^2, equals the symmetrized
+    omega(J ., .) of the same J and omega to roundoff, at slices near both
+    ends of the t interval."""
+    if source == "curved":
+        S = request.getfixturevalue("curved")
+    elif source.endswith(".txt"):
+        S = load_structure_file(DATA / source)
+    else:
+        S = catalog_load(source).structure
+    B = build_metric_symplectization(S)
+    oracle = compatible_metric_reference(S, B.J).gbar
+    lo, hi = B.chart.domain[B.t_index]
+    base = S.chart.samples(10, seed=3)
+    for t0 in (lo + 0.01 * (hi - lo), hi - 0.01 * (hi - lo)):
+        pts = np.concatenate([base, np.full((len(base), 1), t0)], axis=1)
+        want = oracle.values(pts)
+        assert np.max(np.abs(B.gbar.values(pts) - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 def test_natural_acs_squares_to_minus_identity(sasakian):
     J = natural_acs(sasakian)
     pts = J.chart.samples(40)
@@ -413,7 +436,7 @@ def test_natural_acs_squares_to_minus_identity(sasakian):
 def test_natural_structure_slices_fail_compatibility_off_zero(sasakian):
     """The classical metric's slices are uniform rescalings, which break
     the Reeb pairing axiom away from t = 0; at t = 0 they pass."""
-    Bn = _with_compatible_metric(sasakian, natural_acs(sasakian))
+    Bn = compatible_metric_reference(sasakian, natural_acs(sasakian))
     dt = TensorField.coordinate_vector(Bn.chart, Bn.chart.dim - 1)
 
     def candidate(t0):
@@ -453,7 +476,7 @@ def test_both_acs_agree_on_distribution_at_zero_slice(sasakian, sasakian_symp):
 
 def test_the_committed_r7_file_is_the_fixture_structure(sasakian7_symp):
     """tests/data/sasakian_r7.txt, whose symplectization has dimension 8."""
-    S = load_structure_file(Path(__file__).parent / "data" / "sasakian_r7.txt")
+    S = load_structure_file(DATA / "sasakian_r7.txt")
     want = sasakian7_symp.base
     assert S.chart == want.chart
     pts = want.chart.samples(20)
@@ -522,6 +545,25 @@ def test_torsion_norm_is_nan_only_where_the_torsion_is(flat_bundle_symp):
 def test_translation_identity_shift(flat_bundle_symp):
     rep = translation_isomorphism_check(flat_bundle_symp, 0.0, 20)
     assert sup_norm(*rep.values()) < 1e-14
+
+
+def test_translation_samples_are_one_draw(flat_bundle_symp, monkeypatch):
+    """Every coordinate of the translation check's samples comes from one
+    stream: the t column is not an affine image of the first n uniforms of
+    that stream, which would make it repeat the leading coordinates' draws,
+    and every t keeps its shift inside the box."""
+    seen = []
+    real = TensorField.values
+    monkeypatch.setattr(TensorField, "values",
+                        lambda self, points: seen.append(points) or real(self, points))
+    translation_isomorphism_check(flat_bundle_symp, 0.3, 30, seed=57)
+    pts = seen[-1]
+    n = len(pts)
+    u = np.random.default_rng(57).random(n)
+    lines = np.stack([np.ones(n), u], axis=1)
+    fit, *_ = np.linalg.lstsq(lines, pts[:, -1], rcond=None)
+    assert np.max(np.abs(lines @ fit - pts[:, -1])) > 0.1
+    assert -1.0 < pts[:, -1].min() and pts[:, -1].max() + 0.3 < 1.0
 
 
 def test_translation_matches_rescaled_symplectization(any_entry):
