@@ -16,7 +16,7 @@ The package is organized in layers:
     eigenspace curvature identities.
 ``symplectization``
     The product structure with form d(exp(2t) eta), the unique compatible
-    metric, slices, induced hypersurface structures, integrability.
+    metric, slices, integrability, translations between symplectizations.
 ``submersion``
     The projection onto the line factor, its fundamental tensors, and the
     curvature and Ricci relations they imply.
@@ -69,7 +69,6 @@ from .suite import SuiteConfig, SuiteReport, report_emit, run_suite
 from .symplectization import (
     SymplecticMetricStructure,
     build_metric_symplectization,
-    induced_contact_on_hypersurface,
     natural_acs,
     nijenhuis,
     slice_structure,

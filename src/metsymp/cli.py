@@ -16,7 +16,8 @@ and ``dhomothety`` refuse, with exit code 1, a structure that fails the
 compatibility axioms.
 
 Exit codes: 0 when everything requested passed, 1 when a verification
-failed, 2 on bad input (unknown entry, parse error, bad options).
+failed, 2 on bad input (unknown entry, parse error, bad options, a path
+that cannot be read or written).
 """
 
 from __future__ import annotations
@@ -211,17 +212,15 @@ def _cmd_dhomothety(args) -> int:
     S = entry.structure
     before = fit_kappa_mu(S, args.samples, seed=args.seed)
     S2 = d_homothety(S, a)
-    if args.verify:
-        after, defects = _rescale_defects(S2, a, before, _rescale_base(S, args.samples, args.seed),
-                                          args.seed)
-    else:
-        after = fit_kappa_mu(S2, args.samples, seed=args.seed)
+    after = fit_kappa_mu(S2, args.samples, seed=args.seed)
     kp, mp = kappa_mu_after_rescale(before.kappa, before.mu, a)
     print(f"{entry.name}: (kappa, mu) = ({before.kappa:.9g}, {_or_undefined(before.mu)})")
     print(f"rescaled by a={a:.9g}: fitted ({after.kappa:.9g}, {_or_undefined(after.mu)}), "
           f"law predicts ({kp:.9g}, {_or_undefined(mp)})")
     if not args.verify:
         return 0
+    defects = _rescale_defects(S2, a, before, after, _rescale_base(S, args.samples, args.seed),
+                               args.seed)
     ok = _verdict("rescale verification", sup_norm(*defects),
                   default_thresholds()["rescale_equivariance"])
     return 0 if ok else 1
@@ -235,7 +234,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (UnknownEntryError, StructureFileError, ConfigError, FileNotFoundError,
+    except (UnknownEntryError, StructureFileError, ConfigError, OSError,
             GeometryError, SasakianDegeneracyError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -20,10 +20,11 @@ small line-oriented format; blank lines and ``#`` comments are ignored:
     phi y x = -1
     phi z y = y
 
-``chart`` lines fix the coordinate order; the optional ``seed`` line sets
-the chart's non-negative sample seed; omitted components are zero; the
-metric is symmetrized automatically, and giving both (a, b) and (b, a)
-with different expressions is an error.  Component expressions use the
+``chart`` lines fix the coordinate order; the optional ``seed`` line, at
+most one, sets the chart's non-negative sample seed; omitted components
+are zero; the metric is symmetrized automatically, and giving both (a, b)
+and (b, a) with different expressions is an error.  The file is read as
+UTF-8.  Component expressions use the
 grammar of :func:`metsymp.expressions.parse_expression`: + - * / ^ with a
 constant exponent, exp, sin, cos, sqrt, numbers, pi, e, and the declared
 coordinate names.  All parse errors carry a line and column.
@@ -65,7 +66,7 @@ _COMP_RE = re.compile(r"^(eta|g|phi)\s+(\w+)(?:\s+(\w+))?\s*=\s*(.+)$")
 def parse_structure_text(text: str) -> ContactMetricStructure:
     coord_names: list[str] = []
     intervals: list[tuple[float, float]] = []
-    seed = 0
+    seed = None
     eta_entries: dict[int, Expr] = {}
     g_entries: dict[tuple[int, int], Expr] = {}
     phi_entries: dict[tuple[int, int], Expr] = {}
@@ -98,6 +99,8 @@ def parse_structure_text(text: str) -> ContactMetricStructure:
             continue
         m = _SEED_RE.match(line)
         if m:
+            if seed is not None:
+                raise StructureFileError("duplicate seed line", lineno)
             seed = int(m.group(1))
             if seed < 0:
                 raise StructureFileError(f"seed must be non-negative, got {seed}", lineno)
@@ -158,7 +161,7 @@ def parse_structure_text(text: str) -> ContactMetricStructure:
     if not g_entries:
         raise StructureFileError("no metric components given", max(1, len(lines)))
 
-    chart = Chart(tuple(coord_names), tuple(intervals), sampler_seed=seed)
+    chart = Chart(tuple(coord_names), tuple(intervals), sampler_seed=0 if seed is None else seed)
     eta_c = np.empty(d, dtype=object)
     eta_c[...] = Const(0.0)
     for i, expr in eta_entries.items():
@@ -197,6 +200,13 @@ def parse_structure_text(text: str) -> ContactMetricStructure:
 
 
 def load_structure_file(path) -> ContactMetricStructure:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    """Parse the UTF-8 structure file at ``path``; a byte that does not
+    decode is a :class:`StructureFileError` naming its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise StructureFileError(f"not UTF-8 text ({err.reason} at byte {err.start})",
+                                 data.count(b"\n", 0, err.start) + 1) from None
     return parse_structure_text(text)

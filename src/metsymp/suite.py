@@ -10,10 +10,11 @@ recorded, never raised, so a single bad identity cannot hide the rest of
 the report.
 
 The checks of one run share a few artifacts through a per-run object: the
-(kappa, mu) fit, the metric symplectization, the Boeckx index and the
-rescaled structures ``d_homothety(S, a)``.  Each artifact is built on first
-read and at most once.  When a build raises, every check that reads the
-artifact records that build's own error, not a missing key.
+(kappa, mu) fit, the metric symplectization, the Boeckx index, the
+rescaled structures ``d_homothety(S, a)`` and their (kappa, mu) refits.
+Each artifact is built on first read and at most once.  When a build
+raises, every check that reads the artifact records that build's own
+error, not a missing key.
 
 Most checks reduce the named residuals of one library verifier, as
 ``symplectization_build`` reduces those of
@@ -129,6 +130,11 @@ class _Run:
     def rescaled(self, a: float):
         return self._artifact(("rescaled", a), d_homothety, self.S, a)
 
+    def refit(self, a: float):
+        """The (kappa, mu) fit of ``rescaled(a)`` on the rescale law's draw."""
+        return self._artifact(("refit", a), fit_kappa_mu, self.rescaled(a),
+                              min(self.cfg.samples, 30), seed=self.cfg.seed + 6)
+
 
 # ---------------------------------------------------------------------------
 # individual checks; each reads the run and returns a residual
@@ -150,19 +156,17 @@ def _rescale_base(S, n_pts, seed):
     return pts, S.xi.values(pts), S.h.values(pts)
 
 
-def _rescale_defects(S2, a, kmu, base, seed):
-    """The D-homothety law at one factor a, with S2 = d_homothety(S, a) and
+def _rescale_defects(S2, a, kmu, fit, base, seed):
+    """The defects of the D-homothety law at one factor a, with
+    S2 = d_homothety(S, a), ``fit`` its (kappa, mu) fit on the samples of
     ``base`` = :func:`_rescale_base` of S: xi' = xi/a, h' = h/a, S2
-    compatible, and the refit of S2 against the law applied to ``kmu``.
-    Returns the refit and the defects."""
+    compatible, and ``fit`` against the law applied to ``kmu``."""
     pts, xv, hv = base
-    n_pts = len(pts)
-    defects = [S2.xi.values(pts) - xv / a,
-               S2.h.values(pts) - hv / a,
-               sup_norm(*verify_compatibility(S2, n_pts, seed=seed).values())]
-    fit = fit_kappa_mu(S2, n_pts, seed=seed)
     kp, mp = kappa_mu_after_rescale(kmu.kappa, kmu.mu, a)
-    return fit, defects + [fit.residual, *_constant_defects(fit.kappa, fit.mu, kp, mp)]
+    return [S2.xi.values(pts) - xv / a,
+            S2.h.values(pts) - hv / a,
+            sup_norm(*verify_compatibility(S2, len(pts), seed=seed).values()),
+            fit.residual, *_constant_defects(fit.kappa, fit.mu, kp, mp)]
 
 
 def _check_compatibility(run):
@@ -238,8 +242,7 @@ def _check_rescale_equivariance(run):
     base = _rescale_base(run.S, min(run.cfg.samples, 30), seed)
     defects = []
     for a in _RESCALE_FACTORS:
-        _, law = _rescale_defects(run.rescaled(a), a, rep, base, seed)
-        defects += law
+        defects += _rescale_defects(run.rescaled(a), a, rep, run.refit(a), base, seed)
     return sup_norm(*defects)
 
 
@@ -253,10 +256,8 @@ def _check_index_invariance(run):
         except SasakianDegeneracyError:
             return 0.0
         return float("inf")
-    n_pts = min(run.cfg.samples, 30)
-    refits = [fit_kappa_mu(run.rescaled(a), n_pts, seed=run.cfg.seed + 7)
-              for a in _RESCALE_FACTORS]
-    return sup_norm([boeckx_index(r.kappa, r.mu) - index for r in refits])
+    return sup_norm([boeckx_index(r.kappa, r.mu) - index
+                     for r in map(run.refit, _RESCALE_FACTORS)])
 
 
 def _check_symplectization_build(run):

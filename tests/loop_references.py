@@ -30,7 +30,12 @@ the slice law g_t + dt^2: the symmetrized omega(J ., .), the oracle for
 ``build_metric_symplectization`` and the metric of the classical J.  So
 is the slice connection from its own order-2 walk of g_t, which the
 verifiers now restrict from gbar's connection data; the curvature
-references read it.
+references read it.  The general-hypersurface route to the slice claim,
+the structure that omega, gbar and J induce on a hypersurface orthogonal
+to a unit field by symbolic pullback, is the oracle for
+``slice_structure``; and the translation check is kept as it was written
+before it evaluated at shifted points, through symbolic pullbacks along
+the shift.
 
 The two nullity fits are kept as they were written before they shared
 ``contact.nullity_fit``: each builds its own least-squares columns, and the
@@ -53,6 +58,7 @@ symplectization's line planes.
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -69,17 +75,21 @@ from metsymp.errors import DegenerateMetricError, GeometryError
 from metsymp.expressions import ZERO, Const, Coord
 from metsymp.jets import coordinate_jets
 from metsymp.fields import (
+    SmoothMap,
     TensorField,
     _expr_array,
     _fill,
     exterior_derivative,
+    interior_product,
     inverse_matrix_exprs,
+    pullback,
     sup_norm,
     wedge,
 )
 from metsymp.symplectization import (
     SymplecticMetricStructure,
     _exp_t,
+    build_metric_symplectization,
     extend_to_product,
     extended_slice_form,
     slice_metric_field,
@@ -115,6 +125,108 @@ def slice_christoffel_reference(B, pts):
 def extended_slice_reeb(S, chart):
     """exp(-2t) xi as a vector field on the product chart."""
     return extend_to_product(S.xi, chart).scale(_exp_t(chart, -2.0))
+
+
+def slice_embedding(B, t0):
+    """The embedding x -> (x, t0) of the base chart into the product."""
+    src = B.base.chart
+    exprs = [Coord(i, src.coord_names[i]) for i in range(src.dim)]
+    exprs.append(Const(float(t0)))
+    return SmoothMap(src, B.chart, tuple(exprs))
+
+
+def induced_contact_on_hypersurface(B, Y, embedding, n_samples=25, tol=1e-8):
+    """Contact metric structure induced on a hypersurface orthogonal to Y.
+
+    ``Y`` must be a unit field orthogonal to the image of the embedding, to
+    ``tol`` at ``n_samples`` samples; violations raise rather than warn
+    since the construction is meaningless without them.  The induced data is
+
+        eta = pullback of i_Y omega,
+        g   = pullback of gbar,
+        phi = the tangential part of J, vanishing on the induced Reeb
+              direction,
+
+    all assembled symbolically on the source chart.
+    """
+    if embedding.target != B.chart:
+        raise GeometryError("embedding does not land in the structure's chart")
+    if (Y.r, Y.s) != (1, 0) or Y.chart != B.chart:
+        raise GeometryError("Y must be a vector field on the ambient chart")
+    src = embedding.source
+    d = src.dim
+    D = B.chart.dim
+
+    pts = src.samples(n_samples)
+    img = embedding(pts)
+    gv = B.gbar.values(img)
+    yv = Y.values(img)
+    unit_res = sup_norm(np.einsum("nij,ni,nj->n", gv, yv, yv) - 1.0)
+    if unit_res > tol:
+        raise GeometryError(f"Y is not unit along the hypersurface (residual {unit_res:.3e})")
+    jac_exprs = [[embedding.exprs[c].diff(i) for c in range(D)] for i in range(d)]
+    jac_vals = np.stack(E.evaluate([e for row in jac_exprs for e in row], pts),
+                        axis=-1).reshape(len(pts), d, D)
+    orth = np.einsum("nic,ncb,nb->ni", jac_vals, gv, yv)
+    orth_res = sup_norm(orth)
+    if orth_res > tol:
+        raise GeometryError(
+            f"Y is not orthogonal to the hypersurface (residual {orth_res:.3e})"
+        )
+
+    eta_ind = pullback(embedding, interior_product(Y, B.omega))
+    g_ind_raw = pullback(embedding, B.gbar)
+    g_ind = TensorField(src, 0, 2, g_ind_raw.components, "symmetric")
+    xi_ind = contact.reeb_field(eta_ind)
+
+    # phi = tangential part of J applied to the contact component.
+    # Solve the tangency through the embedding's symbolic pseudo-inverse.
+    gram = [[E.sum_of_products((1, jac_exprs[i][c], jac_exprs[j][c]) for c in range(D))
+             for j in range(d)] for i in range(d)]
+    gram_inv = inverse_matrix_exprs(gram)
+
+    J_src = [[B.J.components[c, b].subs(embedding.exprs) for b in range(D)]
+             for c in range(D)]
+    gbar_src = [[B.gbar.components[c, b].subs(embedding.exprs) for b in range(D)]
+                for c in range(D)]
+    Y_src = [Y.components[c].subs(embedding.exprs) for c in range(D)]
+
+    # the induced Reeb field, pushed forward
+    xi_push = [E.sum_of_products((1, jac_exprs[i][c], xi_ind.components[i]) for i in range(d))
+               for c in range(D)]
+
+    phi_comps = np.empty((d, d), dtype=object)
+    for j in range(d):
+        # contact component of the pushed-forward frame vector
+        v = [jac_exprs[j][c] for c in range(D)]
+        w = [v[c] - eta_ind.components[j] * xi_push[c] for c in range(D)]
+        jw = [E.sum_of_products((1, J_src[c][b], w[b]) for b in range(D)) for c in range(D)]
+        # remove the Y component, then pull tangential part back to the source
+        yc = E.sum_of_products((1, gbar_src[c][b] * jw[c], Y_src[b])
+                               for c in range(D) for b in range(D))
+        jw_tan = [jw[c] - yc * Y_src[c] for c in range(D)]
+        dots = [E.sum_of_products((1, jac_exprs[k][c], jw_tan[c]) for c in range(D))
+                for k in range(d)]
+        for i in range(d):
+            phi_comps[i, j] = E.sum_of_products((1, gram_inv[i][k], dots[k]) for k in range(d))
+    phi_ind = TensorField(src, 1, 1, phi_comps)
+    return contact.ContactMetricStructure.build(src, eta_ind, g_ind, phi_ind)
+
+
+def translation_isomorphism_reference(B, t_shift, n_samples=50, seed=None):
+    """The translation check through symbolic pullbacks along the shift
+    (x, t) -> (x, t + t_shift), on the library check's samples."""
+    lo, hi = B.chart.domain[B.t_index]
+    B2 = build_metric_symplectization(contact.d_homothety(B.base, math.exp(2.0 * t_shift)),
+                                      (lo, hi))
+    chart = B2.chart
+    coords = [Coord(i, name) for i, name in enumerate(chart.coord_names)]
+    shift = SmoothMap(chart, B.chart, tuple(coords[:-1] + [coords[-1] + Const(float(t_shift))]))
+    t_lo, t_hi = max(lo, lo - t_shift), min(hi, hi - t_shift)
+    box = replace(chart, domain=chart.domain[:-1] + ((t_lo, t_hi),))
+    pts = box.samples(n_samples, seed=seed)
+    return {"omega": sup_norm(pullback(shift, B.omega).values(pts) - B2.omega.values(pts)),
+            "metric": sup_norm(pullback(shift, B.gbar).values(pts) - B2.gbar.values(pts))}
 
 
 def gram_schmidt_frame_reference(gmat, seeds=None):

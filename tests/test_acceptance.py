@@ -136,8 +136,8 @@ def test_criterion_06_metric_symplectization():
     for entry, B in BOTH:
         S = entry.structure
         res = verify_symplectization_build(B, 50)
-        residual = max(residual, res["dt_unit"], res["dt_orthogonal"],
-                       res["J_xi_t"], res["J_d_t"], res["J_on_distribution"])
+        residual = max(residual, res["J_xi_t"], res["J_d_t"], res["J_on_distribution"],
+                       res["slice_block"], res["omega_pairing"])
         pts = S.chart.samples(30)
         for t0 in (-0.5, 0.3):
             sl = slice_structure(B, t0)
@@ -145,7 +145,7 @@ def test_criterion_06_metric_symplectization():
             for f1, f2 in ((sl.eta, dh.eta), (sl.g, dh.g), (sl.phi, dh.phi)):
                 residual = max(residual,
                                float(np.max(np.abs(f1.values(pts) - f2.values(pts)))))
-    _report(6, "line field unit and slice-orthogonal; acs table; slices are rescales",
+    _report(6, "acs table; gbar = g_t + dt^2 compatible with omega; slices are rescales",
             residual, 1e-10)
 
 

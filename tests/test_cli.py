@@ -374,22 +374,41 @@ def test_dhomothety_factor_must_be_finite(capsys, factor):
 def test_dhomothety_verify_fails_when_mu_is_defined_on_one_side_only(monkeypatch, capsys):
     import dataclasses
 
-    import metsymp.suite
+    import metsymp.cli
 
     fits = []
-    real_fit = metsymp.suite.fit_kappa_mu
+    real_fit = metsymp.cli.fit_kappa_mu
 
     def fit(*args, **kwargs):
         rep = real_fit(*args, **kwargs)
         fits.append(rep)
         # the Sasakian model has no mu; give the rescaled fit one
-        return dataclasses.replace(rep, mu=0.5)
+        return rep if len(fits) == 1 else dataclasses.replace(rep, mu=0.5)
 
-    # the base fit is the command's own; the refit is the rescale law's
-    monkeypatch.setattr(metsymp.suite, "fit_kappa_mu", fit)
+    # the first fit is the structure's, the second the rescaled structure's:
+    # the command prints that refit and the rescale law reads it
+    monkeypatch.setattr(metsymp.cli, "fit_kappa_mu", fit)
     assert main(["dhomothety", "darboux-sasakian-r3", "--a", "2",
                  "--verify", "--samples", "10"]) == 1
     out = capsys.readouterr().out
-    assert len(fits) == 1
-    assert "law predicts (1, undefined)" in out
+    assert len(fits) == 2
+    assert ", 0.5), law predicts (1, undefined)" in out
     assert "[FAIL] rescale verification residual=inf" in out
+
+
+@pytest.mark.parametrize("case", ["directory", "not utf-8", "out is a directory"])
+def test_a_path_that_cannot_be_read_or_written_is_bad_input(tmp_path, capsys, case):
+    """Exit 2 with the reason on stderr and nothing on stdout, not a traceback."""
+    if case == "directory":
+        argv, reason = ["check", str(NAN_PHI_PATH.parent)], "Is a directory"
+    elif case == "not utf-8":
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(GOOD_FILE.replace("chart z", "# caf\xe9\nchart z").encode("latin-1"))
+        argv, reason = ["check", str(path)], "line 4: not UTF-8 text"
+    else:
+        argv = ["check", "darboux-sasakian-r3", "--samples", "5", "--out", str(tmp_path)]
+        reason = "Is a directory"
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and reason in err

@@ -305,7 +305,7 @@ def test_pullback_of_line_translation(r3):
 
 def test_pullback_of_slice_pairing(sasakian, sasakian_symp):
     """Restricting i_{d_t} omega to the slice at t0 gives exp(2 t0) eta."""
-    from metsymp.symplectization import slice_embedding
+    from loop_references import slice_embedding
 
     B = sasakian_symp
     dt = TensorField.coordinate_vector(B.chart, B.chart.dim - 1)

@@ -91,6 +91,7 @@ def test_parse_errors_carry_positions():
     _expect_error("chart x [-1.5.2, 2]\n", "interval for 'x': could not convert string to float: '-1.5.2'",
                   line=1)
     _expect_error("chart x [-1, 1]\nwhatever\n", "unrecognized line", line=2)
+    _expect_error("chart x [-1, 1]\nseed 3\nseed 9\n", "duplicate seed line", line=3)
     _expect_error("chart x [-1, 1]\nchart y [-1, 1]\n"
                   "eta x = 1\ng x x = 1\n", "dimension 2 is even")
     _expect_error("chart x [-1, 1]\nchart y [-1, 1]\nchart z [-1, 1]\n"

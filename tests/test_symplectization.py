@@ -2,7 +2,8 @@
 
 Worked values pinned here: the line direction is unit and orthogonal to
 every slice; the almost complex structure acts by the three-case table;
-the slice at t equals the rescale by exp(2t) componentwise; the Cartan
+the slice at t equals the rescale by exp(2t) componentwise, and the
+structure the ambient data induce on it; the Cartan
 evaluation of the expansion property holds for the line coordinate field
 exactly, while the plain tensor Lie derivative of the form along it is
 twice the form (the factor that the exp(2t) weight forces); and the
@@ -18,17 +19,17 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from metsymp import symplectization
 from metsymp.catalog import CatalogEntry, catalog_load
 from metsymp.charts import Chart
 from metsymp.contact import (
     COMPAT_TOL,
     ContactMetricStructure,
+    _rescaled_metric,
     d_homothety,
     verify_compatibility,
 )
 from metsymp.errors import DomainError, GeometryError
-from metsymp.expressions import Const, Coord, sqrt
+from metsymp.expressions import ONE, Const, Coord, sqrt
 from metsymp.fields import (
     SmoothMap,
     TensorField,
@@ -40,16 +41,15 @@ from metsymp.fields import (
 )
 from metsymp.symplectization import (
     SYMPLECTIC_TOL,
+    _exp_t,
     _top_coefficient_abs,
     build_metric_symplectization,
     extend_to_product,
     extended_slice_form,
-    induced_contact_on_hypersurface,
     lifted_values,
     natural_acs,
     nijenhuis,
     nijenhuis_norms,
-    slice_embedding,
     slice_form_values,
     slice_structure,
     translation_isomorphism_check,
@@ -63,8 +63,11 @@ from metsymp.suite import SuiteConfig, run_suite
 from loop_references import (
     compatible_metric_reference,
     extended_slice_reeb,
+    induced_contact_on_hypersurface,
     nijenhuis_norms_reference,
+    slice_embedding,
     symplectic_top_reference,
+    translation_isomorphism_reference,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -85,10 +88,12 @@ def _symp(request_fixture, name, sas, flat):
 
 
 def test_line_direction_unit_and_orthogonal(any_entry, sasakian_symp, flat_bundle_symp):
+    """gbar's t row is a one and zeros by construction; its base block is
+    the slice metric and it pairs with J into omega."""
     B = _symp(None, any_entry.name, sasakian_symp, flat_bundle_symp)
+    gv = B.gbar.values(B.chart.samples(50))
+    assert np.all(gv[:, -1, -1] == 1.0) and np.all(gv[:, -1, :-1] == 0.0)
     res = verify_symplectization_build(B, 50)
-    assert res["dt_unit"] < 1e-10
-    assert res["dt_orthogonal"] < 1e-10
     assert res["slice_block"] < 1e-10
     assert res["omega_pairing"] < 1e-10
 
@@ -163,8 +168,8 @@ def test_uniqueness_witness(any_entry, sasakian_symp, flat_bundle_symp):
     assert verify_symplectization_build(B, 20)["unique_acs"] < 1e-8
 
 
-BUILD_KEYS = ["J_xi_t", "J_d_t", "J_on_distribution", "dt_unit", "dt_orthogonal",
-              "slice_block", "omega_pairing", "unique_acs", "slice_eta", "slice_g", "slice_phi"]
+BUILD_KEYS = ["J_xi_t", "J_d_t", "J_on_distribution", "slice_block", "omega_pairing",
+              "unique_acs"]
 
 
 def _failing_keys(B):
@@ -189,22 +194,51 @@ def test_the_classical_acs_fails_the_table_and_the_omega_pairing(any_entry, sasa
     assert _failing_keys(B) == {"J_xi_t", "J_d_t", "omega_pairing"}
 
 
-def test_a_scaled_dt_entry_of_gbar_fails_dt_unit(any_entry, sasakian_symp, flat_bundle_symp):
+def _with_gbar(B, comps):
+    return dataclasses.replace(B, gbar=TensorField(B.chart, 0, 2, comps, "symmetric"))
+
+
+def test_scaled_gbar_dt_entry_fails_omega_pairing(any_entry, sasakian_symp, flat_bundle_symp):
     B = _symp(None, any_entry.name, sasakian_symp, flat_bundle_symp)
     comps = B.gbar.components.copy()
     comps[-1, -1] = Const(1.5) * comps[-1, -1]
-    B = dataclasses.replace(B, gbar=TensorField(B.chart, 0, 2, comps, "symmetric"))
-    assert _failing_keys(B) == {"dt_unit", "omega_pairing"}
+    assert _failing_keys(_with_gbar(B, comps)) == {"omega_pairing"}
 
 
-def test_slices_at_the_wrong_factor_fail_the_slice_keys(monkeypatch, any_entry, sasakian_symp,
+def test_gbar_at_the_wrong_factor_fails_the_slice_block(any_entry, sasakian_symp,
                                                         flat_bundle_symp):
-    """exp(t0) in place of exp(2 t0); phi is the same for every factor, so only
-    eta and g can tell."""
+    """gbar's base block as the rescale by exp(t) in place of exp(2t): the
+    slices are rescales at the wrong factor."""
     B = _symp(None, any_entry.name, sasakian_symp, flat_bundle_symp)
-    monkeypatch.setattr(symplectization, "slice_structure",
-                        lambda B, t0: d_homothety(B.base, math.exp(t0)))
-    assert _failing_keys(B) == {"slice_eta", "slice_g"}
+    a = _exp_t(B.chart, 1.0)
+    comps = _rescaled_metric(extend_to_product(B.base.g, B.chart).components,
+                             extend_to_product(B.base.eta, B.chart).components,
+                             a, a * (a - Const(1.0)))
+    comps[-1, -1] = ONE
+    assert _failing_keys(_with_gbar(B, comps)) == {"slice_block", "omega_pairing"}
+
+
+def test_a_t_x_entry_of_gbar_fails_the_omega_pairing(any_entry, sasakian_symp,
+                                                     flat_bundle_symp):
+    """d_t no longer orthogonal to the slices."""
+    B = _symp(None, any_entry.name, sasakian_symp, flat_bundle_symp)
+    comps = B.gbar.components.copy()
+    comps[-1, 0] = comps[0, -1] = Const(0.1)
+    assert _failing_keys(_with_gbar(B, comps)) == {"omega_pairing"}
+
+
+def test_a_perturbed_base_entry_of_j_fails_the_distribution_table(any_entry, sasakian_symp,
+                                                                  flat_bundle_symp):
+    """J's base block is no longer phi; the flat bundle's xi has a component
+    along the second coordinate, so J xi_t moves too."""
+    B = _symp(None, any_entry.name, sasakian_symp, flat_bundle_symp)
+    comps = B.J.components.copy()
+    comps[0, 1] = comps[0, 1] + Const(0.2)
+    B = dataclasses.replace(B, J=TensorField(B.chart, 1, 1, comps))
+    want = {"J_on_distribution", "omega_pairing"}
+    if any_entry.name == "unit-tangent-flat-plane":
+        want.add("J_xi_t")
+    assert _failing_keys(B) == want
 
 
 @pytest.mark.parametrize("seed", [0, 7, 50, 123])
@@ -564,6 +598,19 @@ def test_translation_samples_are_one_draw(flat_bundle_symp, monkeypatch):
     fit, *_ = np.linalg.lstsq(lines, pts[:, -1], rcond=None)
     assert np.max(np.abs(lines @ fit - pts[:, -1])) > 0.1
     assert -1.0 < pts[:, -1].min() and pts[:, -1].max() + 0.3 < 1.0
+
+
+@pytest.mark.parametrize("which", ["flat_bundle_symp", "sasakian_symp", "curved_symp",
+                                   "sasakian7_symp"])
+def test_translation_at_shifted_points_is_the_pullback_bit_for_bit(which, request):
+    """The shift's Jacobian is the identity: evaluating at the shifted points
+    gives the symbolic pullback's residuals bit for bit."""
+    B = request.getfixturevalue(which)
+    for shift in (0.3, -0.45):
+        got = translation_isomorphism_check(B, shift, 20, seed=11)
+        want = translation_isomorphism_reference(B, shift, 20, seed=11)
+        assert list(got) == ["omega", "metric"]
+        assert {k: v.hex() for k, v in got.items()} == {k: v.hex() for k, v in want.items()}
 
 
 def test_translation_matches_rescaled_symplectization(any_entry):
