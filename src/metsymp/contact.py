@@ -17,7 +17,9 @@ The fitting routines estimate the constants of the nullity condition
 
 by least squares over samples and coordinate-frame pairs, with mu reported
 as undefined whenever h vanishes identically (the condition then puts no
-constraint on mu).
+constraint on mu).  The eigenstructure of h is one report of arrays over a
+sample batch, whose +lam and -lam masks pick the eigenvectors that the
+eigenspace curvature identities run over.
 """
 
 from __future__ import annotations
@@ -185,15 +187,14 @@ class KmuReport:
 
 @dataclass(frozen=True)
 class HEigenReport:
-    eigenvalues: np.ndarray            # sorted descending
-    vectors: np.ndarray                # rows, g-orthonormal, matched to eigenvalues
-    lam: float
-    plus_indices: tuple[int, ...]
-    minus_indices: tuple[int, ...]
-    zero_indices: tuple[int, ...]
-    spectrum_residual: float           # distance of spectrum from {0, +-lam}
-    orthonormality_residual: float
-    xi_alignment_residual: float
+    """The eigenstructure of h on a batch of n samples, sample axis first."""
+
+    eigenvalues: np.ndarray              # [n, d], in eigh's ascending order
+    vectors: np.ndarray                  # [n, d, d], rows g-orthonormal, matched to eigenvalues
+    plus: np.ndarray                     # [n, d], True on the rows of eigenvalue +lam
+    minus: np.ndarray                    # [n, d], True on the rows of eigenvalue -lam
+    orthonormality_residual: np.ndarray  # [n]
+    xi_alignment_residual: np.ndarray    # [n], distance of the 0 rows from +-xi / |xi|
 
 
 # ---------------------------------------------------------------------------
@@ -393,18 +394,17 @@ def boeckx_index(kappa: float, mu: float) -> float:
 
 
 def h_eigendecomposition_batch(S: ContactMetricStructure,
-                               points: np.ndarray) -> list[HEigenReport]:
+                               points: np.ndarray) -> HEigenReport:
     """g-orthonormal eigenbasis of h at each point, grouped by eigenvalue.
 
-    g, h and xi are evaluated once on the batch.  The Cholesky reduction
-    of h to a symmetric matrix, its eigensolve, the sort, sign fix,
-    grouping and residuals each run once over shape (n, d, d); only the
-    reports are made per point.  Eigenvalues are sorted descending and
-    each vector's sign is fixed by making its first nonzero component
-    positive.  Raises, naming the first failing sample, where g is not
-    finite or not positive definite, where h is not finite, or where the
-    g-norm of h is below ``H_VANISH_TOL`` (the grouping is meaningless
-    there).
+    g, h and xi are evaluated once on the batch, and the Cholesky reduction
+    of h to a symmetric matrix, its eigensolve, the grouping and the
+    residuals each run once over shape (n, d, d).  With lam the largest
+    |eigenvalue| of a sample, each eigenvalue joins the nearest of +lam,
+    -lam and 0; a tie goes to 0, then to +lam.  Raises, naming the first
+    failing sample, where g is not finite or not positive definite, where
+    h is not finite, or where the g-norm of h is below ``H_VANISH_TOL``
+    (the grouping is meaningless there).
     """
     pts = _require_batch(S.chart, points)
     gv = S.g.values(pts)
@@ -438,40 +438,19 @@ def h_eigendecomposition_batch(S: ContactMetricStructure,
     w, u = np.linalg.eigh(0.5 * (reduced + np.swapaxes(reduced, -1, -2)))
     vectors = np.swapaxes(LinvT @ u, -1, -2)   # rows, g-orthonormal
 
-    # sort descending, then make each vector's first component above 1e-12
-    # in modulus positive
-    order = np.argsort(-w, axis=-1)
-    w = np.take_along_axis(w, order, axis=-1)
-    vectors = np.take_along_axis(vectors, order[:, :, None], axis=1)
-    big = np.abs(vectors) > 1e-12
-    lead = np.take_along_axis(vectors, big.argmax(axis=-1)[:, :, None], axis=-1)[:, :, 0]
-    vectors = np.where((big.any(axis=-1) & (lead < 0))[:, :, None], -vectors, vectors)
-
-    # each eigenvalue joins the nearest of +lam, -lam and 0; a tie goes to 0,
-    # then to +lam
-    lam = _sample_sup(w, -1)
-    dplus, dminus, dzero = np.abs(w - lam[:, None]), np.abs(w + lam[:, None]), np.abs(w)
-    distances = np.minimum(np.minimum(dplus, dminus), dzero)
-    zero = distances == dzero
-    plus = ~zero & (distances == dplus)
-    minus = ~zero & ~plus
+    lam = np.max(np.abs(w), axis=-1, keepdims=True)
+    dplus, dminus, dzero = np.abs(w - lam), np.abs(w + lam), np.abs(w)
+    zero = dzero <= np.minimum(dplus, dminus)
+    plus = ~zero & (dplus <= dminus)
 
     gram = vectors @ gv @ np.swapaxes(vectors, 1, 2)
-    ortho = _sample_sup(gram - np.eye(gv.shape[-1]), (1, 2))
     xin = xv / np.sqrt((xv[:, None, :] @ gv @ xv[:, :, None])[:, 0])
     aligned = np.minimum(_sample_sup(vectors - xin[:, None, :], -1),
                          _sample_sup(vectors + xin[:, None, :], -1))
-    xi_res = np.min(aligned, axis=-1, initial=1.0, where=zero)
-    spectrum = _sample_sup(distances, -1)
-
-    # each report holds Python floats and tuples of indices
-    groups = [[tuple(i for i, hit in enumerate(row) if hit) for row in mask.tolist()]
-              for mask in (plus, minus, zero)]
-    return [HEigenReport(
-        eigenvalues=wk, vectors=vk, lam=lk, plus_indices=pk, minus_indices=mk, zero_indices=zk,
-        spectrum_residual=sk, orthonormality_residual=ok, xi_alignment_residual=xk,
-    ) for wk, vk, lk, pk, mk, zk, sk, ok, xk in zip(
-        w, vectors, lam.tolist(), *groups, spectrum.tolist(), ortho.tolist(), xi_res.tolist())]
+    return HEigenReport(
+        eigenvalues=w, vectors=vectors, plus=plus, minus=~zero & ~plus,
+        orthonormality_residual=_sample_sup(gram - np.eye(gv.shape[-1]), (1, 2)),
+        xi_alignment_residual=np.min(aligned, axis=-1, initial=1.0, where=zero))
 
 
 def _sample_sup(x: np.ndarray, axis) -> np.ndarray:
@@ -483,7 +462,7 @@ def _sample_sup(x: np.ndarray, axis) -> np.ndarray:
 
 def h_eigendecomposition(S: ContactMetricStructure, point: np.ndarray) -> HEigenReport:
     """Eigenstructure of h at one point: :func:`h_eigendecomposition_batch` of one."""
-    return h_eigendecomposition_batch(S, np.asarray(point, dtype=float)[None, :])[0]
+    return h_eigendecomposition_batch(S, np.asarray(point, dtype=float)[None, :])
 
 
 # ---------------------------------------------------------------------------
@@ -515,21 +494,19 @@ def verify_kmu_curvature(S: ContactMetricStructure, kappa: float, mu: float,
     data = christoffel_batch(S.g, pts)
     riem = riemann_components(data)
     lam = math.sqrt(max(1.0 - kappa, 0.0))
-    eigs = h_eigendecomposition_batch(S, pts)
+    eig = h_eigendecomposition_batch(S, pts)
     gmat = data.g
     phimat = S.phi.values(pts)
 
-    # the eigenbases stacked as [n, s, d]; a sample with fewer vectors is
-    # padded with zero vectors, whose defects are exactly zero because every
-    # identity is linear in each argument
-    def stacked(index_sets):
-        out = np.zeros((len(eigs), max(map(len, index_sets)), S.chart.dim))
-        for k, (eig, idx) in enumerate(zip(eigs, index_sets)):
-            out[k, :len(idx)] = eig.vectors[list(idx)]
-        return out
+    # the eigenbases stacked as [n, s, d], the rows under ``mask`` in order; a
+    # sample with fewer vectors is padded with zero vectors, whose defects are
+    # exactly zero because every identity is linear in each argument
+    def stacked(mask):
+        order = np.argsort(~mask, axis=-1, kind="stable")[:, :mask.sum(axis=-1).max()]
+        rows = np.take_along_axis(eig.vectors, order[:, :, None], axis=1)
+        return np.where(np.take_along_axis(mask, order, axis=-1)[:, :, None], rows, 0.0)
 
-    Ps = stacked([eig.plus_indices for eig in eigs])
-    Ms = stacked([eig.minus_indices for eig in eigs])
+    Ps, Ms = stacked(eig.plus), stacked(eig.minus)
 
     def R(X, Y, Z):
         """R(X_a, Y_b) Z_c as [n, a, b, c, l]."""

@@ -60,7 +60,7 @@ from .contact import (
     verify_kmu_curvature,
 )
 from .curvature import christoffel_batch, riemann_components
-from .errors import ConfigError, SasakianDegeneracyError
+from .errors import ConfigError
 from .fields import TensorField, exterior_derivative, sup_norm
 from .submersion import (
     fit_symplectization_kmu,
@@ -215,9 +215,9 @@ def _check_h_eigenstructure(run):
     if not rep.sasakian_flag:
         lam = math.sqrt(1.0 - rep.kappa)
         target = np.sort(np.concatenate([np.full(S.n, lam), np.full(S.n, -lam), np.zeros(1)]))
-        for eig in h_eigendecomposition_batch(S, pts[: min(10, len(pts))]):
-            defects += [np.sort(eig.eigenvalues) - target,
-                        eig.orthonormality_residual, eig.xi_alignment_residual]
+        eig = h_eigendecomposition_batch(S, pts[: min(10, len(pts))])
+        defects += [eig.eigenvalues - target, eig.orthonormality_residual,
+                    eig.xi_alignment_residual]
     return sup_norm(*defects)
 
 
@@ -248,16 +248,12 @@ def _check_rescale_equivariance(run):
 
 def _check_index_invariance(run):
     index = run.index
+    refits = [run.refit(a) for a in _RESCALE_FACTORS]
     if index is None:
-        # the index is undefined when h vanishes; nothing to compare, but
-        # the guard of the index function must hold at the exact boundary
-        try:
-            boeckx_index(1.0, 0.0)
-        except SasakianDegeneracyError:
-            return 0.0
-        return float("inf")
-    return sup_norm([boeckx_index(r.kappa, r.mu) - index
-                     for r in map(run.refit, _RESCALE_FACTORS)])
+        # the index is undefined where h = 0, and h' = h/a keeps it undefined
+        # on every rescale
+        return 0.0 if all(r.sasakian_flag for r in refits) else math.inf
+    return sup_norm([boeckx_index(r.kappa, r.mu) - index for r in refits])
 
 
 def _check_symplectization_build(run):

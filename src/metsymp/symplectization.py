@@ -379,11 +379,11 @@ def verify_symplectization_build(B: SymplecticMetricStructure, n_samples: int = 
     jv = B.J.values(pts)
     gv = B.gbar.values(pts)
     ov = B.omega.values(pts)
-    _, xt = slice_form_values(S, pts)
-    ev = S.eta.values(pts[:, :d])
+    ev, xl = S.eta.values(pts[:, :d]), lifted_values(S.xi, pts)
+    xt = xl * np.exp(-2.0 * pts[:, -1:])      # xi_t, as in slice_form_values
     # V[:, a] = d_a - eta(d_a) xi: the base coordinate fields projected onto
     # the contact distribution, tangent to the slices
-    V = -ev[:, :, None] * lifted_values(S.xi, pts)[:, None, :]
+    V = -ev[:, :, None] * xl[:, None, :]
     V[:, range(d), range(d)] += 1.0
     pv = lifted_values(S.phi, pts)
     e2t = np.exp(2.0 * pts[:, -1])[:, None, None]

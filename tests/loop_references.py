@@ -447,7 +447,7 @@ def _unit(B, n):
 
 
 def currel_reference(B, n_samples, seed):
-    """verify_currel key by key: (vertical, horizontal, radial, degenerate)."""
+    """verify_currel key by key: (vertical, horizontal, radial)."""
     S = B.base
     pts = B.chart.samples(n_samples, seed=seed)
     data = christoffel_batch(B.gbar, pts)
@@ -490,7 +490,7 @@ def currel_reference(B, n_samples, seed):
             lhs = rlow[:, b, ti, ti, a]
             rhs = gt[:, a, b] + 3.0 * etat[:, a] * etat[:, b]
             d3.append(lhs - rhs)
-    return (sup_norm(*d1), sup_norm(*d2), sup_norm(*d3), sup_norm(rlow[:, ti, ti, :d, :d]))
+    return (sup_norm(*d1), sup_norm(*d2), sup_norm(*d3))
 
 
 def _frame(B, gmat, xit):
@@ -538,9 +538,10 @@ def kmu_curvature_reference(S, kappa, mu, n_samples, seed):
     lam = math.sqrt(max(1.0 - kappa, 0.0))
     phi_all = S.phi.values(pts)
     defects = ([], [], [], [], [], [])
-    for idx, eig in enumerate(contact.h_eigendecomposition_batch(S, pts)):
-        Ps = [eig.vectors[i] for i in eig.plus_indices]
-        Ms = [eig.vectors[i] for i in eig.minus_indices]
+    eig = contact.h_eigendecomposition_batch(S, pts)
+    for idx, vectors in enumerate(eig.vectors):
+        Ps = list(vectors[eig.plus[idx]])
+        Ms = list(vectors[eig.minus[idx]])
         gmat, phimat, riem = data.g[idx], phi_all[idx], riem_all[idx]
 
         def R(X, Y, Z):

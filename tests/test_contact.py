@@ -267,12 +267,11 @@ def test_h_eigenvalues_on_flat_bundle(flat_bundle):
     assert not rep.is_k_contact
     for p in flat_bundle.chart.samples(10):
         eig = h_eigendecomposition(flat_bundle, p)
-        assert_allclose(np.sort(eig.eigenvalues), [-1.0, 0.0, 1.0], atol=1e-10)
+        assert_allclose(eig.eigenvalues, [[-1.0, 0.0, 1.0]], atol=1e-10)
         assert eig.orthonormality_residual < 1e-8
         assert eig.xi_alignment_residual < 1e-8
-        assert len(eig.plus_indices) == 1
-        assert len(eig.minus_indices) == 1
-        assert len(eig.zero_indices) == 1
+        assert eig.plus.tolist() == [[False, False, True]]
+        assert eig.minus.tolist() == [[True, False, False]]
 
 
 def test_h_identities(any_entry):
@@ -525,20 +524,11 @@ def _reference_eigen(S, p):
     reduced = Linv @ sym @ Linv.T
     w, u = np.linalg.eigh(0.5 * (reduced + reduced.T))
     vectors = (Linv.T @ u).T
-    order = np.argsort(-w)
-    w = w[order]
-    vectors = vectors[order]
-    for i in range(vectors.shape[0]):
-        nz = np.nonzero(np.abs(vectors[i]) > 1e-12)[0]
-        if nz.size and vectors[i, nz[0]] < 0:
-            vectors[i] = -vectors[i]
     lam = float(np.max(np.abs(w)))
     groups = {"plus": [], "minus": [], "zero": []}
-    distances = []
     for i, val in enumerate(w):
         dplus, dminus, dzero = abs(val - lam), abs(val + lam), abs(val)
         best = min(dplus, dminus, dzero)
-        distances.append(best)
         key = "zero" if best == dzero else "plus" if best == dplus else "minus"
         groups[key].append(i)
     gram = vectors @ gmat @ vectors.T
@@ -548,10 +538,9 @@ def _reference_eigen(S, p):
         v = vectors[i]
         xi_res = min(xi_res, float(np.max(np.abs(v - xin))), float(np.max(np.abs(v + xin))))
     return {
-        "eigenvalues": w, "vectors": vectors, "lam": lam,
-        "plus_indices": tuple(groups["plus"]), "minus_indices": tuple(groups["minus"]),
-        "zero_indices": tuple(groups["zero"]),
-        "spectrum_residual": max(distances),
+        "eigenvalues": w, "vectors": vectors,
+        "plus": np.isin(np.arange(len(w)), groups["plus"]),
+        "minus": np.isin(np.arange(len(w)), groups["minus"]),
         "orthonormality_residual": float(np.max(np.abs(gram - np.eye(len(w))))),
         "xi_alignment_residual": xi_res,
     }
@@ -567,19 +556,17 @@ def non_sasakian(request):
 def test_h_eigendecomposition_batch_is_bit_identical_to_the_per_point_reference(non_sasakian):
     S = non_sasakian
     pts = S.chart.samples(12, seed=5)
-    reports = h_eigendecomposition_batch(S, pts)
-    assert len(reports) == len(pts)
-    for p, rep in zip(pts, reports):
-        ref = _reference_eigen(S, p)
-        for name, want in ref.items():
-            got = getattr(rep, name)
-            if isinstance(want, tuple):
-                assert got == want, name
-            else:
-                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), name
+    rep = h_eigendecomposition_batch(S, pts)
+    assert [f.name for f in dataclasses.fields(rep)] == [
+        "eigenvalues", "vectors", "plus", "minus", "orthonormality_residual",
+        "xi_alignment_residual"]
+    for k, p in enumerate(pts):
         one = h_eigendecomposition(S, p)
-        assert one.vectors.tobytes() == rep.vectors.tobytes()
-        assert one.eigenvalues.tobytes() == rep.eigenvalues.tobytes()
+        for name, want in _reference_eigen(S, p).items():
+            got = getattr(rep, name)
+            assert got.shape[0] == len(pts), name
+            assert np.asarray(got[k]).tobytes() == np.asarray(want).tobytes(), name
+            assert getattr(one, name).tobytes() == got[k:k + 1].tobytes(), name
 
 
 def test_solve_reeb_batch_is_bit_identical_to_per_point_lstsq(any_entry):
@@ -703,10 +690,15 @@ def test_kmu_identities_on_uneven_vector_sets_match_the_loop_reference(curved, m
     real = contact.h_eigendecomposition_batch
 
     def uneven(S, pts):
-        reps = real(S, pts)
-        sets = [((0, 2), ()), ((), (1, 2)), ((0, 1), (1, 2)), ((2,), (0, 1, 2))]
-        return [dataclasses.replace(rep, plus_indices=plus, minus_indices=minus)
-                for rep, (plus, minus) in zip(reps, sets * len(reps))]
+        rep = real(S, pts)
+        # row indices in eigh's ascending order: -lam, 0, +lam
+        sets = [((0, 2), ()), ((), (0, 1)), ((1, 2), (0, 1)), ((0,), (0, 1, 2))]
+        plus, minus = np.zeros_like(rep.plus), np.zeros_like(rep.minus)
+        for k in range(len(pts)):
+            p, m = sets[k % len(sets)]
+            plus[k, list(p)] = True
+            minus[k, list(m)] = True
+        return dataclasses.replace(rep, plus=plus, minus=minus)
 
     monkeypatch.setattr(contact, "h_eigendecomposition_batch", uneven)
     for kappa, mu in ((0.0, 0.0), (0.3, -0.7), (40.0, 0.0), (0.0, -40.0)):

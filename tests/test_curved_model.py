@@ -55,7 +55,7 @@ def test_nullity_constants_and_index(curved):
 def test_h_spectrum(curved):
     for p in curved.chart.samples(8):
         eig = h_eigendecomposition(curved, p)
-        assert_allclose(np.sort(eig.eigenvalues), [-1.0, 0.0, 1.0], atol=1e-9)
+        assert_allclose(eig.eigenvalues, [[-1.0, 0.0, 1.0]], atol=1e-9)
 
 
 def test_eigenspace_curvature_block(curved):

@@ -11,9 +11,10 @@ import pytest
 
 from metsymp import contact, suite
 from metsymp.catalog import catalog_load
-from metsymp.contact import KmuReport, verify_compatibility
+from metsymp.contact import KmuReport, verify_compatibility, verify_kmu_curvature
 from metsymp.errors import ConfigError
 from metsymp.fields import TensorField
+from metsymp.submersion import verify_currel, verify_fundamental_tensors, verify_ricci_relations
 from metsymp.suite import (
     CHECK_ORDER,
     SuiteConfig,
@@ -21,6 +22,7 @@ from metsymp.suite import (
     report_emit,
     run_suite,
 )
+from metsymp.symplectization import translation_isomorphism_check, verify_symplectization_build
 
 
 @pytest.fixture(scope="module")
@@ -254,6 +256,52 @@ def test_index_invariance_builds_the_structures_when_the_rescale_check_raised(mo
     checks = {c.id: c for c in rep.checks}
     assert checks["rescale_equivariance"].error == "RuntimeError: rescale check broke"
     assert checks["index_invariance"].passed
+
+
+def test_index_invariance_on_h_zero_fails_when_a_refit_has_h(monkeypatch, sasakian_entry):
+    """Where h = 0 the index is undefined, and h' = h/a keeps it undefined on
+    every rescale: the check reads the rescale check's refits, and one that
+    reports h' != 0 fails it."""
+    cfg = SuiteConfig(samples=10, seed=42)
+    assert suite._check_index_invariance(suite._Run(sasakian_entry, cfg)) == 0.0
+    run = suite._Run(sasakian_entry, cfg)
+    S2 = run.rescaled(2.0)
+    real = suite.fit_kappa_mu
+
+    def fit(S, n, seed):
+        rep = real(S, n, seed=seed)
+        return dataclasses.replace(rep, sasakian_flag=False, mu=0.0, lam=0.0) if S is S2 else rep
+
+    monkeypatch.setattr(suite, "fit_kappa_mu", fit)
+    assert suite._check_index_invariance(run) == math.inf
+
+
+# the named residuals of each verifier a check reduces, in order
+VERIFIER_KEYS = [
+    ("compatibility", lambda S, B: verify_compatibility(S, 4, seed=1),
+     ["reeb_pairing", "phi_square", "deta_pairing"]),
+    ("eigenspace_curvature", lambda S, B: verify_kmu_curvature(S, 0.0, 0.0, 4, seed=1),
+     ["ppm", "mmp", "pmm", "pmp", "ppp", "mmm"]),
+    ("symplectization_build", lambda S, B: verify_symplectization_build(B, 4, seed=1),
+     ["J_xi_t", "J_d_t", "J_on_distribution", "slice_block", "omega_pairing", "unique_acs"]),
+    ("fundamental_tensor", lambda S, B: verify_fundamental_tensors(B, 4, seed=1),
+     ["vertical_pair", "mixed_pair"]),
+    ("curvature_relations", lambda S, B: verify_currel(B, 4, seed=1),
+     ["vertical_part", "horizontal_part", "radial_relation"]),
+    ("ricci_rows", lambda S, B: verify_ricci_relations(B, 4, seed=1),
+     ["distribution_block", "distribution_reeb", "distribution_line", "reeb_line",
+      "reeb_reeb", "line_line"]),
+    ("translation_isomorphism", lambda S, B: translation_isomorphism_check(B, 0.3, 4, seed=1),
+     ["omega", "metric"]),
+]
+
+
+@pytest.mark.parametrize("check_id, verifier, keys", VERIFIER_KEYS,
+                         ids=[row[0] for row in VERIFIER_KEYS])
+def test_each_verifier_emits_its_keys_in_order(check_id, verifier, keys, flat_bundle,
+                                               flat_bundle_symp):
+    assert check_id in CHECK_ORDER
+    assert list(verifier(flat_bundle, flat_bundle_symp)) == keys
 
 
 KMU_READERS = ("nullity_fit", "h_eigenstructure", "eigenspace_curvature", "rescale_equivariance",
