@@ -63,7 +63,6 @@ from .submersion import (
     oneill_T,
     verify_currel,
     verify_fundamental_tensors,
-    verify_ricci_relations,
 )
 from .suite import SuiteConfig, SuiteReport, report_emit, run_suite
 from .symplectization import (

@@ -61,7 +61,8 @@ class ChristoffelData:
     Gamma_{l,ij} = g_lk Gamma^k_ij, both symmetric in i, j.  The metric
     values, inverse and first partials ride along because most consumers
     need them next; ``hess[n, i, j, m, l] = d_m d_l g_ij`` is the block the
-    data was built from, not a copy, and only the curvature reads it.
+    data was built from, not a copy; the curvature and the restriction to a
+    slice (:func:`metsymp.submersion.slice_christoffel_batch`) read it.
     """
 
     points: np.ndarray
@@ -157,9 +158,8 @@ def riemann_components(data: ChristoffelData) -> np.ndarray:
     return riem.reshape(n, D, D, D, D)
 
 
-def ricci_components(data: ChristoffelData) -> np.ndarray:
-    """Ric[..., p, q] = Ric(d_p, d_q) by direct contraction."""
-    riem = riemann_components(data)
+def ricci_components(riem: np.ndarray) -> np.ndarray:
+    """Ric[..., p, q] = Ric(d_p, d_q), contracted from :func:`riemann_components`."""
     return np.einsum("...aqap->...pq", riem)
 
 

@@ -22,9 +22,9 @@ small line-oriented format; blank lines and ``#`` comments are ignored:
 
 ``chart`` lines fix the coordinate order; the optional ``seed`` line, at
 most one, sets the chart's non-negative sample seed; omitted components
-are zero; the metric is symmetrized automatically, and giving both (a, b)
-and (b, a) with different expressions is an error.  The file is read as
-UTF-8.  Component expressions use the
+are zero; the metric is symmetrized automatically, so a component given
+twice is an error, whether as (a, b) twice or as (a, b) and (b, a), and
+even with the same expression.  The file is read as UTF-8.  Component expressions use the
 grammar of :func:`metsymp.expressions.parse_expression`: + - * / ^ with a
 constant exponent, exp, sin, cos, sqrt, numbers, pi, e, and the declared
 coordinate names.  All parse errors carry a line and column.

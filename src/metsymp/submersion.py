@@ -18,9 +18,11 @@ vector fields.  The verifiers compare T against the closed form above,
 evaluated from the slice values of eta_t and xi_t, and check the standard
 curvature relations that the submersion implies, with the slice curvature
 computed intrinsically from the base block of gbar's jets, which hold g_t,
-so the comparison stays a genuine cross-check.  The Ricci rows are read in
-gbar-orthonormal frames (xi_t, d_t, e_i), built for the whole sample batch
-by one call of :func:`curvature.gram_schmidt_frame`.
+so the comparison stays a genuine cross-check.  The Ricci rows are traces
+of the same two Riemann tensors, read in gbar-orthonormal frames
+(xi_t, d_t, e_i), built for the whole sample batch by one call of
+:func:`curvature.gram_schmidt_frame`.  Both verifiers take gbar's
+connection data, so one draw serves them.
 Each verifier returns its residuals as a dict from the name of the
 identity to its sup norm over the samples, in a fixed order.
 """
@@ -50,7 +52,6 @@ __all__ = [
     "oneill_A",
     "verify_fundamental_tensors",
     "verify_currel",
-    "verify_ricci_relations",
     "fit_symplectization_kmu",
     "SymplectizationKmuReport",
     "slice_christoffel_batch",
@@ -139,9 +140,10 @@ def slice_christoffel_batch(data: ChristoffelData) -> ChristoffelData:
 # ---------------------------------------------------------------------------
 
 
-def verify_fundamental_tensors(B: SymplecticMetricStructure, n_samples: int = 50,
-                               seed: int | None = None) -> dict[str, float]:
-    """Fundamental tensors from the definition versus the closed form.
+def verify_fundamental_tensors(B: SymplecticMetricStructure, data: ChristoffelData
+                               ) -> dict[str, float]:
+    """Fundamental tensors from the definition versus the closed form, at the
+    samples of gbar's connection data ``data``.
 
     The residuals are ``vertical_pair`` and ``mixed_pair`` for the closed
     forms of T(X, Y) and T(X, d_t).  T on a horizontal first slot and A
@@ -149,13 +151,11 @@ def verify_fundamental_tensors(B: SymplecticMetricStructure, n_samples: int = 50
     so no residual of gbar = g_t + dt^2 reads them.
     """
     S = B.base
-    pts = B.chart.samples(n_samples, seed=seed)
-    data = christoffel_batch(B.gbar, pts)
     D = B.chart.dim
     d = S.chart.dim
     ti = B.t_index
     gv = data.g
-    etat, xit = slice_form_values(S, pts)
+    etat, xit = slice_form_values(S, data.points)
     T, _ = _oneill_tables(B, data)
 
     # T(d_a, d_b) = -(gbar_ab + etat_a etat_b) d_t for slice indices a, b
@@ -166,22 +166,9 @@ def verify_fundamental_tensors(B: SymplecticMetricStructure, n_samples: int = 50
     return {"vertical_pair": sup_norm(vv), "mixed_pair": sup_norm(vt)}
 
 
-def _product_frames(B: SymplecticMetricStructure, data: ChristoffelData,
-                    xit: np.ndarray) -> np.ndarray:
-    """gbar-orthonormal frames [n, D, D] seeded by xi_t and d_t at the samples
-    of ``data``, built for the whole batch at once."""
-    et = np.broadcast_to(np.eye(B.chart.dim)[B.t_index], xit.shape)
-    return gram_schmidt_frame(data.g, np.stack([xit, et], axis=1), data.points)
-
-
-def _frame_components(frames: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """out[n, i, j] = frames[n, i] @ M[n] @ frames[n, j]."""
-    return frames @ M @ np.swapaxes(frames, 1, 2)
-
-
-def verify_currel(B: SymplecticMetricStructure, n_samples: int = 50,
-                  seed: int | None = None) -> dict[str, float]:
-    """Curvature of the product against slice data, three relations.
+def verify_currel(B: SymplecticMetricStructure, data: ChristoffelData) -> dict[str, float]:
+    """Curvature of the product against slice data, at the samples of gbar's
+    connection data ``data``: three relations, then the six Ricci rows.
 
     For slice-tangent coordinate fields X, Y, Z (with eta_t, xi_t, g_t, h_t
     the slice quantities at each point):
@@ -198,11 +185,27 @@ def verify_currel(B: SymplecticMetricStructure, n_samples: int = 50,
     ``radial_relation``.  gbar(R(X, Y) d_t, d_t) = 0 needs no residual:
     :func:`curvature.riemann_components` builds in the antisymmetry of
     R(X, Y) that gives it.
+
+    The Ricci rows, traced from the same two Riemann tensors, are read in a
+    gbar-orthonormal frame (xi_t, d_t, e_i) with e_i spanning the contact
+    distribution:
+
+      distribution_block  Ric(e_i, e_j) = Ric_t(e_i, e_j) - (2n+2) delta_ij
+      distribution_reeb   Ric(e_i, xi_t) = Ric_t(e_i, xi_t)
+      distribution_line   Ric(e_i, d_t) = 0
+      reeb_line           Ric(xi_t, d_t) = 0
+      reeb_reeb           Ric(xi_t, xi_t) = Ric_t(xi_t, xi_t) - 4n - 4
+      line_line           Ric(d_t, d_t) = -2n - 4
+
+    The distribution-block constant 2n + 2 is what the radial relation
+    together with the vertical relation forces; the derivation is spelled
+    out in the test suite.
     """
     S = B.base
-    pts = B.chart.samples(n_samples, seed=seed)
-    data = christoffel_batch(B.gbar, pts)
+    pts = data.points
+    D = B.chart.dim
     d = S.chart.dim
+    nn = S.n
     ti = B.t_index
     gv = data.g
     riem = riemann_components(data)
@@ -211,7 +214,8 @@ def verify_currel(B: SymplecticMetricStructure, n_samples: int = 50,
     sl = slice_christoffel_batch(data)
     riem_t = riemann_components(sl)                 # base-sized arrays
     gt = sl.g
-    etat, xit = (v[:, :d] for v in slice_form_values(S, pts))
+    etat_full, xit_full = slice_form_values(S, pts)
+    etat, xit = etat_full[:, :d], xit_full[:, :d]
     phiv = S.phi.values(pts[:, :d])
     e2t = np.exp(2.0 * pts[:, ti])
     hv = S.h.values(pts[:, :d]) / e2t[:, None, None]
@@ -239,50 +243,22 @@ def verify_currel(B: SymplecticMetricStructure, n_samples: int = 50,
     # relation 3 over [n, b, a]
     lhs3 = np.einsum("nbl,nla->nba", gv[:, :d], riem[:, :, ti, ti, :d])
     rhs3 = gtt + 3.0 * etat[:, None, :] * etat[:, :, None]
+
+    # the Ricci rows in gbar-orthonormal frames seeded by xi_t and d_t, with
+    # rows xi_hat, e_t, then the distribution e_i: rb[n, i, j] = Ric(f_i, f_j)
+    et = np.broadcast_to(np.eye(D)[ti], xit_full.shape)
+    fb = gram_schmidt_frame(gv, np.stack([xit_full, et], axis=1), pts)
+    fs = fb[:, :, :d]
+    rb = fb @ ricci_components(riem) @ np.swapaxes(fb, 1, 2)
+    rs = fs @ ricci_components(riem_t) @ np.swapaxes(fs, 1, 2)
+    block = rb[:, 2:, 2:] - rs[:, 2:, 2:] + (2.0 * nn + 2.0) * np.eye(D - 2)
     return {"vertical_part": sup_norm(d1), "horizontal_part": sup_norm(d2),
-            "radial_relation": sup_norm(lhs3 - rhs3)}
-
-
-def verify_ricci_relations(B: SymplecticMetricStructure, n_samples: int = 50,
-                           seed: int | None = None) -> dict[str, float]:
-    """Residuals of the Ricci rows of the submersion, in a gbar-orthonormal
-    frame (xi_t, d_t, e_i) with e_i spanning the contact distribution:
-
-      distribution_block  Ric(e_i, e_j) = Ric_t(e_i, e_j) - (2n+2) delta_ij
-      distribution_reeb   Ric(e_i, xi_t) = Ric_t(e_i, xi_t)
-      distribution_line   Ric(e_i, d_t) = 0
-      reeb_line           Ric(xi_t, d_t) = 0
-      reeb_reeb           Ric(xi_t, xi_t) = Ric_t(xi_t, xi_t) - 4n - 4
-      line_line           Ric(d_t, d_t) = -2n - 4
-
-    The distribution-block constant 2n + 2 is what the radial relation of
-    :func:`verify_currel` together with the vertical relation forces; the
-    derivation is spelled out in the test suite.
-    """
-    S = B.base
-    pts = B.chart.samples(n_samples, seed=seed)
-    data = christoffel_batch(B.gbar, pts)
-    D = B.chart.dim
-    d = S.chart.dim
-    nn = S.n
-    ric_bar = ricci_components(data)
-    sl = slice_christoffel_batch(data)
-    ric_t = ricci_components(sl)
-    _, xit_full = slice_form_values(S, pts)
-
-    # frame rows: xi_hat, e_t, then the distribution e_i
-    frames = _product_frames(B, data, xit_full)
-    rb = _frame_components(frames, ric_bar)
-    rt = _frame_components(frames[:, :, :d], ric_t)
-    block = rb[:, 2:, 2:] - rt[:, 2:, 2:] + (2.0 * nn + 2.0) * np.eye(D - 2)
-    dreeb = rb[:, 2:, 0] - rt[:, 2:, 0]
-    dline = rb[:, 2:, 1]
-    rline = rb[:, 0, 1]
-    rr = rb[:, 0, 0] - rt[:, 0, 0] + 4.0 * nn + 4.0
-    ll = rb[:, 1, 1] + 2.0 * nn + 4.0
-    return {"distribution_block": sup_norm(block), "distribution_reeb": sup_norm(dreeb),
-            "distribution_line": sup_norm(dline), "reeb_line": sup_norm(rline),
-            "reeb_reeb": sup_norm(rr), "line_line": sup_norm(ll)}
+            "radial_relation": sup_norm(lhs3 - rhs3),
+            "distribution_block": sup_norm(block),
+            "distribution_reeb": sup_norm(rb[:, 2:, 0] - rs[:, 2:, 0]),
+            "distribution_line": sup_norm(rb[:, 2:, 1]), "reeb_line": sup_norm(rb[:, 0, 1]),
+            "reeb_reeb": sup_norm(rb[:, 0, 0] - rs[:, 0, 0] + 4.0 * nn + 4.0),
+            "line_line": sup_norm(rb[:, 1, 1] + 2.0 * nn + 4.0)}
 
 
 @dataclass(frozen=True)
@@ -292,27 +268,31 @@ class SymplectizationKmuReport:
     residual: float
 
 
-def fit_symplectization_kmu(B: SymplecticMetricStructure, t: float,
+def fit_symplectization_kmu(B: SymplecticMetricStructure, ts: tuple[float, ...],
                             n_samples: int = 50, seed: int | None = None
-                            ) -> SymplectizationKmuReport:
-    """Fit V(R(X, Y) xi_t) = (k I + m h_t)(eta_t(Y) X - eta_t(X) Y).
+                            ) -> list[SymplectizationKmuReport]:
+    """Fit V(R(X, Y) xi_t) = (k I + m h_t)(eta_t(Y) X - eta_t(X) Y) on each
+    slice at t in ``ts``; one report per slice, in the order of ``ts``.
 
-    Arguments X, Y run over the slice coordinate directions at points of
-    the slice at ``t``.  For a structure whose slice satisfies the nullity
-    condition with constants (kappa_t, mu_t), the fitted values are
-    (kappa_t - 2, mu_t); mu is undefined when h vanishes.
+    Arguments X, Y run over the slice coordinate directions at one draw of
+    base points, lifted to every slice; h and g are evaluated there once.
+    gbar is walked one slice at a time, so the peak memory is that of one
+    slice.  For a structure whose slice satisfies the nullity condition
+    with constants (kappa_t, mu_t), the fitted values are (kappa_t - 2,
+    mu_t); mu is undefined when h vanishes.
     """
     S = B.base
     d = S.chart.dim
     base_pts = S.chart.samples(n_samples, seed=seed)
-    pts = np.concatenate([base_pts, np.full((len(base_pts), 1), float(t))], axis=1)
-    riem = riemann_components(christoffel_batch(B.gbar, pts))
-    etat, xit = slice_form_values(S, pts)
     h_base = S.h.values(base_pts)
     h_vanishes = sup_norm(_h_norms(S.g.values(base_pts), h_base)) < H_VANISH_TOL
-
-    # V(R(d_a, d_b) xi_t), base components
-    lhs = np.einsum("nlkab,nk->nlab", riem[:, :d, :, :d, :d], xit)
-    kt, mt, res = nullity_fit(lhs, etat[:, :d], None if h_vanishes else h_base / math.exp(2.0 * t))
-    return SymplectizationKmuReport(kt, mt, res)
-
+    reports = []
+    for t in ts:
+        pts = np.concatenate([base_pts, np.full((len(base_pts), 1), float(t))], axis=1)
+        riem = riemann_components(christoffel_batch(B.gbar, pts))
+        etat, xit = slice_form_values(S, pts)
+        # V(R(d_a, d_b) xi_t), base components
+        lhs = np.einsum("nlkab,nk->nlab", riem[:, :d, :, :d, :d], xit)
+        reports.append(SymplectizationKmuReport(*nullity_fit(
+            lhs, etat[:, :d], None if h_vanishes else h_base / math.exp(2.0 * t))))
+    return reports

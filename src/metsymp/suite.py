@@ -11,7 +11,8 @@ the report.
 
 The checks of one run share a few artifacts through a per-run object: the
 (kappa, mu) fit, the metric symplectization, the Boeckx index, the
-rescaled structures ``d_homothety(S, a)`` and their (kappa, mu) refits.
+rescaled structures ``d_homothety(S, a)``, their (kappa, mu) refits, and
+gbar's connection on one draw with :func:`metsymp.submersion.verify_currel` there.
 Each artifact is built on first read and at most once.  When a build
 raises, every check that reads the artifact records that build's own
 error, not a missing key.
@@ -66,7 +67,6 @@ from .submersion import (
     fit_symplectization_kmu,
     verify_currel,
     verify_fundamental_tensors,
-    verify_ricci_relations,
 )
 from .symplectization import (
     LIOUVILLE_TOL,
@@ -126,6 +126,18 @@ class _Run:
         if rep.sasakian_flag:
             return None
         return self._artifact("index", boeckx_index, rep.kappa, rep.mu)
+
+    @property
+    def connection(self):
+        """gbar's connection data on the draw of the submersion checks."""
+        B, cfg = self.B, self.cfg
+        return self._artifact("connection", lambda: christoffel_batch(
+            B.gbar, B.chart.samples(min(cfg.samples, 40), seed=cfg.seed + 11)))
+
+    @property
+    def currel(self):
+        """The three curvature relations, then the six Ricci rows, on ``connection``."""
+        return self._artifact("currel", verify_currel, self.B, self.connection)
 
     def rescaled(self, a: float):
         return self._artifact(("rescaled", a), d_homothety, self.S, a)
@@ -269,26 +281,23 @@ def _check_liouville(run):
 
 
 def _check_fundamental_tensor(run):
-    return sup_norm(*verify_fundamental_tensors(run.B, min(run.cfg.samples, 30),
-                                                seed=run.cfg.seed + 10).values())
+    return sup_norm(*verify_fundamental_tensors(run.B, run.connection).values())
 
 
 def _check_curvature_relations(run):
-    return sup_norm(*verify_currel(run.B, min(run.cfg.samples, 40),
-                                   seed=run.cfg.seed + 11).values())
+    return sup_norm(*list(run.currel.values())[:3])
 
 
 def _check_ricci_rows(run):
-    return sup_norm(*verify_ricci_relations(run.B, min(run.cfg.samples, 30),
-                                            seed=run.cfg.seed + 12).values())
+    return sup_norm(*list(run.currel.values())[3:])
 
 
 def _check_symplectization_nullity(run):
     B, rep = run.B, run.kmu
+    ts = (-0.5, 0.0, 0.5)
+    fits = fit_symplectization_kmu(B, ts, min(run.cfg.samples, 30), seed=run.cfg.seed + 13)
     defects = []
-    n_pts = min(run.cfg.samples, 30)
-    for t in (-0.5, 0.0, 0.5):
-        fit = fit_symplectization_kmu(B, t, n_pts, seed=run.cfg.seed + 13)
+    for t, fit in zip(ts, fits):
         kt, mt = kappa_mu_after_rescale(rep.kappa, rep.mu, math.exp(2.0 * t))
         defects += [fit.residual, *_constant_defects(fit.kappa_tilde, fit.mu_tilde, kt - 2.0, mt)]
     return sup_norm(*defects)

@@ -431,7 +431,7 @@ def eta_einstein_fit_reference(S, n_samples, seed=None):
     samples and coordinate pairs, with the sup norm of the defect."""
     pts = S.chart.samples(n_samples, seed=seed)
     data = christoffel_batch(S.g, pts)
-    ric = ricci_components(data)
+    ric = ricci_components(riemann_components(data))
     ev = S.eta.values(pts)
     outer = np.einsum("ni,nj->nij", ev, ev)
     sol, *_ = np.linalg.lstsq(np.stack([data.g.ravel(), outer.ravel()], axis=1), ric.ravel(),
@@ -447,7 +447,7 @@ def _unit(B, n):
 
 
 def currel_reference(B, n_samples, seed):
-    """verify_currel key by key: (vertical, horizontal, radial)."""
+    """verify_currel's three relations key by key: (vertical, horizontal, radial)."""
     S = B.base
     pts = B.chart.samples(n_samples, seed=seed)
     data = christoffel_batch(B.gbar, pts)
@@ -498,14 +498,14 @@ def _frame(B, gmat, xit):
 
 
 def ricci_rows_reference(B, n_samples, seed):
-    """verify_ricci_relations key by key, one frame product at a time."""
+    """verify_currel's six Ricci rows key by key, one frame product at a time."""
     S = B.base
     pts = B.chart.samples(n_samples, seed=seed)
     data = christoffel_batch(B.gbar, pts)
     d = S.chart.dim
     nn = S.n
-    ric_bar = ricci_components(data)
-    ric_t = ricci_components(slice_christoffel_reference(B, pts))
+    ric_bar = ricci_components(riemann_components(data))
+    ric_t = ricci_components(riemann_components(slice_christoffel_reference(B, pts)))
     xit_full = extended_slice_reeb(S, B.chart).values(pts)
 
     block, dreeb, dline, rline, rr, ll = ([] for _ in range(6))

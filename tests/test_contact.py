@@ -45,7 +45,7 @@ from metsymp.contact import (
     verify_kmu_curvature,
     verify_structure_isomorphism,
 )
-from metsymp.curvature import christoffel_batch, ricci_components
+from metsymp.curvature import christoffel_batch, ricci_components, riemann_components
 from metsymp.errors import (
     DegenerateMetricError,
     DomainError,
@@ -434,7 +434,7 @@ def test_sasakian_model_is_eta_einstein(sasakian):
     # cross-check the fitted pair against a direct Ricci evaluation
     pts = sasakian.chart.samples(30)
     data = christoffel_batch(sasakian.g, pts)
-    ric = ricci_components(data)
+    ric = ricci_components(riemann_components(data))
     ev = sasakian.eta.values(pts)
     model = alpha * data.g + beta * np.einsum("ni,nj->nij", ev, ev)
     assert np.max(np.abs(ric - model)) < 1e-9

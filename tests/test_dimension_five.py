@@ -21,7 +21,7 @@ from metsymp.contact import (
     is_K_contact,
     verify_compatibility,
 )
-from metsymp.curvature import christoffel_batch, ricci_components
+from metsymp.curvature import christoffel_batch, ricci_components, riemann_components
 from metsymp.expressions import Const, Coord
 from metsymp.fields import TensorField, lie_derivative, sup_norm
 from metsymp.structfile import load_structure_file
@@ -29,7 +29,6 @@ from metsymp.submersion import (
     fit_symplectization_kmu,
     verify_currel,
     verify_fundamental_tensors,
-    verify_ricci_relations,
 )
 from metsymp.symplectization import build_metric_symplectization, verify_liouville
 
@@ -110,18 +109,20 @@ def test_eta_einstein_with_n_two_coefficients(five_dim):
 def test_line_ricci_is_minus_eight(five_dim_symp):
     pts = five_dim_symp.chart.samples(8)
     data = christoffel_batch(five_dim_symp.gbar, pts)
-    ric = ricci_components(data)
+    ric = ricci_components(riemann_components(data))
     assert np.max(np.abs(ric[:, 5, 5] + 8.0)) < 1e-8
 
 
 def test_ricci_rows_track_n(five_dim_symp):
-    rep = verify_ricci_relations(five_dim_symp, 8)
-    assert sup_norm(*rep.values()) < 1e-6
+    B = five_dim_symp
+    rep = verify_currel(B, christoffel_batch(B.gbar, B.chart.samples(8)))
+    assert sup_norm(*list(rep.values())[3:]) < 1e-6
 
 
 def test_fundamental_tensors_and_relations(five_dim_symp):
-    assert sup_norm(*verify_fundamental_tensors(five_dim_symp, 8).values()) < 1e-7
-    assert sup_norm(*verify_currel(five_dim_symp, 8).values()) < 1e-6
+    data = christoffel_batch(five_dim_symp.gbar, five_dim_symp.chart.samples(8))
+    assert sup_norm(*verify_fundamental_tensors(five_dim_symp, data).values()) < 1e-7
+    assert sup_norm(*list(verify_currel(five_dim_symp, data).values())[:3]) < 1e-6
 
 
 def test_expansion_property(five_dim_symp):
@@ -135,6 +136,6 @@ def test_expansion_property(five_dim_symp):
 
 
 def test_slice_fit_with_n_two(five_dim_symp):
-    rep = fit_symplectization_kmu(five_dim_symp, 0.0, 10)
+    (rep,) = fit_symplectization_kmu(five_dim_symp, (0.0,), 10)
     assert abs(rep.kappa_tilde + 1.0) < 1e-8
     assert rep.mu_tilde is None

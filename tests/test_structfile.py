@@ -100,6 +100,10 @@ def test_parse_errors_carry_positions():
                   "eta z = 1\neta z = 2\n", "duplicate eta", line=5)
     _expect_error("chart x [-1, 1]\nchart y [-1, 1]\nchart z [-1, 1]\n"
                   "eta z = 1\ng x x = 1\ng x x = 2\n", "duplicate metric", line=6)
+    # a mirrored pair repeats the component even when the expressions agree
+    _expect_error("chart x [-1, 1]\nchart y [-1, 1]\nchart z [-1, 1]\n"
+                  "eta z = 1\ng x z = -0.25*y\ng z x = -0.25*y\n",
+                  "duplicate metric component z x", line=6)
     _expect_error("chart x [-1, 1]\nchart y [-1, 1]\nchart z [-1, 1]\n"
                   "eta z = 1\n", "no metric components")
     _expect_error("chart x [-1, 1]\nchart y [-1, 1]\nchart z [-1, 1]\n"

@@ -38,7 +38,6 @@ from metsymp.submersion import (
     slice_christoffel_batch,
     verify_currel,
     verify_fundamental_tensors,
-    verify_ricci_relations,
 )
 from metsymp.symplectization import slice_structure
 
@@ -58,6 +57,11 @@ from loop_references import (
 
 def _symp(name, sas, flat):
     return sas if name == "darboux-sasakian-r3" else flat
+
+
+def _connection(B, n_samples, seed=None):
+    """gbar's connection data on a draw of samples, what the verifiers read."""
+    return christoffel_batch(B.gbar, B.chart.samples(n_samples, seed=seed))
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +135,7 @@ def test_closed_form_and_zero_rows(any_entry, sasakian_symp, flat_bundle_symp):
     """The closed forms hold, and T vanishes exactly on a horizontal first
     slot, which is why no residual of the verifier reads that row."""
     B = _symp(any_entry.name, sasakian_symp, flat_bundle_symp)
-    rep = verify_fundamental_tensors(B, 100)
+    rep = verify_fundamental_tensors(B, _connection(B, 100))
     assert rep["vertical_pair"] < 1e-7
     assert rep["mixed_pair"] < 1e-7
     pts = B.chart.samples(20)
@@ -236,7 +240,7 @@ def test_a_metric_with_d_t_off_the_slices_is_rejected_by_name(any_entry, sasakia
     data = christoffel_batch(B.gbar, pts)
     dt = TensorField.coordinate_vector(B.chart, B.t_index)
     named = re.escape("gbar[3, 0] is not structurally zero: d_t is not orthogonal to the slices")
-    for call in (lambda: verify_fundamental_tensors(B, 4, seed=7),
+    for call in (lambda: verify_fundamental_tensors(B, data),
                  lambda: oneill_T(B, dt, dt, pts, data), lambda: oneill_A(B, dt, dt, pts, data)):
         with pytest.raises(GeometryError, match=named):
             call()
@@ -251,7 +255,9 @@ def test_sheared_connection_and_curvature_match_the_einsum_reference(any_entry, 
 def test_each_key_moves_under_an_orthogonal_perturbation(any_entry, sasakian_symp,
                                                          flat_bundle_symp):
     """The base block of gbar times 1 + 0.1 t x0 keeps d_t orthogonal to the
-    slices and moves every key of both verifiers past 1e-3.  A factor of t
+    slices and moves both keys of the fundamental tensors and the three
+    curvature relations past 1e-3 (the Ricci rows that follow them have
+    their own test below, with a doubled line metric).  A factor of t
     alone leaves ``horizontal_part`` at roundoff: both sides of that relation
     are linear in g_t, which the verifier reads from gbar's base block, so a
     factor that is constant on each slice scales them alike."""
@@ -260,10 +266,11 @@ def test_each_key_moves_under_an_orthogonal_perturbation(any_entry, sasakian_sym
     comps = B.gbar.components.copy()
     comps[:ti, :ti] *= Const(1.0) + Const(0.1) * Coord(ti) * Coord(0)
     wrong = dataclasses.replace(B, gbar=TensorField(B.chart, 0, 2, comps, "symmetric"))
-    rep = {**verify_fundamental_tensors(wrong, 20, seed=3), **verify_currel(wrong, 20, seed=3)}
-    assert list(rep) == ["vertical_pair", "mixed_pair", "vertical_part", "horizontal_part",
-                         "radial_relation"]
-    assert min(rep.values()) > 1e-3
+    data = _connection(wrong, 20, seed=3)
+    rep = {**verify_fundamental_tensors(wrong, data), **verify_currel(wrong, data)}
+    assert list(rep)[:5] == ["vertical_pair", "mixed_pair", "vertical_part", "horizontal_part",
+                             "radial_relation"]
+    assert min(list(rep.values())[:5]) > 1e-3
 
 
 def test_fundamental_tensors_reject_a_wrong_metric(any_entry, sasakian_symp, flat_bundle_symp):
@@ -272,7 +279,7 @@ def test_fundamental_tensors_reject_a_wrong_metric(any_entry, sasakian_symp, fla
     comps = B.gbar.components.copy()
     comps[ti, ti] = Const(2.0) * comps[ti, ti]
     wrong = dataclasses.replace(B, gbar=TensorField(B.chart, 0, 2, comps, "symmetric"))
-    assert verify_fundamental_tensors(wrong, 20, seed=3)["vertical_pair"] > 1e-3
+    assert verify_fundamental_tensors(wrong, _connection(wrong, 20, seed=3))["vertical_pair"] > 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +289,7 @@ def test_fundamental_tensors_reject_a_wrong_metric(any_entry, sasakian_symp, fla
 
 def test_curvature_relations(any_entry, sasakian_symp, flat_bundle_symp):
     B = _symp(any_entry.name, sasakian_symp, flat_bundle_symp)
-    rep = verify_currel(B, 60)
+    rep = verify_currel(B, _connection(B, 60))
     assert sup_norm(*rep.values()) < 1e-6
 
 
@@ -292,9 +299,8 @@ def test_curvature_relations_on_random_rescale(flat_bundle):
 
     a = float(np.random.default_rng(31).uniform(0.5, 3.0))
     B = build_metric_symplectization(d_homothety(flat_bundle, a))
-    assert sup_norm(*verify_currel(B, 30).values()) < 1e-6
-    assert sup_norm(*verify_fundamental_tensors(B, 20).values()) < 1e-7
-    assert sup_norm(*verify_ricci_relations(B, 20).values()) < 1e-6
+    assert sup_norm(*verify_currel(B, _connection(B, 30)).values()) < 1e-6
+    assert sup_norm(*verify_fundamental_tensors(B, _connection(B, 20)).values()) < 1e-7
 
 
 def test_sectional_curvatures_of_line_planes(any_entry, sasakian_symp, flat_bundle_symp):
@@ -356,7 +362,7 @@ def test_degenerate_relation_by_antisymmetry(flat_bundle_symp):
 
 def test_ricci_rows(any_entry, sasakian_symp, flat_bundle_symp):
     B = _symp(any_entry.name, sasakian_symp, flat_bundle_symp)
-    rep = verify_ricci_relations(B, 50)
+    rep = verify_currel(B, _connection(B, 50))
     assert rep["line_line"] < 1e-6       # Ric(d_t, d_t) = -6 for n = 1
     assert rep["reeb_line"] < 1e-7
     assert rep["reeb_reeb"] < 1e-6
@@ -366,12 +372,8 @@ def test_ricci_rows(any_entry, sasakian_symp, flat_bundle_symp):
 
 
 def test_line_ricci_is_minus_six_directly(any_entry, sasakian_symp, flat_bundle_symp):
-    from metsymp.curvature import ricci_components
-
     B = _symp(any_entry.name, sasakian_symp, flat_bundle_symp)
-    pts = B.chart.samples(30)
-    data = christoffel_batch(B.gbar, pts)
-    ric = ricci_components(data)
+    ric = ricci_components(riemann_components(_connection(B, 30)))
     assert np.max(np.abs(ric[:, 3, 3] + 6.0)) < 1e-9
 
 
@@ -381,14 +383,14 @@ def test_line_ricci_is_minus_six_directly(any_entry, sasakian_symp, flat_bundle_
 
 
 def test_slice_fit_flat_bundle_at_zero(flat_bundle_symp):
-    rep = fit_symplectization_kmu(flat_bundle_symp, 0.0, 40)
+    (rep,) = fit_symplectization_kmu(flat_bundle_symp, (0.0,), 40)
     assert_allclose([rep.kappa_tilde, rep.mu_tilde], [-2.0, 0.0], atol=1e-9)
     assert rep.residual < 1e-9
 
 
 def test_slice_fit_tracks_the_rescale_law(flat_bundle_symp):
-    for t in (-0.5, 0.0, 0.5):
-        rep = fit_symplectization_kmu(flat_bundle_symp, t, 30)
+    ts = (-0.5, 0.0, 0.5)
+    for t, rep in zip(ts, fit_symplectization_kmu(flat_bundle_symp, ts, 30)):
         kt, mt = kappa_mu_after_rescale(0.0, 0.0, math.exp(2.0 * t))
         assert abs(rep.kappa_tilde - (kt - 2.0)) < 1e-5
         assert abs(rep.mu_tilde - mt) < 1e-5
@@ -396,7 +398,7 @@ def test_slice_fit_tracks_the_rescale_law(flat_bundle_symp):
 
 
 def test_slice_fit_sasakian(sasakian_symp):
-    rep = fit_symplectization_kmu(sasakian_symp, 0.0, 30)
+    (rep,) = fit_symplectization_kmu(sasakian_symp, (0.0,), 30)
     assert abs(rep.kappa_tilde + 1.0) < 1e-9
     assert rep.mu_tilde is None
 
@@ -410,7 +412,7 @@ def test_rigidity_hypothesis_fails_on_flat_bundle(flat_bundle_symp):
     """Ric + (2n+4) dt (x) dt, the form whose vanishing the rigidity statement
     assumes, does not vanish on the flat bundle's symplectization."""
     B = flat_bundle_symp
-    ric = ricci_components(christoffel_batch(B.gbar, B.chart.samples(20)))
+    ric = ricci_components(riemann_components(_connection(B, 20)))
     ric[:, B.t_index, B.t_index] += 2.0 * B.base.n + 4.0
     assert np.max(np.abs(ric)) > 1e-3
     # mu = 0 = 2 - 2n: the slice at t = 0 is eta-Einstein
@@ -427,15 +429,10 @@ def test_rigidity_hypothesis_fails_on_flat_bundle(flat_bundle_symp):
 @pytest.mark.parametrize("which", ["flat_bundle_symp", "sasakian_symp", "curved_symp"])
 def test_batched_verifiers_match_the_loop_references(which, request):
     B = request.getfixturevalue(which)
-    rep = verify_currel(B, 15, seed=4)
-    want = currel_reference(B, 15, seed=4)
-    got = (rep["vertical_part"], rep["horizontal_part"], rep["radial_relation"])
-    assert len(rep) == len(got)
-    assert_allclose(got, want, rtol=0, atol=1e-13)
-
-    rep = verify_ricci_relations(B, 15, seed=4)
-    want = ricci_rows_reference(B, 15, seed=4)
-    got = (rep["distribution_block"], rep["distribution_reeb"], rep["distribution_line"],
+    rep = verify_currel(B, _connection(B, 15, seed=4))
+    want = currel_reference(B, 15, seed=4) + ricci_rows_reference(B, 15, seed=4)
+    got = (rep["vertical_part"], rep["horizontal_part"], rep["radial_relation"],
+           rep["distribution_block"], rep["distribution_reeb"], rep["distribution_line"],
            rep["reeb_line"], rep["reeb_reeb"], rep["line_line"])
     assert len(rep) == len(got)
     assert_allclose(got, want, rtol=0, atol=1e-13)
@@ -459,13 +456,16 @@ def test_the_slice_connection_is_the_base_block_of_gbar_bit_for_bit(which, reque
                                    "sasakian7_symp"])
 def test_the_shared_nullity_fit_matches_both_reference_fits(which, request):
     """fit_kappa_mu and fit_symplectization_kmu, through contact.nullity_fit,
-    give the constants of their former bodies bit for bit."""
+    give the constants of their former bodies bit for bit.  The slice fit
+    draws its base points once for all its slices, and each of its reports
+    is the report of that slice fitted alone, bit for bit."""
     B = request.getfixturevalue(which)
     rep = fit_kappa_mu(B.base, 12, seed=2)
     got = [(rep.kappa, rep.mu, rep.residual)]
     want = [fit_kappa_mu_reference(B.base, 12, seed=2)]
-    for t in (-0.5, 0.0, 0.5):
-        fit = fit_symplectization_kmu(B, t, 12, seed=2)
+    ts = (-0.5, 0.0, 0.5)
+    for t, fit in zip(ts, fit_symplectization_kmu(B, ts, 12, seed=2), strict=True):
+        assert fit_symplectization_kmu(B, (t,), 12, seed=2) == [fit]
         got.append((fit.kappa_tilde, fit.mu_tilde, fit.residual))
         want.append(fit_symplectization_kmu_reference(B, t, 12, seed=2))
     for (kappa, mu, residual), (want_kappa, want_mu, want_residual) in zip(got, want):
@@ -479,15 +479,16 @@ def test_batched_verifiers_reject_a_doubled_line_metric(flat_bundle_symp):
     comps = B.gbar.components.copy()
     comps[ti, ti] = Const(2.0) * comps[ti, ti]
     wrong = dataclasses.replace(B, gbar=TensorField(B.chart, 0, 2, comps, "symmetric"))
-    assert verify_currel(wrong, 20, seed=3)["vertical_part"] > 1e-3
-    rows = verify_ricci_relations(wrong, 20, seed=3)
+    rows = verify_currel(wrong, _connection(wrong, 20, seed=3))
+    assert rows["vertical_part"] > 1e-3
     assert rows["distribution_block"] > 1e-3
     assert rows["reeb_reeb"] > 1e-3
     assert rows["line_line"] > 1e-3
 
 
 def test_the_nullity_fits_evaluate_h_once(flat_bundle, flat_bundle_symp, monkeypatch):
-    """Both fits take the norm of h from the values they already hold."""
+    """Both fits take the norm of h from the values they already hold, and
+    the slice fit evaluates h once for all its slices."""
     calls = []
     real = TensorField.values
 
@@ -499,5 +500,5 @@ def test_the_nullity_fits_evaluate_h_once(flat_bundle, flat_bundle_symp, monkeyp
     monkeypatch.setattr(TensorField, "values", counting)
     fit_kappa_mu(flat_bundle, 10, seed=1)
     assert calls == [10]
-    fit_symplectization_kmu(flat_bundle_symp, 0.3, 12, seed=1)
+    fit_symplectization_kmu(flat_bundle_symp, (-0.5, 0.0, 0.3), 12, seed=1)
     assert calls == [10, 12]

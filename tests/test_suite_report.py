@@ -9,12 +9,12 @@ import warnings
 import numpy as np
 import pytest
 
-from metsymp import contact, suite
+from metsymp import contact, curvature, suite
 from metsymp.catalog import catalog_load
 from metsymp.contact import KmuReport, verify_compatibility, verify_kmu_curvature
 from metsymp.errors import ConfigError
-from metsymp.fields import TensorField
-from metsymp.submersion import verify_currel, verify_fundamental_tensors, verify_ricci_relations
+from metsymp.fields import TensorField, sup_norm
+from metsymp.submersion import verify_currel, verify_fundamental_tensors
 from metsymp.suite import (
     CHECK_ORDER,
     SuiteConfig,
@@ -276,7 +276,16 @@ def test_index_invariance_on_h_zero_fails_when_a_refit_has_h(monkeypatch, sasaki
     assert suite._check_index_invariance(run) == math.inf
 
 
-# the named residuals of each verifier a check reduces, in order
+def _connection(B):
+    return curvature.christoffel_batch(B.gbar, B.chart.samples(4, seed=1))
+
+
+CURREL_KEYS = ["vertical_part", "horizontal_part", "radial_relation", "distribution_block",
+               "distribution_reeb", "distribution_line", "reeb_line", "reeb_reeb", "line_line"]
+
+# the named residuals of each verifier a check reduces, in order; the
+# curvature_relations check reduces the first three keys of verify_currel
+# and the ricci_rows check the last six
 VERIFIER_KEYS = [
     ("compatibility", lambda S, B: verify_compatibility(S, 4, seed=1),
      ["reeb_pairing", "phi_square", "deta_pairing"]),
@@ -284,13 +293,10 @@ VERIFIER_KEYS = [
      ["ppm", "mmp", "pmm", "pmp", "ppp", "mmm"]),
     ("symplectization_build", lambda S, B: verify_symplectization_build(B, 4, seed=1),
      ["J_xi_t", "J_d_t", "J_on_distribution", "slice_block", "omega_pairing", "unique_acs"]),
-    ("fundamental_tensor", lambda S, B: verify_fundamental_tensors(B, 4, seed=1),
+    ("fundamental_tensor", lambda S, B: verify_fundamental_tensors(B, _connection(B)),
      ["vertical_pair", "mixed_pair"]),
-    ("curvature_relations", lambda S, B: verify_currel(B, 4, seed=1),
-     ["vertical_part", "horizontal_part", "radial_relation"]),
-    ("ricci_rows", lambda S, B: verify_ricci_relations(B, 4, seed=1),
-     ["distribution_block", "distribution_reeb", "distribution_line", "reeb_line",
-      "reeb_reeb", "line_line"]),
+    ("curvature_relations", lambda S, B: verify_currel(B, _connection(B)), CURREL_KEYS),
+    ("ricci_rows", lambda S, B: list(verify_currel(B, _connection(B)))[3:], CURREL_KEYS[3:]),
     ("translation_isomorphism", lambda S, B: translation_isomorphism_check(B, 0.3, 4, seed=1),
      ["omega", "metric"]),
 ]
@@ -302,6 +308,43 @@ def test_each_verifier_emits_its_keys_in_order(check_id, verifier, keys, flat_bu
                                                flat_bundle_symp):
     assert check_id in CHECK_ORDER
     assert list(verifier(flat_bundle, flat_bundle_symp)) == keys
+
+
+def test_a_run_computes_the_connection_of_gbar_once(monkeypatch, flat_bundle_entry):
+    """christoffel_batch meets gbar four times per run: once for the
+    connection that fundamental_tensor, curvature_relations and ricci_rows
+    read, on the seed + 11 draw, and once for each of
+    symplectization_nullity's three slices.  The three residuals are the
+    verifiers' on that connection.  Every name that binds christoffel_batch
+    in the package is counted."""
+    built, walks = [], []
+    real_build, real_walk = suite.build_metric_symplectization, curvature.christoffel_batch
+
+    def build(S, t_range):
+        built.append(real_build(S, t_range))
+        return built[-1]
+
+    def walk(g, points):
+        data = real_walk(g, points)
+        if any(g is B.gbar for B in built):
+            walks.append(data)
+        return data
+
+    monkeypatch.setattr(suite, "build_metric_symplectization", build)
+    for module in [m for name, m in sys.modules.items() if name.startswith("metsymp")]:
+        if getattr(module, "christoffel_batch", None) is real_walk:
+            monkeypatch.setattr(module, "christoffel_batch", walk)
+    rep = run_suite(flat_bundle_entry, SuiteConfig(samples=25, seed=42))
+    assert rep.all_passed and len(built) == 1 and len(walks) == 4
+    B, data = built[0], walks[0]
+    assert np.array_equal(data.points, B.chart.samples(25, seed=42 + 11))
+    assert [w.points[0, -1] for w in walks[1:]] == [-0.5, 0.0, 0.5]
+    residual = {c.id: c.residual for c in rep.checks}
+    currel = list(verify_currel(B, data).values())
+    assert residual["fundamental_tensor"] == sup_norm(
+        *verify_fundamental_tensors(B, data).values())
+    assert residual["curvature_relations"] == sup_norm(*currel[:3])
+    assert residual["ricci_rows"] == sup_norm(*currel[3:])
 
 
 KMU_READERS = ("nullity_fit", "h_eigenstructure", "eigenspace_curvature", "rescale_equivariance",
