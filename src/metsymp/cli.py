@@ -13,7 +13,9 @@ A structure file stands for an entry with no expected constants.
 ``symplectize --verify`` runs the suite's symplectization checks, and
 ``dhomothety --verify`` its rescale law at the factor ``--a``.  ``fit-kmu``
 and ``dhomothety`` refuse, with exit code 1, a structure that fails the
-compatibility axioms.
+compatibility axioms.  Each command draws its samples once per chart, from
+``--samples`` and ``--seed``, and every verification it runs reads that
+draw or a prefix of it.
 
 Exit codes: 0 when everything requested passed, 1 when a verification
 failed, 2 on bad input (unknown entry, parse error, bad options, a path
@@ -149,13 +151,12 @@ def _cmd_check(args) -> int:
     return 0 if report.all_passed else 1
 
 
-def _compatible(entry: CatalogEntry, args) -> bool:
-    """Whether the structure satisfies the compatibility axioms on the
-    samples; prints the refusal when it does not.  A NaN component gives
-    an ``inf`` residual, so numpy's invalid-value warnings are silenced."""
+def _compatible(entry: CatalogEntry, pts: np.ndarray) -> bool:
+    """Whether the structure satisfies the compatibility axioms at ``pts``;
+    prints the refusal when it does not.  A NaN component gives an ``inf``
+    residual, so numpy's invalid-value warnings are silenced."""
     with np.errstate(invalid="ignore"):
-        residual = sup_norm(*verify_compatibility(entry.structure, args.samples,
-                                                  seed=args.seed).values())
+        residual = sup_norm(*verify_compatibility(entry.structure, pts).values())
     if not residual < COMPAT_TOL:
         print(f"{entry.name}: structure fails the compatibility axioms "
               f"(residual {residual:.3e}); refusing to fit")
@@ -165,7 +166,7 @@ def _compatible(entry: CatalogEntry, args) -> bool:
 def _cmd_fit(args) -> int:
     entry = _load_entry_or_file(args.entry_or_file)
     name, S = entry.name, entry.structure
-    if not _compatible(entry, args):
+    if not _compatible(entry, S.chart.samples(args.samples, seed=args.seed)):
         return 1
     rep = fit_kappa_mu(S, args.samples, seed=args.seed)
     mu, lam = _or_undefined(rep.mu), _or_undefined(rep.lam)
@@ -191,7 +192,7 @@ def _cmd_symplectize(args) -> int:
     if not args.verify:
         print("built; run with --verify for the residual checks")
         return 0
-    symp = verify_symplectic(B.omega, args.samples, seed=args.seed)
+    symp = verify_symplectic(B.omega, B.chart.samples(args.samples, seed=args.seed))
     oks = [_verdict(f"{'closed':<24}", sup_norm(symp.closed_residual), SYMPLECTIC_TOL),
            # the top coefficient must clear the floor; NaN propagates and fails
            _verdict(f"{'nondegenerate':<24}",
@@ -207,9 +208,10 @@ def _cmd_dhomothety(args) -> int:
     if not (math.isfinite(a) and a > 0):
         raise ConfigError(f"--a must be finite and positive, got {a!r}")
     entry = _load_entry_or_file(args.entry)
-    if not _compatible(entry, args):
-        return 1
     S = entry.structure
+    pts = S.chart.samples(args.samples, seed=args.seed)
+    if not _compatible(entry, pts):
+        return 1
     before = fit_kappa_mu(S, args.samples, seed=args.seed)
     S2 = d_homothety(S, a)
     after = fit_kappa_mu(S2, args.samples, seed=args.seed)
@@ -219,8 +221,7 @@ def _cmd_dhomothety(args) -> int:
           f"law predicts ({kp:.9g}, {_or_undefined(mp)})")
     if not args.verify:
         return 0
-    defects = _rescale_defects(S2, a, before, after, _rescale_base(S, args.samples, args.seed),
-                               args.seed)
+    defects = _rescale_defects(S2, a, before, after, _rescale_base(S, pts))
     ok = _verdict("rescale verification", sup_norm(*defects),
                   default_thresholds()["rescale_equivariance"])
     return 0 if ok else 1

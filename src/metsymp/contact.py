@@ -19,7 +19,8 @@ by least squares over samples and coordinate-frame pairs, with mu reported
 as undefined whenever h vanishes identically (the condition then puts no
 constraint on mu).  The eigenstructure of h is one report of arrays over a
 sample batch, whose +lam and -lam masks pick the eigenvectors that the
-eigenspace curvature identities run over.
+eigenspace curvature identities run over.  The verifiers read the points
+they are given; only :func:`fit_kappa_mu` draws its own.
 """
 
 from __future__ import annotations
@@ -261,19 +262,17 @@ def _reeb_from_values(dv: np.ndarray, ev: np.ndarray, pts: np.ndarray) -> np.nda
     return out
 
 
-def verify_compatibility(S: ContactMetricStructure, n_samples: int = 100,
-                         seed: int | None = None) -> dict[str, float]:
-    """Residuals of the three structure axioms over samples and frames:
+def verify_compatibility(S: ContactMetricStructure, points: np.ndarray) -> dict[str, float]:
+    """Residuals of the three structure axioms at ``points`` and on frames:
     ``reeb_pairing`` for g(X, xi) = eta(X), ``phi_square`` for
     phi^2 = -I + eta (x) xi and ``deta_pairing`` for d eta(X, Y) = g(X, phi Y).
     """
-    pts = S.chart.samples(n_samples, seed=seed)
     d = S.chart.dim
-    gv = S.g.values(pts)
-    ev = S.eta.values(pts)
-    xv = S.xi.values(pts)
-    pv = S.phi.values(pts)           # pv[n, i, j] = phi^i_j
-    dev = exterior_derivative(S.eta).values(pts)
+    gv = S.g.values(points)
+    ev = S.eta.values(points)
+    xv = S.xi.values(points)
+    pv = S.phi.values(points)           # pv[n, i, j] = phi^i_j
+    dev = exterior_derivative(S.eta).values(points)
 
     r1 = sup_norm(np.einsum("nij,nj->ni", gv, xv) - ev)
     phi2 = np.einsum("nia,naj->nij", pv, pv)
@@ -295,10 +294,9 @@ def _h_norms(gv: np.ndarray, hv: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(sq, 0.0))
 
 
-def is_K_contact(S: ContactMetricStructure, n_samples: int = 100,
-                 seed: int | None = None) -> KContactReport:
-    pts = S.chart.samples(n_samples, seed=seed)
-    norms = _h_norms(S.g.values(pts), S.h.values(pts))
+def is_K_contact(S: ContactMetricStructure, points: np.ndarray) -> KContactReport:
+    """The largest g-norm of h at ``points``, and whether it is below ``H_VANISH_TOL``."""
+    norms = _h_norms(S.g.values(points), S.h.values(points))
     max_norm = sup_norm(norms)
     return KContactReport(max_norm, max_norm < H_VANISH_TOL)
 
@@ -340,7 +338,12 @@ def nullity_fit(lhs: np.ndarray, eta: np.ndarray, h: np.ndarray | None
 
 def fit_kappa_mu(S: ContactMetricStructure, n_samples: int = 50,
                  seed: int | None = None) -> KmuReport:
-    """Least-squares (kappa, mu) over all samples and coordinate pairs."""
+    """Least-squares (kappa, mu) over all samples and coordinate pairs.
+
+    The one verifier that draws its own samples.  A draw of n points is the
+    first n of any larger draw with the same seed, so a suite run's fits
+    read the run's base points, or a prefix of them.
+    """
     pts = S.chart.samples(n_samples, seed=seed)
     data = christoffel_batch(S.g, pts)
     riem = riemann_components(data)
@@ -471,11 +474,10 @@ def h_eigendecomposition(S: ContactMetricStructure, point: np.ndarray) -> HEigen
 
 
 def verify_kmu_curvature(S: ContactMetricStructure, kappa: float, mu: float,
-                         n_samples: int = 50, seed: int | None = None
-                         ) -> dict[str, float]:
-    """Residuals of the six eigenspace curvature identities.
+                         points: np.ndarray) -> dict[str, float]:
+    """Residuals of the six eigenspace curvature identities at ``points``.
 
-    Arguments run over the +lam and -lam eigenbases of h at each sample.
+    Arguments run over the +lam and -lam eigenbases of h at each point.
     Writing P for a +lam eigenvector and M for a -lam one, the identities
     compared are
 
@@ -490,13 +492,12 @@ def verify_kmu_curvature(S: ContactMetricStructure, kappa: float, mu: float,
     the eigenspaces of the three arguments: ``ppm``, ``mmp``, ``pmm``,
     ``pmp``, ``ppp`` and ``mmm``.
     """
-    pts = S.chart.samples(n_samples, seed=seed)
-    data = christoffel_batch(S.g, pts)
+    data = christoffel_batch(S.g, points)
     riem = riemann_components(data)
     lam = math.sqrt(max(1.0 - kappa, 0.0))
-    eig = h_eigendecomposition_batch(S, pts)
+    eig = h_eigendecomposition_batch(S, points)
     gmat = data.g
-    phimat = S.phi.values(pts)
+    phimat = S.phi.values(points)
 
     # the eigenbases stacked as [n, s, d], the rows under ``mask`` in order; a
     # sample with fewer vectors is padded with zero vectors, whose defects are
@@ -550,15 +551,14 @@ def verify_kmu_curvature(S: ContactMetricStructure, kappa: float, mu: float,
 
 
 def verify_structure_isomorphism(F: SmoothMap, S1: ContactMetricStructure,
-                                 S2: ContactMetricStructure, n_samples: int = 50,
-                                 seed: int | None = None) -> dict[str, float]:
+                                 S2: ContactMetricStructure, points: np.ndarray
+                                 ) -> dict[str, float]:
     """Residuals ``eta`` of F* eta2 = eta1 and ``metric`` of F* g2 = g1
-    over source samples."""
+    at ``points`` of the source chart."""
     if F.source != S1.chart or F.target != S2.chart:
         raise ChartMismatchError("map does not connect the two structure charts")
-    pts = S1.chart.samples(n_samples, seed=seed)
     eta_pull = pullback(F, S2.eta)
     g_pull = pullback(F, S2.g)
-    r_eta = sup_norm(eta_pull.values(pts) - S1.eta.values(pts))
-    r_g = sup_norm(g_pull.values(pts) - S1.g.values(pts))
+    r_eta = sup_norm(eta_pull.values(points) - S1.eta.values(points))
+    r_g = sup_norm(g_pull.values(points) - S1.g.values(points))
     return {"eta": r_eta, "metric": r_g}

@@ -22,7 +22,7 @@ so the comparison stays a genuine cross-check.  The Ricci rows are traces
 of the same two Riemann tensors, read in gbar-orthonormal frames
 (xi_t, d_t, e_i), built for the whole sample batch by one call of
 :func:`curvature.gram_schmidt_frame`.  Both verifiers take gbar's
-connection data, so one draw serves them.
+connection data, so one set of points serves them.
 Each verifier returns its residuals as a dict from the name of the
 identity to its sup norm over the samples, in a fixed order.
 """
@@ -269,21 +269,20 @@ class SymplectizationKmuReport:
 
 
 def fit_symplectization_kmu(B: SymplecticMetricStructure, ts: tuple[float, ...],
-                            n_samples: int = 50, seed: int | None = None
-                            ) -> list[SymplectizationKmuReport]:
+                            points: np.ndarray) -> list[SymplectizationKmuReport]:
     """Fit V(R(X, Y) xi_t) = (k I + m h_t)(eta_t(Y) X - eta_t(X) Y) on each
     slice at t in ``ts``; one report per slice, in the order of ``ts``.
 
-    Arguments X, Y run over the slice coordinate directions at one draw of
-    base points, lifted to every slice; h and g are evaluated there once.
-    gbar is walked one slice at a time, so the peak memory is that of one
-    slice.  For a structure whose slice satisfies the nullity condition
-    with constants (kappa_t, mu_t), the fitted values are (kappa_t - 2,
-    mu_t); mu is undefined when h vanishes.
+    Arguments X, Y run over the slice coordinate directions at ``points``
+    of the base chart, lifted to every slice; h and g are evaluated there
+    once.  gbar is walked one slice at a time, so the peak memory is that
+    of one slice.  For a structure whose slice satisfies the nullity
+    condition with constants (kappa_t, mu_t), the fitted values are
+    (kappa_t - 2, mu_t); mu is undefined when h vanishes.
     """
     S = B.base
     d = S.chart.dim
-    base_pts = S.chart.samples(n_samples, seed=seed)
+    base_pts = np.asarray(points, dtype=float)
     h_base = S.h.values(base_pts)
     h_vanishes = sup_norm(_h_norms(S.g.values(base_pts), h_base)) < H_VANISH_TOL
     reports = []

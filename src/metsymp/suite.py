@@ -9,13 +9,14 @@ function that computes its residual.  ``CHECK_ORDER`` and
 recorded, never raised, so a single bad identity cannot hide the rest of
 the report.
 
-The checks of one run share a few artifacts through a per-run object: the
-(kappa, mu) fit, the metric symplectization, the Boeckx index, the
-rescaled structures ``d_homothety(S, a)``, their (kappa, mu) refits, and
-gbar's connection on one draw with :func:`metsymp.submersion.verify_currel` there.
-Each artifact is built on first read and at most once.  When a build
-raises, every check that reads the artifact records that build's own
-error, not a missing key.
+The checks of one run share a few artifacts through a per-run object: one
+sample draw per chart, the (kappa, mu) fit, the metric symplectization,
+the Boeckx index, the rescaled structures ``d_homothety(S, a)``, their
+(kappa, mu) refits, and gbar's connection on the product draw with
+:func:`metsymp.submersion.verify_currel` there.  Every check reads a
+prefix of a draw, and hands the verifiers points.  Each artifact is built
+on first read and at most once.  When a build raises, every check that
+reads the artifact records that build's own error, not a missing key.
 
 Most checks reduce the named residuals of one library verifier, as
 ``symplectization_build`` reduces those of
@@ -29,10 +30,13 @@ that raises is recorded with residual ``inf``.
 ``report_emit`` serializes a report deterministically.  The JSON schema is
 
     {"entry": ..., "config": {"samples", "seed", "t_range", "thresholds"},
-     "checks": [{"id", "anchor", "residual", "threshold", "pass"}, ...],
+     "checks": [{"id", "anchor", "residual", "threshold", "pass", "error"}, ...],
      "summary": {"passed", "failed", "kappa", "mu", "index"}}
 
-and the text format prints one line per check followed by the summary.
+with ``error`` null or the ``"<Type>: message"`` of a check that raised.
+The summary's kappa, mu and index are null unless ``compatibility`` passed
+and the fit's residual is below ``FIT_TOL``.  The text format prints one
+line per check followed by the summary.
 """
 
 from __future__ import annotations
@@ -86,13 +90,16 @@ __all__ = ["SuiteConfig", "CheckRecord", "SuiteReport", "run_suite",
 class _Run:
     """One suite run: the entry, its config, and the artifacts its checks share.
 
-    An artifact is built on first read and at most once.  A build that
-    raises is remembered, and every read of it raises that same error.
+    ``points`` is the run's one draw on the structure's chart, from
+    ``cfg.seed``.  An artifact is built on first read and at most once.  A
+    build that raises is remembered, and every read of it raises that same
+    error.
     """
 
     def __init__(self, entry: CatalogEntry, cfg: SuiteConfig):
         self.entry, self.S, self.cfg = entry, entry.structure, cfg
         self._built: dict = {}
+        self.points = self.S.chart.samples(cfg.samples, seed=cfg.seed)
 
     def _artifact(self, key, build, *args, **kwargs):
         if key not in self._built:
@@ -111,8 +118,8 @@ class _Run:
 
     @property
     def kmu(self):
-        """The (kappa, mu) fit of the structure."""
-        return self._artifact("kmu", fit_kappa_mu, self.S, self.cfg.samples, seed=self.cfg.seed + 3)
+        """The (kappa, mu) fit of the structure, on ``points``."""
+        return self._artifact("kmu", fit_kappa_mu, self.S, self.cfg.samples, seed=self.cfg.seed)
 
     @property
     def B(self):
@@ -128,11 +135,15 @@ class _Run:
         return self._artifact("index", boeckx_index, rep.kappa, rep.mu)
 
     @property
+    def product_points(self):
+        """The run's one draw on the product chart: at most 40 points, from ``cfg.seed``."""
+        return self._artifact("product_points", self.B.chart.samples,
+                              min(self.cfg.samples, 40), seed=self.cfg.seed)
+
+    @property
     def connection(self):
-        """gbar's connection data on the draw of the submersion checks."""
-        B, cfg = self.B, self.cfg
-        return self._artifact("connection", lambda: christoffel_batch(
-            B.gbar, B.chart.samples(min(cfg.samples, 40), seed=cfg.seed + 11)))
+        """gbar's connection data on ``product_points``."""
+        return self._artifact("connection", christoffel_batch, self.B.gbar, self.product_points)
 
     @property
     def currel(self):
@@ -143,9 +154,9 @@ class _Run:
         return self._artifact(("rescaled", a), d_homothety, self.S, a)
 
     def refit(self, a: float):
-        """The (kappa, mu) fit of ``rescaled(a)`` on the rescale law's draw."""
+        """The (kappa, mu) fit of ``rescaled(a)`` on the first 30 of ``points``."""
         return self._artifact(("refit", a), fit_kappa_mu, self.rescaled(a),
-                              min(self.cfg.samples, 30), seed=self.cfg.seed + 6)
+                              min(self.cfg.samples, 30), seed=self.cfg.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -161,46 +172,42 @@ def _constant_defects(kappa, mu, want_kappa, want_mu) -> list[float]:
     return [kappa - want_kappa] + ([] if mu is None else [mu - want_mu])
 
 
-def _rescale_base(S, n_pts, seed):
-    """The samples of the rescale law and the values of xi and h of S there,
+def _rescale_base(S, pts):
+    """The points of the rescale law and the values of xi and h of S there,
     evaluated once for every factor the law is checked at."""
-    pts = S.chart.samples(n_pts, seed=seed)
     return pts, S.xi.values(pts), S.h.values(pts)
 
 
-def _rescale_defects(S2, a, kmu, fit, base, seed):
+def _rescale_defects(S2, a, kmu, fit, base):
     """The defects of the D-homothety law at one factor a, with
-    S2 = d_homothety(S, a), ``fit`` its (kappa, mu) fit on the samples of
+    S2 = d_homothety(S, a), ``fit`` its (kappa, mu) fit on the points of
     ``base`` = :func:`_rescale_base` of S: xi' = xi/a, h' = h/a, S2
     compatible, and ``fit`` against the law applied to ``kmu``."""
     pts, xv, hv = base
     kp, mp = kappa_mu_after_rescale(kmu.kappa, kmu.mu, a)
     return [S2.xi.values(pts) - xv / a,
             S2.h.values(pts) - hv / a,
-            sup_norm(*verify_compatibility(S2, len(pts), seed=seed).values()),
+            sup_norm(*verify_compatibility(S2, pts).values()),
             fit.residual, *_constant_defects(fit.kappa, fit.mu, kp, mp)]
 
 
 def _check_compatibility(run):
-    return sup_norm(*verify_compatibility(run.S, run.cfg.samples, seed=run.cfg.seed).values())
+    return sup_norm(*verify_compatibility(run.S, run.points).values())
 
 
 def _check_reeb(run):
-    S = run.S
-    pts = S.chart.samples(run.cfg.samples, seed=run.cfg.seed + 1)
+    S, pts = run.S, run.points
     deta = exterior_derivative(S.eta)
     dv = deta.values(pts)
     ev = S.eta.values(pts)
     xv = S.xi.values(pts)
-    n = min(10, len(pts))
-    solver = _reeb_from_values(dv[:n], ev[:n], pts[:n]) - xv[:n]
+    solver = _reeb_from_values(dv[:10], ev[:10], pts[:10]) - xv[:10]
     return sup_norm(np.einsum("ni,nij->nj", xv, dv), np.einsum("ni,ni->n", ev, xv) - 1.0,
                     solver)
 
 
 def _check_h_tensor(run):
-    S = run.S
-    pts = S.chart.samples(run.cfg.samples, seed=run.cfg.seed + 2)
+    S, pts = run.S, run.points
     hv = S.h.values(pts)
     pv = S.phi.values(pts)
     anti = np.einsum("nia,naj->nij", hv, pv) + np.einsum("nia,naj->nij", pv, hv)
@@ -217,8 +224,7 @@ def _check_nullity_fit(run):
 
 
 def _check_h_eigenstructure(run):
-    S, cfg, rep = run.S, run.cfg, run.kmu
-    pts = S.chart.samples(min(cfg.samples, 25), seed=cfg.seed + 4)
+    S, rep, pts = run.S, run.kmu, run.points[:25]
     hv = S.h.values(pts)
     pv = S.phi.values(pts)
     h2 = np.einsum("nia,naj->nij", hv, hv)
@@ -227,34 +233,30 @@ def _check_h_eigenstructure(run):
     if not rep.sasakian_flag:
         lam = math.sqrt(1.0 - rep.kappa)
         target = np.sort(np.concatenate([np.full(S.n, lam), np.full(S.n, -lam), np.zeros(1)]))
-        eig = h_eigendecomposition_batch(S, pts[: min(10, len(pts))])
+        eig = h_eigendecomposition_batch(S, pts[:10])
         defects += [eig.eigenvalues - target, eig.orthonormality_residual,
                     eig.xi_alignment_residual]
     return sup_norm(*defects)
 
 
 def _check_eigenspace_curvature(run):
-    S, cfg, rep = run.S, run.cfg, run.kmu
-    n_pts = min(cfg.samples, 20)
+    S, rep, pts = run.S, run.kmu, run.points[:20]
     if rep.sasakian_flag:
         # kappa = 1 specialization: R(X, Y) xi = eta(Y) X - eta(X) Y
-        pts = S.chart.samples(n_pts, seed=cfg.seed + 5)
         riem = riemann_components(christoffel_batch(S.g, pts))
         lhs = np.einsum("nlkij,nk->nlij", riem, S.xi.values(pts))
         return sup_norm(lhs - _nullity_basis(S.eta.values(pts)))
-    return sup_norm(*verify_kmu_curvature(S, rep.kappa, rep.mu, n_pts, seed=cfg.seed + 5).values())
+    return sup_norm(*verify_kmu_curvature(S, rep.kappa, rep.mu, pts).values())
 
 
 _RESCALE_FACTORS = (0.5, 2.0, math.e)
 
 
 def _check_rescale_equivariance(run):
-    rep = run.kmu
-    seed = run.cfg.seed + 6
-    base = _rescale_base(run.S, min(run.cfg.samples, 30), seed)
+    base = _rescale_base(run.S, run.points[:30])
     defects = []
     for a in _RESCALE_FACTORS:
-        defects += _rescale_defects(run.rescaled(a), a, rep, run.refit(a), base, seed)
+        defects += _rescale_defects(run.rescaled(a), a, run.kmu, run.refit(a), base)
     return sup_norm(*defects)
 
 
@@ -269,15 +271,13 @@ def _check_index_invariance(run):
 
 
 def _check_symplectization_build(run):
-    return sup_norm(*verify_symplectization_build(run.B, min(run.cfg.samples, 40),
-                                                  seed=run.cfg.seed + 8).values())
+    return sup_norm(*verify_symplectization_build(run.B, run.product_points).values())
 
 
 def _check_liouville(run):
     B = run.B
     dt_field = TensorField.coordinate_vector(B.chart, B.chart.dim - 1)
-    return verify_liouville(B.omega, dt_field, min(run.cfg.samples, 40),
-                            seed=run.cfg.seed + 9)["cartan"]
+    return verify_liouville(B.omega, dt_field, run.product_points)["cartan"]
 
 
 def _check_fundamental_tensor(run):
@@ -295,7 +295,7 @@ def _check_ricci_rows(run):
 def _check_symplectization_nullity(run):
     B, rep = run.B, run.kmu
     ts = (-0.5, 0.0, 0.5)
-    fits = fit_symplectization_kmu(B, ts, min(run.cfg.samples, 30), seed=run.cfg.seed + 13)
+    fits = fit_symplectization_kmu(B, ts, run.points[:30])
     defects = []
     for t, fit in zip(ts, fits):
         kt, mt = kappa_mu_after_rescale(rep.kappa, rep.mu, math.exp(2.0 * t))
@@ -304,11 +304,9 @@ def _check_symplectization_nullity(run):
 
 
 def _check_integrability(run):
-    B, rep, cfg = run.B, run.kmu, run.cfg
-    n_pts = min(cfg.samples, 30)
-    pts = B.chart.samples(n_pts, seed=cfg.seed + 14)
+    B, rep, pts = run.B, run.kmu, run.product_points[:30]
     norms_metric = nijenhuis_norms(nijenhuis(B.J), B.gbar, pts)
-    Jn = natural_acs(run.S, cfg.t_range)
+    Jn = natural_acs(run.S, run.cfg.t_range)
     norms_natural = nijenhuis_norms(nijenhuis(Jn), B.gbar, pts)
     if rep.sasakian_flag:
         return sup_norm(norms_metric, norms_natural)
@@ -320,8 +318,7 @@ def _check_integrability(run):
 
 
 def _check_translation_isomorphism(run):
-    return sup_norm(*translation_isomorphism_check(run.B, 0.3, min(run.cfg.samples, 30),
-                                                   seed=run.cfg.seed + 15).values())
+    return sup_norm(*translation_isomorphism_check(run.B, 0.3, run.product_points[:30]).values())
 
 
 @dataclass(frozen=True)
@@ -471,6 +468,10 @@ def run_suite(entry: CatalogEntry, config: SuiteConfig | None = None) -> SuiteRe
     records = _run_checks(run, CHECK_ORDER)
     wall = time.perf_counter() - start
     kmu = run.peek("kmu")
+    # no constants from a structure that fails the axioms, nor from a rejected fit
+    if not (records[CHECK_ORDER.index("compatibility")].passed
+            and kmu is not None and kmu.residual < FIT_TOL):
+        kmu = None
     return SuiteReport(
         version=__version__,
         entry=entry.name,
@@ -478,7 +479,7 @@ def run_suite(entry: CatalogEntry, config: SuiteConfig | None = None) -> SuiteRe
         checks=tuple(records),
         kappa=None if kmu is None else kmu.kappa,
         mu=None if kmu is None else kmu.mu,
-        index=run.peek("index"),
+        index=None if kmu is None else run.peek("index"),
         wall_time=wall,
     )
 
@@ -506,6 +507,7 @@ def report_emit(report: SuiteReport, fmt: str) -> bytes:
                     "residual": c.residual,
                     "threshold": c.threshold,
                     "pass": c.passed,
+                    "error": c.error,
                 }
                 for c in report.checks
             ],

@@ -21,11 +21,12 @@ The slice at t is therefore the D_a rescaling of the original structure
 with a = exp(2t).  gbar is built from that slice law, the tree of
 :func:`slice_metric_field` plus a one at (t, t), so it reads neither J nor
 phi, and d_t is unit and slice-orthogonal by construction.
-:func:`verify_symplectization_build` samples what can fail, each as one
-named residual: the three-case table of J, gbar's base block against the
-slice law, the compatibility gbar(X, J Y) = omega(X, Y) and the uniqueness
-of J.  :func:`slice_structure` builds the slice structure as the D_a
-rescaling itself.
+:func:`verify_symplectization_build` evaluates what can fail at the
+product points it is given, each as one named residual: the three-case
+table of J, gbar's base block against the slice law, the compatibility
+gbar(X, J Y) = omega(X, Y) and the uniqueness of J.
+:func:`slice_structure` builds the slice structure as the D_a rescaling
+itself.
 
 A symplectization is always a product over its base structure, with the
 line coordinate t last on the product chart.  The slice data eta_t, xi_t
@@ -39,7 +40,7 @@ metric family) are built only where a field is needed: omega and gbar.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -244,41 +245,36 @@ def _top_coefficient_abs(skew: np.ndarray) -> np.ndarray:
     return np.where(finite, c * np.sqrt(np.abs(det)), np.nan)
 
 
-def verify_symplectic(omega: TensorField, n_samples: int = 50,
-                      seed: int | None = None) -> SymplecticReport:
-    """Closedness residual and nondegeneracy margin of a 2-form.
+def verify_symplectic(omega: TensorField, points: np.ndarray) -> SymplecticReport:
+    """Closedness residual and nondegeneracy margin of a 2-form at ``points``.
 
     The margin is the smallest |top coefficient| of omega^n over the
-    samples, taken from the values of omega by :func:`_top_coefficient_abs`.
+    points, taken from the values of omega by :func:`_top_coefficient_abs`.
     """
-    chart = omega.chart
-    if chart.dim % 2 != 0:
+    if omega.chart.dim % 2 != 0:
         raise GeometryError("symplectic forms need an even-dimensional chart")
     if (omega.r, omega.s) != (0, 2):
         raise RankError("expected a 2-form")
-    pts = chart.samples(n_samples, seed=seed)
-    closed = sup_norm(exterior_derivative(omega).values(pts))
-    top = _top_coefficient_abs(omega.values(pts))
+    closed = sup_norm(exterior_derivative(omega).values(points))
+    top = _top_coefficient_abs(omega.values(points))
     return SymplecticReport(closed, float(np.min(top)))
 
 
-def verify_liouville(omega: TensorField, Y: TensorField, n_samples: int = 50,
-                     seed: int | None = None) -> dict[str, float]:
+def verify_liouville(omega: TensorField, Y: TensorField, points: np.ndarray
+                     ) -> dict[str, float]:
     """Residual ``cartan`` of the expansion property of a candidate field Y,
-    sampled through the Cartan formula
+    at ``points`` through the Cartan formula
 
         d(i_Y omega) + i_Y(d omega) - omega,
 
     the form of the condition under which the coordinate field of the
     product factor expands the symplectization form with constant one.
     """
-    chart = omega.chart
-    if Y.chart != chart:
+    if Y.chart != omega.chart:
         raise GeometryError("candidate field lives on the wrong chart")
-    pts = chart.samples(n_samples, seed=seed)
     iy = interior_product(Y, omega)
     lhs = exterior_derivative(iy) + interior_product(Y, exterior_derivative(omega))
-    return {"cartan": sup_norm(lhs.values(pts) - omega.values(pts))}
+    return {"cartan": sup_norm(lhs.values(points) - omega.values(points))}
 
 
 # ---------------------------------------------------------------------------
@@ -355,10 +351,10 @@ def nijenhuis_norms(N: TensorField, g: TensorField, points: np.ndarray) -> np.nd
 # ---------------------------------------------------------------------------
 
 
-def verify_symplectization_build(B: SymplecticMetricStructure, n_samples: int = 50,
-                                 seed: int | None = None) -> dict[str, float]:
-    """The named residuals of the construction, on one draw of product
-    samples where J, gbar, omega, xi_t, the contact distribution V and the
+def verify_symplectization_build(B: SymplecticMetricStructure, points: np.ndarray
+                                 ) -> dict[str, float]:
+    """The named residuals of the construction at ``points`` of the product
+    chart, where J, gbar, omega, xi_t, the contact distribution V and the
     lifted phi are evaluated once:
 
     - ``J_xi_t``, ``J_d_t``, ``J_on_distribution``: the three-case table;
@@ -373,7 +369,7 @@ def verify_symplectization_build(B: SymplecticMetricStructure, n_samples: int = 
       (d_t unit and slice-orthogonal for gbar' = omega(J' ., .)), against -xi_t.
     """
     S = B.base
-    pts = B.chart.samples(n_samples, seed=seed)
+    pts = np.asarray(points, dtype=float)
     D = B.chart.dim
     d = S.chart.dim
     jv = B.J.values(pts)
@@ -421,8 +417,7 @@ def verify_symplectization_build(B: SymplecticMetricStructure, n_samples: int = 
 
 
 def translation_isomorphism_check(B: SymplecticMetricStructure, t_shift: float,
-                                  n_samples: int = 50, seed: int | None = None
-                                  ) -> dict[str, float]:
+                                  points: np.ndarray) -> dict[str, float]:
     """Check (x, t) -> (x, t + t_shift) matches two symplectizations.
 
     Pulling the data of ``B``, the symplectization of S, back along the
@@ -430,16 +425,16 @@ def translation_isomorphism_check(B: SymplecticMetricStructure, t_shift: float,
     range, of the D_a rescaling of S with a = exp(2 t_shift): the
     residuals are ``omega`` and ``metric``.  The shift's Jacobian is the
     identity, so the pullback of a tensor is its value at the shifted
-    point.  The samples are one draw over the product box with its t
-    interval cut to the points whose shift stays inside it.
+    point.  The t column of ``points``, on B's chart, is mapped affinely
+    from B's t interval onto the part whose shift stays inside it.
     """
     lo, hi = B.chart.domain[B.t_index]
     B2 = build_metric_symplectization(d_homothety(B.base, math.exp(2.0 * t_shift)), (lo, hi))
     t_lo, t_hi = max(lo, lo - t_shift), min(hi, hi - t_shift)
     if t_lo >= t_hi:
         raise GeometryError("t shift leaves no overlap inside the product box")
-    box = replace(B2.chart, domain=B2.chart.domain[:-1] + ((t_lo, t_hi),))
-    pts = box.samples(n_samples, seed=seed)
+    pts = np.array(points, dtype=float)
+    pts[:, -1] = t_lo + (pts[:, -1] - lo) * ((t_hi - t_lo) / (hi - lo))
     shifted = pts.copy()
     shifted[:, -1] += t_shift
 

@@ -58,7 +58,6 @@ symplectization's line planes.
 
 import itertools
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -213,9 +212,10 @@ def induced_contact_on_hypersurface(B, Y, embedding, n_samples=25, tol=1e-8):
     return contact.ContactMetricStructure.build(src, eta_ind, g_ind, phi_ind)
 
 
-def translation_isomorphism_reference(B, t_shift, n_samples=50, seed=None):
+def translation_isomorphism_reference(B, t_shift, points):
     """The translation check through symbolic pullbacks along the shift
-    (x, t) -> (x, t + t_shift), on the library check's samples."""
+    (x, t) -> (x, t + t_shift), at the library check's points: ``points`` on
+    B's chart with the t column mapped affinely onto the overlap."""
     lo, hi = B.chart.domain[B.t_index]
     B2 = build_metric_symplectization(contact.d_homothety(B.base, math.exp(2.0 * t_shift)),
                                       (lo, hi))
@@ -223,8 +223,8 @@ def translation_isomorphism_reference(B, t_shift, n_samples=50, seed=None):
     coords = [Coord(i, name) for i, name in enumerate(chart.coord_names)]
     shift = SmoothMap(chart, B.chart, tuple(coords[:-1] + [coords[-1] + Const(float(t_shift))]))
     t_lo, t_hi = max(lo, lo - t_shift), min(hi, hi - t_shift)
-    box = replace(chart, domain=chart.domain[:-1] + ((t_lo, t_hi),))
-    pts = box.samples(n_samples, seed=seed)
+    pts = np.array(points, dtype=float)
+    pts[:, -1] = t_lo + (pts[:, -1] - lo) * ((t_hi - t_lo) / (hi - lo))
     return {"omega": sup_norm(pullback(shift, B.omega).values(pts) - B2.omega.values(pts)),
             "metric": sup_norm(pullback(shift, B.gbar).values(pts) - B2.gbar.values(pts))}
 

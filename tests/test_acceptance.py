@@ -63,8 +63,8 @@ def _report(number: int, label: str, residual: float, tol: float) -> None:
 
 
 def test_criterion_01_compatibility_axioms():
-    residual = max(sup_norm(*verify_compatibility(e.structure, 100).values())
-                   for e, _ in BOTH)
+    residual = max(sup_norm(*verify_compatibility(S, S.chart.samples(100)).values())
+                   for S in (e.structure for e, _ in BOTH))
     _report(1, "structure axioms on both entries, 100 samples", residual, 1e-8)
 
 
@@ -99,12 +99,12 @@ def test_criterion_03_rescale_covariance_and_index():
 def test_criterion_04_eigenspace_curvature_block():
     S = FLAT.structure
     rep = fit_kappa_mu(S, 30)
-    residual = sup_norm(*verify_kmu_curvature(S, rep.kappa, rep.mu, 30).values())
+    residual = sup_norm(*verify_kmu_curvature(S, rep.kappa, rep.mu, S.chart.samples(30)).values())
     a = float(np.random.default_rng(42).uniform(0.5, 3.0))
     S2 = d_homothety(S, a)
     rep2 = fit_kappa_mu(S2, 30)
-    residual = max(residual,
-                   sup_norm(*verify_kmu_curvature(S2, rep2.kappa, rep2.mu, 30).values()))
+    residual = max(residual, sup_norm(*verify_kmu_curvature(S2, rep2.kappa, rep2.mu,
+                                                            S2.chart.samples(30)).values()))
     _report(4, f"six eigenspace identities, flat bundle and its a={a:.3f} rescale",
             residual, 1e-6)
 
@@ -134,7 +134,7 @@ def test_criterion_06_metric_symplectization():
     residual = 0.0
     for entry, B in BOTH:
         S = entry.structure
-        res = verify_symplectization_build(B, 50)
+        res = verify_symplectization_build(B, B.chart.samples(50))
         residual = max(residual, res["J_xi_t"], res["J_d_t"], res["J_on_distribution"],
                        res["slice_block"], res["omega_pairing"])
         pts = S.chart.samples(30)
@@ -152,7 +152,7 @@ def test_criterion_07_liouville_property():
     residual = 0.0
     for _, B in BOTH:
         dt = TensorField.coordinate_vector(B.chart, B.chart.dim - 1)
-        residual = max(residual, verify_liouville(B.omega, dt, 50)["cartan"])
+        residual = max(residual, verify_liouville(B.omega, dt, B.chart.samples(50))["cartan"])
     _report(7, "expansion property of the line field (Cartan evaluation)",
             residual, 1e-9)
 
@@ -187,7 +187,7 @@ def test_criterion_11_slice_nullity_relation():
     residual = 0.0
     base = fit_kappa_mu(FLAT.structure, 30)
     ts = (-0.5, 0.0, 0.5)
-    for t, rep in zip(ts, fit_symplectization_kmu(B_FLAT, ts, 30)):
+    for t, rep in zip(ts, fit_symplectization_kmu(B_FLAT, ts, B_FLAT.base.chart.samples(30))):
         kt, mt = kappa_mu_after_rescale(base.kappa, base.mu, math.exp(2.0 * t))
         residual = max(residual, rep.residual,
                        abs(rep.kappa_tilde - (kt - 2.0)), abs(rep.mu_tilde - mt))
@@ -215,7 +215,7 @@ def test_criterion_12_integrability_dichotomy():
 def test_criterion_13_translation_isomorphism():
     residual = 0.0
     for _, B in BOTH:
-        rep = translation_isomorphism_check(B, 0.3, 30)
+        rep = translation_isomorphism_check(B, 0.3, B.chart.samples(30))
         residual = max(residual, rep["omega"], rep["metric"])
     _report(13, "translation by 0.3 matches the rescaled symplectization data",
             residual, 1e-8)

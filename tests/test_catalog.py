@@ -16,7 +16,8 @@ def test_names_and_load():
         entry = catalog_load(name)
         assert entry.name == name
         assert entry.description
-        assert sup_norm(*verify_compatibility(entry.structure, 50).values()) < COMPAT_TOL
+        S = entry.structure
+        assert sup_norm(*verify_compatibility(S, S.chart.samples(50)).values()) < COMPAT_TOL
 
 
 def test_unknown_entry():
@@ -42,10 +43,11 @@ def test_frozen_normalization_is_the_unique_scan_survivor(name):
     """
     S = catalog_load(name).structure
     scales = (0.25, 0.5, 1.0, 2.0, 4.0)
+    pts = S.chart.samples(25)
     survivors = [
         (a, b) for a in scales for b in scales
         if sup_norm(*verify_compatibility(ContactMetricStructure.build(
-            S.chart, S.eta.scale(Const(a)), S.g.scale(Const(b)), S.phi), n_samples=25).values())
+            S.chart, S.eta.scale(Const(a)), S.g.scale(Const(b)), S.phi), pts).values())
         < COMPAT_TOL
     ]
     assert survivors == [(1.0, 1.0)]

@@ -204,11 +204,18 @@ NAN_PHI_FAILING = ["compatibility", "h_tensor", "h_eigenstructure", "rescale_equ
 
 
 def test_check_of_the_nan_phi_file_fails_exactly_the_checks_that_read_phi(capsys):
+    """The structure fails the compatibility axioms, so its summary reports
+    no (kappa, mu) and no index, though the nullity fit passes."""
     assert main(["check", str(NAN_PHI_PATH), "--format", "json", "--seed", "42"]) == 1
-    checks = json.loads(capsys.readouterr().out)["checks"]
-    failing = [c for c in checks if not c["pass"]]
+    payload = json.loads(capsys.readouterr().out)
+    failing = [c for c in payload["checks"] if not c["pass"]]
     assert [c["id"] for c in failing] == NAN_PHI_FAILING
     assert all(c["residual"] == float("inf") for c in failing)
+    assert payload["summary"] == {"passed": 9, "failed": 7, "kappa": None, "mu": None,
+                                  "index": None}
+    assert main(["check", str(NAN_PHI_PATH), "--seed", "42"]) == 1
+    summary = capsys.readouterr().out.splitlines()[-1]
+    assert "passed=9 failed=7 kappa=none mu=undefined index=undefined" in summary
 
 
 def test_check_of_a_nan_file_writes_nothing_to_stderr():
@@ -226,7 +233,8 @@ def test_check_of_a_nan_eta_file_names_samples_and_keeps_lapack_off_stdout():
     proc = _run_cli("check", str(NAN_ETA_PATH), "--format", "json")
     assert proc.returncode == 1
     assert "DLASCL" not in proc.stdout
-    json.loads(proc.stdout)
+    checks = json.loads(proc.stdout)["checks"]
+    json_errors = {c["id"]: c["error"] for c in checks if c["error"] is not None}
     proc = _run_cli("check", str(NAN_ETA_PATH))
     assert proc.returncode == 1
     errors = dict(re.findall(r"^\[FAIL\] (\w+) .*\[error: (.*)\]$", proc.stdout, re.M))
@@ -234,7 +242,9 @@ def test_check_of_a_nan_eta_file_names_samples_and_keeps_lapack_off_stdout():
     assert {"nullity_fit", "h_eigenstructure", "eigenspace_curvature", "rescale_equivariance",
             "index_invariance", "symplectization_build", "symplectization_nullity",
             "integrability"} <= set(errors)
-    for check_id, error in errors.items():
+    # the JSON records carry the same errors as the text lines
+    assert json_errors == errors
+    for check_id, error in json_errors.items():
         assert re.search(r"sample \d+ \[", error), (check_id, error)
         assert "LinAlgError" not in error, (check_id, error)
 

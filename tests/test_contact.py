@@ -211,21 +211,23 @@ def test_reeb_field_of_a_perturbed_darboux_form(eta):
 
 
 def test_catalog_compatibility(any_entry):
-    rep = verify_compatibility(any_entry.structure, 100)
+    S = any_entry.structure
+    rep = verify_compatibility(S, S.chart.samples(100))
     assert sup_norm(*rep.values()) < 1e-8
 
 
 def test_doubled_metric_fails_pairing_axiom(sasakian):
     doubled = ContactMetricStructure.build(
         sasakian.chart, sasakian.eta, sasakian.g.scale(Const(2.0)), sasakian.phi)
-    rep = verify_compatibility(doubled, 30)
+    rep = verify_compatibility(doubled, doubled.chart.samples(30))
     assert not sup_norm(*rep.values()) < COMPAT_TOL
     assert rep["deta_pairing"] > 1e-3
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_nan_in_phi_fails_compatibility_with_infinite_residual(nan_masked_sasakian_entry):
-    rep = verify_compatibility(nan_masked_sasakian_entry.structure, 30)
+    S = nan_masked_sasakian_entry.structure
+    rep = verify_compatibility(S, S.chart.samples(30))
     assert rep["phi_square"] == math.inf
     assert sup_norm(*rep.values()) == math.inf
     assert not sup_norm(*rep.values()) < COMPAT_TOL
@@ -257,13 +259,13 @@ def test_build_rejects_even_charts_and_bad_ranks(sasakian):
 
 
 def test_h_vanishes_exactly_on_sasakian_model(sasakian):
-    rep = is_K_contact(sasakian, 100)
+    rep = is_K_contact(sasakian, sasakian.chart.samples(100))
     assert rep.is_k_contact
     assert rep.max_h_norm < 1e-12
 
 
 def test_h_eigenvalues_on_flat_bundle(flat_bundle):
-    rep = is_K_contact(flat_bundle, 50)
+    rep = is_K_contact(flat_bundle, flat_bundle.chart.samples(50))
     assert not rep.is_k_contact
     for p in flat_bundle.chart.samples(10):
         eig = h_eigendecomposition(flat_bundle, p)
@@ -366,7 +368,7 @@ def test_d_homothety_identity_and_derived_laws(flat_bundle):
     S2 = d_homothety(flat_bundle, a)
     assert np.max(np.abs(S2.xi.values(pts) - flat_bundle.xi.values(pts) / a)) < 1e-9
     assert np.max(np.abs(S2.h.values(pts) - flat_bundle.h.values(pts) / a)) < 1e-9
-    assert sup_norm(*verify_compatibility(S2, 50).values()) < COMPAT_TOL
+    assert sup_norm(*verify_compatibility(S2, S2.chart.samples(50)).values()) < COMPAT_TOL
     with pytest.raises(GeometryError):
         d_homothety(flat_bundle, 0.0)
 
@@ -397,7 +399,7 @@ def test_index_invariant_under_rescaling(flat_bundle):
 
 
 def test_eigenspace_identities_on_flat_bundle(flat_bundle):
-    rep6 = verify_kmu_curvature(flat_bundle, 0.0, 0.0, 25)
+    rep6 = verify_kmu_curvature(flat_bundle, 0.0, 0.0, flat_bundle.chart.samples(25))
     assert sup_norm(*rep6.values()) < 1e-6
 
 
@@ -406,7 +408,7 @@ def test_eigenspace_identities_after_rescale(flat_bundle):
     rep = fit_kappa_mu(S2, 25)
     # lambda halves under the a = 2 rescale
     assert abs(rep.lam - 0.5) < 1e-9
-    rep6 = verify_kmu_curvature(S2, rep.kappa, rep.mu, 20)
+    rep6 = verify_kmu_curvature(S2, rep.kappa, rep.mu, S2.chart.samples(20))
     assert sup_norm(*rep6.values()) < 1e-6
 
 
@@ -419,7 +421,7 @@ def test_plus_space_coefficient_value(flat_bundle):
 
 def test_eigenspace_identities_reject_sasakian(sasakian):
     with pytest.raises(SasakianDegeneracyError):
-        verify_kmu_curvature(sasakian, 1.0, 0.0, 5)
+        verify_kmu_curvature(sasakian, 1.0, 0.0, sasakian.chart.samples(5))
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +460,7 @@ def test_rescaled_flat_bundle_is_not_eta_einstein(flat_bundle):
 
 def test_isomorphism_identity_map(sasakian):
     F = SmoothMap.identity(sasakian.chart)
-    rep = verify_structure_isomorphism(F, sasakian, sasakian, 30)
+    rep = verify_structure_isomorphism(F, sasakian, sasakian, sasakian.chart.samples(30))
     assert sup_norm(*rep.values()) == 0.0
 
 
@@ -467,7 +469,7 @@ def test_isomorphism_translation_symmetry(sasakian):
     chart = sasakian.chart
     x, y, z = (Coord(i, n) for i, n in enumerate(chart.coord_names))
     F = SmoothMap(chart, chart, (x + Const(0.4), y, z - Const(0.3)))
-    rep = verify_structure_isomorphism(F, sasakian, sasakian, 50)
+    rep = verify_structure_isomorphism(F, sasakian, sasakian, sasakian.chart.samples(50))
     assert sup_norm(*rep.values()) < 1e-12
 
 
@@ -475,7 +477,7 @@ def test_isomorphism_detects_scaling_mismatch(sasakian):
     F = SmoothMap.identity(sasakian.chart)
     S2 = ContactMetricStructure.build(
         sasakian.chart, sasakian.eta, sasakian.g.scale(Const(1.5)), sasakian.phi)
-    rep = verify_structure_isomorphism(F, sasakian, S2, 20)
+    rep = verify_structure_isomorphism(F, sasakian, S2, sasakian.chart.samples(20))
     assert rep["metric"] > 1e-3
     assert rep["eta"] < 1e-12
 
@@ -678,7 +680,7 @@ def test_kmu_identities_match_the_loop_reference(non_sasakian):
     S = non_sasakian
     fit = fit_kappa_mu(S, 20)
     for kappa, mu in ((fit.kappa, fit.mu), (0.0, 0.5)):
-        got = tuple(verify_kmu_curvature(S, kappa, mu, 12, seed=3).values())
+        got = tuple(verify_kmu_curvature(S, kappa, mu, S.chart.samples(12, seed=3)).values())
         want = kmu_curvature_reference(S, kappa, mu, 12, seed=3)
         assert_allclose(got, want, rtol=0, atol=1e-13)
 
@@ -702,13 +704,14 @@ def test_kmu_identities_on_uneven_vector_sets_match_the_loop_reference(curved, m
 
     monkeypatch.setattr(contact, "h_eigendecomposition_batch", uneven)
     for kappa, mu in ((0.0, 0.0), (0.3, -0.7), (40.0, 0.0), (0.0, -40.0)):
-        got = tuple(verify_kmu_curvature(curved, kappa, mu, 10, seed=3).values())
+        pts = curved.chart.samples(10, seed=3)
+        got = tuple(verify_kmu_curvature(curved, kappa, mu, pts).values())
         want = kmu_curvature_reference(curved, kappa, mu, 10, seed=3)
         assert min(want) > 1e-3
         assert_allclose(got, want, rtol=1e-13, atol=1e-13)
 
 
 def test_kmu_identities_reject_wrong_constants(flat_bundle):
-    rep = verify_kmu_curvature(flat_bundle, 0.0, 0.5, 20, seed=3)
+    rep = verify_kmu_curvature(flat_bundle, 0.0, 0.5, flat_bundle.chart.samples(20, seed=3))
     assert rep["pmm"] > 1e-3
     assert rep["pmp"] > 1e-3

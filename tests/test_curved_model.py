@@ -41,7 +41,7 @@ from loop_references import eta_einstein_fit_reference
 
 
 def test_compatibility(curved):
-    assert sup_norm(*verify_compatibility(curved, 60).values()) < 1e-10
+    assert sup_norm(*verify_compatibility(curved, curved.chart.samples(60)).values()) < 1e-10
 
 
 def test_nullity_constants_and_index(curved):
@@ -59,7 +59,7 @@ def test_h_spectrum(curved):
 
 
 def test_eigenspace_curvature_block(curved):
-    rep6 = verify_kmu_curvature(curved, 0.0, -2.0, 20)
+    rep6 = verify_kmu_curvature(curved, 0.0, -2.0, curved.chart.samples(20))
     assert sup_norm(*rep6.values()) < 1e-6
 
 
@@ -85,7 +85,7 @@ def test_symplectization_constants(curved):
     ric = ricci_components(riemann_components(data))
     assert np.max(np.abs(ric[:, 3, 3] + 6.0)) < 1e-8
     assert sup_norm(*verify_currel(B, data).values()) < 1e-6
-    (fit,) = fit_symplectization_kmu(B, (0.0,), 15)
+    (fit,) = fit_symplectization_kmu(B, (0.0,), B.base.chart.samples(15))
     assert_allclose([fit.kappa_tilde, fit.mu_tilde], [-2.0, -2.0], atol=1e-8)
     norms = nijenhuis_norms(nijenhuis(B.J), B.gbar, pts)
     assert np.min(norms) > 1e-2

@@ -85,7 +85,7 @@ def test_the_committed_structure_file_is_this_structure(five_dim):
 
 
 def test_compatibility_and_reeb(five_dim):
-    assert sup_norm(*verify_compatibility(five_dim, 40).values()) < 1e-10
+    assert sup_norm(*verify_compatibility(five_dim, five_dim.chart.samples(40)).values()) < 1e-10
     pts = five_dim.chart.samples(10)
     expected = np.zeros((10, 5))
     expected[:, 4] = 2.0
@@ -93,7 +93,7 @@ def test_compatibility_and_reeb(five_dim):
 
 
 def test_h_vanishes_and_kappa_is_one(five_dim):
-    assert is_K_contact(five_dim, 30).is_k_contact
+    assert is_K_contact(five_dim, five_dim.chart.samples(30)).is_k_contact
     rep = fit_kappa_mu(five_dim, 20)
     assert abs(rep.kappa - 1.0) < 1e-8
     assert rep.mu is None
@@ -128,7 +128,7 @@ def test_fundamental_tensors_and_relations(five_dim_symp):
 def test_expansion_property(five_dim_symp):
     omega = five_dim_symp.omega
     dt = TensorField.coordinate_vector(five_dim_symp.chart, 5)
-    assert verify_liouville(omega, dt, 10)["cartan"] < 1e-10
+    assert verify_liouville(omega, dt, omega.chart.samples(10))["cartan"] < 1e-10
     # the plain tensor Lie derivative carries the weight of exp(2t)
     pts = five_dim_symp.chart.samples(10)
     assert_allclose(lie_derivative(dt, omega).values(pts), 2.0 * omega.values(pts),
@@ -136,6 +136,6 @@ def test_expansion_property(five_dim_symp):
 
 
 def test_slice_fit_with_n_two(five_dim_symp):
-    (rep,) = fit_symplectization_kmu(five_dim_symp, (0.0,), 10)
+    (rep,) = fit_symplectization_kmu(five_dim_symp, (0.0,), five_dim_symp.base.chart.samples(10))
     assert abs(rep.kappa_tilde + 1.0) < 1e-8
     assert rep.mu_tilde is None

@@ -383,14 +383,16 @@ def test_line_ricci_is_minus_six_directly(any_entry, sasakian_symp, flat_bundle_
 
 
 def test_slice_fit_flat_bundle_at_zero(flat_bundle_symp):
-    (rep,) = fit_symplectization_kmu(flat_bundle_symp, (0.0,), 40)
+    (rep,) = fit_symplectization_kmu(flat_bundle_symp, (0.0,),
+                                     flat_bundle_symp.base.chart.samples(40))
     assert_allclose([rep.kappa_tilde, rep.mu_tilde], [-2.0, 0.0], atol=1e-9)
     assert rep.residual < 1e-9
 
 
 def test_slice_fit_tracks_the_rescale_law(flat_bundle_symp):
     ts = (-0.5, 0.0, 0.5)
-    for t, rep in zip(ts, fit_symplectization_kmu(flat_bundle_symp, ts, 30)):
+    pts = flat_bundle_symp.base.chart.samples(30)
+    for t, rep in zip(ts, fit_symplectization_kmu(flat_bundle_symp, ts, pts)):
         kt, mt = kappa_mu_after_rescale(0.0, 0.0, math.exp(2.0 * t))
         assert abs(rep.kappa_tilde - (kt - 2.0)) < 1e-5
         assert abs(rep.mu_tilde - mt) < 1e-5
@@ -398,7 +400,7 @@ def test_slice_fit_tracks_the_rescale_law(flat_bundle_symp):
 
 
 def test_slice_fit_sasakian(sasakian_symp):
-    (rep,) = fit_symplectization_kmu(sasakian_symp, (0.0,), 30)
+    (rep,) = fit_symplectization_kmu(sasakian_symp, (0.0,), sasakian_symp.base.chart.samples(30))
     assert abs(rep.kappa_tilde + 1.0) < 1e-9
     assert rep.mu_tilde is None
 
@@ -464,8 +466,9 @@ def test_the_shared_nullity_fit_matches_both_reference_fits(which, request):
     got = [(rep.kappa, rep.mu, rep.residual)]
     want = [fit_kappa_mu_reference(B.base, 12, seed=2)]
     ts = (-0.5, 0.0, 0.5)
-    for t, fit in zip(ts, fit_symplectization_kmu(B, ts, 12, seed=2), strict=True):
-        assert fit_symplectization_kmu(B, (t,), 12, seed=2) == [fit]
+    pts = B.base.chart.samples(12, seed=2)
+    for t, fit in zip(ts, fit_symplectization_kmu(B, ts, pts), strict=True):
+        assert fit_symplectization_kmu(B, (t,), pts) == [fit]
         got.append((fit.kappa_tilde, fit.mu_tilde, fit.residual))
         want.append(fit_symplectization_kmu_reference(B, t, 12, seed=2))
     for (kappa, mu, residual), (want_kappa, want_mu, want_residual) in zip(got, want):
@@ -500,5 +503,6 @@ def test_the_nullity_fits_evaluate_h_once(flat_bundle, flat_bundle_symp, monkeyp
     monkeypatch.setattr(TensorField, "values", counting)
     fit_kappa_mu(flat_bundle, 10, seed=1)
     assert calls == [10]
-    fit_symplectization_kmu(flat_bundle_symp, (-0.5, 0.0, 0.3), 12, seed=1)
+    fit_symplectization_kmu(flat_bundle_symp, (-0.5, 0.0, 0.3),
+                            flat_bundle_symp.base.chart.samples(12, seed=1))
     assert calls == [10, 12]

@@ -5,15 +5,18 @@ import json
 import math
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from metsymp import contact, curvature, suite
-from metsymp.catalog import catalog_load
+from metsymp.catalog import CatalogEntry, catalog_load
+from metsymp.charts import Chart
 from metsymp.contact import KmuReport, verify_compatibility, verify_kmu_curvature
 from metsymp.errors import ConfigError
 from metsymp.fields import TensorField, sup_norm
+from metsymp.structfile import load_structure_file
 from metsymp.submersion import verify_currel, verify_fundamental_tensors
 from metsymp.suite import (
     CHECK_ORDER,
@@ -23,6 +26,16 @@ from metsymp.suite import (
     run_suite,
 )
 from metsymp.symplectization import translation_isomorphism_check, verify_symplectization_build
+
+
+# the standard Sasakian R^5 of test_dimension_five.py, as a structure file
+SASAKIAN_R5_PATH = Path(__file__).parent / "data" / "sasakian_r5.txt"
+
+
+@pytest.fixture(scope="module")
+def sasakian_r5_entry():
+    return CatalogEntry(name="sasakian_r5", structure=load_structure_file(SASAKIAN_R5_PATH),
+                        expected_kappa=None, expected_mu=None, description="structure file")
 
 
 @pytest.fixture(scope="module")
@@ -84,7 +97,8 @@ def test_json_schema_fields_exact(flat_report):
     assert [c["threshold"] for c in payload["checks"]] == list(default_thresholds().values())
     assert sorted(payload["summary"]) == ["failed", "index", "kappa", "mu", "passed"]
     for check in payload["checks"]:
-        assert sorted(check) == ["anchor", "id", "pass", "residual", "threshold"]
+        assert sorted(check) == ["anchor", "error", "id", "pass", "residual", "threshold"]
+        assert check["error"] is None
     assert payload["entry"] == "unit-tangent-flat-plane"
     assert payload["summary"]["passed"] == 16
     assert payload["summary"]["failed"] == 0
@@ -287,17 +301,20 @@ CURREL_KEYS = ["vertical_part", "horizontal_part", "radial_relation", "distribut
 # curvature_relations check reduces the first three keys of verify_currel
 # and the ricci_rows check the last six
 VERIFIER_KEYS = [
-    ("compatibility", lambda S, B: verify_compatibility(S, 4, seed=1),
+    ("compatibility", lambda S, B: verify_compatibility(S, S.chart.samples(4, seed=1)),
      ["reeb_pairing", "phi_square", "deta_pairing"]),
-    ("eigenspace_curvature", lambda S, B: verify_kmu_curvature(S, 0.0, 0.0, 4, seed=1),
+    ("eigenspace_curvature",
+     lambda S, B: verify_kmu_curvature(S, 0.0, 0.0, S.chart.samples(4, seed=1)),
      ["ppm", "mmp", "pmm", "pmp", "ppp", "mmm"]),
-    ("symplectization_build", lambda S, B: verify_symplectization_build(B, 4, seed=1),
+    ("symplectization_build",
+     lambda S, B: verify_symplectization_build(B, B.chart.samples(4, seed=1)),
      ["J_xi_t", "J_d_t", "J_on_distribution", "slice_block", "omega_pairing", "unique_acs"]),
     ("fundamental_tensor", lambda S, B: verify_fundamental_tensors(B, _connection(B)),
      ["vertical_pair", "mixed_pair"]),
     ("curvature_relations", lambda S, B: verify_currel(B, _connection(B)), CURREL_KEYS),
     ("ricci_rows", lambda S, B: list(verify_currel(B, _connection(B)))[3:], CURREL_KEYS[3:]),
-    ("translation_isomorphism", lambda S, B: translation_isomorphism_check(B, 0.3, 4, seed=1),
+    ("translation_isomorphism",
+     lambda S, B: translation_isomorphism_check(B, 0.3, B.chart.samples(4, seed=1)),
      ["omega", "metric"]),
 ]
 
@@ -313,7 +330,7 @@ def test_each_verifier_emits_its_keys_in_order(check_id, verifier, keys, flat_bu
 def test_a_run_computes_the_connection_of_gbar_once(monkeypatch, flat_bundle_entry):
     """christoffel_batch meets gbar four times per run: once for the
     connection that fundamental_tensor, curvature_relations and ricci_rows
-    read, on the seed + 11 draw, and once for each of
+    read, on the run's product draw, and once for each of
     symplectization_nullity's three slices.  The three residuals are the
     verifiers' on that connection.  Every name that binds christoffel_batch
     in the package is counted."""
@@ -337,7 +354,7 @@ def test_a_run_computes_the_connection_of_gbar_once(monkeypatch, flat_bundle_ent
     rep = run_suite(flat_bundle_entry, SuiteConfig(samples=25, seed=42))
     assert rep.all_passed and len(built) == 1 and len(walks) == 4
     B, data = built[0], walks[0]
-    assert np.array_equal(data.points, B.chart.samples(25, seed=42 + 11))
+    assert np.array_equal(data.points, B.chart.samples(25, seed=42))
     assert [w.points[0, -1] for w in walks[1:]] == [-0.5, 0.0, 0.5]
     residual = {c.id: c.residual for c in rep.checks}
     currel = list(verify_currel(B, data).values())
@@ -382,6 +399,22 @@ def test_a_raising_artifact_is_the_error_of_every_check_that_reads_it(monkeypatc
         assert rep.kappa is None and rep.mu is None and rep.index is None
 
 
+def test_a_rejected_fit_reports_no_constants(monkeypatch, flat_bundle_entry):
+    """A fit whose residual is not below FIT_TOL fails nullity_fit, and the
+    summary reports no kappa, mu or index from it."""
+    real = suite.fit_kappa_mu
+
+    def fit(S, n, seed):
+        rep = real(S, n, seed=seed)
+        return dataclasses.replace(rep, residual=contact.FIT_TOL) if S is S0 else rep
+
+    S0 = flat_bundle_entry.structure
+    monkeypatch.setattr(suite, "fit_kappa_mu", fit)
+    rep = run_suite(flat_bundle_entry, SuiteConfig(samples=10, seed=42))
+    assert [c.id for c in rep.checks if not c.passed] == ["nullity_fit"]
+    assert (rep.kappa, rep.mu, rep.index) == (None, None, None)
+
+
 def test_a_nan_structure_runs_the_suite_without_warnings(nan_masked_sasakian_entry):
     """The report records the NaN defects as inf; the library outside the suite still warns."""
     with warnings.catch_warnings(record=True) as caught:
@@ -390,4 +423,55 @@ def test_a_nan_structure_runs_the_suite_without_warnings(nan_masked_sasakian_ent
     assert [str(w.message) for w in caught] == []
     assert rep.failed > 0
     with pytest.warns(RuntimeWarning, match="invalid value"):
-        verify_compatibility(nan_masked_sasakian_entry.structure, 10)
+        S = nan_masked_sasakian_entry.structure
+        verify_compatibility(S, S.chart.samples(10))
+
+
+@pytest.mark.parametrize("which", ["flat_bundle_entry", "sasakian_r5_entry"])
+def test_a_run_draws_its_samples_once(monkeypatch, request, which):
+    """Every sample array a run asks its charts for is a prefix of the run's
+    one draw on the structure's chart or of its one draw on the product chart."""
+    entry = request.getfixturevalue(which)
+    runs, draws = [], []
+
+    class Recorded(suite._Run):
+        def __init__(self, *args):
+            super().__init__(*args)
+            runs.append(self)
+
+    real = Chart.samples
+
+    def samples(chart, n, seed=None):
+        draws.append(real(chart, n, seed=seed))
+        return draws[-1]
+
+    monkeypatch.setattr(suite, "_Run", Recorded)
+    monkeypatch.setattr(Chart, "samples", samples)
+    rep = run_suite(entry, SuiteConfig(samples=50, seed=42))
+    assert rep.all_passed
+    (run,) = runs
+    whole = (run.points, run.product_points)
+    assert [len(w) for w in whole] == [50, 40]
+    # the base draw, the (kappa, mu) fit, its three refits and the product draw
+    assert len(draws) == 6
+    for pts in draws:
+        assert any(pts.shape[1] == w.shape[1] and np.array_equal(pts, w[:len(pts)])
+                   for w in whole), pts.shape
+
+
+# (kappa, mu, index) of each entry; the structure file has no expected constants
+ENTRY_CONSTANTS = {"sasakian_entry": (1.0, None, None), "flat_bundle_entry": (0.0, 0.0, 1.0),
+                   "sasakian_r5_entry": (1.0, None, None)}
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("which", list(ENTRY_CONSTANTS))
+def test_every_seed_of_one_draw_keeps_the_verdicts(request, which, seed):
+    """One draw covers less of the chart than a draw per check would; on
+    each committed (kappa, mu) structure every seed still passes all sixteen
+    checks and reports the structure's constants."""
+    rep = run_suite(request.getfixturevalue(which), SuiteConfig(samples=20, seed=seed))
+    assert [c.id for c in rep.checks if not c.passed] == []
+    for got, want in zip((rep.kappa, rep.mu, rep.index), ENTRY_CONSTANTS[which]):
+        assert (got is None) == (want is None)
+        assert want is None or abs(got - want) < 1e-9

@@ -93,7 +93,7 @@ def test_line_direction_unit_and_orthogonal(any_entry, sasakian_symp, flat_bundl
     B = _symp(None, any_entry.name, sasakian_symp, flat_bundle_symp)
     gv = B.gbar.values(B.chart.samples(50))
     assert np.all(gv[:, -1, -1] == 1.0) and np.all(gv[:, -1, :-1] == 0.0)
-    res = verify_symplectization_build(B, 50)
+    res = verify_symplectization_build(B, B.chart.samples(50))
     assert res["slice_block"] < 1e-10
     assert res["omega_pairing"] < 1e-10
 
@@ -118,13 +118,13 @@ phi z t1 = t1
     assert B.chart.coord_names == ("t", "t1", "z", "t2")
     assert B.chart.domain[-1] == (-0.5, 0.5)
     assert natural_acs(S, (-0.5, 0.5)).chart == B.chart
-    res = verify_symplectization_build(B, 20)
+    res = verify_symplectization_build(B, B.chart.samples(20))
     assert max(res["J_xi_t"], res["J_d_t"], res["J_on_distribution"]) < 1e-10
 
 
 def test_acs_three_case_table(any_entry, sasakian_symp, flat_bundle_symp):
     B = _symp(None, any_entry.name, sasakian_symp, flat_bundle_symp)
-    res = verify_symplectization_build(B, 50)
+    res = verify_symplectization_build(B, B.chart.samples(50))
     assert max(res["J_xi_t"], res["J_d_t"], res["J_on_distribution"]) < 1e-10
 
 
@@ -165,7 +165,7 @@ def test_metric_restricted_to_zero_slice_is_g(sasakian, sasakian_symp):
 
 def test_uniqueness_witness(any_entry, sasakian_symp, flat_bundle_symp):
     B = _symp(None, any_entry.name, sasakian_symp, flat_bundle_symp)
-    assert verify_symplectization_build(B, 20)["unique_acs"] < 1e-8
+    assert verify_symplectization_build(B, B.chart.samples(20))["unique_acs"] < 1e-8
 
 
 def test_the_build_verifier_evaluates_eta_and_xi_once(flat_bundle_symp, monkeypatch):
@@ -181,14 +181,14 @@ def test_the_build_verifier_evaluates_eta_and_xi_once(flat_bundle_symp, monkeypa
         return real(self, points)
 
     monkeypatch.setattr(TensorField, "values", counting)
-    verify_symplectization_build(flat_bundle_symp, 12, seed=1)
+    verify_symplectization_build(flat_bundle_symp, flat_bundle_symp.chart.samples(12, seed=1))
     assert sorted(calls) == [("eta", (12, 3)), ("xi", (12, 3))]
 
 
 def _failing_keys(B):
     """The keys of the build verifier at or above the check's threshold; each
     failing one fails by far."""
-    res = verify_symplectization_build(B, 40, seed=50)
+    res = verify_symplectization_build(B, B.chart.samples(40, seed=50))
     failing = {k for k, v in res.items() if not v < 1e-10}
     assert all(res[k] > 0.1 for k in failing)
     return failing
@@ -270,7 +270,7 @@ def test_a_smaller_draw_is_a_prefix_of_a_larger_one(flat_bundle_symp, sasakian7_
 
 def test_symplectization_form_is_symplectic(any_entry, sasakian_symp, flat_bundle_symp):
     B = _symp(None, any_entry.name, sasakian_symp, flat_bundle_symp)
-    rep = verify_symplectic(B.omega, 50)
+    rep = verify_symplectic(B.omega, B.chart.samples(50))
     assert rep.closed_residual < 1e-12
     assert rep.min_top_coefficient > 1e-10
 
@@ -288,13 +288,13 @@ def _standard_r4():
 
 def test_standard_r4_form_passes_and_degenerate_fails():
     chart, omega = _standard_r4()
-    rep = verify_symplectic(omega, 30)
+    rep = verify_symplectic(omega, omega.chart.samples(30))
     assert rep.closed_residual < SYMPLECTIC_TOL and rep.min_top_coefficient > SYMPLECTIC_TOL
     degenerate = wedge(
         TensorField.covector(chart, [Const(1.0), Const(0.0), Const(0.0), Const(0.0)]),
         TensorField.covector(chart, [Const(0.0), Const(1.0), Const(0.0), Const(0.0)]),
     )
-    rep = verify_symplectic(degenerate, 30)
+    rep = verify_symplectic(degenerate, degenerate.chart.samples(30))
     assert rep.closed_residual < SYMPLECTIC_TOL
     assert rep.min_top_coefficient < 1e-14
 
@@ -313,7 +313,7 @@ def test_top_coefficient_matches_the_repeated_wedge(which, request):
     want = np.abs(symplectic_top_reference(omega, pts))
     assert_allclose(_top_coefficient_abs(omega.values(pts)), want,
                     rtol=1e-12, atol=0)
-    assert_allclose(verify_symplectic(omega, 12, seed=4).min_top_coefficient, np.min(want),
+    assert_allclose(verify_symplectic(omega, pts).min_top_coefficient, np.min(want),
                     rtol=1e-12, atol=0)
 
 
@@ -324,7 +324,7 @@ def test_nan_two_form_fails_the_symplectic_check():
     comps[0, 1] = comps[0, 1] * (sqrt(x) / sqrt(x))          # NaN where x < 0
     masked = TensorField(chart, 0, 2, comps, "antisymmetric")
     with np.errstate(invalid="ignore"):
-        rep = verify_symplectic(masked, 30, seed=1)
+        rep = verify_symplectic(masked, masked.chart.samples(30, seed=1))
     assert math.isnan(rep.min_top_coefficient)
     assert not rep.min_top_coefficient > SYMPLECTIC_TOL
 
@@ -333,7 +333,7 @@ def test_odd_chart_rejected_by_symplectic_check(sasakian):
     from metsymp.fields import exterior_derivative
 
     with pytest.raises(GeometryError):
-        verify_symplectic(exterior_derivative(sasakian.eta), 5)
+        verify_symplectic(exterior_derivative(sasakian.eta), sasakian.chart.samples(5))
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +343,7 @@ def test_odd_chart_rejected_by_symplectic_check(sasakian):
 
 def test_line_field_expands_the_form(any_entry, sasakian_symp, flat_bundle_symp):
     B = _symp(None, any_entry.name, sasakian_symp, flat_bundle_symp)
-    assert verify_liouville(B.omega, _dt(B), 50)["cartan"] < 1e-12
+    assert verify_liouville(B.omega, _dt(B), B.chart.samples(50))["cartan"] < 1e-12
     # the exp(2t) weight makes the plain Lie derivative exactly twice the form
     pts = B.chart.samples(50)
     assert_allclose(lie_derivative(_dt(B), B.omega).values(pts), 2.0 * B.omega.values(pts),
@@ -352,7 +352,8 @@ def test_line_field_expands_the_form(any_entry, sasakian_symp, flat_bundle_symp)
 
 def test_doubled_line_field_fails(sasakian_symp):
     doubled = _dt(sasakian_symp).scale(Const(2.0))
-    assert verify_liouville(sasakian_symp.omega, doubled, 30)["cartan"] > 1e-2
+    pts = sasakian_symp.chart.samples(30)
+    assert verify_liouville(sasakian_symp.omega, doubled, pts)["cartan"] > 1e-2
 
 
 def test_radial_field_on_standard_r4():
@@ -368,11 +369,11 @@ def test_radial_field_on_standard_r4():
     x, y, z, w = (Coord(i, n) for i, n in enumerate(chart.coord_names))
     radial = TensorField.vector(chart, [x, y, z, w])
     pts = chart.samples(40)
-    assert verify_liouville(omega, radial, 40)["cartan"] < 1e-12
+    assert verify_liouville(omega, radial, omega.chart.samples(40))["cartan"] < 1e-12
     assert_allclose(lie_derivative(radial, omega).values(pts), 2.0 * omega.values(pts),
                     rtol=0, atol=1e-12)
     halved = radial.scale(Const(0.5))
-    assert verify_liouville(omega, halved, 40)["cartan"] > 1e-3
+    assert verify_liouville(omega, halved, omega.chart.samples(40))["cartan"] > 1e-3
     assert_allclose(lie_derivative(halved, omega).values(pts), omega.values(pts),
                     rtol=0, atol=1e-12)
 
@@ -399,7 +400,7 @@ def test_slice_equals_rescale_componentwise(any_entry, sasakian_symp, flat_bundl
         dh = d_homothety(S, math.exp(2.0 * t0))
         for f1, f2 in ((sl.eta, dh.eta), (sl.g, dh.g), (sl.phi, dh.phi)):
             assert np.max(np.abs(f1.values(pts) - f2.values(pts))) < 1e-10
-        assert sup_norm(*verify_compatibility(sl, 30).values()) < COMPAT_TOL
+        assert sup_norm(*verify_compatibility(sl, sl.chart.samples(30)).values()) < COMPAT_TOL
 
 
 def test_slice_outside_range_rejected(sasakian_symp):
@@ -421,7 +422,7 @@ def test_induced_structure_reproduces_slice(any_entry, sasakian_symp, flat_bundl
     pts = S.chart.samples(20)
     for f1, f2 in ((ind.eta, sl.eta), (ind.g, sl.g), (ind.phi, sl.phi)):
         assert np.max(np.abs(f1.values(pts) - f2.values(pts))) < 1e-9
-    assert sup_norm(*verify_compatibility(ind, 25).values()) < COMPAT_TOL
+    assert sup_norm(*verify_compatibility(ind, ind.chart.samples(25)).values()) < COMPAT_TOL
     # the metric pairing with the Reeb field reproduces the form
     gv = ind.g.values(pts)
     xv = ind.xi.values(pts)
@@ -492,10 +493,11 @@ def test_natural_structure_slices_fail_compatibility_off_zero(sasakian):
         g_c = TensorField(sasakian.chart, 0, 2, g_raw.components, "symmetric")
         return ContactMetricStructure.build(sasakian.chart, eta_c, g_c, sasakian.phi)
 
-    bad = verify_compatibility(candidate(0.4), 20)
+    pts = sasakian.chart.samples(20)
+    bad = verify_compatibility(candidate(0.4), pts)
     assert not sup_norm(*bad.values()) < COMPAT_TOL
     assert bad["reeb_pairing"] > 1e-2
-    good = verify_compatibility(candidate(0.0), 20)
+    good = verify_compatibility(candidate(0.0), pts)
     assert sup_norm(*good.values()) < COMPAT_TOL
 
 
@@ -589,27 +591,29 @@ def test_torsion_norm_is_nan_only_where_the_torsion_is(flat_bundle_symp):
 
 
 def test_translation_identity_shift(flat_bundle_symp):
-    rep = translation_isomorphism_check(flat_bundle_symp, 0.0, 20)
+    rep = translation_isomorphism_check(flat_bundle_symp, 0.0, flat_bundle_symp.chart.samples(20))
     assert sup_norm(*rep.values()) < 1e-14
 
 
 def test_translation_samples_are_one_draw(flat_bundle_symp, monkeypatch):
-    """Every coordinate of the translation check's samples comes from one
-    stream: the t column is not an affine image of the first n uniforms of
-    that stream, which would make it repeat the leading coordinates' draws,
-    and every t keeps its shift inside the box."""
+    """The translation check reads the one draw it is given: the leading
+    coordinates as they are, and the t column mapped affinely from [-1, 1]
+    onto the overlap [-1, 0.7] of the shift by 0.3, where every t keeps its
+    shift inside the box.  That is, up to rounding, a draw with the same
+    seed over the product box with its t interval cut to the overlap."""
     seen = []
     real = TensorField.values
     monkeypatch.setattr(TensorField, "values",
                         lambda self, points: seen.append(points) or real(self, points))
-    translation_isomorphism_check(flat_bundle_symp, 0.3, 30, seed=57)
+    chart = flat_bundle_symp.chart
+    given = chart.samples(30, seed=57)
+    translation_isomorphism_check(flat_bundle_symp, 0.3, given)
     pts = seen[-1]
-    n = len(pts)
-    u = np.random.default_rng(57).random(n)
-    lines = np.stack([np.ones(n), u], axis=1)
-    fit, *_ = np.linalg.lstsq(lines, pts[:, -1], rcond=None)
-    assert np.max(np.abs(lines @ fit - pts[:, -1])) > 0.1
+    assert np.array_equal(pts[:, :-1], given[:, :-1])
+    assert_allclose(pts[:, -1], -1.0 + (given[:, -1] + 1.0) * 0.85, rtol=0, atol=1e-15)
     assert -1.0 < pts[:, -1].min() and pts[:, -1].max() + 0.3 < 1.0
+    box = dataclasses.replace(chart, domain=chart.domain[:-1] + ((-1.0, 0.7),))
+    assert_allclose(pts, box.samples(30, seed=57), rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("which", ["flat_bundle_symp", "sasakian_symp", "curved_symp",
@@ -619,13 +623,15 @@ def test_translation_at_shifted_points_is_the_pullback_bit_for_bit(which, reques
     gives the symbolic pullback's residuals bit for bit."""
     B = request.getfixturevalue(which)
     for shift in (0.3, -0.45):
-        got = translation_isomorphism_check(B, shift, 20, seed=11)
-        want = translation_isomorphism_reference(B, shift, 20, seed=11)
+        pts = B.chart.samples(20, seed=11)
+        got = translation_isomorphism_check(B, shift, pts)
+        want = translation_isomorphism_reference(B, shift, pts)
         assert list(got) == ["omega", "metric"]
         assert {k: v.hex() for k, v in got.items()} == {k: v.hex() for k, v in want.items()}
 
 
 def test_translation_matches_rescaled_symplectization(any_entry):
-    rep = translation_isomorphism_check(build_metric_symplectization(any_entry.structure), 0.3, 30)
+    B = build_metric_symplectization(any_entry.structure)
+    rep = translation_isomorphism_check(B, 0.3, B.chart.samples(30))
     assert rep["omega"] < 1e-8
     assert rep["metric"] < 1e-8
