@@ -39,6 +39,7 @@ from .contact import (
     is_K_contact,
     kappa_mu_after_rescale,
     reeb_field,
+    structure_values,
     verify_compatibility,
     verify_kmu_curvature,
     verify_structure_isomorphism,

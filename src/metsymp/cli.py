@@ -39,6 +39,7 @@ from .contact import (
     d_homothety,
     fit_kappa_mu,
     kappa_mu_after_rescale,
+    structure_values,
     verify_compatibility,
 )
 from .errors import ConfigError, GeometryError, SasakianDegeneracyError, UnknownEntryError
@@ -46,7 +47,6 @@ from .fields import sup_norm
 from .structfile import StructureFileError, load_structure_file
 from .suite import (
     SuiteConfig,
-    _rescale_base,
     _rescale_defects,
     _Run,
     _run_checks,
@@ -151,22 +151,23 @@ def _cmd_check(args) -> int:
     return 0 if report.all_passed else 1
 
 
-def _compatible(entry: CatalogEntry, pts: np.ndarray) -> bool:
-    """Whether the structure satisfies the compatibility axioms at ``pts``;
-    prints the refusal when it does not.  A NaN component gives an ``inf``
-    residual, so numpy's invalid-value warnings are silenced."""
+def _compatible(entry: CatalogEntry, pts: np.ndarray):
+    """The structure's values at ``pts`` when it satisfies the compatibility
+    axioms there; else prints the refusal and returns None.  A NaN component
+    gives an ``inf`` residual, so numpy's invalid-value warnings are silenced."""
     with np.errstate(invalid="ignore"):
-        residual = sup_norm(*verify_compatibility(entry.structure, pts).values())
+        values = structure_values(entry.structure, pts)
+        residual = sup_norm(*verify_compatibility(values).values())
     if not residual < COMPAT_TOL:
         print(f"{entry.name}: structure fails the compatibility axioms "
               f"(residual {residual:.3e}); refusing to fit")
-    return residual < COMPAT_TOL
+    return values if residual < COMPAT_TOL else None
 
 
 def _cmd_fit(args) -> int:
     entry = _load_entry_or_file(args.entry_or_file)
     name, S = entry.name, entry.structure
-    if not _compatible(entry, S.chart.samples(args.samples, seed=args.seed)):
+    if _compatible(entry, S.chart.samples(args.samples, seed=args.seed)) is None:
         return 1
     rep = fit_kappa_mu(S, args.samples, seed=args.seed)
     mu, lam = _or_undefined(rep.mu), _or_undefined(rep.lam)
@@ -210,7 +211,8 @@ def _cmd_dhomothety(args) -> int:
     entry = _load_entry_or_file(args.entry)
     S = entry.structure
     pts = S.chart.samples(args.samples, seed=args.seed)
-    if not _compatible(entry, pts):
+    values = _compatible(entry, pts)
+    if values is None:
         return 1
     before = fit_kappa_mu(S, args.samples, seed=args.seed)
     S2 = d_homothety(S, a)
@@ -221,7 +223,7 @@ def _cmd_dhomothety(args) -> int:
           f"law predicts ({kp:.9g}, {_or_undefined(mp)})")
     if not args.verify:
         return 0
-    defects = _rescale_defects(S2, a, before, after, _rescale_base(S, pts))
+    defects = _rescale_defects(structure_values(S2, pts), a, before, after, values)
     ok = _verdict("rescale verification", sup_norm(*defects),
                   default_thresholds()["rescale_equivariance"])
     return 0 if ok else 1

@@ -19,20 +19,21 @@ by least squares over samples and coordinate-frame pairs, with mu reported
 as undefined whenever h vanishes identically (the condition then puts no
 constraint on mu).  The eigenstructure of h is one report of arrays over a
 sample batch, whose +lam and -lam masks pick the eigenvectors that the
-eigenspace curvature identities run over.  The verifiers read the points
-they are given; only :func:`fit_kappa_mu` draws its own.
+eigenspace curvature identities run over.  The verifiers read a record of
+the fields' values on a batch (:func:`structure_values`); only
+:func:`fit_kappa_mu` draws its own points and evaluates its own fields.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .charts import Chart
-from .curvature import christoffel_batch, riemann_components
+from .curvature import ChristoffelData, christoffel_batch, riemann_components
 from .errors import (
     ChartMismatchError,
     DegenerateMetricError,
@@ -55,9 +56,10 @@ from .fields import (
 
 __all__ = [
     "ContactMetricStructure",
-    "KContactReport",
     "KmuReport",
     "HEigenReport",
+    "StructureValues",
+    "structure_values",
     "reeb_field",
     "verify_compatibility",
     "is_K_contact",
@@ -172,12 +174,6 @@ class ContactMetricStructure:
 
 
 @dataclass(frozen=True)
-class KContactReport:
-    max_h_norm: float
-    is_k_contact: bool
-
-
-@dataclass(frozen=True)
 class KmuReport:
     kappa: float
     mu: float | None
@@ -262,24 +258,45 @@ def _reeb_from_values(dv: np.ndarray, ev: np.ndarray, pts: np.ndarray) -> np.nda
     return out
 
 
-def verify_compatibility(S: ContactMetricStructure, points: np.ndarray) -> dict[str, float]:
-    """Residuals of the three structure axioms at ``points`` and on frames:
+@dataclass(frozen=True)
+class StructureValues:
+    """The values of a structure's fields at a batch of points, sample axis
+    first; ``deta[n, i, j]`` is d eta(d_i, d_j)."""
+
+    points: np.ndarray
+    eta: np.ndarray
+    deta: np.ndarray
+    g: np.ndarray
+    phi: np.ndarray
+    xi: np.ndarray
+    h: np.ndarray
+
+    def prefix(self, n: int) -> "StructureValues":
+        """The record of the first n points: the first n rows of each array."""
+        return StructureValues(*(getattr(self, f.name)[:n] for f in fields(self)))
+
+
+def structure_values(S: ContactMetricStructure, points: np.ndarray) -> StructureValues:
+    """The values of S's fields at ``points``, each field evaluated once; a
+    point outside the chart is a ``DomainError`` that names its sample."""
+    pts = _require_batch(S.chart, points)
+    return StructureValues(pts, S.eta.values(pts), exterior_derivative(S.eta).values(pts),
+                           S.g.values(pts), S.phi.values(pts), S.xi.values(pts), S.h.values(pts))
+
+
+def verify_compatibility(values: StructureValues) -> dict[str, float]:
+    """Residuals of the three structure axioms on a record and on frames:
     ``reeb_pairing`` for g(X, xi) = eta(X), ``phi_square`` for
     phi^2 = -I + eta (x) xi and ``deta_pairing`` for d eta(X, Y) = g(X, phi Y).
     """
-    d = S.chart.dim
-    gv = S.g.values(points)
-    ev = S.eta.values(points)
-    xv = S.xi.values(points)
-    pv = S.phi.values(points)           # pv[n, i, j] = phi^i_j
-    dev = exterior_derivative(S.eta).values(points)
+    gv, ev, xv, pv = values.g, values.eta, values.xi, values.phi
 
     r1 = sup_norm(np.einsum("nij,nj->ni", gv, xv) - ev)
     phi2 = np.einsum("nia,naj->nij", pv, pv)
-    target = -np.eye(d)[None, :, :] + np.einsum("ni,nj->nij", xv, ev)
+    target = -np.eye(ev.shape[1])[None, :, :] + np.einsum("ni,nj->nij", xv, ev)
     r2 = sup_norm(phi2 - target)
     pairing = np.einsum("nik,nkj->nij", gv, pv)   # g(d_i, phi d_j)
-    r3 = sup_norm(dev - pairing)
+    r3 = sup_norm(values.deta - pairing)
     return {"reeb_pairing": r1, "phi_square": r2, "deta_pairing": r3}
 
 
@@ -294,11 +311,9 @@ def _h_norms(gv: np.ndarray, hv: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(sq, 0.0))
 
 
-def is_K_contact(S: ContactMetricStructure, points: np.ndarray) -> KContactReport:
-    """The largest g-norm of h at ``points``, and whether it is below ``H_VANISH_TOL``."""
-    norms = _h_norms(S.g.values(points), S.h.values(points))
-    max_norm = sup_norm(norms)
-    return KContactReport(max_norm, max_norm < H_VANISH_TOL)
+def is_K_contact(g: np.ndarray, h: np.ndarray) -> bool:
+    """Whether the g-norm of h, from their values on a batch, is below ``H_VANISH_TOL``."""
+    return sup_norm(_h_norms(g, h)) < H_VANISH_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +366,7 @@ def fit_kappa_mu(S: ContactMetricStructure, n_samples: int = 50,
     ev = S.eta.values(pts)
     lhs = np.einsum("nlkij,nk->nlij", riem, S.xi.values(pts))
     _require_finite(pts, GeometryError, "R(X, Y) xi, eta or h", lhs, ev, hv)
-    sasakian = sup_norm(_h_norms(data.g, hv)) < H_VANISH_TOL
+    sasakian = is_K_contact(data.g, hv)
     kappa, mu, residual = nullity_fit(lhs, ev, None if sasakian else hv)
     lam = None if sasakian else math.sqrt(max(1.0 - kappa, 0.0))
     return KmuReport(kappa=kappa, mu=mu, residual=residual, sasakian_flag=sasakian, lam=lam)
@@ -396,23 +411,18 @@ def boeckx_index(kappa: float, mu: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def h_eigendecomposition_batch(S: ContactMetricStructure,
-                               points: np.ndarray) -> HEigenReport:
-    """g-orthonormal eigenbasis of h at each point, grouped by eigenvalue.
+def h_eigendecomposition_batch(values: StructureValues) -> HEigenReport:
+    """g-orthonormal eigenbasis of h on a record of values, grouped by eigenvalue.
 
-    g, h and xi are evaluated once on the batch, and the Cholesky reduction
-    of h to a symmetric matrix, its eigensolve, the grouping and the
-    residuals each run once over shape (n, d, d).  With lam the largest
-    |eigenvalue| of a sample, each eigenvalue joins the nearest of +lam,
-    -lam and 0; a tie goes to 0, then to +lam.  Raises, naming the first
-    failing sample, where g is not finite or not positive definite, where
-    h is not finite, or where the g-norm of h is below ``H_VANISH_TOL``
-    (the grouping is meaningless there).
+    The Cholesky reduction of h to a symmetric matrix, its eigensolve, the
+    grouping and the residuals each run once over shape (n, d, d).  With
+    lam the largest |eigenvalue| of a sample, each eigenvalue joins the
+    nearest of +lam, -lam and 0; a tie goes to 0, then to +lam.  Raises,
+    naming the first failing sample, where g is not finite or not positive
+    definite, where h is not finite, or where the g-norm of h is below
+    ``H_VANISH_TOL`` (the grouping is meaningless there).
     """
-    pts = _require_batch(S.chart, points)
-    gv = S.g.values(pts)
-    hv = S.h.values(pts)
-    xv = S.xi.values(pts)
+    pts, gv, hv, xv = values.points, values.g, values.h, values.xi
     _require_finite(pts, DegenerateMetricError, "metric", gv)
     try:
         L = np.linalg.cholesky(gv)
@@ -465,7 +475,7 @@ def _sample_sup(x: np.ndarray, axis) -> np.ndarray:
 
 def h_eigendecomposition(S: ContactMetricStructure, point: np.ndarray) -> HEigenReport:
     """Eigenstructure of h at one point: :func:`h_eigendecomposition_batch` of one."""
-    return h_eigendecomposition_batch(S, np.asarray(point, dtype=float)[None, :])
+    return h_eigendecomposition_batch(structure_values(S, np.asarray(point, dtype=float)[None]))
 
 
 # ---------------------------------------------------------------------------
@@ -473,9 +483,10 @@ def h_eigendecomposition(S: ContactMetricStructure, point: np.ndarray) -> HEigen
 # ---------------------------------------------------------------------------
 
 
-def verify_kmu_curvature(S: ContactMetricStructure, kappa: float, mu: float,
-                         points: np.ndarray) -> dict[str, float]:
-    """Residuals of the six eigenspace curvature identities at ``points``.
+def verify_kmu_curvature(values: StructureValues, data: ChristoffelData, kappa: float,
+                         mu: float) -> dict[str, float]:
+    """Residuals of the six eigenspace curvature identities on a record of
+    values, with ``data`` the connection of g at the same points.
 
     Arguments run over the +lam and -lam eigenbases of h at each point.
     Writing P for a +lam eigenvector and M for a -lam one, the identities
@@ -492,12 +503,11 @@ def verify_kmu_curvature(S: ContactMetricStructure, kappa: float, mu: float,
     the eigenspaces of the three arguments: ``ppm``, ``mmp``, ``pmm``,
     ``pmp``, ``ppp`` and ``mmm``.
     """
-    data = christoffel_batch(S.g, points)
     riem = riemann_components(data)
     lam = math.sqrt(max(1.0 - kappa, 0.0))
-    eig = h_eigendecomposition_batch(S, points)
+    eig = h_eigendecomposition_batch(values)
     gmat = data.g
-    phimat = S.phi.values(points)
+    phimat = values.phi
 
     # the eigenbases stacked as [n, s, d], the rows under ``mask`` in order; a
     # sample with fewer vectors is padded with zero vectors, whose defects are

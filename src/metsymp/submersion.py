@@ -22,7 +22,8 @@ so the comparison stays a genuine cross-check.  The Ricci rows are traces
 of the same two Riemann tensors, read in gbar-orthonormal frames
 (xi_t, d_t, e_i), built for the whole sample batch by one call of
 :func:`curvature.gram_schmidt_frame`.  Both verifiers take gbar's
-connection data, so one set of points serves them.
+connection data and the base record at its base coordinates, so one set
+of points serves them.
 Each verifier returns its residuals as a dict from the name of the
 identity to its sup norm over the samples, in a fixed order.
 """
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contact import H_VANISH_TOL, _h_norms, nullity_fit
+from .contact import StructureValues, is_K_contact, nullity_fit
 from .curvature import (
     ChristoffelData,
     christoffel_batch,
@@ -140,8 +141,8 @@ def slice_christoffel_batch(data: ChristoffelData) -> ChristoffelData:
 # ---------------------------------------------------------------------------
 
 
-def verify_fundamental_tensors(B: SymplecticMetricStructure, data: ChristoffelData
-                               ) -> dict[str, float]:
+def verify_fundamental_tensors(B: SymplecticMetricStructure, data: ChristoffelData,
+                               values: StructureValues) -> dict[str, float]:
     """Fundamental tensors from the definition versus the closed form, at the
     samples of gbar's connection data ``data``.
 
@@ -150,12 +151,10 @@ def verify_fundamental_tensors(B: SymplecticMetricStructure, data: ChristoffelDa
     are blocks of Gamma that gbar's t row, a one and zeros, sets to zero,
     so no residual of gbar = g_t + dt^2 reads them.
     """
-    S = B.base
     D = B.chart.dim
-    d = S.chart.dim
-    ti = B.t_index
+    d = ti = B.t_index
     gv = data.g
-    etat, xit = slice_form_values(S, data.points)
+    etat, xit = slice_form_values(values, data.points)
     T, _ = _oneill_tables(B, data)
 
     # T(d_a, d_b) = -(gbar_ab + etat_a etat_b) d_t for slice indices a, b
@@ -166,7 +165,8 @@ def verify_fundamental_tensors(B: SymplecticMetricStructure, data: ChristoffelDa
     return {"vertical_pair": sup_norm(vv), "mixed_pair": sup_norm(vt)}
 
 
-def verify_currel(B: SymplecticMetricStructure, data: ChristoffelData) -> dict[str, float]:
+def verify_currel(B: SymplecticMetricStructure, data: ChristoffelData,
+                  values: StructureValues) -> dict[str, float]:
     """Curvature of the product against slice data, at the samples of gbar's
     connection data ``data``: three relations, then the six Ricci rows.
 
@@ -214,11 +214,11 @@ def verify_currel(B: SymplecticMetricStructure, data: ChristoffelData) -> dict[s
     sl = slice_christoffel_batch(data)
     riem_t = riemann_components(sl)                 # base-sized arrays
     gt = sl.g
-    etat_full, xit_full = slice_form_values(S, pts)
+    etat_full, xit_full = slice_form_values(values, pts)
     etat, xit = etat_full[:, :d], xit_full[:, :d]
-    phiv = S.phi.values(pts[:, :d])
+    phiv = values.phi
     e2t = np.exp(2.0 * pts[:, ti])
-    hv = S.h.values(pts[:, :d]) / e2t[:, None, None]
+    hv = values.h / e2t[:, None, None]
 
     P = gt + np.einsum("na,nb->nab", etat, etat)
     eye = np.eye(d)
@@ -269,29 +269,26 @@ class SymplectizationKmuReport:
 
 
 def fit_symplectization_kmu(B: SymplecticMetricStructure, ts: tuple[float, ...],
-                            points: np.ndarray) -> list[SymplectizationKmuReport]:
+                            values: StructureValues) -> list[SymplectizationKmuReport]:
     """Fit V(R(X, Y) xi_t) = (k I + m h_t)(eta_t(Y) X - eta_t(X) Y) on each
     slice at t in ``ts``; one report per slice, in the order of ``ts``.
 
-    Arguments X, Y run over the slice coordinate directions at ``points``
-    of the base chart, lifted to every slice; h and g are evaluated there
-    once.  gbar is walked one slice at a time, so the peak memory is that
-    of one slice.  For a structure whose slice satisfies the nullity
-    condition with constants (kappa_t, mu_t), the fitted values are
-    (kappa_t - 2, mu_t); mu is undefined when h vanishes.
+    Arguments X, Y run over the slice coordinate directions at the points
+    of the base structure's record ``values``, lifted to every slice.  gbar
+    is walked one slice at a time, so the peak memory is that of one slice.
+    For a structure whose slice satisfies the nullity condition with
+    constants (kappa_t, mu_t), the fitted values are (kappa_t - 2, mu_t);
+    mu is undefined when h vanishes.
     """
-    S = B.base
-    d = S.chart.dim
-    base_pts = np.asarray(points, dtype=float)
-    h_base = S.h.values(base_pts)
-    h_vanishes = sup_norm(_h_norms(S.g.values(base_pts), h_base)) < H_VANISH_TOL
+    d = B.t_index
+    h_vanishes = is_K_contact(values.g, values.h)
     reports = []
     for t in ts:
-        pts = np.concatenate([base_pts, np.full((len(base_pts), 1), float(t))], axis=1)
+        pts = np.concatenate([values.points, np.full((len(values.points), 1), float(t))], axis=1)
         riem = riemann_components(christoffel_batch(B.gbar, pts))
-        etat, xit = slice_form_values(S, pts)
+        etat, xit = slice_form_values(values, pts)
         # V(R(d_a, d_b) xi_t), base components
         lhs = np.einsum("nlkab,nk->nlab", riem[:, :d, :, :d, :d], xit)
         reports.append(SymplectizationKmuReport(*nullity_fit(
-            lhs, etat[:, :d], None if h_vanishes else h_base / math.exp(2.0 * t))))
+            lhs, etat[:, :d], None if h_vanishes else values.h / math.exp(2.0 * t))))
     return reports

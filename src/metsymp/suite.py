@@ -10,13 +10,13 @@ recorded, never raised, so a single bad identity cannot hide the rest of
 the report.
 
 The checks of one run share a few artifacts through a per-run object: one
-sample draw per chart, the (kappa, mu) fit, the metric symplectization,
-the Boeckx index, the rescaled structures ``d_homothety(S, a)``, their
-(kappa, mu) refits, and gbar's connection on the product draw with
-:func:`metsymp.submersion.verify_currel` there.  Every check reads a
-prefix of a draw, and hands the verifiers points.  Each artifact is built
-on first read and at most once.  When a build raises, every check that
-reads the artifact records that build's own error, not a missing key.
+sample draw per chart, the structure's values there, the (kappa, mu) fit,
+the metric symplectization, the Boeckx index, each ``d_homothety(S, a)``
+with its values and (kappa, mu) refit, and gbar's connection on the product
+draw with :func:`metsymp.submersion.verify_currel` there.  Checks read
+prefixes of these and hand the verifiers values, not points.  Each artifact
+is built on first read and at most once.  When a build raises, every check
+that reads the artifact records that build's own error, not a missing key.
 
 Most checks reduce the named residuals of one library verifier, as
 ``symplectization_build`` reduces those of
@@ -61,12 +61,13 @@ from .contact import (
     fit_kappa_mu,
     h_eigendecomposition_batch,
     kappa_mu_after_rescale,
+    structure_values,
     verify_compatibility,
     verify_kmu_curvature,
 )
 from .curvature import christoffel_batch, riemann_components
 from .errors import ConfigError
-from .fields import TensorField, exterior_derivative, sup_norm
+from .fields import TensorField, sup_norm
 from .submersion import (
     fit_symplectization_kmu,
     verify_currel,
@@ -117,6 +118,11 @@ class _Run:
         return self._built.get(key, (None, None))[0]
 
     @property
+    def values(self):
+        """The structure's values on ``points``."""
+        return self._artifact("values", structure_values, self.S, self.points)
+
+    @property
     def kmu(self):
         """The (kappa, mu) fit of the structure, on ``points``."""
         return self._artifact("kmu", fit_kappa_mu, self.S, self.cfg.samples, seed=self.cfg.seed)
@@ -141,6 +147,12 @@ class _Run:
                               min(self.cfg.samples, 40), seed=self.cfg.seed)
 
     @property
+    def product_values(self):
+        """The structure's values on the base coordinates of ``product_points``."""
+        return self._artifact("product_values", structure_values, self.S,
+                              self.product_points[:, :-1])
+
+    @property
     def connection(self):
         """gbar's connection data on ``product_points``."""
         return self._artifact("connection", christoffel_batch, self.B.gbar, self.product_points)
@@ -148,14 +160,19 @@ class _Run:
     @property
     def currel(self):
         """The three curvature relations, then the six Ricci rows, on ``connection``."""
-        return self._artifact("currel", verify_currel, self.B, self.connection)
+        return self._artifact("currel", verify_currel, self.B, self.connection,
+                              self.product_values)
 
     def rescaled(self, a: float):
-        return self._artifact(("rescaled", a), d_homothety, self.S, a)
+        """``d_homothety(S, a)`` and its values on the first 30 of ``points``."""
+        def build():
+            S2 = d_homothety(self.S, a)
+            return S2, structure_values(S2, self.points[:30])
+        return self._artifact(("rescaled", a), build)
 
     def refit(self, a: float):
         """The (kappa, mu) fit of ``rescaled(a)`` on the first 30 of ``points``."""
-        return self._artifact(("refit", a), fit_kappa_mu, self.rescaled(a),
+        return self._artifact(("refit", a), fit_kappa_mu, self.rescaled(a)[0],
                               min(self.cfg.samples, 30), seed=self.cfg.seed)
 
 
@@ -172,44 +189,31 @@ def _constant_defects(kappa, mu, want_kappa, want_mu) -> list[float]:
     return [kappa - want_kappa] + ([] if mu is None else [mu - want_mu])
 
 
-def _rescale_base(S, pts):
-    """The points of the rescale law and the values of xi and h of S there,
-    evaluated once for every factor the law is checked at."""
-    return pts, S.xi.values(pts), S.h.values(pts)
-
-
-def _rescale_defects(S2, a, kmu, fit, base):
-    """The defects of the D-homothety law at one factor a, with
-    S2 = d_homothety(S, a), ``fit`` its (kappa, mu) fit on the points of
-    ``base`` = :func:`_rescale_base` of S: xi' = xi/a, h' = h/a, S2
-    compatible, and ``fit`` against the law applied to ``kmu``."""
-    pts, xv, hv = base
+def _rescale_defects(rescaled, a, kmu, fit, base):
+    """The defects of the D-homothety law at one factor a: ``rescaled`` and
+    ``base`` are the values of d_homothety(S, a) and of S at the same points,
+    and ``fit`` the refit of d_homothety(S, a).  xi' = xi/a, h' = h/a, the
+    rescale is compatible, and ``fit`` obeys the law applied to ``kmu``."""
     kp, mp = kappa_mu_after_rescale(kmu.kappa, kmu.mu, a)
-    return [S2.xi.values(pts) - xv / a,
-            S2.h.values(pts) - hv / a,
-            sup_norm(*verify_compatibility(S2, pts).values()),
+    return [rescaled.xi - base.xi / a,
+            rescaled.h - base.h / a,
+            sup_norm(*verify_compatibility(rescaled).values()),
             fit.residual, *_constant_defects(fit.kappa, fit.mu, kp, mp)]
 
 
 def _check_compatibility(run):
-    return sup_norm(*verify_compatibility(run.S, run.points).values())
+    return sup_norm(*verify_compatibility(run.values).values())
 
 
 def _check_reeb(run):
-    S, pts = run.S, run.points
-    deta = exterior_derivative(S.eta)
-    dv = deta.values(pts)
-    ev = S.eta.values(pts)
-    xv = S.xi.values(pts)
-    solver = _reeb_from_values(dv[:10], ev[:10], pts[:10]) - xv[:10]
-    return sup_norm(np.einsum("ni,nij->nj", xv, dv), np.einsum("ni,ni->n", ev, xv) - 1.0,
-                    solver)
+    v, head = run.values, run.values.prefix(10)
+    solver = _reeb_from_values(head.deta, head.eta, head.points) - head.xi
+    return sup_norm(np.einsum("ni,nij->nj", v.xi, v.deta),
+                    np.einsum("ni,ni->n", v.eta, v.xi) - 1.0, solver)
 
 
 def _check_h_tensor(run):
-    S, pts = run.S, run.points
-    hv = S.h.values(pts)
-    pv = S.phi.values(pts)
+    hv, pv = run.values.h, run.values.phi
     anti = np.einsum("nia,naj->nij", hv, pv) + np.einsum("nia,naj->nij", pv, hv)
     trace = np.einsum("nii->n", hv)
     return sup_norm(anti, trace)
@@ -224,39 +228,37 @@ def _check_nullity_fit(run):
 
 
 def _check_h_eigenstructure(run):
-    S, rep, pts = run.S, run.kmu, run.points[:25]
-    hv = S.h.values(pts)
-    pv = S.phi.values(pts)
-    h2 = np.einsum("nia,naj->nij", hv, hv)
-    p2 = np.einsum("nia,naj->nij", pv, pv)
+    S, rep, values = run.S, run.kmu, run.values.prefix(25)
+    h2 = np.einsum("nia,naj->nij", values.h, values.h)
+    p2 = np.einsum("nia,naj->nij", values.phi, values.phi)
     defects = [h2 + (1.0 - rep.kappa) * p2]
     if not rep.sasakian_flag:
         lam = math.sqrt(1.0 - rep.kappa)
         target = np.sort(np.concatenate([np.full(S.n, lam), np.full(S.n, -lam), np.zeros(1)]))
-        eig = h_eigendecomposition_batch(S, pts[:10])
+        eig = h_eigendecomposition_batch(values.prefix(10))
         defects += [eig.eigenvalues - target, eig.orthonormality_residual,
                     eig.xi_alignment_residual]
     return sup_norm(*defects)
 
 
 def _check_eigenspace_curvature(run):
-    S, rep, pts = run.S, run.kmu, run.points[:20]
+    rep, values = run.kmu, run.values.prefix(20)
+    data = christoffel_batch(run.S.g, values.points)
     if rep.sasakian_flag:
         # kappa = 1 specialization: R(X, Y) xi = eta(Y) X - eta(X) Y
-        riem = riemann_components(christoffel_batch(S.g, pts))
-        lhs = np.einsum("nlkij,nk->nlij", riem, S.xi.values(pts))
-        return sup_norm(lhs - _nullity_basis(S.eta.values(pts)))
-    return sup_norm(*verify_kmu_curvature(S, rep.kappa, rep.mu, pts).values())
+        lhs = np.einsum("nlkij,nk->nlij", riemann_components(data), values.xi)
+        return sup_norm(lhs - _nullity_basis(values.eta))
+    return sup_norm(*verify_kmu_curvature(values, data, rep.kappa, rep.mu).values())
 
 
 _RESCALE_FACTORS = (0.5, 2.0, math.e)
 
 
 def _check_rescale_equivariance(run):
-    base = _rescale_base(run.S, run.points[:30])
+    base = run.values.prefix(30)
     defects = []
     for a in _RESCALE_FACTORS:
-        defects += _rescale_defects(run.rescaled(a), a, run.kmu, run.refit(a), base)
+        defects += _rescale_defects(run.rescaled(a)[1], a, run.kmu, run.refit(a), base)
     return sup_norm(*defects)
 
 
@@ -271,7 +273,8 @@ def _check_index_invariance(run):
 
 
 def _check_symplectization_build(run):
-    return sup_norm(*verify_symplectization_build(run.B, run.product_points).values())
+    return sup_norm(*verify_symplectization_build(run.B, run.connection,
+                                                  run.product_values).values())
 
 
 def _check_liouville(run):
@@ -281,7 +284,8 @@ def _check_liouville(run):
 
 
 def _check_fundamental_tensor(run):
-    return sup_norm(*verify_fundamental_tensors(run.B, run.connection).values())
+    return sup_norm(*verify_fundamental_tensors(run.B, run.connection,
+                                                run.product_values).values())
 
 
 def _check_curvature_relations(run):
@@ -295,7 +299,7 @@ def _check_ricci_rows(run):
 def _check_symplectization_nullity(run):
     B, rep = run.B, run.kmu
     ts = (-0.5, 0.0, 0.5)
-    fits = fit_symplectization_kmu(B, ts, run.points[:30])
+    fits = fit_symplectization_kmu(B, ts, run.values.prefix(30))
     defects = []
     for t, fit in zip(ts, fits):
         kt, mt = kappa_mu_after_rescale(rep.kappa, rep.mu, math.exp(2.0 * t))
@@ -305,9 +309,10 @@ def _check_symplectization_nullity(run):
 
 def _check_integrability(run):
     B, rep, pts = run.B, run.kmu, run.product_points[:30]
-    norms_metric = nijenhuis_norms(nijenhuis(B.J), B.gbar, pts)
+    gv = run.connection.g[:30]
+    norms_metric = nijenhuis_norms(nijenhuis(B.J), gv, pts)
     Jn = natural_acs(run.S, run.cfg.t_range)
-    norms_natural = nijenhuis_norms(nijenhuis(Jn), B.gbar, pts)
+    norms_natural = nijenhuis_norms(nijenhuis(Jn), gv, pts)
     if rep.sasakian_flag:
         return sup_norm(norms_metric, norms_natural)
     # non-Sasakian: both torsions must be bounded away from zero; the

@@ -22,19 +22,19 @@ with a = exp(2t).  gbar is built from that slice law, the tree of
 :func:`slice_metric_field` plus a one at (t, t), so it reads neither J nor
 phi, and d_t is unit and slice-orthogonal by construction.
 :func:`verify_symplectization_build` evaluates what can fail at the
-product points it is given, each as one named residual: the three-case
+points of gbar's connection data, each as one named residual: the three-case
 table of J, gbar's base block against the slice law, the compatibility
 gbar(X, J Y) = omega(X, Y) and the uniqueness of J.
 :func:`slice_structure` builds the slice structure as the D_a rescaling
 itself.
 
 A symplectization is always a product over its base structure, with the
-line coordinate t last on the product chart.  The slice data eta_t, xi_t
-at sample points are therefore read from the base fields:
-:func:`slice_form_values` evaluates eta and xi at the base coordinates,
-scales them by exp(+-2t) and leaves the t slot zero.  The symbolic lifts
-(:func:`extend_to_product`, :func:`extended_slice_form` and the slice
-metric family) are built only where a field is needed: omega and gbar.
+line coordinate t last on the product chart.  At product points, the
+verifiers therefore read the base structure's record of values at the base
+coordinates: :func:`slice_form_values` scales its eta and xi by exp(+-2t)
+and leaves the t slot zero.  The symbolic lifts (:func:`extend_to_product`,
+:func:`extended_slice_form` and the slice metric family) are built only
+where a field is needed: omega and gbar.
 """
 
 from __future__ import annotations
@@ -45,7 +45,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charts import Chart, product_with_line
-from .contact import ContactMetricStructure, _require_finite, _rescaled_metric, d_homothety
+from .contact import (
+    ContactMetricStructure,
+    StructureValues,
+    _require_finite,
+    _rescaled_metric,
+    d_homothety,
+)
+from .curvature import ChristoffelData
 from .errors import DomainError, GeometryError, RankError
 from .expressions import ONE, Const, Coord, Expr, exp, sum_of_products
 from .fields import TensorField, exterior_derivative, interior_product, sup_norm
@@ -53,7 +60,6 @@ from .fields import TensorField, exterior_derivative, interior_product, sup_norm
 __all__ = [
     "SymplecticMetricStructure",
     "extend_to_product",
-    "lifted_values",
     "slice_form_values",
     "build_metric_symplectization",
     "natural_acs",
@@ -113,29 +119,20 @@ def extend_to_product(T: TensorField, chart: Chart) -> TensorField:
     return TensorField(chart, T.r, T.s, out, T.sym)
 
 
-def lifted_values(T: TensorField, pts: np.ndarray) -> np.ndarray:
-    """The values of ``extend_to_product(T, chart)`` at product points.
-
-    T is evaluated at the base coordinates ``pts[:, :T.chart.dim]``; every
-    t slot of the result is zero.
-    """
-    d = T.chart.dim
-    rank = T.r + T.s
-    out = np.zeros((len(pts),) + (d + 1,) * rank)
-    out[(slice(None),) + (slice(0, d),) * rank] = T.values(pts[:, :d])
-    return out
+def _lift(v: np.ndarray) -> np.ndarray:
+    """Base values with a zero t slot on each index: those of :func:`extend_to_product`."""
+    return np.pad(v, [(0, 0)] + [(0, 1)] * (v.ndim - 1))
 
 
-def slice_form_values(S: ContactMetricStructure, pts: np.ndarray
+def slice_form_values(values: StructureValues, pts: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray]:
     """eta_t = exp(2t) eta and xi_t = exp(-2t) xi at product points (t last).
 
     The values of :func:`extended_slice_form` and of the lift of xi scaled
-    by exp(-2t), read from the base fields without building either.
+    by exp(-2t), read from the base record ``values`` without building either.
     """
     t = pts[:, -1:]
-    return (lifted_values(S.eta, pts) * np.exp(2.0 * t),
-            lifted_values(S.xi, pts) * np.exp(-2.0 * t))
+    return _lift(values.eta) * np.exp(2.0 * t), _lift(values.xi) * np.exp(-2.0 * t)
 
 
 def _exp_t(chart: Chart, c: float) -> Expr:
@@ -327,15 +324,14 @@ def nijenhuis(J: TensorField) -> TensorField:
     return TensorField(J.chart, 1, 2, out)
 
 
-def nijenhuis_norms(N: TensorField, g: TensorField, points: np.ndarray) -> np.ndarray:
-    """g-norm of a (1,2) tensor at each sample.
+def nijenhuis_norms(N: TensorField, gv: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """g-norm of a (1,2) tensor at each sample, from the values ``gv`` of g at ``points``.
 
     |N|^2 = g_kc g^{ia} g^{jb} N^k_ij N^c_ab, taken as pairwise products:
     raise both lower slots of N (one batched product per upper index c),
     lower the upper slot with g, and sum against N.  Each step is n D^4.
     """
     nv = N.values(points)
-    gv = g.values(points)
     ginv = np.linalg.inv(gv)
     n, D = gv.shape[:2]
     # raised[n, c, i, j] = g^{ia} N^c_ab g^{jb}, and lowered[n, k, (i j)] its
@@ -351,11 +347,11 @@ def nijenhuis_norms(N: TensorField, g: TensorField, points: np.ndarray) -> np.nd
 # ---------------------------------------------------------------------------
 
 
-def verify_symplectization_build(B: SymplecticMetricStructure, points: np.ndarray
-                                 ) -> dict[str, float]:
-    """The named residuals of the construction at ``points`` of the product
-    chart, where J, gbar, omega, xi_t, the contact distribution V and the
-    lifted phi are evaluated once:
+def verify_symplectization_build(B: SymplecticMetricStructure, data: ChristoffelData,
+                                 values: StructureValues) -> dict[str, float]:
+    """The named residuals of the construction at the points of gbar's
+    connection data ``data``, where J and omega are evaluated once; xi_t, the
+    contact distribution V and the lifted phi come from the base record ``values``:
 
     - ``J_xi_t``, ``J_d_t``, ``J_on_distribution``: the three-case table;
     - ``slice_block``: gbar's base block against the slice metric
@@ -368,22 +364,19 @@ def verify_symplectization_build(B: SymplecticMetricStructure, points: np.ndarra
       solved from omega(w, xi_t) = omega(w, V) = 0 and omega(w, d_t) = 1
       (d_t unit and slice-orthogonal for gbar' = omega(J' ., .)), against -xi_t.
     """
-    S = B.base
-    pts = np.asarray(points, dtype=float)
-    D = B.chart.dim
-    d = S.chart.dim
+    pts, gv = data.points, data.g
+    D, d = B.chart.dim, B.t_index
     jv = B.J.values(pts)
-    gv = B.gbar.values(pts)
     ov = B.omega.values(pts)
-    ev, xl = S.eta.values(pts[:, :d]), lifted_values(S.xi, pts)
+    ev, xl = values.eta, _lift(values.xi)
     xt = xl * np.exp(-2.0 * pts[:, -1:])      # xi_t, as in slice_form_values
     # V[:, a] = d_a - eta(d_a) xi: the base coordinate fields projected onto
     # the contact distribution, tangent to the slices
     V = -ev[:, :, None] * xl[:, None, :]
     V[:, range(d), range(d)] += 1.0
-    pv = lifted_values(S.phi, pts)
+    pv = _lift(values.phi)
     e2t = np.exp(2.0 * pts[:, -1])[:, None, None]
-    gt = e2t * S.g.values(pts[:, :d]) + e2t * (e2t - 1.0) * (ev[:, :, None] * ev[:, None, :])
+    gt = e2t * values.g + e2t * (e2t - 1.0) * (ev[:, :, None] * ev[:, None, :])
     et = np.zeros((len(pts), D))
     et[:, D - 1] = 1.0
     res = {

@@ -1,0 +1,17 @@
+"""The inputs of the verifiers that read a record of values, built from points."""
+
+from metsymp.contact import structure_values
+from metsymp.curvature import christoffel_batch
+
+
+def kmu_inputs(S, points):
+    """The record of S at ``points`` and g's connection there: the first two
+    arguments of ``verify_kmu_curvature``."""
+    return structure_values(S, points), christoffel_batch(S.g, points)
+
+
+def product_inputs(B, points):
+    """gbar's connection at product ``points`` and the base structure's record
+    at their base coordinates: the arguments after B of the symplectization
+    and submersion verifiers."""
+    return christoffel_batch(B.gbar, points), structure_values(B.base, points[:, :-1])

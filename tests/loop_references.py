@@ -538,7 +538,7 @@ def kmu_curvature_reference(S, kappa, mu, n_samples, seed):
     lam = math.sqrt(max(1.0 - kappa, 0.0))
     phi_all = S.phi.values(pts)
     defects = ([], [], [], [], [], [])
-    eig = contact.h_eigendecomposition_batch(S, pts)
+    eig = contact.h_eigendecomposition_batch(contact.structure_values(S, pts))
     for idx, vectors in enumerate(eig.vectors):
         Ps = list(vectors[eig.plus[idx]])
         Ms = list(vectors[eig.minus[idx]])

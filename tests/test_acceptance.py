@@ -20,6 +20,7 @@ from metsymp.contact import (
     fit_kappa_mu,
     h_eigendecomposition,
     kappa_mu_after_rescale,
+    structure_values,
     verify_compatibility,
     verify_kmu_curvature,
 )
@@ -42,6 +43,7 @@ from metsymp.symplectization import (
 )
 
 from fd_oracle import fd_christoffel, fd_riemann
+from inputs import kmu_inputs, product_inputs
 
 SASAKIAN = catalog_load("darboux-sasakian-r3")
 FLAT = catalog_load("unit-tangent-flat-plane")
@@ -63,8 +65,8 @@ def _report(number: int, label: str, residual: float, tol: float) -> None:
 
 
 def test_criterion_01_compatibility_axioms():
-    residual = max(sup_norm(*verify_compatibility(S, S.chart.samples(100)).values())
-                   for S in (e.structure for e, _ in BOTH))
+    records = [structure_values(e.structure, e.structure.chart.samples(100)) for e, _ in BOTH]
+    residual = max(sup_norm(*verify_compatibility(values).values()) for values in records)
     _report(1, "structure axioms on both entries, 100 samples", residual, 1e-8)
 
 
@@ -99,12 +101,13 @@ def test_criterion_03_rescale_covariance_and_index():
 def test_criterion_04_eigenspace_curvature_block():
     S = FLAT.structure
     rep = fit_kappa_mu(S, 30)
-    residual = sup_norm(*verify_kmu_curvature(S, rep.kappa, rep.mu, S.chart.samples(30)).values())
+    residual = sup_norm(*verify_kmu_curvature(*kmu_inputs(S, S.chart.samples(30)),
+                                              rep.kappa, rep.mu).values())
     a = float(np.random.default_rng(42).uniform(0.5, 3.0))
     S2 = d_homothety(S, a)
     rep2 = fit_kappa_mu(S2, 30)
-    residual = max(residual, sup_norm(*verify_kmu_curvature(S2, rep2.kappa, rep2.mu,
-                                                            S2.chart.samples(30)).values()))
+    residual = max(residual, sup_norm(*verify_kmu_curvature(*kmu_inputs(S2, S2.chart.samples(30)),
+                                                            rep2.kappa, rep2.mu).values()))
     _report(4, f"six eigenspace identities, flat bundle and its a={a:.3f} rescale",
             residual, 1e-6)
 
@@ -134,7 +137,7 @@ def test_criterion_06_metric_symplectization():
     residual = 0.0
     for entry, B in BOTH:
         S = entry.structure
-        res = verify_symplectization_build(B, B.chart.samples(50))
+        res = verify_symplectization_build(B, *product_inputs(B, B.chart.samples(50)))
         residual = max(residual, res["J_xi_t"], res["J_d_t"], res["J_on_distribution"],
                        res["slice_block"], res["omega_pairing"])
         pts = S.chart.samples(30)
@@ -160,7 +163,7 @@ def test_criterion_07_liouville_property():
 def test_criterion_08_fundamental_tensor_and_a_zero():
     residual = 0.0
     for _, B in BOTH:
-        rep = verify_fundamental_tensors(B, christoffel_batch(B.gbar, B.chart.samples(100)))
+        rep = verify_fundamental_tensors(B, *product_inputs(B, B.chart.samples(100)))
         residual = max(residual, sup_norm(*rep.values()))
     _report(8, "closed form of T and A = 0 at 100 samples", residual, 1e-7)
 
@@ -168,7 +171,7 @@ def test_criterion_08_fundamental_tensor_and_a_zero():
 def test_criterion_09_curvature_relations():
     residual = 0.0
     for _, B in BOTH:
-        rep = verify_currel(B, christoffel_batch(B.gbar, B.chart.samples(50)))
+        rep = verify_currel(B, *product_inputs(B, B.chart.samples(50)))
         residual = max(residual, sup_norm(*list(rep.values())[:3]))
     _report(9, "the four curvature relations on both symplectizations",
             residual, 1e-6)
@@ -177,7 +180,7 @@ def test_criterion_09_curvature_relations():
 def test_criterion_10_ricci_table():
     residual = 0.0
     for _, B in BOTH:
-        rep = verify_currel(B, christoffel_batch(B.gbar, B.chart.samples(50)))
+        rep = verify_currel(B, *product_inputs(B, B.chart.samples(50)))
         residual = max(residual, sup_norm(*list(rep.values())[3:]))
     _report(10, "Ricci rows; line-line entry -6 on both entries (n = 1)",
             residual, 1e-6)
@@ -187,7 +190,8 @@ def test_criterion_11_slice_nullity_relation():
     residual = 0.0
     base = fit_kappa_mu(FLAT.structure, 30)
     ts = (-0.5, 0.0, 0.5)
-    for t, rep in zip(ts, fit_symplectization_kmu(B_FLAT, ts, B_FLAT.base.chart.samples(30))):
+    base_values = structure_values(B_FLAT.base, B_FLAT.base.chart.samples(30))
+    for t, rep in zip(ts, fit_symplectization_kmu(B_FLAT, ts, base_values)):
         kt, mt = kappa_mu_after_rescale(base.kappa, base.mu, math.exp(2.0 * t))
         residual = max(residual, rep.residual,
                        abs(rep.kappa_tilde - (kt - 2.0)), abs(rep.mu_tilde - mt))
@@ -197,11 +201,11 @@ def test_criterion_11_slice_nullity_relation():
 
 def test_criterion_12_integrability_dichotomy():
     pts_s = B_SAS.chart.samples(40)
-    sas_norms = [nijenhuis_norms(nijenhuis(J), B_SAS.gbar, pts_s)
+    sas_norms = [nijenhuis_norms(nijenhuis(J), B_SAS.gbar.values(pts_s), pts_s)
                  for J in (B_SAS.J, natural_acs(SASAKIAN.structure))]
     sas_max = max(float(np.max(n)) for n in sas_norms)
     pts_f = B_FLAT.chart.samples(40)
-    flat_norms = [nijenhuis_norms(nijenhuis(J), B_FLAT.gbar, pts_f)
+    flat_norms = [nijenhuis_norms(nijenhuis(J), B_FLAT.gbar.values(pts_f), pts_f)
                   for J in (B_FLAT.J, natural_acs(FLAT.structure))]
     flat_min = min(float(np.min(n)) for n in flat_norms)
     ok = sas_max < 1e-8 and flat_min > 1e-2

@@ -3,7 +3,12 @@
 import pytest
 
 from metsymp.catalog import catalog_load, catalog_names
-from metsymp.contact import COMPAT_TOL, ContactMetricStructure, verify_compatibility
+from metsymp.contact import (
+    COMPAT_TOL,
+    ContactMetricStructure,
+    structure_values,
+    verify_compatibility,
+)
 from metsymp.errors import UnknownEntryError
 from metsymp.expressions import Const
 from metsymp.fields import sup_norm
@@ -17,7 +22,8 @@ def test_names_and_load():
         assert entry.name == name
         assert entry.description
         S = entry.structure
-        assert sup_norm(*verify_compatibility(S, S.chart.samples(50)).values()) < COMPAT_TOL
+        values = structure_values(S, S.chart.samples(50))
+        assert sup_norm(*verify_compatibility(values).values()) < COMPAT_TOL
 
 
 def test_unknown_entry():
@@ -46,8 +52,8 @@ def test_frozen_normalization_is_the_unique_scan_survivor(name):
     pts = S.chart.samples(25)
     survivors = [
         (a, b) for a in scales for b in scales
-        if sup_norm(*verify_compatibility(ContactMetricStructure.build(
-            S.chart, S.eta.scale(Const(a)), S.g.scale(Const(b)), S.phi), pts).values())
+        if sup_norm(*verify_compatibility(structure_values(ContactMetricStructure.build(
+            S.chart, S.eta.scale(Const(a)), S.g.scale(Const(b)), S.phi), pts)).values())
         < COMPAT_TOL
     ]
     assert survivors == [(1.0, 1.0)]

@@ -4,7 +4,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from metsymp.contact import fit_kappa_mu, verify_compatibility
+from metsymp.contact import fit_kappa_mu, structure_values, verify_compatibility
 from metsymp.fields import sup_norm
 
 
@@ -25,7 +25,8 @@ def test_parallel_sweeps_are_bit_identical(flat_bundle):
 def test_parallel_verifiers_agree(sasakian):
     with ThreadPoolExecutor(max_workers=4) as pool:
         compat = list(pool.map(
-            lambda _: verify_compatibility(sasakian, sasakian.chart.samples(20)), range(4)))
+            lambda _: verify_compatibility(structure_values(sasakian, sasakian.chart.samples(20))),
+            range(4)))
         fits = list(pool.map(lambda _: fit_kappa_mu(sasakian, 20), range(4)))
     assert len({sup_norm(*rep.values()) for rep in compat}) == 1
     assert len({rep.kappa for rep in fits}) == 1

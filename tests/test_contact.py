@@ -41,6 +41,7 @@ from metsymp.contact import (
     is_K_contact,
     kappa_mu_after_rescale,
     reeb_field,
+    structure_values,
     verify_compatibility,
     verify_kmu_curvature,
     verify_structure_isomorphism,
@@ -56,7 +57,10 @@ from metsymp.errors import (
 from metsymp.expressions import ZERO, Const, Coord, _operands, _Operation, sqrt
 from metsymp.fields import SmoothMap, TensorField, exterior_derivative, sup_norm
 from metsymp.structfile import load_structure_file
+from metsymp.submersion import fit_symplectization_kmu, verify_currel, verify_fundamental_tensors
+from metsymp.symplectization import verify_symplectization_build
 
+from inputs import kmu_inputs, product_inputs
 from loop_references import (
     eta_einstein_fit_reference,
     h_norms_reference,
@@ -212,14 +216,14 @@ def test_reeb_field_of_a_perturbed_darboux_form(eta):
 
 def test_catalog_compatibility(any_entry):
     S = any_entry.structure
-    rep = verify_compatibility(S, S.chart.samples(100))
+    rep = verify_compatibility(structure_values(S, S.chart.samples(100)))
     assert sup_norm(*rep.values()) < 1e-8
 
 
 def test_doubled_metric_fails_pairing_axiom(sasakian):
     doubled = ContactMetricStructure.build(
         sasakian.chart, sasakian.eta, sasakian.g.scale(Const(2.0)), sasakian.phi)
-    rep = verify_compatibility(doubled, doubled.chart.samples(30))
+    rep = verify_compatibility(structure_values(doubled, doubled.chart.samples(30)))
     assert not sup_norm(*rep.values()) < COMPAT_TOL
     assert rep["deta_pairing"] > 1e-3
 
@@ -227,7 +231,7 @@ def test_doubled_metric_fails_pairing_axiom(sasakian):
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_nan_in_phi_fails_compatibility_with_infinite_residual(nan_masked_sasakian_entry):
     S = nan_masked_sasakian_entry.structure
-    rep = verify_compatibility(S, S.chart.samples(30))
+    rep = verify_compatibility(structure_values(S, S.chart.samples(30)))
     assert rep["phi_square"] == math.inf
     assert sup_norm(*rep.values()) == math.inf
     assert not sup_norm(*rep.values()) < COMPAT_TOL
@@ -259,14 +263,14 @@ def test_build_rejects_even_charts_and_bad_ranks(sasakian):
 
 
 def test_h_vanishes_exactly_on_sasakian_model(sasakian):
-    rep = is_K_contact(sasakian, sasakian.chart.samples(100))
-    assert rep.is_k_contact
-    assert rep.max_h_norm < 1e-12
+    values = structure_values(sasakian, sasakian.chart.samples(100))
+    assert is_K_contact(values.g, values.h)
+    assert sup_norm(contact._h_norms(values.g, values.h)) < 1e-12
 
 
 def test_h_eigenvalues_on_flat_bundle(flat_bundle):
-    rep = is_K_contact(flat_bundle, flat_bundle.chart.samples(50))
-    assert not rep.is_k_contact
+    values = structure_values(flat_bundle, flat_bundle.chart.samples(50))
+    assert not is_K_contact(values.g, values.h)
     for p in flat_bundle.chart.samples(10):
         eig = h_eigendecomposition(flat_bundle, p)
         assert_allclose(eig.eigenvalues, [[-1.0, 0.0, 1.0]], atol=1e-10)
@@ -368,7 +372,8 @@ def test_d_homothety_identity_and_derived_laws(flat_bundle):
     S2 = d_homothety(flat_bundle, a)
     assert np.max(np.abs(S2.xi.values(pts) - flat_bundle.xi.values(pts) / a)) < 1e-9
     assert np.max(np.abs(S2.h.values(pts) - flat_bundle.h.values(pts) / a)) < 1e-9
-    assert sup_norm(*verify_compatibility(S2, S2.chart.samples(50)).values()) < COMPAT_TOL
+    values = structure_values(S2, S2.chart.samples(50))
+    assert sup_norm(*verify_compatibility(values).values()) < COMPAT_TOL
     with pytest.raises(GeometryError):
         d_homothety(flat_bundle, 0.0)
 
@@ -399,7 +404,7 @@ def test_index_invariant_under_rescaling(flat_bundle):
 
 
 def test_eigenspace_identities_on_flat_bundle(flat_bundle):
-    rep6 = verify_kmu_curvature(flat_bundle, 0.0, 0.0, flat_bundle.chart.samples(25))
+    rep6 = verify_kmu_curvature(*kmu_inputs(flat_bundle, flat_bundle.chart.samples(25)), 0.0, 0.0)
     assert sup_norm(*rep6.values()) < 1e-6
 
 
@@ -408,7 +413,7 @@ def test_eigenspace_identities_after_rescale(flat_bundle):
     rep = fit_kappa_mu(S2, 25)
     # lambda halves under the a = 2 rescale
     assert abs(rep.lam - 0.5) < 1e-9
-    rep6 = verify_kmu_curvature(S2, rep.kappa, rep.mu, S2.chart.samples(20))
+    rep6 = verify_kmu_curvature(*kmu_inputs(S2, S2.chart.samples(20)), rep.kappa, rep.mu)
     assert sup_norm(*rep6.values()) < 1e-6
 
 
@@ -421,7 +426,7 @@ def test_plus_space_coefficient_value(flat_bundle):
 
 def test_eigenspace_identities_reject_sasakian(sasakian):
     with pytest.raises(SasakianDegeneracyError):
-        verify_kmu_curvature(sasakian, 1.0, 0.0, sasakian.chart.samples(5))
+        verify_kmu_curvature(*kmu_inputs(sasakian, sasakian.chart.samples(5)), 1.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +563,7 @@ def non_sasakian(request):
 def test_h_eigendecomposition_batch_is_bit_identical_to_the_per_point_reference(non_sasakian):
     S = non_sasakian
     pts = S.chart.samples(12, seed=5)
-    rep = h_eigendecomposition_batch(S, pts)
+    rep = h_eigendecomposition_batch(structure_values(S, pts))
     assert [f.name for f in dataclasses.fields(rep)] == [
         "eigenvalues", "vectors", "plus", "minus", "orthonormality_residual",
         "xi_alignment_residual"]
@@ -599,7 +604,7 @@ def test_batch_rejections_name_the_failing_sample(flat_bundle):
     # h scaled by a factor that is zero at sample k only
     S_h = dataclasses.replace(S, h=S.h.scale(_vanishing_at(S, pts, k)))
     with pytest.raises(SasakianDegeneracyError, match=re.escape(where)):
-        h_eigendecomposition_batch(S_h, pts)
+        h_eigendecomposition_batch(structure_values(S_h, pts))
 
     # g scaled by a factor that is negative, then zero, at sample k only;
     # |h|_g is unchanged elsewhere
@@ -607,7 +612,7 @@ def test_batch_rejections_name_the_failing_sample(flat_bundle):
     for factor in (_vanishing_at(S, pts, k) - shift, _vanishing_at(S, pts, k)):
         S_g = dataclasses.replace(S, g=S.g.scale(factor))
         with pytest.raises(DegenerateMetricError, match=re.escape(where)):
-            h_eigendecomposition_batch(S_g, pts)
+            h_eigendecomposition_batch(structure_values(S_g, pts))
 
     # g or h multiplied by sqrt(f) / sqrt(f), where f < 0 at sample k only:
     # the factor is NaN there and 1 elsewhere
@@ -615,10 +620,10 @@ def test_batch_rejections_name_the_failing_sample(flat_bundle):
     nan_at_k = sqrt(f) / sqrt(f)
     S_g = dataclasses.replace(S, g=S.g.scale(nan_at_k))
     with pytest.raises(DegenerateMetricError, match=re.escape(f"not finite at {where}")):
-        h_eigendecomposition_batch(S_g, pts)
+        h_eigendecomposition_batch(structure_values(S_g, pts))
     S_h = dataclasses.replace(S, h=S.h.scale(nan_at_k))
     with pytest.raises(GeometryError, match=re.escape(f"h is not finite at {where}")):
-        h_eigendecomposition_batch(S_h, pts)
+        h_eigendecomposition_batch(structure_values(S_h, pts))
 
     # the Martinet form dz - y^2 dx is contact except on y = 0
     chart = Chart(("x", "y", "z"), ((-1, 1),) * 3)
@@ -640,10 +645,44 @@ def test_batch_points_outside_the_chart_are_named_by_sample(flat_bundle, coord):
     pts[4, 0] = coord
     where = re.escape(f"point outside the chart domain at sample 3 {pts[3].tolist()}")
     with pytest.raises(DomainError, match=where):
-        h_eigendecomposition_batch(S, pts)
+        h_eigendecomposition_batch(structure_values(S, pts))
     for bad in (pts[0], pts[:, :2]):
         with pytest.raises(DomainError, match=re.escape("expected points of shape (n, 3)")):
-            h_eigendecomposition_batch(S, bad)
+            h_eigendecomposition_batch(structure_values(S, bad))
+
+
+# every verifier that reads a record of values, called on inputs built from
+# base points, with a zero t column where it reads the symplectization
+RECORD_READERS = {
+    "verify_compatibility": lambda S, B, pts: verify_compatibility(structure_values(S, pts)),
+    "h_eigendecomposition_batch":
+        lambda S, B, pts: h_eigendecomposition_batch(structure_values(S, pts)),
+    "verify_kmu_curvature": lambda S, B, pts: verify_kmu_curvature(*kmu_inputs(S, pts), 0.0, 0.0),
+    "verify_symplectization_build":
+        lambda S, B, pts: verify_symplectization_build(B, *product_inputs(B, _lifted(pts))),
+    "verify_fundamental_tensors":
+        lambda S, B, pts: verify_fundamental_tensors(B, *product_inputs(B, _lifted(pts))),
+    "verify_currel": lambda S, B, pts: verify_currel(B, *product_inputs(B, _lifted(pts))),
+    "fit_symplectization_kmu":
+        lambda S, B, pts: fit_symplectization_kmu(B, (0.0,), structure_values(S, pts)),
+}
+
+
+def _lifted(pts):
+    return np.column_stack([pts, np.zeros(len(pts))])
+
+
+@pytest.mark.parametrize("name", list(RECORD_READERS))
+def test_every_record_reader_rejects_a_point_outside_the_chart(flat_bundle, flat_bundle_symp,
+                                                               name):
+    """A verifier that reads a record takes no points: the record's builder
+    checks them, so one base point outside the flat bundle's chart is a
+    DomainError that names that sample."""
+    pts = flat_bundle.chart.samples(6, seed=3)
+    pts[4, 2] = 40.0
+    where = re.escape(f"point outside the chart domain at sample 4 {pts[4].tolist()}")
+    with pytest.raises(DomainError, match=where):
+        RECORD_READERS[name](flat_bundle, flat_bundle_symp, pts)
 
 
 @pytest.mark.parametrize("coord", [5.0, math.nan])
@@ -680,7 +719,8 @@ def test_kmu_identities_match_the_loop_reference(non_sasakian):
     S = non_sasakian
     fit = fit_kappa_mu(S, 20)
     for kappa, mu in ((fit.kappa, fit.mu), (0.0, 0.5)):
-        got = tuple(verify_kmu_curvature(S, kappa, mu, S.chart.samples(12, seed=3)).values())
+        inputs = kmu_inputs(S, S.chart.samples(12, seed=3))
+        got = tuple(verify_kmu_curvature(*inputs, kappa, mu).values())
         want = kmu_curvature_reference(S, kappa, mu, 12, seed=3)
         assert_allclose(got, want, rtol=0, atol=1e-13)
 
@@ -691,12 +731,12 @@ def test_kmu_identities_on_uneven_vector_sets_match_the_loop_reference(curved, m
     with fewer vectors contributes only its own triples."""
     real = contact.h_eigendecomposition_batch
 
-    def uneven(S, pts):
-        rep = real(S, pts)
+    def uneven(values):
+        rep = real(values)
         # row indices in eigh's ascending order: -lam, 0, +lam
         sets = [((0, 2), ()), ((), (0, 1)), ((1, 2), (0, 1)), ((0,), (0, 1, 2))]
         plus, minus = np.zeros_like(rep.plus), np.zeros_like(rep.minus)
-        for k in range(len(pts)):
+        for k in range(len(values.points)):
             p, m = sets[k % len(sets)]
             plus[k, list(p)] = True
             minus[k, list(m)] = True
@@ -705,13 +745,14 @@ def test_kmu_identities_on_uneven_vector_sets_match_the_loop_reference(curved, m
     monkeypatch.setattr(contact, "h_eigendecomposition_batch", uneven)
     for kappa, mu in ((0.0, 0.0), (0.3, -0.7), (40.0, 0.0), (0.0, -40.0)):
         pts = curved.chart.samples(10, seed=3)
-        got = tuple(verify_kmu_curvature(curved, kappa, mu, pts).values())
+        got = tuple(verify_kmu_curvature(*kmu_inputs(curved, pts), kappa, mu).values())
         want = kmu_curvature_reference(curved, kappa, mu, 10, seed=3)
         assert min(want) > 1e-3
         assert_allclose(got, want, rtol=1e-13, atol=1e-13)
 
 
 def test_kmu_identities_reject_wrong_constants(flat_bundle):
-    rep = verify_kmu_curvature(flat_bundle, 0.0, 0.5, flat_bundle.chart.samples(20, seed=3))
+    inputs = kmu_inputs(flat_bundle, flat_bundle.chart.samples(20, seed=3))
+    rep = verify_kmu_curvature(*inputs, 0.0, 0.5)
     assert rep["pmm"] > 1e-3
     assert rep["pmp"] > 1e-3

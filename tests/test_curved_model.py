@@ -29,19 +29,22 @@ from metsymp.contact import (
     fit_kappa_mu,
     h_eigendecomposition,
     kappa_mu_after_rescale,
+    structure_values,
     verify_compatibility,
     verify_kmu_curvature,
 )
-from metsymp.curvature import christoffel_batch, ricci_components, riemann_components
+from metsymp.curvature import ricci_components, riemann_components
 from metsymp.fields import sup_norm
 from metsymp.submersion import fit_symplectization_kmu, verify_currel
 from metsymp.symplectization import build_metric_symplectization, nijenhuis, nijenhuis_norms
 
+from inputs import kmu_inputs, product_inputs
 from loop_references import eta_einstein_fit_reference
 
 
 def test_compatibility(curved):
-    assert sup_norm(*verify_compatibility(curved, curved.chart.samples(60)).values()) < 1e-10
+    values = structure_values(curved, curved.chart.samples(60))
+    assert sup_norm(*verify_compatibility(values).values()) < 1e-10
 
 
 def test_nullity_constants_and_index(curved):
@@ -59,7 +62,7 @@ def test_h_spectrum(curved):
 
 
 def test_eigenspace_curvature_block(curved):
-    rep6 = verify_kmu_curvature(curved, 0.0, -2.0, curved.chart.samples(20))
+    rep6 = verify_kmu_curvature(*kmu_inputs(curved, curved.chart.samples(20)), 0.0, -2.0)
     assert sup_norm(*rep6.values()) < 1e-6
 
 
@@ -81,11 +84,12 @@ def test_not_eta_einstein(curved):
 def test_symplectization_constants(curved):
     B = build_metric_symplectization(curved)
     pts = B.chart.samples(10)
-    data = christoffel_batch(B.gbar, pts)
+    data, values = product_inputs(B, pts)
     ric = ricci_components(riemann_components(data))
     assert np.max(np.abs(ric[:, 3, 3] + 6.0)) < 1e-8
-    assert sup_norm(*verify_currel(B, data).values()) < 1e-6
-    (fit,) = fit_symplectization_kmu(B, (0.0,), B.base.chart.samples(15))
+    assert sup_norm(*verify_currel(B, data, values).values()) < 1e-6
+    (fit,) = fit_symplectization_kmu(B, (0.0,),
+                                     structure_values(curved, B.base.chart.samples(15)))
     assert_allclose([fit.kappa_tilde, fit.mu_tilde], [-2.0, -2.0], atol=1e-8)
-    norms = nijenhuis_norms(nijenhuis(B.J), B.gbar, pts)
+    norms = nijenhuis_norms(nijenhuis(B.J), data.g, pts)
     assert np.min(norms) > 1e-2

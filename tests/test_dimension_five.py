@@ -19,6 +19,7 @@ from metsymp.contact import (
     ContactMetricStructure,
     fit_kappa_mu,
     is_K_contact,
+    structure_values,
     verify_compatibility,
 )
 from metsymp.curvature import christoffel_batch, ricci_components, riemann_components
@@ -32,6 +33,7 @@ from metsymp.submersion import (
 )
 from metsymp.symplectization import build_metric_symplectization, verify_liouville
 
+from inputs import product_inputs
 from loop_references import eta_einstein_fit_reference
 
 
@@ -85,7 +87,8 @@ def test_the_committed_structure_file_is_this_structure(five_dim):
 
 
 def test_compatibility_and_reeb(five_dim):
-    assert sup_norm(*verify_compatibility(five_dim, five_dim.chart.samples(40)).values()) < 1e-10
+    values = structure_values(five_dim, five_dim.chart.samples(40))
+    assert sup_norm(*verify_compatibility(values).values()) < 1e-10
     pts = five_dim.chart.samples(10)
     expected = np.zeros((10, 5))
     expected[:, 4] = 2.0
@@ -93,7 +96,8 @@ def test_compatibility_and_reeb(five_dim):
 
 
 def test_h_vanishes_and_kappa_is_one(five_dim):
-    assert is_K_contact(five_dim, five_dim.chart.samples(30)).is_k_contact
+    values = structure_values(five_dim, five_dim.chart.samples(30))
+    assert is_K_contact(values.g, values.h)
     rep = fit_kappa_mu(five_dim, 20)
     assert abs(rep.kappa - 1.0) < 1e-8
     assert rep.mu is None
@@ -115,14 +119,14 @@ def test_line_ricci_is_minus_eight(five_dim_symp):
 
 def test_ricci_rows_track_n(five_dim_symp):
     B = five_dim_symp
-    rep = verify_currel(B, christoffel_batch(B.gbar, B.chart.samples(8)))
+    rep = verify_currel(B, *product_inputs(B, B.chart.samples(8)))
     assert sup_norm(*list(rep.values())[3:]) < 1e-6
 
 
 def test_fundamental_tensors_and_relations(five_dim_symp):
-    data = christoffel_batch(five_dim_symp.gbar, five_dim_symp.chart.samples(8))
-    assert sup_norm(*verify_fundamental_tensors(five_dim_symp, data).values()) < 1e-7
-    assert sup_norm(*list(verify_currel(five_dim_symp, data).values())[:3]) < 1e-6
+    inputs = product_inputs(five_dim_symp, five_dim_symp.chart.samples(8))
+    assert sup_norm(*verify_fundamental_tensors(five_dim_symp, *inputs).values()) < 1e-7
+    assert sup_norm(*list(verify_currel(five_dim_symp, *inputs).values())[:3]) < 1e-6
 
 
 def test_expansion_property(five_dim_symp):
@@ -136,6 +140,8 @@ def test_expansion_property(five_dim_symp):
 
 
 def test_slice_fit_with_n_two(five_dim_symp):
-    (rep,) = fit_symplectization_kmu(five_dim_symp, (0.0,), five_dim_symp.base.chart.samples(10))
+    base = five_dim_symp.base
+    (rep,) = fit_symplectization_kmu(five_dim_symp, (0.0,),
+                                     structure_values(base, base.chart.samples(10)))
     assert abs(rep.kappa_tilde + 1.0) < 1e-8
     assert rep.mu_tilde is None

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from metsymp.contact import COMPAT_TOL, fit_kappa_mu, verify_compatibility
+from metsymp.contact import COMPAT_TOL, fit_kappa_mu, structure_values, verify_compatibility
 from metsymp.fields import sup_norm
 from metsymp.structfile import StructureFileError, load_structure_file, parse_structure_text
 
@@ -34,7 +34,8 @@ def test_parse_and_fit_rescaled_model():
     S = parse_structure_text(RESCALED_R3)
     assert S.chart.coord_names == ("x", "y", "z")
     assert S.chart.sampler_seed == 7
-    assert sup_norm(*verify_compatibility(S, S.chart.samples(60)).values()) < COMPAT_TOL
+    values = structure_values(S, S.chart.samples(60))
+    assert sup_norm(*verify_compatibility(values).values()) < COMPAT_TOL
     rep = fit_kappa_mu(S, 40)
     assert abs(rep.kappa - 1.0) < 1e-9
     assert rep.mu is None
@@ -64,7 +65,8 @@ def test_load_from_disk(tmp_path):
     path = tmp_path / "structure.txt"
     path.write_text(RESCALED_R3, encoding="utf-8")
     S = load_structure_file(path)
-    assert sup_norm(*verify_compatibility(S, S.chart.samples(20)).values()) < COMPAT_TOL
+    values = structure_values(S, S.chart.samples(20))
+    assert sup_norm(*verify_compatibility(values).values()) < COMPAT_TOL
 
 
 def _expect_error(text, needle, line=None):
@@ -173,4 +175,5 @@ phi z y = y
     pts = S.chart.samples(10)
     gv = S.g.values(pts)
     assert np.array_equal(gv, np.swapaxes(gv, 1, 2))
-    assert sup_norm(*verify_compatibility(S, S.chart.samples(20)).values()) < COMPAT_TOL
+    values = structure_values(S, S.chart.samples(20))
+    assert sup_norm(*verify_compatibility(values).values()) < COMPAT_TOL

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from metsymp.contact import fit_kappa_mu, kappa_mu_after_rescale
+from metsymp.contact import fit_kappa_mu, kappa_mu_after_rescale, structure_values
 from metsymp.curvature import (
     christoffel_batch,
     covariant_derivative_values,
@@ -41,6 +41,7 @@ from metsymp.submersion import (
 )
 from metsymp.symplectization import slice_structure
 
+from inputs import product_inputs
 from loop_references import (
     assert_connection_matches_reference,
     currel_reference,
@@ -60,8 +61,14 @@ def _symp(name, sas, flat):
 
 
 def _connection(B, n_samples, seed=None):
-    """gbar's connection data on a draw of samples, what the verifiers read."""
+    """gbar's connection data on a draw of samples."""
     return christoffel_batch(B.gbar, B.chart.samples(n_samples, seed=seed))
+
+
+def _inputs(B, n_samples, seed=None):
+    """gbar's connection data on a draw of samples and the base record at
+    their base coordinates, what the verifiers read."""
+    return product_inputs(B, B.chart.samples(n_samples, seed=seed))
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +142,7 @@ def test_closed_form_and_zero_rows(any_entry, sasakian_symp, flat_bundle_symp):
     """The closed forms hold, and T vanishes exactly on a horizontal first
     slot, which is why no residual of the verifier reads that row."""
     B = _symp(any_entry.name, sasakian_symp, flat_bundle_symp)
-    rep = verify_fundamental_tensors(B, _connection(B, 100))
+    rep = verify_fundamental_tensors(B, *_inputs(B, 100))
     assert rep["vertical_pair"] < 1e-7
     assert rep["mixed_pair"] < 1e-7
     pts = B.chart.samples(20)
@@ -240,7 +247,8 @@ def test_a_metric_with_d_t_off_the_slices_is_rejected_by_name(any_entry, sasakia
     data = christoffel_batch(B.gbar, pts)
     dt = TensorField.coordinate_vector(B.chart, B.t_index)
     named = re.escape("gbar[3, 0] is not structurally zero: d_t is not orthogonal to the slices")
-    for call in (lambda: verify_fundamental_tensors(B, data),
+    values = structure_values(B.base, pts[:, :-1])
+    for call in (lambda: verify_fundamental_tensors(B, data, values),
                  lambda: oneill_T(B, dt, dt, pts, data), lambda: oneill_A(B, dt, dt, pts, data)):
         with pytest.raises(GeometryError, match=named):
             call()
@@ -266,8 +274,8 @@ def test_each_key_moves_under_an_orthogonal_perturbation(any_entry, sasakian_sym
     comps = B.gbar.components.copy()
     comps[:ti, :ti] *= Const(1.0) + Const(0.1) * Coord(ti) * Coord(0)
     wrong = dataclasses.replace(B, gbar=TensorField(B.chart, 0, 2, comps, "symmetric"))
-    data = _connection(wrong, 20, seed=3)
-    rep = {**verify_fundamental_tensors(wrong, data), **verify_currel(wrong, data)}
+    inputs = _inputs(wrong, 20, seed=3)
+    rep = {**verify_fundamental_tensors(wrong, *inputs), **verify_currel(wrong, *inputs)}
     assert list(rep)[:5] == ["vertical_pair", "mixed_pair", "vertical_part", "horizontal_part",
                              "radial_relation"]
     assert min(list(rep.values())[:5]) > 1e-3
@@ -279,7 +287,7 @@ def test_fundamental_tensors_reject_a_wrong_metric(any_entry, sasakian_symp, fla
     comps = B.gbar.components.copy()
     comps[ti, ti] = Const(2.0) * comps[ti, ti]
     wrong = dataclasses.replace(B, gbar=TensorField(B.chart, 0, 2, comps, "symmetric"))
-    assert verify_fundamental_tensors(wrong, _connection(wrong, 20, seed=3))["vertical_pair"] > 1e-3
+    assert verify_fundamental_tensors(wrong, *_inputs(wrong, 20, seed=3))["vertical_pair"] > 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +297,7 @@ def test_fundamental_tensors_reject_a_wrong_metric(any_entry, sasakian_symp, fla
 
 def test_curvature_relations(any_entry, sasakian_symp, flat_bundle_symp):
     B = _symp(any_entry.name, sasakian_symp, flat_bundle_symp)
-    rep = verify_currel(B, _connection(B, 60))
+    rep = verify_currel(B, *_inputs(B, 60))
     assert sup_norm(*rep.values()) < 1e-6
 
 
@@ -299,8 +307,8 @@ def test_curvature_relations_on_random_rescale(flat_bundle):
 
     a = float(np.random.default_rng(31).uniform(0.5, 3.0))
     B = build_metric_symplectization(d_homothety(flat_bundle, a))
-    assert sup_norm(*verify_currel(B, _connection(B, 30)).values()) < 1e-6
-    assert sup_norm(*verify_fundamental_tensors(B, _connection(B, 20)).values()) < 1e-7
+    assert sup_norm(*verify_currel(B, *_inputs(B, 30)).values()) < 1e-6
+    assert sup_norm(*verify_fundamental_tensors(B, *_inputs(B, 20)).values()) < 1e-7
 
 
 def test_sectional_curvatures_of_line_planes(any_entry, sasakian_symp, flat_bundle_symp):
@@ -362,7 +370,7 @@ def test_degenerate_relation_by_antisymmetry(flat_bundle_symp):
 
 def test_ricci_rows(any_entry, sasakian_symp, flat_bundle_symp):
     B = _symp(any_entry.name, sasakian_symp, flat_bundle_symp)
-    rep = verify_currel(B, _connection(B, 50))
+    rep = verify_currel(B, *_inputs(B, 50))
     assert rep["line_line"] < 1e-6       # Ric(d_t, d_t) = -6 for n = 1
     assert rep["reeb_line"] < 1e-7
     assert rep["reeb_reeb"] < 1e-6
@@ -383,16 +391,18 @@ def test_line_ricci_is_minus_six_directly(any_entry, sasakian_symp, flat_bundle_
 
 
 def test_slice_fit_flat_bundle_at_zero(flat_bundle_symp):
+    S = flat_bundle_symp.base
     (rep,) = fit_symplectization_kmu(flat_bundle_symp, (0.0,),
-                                     flat_bundle_symp.base.chart.samples(40))
+                                     structure_values(S, S.chart.samples(40)))
     assert_allclose([rep.kappa_tilde, rep.mu_tilde], [-2.0, 0.0], atol=1e-9)
     assert rep.residual < 1e-9
 
 
 def test_slice_fit_tracks_the_rescale_law(flat_bundle_symp):
     ts = (-0.5, 0.0, 0.5)
-    pts = flat_bundle_symp.base.chart.samples(30)
-    for t, rep in zip(ts, fit_symplectization_kmu(flat_bundle_symp, ts, pts)):
+    S = flat_bundle_symp.base
+    values = structure_values(S, S.chart.samples(30))
+    for t, rep in zip(ts, fit_symplectization_kmu(flat_bundle_symp, ts, values)):
         kt, mt = kappa_mu_after_rescale(0.0, 0.0, math.exp(2.0 * t))
         assert abs(rep.kappa_tilde - (kt - 2.0)) < 1e-5
         assert abs(rep.mu_tilde - mt) < 1e-5
@@ -400,7 +410,9 @@ def test_slice_fit_tracks_the_rescale_law(flat_bundle_symp):
 
 
 def test_slice_fit_sasakian(sasakian_symp):
-    (rep,) = fit_symplectization_kmu(sasakian_symp, (0.0,), sasakian_symp.base.chart.samples(30))
+    S = sasakian_symp.base
+    (rep,) = fit_symplectization_kmu(sasakian_symp, (0.0,),
+                                     structure_values(S, S.chart.samples(30)))
     assert abs(rep.kappa_tilde + 1.0) < 1e-9
     assert rep.mu_tilde is None
 
@@ -431,7 +443,7 @@ def test_rigidity_hypothesis_fails_on_flat_bundle(flat_bundle_symp):
 @pytest.mark.parametrize("which", ["flat_bundle_symp", "sasakian_symp", "curved_symp"])
 def test_batched_verifiers_match_the_loop_references(which, request):
     B = request.getfixturevalue(which)
-    rep = verify_currel(B, _connection(B, 15, seed=4))
+    rep = verify_currel(B, *_inputs(B, 15, seed=4))
     want = currel_reference(B, 15, seed=4) + ricci_rows_reference(B, 15, seed=4)
     got = (rep["vertical_part"], rep["horizontal_part"], rep["radial_relation"],
            rep["distribution_block"], rep["distribution_reeb"], rep["distribution_line"],
@@ -466,9 +478,9 @@ def test_the_shared_nullity_fit_matches_both_reference_fits(which, request):
     got = [(rep.kappa, rep.mu, rep.residual)]
     want = [fit_kappa_mu_reference(B.base, 12, seed=2)]
     ts = (-0.5, 0.0, 0.5)
-    pts = B.base.chart.samples(12, seed=2)
-    for t, fit in zip(ts, fit_symplectization_kmu(B, ts, pts), strict=True):
-        assert fit_symplectization_kmu(B, (t,), pts) == [fit]
+    values = structure_values(B.base, B.base.chart.samples(12, seed=2))
+    for t, fit in zip(ts, fit_symplectization_kmu(B, ts, values), strict=True):
+        assert fit_symplectization_kmu(B, (t,), values) == [fit]
         got.append((fit.kappa_tilde, fit.mu_tilde, fit.residual))
         want.append(fit_symplectization_kmu_reference(B, t, 12, seed=2))
     for (kappa, mu, residual), (want_kappa, want_mu, want_residual) in zip(got, want):
@@ -482,7 +494,7 @@ def test_batched_verifiers_reject_a_doubled_line_metric(flat_bundle_symp):
     comps = B.gbar.components.copy()
     comps[ti, ti] = Const(2.0) * comps[ti, ti]
     wrong = dataclasses.replace(B, gbar=TensorField(B.chart, 0, 2, comps, "symmetric"))
-    rows = verify_currel(wrong, _connection(wrong, 20, seed=3))
+    rows = verify_currel(wrong, *_inputs(wrong, 20, seed=3))
     assert rows["vertical_part"] > 1e-3
     assert rows["distribution_block"] > 1e-3
     assert rows["reeb_reeb"] > 1e-3
@@ -491,7 +503,7 @@ def test_batched_verifiers_reject_a_doubled_line_metric(flat_bundle_symp):
 
 def test_the_nullity_fits_evaluate_h_once(flat_bundle, flat_bundle_symp, monkeypatch):
     """Both fits take the norm of h from the values they already hold, and
-    the slice fit evaluates h once for all its slices."""
+    the slice fit reads h from its record, evaluated once for all its slices."""
     calls = []
     real = TensorField.values
 
@@ -504,5 +516,5 @@ def test_the_nullity_fits_evaluate_h_once(flat_bundle, flat_bundle_symp, monkeyp
     fit_kappa_mu(flat_bundle, 10, seed=1)
     assert calls == [10]
     fit_symplectization_kmu(flat_bundle_symp, (-0.5, 0.0, 0.3),
-                            flat_bundle_symp.base.chart.samples(12, seed=1))
+                            structure_values(flat_bundle, flat_bundle.chart.samples(12, seed=1)))
     assert calls == [10, 12]

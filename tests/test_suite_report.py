@@ -13,7 +13,12 @@ import pytest
 from metsymp import contact, curvature, suite
 from metsymp.catalog import CatalogEntry, catalog_load
 from metsymp.charts import Chart
-from metsymp.contact import KmuReport, verify_compatibility, verify_kmu_curvature
+from metsymp.contact import (
+    KmuReport,
+    structure_values,
+    verify_compatibility,
+    verify_kmu_curvature,
+)
 from metsymp.errors import ConfigError
 from metsymp.fields import TensorField, sup_norm
 from metsymp.structfile import load_structure_file
@@ -26,6 +31,8 @@ from metsymp.suite import (
     run_suite,
 )
 from metsymp.symplectization import translation_isomorphism_check, verify_symplectization_build
+
+from inputs import kmu_inputs, product_inputs
 
 
 # the standard Sasakian R^5 of test_dimension_five.py, as a structure file
@@ -279,7 +286,7 @@ def test_index_invariance_on_h_zero_fails_when_a_refit_has_h(monkeypatch, sasaki
     cfg = SuiteConfig(samples=10, seed=42)
     assert suite._check_index_invariance(suite._Run(sasakian_entry, cfg)) == 0.0
     run = suite._Run(sasakian_entry, cfg)
-    S2 = run.rescaled(2.0)
+    S2, _ = run.rescaled(2.0)
     real = suite.fit_kappa_mu
 
     def fit(S, n, seed):
@@ -290,8 +297,8 @@ def test_index_invariance_on_h_zero_fails_when_a_refit_has_h(monkeypatch, sasaki
     assert suite._check_index_invariance(run) == math.inf
 
 
-def _connection(B):
-    return curvature.christoffel_batch(B.gbar, B.chart.samples(4, seed=1))
+def _inputs(B):
+    return product_inputs(B, B.chart.samples(4, seed=1))
 
 
 CURREL_KEYS = ["vertical_part", "horizontal_part", "radial_relation", "distribution_block",
@@ -301,18 +308,19 @@ CURREL_KEYS = ["vertical_part", "horizontal_part", "radial_relation", "distribut
 # curvature_relations check reduces the first three keys of verify_currel
 # and the ricci_rows check the last six
 VERIFIER_KEYS = [
-    ("compatibility", lambda S, B: verify_compatibility(S, S.chart.samples(4, seed=1)),
+    ("compatibility",
+     lambda S, B: verify_compatibility(structure_values(S, S.chart.samples(4, seed=1))),
      ["reeb_pairing", "phi_square", "deta_pairing"]),
     ("eigenspace_curvature",
-     lambda S, B: verify_kmu_curvature(S, 0.0, 0.0, S.chart.samples(4, seed=1)),
+     lambda S, B: verify_kmu_curvature(*kmu_inputs(S, S.chart.samples(4, seed=1)), 0.0, 0.0),
      ["ppm", "mmp", "pmm", "pmp", "ppp", "mmm"]),
     ("symplectization_build",
-     lambda S, B: verify_symplectization_build(B, B.chart.samples(4, seed=1)),
+     lambda S, B: verify_symplectization_build(B, *_inputs(B)),
      ["J_xi_t", "J_d_t", "J_on_distribution", "slice_block", "omega_pairing", "unique_acs"]),
-    ("fundamental_tensor", lambda S, B: verify_fundamental_tensors(B, _connection(B)),
+    ("fundamental_tensor", lambda S, B: verify_fundamental_tensors(B, *_inputs(B)),
      ["vertical_pair", "mixed_pair"]),
-    ("curvature_relations", lambda S, B: verify_currel(B, _connection(B)), CURREL_KEYS),
-    ("ricci_rows", lambda S, B: list(verify_currel(B, _connection(B)))[3:], CURREL_KEYS[3:]),
+    ("curvature_relations", lambda S, B: verify_currel(B, *_inputs(B)), CURREL_KEYS),
+    ("ricci_rows", lambda S, B: list(verify_currel(B, *_inputs(B)))[3:], CURREL_KEYS[3:]),
     ("translation_isomorphism",
      lambda S, B: translation_isomorphism_check(B, 0.3, B.chart.samples(4, seed=1)),
      ["omega", "metric"]),
@@ -357,9 +365,10 @@ def test_a_run_computes_the_connection_of_gbar_once(monkeypatch, flat_bundle_ent
     assert np.array_equal(data.points, B.chart.samples(25, seed=42))
     assert [w.points[0, -1] for w in walks[1:]] == [-0.5, 0.0, 0.5]
     residual = {c.id: c.residual for c in rep.checks}
-    currel = list(verify_currel(B, data).values())
+    values = structure_values(B.base, data.points[:, :-1])
+    currel = list(verify_currel(B, data, values).values())
     assert residual["fundamental_tensor"] == sup_norm(
-        *verify_fundamental_tensors(B, data).values())
+        *verify_fundamental_tensors(B, data, values).values())
     assert residual["curvature_relations"] == sup_norm(*currel[:3])
     assert residual["ricci_rows"] == sup_norm(*currel[3:])
 
@@ -399,6 +408,26 @@ def test_a_raising_artifact_is_the_error_of_every_check_that_reads_it(monkeypatc
         assert rep.kappa is None and rep.mu is None and rep.index is None
 
 
+def test_a_run_evaluates_each_field_once_per_record(monkeypatch, flat_bundle_entry):
+    """One run on the flat bundle evaluates each field of the structure once
+    per record of its values: on the base draw and on the base coordinates
+    of the product draw, and phi, which every d_homothety(S, a) shares, once
+    more per rescale record.  The (kappa, mu) fit evaluates h, xi and eta on
+    its own draw; g reaches the fits and the connections as jets."""
+    S = flat_bundle_entry.structure
+    names = ("h", "xi", "eta", "phi", "g")
+    counts = dict.fromkeys(names, 0)
+    real = TensorField.values
+
+    def values(field, pts):
+        counts.update((n, counts[n] + 1) for n in names if field is getattr(S, n))
+        return real(field, pts)
+
+    monkeypatch.setattr(TensorField, "values", values)
+    assert run_suite(flat_bundle_entry, SuiteConfig(samples=50, seed=42)).all_passed
+    assert counts == {"h": 3, "xi": 3, "eta": 3, "phi": 5, "g": 2}
+
+
 def test_a_rejected_fit_reports_no_constants(monkeypatch, flat_bundle_entry):
     """A fit whose residual is not below FIT_TOL fails nullity_fit, and the
     summary reports no kappa, mu or index from it."""
@@ -424,7 +453,7 @@ def test_a_nan_structure_runs_the_suite_without_warnings(nan_masked_sasakian_ent
     assert rep.failed > 0
     with pytest.warns(RuntimeWarning, match="invalid value"):
         S = nan_masked_sasakian_entry.structure
-        verify_compatibility(S, S.chart.samples(10))
+        structure_values(S, S.chart.samples(10))
 
 
 @pytest.mark.parametrize("which", ["flat_bundle_entry", "sasakian_r5_entry"])

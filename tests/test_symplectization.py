@@ -26,8 +26,10 @@ from metsymp.contact import (
     ContactMetricStructure,
     _rescaled_metric,
     d_homothety,
+    structure_values,
     verify_compatibility,
 )
+from metsymp.curvature import christoffel_batch
 from metsymp.errors import DomainError, GeometryError
 from metsymp.expressions import ONE, Const, Coord, sqrt
 from metsymp.fields import (
@@ -42,11 +44,11 @@ from metsymp.fields import (
 from metsymp.symplectization import (
     SYMPLECTIC_TOL,
     _exp_t,
+    _lift,
     _top_coefficient_abs,
     build_metric_symplectization,
     extend_to_product,
     extended_slice_form,
-    lifted_values,
     natural_acs,
     nijenhuis,
     nijenhuis_norms,
@@ -60,6 +62,7 @@ from metsymp.symplectization import (
 from metsymp.structfile import load_structure_file, parse_structure_text
 from metsymp.suite import SuiteConfig, run_suite
 
+from inputs import product_inputs
 from loop_references import (
     compatible_metric_reference,
     extended_slice_reeb,
@@ -93,7 +96,7 @@ def test_line_direction_unit_and_orthogonal(any_entry, sasakian_symp, flat_bundl
     B = _symp(None, any_entry.name, sasakian_symp, flat_bundle_symp)
     gv = B.gbar.values(B.chart.samples(50))
     assert np.all(gv[:, -1, -1] == 1.0) and np.all(gv[:, -1, :-1] == 0.0)
-    res = verify_symplectization_build(B, B.chart.samples(50))
+    res = verify_symplectization_build(B, *product_inputs(B, B.chart.samples(50)))
     assert res["slice_block"] < 1e-10
     assert res["omega_pairing"] < 1e-10
 
@@ -118,31 +121,34 @@ phi z t1 = t1
     assert B.chart.coord_names == ("t", "t1", "z", "t2")
     assert B.chart.domain[-1] == (-0.5, 0.5)
     assert natural_acs(S, (-0.5, 0.5)).chart == B.chart
-    res = verify_symplectization_build(B, B.chart.samples(20))
+    res = verify_symplectization_build(B, *product_inputs(B, B.chart.samples(20)))
     assert max(res["J_xi_t"], res["J_d_t"], res["J_on_distribution"]) < 1e-10
 
 
 def test_acs_three_case_table(any_entry, sasakian_symp, flat_bundle_symp):
     B = _symp(None, any_entry.name, sasakian_symp, flat_bundle_symp)
-    res = verify_symplectization_build(B, B.chart.samples(50))
+    res = verify_symplectization_build(B, *product_inputs(B, B.chart.samples(50)))
     assert max(res["J_xi_t"], res["J_d_t"], res["J_on_distribution"]) < 1e-10
 
 
 @pytest.mark.parametrize("which", ["flat_bundle_symp", "sasakian_symp", "curved_symp",
                                    "sasakian_r5", "sasakian7_symp"])
 def test_slice_values_equal_the_lifted_fields_bit_for_bit(which, request):
-    """Values read from the base fields equal those of the symbolic lifts,
-    sign bits included."""
+    """Values read from the base structure's record equal those of the
+    symbolic lifts, sign bits included, and gbar's values in its connection
+    data, which the build verifier reads, equal those of gbar's own walk."""
     if which == "sasakian_r5":
         B = build_metric_symplectization(load_structure_file(R5_PATH))
     else:
         B = request.getfixturevalue(which)
     S = B.base
     pts = B.chart.samples(20, seed=6)
-    eta_t, xi_t = slice_form_values(S, pts)
+    values = structure_values(S, pts[:, :-1])
+    eta_t, xi_t = slice_form_values(values, pts)
     pairs = [(eta_t, extended_slice_form(S, B.chart)), (xi_t, extended_slice_reeb(S, B.chart))]
-    pairs += [(lifted_values(T, pts), extend_to_product(T, B.chart))
-              for T in (S.eta, S.xi, S.g, S.phi, S.h)]
+    pairs += [(_lift(getattr(values, name)), extend_to_product(getattr(S, name), B.chart))
+              for name in ("eta", "xi", "g", "phi", "h")]
+    pairs.append((christoffel_batch(B.gbar, pts).g, B.gbar))
     for got, field in pairs:
         want = field.values(pts)
         assert np.array_equal(got, want)
@@ -165,12 +171,14 @@ def test_metric_restricted_to_zero_slice_is_g(sasakian, sasakian_symp):
 
 def test_uniqueness_witness(any_entry, sasakian_symp, flat_bundle_symp):
     B = _symp(None, any_entry.name, sasakian_symp, flat_bundle_symp)
-    assert verify_symplectization_build(B, B.chart.samples(20))["unique_acs"] < 1e-8
+    res = verify_symplectization_build(B, *product_inputs(B, B.chart.samples(20)))
+    assert res["unique_acs"] < 1e-8
 
 
 def test_the_build_verifier_evaluates_eta_and_xi_once(flat_bundle_symp, monkeypatch):
-    """xi_t and the contact distribution share one evaluation of xi, and
-    eta is evaluated once, on the base coordinates of the draw."""
+    """With the record built, xi_t and the contact distribution share its
+    one evaluation of xi, and eta is evaluated once, on the base coordinates
+    of the draw."""
     S = flat_bundle_symp.base
     calls = []
     real = TensorField.values
@@ -181,14 +189,15 @@ def test_the_build_verifier_evaluates_eta_and_xi_once(flat_bundle_symp, monkeypa
         return real(self, points)
 
     monkeypatch.setattr(TensorField, "values", counting)
-    verify_symplectization_build(flat_bundle_symp, flat_bundle_symp.chart.samples(12, seed=1))
+    pts = flat_bundle_symp.chart.samples(12, seed=1)
+    verify_symplectization_build(flat_bundle_symp, *product_inputs(flat_bundle_symp, pts))
     assert sorted(calls) == [("eta", (12, 3)), ("xi", (12, 3))]
 
 
 def _failing_keys(B):
     """The keys of the build verifier at or above the check's threshold; each
     failing one fails by far."""
-    res = verify_symplectization_build(B, B.chart.samples(40, seed=50))
+    res = verify_symplectization_build(B, *product_inputs(B, B.chart.samples(40, seed=50)))
     failing = {k for k, v in res.items() if not v < 1e-10}
     assert all(res[k] > 0.1 for k in failing)
     return failing
@@ -400,7 +409,8 @@ def test_slice_equals_rescale_componentwise(any_entry, sasakian_symp, flat_bundl
         dh = d_homothety(S, math.exp(2.0 * t0))
         for f1, f2 in ((sl.eta, dh.eta), (sl.g, dh.g), (sl.phi, dh.phi)):
             assert np.max(np.abs(f1.values(pts) - f2.values(pts))) < 1e-10
-        assert sup_norm(*verify_compatibility(sl, sl.chart.samples(30)).values()) < COMPAT_TOL
+        values = structure_values(sl, sl.chart.samples(30))
+        assert sup_norm(*verify_compatibility(values).values()) < COMPAT_TOL
 
 
 def test_slice_outside_range_rejected(sasakian_symp):
@@ -422,7 +432,8 @@ def test_induced_structure_reproduces_slice(any_entry, sasakian_symp, flat_bundl
     pts = S.chart.samples(20)
     for f1, f2 in ((ind.eta, sl.eta), (ind.g, sl.g), (ind.phi, sl.phi)):
         assert np.max(np.abs(f1.values(pts) - f2.values(pts))) < 1e-9
-    assert sup_norm(*verify_compatibility(ind, ind.chart.samples(25)).values()) < COMPAT_TOL
+    values = structure_values(ind, ind.chart.samples(25))
+    assert sup_norm(*verify_compatibility(values).values()) < COMPAT_TOL
     # the metric pairing with the Reeb field reproduces the form
     gv = ind.g.values(pts)
     xv = ind.xi.values(pts)
@@ -494,10 +505,10 @@ def test_natural_structure_slices_fail_compatibility_off_zero(sasakian):
         return ContactMetricStructure.build(sasakian.chart, eta_c, g_c, sasakian.phi)
 
     pts = sasakian.chart.samples(20)
-    bad = verify_compatibility(candidate(0.4), pts)
+    bad = verify_compatibility(structure_values(candidate(0.4), pts))
     assert not sup_norm(*bad.values()) < COMPAT_TOL
     assert bad["reeb_pairing"] > 1e-2
-    good = verify_compatibility(candidate(0.0), pts)
+    good = verify_compatibility(structure_values(candidate(0.0), pts))
     assert sup_norm(*good.values()) < COMPAT_TOL
 
 
@@ -548,11 +559,11 @@ def test_torsions_vanish_precisely_for_sasakian(sasakian, flat_bundle,
                                                 sasakian_symp, flat_bundle_symp):
     pts_s = sasakian_symp.chart.samples(40)
     for J in (sasakian_symp.J, natural_acs(sasakian)):
-        norms = nijenhuis_norms(nijenhuis(J), sasakian_symp.gbar, pts_s)
+        norms = nijenhuis_norms(nijenhuis(J), sasakian_symp.gbar.values(pts_s), pts_s)
         assert np.max(norms) < 1e-8
     pts_f = flat_bundle_symp.chart.samples(40)
     for J in (flat_bundle_symp.J, natural_acs(flat_bundle)):
-        norms = nijenhuis_norms(nijenhuis(J), flat_bundle_symp.gbar, pts_f)
+        norms = nijenhuis_norms(nijenhuis(J), flat_bundle_symp.gbar.values(pts_f), pts_f)
         assert np.min(norms) > 1e-2
 
 
@@ -563,7 +574,7 @@ def test_torsion_norm_matches_the_unplanned_contraction(flat_bundle, flat_bundle
     pts = B.chart.samples(20, seed=4)
     for J in (B.J, natural_acs(flat_bundle)):
         N = nijenhuis(J)
-        norms = nijenhuis_norms(N, B.gbar, pts)
+        norms = nijenhuis_norms(N, B.gbar.values(pts), pts)
         assert np.min(norms) > 1e-2
         assert_allclose(norms, nijenhuis_norms_reference(N.values(pts), B.gbar.values(pts)),
                         rtol=1e-13, atol=0.0)
@@ -579,7 +590,7 @@ def test_torsion_norm_is_nan_only_where_the_torsion_is(flat_bundle_symp):
     f = x0 - Const(0.5 * float(pts[k, 0] + np.partition(pts[:, 0], 1)[1]))
     N = nijenhuis(B.J).scale(sqrt(f) / sqrt(f))
     with np.errstate(invalid="ignore"):
-        norms = nijenhuis_norms(N, B.gbar, pts)
+        norms = nijenhuis_norms(N, B.gbar.values(pts), pts)
         want = nijenhuis_norms_reference(N.values(pts), B.gbar.values(pts))
     assert np.isnan(norms[k])
     assert_allclose(np.delete(norms, k), np.delete(want, k), rtol=1e-13, atol=0.0)
