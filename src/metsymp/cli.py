@@ -13,9 +13,9 @@ A structure file stands for an entry with no expected constants.
 ``symplectize --verify`` runs the suite's symplectization checks, and
 ``dhomothety --verify`` its rescale law at the factor ``--a``.  ``fit-kmu``
 and ``dhomothety`` refuse, with exit code 1, a structure that fails the
-compatibility axioms.  Each command draws its samples once per chart, from
-``--samples`` and ``--seed``, and every verification it runs reads that
-draw or a prefix of it.
+suite's compatibility check.  Each command reads one suite run's sample
+draw from ``--samples`` and ``--seed``, and the record of the structure's
+values there; ``symplectize --verify`` reads the run's product points.
 
 Exit codes: 0 when everything requested passed, 1 when a verification
 failed, 2 on bad input (unknown entry, parse error, bad options, a path
@@ -33,14 +33,12 @@ import numpy as np
 
 from .catalog import CatalogEntry, catalog_load, catalog_names
 from .contact import (
-    COMPAT_TOL,
     FIT_TOL,
     boeckx_index,
     d_homothety,
     fit_kappa_mu,
     kappa_mu_after_rescale,
     structure_values,
-    verify_compatibility,
 )
 from .errors import ConfigError, GeometryError, SasakianDegeneracyError, UnknownEntryError
 from .fields import sup_norm
@@ -151,24 +149,22 @@ def _cmd_check(args) -> int:
     return 0 if report.all_passed else 1
 
 
-def _compatible(entry: CatalogEntry, pts: np.ndarray):
-    """The structure's values at ``pts`` when it satisfies the compatibility
-    axioms there; else prints the refusal and returns None.  A NaN component
-    gives an ``inf`` residual, so numpy's invalid-value warnings are silenced."""
-    with np.errstate(invalid="ignore"):
-        values = structure_values(entry.structure, pts)
-        residual = sup_norm(*verify_compatibility(values).values())
-    if not residual < COMPAT_TOL:
-        print(f"{entry.name}: structure fails the compatibility axioms "
-              f"(residual {residual:.3e}); refusing to fit")
-    return values if residual < COMPAT_TOL else None
+def _compatible(run: _Run) -> bool:
+    """Whether the structure passes the suite's compatibility check on the
+    run's points; else prints the refusal."""
+    (record,) = _run_checks(run, ("compatibility",))
+    if not record.passed:
+        print(f"{run.entry.name}: structure fails the compatibility axioms "
+              f"(residual {record.residual:.3e}); refusing to fit")
+    return record.passed
 
 
 def _cmd_fit(args) -> int:
-    entry = _load_entry_or_file(args.entry_or_file)
-    name, S = entry.name, entry.structure
-    if _compatible(entry, S.chart.samples(args.samples, seed=args.seed)) is None:
+    run = _Run(_load_entry_or_file(args.entry_or_file),
+               SuiteConfig(samples=args.samples, seed=args.seed))
+    if not _compatible(run):
         return 1
+    name, S = run.entry.name, run.S
     rep = fit_kappa_mu(S, args.samples, seed=args.seed)
     mu, lam = _or_undefined(rep.mu), _or_undefined(rep.lam)
     print(f"{name}: kappa={rep.kappa:.9g} mu={mu} lambda={lam} "
@@ -193,7 +189,7 @@ def _cmd_symplectize(args) -> int:
     if not args.verify:
         print("built; run with --verify for the residual checks")
         return 0
-    symp = verify_symplectic(B.omega, B.chart.samples(args.samples, seed=args.seed))
+    symp = verify_symplectic(B.omega, run.product_points)
     oks = [_verdict(f"{'closed':<24}", sup_norm(symp.closed_residual), SYMPLECTIC_TOL),
            # the top coefficient must clear the floor; NaN propagates and fails
            _verdict(f"{'nondegenerate':<24}",
@@ -208,22 +204,20 @@ def _cmd_dhomothety(args) -> int:
     a = args.a
     if not (math.isfinite(a) and a > 0):
         raise ConfigError(f"--a must be finite and positive, got {a!r}")
-    entry = _load_entry_or_file(args.entry)
-    S = entry.structure
-    pts = S.chart.samples(args.samples, seed=args.seed)
-    values = _compatible(entry, pts)
-    if values is None:
+    run = _Run(_load_entry_or_file(args.entry),
+               SuiteConfig(samples=args.samples, seed=args.seed))
+    if not _compatible(run):
         return 1
-    before = fit_kappa_mu(S, args.samples, seed=args.seed)
-    S2 = d_homothety(S, a)
+    before = fit_kappa_mu(run.S, args.samples, seed=args.seed)
+    S2 = d_homothety(run.S, a)
     after = fit_kappa_mu(S2, args.samples, seed=args.seed)
     kp, mp = kappa_mu_after_rescale(before.kappa, before.mu, a)
-    print(f"{entry.name}: (kappa, mu) = ({before.kappa:.9g}, {_or_undefined(before.mu)})")
+    print(f"{run.entry.name}: (kappa, mu) = ({before.kappa:.9g}, {_or_undefined(before.mu)})")
     print(f"rescaled by a={a:.9g}: fitted ({after.kappa:.9g}, {_or_undefined(after.mu)}), "
           f"law predicts ({kp:.9g}, {_or_undefined(mp)})")
     if not args.verify:
         return 0
-    defects = _rescale_defects(structure_values(S2, pts), a, before, after, values)
+    defects = _rescale_defects(structure_values(S2, run.points), a, before, after, run.values)
     ok = _verdict("rescale verification", sup_norm(*defects),
                   default_thresholds()["rescale_equivariance"])
     return 0 if ok else 1

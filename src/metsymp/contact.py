@@ -20,7 +20,7 @@ as undefined whenever h vanishes identically (the condition then puts no
 constraint on mu).  The eigenstructure of h is one report of arrays over a
 sample batch, whose +lam and -lam masks pick the eigenvectors that the
 eigenspace curvature identities run over.  The verifiers read a record of
-the fields' values on a batch (:func:`structure_values`); only
+the fields' values on a batch (:func:`structure_values`) or its arrays; only
 :func:`fit_kappa_mu` draws its own points and evaluates its own fields.
 """
 
@@ -64,6 +64,7 @@ __all__ = [
     "verify_compatibility",
     "is_K_contact",
     "fit_kappa_mu",
+    "kmu_fit",
     "nullity_fit",
     "d_homothety",
     "kappa_mu_after_rescale",
@@ -351,25 +352,24 @@ def nullity_fit(lhs: np.ndarray, eta: np.ndarray, h: np.ndarray | None
     return kappa, mu, sup_norm(lhs - (kappa * colA + mu * colB))
 
 
-def fit_kappa_mu(S: ContactMetricStructure, n_samples: int = 50,
-                 seed: int | None = None) -> KmuReport:
-    """Least-squares (kappa, mu) over all samples and coordinate pairs.
-
-    The one verifier that draws its own samples.  A draw of n points is the
-    first n of any larger draw with the same seed, so a suite run's fits
-    read the run's base points, or a prefix of them.
-    """
-    pts = S.chart.samples(n_samples, seed=seed)
-    data = christoffel_batch(S.g, pts)
-    riem = riemann_components(data)
-    hv = S.h.values(pts)
-    ev = S.eta.values(pts)
-    lhs = np.einsum("nlkij,nk->nlij", riem, S.xi.values(pts))
-    _require_finite(pts, GeometryError, "R(X, Y) xi, eta or h", lhs, ev, hv)
-    sasakian = is_K_contact(data.g, hv)
-    kappa, mu, residual = nullity_fit(lhs, ev, None if sasakian else hv)
+def kmu_fit(data: ChristoffelData, eta: np.ndarray, xi: np.ndarray, h: np.ndarray) -> KmuReport:
+    """Least-squares (kappa, mu) over all samples and coordinate pairs, from
+    g's connection ``data`` and the values of eta, xi and h at its points."""
+    lhs = np.einsum("nlkij,nk->nlij", riemann_components(data), xi)
+    _require_finite(data.points, GeometryError, "R(X, Y) xi, eta or h", lhs, eta, h)
+    sasakian = is_K_contact(data.g, h)
+    kappa, mu, residual = nullity_fit(lhs, eta, None if sasakian else h)
     lam = None if sasakian else math.sqrt(max(1.0 - kappa, 0.0))
     return KmuReport(kappa=kappa, mu=mu, residual=residual, sasakian_flag=sasakian, lam=lam)
+
+
+def fit_kappa_mu(S: ContactMetricStructure, n_samples: int = 50,
+                 seed: int | None = None) -> KmuReport:
+    """:func:`kmu_fit` at ``S.chart.samples(n_samples, seed)``, the one verifier
+    that draws its own samples and evaluates its own fields there."""
+    pts = S.chart.samples(n_samples, seed=seed)
+    return kmu_fit(christoffel_batch(S.g, pts), S.eta.values(pts), S.xi.values(pts),
+                   S.h.values(pts))
 
 
 def kappa_mu_after_rescale(kappa: float, mu: float | None, a: float

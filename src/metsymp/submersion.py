@@ -46,7 +46,7 @@ from .curvature import (
 )
 from .errors import GeometryError
 from .fields import TensorField, sup_norm
-from .symplectization import SymplecticMetricStructure, slice_form_values
+from .symplectization import SymplecticMetricStructure, _require_slice, slice_form_values
 
 __all__ = [
     "oneill_T",
@@ -278,9 +278,11 @@ def fit_symplectization_kmu(B: SymplecticMetricStructure, ts: tuple[float, ...],
     is walked one slice at a time, so the peak memory is that of one slice.
     For a structure whose slice satisfies the nullity condition with
     constants (kappa_t, mu_t), the fitted values are (kappa_t - 2, mu_t);
-    mu is undefined when h vanishes.
+    mu is undefined when h vanishes.  A t outside B's t range is a DomainError.
     """
     d = B.t_index
+    for t in ts:
+        _require_slice(B, t)
     h_vanishes = is_K_contact(values.g, values.h)
     reports = []
     for t in ts:

@@ -10,13 +10,14 @@ recorded, never raised, so a single bad identity cannot hide the rest of
 the report.
 
 The checks of one run share a few artifacts through a per-run object: one
-sample draw per chart, the structure's values there, the (kappa, mu) fit,
-the metric symplectization, the Boeckx index, each ``d_homothety(S, a)``
-with its values and (kappa, mu) refit, and gbar's connection on the product
-draw with :func:`metsymp.submersion.verify_currel` there.  Checks read
-prefixes of these and hand the verifiers values, not points.  Each artifact
-is built on first read and at most once.  When a build raises, every check
-that reads the artifact records that build's own error, not a missing key.
+sample draw and the structure's values there, the (kappa, mu) fit, the
+metric symplectization, the Boeckx index, each ``d_homothety(S, a)`` with
+its values and the (kappa, mu) refit from them, and gbar's connection at
+the product points, a prefix of the draw with a t column, with
+:func:`metsymp.submersion.verify_currel` there.  Checks read prefixes of
+these and hand the verifiers values.  Each artifact is built on first read
+and at most once.  When a build raises, every check that reads the
+artifact records that build's own error, not a missing key.
 
 Most checks reduce the named residuals of one library verifier, as
 ``symplectization_build`` reduces those of
@@ -61,6 +62,7 @@ from .contact import (
     fit_kappa_mu,
     h_eigendecomposition_batch,
     kappa_mu_after_rescale,
+    kmu_fit,
     structure_values,
     verify_compatibility,
     verify_kmu_curvature,
@@ -142,26 +144,24 @@ class _Run:
 
     @property
     def product_points(self):
-        """The run's one draw on the product chart: at most 40 points, from ``cfg.seed``."""
-        return self._artifact("product_points", self.B.chart.samples,
-                              min(self.cfg.samples, 40), seed=self.cfg.seed)
-
-    @property
-    def product_values(self):
-        """The structure's values on the base coordinates of ``product_points``."""
-        return self._artifact("product_values", structure_values, self.S,
-                              self.product_points[:, :-1])
+        """The first n = min(samples, 40) of ``points``, each with a t drawn on B's chart."""
+        n = min(self.cfg.samples, 40)
+        return self._artifact("product_points", lambda: np.hstack(
+            [self.points[:n], self.B.chart.samples(n, seed=self.cfg.seed)[:, -1:]]))
 
     @property
     def connection(self):
         """gbar's connection data on ``product_points``."""
         return self._artifact("connection", christoffel_batch, self.B.gbar, self.product_points)
 
+    def product_inputs(self):
+        """``connection`` and the prefix of ``values`` at its base coordinates."""
+        return self.connection, self.values.prefix(len(self.product_points))
+
     @property
     def currel(self):
         """The three curvature relations, then the six Ricci rows, on ``connection``."""
-        return self._artifact("currel", verify_currel, self.B, self.connection,
-                              self.product_values)
+        return self._artifact("currel", verify_currel, self.B, *self.product_inputs())
 
     def rescaled(self, a: float):
         """``d_homothety(S, a)`` and its values on the first 30 of ``points``."""
@@ -171,9 +171,10 @@ class _Run:
         return self._artifact(("rescaled", a), build)
 
     def refit(self, a: float):
-        """The (kappa, mu) fit of ``rescaled(a)`` on the first 30 of ``points``."""
-        return self._artifact(("refit", a), fit_kappa_mu, self.rescaled(a)[0],
-                              min(self.cfg.samples, 30), seed=self.cfg.seed)
+        """The (kappa, mu) fit of ``rescaled(a)``, from its record."""
+        S2, v = self.rescaled(a)
+        return self._artifact(("refit", a), lambda: kmu_fit(christoffel_batch(S2.g, v.points),
+                                                            v.eta, v.xi, v.h))
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +274,7 @@ def _check_index_invariance(run):
 
 
 def _check_symplectization_build(run):
-    return sup_norm(*verify_symplectization_build(run.B, run.connection,
-                                                  run.product_values).values())
+    return sup_norm(*verify_symplectization_build(run.B, *run.product_inputs()).values())
 
 
 def _check_liouville(run):
@@ -284,8 +284,7 @@ def _check_liouville(run):
 
 
 def _check_fundamental_tensor(run):
-    return sup_norm(*verify_fundamental_tensors(run.B, run.connection,
-                                                run.product_values).values())
+    return sup_norm(*verify_fundamental_tensors(run.B, *run.product_inputs()).values())
 
 
 def _check_curvature_relations(run):
@@ -297,9 +296,9 @@ def _check_ricci_rows(run):
 
 
 def _check_symplectization_nullity(run):
-    B, rep = run.B, run.kmu
-    ts = (-0.5, 0.0, 0.5)
-    fits = fit_symplectization_kmu(B, ts, run.values.prefix(30))
+    rep, (lo, hi) = run.kmu, run.cfg.t_range
+    ts = tuple(lo + (hi - lo) * q for q in (0.25, 0.5, 0.75))
+    fits = fit_symplectization_kmu(run.B, ts, run.values.prefix(30))
     defects = []
     for t, fit in zip(ts, fits):
         kt, mt = kappa_mu_after_rescale(rep.kappa, rep.mu, math.exp(2.0 * t))
@@ -310,20 +309,20 @@ def _check_symplectization_nullity(run):
 def _check_integrability(run):
     B, rep, pts = run.B, run.kmu, run.product_points[:30]
     gv = run.connection.g[:30]
-    norms_metric = nijenhuis_norms(nijenhuis(B.J), gv, pts)
-    Jn = natural_acs(run.S, run.cfg.t_range)
-    norms_natural = nijenhuis_norms(nijenhuis(Jn), gv, pts)
+    # the torsions of the metric and of the classical construction
+    norms = [nijenhuis_norms(nijenhuis(J), gv, pts)
+             for J in (B.J, natural_acs(run.S, run.cfg.t_range))]
     if rep.sasakian_flag:
-        return sup_norm(norms_metric, norms_natural)
+        return sup_norm(*norms)
     # non-Sasakian: both torsions must be bounded away from zero; the
     # residual is how far the smallest norm falls short of the floor
-    floor = 1e-2
-    return sup_norm(np.maximum(floor - norms_metric, 0.0),
-                    np.maximum(floor - norms_natural, 0.0))
+    return sup_norm(*(np.maximum(1e-2 - n, 0.0) for n in norms))
 
 
 def _check_translation_isomorphism(run):
-    return sup_norm(*translation_isomorphism_check(run.B, 0.3, run.product_points[:30]).values())
+    lo, hi = run.cfg.t_range
+    return sup_norm(*translation_isomorphism_check(run.B, 0.15 * (hi - lo),
+                                                   run.product_points[:30]).values())
 
 
 @dataclass(frozen=True)

@@ -286,10 +286,15 @@ def slice_structure(B: SymplecticMetricStructure, t0: float) -> ContactMetricStr
     base structure with a = exp(2 t0).  The tests cross-check it against
     the structure the ambient data induce on the slice by pullback.
     """
-    lo, hi = B.chart.domain[B.t_index]
-    if not lo <= t0 <= hi:
-        raise DomainError(f"slice parameter {t0} outside [{lo}, {hi}]")
+    _require_slice(B, t0)
     return d_homothety(B.base, math.exp(2.0 * t0))
+
+
+def _require_slice(B: SymplecticMetricStructure, t: float) -> None:
+    """Raise a ``DomainError`` naming ``t`` unless it lies in B's t interval."""
+    lo, hi = B.chart.domain[B.t_index]
+    if not lo <= t <= hi:
+        raise DomainError(f"slice parameter {t} outside [{lo}, {hi}]")
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +374,7 @@ def verify_symplectization_build(B: SymplecticMetricStructure, data: Christoffel
     jv = B.J.values(pts)
     ov = B.omega.values(pts)
     ev, xl = values.eta, _lift(values.xi)
-    xt = xl * np.exp(-2.0 * pts[:, -1:])      # xi_t, as in slice_form_values
+    xt = slice_form_values(values, pts)[1]
     # V[:, a] = d_a - eta(d_a) xi: the base coordinate fields projected onto
     # the contact distribution, tangent to the slices
     V = -ev[:, :, None] * xl[:, None, :]

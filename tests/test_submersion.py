@@ -28,7 +28,7 @@ from metsymp.curvature import (
     ricci_components,
     riemann_components,
 )
-from metsymp.errors import GeometryError
+from metsymp.errors import DomainError, GeometryError
 from metsymp.expressions import Const, Coord, sin
 from metsymp.fields import TensorField, sup_norm
 from metsymp.submersion import (
@@ -518,3 +518,11 @@ def test_the_nullity_fits_evaluate_h_once(flat_bundle, flat_bundle_symp, monkeyp
     fit_symplectization_kmu(flat_bundle_symp, (-0.5, 0.0, 0.3),
                             structure_values(flat_bundle, flat_bundle.chart.samples(12, seed=1)))
     assert calls == [10, 12]
+
+
+def test_a_slice_outside_the_t_interval_is_a_domain_error(flat_bundle, flat_bundle_symp):
+    """As for slice_structure: the fit names the t outside B's t interval,
+    before it walks gbar on any slice."""
+    values = structure_values(flat_bundle, flat_bundle.chart.samples(4, seed=1))
+    with pytest.raises(DomainError, match=re.escape("slice parameter 1.5 outside [-1.0, 1.0]")):
+        fit_symplectization_kmu(flat_bundle_symp, (0.0, 1.5), values)

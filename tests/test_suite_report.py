@@ -203,11 +203,13 @@ def test_integrability_floor_off_the_sasakian_case(monkeypatch, sasakian_entry, 
 
 
 def test_a_run_fits_and_rescales_each_structure_once(monkeypatch, flat_bundle_entry):
-    """On the non-Sasakian flat bundle: one fit of the structure and one refit
-    per rescale factor, which index_invariance reads from rescale_equivariance;
-    one rescale per factor and the one the translation check compares with.
-    Every name that binds either function in the package is counted."""
-    counts = {"fit_kappa_mu": 0, "d_homothety": 0}
+    """On the non-Sasakian flat bundle: one fit of the structure, which draws
+    and evaluates for itself, and one refit per rescale factor from the
+    rescale's record, which index_invariance reads from rescale_equivariance;
+    every fit runs kmu_fit once.  One rescale per factor and the one the
+    translation check compares with.  Every name that binds one of the
+    functions in the package is counted."""
+    counts = {"fit_kappa_mu": 0, "kmu_fit": 0, "d_homothety": 0}
     reals = {name: getattr(contact, name) for name in counts}
     for module in [m for name, m in sys.modules.items() if name.startswith("metsymp")]:
         for name, real in reals.items():
@@ -218,7 +220,7 @@ def test_a_run_fits_and_rescales_each_structure_once(monkeypatch, flat_bundle_en
                 monkeypatch.setattr(module, name, counted)
     rep = run_suite(flat_bundle_entry, SuiteConfig(samples=10, seed=42))
     assert rep.all_passed
-    assert counts == {"fit_kappa_mu": 4, "d_homothety": 4}
+    assert counts == {"fit_kappa_mu": 1, "kmu_fit": 4, "d_homothety": 4}
 
 
 def test_rescaled_structures_are_built_once_per_run(monkeypatch):
@@ -286,14 +288,15 @@ def test_index_invariance_on_h_zero_fails_when_a_refit_has_h(monkeypatch, sasaki
     cfg = SuiteConfig(samples=10, seed=42)
     assert suite._check_index_invariance(suite._Run(sasakian_entry, cfg)) == 0.0
     run = suite._Run(sasakian_entry, cfg)
-    S2, _ = run.rescaled(2.0)
-    real = suite.fit_kappa_mu
+    _, record = run.rescaled(2.0)
+    real = suite.kmu_fit
 
-    def fit(S, n, seed):
-        rep = real(S, n, seed=seed)
-        return dataclasses.replace(rep, sasakian_flag=False, mu=0.0, lam=0.0) if S is S2 else rep
+    def fit(data, eta, xi, h):
+        rep = real(data, eta, xi, h)
+        return (dataclasses.replace(rep, sasakian_flag=False, mu=0.0, lam=0.0)
+                if xi is record.xi else rep)
 
-    monkeypatch.setattr(suite, "fit_kappa_mu", fit)
+    monkeypatch.setattr(suite, "kmu_fit", fit)
     assert suite._check_index_invariance(run) == math.inf
 
 
@@ -335,10 +338,23 @@ def test_each_verifier_emits_its_keys_in_order(check_id, verifier, keys, flat_bu
     assert list(verifier(flat_bundle, flat_bundle_symp)) == keys
 
 
+def _record_runs(monkeypatch) -> list:
+    """The list of the suite runs built from here on, in order."""
+    runs = []
+
+    class Recorded(suite._Run):
+        def __init__(self, *args):
+            super().__init__(*args)
+            runs.append(self)
+
+    monkeypatch.setattr(suite, "_Run", Recorded)
+    return runs
+
+
 def test_a_run_computes_the_connection_of_gbar_once(monkeypatch, flat_bundle_entry):
     """christoffel_batch meets gbar four times per run: once for the
     connection that fundamental_tensor, curvature_relations and ricci_rows
-    read, on the run's product draw, and once for each of
+    read, on the run's product points, and once for each of
     symplectization_nullity's three slices.  The three residuals are the
     verifiers' on that connection.  Every name that binds christoffel_batch
     in the package is counted."""
@@ -359,10 +375,11 @@ def test_a_run_computes_the_connection_of_gbar_once(monkeypatch, flat_bundle_ent
     for module in [m for name, m in sys.modules.items() if name.startswith("metsymp")]:
         if getattr(module, "christoffel_batch", None) is real_walk:
             monkeypatch.setattr(module, "christoffel_batch", walk)
+    runs = _record_runs(monkeypatch)
     rep = run_suite(flat_bundle_entry, SuiteConfig(samples=25, seed=42))
     assert rep.all_passed and len(built) == 1 and len(walks) == 4
     B, data = built[0], walks[0]
-    assert np.array_equal(data.points, B.chart.samples(25, seed=42))
+    assert data.points is runs[0].product_points
     assert [w.points[0, -1] for w in walks[1:]] == [-0.5, 0.0, 0.5]
     residual = {c.id: c.residual for c in rep.checks}
     values = structure_values(B.base, data.points[:, :-1])
@@ -409,11 +426,12 @@ def test_a_raising_artifact_is_the_error_of_every_check_that_reads_it(monkeypatc
 
 
 def test_a_run_evaluates_each_field_once_per_record(monkeypatch, flat_bundle_entry):
-    """One run on the flat bundle evaluates each field of the structure once
-    per record of its values: on the base draw and on the base coordinates
-    of the product draw, and phi, which every d_homothety(S, a) shares, once
-    more per rescale record.  The (kappa, mu) fit evaluates h, xi and eta on
-    its own draw; g reaches the fits and the connections as jets."""
+    """One run on the flat bundle evaluates each field of the structure once,
+    in the record of its values on the base draw, whose prefixes the product
+    checks read, and phi, which every d_homothety(S, a) shares, once more per
+    rescale record.  The (kappa, mu) fit evaluates h, xi and eta on its own
+    draw; the refits read the rescale records, and g reaches the fits and
+    the connections as jets."""
     S = flat_bundle_entry.structure
     names = ("h", "xi", "eta", "phi", "g")
     counts = dict.fromkeys(names, 0)
@@ -425,7 +443,7 @@ def test_a_run_evaluates_each_field_once_per_record(monkeypatch, flat_bundle_ent
 
     monkeypatch.setattr(TensorField, "values", values)
     assert run_suite(flat_bundle_entry, SuiteConfig(samples=50, seed=42)).all_passed
-    assert counts == {"h": 3, "xi": 3, "eta": 3, "phi": 5, "g": 2}
+    assert counts == {"h": 2, "xi": 2, "eta": 2, "phi": 4, "g": 1}
 
 
 def test_a_rejected_fit_reports_no_constants(monkeypatch, flat_bundle_entry):
@@ -458,34 +476,72 @@ def test_a_nan_structure_runs_the_suite_without_warnings(nan_masked_sasakian_ent
 
 @pytest.mark.parametrize("which", ["flat_bundle_entry", "sasakian_r5_entry"])
 def test_a_run_draws_its_samples_once(monkeypatch, request, which):
-    """Every sample array a run asks its charts for is a prefix of the run's
-    one draw on the structure's chart or of its one draw on the product chart."""
+    """A run draws three sample arrays: its one draw on the structure's
+    chart, the (kappa, mu) fit's draw, which equals it, and a draw on the
+    product chart whose t column, beside the first 40 base points, makes the
+    product points."""
     entry = request.getfixturevalue(which)
-    runs, draws = [], []
-
-    class Recorded(suite._Run):
-        def __init__(self, *args):
-            super().__init__(*args)
-            runs.append(self)
-
+    draws = []
     real = Chart.samples
 
     def samples(chart, n, seed=None):
         draws.append(real(chart, n, seed=seed))
         return draws[-1]
 
-    monkeypatch.setattr(suite, "_Run", Recorded)
+    runs = _record_runs(monkeypatch)
     monkeypatch.setattr(Chart, "samples", samples)
     rep = run_suite(entry, SuiteConfig(samples=50, seed=42))
     assert rep.all_passed
     (run,) = runs
-    whole = (run.points, run.product_points)
-    assert [len(w) for w in whole] == [50, 40]
-    # the base draw, the (kappa, mu) fit, its three refits and the product draw
-    assert len(draws) == 6
-    for pts in draws:
-        assert any(pts.shape[1] == w.shape[1] and np.array_equal(pts, w[:len(pts)])
-                   for w in whole), pts.shape
+    base, fit, product = draws
+    assert base is run.points and np.array_equal(fit, base)
+    assert run.product_points.shape == (40, base.shape[1] + 1)
+    assert np.array_equal(run.product_points[:, :-1], base[:40])
+    assert np.array_equal(run.product_points[:, -1], product[:, -1])
+
+
+@pytest.mark.parametrize("which", ["flat_bundle_entry", "curved", "sasakian_r5_entry"])
+def test_each_refit_is_the_fit_of_the_rescaled_structure_bit_for_bit(request, which):
+    """A refit reads the rescale's record on the first 30 base points; it
+    equals fit_kappa_mu of d_homothety(S, a) at 30 samples and the run's seed,
+    which draws those same points and evaluates the fields there itself."""
+    entry = request.getfixturevalue(which)
+    if which == "curved":
+        entry = CatalogEntry(name="curved", structure=entry, expected_kappa=0.0,
+                             expected_mu=-2.0, description="index-2 model")
+    run = suite._Run(entry, SuiteConfig(samples=50, seed=7))
+    for a in suite._RESCALE_FACTORS:
+        assert run.refit(a) == contact.fit_kappa_mu(contact.d_homothety(run.S, a), 30, seed=7)
+
+
+@pytest.mark.parametrize("t_range", [(-1.0, 1.0), (2.0, 3.0), (0.6, 0.7)])
+@pytest.mark.parametrize("which", ["flat_bundle_entry", "sasakian_entry"])
+def test_the_slices_and_the_shift_follow_the_t_range(monkeypatch, request, which, t_range):
+    """symplectization_nullity fits the slices at the quartiles of the t
+    range, and translation_isomorphism shifts by 0.15 of its width, which
+    at the default range are the slices -1/2, 0, 1/2 and the shift 0.3.  On
+    a range off zero, and on one narrower than that shift, both pass."""
+    slices, shifts = [], []
+    real_fit, real_shift = suite.fit_symplectization_kmu, suite.translation_isomorphism_check
+
+    def fit(B, ts, values):
+        slices.extend(ts)
+        return real_fit(B, ts, values)
+
+    def shift(B, t_shift, points):
+        shifts.append(t_shift)
+        return real_shift(B, t_shift, points)
+
+    monkeypatch.setattr(suite, "fit_symplectization_kmu", fit)
+    monkeypatch.setattr(suite, "translation_isomorphism_check", shift)
+    rep = run_suite(request.getfixturevalue(which),
+                    SuiteConfig(samples=20, seed=42, t_range=t_range))
+    assert [c.id for c in rep.checks if not c.passed] == []
+    lo, hi = t_range
+    assert slices == [lo + (hi - lo) * q for q in (0.25, 0.5, 0.75)]
+    assert shifts == [0.15 * (hi - lo)]
+    if t_range == (-1.0, 1.0):
+        assert (slices, shifts) == ([-0.5, 0.0, 0.5], [0.3])
 
 
 # (kappa, mu, index) of each entry; the structure file has no expected constants
