@@ -301,8 +301,9 @@ class TensorField:
     def values(self, points: np.ndarray) -> np.ndarray:
         """Component values (order 0), shape ``batch + (dim,)*(r+s)``."""
         pts = np.asarray(points, dtype=float)
+        live = self._evaluate(pts, 0)
         out = np.zeros(pts.shape[:-1] + self.components.shape)
-        for idx, v in self._evaluate(pts, 0):
+        for idx, v in live:
             out[(Ellipsis,) + idx] = v
         return out
 
@@ -313,13 +314,15 @@ class TensorField:
         ``batch + comp + (d, d)`` where ``comp = (dim,)*(r+s)``.
         """
         pts = np.asarray(points, dtype=float)
+        # walk first: the blocks are not held during the walk
+        live = self._evaluate(pts, 2)
         batch = pts.shape[:-1]
         d = self.chart.dim
         comp = self.components.shape
         vals = np.zeros(batch + comp)
         grads = np.zeros(batch + comp + (d,))
         hesses = np.zeros(batch + comp + (d, d))
-        for idx, j in self._evaluate(pts, 2):
+        for idx, j in live:
             sel = (Ellipsis,) + idx
             vals[sel] = j.value
             grads[sel + (slice(None),)] = j.grad

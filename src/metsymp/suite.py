@@ -12,12 +12,15 @@ the report.
 The checks of one run share a few artifacts through a per-run object: one
 sample draw and the structure's values there, the (kappa, mu) fit, the
 metric symplectization, the Boeckx index, each ``d_homothety(S, a)`` with
-its values and the (kappa, mu) refit from them, and gbar's connection at
-the product points, a prefix of the draw with a t column, with
-:func:`metsymp.submersion.verify_currel` there.  Checks read prefixes of
-these and hand the verifiers values.  Each artifact is built on first read
-and at most once.  When a build raises, every check that reads the
-artifact records that build's own error, not a missing key.
+its values on the first n points and the (kappa, mu) refit from them, and
+gbar's connection at the product points, a prefix of the draw with a t
+column, with :func:`metsymp.submersion.verify_currel` there.  Checks read
+prefixes of these and hand the verifiers values.  Each artifact is built
+on first read and at most once.  When a build raises, every check that
+reads the artifact records that build's own error, not a missing key.
+The commands print a run's artifacts: the D-homothety law at one factor,
+``_Run.rescale_defects(a, n)``, is the ``rescale_equivariance`` check at
+n = 30 and ``dhomothety --verify`` at n = the run's sample count.
 
 Most checks reduce the named residuals of one library verifier, as
 ``symplectization_build`` reduces those of
@@ -163,18 +166,30 @@ class _Run:
         """The three curvature relations, then the six Ricci rows, on ``connection``."""
         return self._artifact("currel", verify_currel, self.B, *self.product_inputs())
 
-    def rescaled(self, a: float):
-        """``d_homothety(S, a)`` and its values on the first 30 of ``points``."""
+    def rescaled(self, a: float, n: int):
+        """``d_homothety(S, a)`` and its values on the first n of ``points``."""
         def build():
             S2 = d_homothety(self.S, a)
-            return S2, structure_values(S2, self.points[:30])
-        return self._artifact(("rescaled", a), build)
+            return S2, structure_values(S2, self.points[:n])
+        return self._artifact(("rescaled", a, n), build)
 
-    def refit(self, a: float):
-        """The (kappa, mu) fit of ``rescaled(a)``, from its record."""
-        S2, v = self.rescaled(a)
-        return self._artifact(("refit", a), lambda: kmu_fit(christoffel_batch(S2.g, v.points),
-                                                            v.eta, v.xi, v.h))
+    def refit(self, a: float, n: int):
+        """The (kappa, mu) fit of ``rescaled(a, n)``, from its record."""
+        S2, v = self.rescaled(a, n)
+        return self._artifact(("refit", a, n), lambda: kmu_fit(christoffel_batch(S2.g, v.points),
+                                                               v.eta, v.xi, v.h))
+
+    def rescale_defects(self, a: float, n: int) -> list:
+        """The defects of the D-homothety law at one factor a, on the first n
+        of ``points``: xi' = xi/a, h' = h/a, the rescale is compatible, and
+        ``refit(a, n)`` obeys the law applied to ``kmu``."""
+        base, rescaled = self.values.prefix(n), self.rescaled(a, n)[1]
+        kmu, fit = self.kmu, self.refit(a, n)
+        kp, mp = kappa_mu_after_rescale(kmu.kappa, kmu.mu, a)
+        return [rescaled.xi - base.xi / a,
+                rescaled.h - base.h / a,
+                sup_norm(*verify_compatibility(rescaled).values()),
+                fit.residual, *_constant_defects(fit.kappa, fit.mu, kp, mp)]
 
 
 # ---------------------------------------------------------------------------
@@ -188,18 +203,6 @@ def _constant_defects(kappa, mu, want_kappa, want_mu) -> list[float]:
     if (mu is None) != (want_mu is None):
         return [kappa - want_kappa, math.inf]
     return [kappa - want_kappa] + ([] if mu is None else [mu - want_mu])
-
-
-def _rescale_defects(rescaled, a, kmu, fit, base):
-    """The defects of the D-homothety law at one factor a: ``rescaled`` and
-    ``base`` are the values of d_homothety(S, a) and of S at the same points,
-    and ``fit`` the refit of d_homothety(S, a).  xi' = xi/a, h' = h/a, the
-    rescale is compatible, and ``fit`` obeys the law applied to ``kmu``."""
-    kp, mp = kappa_mu_after_rescale(kmu.kappa, kmu.mu, a)
-    return [rescaled.xi - base.xi / a,
-            rescaled.h - base.h / a,
-            sup_norm(*verify_compatibility(rescaled).values()),
-            fit.residual, *_constant_defects(fit.kappa, fit.mu, kp, mp)]
 
 
 def _check_compatibility(run):
@@ -256,16 +259,12 @@ _RESCALE_FACTORS = (0.5, 2.0, math.e)
 
 
 def _check_rescale_equivariance(run):
-    base = run.values.prefix(30)
-    defects = []
-    for a in _RESCALE_FACTORS:
-        defects += _rescale_defects(run.rescaled(a)[1], a, run.kmu, run.refit(a), base)
-    return sup_norm(*defects)
+    return sup_norm(*(d for a in _RESCALE_FACTORS for d in run.rescale_defects(a, 30)))
 
 
 def _check_index_invariance(run):
     index = run.index
-    refits = [run.refit(a) for a in _RESCALE_FACTORS]
+    refits = [run.refit(a, 30) for a in _RESCALE_FACTORS]
     if index is None:
         # the index is undefined where h = 0, and h' = h/a keeps it undefined
         # on every rescale
@@ -435,6 +434,12 @@ class SuiteReport:
         return self.failed == 0
 
 
+def _ignore_invalid():
+    """numpy's invalid-value warnings, off: a NaN defect is already reported
+    as an inf residual, so the warnings it raises on the way say nothing more."""
+    return np.errstate(invalid="ignore")
+
+
 def _run_checks(run: _Run, ids) -> list[CheckRecord]:
     """The records of the table's checks named in ``ids``, in table order."""
     cfg = run.cfg
@@ -443,9 +448,7 @@ def _run_checks(run: _Run, ids) -> list[CheckRecord]:
         if check.id not in ids:
             continue
         try:
-            # a NaN defect is already reported as an inf residual, so the
-            # invalid-value warnings it raises on the way say nothing more
-            with np.errstate(invalid="ignore"):
+            with _ignore_invalid():
                 residual = sup_norm(check.run(run))
             error = None
         except Exception as exc:  # noqa: BLE001 - the contract is never abort

@@ -26,7 +26,9 @@ points of gbar's connection data, each as one named residual: the three-case
 table of J, gbar's base block against the slice law, the compatibility
 gbar(X, J Y) = omega(X, Y) and the uniqueness of J.
 :func:`slice_structure` builds the slice structure as the D_a rescaling
-itself.
+itself.  :func:`verify_symplectic` checks that a 2-form is symplectic at
+given points, and like every verifier here it returns named residuals:
+``closed`` and ``nondegenerate``.
 
 A symplectization is always a product over its base structure, with the
 line coordinate t last on the product chart.  At product points, the
@@ -65,7 +67,6 @@ __all__ = [
     "natural_acs",
     "verify_symplectic",
     "verify_liouville",
-    "SymplecticReport",
     "slice_structure",
     "nijenhuis",
     "nijenhuis_norms",
@@ -219,12 +220,6 @@ def natural_acs(S: ContactMetricStructure,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SymplecticReport:
-    closed_residual: float
-    min_top_coefficient: float
-
-
 def _top_coefficient_abs(skew: np.ndarray) -> np.ndarray:
     """|top coefficient| of omega^n, from the values ``skew[..., i, j]`` of a
     2-form omega in dimension 2n, batched over leading axes.
@@ -242,11 +237,11 @@ def _top_coefficient_abs(skew: np.ndarray) -> np.ndarray:
     return np.where(finite, c * np.sqrt(np.abs(det)), np.nan)
 
 
-def verify_symplectic(omega: TensorField, points: np.ndarray) -> SymplecticReport:
-    """Closedness residual and nondegeneracy margin of a 2-form at ``points``.
-
-    The margin is the smallest |top coefficient| of omega^n over the
-    points, taken from the values of omega by :func:`_top_coefficient_abs`.
+def verify_symplectic(omega: TensorField, points: np.ndarray) -> dict[str, float]:
+    """Residuals of a 2-form at ``points``: ``closed`` for d omega = 0 and
+    ``nondegenerate`` for how far the |top coefficient| of omega^n, taken
+    from the values of omega by :func:`_top_coefficient_abs`, falls short of
+    ``SYMPLECTIC_TOL`` at its smallest.  A NaN coefficient fails it.
     """
     if omega.chart.dim % 2 != 0:
         raise GeometryError("symplectic forms need an even-dimensional chart")
@@ -254,7 +249,7 @@ def verify_symplectic(omega: TensorField, points: np.ndarray) -> SymplecticRepor
         raise RankError("expected a 2-form")
     closed = sup_norm(exterior_derivative(omega).values(points))
     top = _top_coefficient_abs(omega.values(points))
-    return SymplecticReport(closed, float(np.min(top)))
+    return {"closed": closed, "nondegenerate": sup_norm(np.maximum(SYMPLECTIC_TOL - top, 0.0))}
 
 
 def verify_liouville(omega: TensorField, Y: TensorField, points: np.ndarray

@@ -151,11 +151,12 @@ def test_fit_file(tmp_path, capsys):
 def test_fit_refuses_a_residual_at_the_fit_tolerance(monkeypatch, capsys):
     import dataclasses
 
-    import metsymp.cli
+    import metsymp.suite
     from metsymp.contact import FIT_TOL
 
-    real_fit = metsymp.cli.fit_kappa_mu
-    monkeypatch.setattr(metsymp.cli, "fit_kappa_mu", lambda *args, **kwargs: dataclasses.replace(
+    # the command prints the run's (kappa, mu) fit
+    real_fit = metsymp.suite.fit_kappa_mu
+    monkeypatch.setattr(metsymp.suite, "fit_kappa_mu", lambda *args, **kwargs: dataclasses.replace(
         real_fit(*args, **kwargs), residual=FIT_TOL))
     assert main(["fit-kmu", "unit-tangent-flat-plane", "--samples", "10"]) == 1
     assert "fit residual above 1.0e-06;" in capsys.readouterr().out
@@ -266,6 +267,17 @@ def test_symplectize_verify_refuses_the_nan_phi_file_without_warnings():
     assert proc.returncode == 1
     assert re.findall(r"^\[FAIL\] (\w+)", proc.stdout, re.M) == ["symplectization_build",
                                                               "curvature_relations"]
+    assert proc.stderr == ""
+
+
+def test_symplectize_verify_refuses_the_nan_eta_file_without_warnings():
+    """omega = d(exp(2t) eta) and gbar are NaN where eta is: every line
+    fails, and numpy's invalid-value warnings are not printed."""
+    proc = _run_cli("symplectize", str(NAN_ETA_PATH), "--verify", "--samples", "10")
+    assert proc.returncode == 1
+    assert re.findall(r"^\[FAIL\] (\w+)", proc.stdout, re.M) == [
+        "closed", "nondegenerate", "symplectization_build", "liouville",
+        "fundamental_tensor", "curvature_relations", "ricci_rows"]
     assert proc.stderr == ""
 
 
@@ -384,26 +396,77 @@ def test_dhomothety_factor_must_be_finite(capsys, factor):
 def test_dhomothety_verify_fails_when_mu_is_defined_on_one_side_only(monkeypatch, capsys):
     import dataclasses
 
-    import metsymp.cli
+    import metsymp.suite
 
-    fits = []
-    real_fit = metsymp.cli.fit_kappa_mu
+    records, fits = [], []
+    real_values, real_fit = metsymp.suite.structure_values, metsymp.suite.kmu_fit
 
-    def fit(*args, **kwargs):
-        rep = real_fit(*args, **kwargs)
+    def values(S, points):
+        records.append(real_values(S, points))
+        return records[-1]
+
+    def fit(data, eta, xi, h):
+        rep = real_fit(data, eta, xi, h)
         fits.append(rep)
-        # the Sasakian model has no mu; give the rescaled fit one
-        return rep if len(fits) == 1 else dataclasses.replace(rep, mu=0.5)
+        # the Sasakian model has no mu; give the refit of the rescale's record one
+        return dataclasses.replace(rep, mu=0.5) if xi is records[-1].xi else rep
 
-    # the first fit is the structure's, the second the rescaled structure's:
-    # the command prints that refit and the rescale law reads it
-    monkeypatch.setattr(metsymp.cli, "fit_kappa_mu", fit)
+    # the run's first record is the structure's, its second the rescaled
+    # structure's; the refit reads that record, the command prints the refit
+    # and the rescale law reads it
+    monkeypatch.setattr(metsymp.suite, "structure_values", values)
+    monkeypatch.setattr(metsymp.suite, "kmu_fit", fit)
     assert main(["dhomothety", "darboux-sasakian-r3", "--a", "2",
                  "--verify", "--samples", "10"]) == 1
     out = capsys.readouterr().out
-    assert len(fits) == 2
+    assert len(records) == 2 and len(fits) == 1
     assert ", 0.5), law predicts (1, undefined)" in out
     assert "[FAIL] rescale verification residual=inf" in out
+
+
+def test_dhomothety_verify_evaluates_and_fits_the_rescaled_structure_once(monkeypatch, capsys):
+    """The printed refit and the rescale law read one record of D_a(S) on the
+    run's points: each of its fields is evaluated once, and D_a(S) is fitted
+    once.  (phi is S's own tree, shared by D_a(S), so it is not counted.)"""
+    from metsymp import contact, curvature, fields
+
+    made, evaluated, walked = [], [], []
+    real_rescale, real_walk = contact.d_homothety, curvature.christoffel_batch
+    real_values = fields.TensorField.values
+
+    def rescale(S, a):
+        made.append(real_rescale(S, a))
+        return made[-1]
+
+    def walk(g, points):
+        walked.append(g)
+        return real_walk(g, points)
+
+    def values(self, points):
+        evaluated.append(self)
+        return real_values(self, points)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("metsymp")]:
+        for name, real, spy in [("d_homothety", real_rescale, rescale),
+                                ("christoffel_batch", real_walk, walk)]:
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, spy)
+    monkeypatch.setattr(fields.TensorField, "values", values)
+    assert main(["dhomothety", "unit-tangent-flat-plane", "--a", "2",
+                 "--verify", "--samples", "15"]) == 0
+    assert "[PASS] rescale verification" in capsys.readouterr().out
+    (S2,) = made
+    assert [sum(e is f for e in evaluated) for f in (S2.eta, S2.xi, S2.h, S2.g)] == [1, 1, 1, 1]
+    assert sum(g is S2.g for g in walked) == 1
+
+
+def test_an_overflowing_factor_is_bad_input_with_one_error_line():
+    """a = 1e300 overflows the rescaled metric: exit 2, nothing on stdout and
+    one line on stderr, with no numpy warning before it."""
+    proc = _run_cli("dhomothety", "darboux-sasakian-r3", "--a", "1e300", "--samples", "10")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert re.fullmatch(r"error: [^\n]*not finite[^\n]*\n", proc.stderr), proc.stderr
 
 
 @pytest.mark.parametrize("case", ["directory", "not utf-8", "out is a directory"])

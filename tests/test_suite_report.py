@@ -258,14 +258,14 @@ def test_index_invariance_on_shared_structures_is_bit_identical(flat_bundle_entr
     shared = suite._Run(flat_bundle_entry, cfg)
     suite._check_nullity_fit(shared)
     suite._check_rescale_equivariance(shared)
-    warm = {a: shared.peek(("rescaled", a)) for a in factors}
+    warm = {a: shared.peek(("rescaled", a, 30)) for a in factors}
     assert None not in warm.values()
     residual = suite._check_index_invariance(shared)
-    assert all(shared.rescaled(a) is warm[a] for a in factors)
+    assert all(shared.rescaled(a, 30) is warm[a] for a in factors)
     fresh = suite._Run(flat_bundle_entry, cfg)
     suite._check_nullity_fit(fresh)
     assert suite._check_index_invariance(fresh) == residual
-    assert all(fresh.rescaled(a) is not warm[a] for a in factors)
+    assert all(fresh.rescaled(a, 30) is not warm[a] for a in factors)
 
 
 def test_index_invariance_builds_the_structures_when_the_rescale_check_raised(monkeypatch):
@@ -288,7 +288,7 @@ def test_index_invariance_on_h_zero_fails_when_a_refit_has_h(monkeypatch, sasaki
     cfg = SuiteConfig(samples=10, seed=42)
     assert suite._check_index_invariance(suite._Run(sasakian_entry, cfg)) == 0.0
     run = suite._Run(sasakian_entry, cfg)
-    _, record = run.rescaled(2.0)
+    _, record = run.rescaled(2.0, 30)
     real = suite.kmu_fit
 
     def fit(data, eta, xi, h):
@@ -511,7 +511,7 @@ def test_each_refit_is_the_fit_of_the_rescaled_structure_bit_for_bit(request, wh
                              expected_mu=-2.0, description="index-2 model")
     run = suite._Run(entry, SuiteConfig(samples=50, seed=7))
     for a in suite._RESCALE_FACTORS:
-        assert run.refit(a) == contact.fit_kappa_mu(contact.d_homothety(run.S, a), 30, seed=7)
+        assert run.refit(a, 30) == contact.fit_kappa_mu(contact.d_homothety(run.S, a), 30, seed=7)
 
 
 @pytest.mark.parametrize("t_range", [(-1.0, 1.0), (2.0, 3.0), (0.6, 0.7)])

@@ -280,8 +280,10 @@ def test_a_smaller_draw_is_a_prefix_of_a_larger_one(flat_bundle_symp, sasakian7_
 def test_symplectization_form_is_symplectic(any_entry, sasakian_symp, flat_bundle_symp):
     B = _symp(None, any_entry.name, sasakian_symp, flat_bundle_symp)
     rep = verify_symplectic(B.omega, B.chart.samples(50))
-    assert rep.closed_residual < 1e-12
-    assert rep.min_top_coefficient > 1e-10
+    assert list(rep) == ["closed", "nondegenerate"]
+    assert rep["closed"] < 1e-12
+    # the top coefficient clears the floor of 1e-10 at every sample
+    assert rep["nondegenerate"] == 0.0
 
 
 def _standard_r4():
@@ -298,14 +300,15 @@ def _standard_r4():
 def test_standard_r4_form_passes_and_degenerate_fails():
     chart, omega = _standard_r4()
     rep = verify_symplectic(omega, omega.chart.samples(30))
-    assert rep.closed_residual < SYMPLECTIC_TOL and rep.min_top_coefficient > SYMPLECTIC_TOL
+    assert rep["closed"] < SYMPLECTIC_TOL and rep["nondegenerate"] == 0.0
     degenerate = wedge(
         TensorField.covector(chart, [Const(1.0), Const(0.0), Const(0.0), Const(0.0)]),
         TensorField.covector(chart, [Const(0.0), Const(1.0), Const(0.0), Const(0.0)]),
     )
     rep = verify_symplectic(degenerate, degenerate.chart.samples(30))
-    assert rep.closed_residual < SYMPLECTIC_TOL
-    assert rep.min_top_coefficient < 1e-14
+    assert rep["closed"] < SYMPLECTIC_TOL
+    # the smallest top coefficient is below 1e-14
+    assert rep["nondegenerate"] > SYMPLECTIC_TOL - 1e-14
 
 
 @pytest.mark.parametrize("which", ["sasakian_symp", "flat_bundle_symp", "curved_symp",
@@ -320,10 +323,10 @@ def test_top_coefficient_matches_the_repeated_wedge(which, request):
         omega = request.getfixturevalue(which).omega
     pts = omega.chart.samples(12, seed=4)
     want = np.abs(symplectic_top_reference(omega, pts))
-    assert_allclose(_top_coefficient_abs(omega.values(pts)), want,
-                    rtol=1e-12, atol=0)
-    assert_allclose(verify_symplectic(omega, pts).min_top_coefficient, np.min(want),
-                    rtol=1e-12, atol=0)
+    top = _top_coefficient_abs(omega.values(pts))
+    assert_allclose(top, want, rtol=1e-12, atol=0)
+    assert np.min(top) > SYMPLECTIC_TOL
+    assert verify_symplectic(omega, pts)["nondegenerate"] == 0.0
 
 
 def test_nan_two_form_fails_the_symplectic_check():
@@ -332,10 +335,13 @@ def test_nan_two_form_fails_the_symplectic_check():
     x = Coord(0, "x")
     comps[0, 1] = comps[0, 1] * (sqrt(x) / sqrt(x))          # NaN where x < 0
     masked = TensorField(chart, 0, 2, comps, "antisymmetric")
+    pts = masked.chart.samples(30, seed=1)
     with np.errstate(invalid="ignore"):
-        rep = verify_symplectic(masked, masked.chart.samples(30, seed=1))
-    assert math.isnan(rep.min_top_coefficient)
-    assert not rep.min_top_coefficient > SYMPLECTIC_TOL
+        rep = verify_symplectic(masked, pts)
+        top = _top_coefficient_abs(masked.values(pts))
+    assert math.isnan(np.min(top))
+    assert not np.min(top) > SYMPLECTIC_TOL
+    assert rep["nondegenerate"] == math.inf
 
 
 def test_odd_chart_rejected_by_symplectic_check(sasakian):
