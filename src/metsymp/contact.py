@@ -329,38 +329,41 @@ def _nullity_basis(eta: np.ndarray) -> np.ndarray:
     return np.einsum("nj,li->nlij", eta, eye) - np.einsum("ni,lj->nlij", eta, eye)
 
 
-def nullity_fit(lhs: np.ndarray, eta: np.ndarray, h: np.ndarray | None
-                ) -> tuple[float, float | None, float]:
-    """Least-squares (kappa, mu, residual) of the nullity condition.
+def nullity_fit(points: np.ndarray, lhs: np.ndarray, eta: np.ndarray, g: np.ndarray,
+                h: np.ndarray) -> KmuReport:
+    """Least-squares (kappa, mu) of the nullity condition, over all samples
+    and coordinate pairs.
 
-    ``lhs[n, l, i, j]`` is the d_l component of R(d_i, d_j) xi at sample n,
-    ``eta[n, i]`` the values of eta and ``h[n, l, i]`` those of h.  The fit
-    is lhs = kappa A + mu B over all samples and coordinate pairs, with
-    A = eta(d_j) d_i - eta(d_i) d_j and B = h A; with ``h`` None it fits
-    kappa alone and mu is None.  The residual is the sup norm of
-    lhs - (kappa A + mu B).
+    ``lhs[n, l, i, j]`` is the d_l component of R(d_i, d_j) xi at sample n
+    of ``points``; ``eta``, ``g`` and ``h`` hold the values of eta, g and h
+    there.  The fit is lhs = kappa A + mu B with
+    A = eta(d_j) d_i - eta(d_i) d_j and B = h A; where g and h make the
+    structure K-contact it fits kappa alone and mu is None.  The residual
+    is the sup norm of lhs - (kappa A + mu B).  A non-finite lhs, eta or h
+    is a ``GeometryError`` naming its sample, raised before the solve.
     """
+    _require_finite(points, GeometryError, "R(X, Y) xi, eta or h", lhs, eta, h)
+    sasakian = is_K_contact(g, h)
     colA = _nullity_basis(eta)
     b = lhs.ravel()
-    if h is None:
+    if sasakian:
         sol, *_ = np.linalg.lstsq(colA.ravel()[:, None], b, rcond=None)
-        kappa = float(sol[0])
-        return kappa, None, sup_norm(lhs - kappa * colA)
-    colB = np.einsum("nj,nli->nlij", eta, h) - np.einsum("ni,nlj->nlij", eta, h)
-    sol, *_ = np.linalg.lstsq(np.stack([colA.ravel(), colB.ravel()], axis=1), b, rcond=None)
-    kappa, mu = float(sol[0]), float(sol[1])
-    return kappa, mu, sup_norm(lhs - (kappa * colA + mu * colB))
+        kappa, mu = float(sol[0]), None
+        residual = sup_norm(lhs - kappa * colA)
+    else:
+        colB = np.einsum("nj,nli->nlij", eta, h) - np.einsum("ni,nlj->nlij", eta, h)
+        sol, *_ = np.linalg.lstsq(np.stack([colA.ravel(), colB.ravel()], axis=1), b, rcond=None)
+        kappa, mu = float(sol[0]), float(sol[1])
+        residual = sup_norm(lhs - (kappa * colA + mu * colB))
+    lam = None if sasakian else math.sqrt(max(1.0 - kappa, 0.0))
+    return KmuReport(kappa=kappa, mu=mu, residual=residual, sasakian_flag=sasakian, lam=lam)
 
 
 def kmu_fit(data: ChristoffelData, eta: np.ndarray, xi: np.ndarray, h: np.ndarray) -> KmuReport:
-    """Least-squares (kappa, mu) over all samples and coordinate pairs, from
-    g's connection ``data`` and the values of eta, xi and h at its points."""
+    """:func:`nullity_fit` of R(X, Y) xi, from g's connection ``data`` and
+    the values of eta, xi and h at its points."""
     lhs = np.einsum("nlkij,nk->nlij", riemann_components(data), xi)
-    _require_finite(data.points, GeometryError, "R(X, Y) xi, eta or h", lhs, eta, h)
-    sasakian = is_K_contact(data.g, h)
-    kappa, mu, residual = nullity_fit(lhs, eta, None if sasakian else h)
-    lam = None if sasakian else math.sqrt(max(1.0 - kappa, 0.0))
-    return KmuReport(kappa=kappa, mu=mu, residual=residual, sasakian_flag=sasakian, lam=lam)
+    return nullity_fit(data.points, lhs, eta, data.g, h)
 
 
 def fit_kappa_mu(S: ContactMetricStructure, n_samples: int = 50,

@@ -21,32 +21,30 @@ computed intrinsically from the base block of gbar's jets, which hold g_t,
 so the comparison stays a genuine cross-check.  The Ricci rows are traces
 of the same two Riemann tensors, read in gbar-orthonormal frames
 (xi_t, d_t, e_i), built for the whole sample batch by one call of
-:func:`curvature.gram_schmidt_frame`.  Both verifiers take gbar's
-connection data and the base record at its base coordinates, so one set
-of points serves them.
+:func:`curvature.gram_schmidt_frame`.  The nullity fit reads gbar's
+curvature along xi_t on whatever slices the samples lie, and undoes the
+D-homothety law of the slices to fit the base's (kappa, mu) in one
+least-squares solve.  All three take gbar's connection data and the base
+record at its base coordinates, so one walk of gbar serves them.
 Each verifier returns its residuals as a dict from the name of the
 identity to its sup norm over the samples, in a fixed order.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
-from .contact import StructureValues, is_K_contact, nullity_fit
+from .contact import KmuReport, StructureValues, _nullity_basis, nullity_fit
 from .curvature import (
     ChristoffelData,
-    christoffel_batch,
     christoffel_from_blocks,
     gram_schmidt_frame,
     ricci_components,
     riemann_components,
 )
-from .errors import GeometryError
+from .errors import DomainError, GeometryError
 from .fields import TensorField, sup_norm
-from .symplectization import SymplecticMetricStructure, _require_slice, slice_form_values
+from .symplectization import SymplecticMetricStructure, slice_form_values
 
 __all__ = [
     "oneill_T",
@@ -54,7 +52,6 @@ __all__ = [
     "verify_fundamental_tensors",
     "verify_currel",
     "fit_symplectization_kmu",
-    "SymplectizationKmuReport",
     "slice_christoffel_batch",
 ]
 
@@ -261,36 +258,35 @@ def verify_currel(B: SymplecticMetricStructure, data: ChristoffelData,
             "line_line": sup_norm(rb[:, 1, 1] + 2.0 * nn + 4.0)}
 
 
-@dataclass(frozen=True)
-class SymplectizationKmuReport:
-    kappa_tilde: float
-    mu_tilde: float | None
-    residual: float
+def fit_symplectization_kmu(B: SymplecticMetricStructure, data: ChristoffelData,
+                            values: StructureValues) -> KmuReport:
+    """The base's (kappa, mu), fitted from gbar's curvature along xi_t at
+    the samples of gbar's connection ``data``, whatever their slices.
 
+    With a = exp(2t), A_t = eta_t(Y) X - eta_t(X) Y and h_t = h/a, a slice
+    obeys V(R(X, Y) xi_t) = ((kappa_t - 2) I + mu_t h_t) A_t, and the
+    D-homothety law at a turns this into
 
-def fit_symplectization_kmu(B: SymplecticMetricStructure, ts: tuple[float, ...],
-                            values: StructureValues) -> list[SymplectizationKmuReport]:
-    """Fit V(R(X, Y) xi_t) = (k I + m h_t)(eta_t(Y) X - eta_t(X) Y) on each
-    slice at t in ``ts``; one report per slice, in the order of ``ts``.
+      V(R(X, Y) xi_t) + (I - 2 h_t) A_t + (I + 2 h) A_t / a^2 = (kappa I + mu h) A_t / a^2
 
-    Arguments X, Y run over the slice coordinate directions at the points
-    of the base structure's record ``values``, lifted to every slice.  gbar
-    is walked one slice at a time, so the peak memory is that of one slice.
-    For a structure whose slice satisfies the nullity condition with
-    constants (kappa_t, mu_t), the fitted values are (kappa_t - 2, mu_t);
-    mu is undefined when h vanishes.  A t outside B's t range is a DomainError.
+    with A_t / a^2 the nullity basis of eta / a: one
+    :func:`contact.nullity_fit` over all samples, its residual in gbar's
+    units.  The base record ``values`` at the samples' base coordinates
+    supplies eta, xi, g and h.  A sample whose t lies outside B's t
+    interval is a ``DomainError`` that names it, as for :func:`slice_structure`.
     """
     d = B.t_index
-    for t in ts:
-        _require_slice(B, t)
-    h_vanishes = is_K_contact(values.g, values.h)
-    reports = []
-    for t in ts:
-        pts = np.concatenate([values.points, np.full((len(values.points), 1), float(t))], axis=1)
-        riem = riemann_components(christoffel_batch(B.gbar, pts))
-        etat, xit = slice_form_values(values, pts)
-        # V(R(d_a, d_b) xi_t), base components
-        lhs = np.einsum("nlkab,nk->nlab", riem[:, :d, :, :d, :d], xit)
-        reports.append(SymplectizationKmuReport(*nullity_fit(
-            lhs, etat[:, :d], None if h_vanishes else values.h / math.exp(2.0 * t))))
-    return reports
+    pts = data.points
+    lo, hi = B.chart.domain[d]
+    outside = pts[~((lo <= pts[:, d]) & (pts[:, d] <= hi)), d]
+    if outside.size:
+        raise DomainError(f"slice parameter {outside[0]} outside [{lo}, {hi}]")
+    a = np.exp(2.0 * pts[:, d])
+    etat, xit = slice_form_values(values, pts)
+    # V(R(d_i, d_j) xi_t), base components
+    lhs = np.einsum("nlkij,nk->nlij", riemann_components(data)[:, :d, :, :d, :d], xit)
+    At = _nullity_basis(etat[:, :d])
+    hAt = np.einsum("nlk,nkij->nlij", values.h, At)   # a h_t A_t
+    a4 = a[:, None, None, None]                       # a over [n, l, i, j]
+    lhs = lhs + At - 2.0 * hAt / a4 + (At + 2.0 * hAt) / a4 ** 2
+    return nullity_fit(pts, lhs, values.eta / a[:, None], values.g, values.h)

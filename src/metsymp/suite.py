@@ -14,10 +14,11 @@ sample draw and the structure's values there, the (kappa, mu) fit, the
 metric symplectization, the Boeckx index, each ``d_homothety(S, a)`` with
 its values on the first n points and the (kappa, mu) refit from them, and
 gbar's connection at the product points, a prefix of the draw with a t
-column, with :func:`metsymp.submersion.verify_currel` there.  Checks read
-prefixes of these and hand the verifiers values.  Each artifact is built
-on first read and at most once.  When a build raises, every check that
-reads the artifact records that build's own error, not a missing key.
+column on the t range, which all four curvature checks of the product
+read.  Checks read prefixes of these and hand the verifiers values.  Each
+artifact is built on first read and at most once.  When a build raises,
+every check that reads the artifact records that build's own error, not a
+missing key; a rescale's error names its factor.
 The commands print a run's artifacts: the D-homothety law at one factor,
 ``_Run.rescale_defects(a, n)``, is the ``rescale_equivariance`` check at
 n = 30 and ``dhomothety --verify`` at n = the run's sample count.
@@ -71,7 +72,7 @@ from .contact import (
     verify_kmu_curvature,
 )
 from .curvature import christoffel_batch, riemann_components
-from .errors import ConfigError
+from .errors import ConfigError, GeometryError
 from .fields import TensorField, sup_norm
 from .submersion import (
     fit_symplectization_kmu,
@@ -91,6 +92,16 @@ from .symplectization import (
 
 __all__ = ["SuiteConfig", "CheckRecord", "SuiteReport", "run_suite",
            "report_emit", "default_thresholds", "CHECK_ORDER"]
+
+
+def _naming_factor(a: float, build):
+    """``build``, raising its geometry errors with the rescale factor in front."""
+    def named():
+        try:
+            return build()
+        except GeometryError as exc:
+            raise type(exc)(f"rescale by a={a:.9g}: {exc}") from exc
+    return named
 
 
 class _Run:
@@ -171,13 +182,13 @@ class _Run:
         def build():
             S2 = d_homothety(self.S, a)
             return S2, structure_values(S2, self.points[:n])
-        return self._artifact(("rescaled", a, n), build)
+        return self._artifact(("rescaled", a, n), _naming_factor(a, build))
 
     def refit(self, a: float, n: int):
         """The (kappa, mu) fit of ``rescaled(a, n)``, from its record."""
         S2, v = self.rescaled(a, n)
-        return self._artifact(("refit", a, n), lambda: kmu_fit(christoffel_batch(S2.g, v.points),
-                                                               v.eta, v.xi, v.h))
+        return self._artifact(("refit", a, n), _naming_factor(a, lambda: kmu_fit(
+            christoffel_batch(S2.g, v.points), v.eta, v.xi, v.h)))
 
     def rescale_defects(self, a: float, n: int) -> list:
         """The defects of the D-homothety law at one factor a, on the first n
@@ -295,14 +306,9 @@ def _check_ricci_rows(run):
 
 
 def _check_symplectization_nullity(run):
-    rep, (lo, hi) = run.kmu, run.cfg.t_range
-    ts = tuple(lo + (hi - lo) * q for q in (0.25, 0.5, 0.75))
-    fits = fit_symplectization_kmu(run.B, ts, run.values.prefix(30))
-    defects = []
-    for t, fit in zip(ts, fits):
-        kt, mt = kappa_mu_after_rescale(rep.kappa, rep.mu, math.exp(2.0 * t))
-        defects += [fit.residual, *_constant_defects(fit.kappa_tilde, fit.mu_tilde, kt - 2.0, mt)]
-    return sup_norm(*defects)
+    kmu = run.kmu
+    fit = fit_symplectization_kmu(run.B, *run.product_inputs())
+    return [fit.residual, *_constant_defects(fit.kappa, fit.mu, kmu.kappa, kmu.mu)]
 
 
 def _check_integrability(run):

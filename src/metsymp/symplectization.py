@@ -279,17 +279,13 @@ def slice_structure(B: SymplecticMetricStructure, t0: float) -> ContactMetricStr
 
     Built directly from the slice formulas, as the D_a homothety of the
     base structure with a = exp(2 t0).  The tests cross-check it against
-    the structure the ambient data induce on the slice by pullback.
+    the structure the ambient data induce on the slice by pullback.  A t0
+    outside B's t interval is a ``DomainError`` that names it.
     """
-    _require_slice(B, t0)
-    return d_homothety(B.base, math.exp(2.0 * t0))
-
-
-def _require_slice(B: SymplecticMetricStructure, t: float) -> None:
-    """Raise a ``DomainError`` naming ``t`` unless it lies in B's t interval."""
     lo, hi = B.chart.domain[B.t_index]
-    if not lo <= t <= hi:
-        raise DomainError(f"slice parameter {t} outside [{lo}, {hi}]")
+    if not lo <= t0 <= hi:
+        raise DomainError(f"slice parameter {t0} outside [{lo}, {hi}]")
+    return d_homothety(B.base, math.exp(2.0 * t0))
 
 
 # ---------------------------------------------------------------------------

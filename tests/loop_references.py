@@ -40,6 +40,9 @@ the shift.
 The two nullity fits are kept as they were written before they shared
 ``contact.nullity_fit``: each builds its own least-squares columns, and the
 slice fit reads eta_t and xi_t from freshly lifted product-chart fields.
+The slice fit is also the per-slice formula that the library's one fit
+over every slice replaced: it reads (kappa_t - 2, mu_t) on one slice, and
+the library's base (kappa, mu) must give these through the D-homothety law.
 The eta-Einstein fit Ric = alpha g + beta eta (x) eta has no library
 route; tests fit it here.  So have two more references: the Ricci tensor
 as a trace over an orthonormal frame at each sample, against the library's
@@ -398,7 +401,9 @@ def fit_kappa_mu_reference(S, n_samples, seed):
 
 
 def fit_symplectization_kmu_reference(B, t, n_samples, seed):
-    """(kappa_tilde, mu_tilde, residual) of ``submersion.fit_symplectization_kmu``."""
+    """(kappa_t - 2, mu_t, residual) of the nullity condition
+    V(R(X, Y) xi_t) = ((kappa_t - 2) I + mu_t h_t)(eta_t(Y) X - eta_t(X) Y)
+    fitted on the slice at t alone, at a draw of base points."""
     S = B.base
     d = S.chart.dim
     base_pts = S.chart.samples(n_samples, seed=seed)

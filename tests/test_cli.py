@@ -462,11 +462,13 @@ def test_dhomothety_verify_evaluates_and_fits_the_rescaled_structure_once(monkey
 
 def test_an_overflowing_factor_is_bad_input_with_one_error_line():
     """a = 1e300 overflows the rescaled metric: exit 2, nothing on stdout and
-    one line on stderr, with no numpy warning before it."""
+    one line on stderr, with no numpy warning before it.  The line names
+    the factor, so it does not read as a fault of the input structure."""
     proc = _run_cli("dhomothety", "darboux-sasakian-r3", "--a", "1e300", "--samples", "10")
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert re.fullmatch(r"error: [^\n]*not finite[^\n]*\n", proc.stderr), proc.stderr
+    assert re.fullmatch(r"error: rescale by a=1e\+300: [^\n]*not finite[^\n]*\n",
+                        proc.stderr), proc.stderr
 
 
 @pytest.mark.parametrize("case", ["directory", "not utf-8", "out is a directory"])

@@ -664,7 +664,7 @@ RECORD_READERS = {
         lambda S, B, pts: verify_fundamental_tensors(B, *product_inputs(B, _lifted(pts))),
     "verify_currel": lambda S, B, pts: verify_currel(B, *product_inputs(B, _lifted(pts))),
     "fit_symplectization_kmu":
-        lambda S, B, pts: fit_symplectization_kmu(B, (0.0,), structure_values(S, pts)),
+        lambda S, B, pts: fit_symplectization_kmu(B, *product_inputs(B, _lifted(pts))),
 }
 
 

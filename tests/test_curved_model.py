@@ -38,7 +38,7 @@ from metsymp.fields import sup_norm
 from metsymp.submersion import fit_symplectization_kmu, verify_currel
 from metsymp.symplectization import build_metric_symplectization, nijenhuis, nijenhuis_norms
 
-from inputs import kmu_inputs, product_inputs
+from inputs import kmu_inputs, product_inputs, slice_inputs
 from loop_references import eta_einstein_fit_reference
 
 
@@ -88,8 +88,8 @@ def test_symplectization_constants(curved):
     ric = ricci_components(riemann_components(data))
     assert np.max(np.abs(ric[:, 3, 3] + 6.0)) < 1e-8
     assert sup_norm(*verify_currel(B, data, values).values()) < 1e-6
-    (fit,) = fit_symplectization_kmu(B, (0.0,),
-                                     structure_values(curved, B.base.chart.samples(15)))
-    assert_allclose([fit.kappa_tilde, fit.mu_tilde], [-2.0, -2.0], atol=1e-8)
+    # the slice t = 0 reads (kappa_t - 2, mu_t) = (-2, -2), the base's (0, -2)
+    fit = fit_symplectization_kmu(B, *slice_inputs(B, (0.0,), B.base.chart.samples(15)))
+    assert_allclose([fit.kappa, fit.mu], [0.0, -2.0], atol=1e-8)
     norms = nijenhuis_norms(nijenhuis(B.J), data.g, pts)
     assert np.min(norms) > 1e-2

@@ -33,7 +33,7 @@ from metsymp.submersion import (
 )
 from metsymp.symplectization import build_metric_symplectization, verify_liouville
 
-from inputs import product_inputs
+from inputs import product_inputs, slice_inputs
 from loop_references import eta_einstein_fit_reference
 
 
@@ -141,7 +141,8 @@ def test_expansion_property(five_dim_symp):
 
 def test_slice_fit_with_n_two(five_dim_symp):
     base = five_dim_symp.base
-    (rep,) = fit_symplectization_kmu(five_dim_symp, (0.0,),
-                                     structure_values(base, base.chart.samples(10)))
-    assert abs(rep.kappa_tilde + 1.0) < 1e-8
-    assert rep.mu_tilde is None
+    # the slice t = 0 reads kappa_t - 2 = -1, the base's kappa = 1
+    rep = fit_symplectization_kmu(five_dim_symp,
+                                  *slice_inputs(five_dim_symp, (0.0,), base.chart.samples(10)))
+    assert abs(rep.kappa - 1.0) < 1e-8
+    assert rep.mu is None

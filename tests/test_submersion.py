@@ -7,9 +7,10 @@ Frozen values exercised here (n = 1 throughout, so 2n + 1 = 3):
 * the relation gbar(R(d_t, X) d_t, Y) = g_t(X, Y) + 3 eta_t(X) eta_t(Y)
   evaluates to 4 at X = Y = xi_t;
 * the line-line Ricci entry is -2n - 4 = -6 on both entries;
-* the slice fit returns (kappa_t - 2, mu_t), so (-2, 0) for the flat
-  bundle at t = 0 and kappa-tilde = -1 with undefined mu on the Sasakian
-  model.
+* the slice at t reads (kappa_t - 2, mu_t) off gbar's curvature along
+  xi_t, so (-2, 0) for the flat bundle at t = 0 and -1 with undefined mu
+  on the Sasakian model; the symplectization fit undoes the D-homothety
+  law and returns the base's (0, 0) and (1, undefined) on every slice.
 """
 
 import dataclasses
@@ -41,7 +42,7 @@ from metsymp.submersion import (
 )
 from metsymp.symplectization import slice_structure
 
-from inputs import product_inputs
+from inputs import product_inputs, slice_inputs
 from loop_references import (
     assert_connection_matches_reference,
     currel_reference,
@@ -391,30 +392,34 @@ def test_line_ricci_is_minus_six_directly(any_entry, sasakian_symp, flat_bundle_
 
 
 def test_slice_fit_flat_bundle_at_zero(flat_bundle_symp):
+    """On the slice t = 0 alone the fit reads the slice constants (-2, 0)
+    as the base's (0, 0)."""
     S = flat_bundle_symp.base
-    (rep,) = fit_symplectization_kmu(flat_bundle_symp, (0.0,),
-                                     structure_values(S, S.chart.samples(40)))
-    assert_allclose([rep.kappa_tilde, rep.mu_tilde], [-2.0, 0.0], atol=1e-9)
+    rep = fit_symplectization_kmu(flat_bundle_symp,
+                                  *slice_inputs(flat_bundle_symp, (0.0,), S.chart.samples(40)))
+    assert_allclose([rep.kappa, rep.mu], [0.0, 0.0], atol=1e-9)
     assert rep.residual < 1e-9
+    assert not rep.sasakian_flag and abs(rep.lam - 1.0) < 1e-9
 
 
 def test_slice_fit_tracks_the_rescale_law(flat_bundle_symp):
-    ts = (-0.5, 0.0, 0.5)
-    S = flat_bundle_symp.base
-    values = structure_values(S, S.chart.samples(30))
-    for t, rep in zip(ts, fit_symplectization_kmu(flat_bundle_symp, ts, values)):
-        kt, mt = kappa_mu_after_rescale(0.0, 0.0, math.exp(2.0 * t))
-        assert abs(rep.kappa_tilde - (kt - 2.0)) < 1e-5
-        assert abs(rep.mu_tilde - mt) < 1e-5
+    """Each slice obeys the D-homothety law at its own factor exp(2t), so
+    the fit on any one slice, and on all of them at once, reads the same
+    base constants."""
+    B = flat_bundle_symp
+    base = B.base.chart.samples(30)
+    for ts in ((-0.5,), (0.0,), (0.5,), (-0.5, 0.0, 0.5)):
+        rep = fit_symplectization_kmu(B, *slice_inputs(B, ts, base))
+        assert abs(rep.kappa) < 1e-5 and abs(rep.mu) < 1e-5
         assert rep.residual < 1e-5
 
 
 def test_slice_fit_sasakian(sasakian_symp):
     S = sasakian_symp.base
-    (rep,) = fit_symplectization_kmu(sasakian_symp, (0.0,),
-                                     structure_values(S, S.chart.samples(30)))
-    assert abs(rep.kappa_tilde + 1.0) < 1e-9
-    assert rep.mu_tilde is None
+    rep = fit_symplectization_kmu(sasakian_symp,
+                                  *slice_inputs(sasakian_symp, (0.0,), S.chart.samples(30)))
+    assert abs(rep.kappa - 1.0) < 1e-9
+    assert rep.mu is None and rep.lam is None and rep.sasakian_flag
 
 
 # ---------------------------------------------------------------------------
@@ -469,23 +474,25 @@ def test_the_slice_connection_is_the_base_block_of_gbar_bit_for_bit(which, reque
 @pytest.mark.parametrize("which", ["flat_bundle_symp", "sasakian_symp", "curved_symp",
                                    "sasakian7_symp"])
 def test_the_shared_nullity_fit_matches_both_reference_fits(which, request):
-    """fit_kappa_mu and fit_symplectization_kmu, through contact.nullity_fit,
-    give the constants of their former bodies bit for bit.  The slice fit
-    draws its base points once for all its slices, and each of its reports
-    is the report of that slice fitted alone, bit for bit."""
+    """fit_kappa_mu, through contact.nullity_fit, gives the constants of its
+    former body bit for bit.  fit_symplectization_kmu fits one family over
+    a draw across the t range; the D-homothety law at exp(2t) takes its
+    base (kappa, mu) to the constants that the per-slice fit, at each of
+    four slices, reads as (kappa_t - 2, mu_t)."""
     B = request.getfixturevalue(which)
     rep = fit_kappa_mu(B.base, 12, seed=2)
-    got = [(rep.kappa, rep.mu, rep.residual)]
-    want = [fit_kappa_mu_reference(B.base, 12, seed=2)]
-    ts = (-0.5, 0.0, 0.5)
-    values = structure_values(B.base, B.base.chart.samples(12, seed=2))
-    for t, fit in zip(ts, fit_symplectization_kmu(B, ts, values), strict=True):
-        assert fit_symplectization_kmu(B, (t,), values) == [fit]
-        got.append((fit.kappa_tilde, fit.mu_tilde, fit.residual))
-        want.append(fit_symplectization_kmu_reference(B, t, 12, seed=2))
-    for (kappa, mu, residual), (want_kappa, want_mu, want_residual) in zip(got, want):
-        assert kappa == want_kappa and mu == want_mu
-        assert abs(residual - want_residual) <= 1e-15
+    kappa, mu, residual = fit_kappa_mu_reference(B.base, 12, seed=2)
+    assert (rep.kappa, rep.mu) == (kappa, mu)
+    assert abs(rep.residual - residual) <= 1e-15
+    fit = fit_symplectization_kmu(B, *product_inputs(B, B.chart.samples(12, seed=2)))
+    assert fit.residual < 1e-9 and fit.sasakian_flag == rep.sasakian_flag
+    for t in (-0.5, 0.0, 0.5, 0.9):
+        kt, mt = kappa_mu_after_rescale(fit.kappa, fit.mu, math.exp(2.0 * t))
+        want_kappa, want_mu, want_residual = fit_symplectization_kmu_reference(B, t, 12, seed=2)
+        assert abs(kt - 2.0 - want_kappa) < 1e-9
+        assert (mt is None) == (want_mu is None)
+        assert mt is None or abs(mt - want_mu) < 1e-9
+        assert want_residual < 1e-9
 
 
 def test_batched_verifiers_reject_a_doubled_line_metric(flat_bundle_symp):
@@ -503,7 +510,8 @@ def test_batched_verifiers_reject_a_doubled_line_metric(flat_bundle_symp):
 
 def test_the_nullity_fits_evaluate_h_once(flat_bundle, flat_bundle_symp, monkeypatch):
     """Both fits take the norm of h from the values they already hold, and
-    the slice fit reads h from its record, evaluated once for all its slices."""
+    the symplectization fit reads h from its record, evaluated once for all
+    the slices its samples lie on."""
     calls = []
     real = TensorField.values
 
@@ -515,14 +523,15 @@ def test_the_nullity_fits_evaluate_h_once(flat_bundle, flat_bundle_symp, monkeyp
     monkeypatch.setattr(TensorField, "values", counting)
     fit_kappa_mu(flat_bundle, 10, seed=1)
     assert calls == [10]
-    fit_symplectization_kmu(flat_bundle_symp, (-0.5, 0.0, 0.3),
-                            structure_values(flat_bundle, flat_bundle.chart.samples(12, seed=1)))
+    inputs = slice_inputs(flat_bundle_symp, (-0.5, 0.0, 0.3), flat_bundle.chart.samples(4, seed=1))
+    assert calls == [10, 12]
+    fit_symplectization_kmu(flat_bundle_symp, *inputs)
     assert calls == [10, 12]
 
 
 def test_a_slice_outside_the_t_interval_is_a_domain_error(flat_bundle, flat_bundle_symp):
-    """As for slice_structure: the fit names the t outside B's t interval,
-    before it walks gbar on any slice."""
-    values = structure_values(flat_bundle, flat_bundle.chart.samples(4, seed=1))
+    """As for slice_structure: the fit names the t outside B's t interval
+    of the first sample that lies there."""
+    inputs = slice_inputs(flat_bundle_symp, (0.0, 1.5), flat_bundle.chart.samples(4, seed=1))
     with pytest.raises(DomainError, match=re.escape("slice parameter 1.5 outside [-1.0, 1.0]")):
-        fit_symplectization_kmu(flat_bundle_symp, (0.0, 1.5), values)
+        fit_symplectization_kmu(flat_bundle_symp, *inputs)

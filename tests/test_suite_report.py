@@ -1,6 +1,7 @@
 """Suite orchestration, the report schema, and determinism."""
 
 import dataclasses
+import itertools
 import json
 import math
 import sys
@@ -20,9 +21,10 @@ from metsymp.contact import (
     verify_kmu_curvature,
 )
 from metsymp.errors import ConfigError
+from metsymp.expressions import Const
 from metsymp.fields import TensorField, sup_norm
 from metsymp.structfile import load_structure_file
-from metsymp.submersion import verify_currel, verify_fundamental_tensors
+from metsymp.submersion import fit_symplectization_kmu, verify_currel, verify_fundamental_tensors
 from metsymp.suite import (
     CHECK_ORDER,
     SuiteConfig,
@@ -30,7 +32,12 @@ from metsymp.suite import (
     report_emit,
     run_suite,
 )
-from metsymp.symplectization import translation_isomorphism_check, verify_symplectization_build
+from metsymp.symplectization import (
+    extend_to_product,
+    extended_slice_form,
+    translation_isomorphism_check,
+    verify_symplectization_build,
+)
 
 from inputs import kmu_inputs, product_inputs
 
@@ -352,13 +359,14 @@ def _record_runs(monkeypatch) -> list:
 
 
 def test_a_run_computes_the_connection_of_gbar_once(monkeypatch, flat_bundle_entry):
-    """christoffel_batch meets gbar four times per run: once for the
-    connection that fundamental_tensor, curvature_relations and ricci_rows
-    read, on the run's product points, and once for each of
-    symplectization_nullity's three slices.  The three residuals are the
+    """christoffel_batch meets gbar once per run, on the run's product
+    points: the connection that fundamental_tensor, curvature_relations,
+    ricci_rows and symplectization_nullity read.  The other five calls
+    walk the structure's metric and its rescales: the (kappa, mu) fit, the
+    eigenspace check and the three refits.  The four residuals are the
     verifiers' on that connection.  Every name that binds christoffel_batch
     in the package is counted."""
-    built, walks = [], []
+    built, walks, calls = [], [], []
     real_build, real_walk = suite.build_metric_symplectization, curvature.christoffel_batch
 
     def build(S, t_range):
@@ -367,6 +375,7 @@ def test_a_run_computes_the_connection_of_gbar_once(monkeypatch, flat_bundle_ent
 
     def walk(g, points):
         data = real_walk(g, points)
+        calls.append(g)
         if any(g is B.gbar for B in built):
             walks.append(data)
         return data
@@ -377,10 +386,9 @@ def test_a_run_computes_the_connection_of_gbar_once(monkeypatch, flat_bundle_ent
             monkeypatch.setattr(module, "christoffel_batch", walk)
     runs = _record_runs(monkeypatch)
     rep = run_suite(flat_bundle_entry, SuiteConfig(samples=25, seed=42))
-    assert rep.all_passed and len(built) == 1 and len(walks) == 4
-    B, data = built[0], walks[0]
-    assert data.points is runs[0].product_points
-    assert [w.points[0, -1] for w in walks[1:]] == [-0.5, 0.0, 0.5]
+    assert rep.all_passed and len(built) == 1 and len(walks) == 1 and len(calls) == 6
+    B, (data,), run = built[0], walks, runs[0]
+    assert data.points is run.product_points
     residual = {c.id: c.residual for c in rep.checks}
     values = structure_values(B.base, data.points[:, :-1])
     currel = list(verify_currel(B, data, values).values())
@@ -388,6 +396,9 @@ def test_a_run_computes_the_connection_of_gbar_once(monkeypatch, flat_bundle_ent
         *verify_fundamental_tensors(B, data, values).values())
     assert residual["curvature_relations"] == sup_norm(*currel[:3])
     assert residual["ricci_rows"] == sup_norm(*currel[3:])
+    fit = fit_symplectization_kmu(B, data, values)
+    assert residual["symplectization_nullity"] == sup_norm(
+        fit.residual, fit.kappa - run.kmu.kappa, fit.mu - run.kmu.mu)
 
 
 KMU_READERS = ("nullity_fit", "h_eigenstructure", "eigenspace_curvature", "rescale_equivariance",
@@ -517,16 +528,17 @@ def test_each_refit_is_the_fit_of_the_rescaled_structure_bit_for_bit(request, wh
 @pytest.mark.parametrize("t_range", [(-1.0, 1.0), (2.0, 3.0), (0.6, 0.7)])
 @pytest.mark.parametrize("which", ["flat_bundle_entry", "sasakian_entry"])
 def test_the_slices_and_the_shift_follow_the_t_range(monkeypatch, request, which, t_range):
-    """symplectization_nullity fits the slices at the quartiles of the t
-    range, and translation_isomorphism shifts by 0.15 of its width, which
-    at the default range are the slices -1/2, 0, 1/2 and the shift 0.3.  On
-    a range off zero, and on one narrower than that shift, both pass."""
-    slices, shifts = [], []
+    """symplectization_nullity fits one family over the run's product
+    points, whose t column is drawn on the t range, and
+    translation_isomorphism shifts by 0.15 of its width, 0.3 at the
+    default range.  On a range off zero, and on one narrower than that
+    shift, both pass."""
+    fitted, shifts = [], []
     real_fit, real_shift = suite.fit_symplectization_kmu, suite.translation_isomorphism_check
 
-    def fit(B, ts, values):
-        slices.extend(ts)
-        return real_fit(B, ts, values)
+    def fit(B, data, values):
+        fitted.append((data, values))
+        return real_fit(B, data, values)
 
     def shift(B, t_shift, points):
         shifts.append(t_shift)
@@ -534,14 +546,56 @@ def test_the_slices_and_the_shift_follow_the_t_range(monkeypatch, request, which
 
     monkeypatch.setattr(suite, "fit_symplectization_kmu", fit)
     monkeypatch.setattr(suite, "translation_isomorphism_check", shift)
+    runs = _record_runs(monkeypatch)
     rep = run_suite(request.getfixturevalue(which),
                     SuiteConfig(samples=20, seed=42, t_range=t_range))
     assert [c.id for c in rep.checks if not c.passed] == []
     lo, hi = t_range
-    assert slices == [lo + (hi - lo) * q for q in (0.25, 0.5, 0.75)]
+    ((data, values),) = fitted
+    assert data.points is runs[0].product_points
+    assert np.array_equal(values.points, data.points[:, :-1])
+    t = data.points[:, -1]
+    assert len(np.unique(t)) == len(t) and lo <= t.min() and t.max() <= hi
     assert shifts == [0.15 * (hi - lo)]
     if t_range == (-1.0, 1.0):
-        assert (slices, shifts) == ([-0.5, 0.0, 0.5], [0.3])
+        assert shifts == [0.3]
+
+
+def _perturbed_slice_law(B):
+    """B with gbar's slice block a g + a(a - 0.999) eta (x) eta, a = exp(2t),
+    in place of the slice law's a g + a(a - 1) eta (x) eta."""
+    eta_t = extended_slice_form(B.base, B.chart).components        # a eta
+    eta = extend_to_product(B.base.eta, B.chart).components
+    comps = B.gbar.components.copy()
+    for i, j in itertools.product(range(B.t_index), repeat=2):
+        comps[i, j] = comps[i, j] + Const(1e-3) * eta_t[i] * eta[j]
+    return dataclasses.replace(B, gbar=TensorField(B.chart, 0, 2, comps, "symmetric"))
+
+
+@pytest.mark.parametrize("which", ["flat_bundle_entry", "sasakian_entry"])
+@pytest.mark.parametrize("perturbation", ["slice law", "base kappa"])
+def test_symplectization_nullity_fails_on_a_perturbed_slice_law_or_base_fit(
+        monkeypatch, request, which, perturbation):
+    """The one-family fit reads the D-homothety law of the slices: with
+    gbar's slice law a(a - 0.999) in place of a(a - 1), or a base fit
+    off by 1e-3 in kappa, symplectization_nullity fails on both entries."""
+    entry = request.getfixturevalue(which)
+    if perturbation == "slice law":
+        real = suite.build_metric_symplectization
+        monkeypatch.setattr(suite, "build_metric_symplectization",
+                            lambda S, t_range: _perturbed_slice_law(real(S, t_range)))
+    else:
+        real = suite.fit_kappa_mu
+
+        def fit(S, n, seed):
+            rep = real(S, n, seed)
+            return dataclasses.replace(rep, kappa=rep.kappa + 1e-3)
+
+        monkeypatch.setattr(suite, "fit_kappa_mu", fit)
+    rep = run_suite(entry, SuiteConfig(samples=20, seed=42))
+    check = rep.checks[CHECK_ORDER.index("symplectization_nullity")]
+    assert check.error is None and not check.passed
+    assert check.residual > 10 * check.threshold
 
 
 # (kappa, mu, index) of each entry; the structure file has no expected constants

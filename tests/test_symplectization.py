@@ -13,6 +13,7 @@ Sasakian entry.
 
 import dataclasses
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -420,8 +421,14 @@ def test_slice_equals_rescale_componentwise(any_entry, sasakian_symp, flat_bundl
 
 
 def test_slice_outside_range_rejected(sasakian_symp):
-    with pytest.raises(DomainError):
-        slice_structure(sasakian_symp, 3.0)
+    """A slice outside B's t interval, on either side, is a DomainError
+    that names it; its ends are slices."""
+    for t in (3.0, -1.5):
+        where = re.escape(f"slice parameter {t} outside [-1.0, 1.0]")
+        with pytest.raises(DomainError, match=where):
+            slice_structure(sasakian_symp, t)
+    for t in (-1.0, 1.0):
+        slice_structure(sasakian_symp, t)
 
 
 # ---------------------------------------------------------------------------
