@@ -69,7 +69,6 @@ from .suite import SuiteConfig, SuiteReport, report_emit, run_suite
 from .symplectization import (
     SymplecticMetricStructure,
     build_metric_symplectization,
-    natural_acs,
     nijenhuis,
     slice_structure,
     translation_isomorphism_check,

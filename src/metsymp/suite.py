@@ -82,7 +82,6 @@ from .submersion import (
 from .symplectization import (
     LIOUVILLE_TOL,
     build_metric_symplectization,
-    natural_acs,
     nijenhuis,
     nijenhuis_norms,
     translation_isomorphism_check,
@@ -313,15 +312,12 @@ def _check_symplectization_nullity(run):
 
 def _check_integrability(run):
     B, rep, pts = run.B, run.kmu, run.product_points[:30]
-    gv = run.connection.g[:30]
-    # the torsions of the metric and of the classical construction
-    norms = [nijenhuis_norms(nijenhuis(J), gv, pts)
-             for J in (B.J, natural_acs(run.S, run.cfg.t_range))]
+    norms = nijenhuis_norms(nijenhuis(B.J), run.connection.g[:30], pts)
     if rep.sasakian_flag:
-        return sup_norm(*norms)
-    # non-Sasakian: both torsions must be bounded away from zero; the
-    # residual is how far the smallest norm falls short of the floor
-    return sup_norm(*(np.maximum(1e-2 - n, 0.0) for n in norms))
+        return sup_norm(norms)
+    # non-Sasakian: the torsion must be bounded away from zero; the residual
+    # is how far its smallest norm falls short of the floor
+    return sup_norm(np.maximum(1e-2 - norms, 0.0))
 
 
 def _check_translation_isomorphism(run):
@@ -371,8 +367,8 @@ _TABLE = (
     Check("symplectization_nullity",
           "V(R(X,Y)xi_t)=((kappa_t-2) I + mu_t h_t)(eta_t(Y)X-eta_t(X)Y) on every slice",
           1e-5, _check_symplectization_nullity),
-    Check("integrability", "Sasakian iff the almost complex structure of the symplectization"
-          " is integrable, for the classical and the metric construction",
+    Check("integrability", "Sasakian iff the almost complex structure of the metric"
+          " symplectization is integrable",
           1e-8, _check_integrability),
     Check("translation_isomorphism", "(x,t)->(x,t+s) identifies the symplectization data of a"
           " structure with that of its rescale by exp(2s)", 1e-8, _check_translation_isomorphism),

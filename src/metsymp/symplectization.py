@@ -64,7 +64,6 @@ __all__ = [
     "extend_to_product",
     "slice_form_values",
     "build_metric_symplectization",
-    "natural_acs",
     "verify_symplectic",
     "verify_liouville",
     "slice_structure",
@@ -159,16 +158,12 @@ def slice_metric_field(S: ContactMetricStructure, chart: Chart) -> TensorField:
 # ---------------------------------------------------------------------------
 
 
-def _product_acs(S: ContactMetricStructure, chart: Chart, up: Expr, down: Expr
-                 ) -> TensorField:
-    """The (1,1) field with J = phi on base directions, d_t component
-    up * eta(X) of J X, and J d_t = -down * xi.
-
-    The metric J has up = exp(2t) and down = exp(-2t); the classical J has
-    both equal to 1.
-    """
+def _product_acs(S: ContactMetricStructure, chart: Chart) -> TensorField:
+    """The metric J as a (1,1) field: phi on base directions, d_t component
+    exp(2t) eta(X) of J X, and J d_t = -exp(-2t) xi."""
     d = S.chart.dim
     D = chart.dim
+    up, down = _exp_t(chart, 2.0), _exp_t(chart, -2.0)
     J = np.empty((D, D), dtype=object)
     J[...] = Const(0.0)
     for i in range(d):
@@ -205,14 +200,7 @@ def build_metric_symplectization(S: ContactMetricStructure,
     return SymplecticMetricStructure(
         chart=chart, omega=exterior_derivative(extended_slice_form(S, chart)),
         gbar=TensorField(chart, 0, 2, gbar, "symmetric"),
-        J=_product_acs(S, chart, _exp_t(chart, 2.0), _exp_t(chart, -2.0)), base=S)
-
-
-def natural_acs(S: ContactMetricStructure,
-                t_range: tuple[float, float] = (-1.0, 1.0)) -> TensorField:
-    """The classical almost complex structure J(X, f d_t) = (phi X - f xi,
-    eta(X) d_t) on the symplectization, as a (1,1) field."""
-    return _product_acs(S, _product_chart(S, t_range), ONE, ONE)
+        J=_product_acs(S, chart), base=S)
 
 
 # ---------------------------------------------------------------------------

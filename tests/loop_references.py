@@ -25,6 +25,13 @@ before every contraction went through ``expressions.sum_of_products``;
 library has no bracket of its own (``fields.lie_derivative`` of a vector
 field is one), so tests take [X, Y] from ``lie_bracket_loop``.
 
+The classical almost complex structure J(X, f d_t) = (phi X - f xi,
+eta(X) d_t) of the symplectization is kept here as an oracle; the library
+builds the metric J only.  The classical J does not read its line
+coordinate, so F(x, t) = (x, -exp(-2t)/2) carries it onto the metric J and
+its torsion onto the metric J's: the suite's integrability check reads one
+torsion, and the tests pin the identity.
+
 The symplectization's metric is kept as it was built before it came from
 the slice law g_t + dt^2: the symmetrized omega(J ., .), the oracle for
 ``build_metric_symplectization`` and the metric of the classical J.  So
@@ -96,6 +103,18 @@ from metsymp.symplectization import (
     extended_slice_form,
     slice_metric_field,
 )
+
+
+def natural_acs_reference(S, t_range=(-1.0, 1.0)):
+    """The classical J(X, f d_t) = (phi X - f xi, eta(X) d_t) as a (1,1)
+    field on the chart of ``build_metric_symplectization(S, t_range)``."""
+    chart = build_metric_symplectization(S, t_range).chart
+    d = S.chart.dim
+    J = np.full((d + 1, d + 1), ZERO, dtype=object)
+    J[:d, :d] = S.phi.components
+    J[d, :d] = S.eta.components
+    J[:d, d] = -S.xi.components
+    return TensorField(chart, 1, 1, J)
 
 
 def compatible_metric_reference(S, J):

@@ -23,11 +23,12 @@ from metsymp.fields import (
     lie_derivative,
 )
 from metsymp.structfile import load_structure_file
-from metsymp.symplectization import build_metric_symplectization, natural_acs, nijenhuis
+from metsymp.symplectization import build_metric_symplectization, nijenhuis
 
 from loop_references import (
     interior_product_loop,
     lie_derivative_loop,
+    natural_acs_reference,
     nijenhuis_loop,
     node_counts,
 )
@@ -86,7 +87,7 @@ def _pairs(S, B):
     # not constant on any of these structures (d_x1 + y1 d_z on the Sasakian ones)
     V = TensorField.vector(S.chart, S.phi.components[:, S.chart.dim // 2])
     W = TensorField.vector(S.chart, S.phi.components[:, 0])
-    J_nat = natural_acs(S)
+    J_nat = natural_acs_reference(S)
     deta = exterior_derivative(S.eta)
     yield "N(B.J)", nijenhuis(B.J), nijenhuis_loop(B.J)
     yield "N(natural J)", nijenhuis(J_nat), nijenhuis_loop(J_nat)

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import metsymp
 from metsymp import contact, curvature, suite
 from metsymp.catalog import CatalogEntry, catalog_load
 from metsymp.charts import Chart
@@ -197,16 +198,29 @@ def test_nan_residuals_fail_and_are_reported_as_inf(nan_masked_sasakian_entry):
 ])
 def test_integrability_floor_off_the_sasakian_case(monkeypatch, sasakian_entry, sasakian_symp,
                                                    short_norms, expected):
-    """Off h = 0 both torsion norms must clear 1e-2; a NaN norm fails."""
-    norms = iter([np.array([0.9, 0.8]), np.array(short_norms)])
+    """Off h = 0 the torsion norm must clear 1e-2; a NaN norm fails."""
     monkeypatch.setattr(suite, "nijenhuis", lambda J: J)
-    monkeypatch.setattr(suite, "nijenhuis_norms", lambda N, g, pts: next(norms))
+    monkeypatch.setattr(suite, "nijenhuis_norms", lambda N, g, pts: np.array(short_norms))
     monkeypatch.setattr(suite, "build_metric_symplectization", lambda S, t_range: sasakian_symp)
     monkeypatch.setattr(suite, "fit_kappa_mu", lambda S, n, seed: KmuReport(
         kappa=0.0, mu=0.0, residual=0.0, sasakian_flag=False, lam=1.0))
     run = suite._Run(sasakian_entry, SuiteConfig(samples=2))
     residual = suite._check_integrability(run)
     assert residual == expected
+
+
+@pytest.mark.parametrize("entry", ["unit-tangent-flat-plane", "darboux-sasakian-r3"])
+def test_a_suite_run_builds_one_torsion(monkeypatch, entry):
+    """integrability reads the metric J's torsion only: the classical J is
+    the metric one seen through F(x, t) = (x, -exp(-2t)/2), and the package
+    no longer exports it."""
+    built = []
+    real = suite.nijenhuis
+    monkeypatch.setattr(suite, "nijenhuis", lambda J: built.append(J) or real(J))
+    rep = run_suite(catalog_load(entry), SuiteConfig(samples=10, seed=42))
+    assert rep.all_passed
+    assert len(built) == 1
+    assert not hasattr(metsymp, "natural_acs")
 
 
 def test_a_run_fits_and_rescales_each_structure_once(monkeypatch, flat_bundle_entry):

@@ -6,9 +6,10 @@ the slice at t equals the rescale by exp(2t) componentwise, and the
 structure the ambient data induce on it; the Cartan
 evaluation of the expansion property holds for the line coordinate field
 exactly, while the plain tensor Lie derivative of the form along it is
-twice the form (the factor that the exp(2t) weight forces); and the
-torsions of both almost complex structures vanish precisely on the
-Sasakian entry.
+twice the form (the factor that the exp(2t) weight forces); the metric
+almost complex structure is the classical one of the tests' oracle seen
+through F(x, t) = (x, -exp(-2t)/2), torsion included; and the torsions of
+both vanish precisely on the Sasakian entry.
 """
 
 import dataclasses
@@ -50,7 +51,6 @@ from metsymp.symplectization import (
     build_metric_symplectization,
     extend_to_product,
     extended_slice_form,
-    natural_acs,
     nijenhuis,
     nijenhuis_norms,
     slice_form_values,
@@ -68,6 +68,7 @@ from loop_references import (
     compatible_metric_reference,
     extended_slice_reeb,
     induced_contact_on_hypersurface,
+    natural_acs_reference,
     nijenhuis_norms_reference,
     slice_embedding,
     symplectic_top_reference,
@@ -121,7 +122,7 @@ phi z t1 = t1
     B = build_metric_symplectization(S, (-0.5, 0.5))
     assert B.chart.coord_names == ("t", "t1", "z", "t2")
     assert B.chart.domain[-1] == (-0.5, 0.5)
-    assert natural_acs(S, (-0.5, 0.5)).chart == B.chart
+    assert natural_acs_reference(S, (-0.5, 0.5)).chart == B.chart
     res = verify_symplectization_build(B, *product_inputs(B, B.chart.samples(20)))
     assert max(res["J_xi_t"], res["J_d_t"], res["J_on_distribution"]) < 1e-10
 
@@ -212,7 +213,7 @@ def test_the_classical_acs_fails_the_table_and_the_omega_pairing(any_entry, sasa
                                                                  flat_bundle_symp):
     """J xi = d_t and J d_t = -xi miss the exp(-+2t) weights; phi on Ker(eta) holds."""
     B = _symp(None, any_entry.name, sasakian_symp, flat_bundle_symp)
-    B = dataclasses.replace(B, J=natural_acs(B.base, B.chart.domain[-1]))
+    B = dataclasses.replace(B, J=natural_acs_reference(B.base, B.chart.domain[-1]))
     assert _failing_keys(B) == {"J_xi_t", "J_d_t", "omega_pairing"}
 
 
@@ -498,7 +499,7 @@ def test_gbar_is_the_compatible_metric_near_both_ends_of_t(source, request):
 
 
 def test_natural_acs_squares_to_minus_identity(sasakian):
-    J = natural_acs(sasakian)
+    J = natural_acs_reference(sasakian)
     pts = J.chart.samples(40)
     jv = J.values(pts)
     assert np.max(np.abs(np.einsum("nia,naj->nij", jv, jv) + np.eye(4))) < 1e-12
@@ -507,7 +508,7 @@ def test_natural_acs_squares_to_minus_identity(sasakian):
 def test_natural_structure_slices_fail_compatibility_off_zero(sasakian):
     """The classical metric's slices are uniform rescalings, which break
     the Reeb pairing axiom away from t = 0; at t = 0 they pass."""
-    Bn = compatible_metric_reference(sasakian, natural_acs(sasakian))
+    Bn = compatible_metric_reference(sasakian, natural_acs_reference(sasakian))
     dt = TensorField.coordinate_vector(Bn.chart, Bn.chart.dim - 1)
 
     def candidate(t0):
@@ -526,7 +527,7 @@ def test_natural_structure_slices_fail_compatibility_off_zero(sasakian):
 
 
 def test_both_acs_agree_on_distribution_at_zero_slice(sasakian, sasakian_symp):
-    Jn = natural_acs(sasakian)
+    Jn = natural_acs_reference(sasakian)
     chart = sasakian_symp.chart
     base_pts = sasakian.chart.samples(20)
     pts = np.concatenate([base_pts, np.zeros((len(base_pts), 1))], axis=1)
@@ -571,13 +572,56 @@ def test_torsion_antisymmetry(flat_bundle_symp):
 def test_torsions_vanish_precisely_for_sasakian(sasakian, flat_bundle,
                                                 sasakian_symp, flat_bundle_symp):
     pts_s = sasakian_symp.chart.samples(40)
-    for J in (sasakian_symp.J, natural_acs(sasakian)):
+    for J in (sasakian_symp.J, natural_acs_reference(sasakian)):
         norms = nijenhuis_norms(nijenhuis(J), sasakian_symp.gbar.values(pts_s), pts_s)
         assert np.max(norms) < 1e-8
     pts_f = flat_bundle_symp.chart.samples(40)
-    for J in (flat_bundle_symp.J, natural_acs(flat_bundle)):
+    for J in (flat_bundle_symp.J, natural_acs_reference(flat_bundle)):
         norms = nijenhuis_norms(nijenhuis(J), flat_bundle_symp.gbar.values(pts_f), pts_f)
         assert np.min(norms) > 1e-2
+
+
+def _line_weights(pts):
+    """d = (1, ..., 1, exp(-2t)), the Jacobian diagonal of F(x, t) = (x, -exp(-2t)/2)."""
+    w = np.ones(pts.shape)
+    w[:, -1] = np.exp(-2.0 * pts[:, -1])
+    return w
+
+
+def _acs_defect(B, J_cl, pts):
+    """max|B.J - F^*J_cl|, with (F^*J)^i_j = J^i_j d_j / d_i.  J_cl does
+    not read its line coordinate, so it is evaluated at the points themselves."""
+    w = _line_weights(pts)
+    return np.max(np.abs(B.J.values(pts) - J_cl.values(pts) * w[:, None, :] / w[:, :, None]))
+
+
+@pytest.mark.parametrize("name", ["sasakian", "flat_bundle", "sasakian_r5.txt",
+                                  "sasakian_r7.txt", "curved"])
+def test_the_metric_acs_and_its_torsion_are_the_classical_ones_through_F(request, name):
+    """B.J = F^*J_cl, so N(B.J) = F^*N(J_cl), (F^*N)^i_jk = N^i_jk d_j d_k / d_i:
+    one torsion decides integrability for both constructions."""
+    S = (load_structure_file(DATA / name) if name.endswith(".txt")
+         else request.getfixturevalue(name))
+    B = build_metric_symplectization(S)
+    J_cl = natural_acs_reference(S)
+    pts = B.chart.samples(20, seed=42)
+    assert _acs_defect(B, J_cl, pts) <= 1e-13
+    w = _line_weights(pts)
+    nv = nijenhuis(B.J).values(pts)
+    want = nijenhuis(J_cl).values(pts) * (w[:, None, :, None] * w[:, None, None, :]
+                                          / w[:, :, None, None])
+    assert np.max(np.abs(nv - want)) <= 1e-13 * max(1.0, np.max(np.abs(nv)))
+
+
+def test_a_scaled_line_row_breaks_the_identity(sasakian_symp):
+    """The negative row: the oracle's d_t row scaled by 1 + 1e-3."""
+    B = sasakian_symp
+    J = natural_acs_reference(B.base)
+    comps = J.components.copy()
+    comps[-1] = [Const(1.0 + 1e-3) * c for c in comps[-1]]
+    pts = B.chart.samples(20, seed=42)
+    assert _acs_defect(B, J, pts) <= 1e-13
+    assert not _acs_defect(B, TensorField(B.chart, 1, 1, comps), pts) <= 1e-13
 
 
 def test_torsion_norm_matches_the_unplanned_contraction(flat_bundle, flat_bundle_symp):
@@ -585,7 +629,7 @@ def test_torsion_norm_matches_the_unplanned_contraction(flat_bundle, flat_bundle
     definition, numpy's plain nested loop over all seven indices."""
     B = flat_bundle_symp
     pts = B.chart.samples(20, seed=4)
-    for J in (B.J, natural_acs(flat_bundle)):
+    for J in (B.J, natural_acs_reference(flat_bundle)):
         N = nijenhuis(J)
         norms = nijenhuis_norms(N, B.gbar.values(pts), pts)
         assert np.min(norms) > 1e-2
