@@ -15,8 +15,8 @@ command prints what one suite run from ``--samples`` and ``--seed`` holds:
 with ``--verify``, rescale law there, and ``symplectize --verify`` the
 symplectic residuals at its product points and its symplectization checks.
 ``fit-kmu`` and ``dhomothety`` refuse, with exit code 1, a structure that
-fails the suite's compatibility check.  numpy's invalid-value warnings are
-off, as in the suite's checks.
+fails the suite's compatibility check.  numpy's floating-point warnings
+are off, as in the suite's checks.
 
 Exit codes: 0 when everything requested passed, 1 when a verification
 failed, 2 on bad input (unknown entry, parse error, bad options, a path
@@ -37,7 +37,7 @@ from .fields import sup_norm
 from .structfile import StructureFileError, load_structure_file
 from .suite import (
     SuiteConfig,
-    _ignore_invalid,
+    _float_warnings_off,
     _Run,
     _run_checks,
     default_thresholds,
@@ -50,6 +50,7 @@ __all__ = ["main"]
 
 _SYMPLECTIZE_IDS = ("symplectization_build", "liouville", "fundamental_tensor",
                        "curvature_relations", "ricci_rows")
+_T_RANGE_HELP = "t interval 'a,b' of the product points; write --t-range=a,b when a < 0"
 
 
 def _parse_t_range(text: str) -> tuple[float, float]:
@@ -87,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", parents=[sampled],
                              help="run the full verification suite on an entry")
     p_check.add_argument("entry")
-    p_check.add_argument("--t-range", default="-1,1")
+    p_check.add_argument("--t-range", default="-1,1", help=_T_RANGE_HELP)
     p_check.add_argument("--format", choices=("json", "text"), default="text")
     p_check.add_argument("--out", default=None)
 
@@ -99,7 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             help="build the metric symplectization")
     p_symp.add_argument("entry")
     p_symp.add_argument("--verify", action="store_true")
-    p_symp.add_argument("--t-range", default="-1,1")
+    p_symp.add_argument("--t-range", default="-1,1", help=_T_RANGE_HELP)
 
     p_dh = sub.add_parser("dhomothety", parents=[sampled], help="rescale an entry and refit")
     p_dh.add_argument("entry")
@@ -215,7 +216,7 @@ _COMMANDS = {"list": _cmd_list, "check": _cmd_check, "fit-kmu": _cmd_fit,
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        with _ignore_invalid():
+        with _float_warnings_off():
             return _COMMANDS[args.command](args)
     except (UnknownEntryError, StructureFileError, ConfigError, OSError,
             GeometryError, SasakianDegeneracyError) as err:

@@ -33,7 +33,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .charts import Chart
-from .curvature import ChristoffelData, christoffel_batch, riemann_components
+from .curvature import ChristoffelData, christoffel_batch
 from .errors import (
     ChartMismatchError,
     DegenerateMetricError,
@@ -362,7 +362,7 @@ def nullity_fit(points: np.ndarray, lhs: np.ndarray, eta: np.ndarray, g: np.ndar
 def kmu_fit(data: ChristoffelData, eta: np.ndarray, xi: np.ndarray, h: np.ndarray) -> KmuReport:
     """:func:`nullity_fit` of R(X, Y) xi, from g's connection ``data`` and
     the values of eta, xi and h at its points."""
-    lhs = np.einsum("nlkij,nk->nlij", riemann_components(data), xi)
+    lhs = np.einsum("nlkij,nk->nlij", data.riem, xi)
     return nullity_fit(data.points, lhs, eta, data.g, h)
 
 
@@ -506,7 +506,6 @@ def verify_kmu_curvature(values: StructureValues, data: ChristoffelData, kappa: 
     the eigenspaces of the three arguments: ``ppm``, ``mmp``, ``pmm``,
     ``pmp``, ``ppp`` and ``mmm``.
     """
-    riem = riemann_components(data)
     lam = math.sqrt(max(1.0 - kappa, 0.0))
     eig = h_eigendecomposition_batch(values)
     gmat = data.g
@@ -524,7 +523,7 @@ def verify_kmu_curvature(values: StructureValues, data: ChristoffelData, kappa: 
 
     def R(X, Y, Z):
         """R(X_a, Y_b) Z_c as [n, a, b, c, l]."""
-        t = np.einsum("nlkij,nck->nclij", riem, Z)
+        t = np.einsum("nlkij,nck->nclij", data.riem, Z)
         t = np.einsum("nclij,nai->ncalj", t, X)
         return np.einsum("ncalj,nbj->nabcl", t, Y)
 

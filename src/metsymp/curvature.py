@@ -9,7 +9,7 @@ components.  Sign conventions, fixed once for the whole package:
 
 With these choices the round unit 2-sphere has sec = +1 and Ric = g.
 Component storage: ``riem[l, k, i, j]`` is the coefficient along ``d_l`` of
-``R(d_i, d_j) d_k``.
+``R(d_i, d_j) d_k``; every :class:`ChristoffelData` carries it as ``riem``.
 
 The connection comes from the Christoffel symbols of the first kind,
 Gamma_{l,ij} = (d_i g_jl + d_j g_il - d_l g_ij) / 2, raised once:
@@ -34,7 +34,7 @@ sample and its coordinates, as the other batch checks of the package do.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,6 +63,7 @@ class ChristoffelData:
     need them next; ``hess[n, i, j, m, l] = d_m d_l g_ij`` is the block the
     data was built from, not a copy; the curvature and the restriction to a
     slice (:func:`metsymp.submersion.slice_christoffel_batch`) read it.
+    ``riem`` is :func:`riemann_components` of the record, formed on every build.
     """
 
     points: np.ndarray
@@ -72,6 +73,10 @@ class ChristoffelData:
     hess: np.ndarray
     gamma_low: np.ndarray
     gamma: np.ndarray
+    riem: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "riem", riemann_components(self))
 
 
 def christoffel_batch(g: TensorField, points: np.ndarray) -> ChristoffelData:

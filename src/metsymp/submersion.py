@@ -25,7 +25,7 @@ of the same two Riemann tensors, read in gbar-orthonormal frames
 curvature along xi_t on whatever slices the samples lie, and undoes the
 D-homothety law of the slices to fit the base's (kappa, mu) in one
 least-squares solve.  All three take gbar's connection data and the base
-record at its base coordinates, so one walk of gbar serves them.
+record at its base coordinates, so one walk of gbar and one R serve them.
 Each verifier returns its residuals as a dict from the name of the
 identity to its sup norm over the samples, in a fixed order.
 """
@@ -40,7 +40,6 @@ from .curvature import (
     christoffel_from_blocks,
     gram_schmidt_frame,
     ricci_components,
-    riemann_components,
 )
 from .errors import DomainError, GeometryError
 from .fields import TensorField, sup_norm
@@ -180,8 +179,8 @@ def verify_currel(B: SymplecticMetricStructure, data: ChristoffelData,
 
     Their residuals are ``vertical_part``, ``horizontal_part`` and
     ``radial_relation``.  gbar(R(X, Y) d_t, d_t) = 0 needs no residual:
-    :func:`curvature.riemann_components` builds in the antisymmetry of
-    R(X, Y) that gives it.
+    ``data.riem`` (:func:`curvature.riemann_components`) builds in the
+    antisymmetry of R(X, Y) that gives it.
 
     The Ricci rows, traced from the same two Riemann tensors, are read in a
     gbar-orthonormal frame (xi_t, d_t, e_i) with e_i spanning the contact
@@ -198,18 +197,14 @@ def verify_currel(B: SymplecticMetricStructure, data: ChristoffelData,
     together with the vertical relation forces; the derivation is spelled
     out in the test suite.
     """
-    S = B.base
     pts = data.points
     D = B.chart.dim
-    d = S.chart.dim
-    nn = S.n
-    ti = B.t_index
+    d = ti = B.t_index
+    nn = B.base.n
     gv = data.g
-    riem = riemann_components(data)
-    rt = np.einsum("nl,nlkij->nkij", gv[:, ti], riem)  # gbar(R(d_i, d_j) d_k, d_t)
+    rt = np.einsum("nl,nlkij->nkij", gv[:, ti], data.riem)  # gbar(R(d_i, d_j) d_k, d_t)
 
-    sl = slice_christoffel_batch(data)
-    riem_t = riemann_components(sl)                 # base-sized arrays
+    sl = slice_christoffel_batch(data)  # base-sized arrays
     gt = sl.g
     etat_full, xit_full = slice_form_values(values, pts)
     etat, xit = etat_full[:, :d], xit_full[:, :d]
@@ -223,12 +218,12 @@ def verify_currel(B: SymplecticMetricStructure, data: ChristoffelData,
     # relation 1 over [n, l, c, a, b], X = d_a, Y = d_b, Z = d_c; the
     # horizontal remainder of R(X,Y)Z is relation 2
     Pt, gtt = np.swapaxes(P, 1, 2), np.swapaxes(gt, 1, 2)             # [n, c, a]
-    rhs1 = (riem_t + eye[:, None, None, :] * Pt[:, None, :, :, None]
+    rhs1 = (sl.riem + eye[:, None, None, :] * Pt[:, None, :, :, None]
             - eye[:, None, :, None] * Pt[:, None, :, None, :])
     coeff = (etat[:, None, None, :] * gtt[:, :, :, None]
              - etat[:, None, :, None] * gtt[:, :, None, :])             # [n, c, a, b]
     rhs1 += coeff[:, None] * xit[:, :, None, None, None]
-    d1 = riem[:, :d, :d, :d, :d] - rhs1
+    d1 = data.riem[:, :d, :d, :d, :d] - rhs1
 
     # relation 2 over [n, c, a, b]: with K = phi^T g_t (I + h_t), the first
     # term is -(K[c, a] eta_t(Y) - K[c, b] eta_t(X))
@@ -238,7 +233,7 @@ def verify_currel(B: SymplecticMetricStructure, data: ChristoffelData,
     d2 = rt[:, :d, :d, :d] - rhs2
 
     # relation 3 over [n, b, a]
-    lhs3 = np.einsum("nbl,nla->nba", gv[:, :d], riem[:, :, ti, ti, :d])
+    lhs3 = np.einsum("nbl,nla->nba", gv[:, :d], data.riem[:, :, ti, ti, :d])
     rhs3 = gtt + 3.0 * etat[:, None, :] * etat[:, :, None]
 
     # the Ricci rows in gbar-orthonormal frames seeded by xi_t and d_t, with
@@ -246,8 +241,8 @@ def verify_currel(B: SymplecticMetricStructure, data: ChristoffelData,
     et = np.broadcast_to(np.eye(D)[ti], xit_full.shape)
     fb = gram_schmidt_frame(gv, np.stack([xit_full, et], axis=1), pts)
     fs = fb[:, :, :d]
-    rb = fb @ ricci_components(riem) @ np.swapaxes(fb, 1, 2)
-    rs = fs @ ricci_components(riem_t) @ np.swapaxes(fs, 1, 2)
+    rb = fb @ ricci_components(data.riem) @ np.swapaxes(fb, 1, 2)
+    rs = fs @ ricci_components(sl.riem) @ np.swapaxes(fs, 1, 2)
     block = rb[:, 2:, 2:] - rs[:, 2:, 2:] + (2.0 * nn + 2.0) * np.eye(D - 2)
     return {"vertical_part": sup_norm(d1), "horizontal_part": sup_norm(d2),
             "radial_relation": sup_norm(lhs3 - rhs3),
@@ -284,7 +279,7 @@ def fit_symplectization_kmu(B: SymplecticMetricStructure, data: ChristoffelData,
     a = np.exp(2.0 * pts[:, d])
     etat, xit = slice_form_values(values, pts)
     # V(R(d_i, d_j) xi_t), base components
-    lhs = np.einsum("nlkij,nk->nlij", riemann_components(data)[:, :d, :, :d, :d], xit)
+    lhs = np.einsum("nlkij,nk->nlij", data.riem[:, :d, :, :d, :d], xit)
     At = _nullity_basis(etat[:, :d])
     hAt = np.einsum("nlk,nkij->nlij", values.h, At)   # a h_t A_t
     a4 = a[:, None, None, None]                       # a over [n, l, i, j]

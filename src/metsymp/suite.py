@@ -71,7 +71,7 @@ from .contact import (
     verify_compatibility,
     verify_kmu_curvature,
 )
-from .curvature import christoffel_batch, riemann_components
+from .curvature import christoffel_batch
 from .errors import ConfigError, GeometryError
 from .fields import TensorField, sup_norm
 from .submersion import (
@@ -260,7 +260,7 @@ def _check_eigenspace_curvature(run):
     data = christoffel_batch(run.S.g, values.points)
     if rep.sasakian_flag:
         # kappa = 1 specialization: R(X, Y) xi = eta(Y) X - eta(X) Y
-        lhs = np.einsum("nlkij,nk->nlij", riemann_components(data), values.xi)
+        lhs = np.einsum("nlkij,nk->nlij", data.riem, values.xi)
         return sup_norm(lhs - _nullity_basis(values.eta))
     return sup_norm(*verify_kmu_curvature(values, data, rep.kappa, rep.mu).values())
 
@@ -436,10 +436,10 @@ class SuiteReport:
         return self.failed == 0
 
 
-def _ignore_invalid():
-    """numpy's invalid-value warnings, off: a NaN defect is already reported
-    as an inf residual, so the warnings it raises on the way say nothing more."""
-    return np.errstate(invalid="ignore")
+def _float_warnings_off():
+    """numpy's floating-point warnings, off: a NaN or infinite defect is already
+    an inf residual or an error, so the warnings on the way say nothing more."""
+    return np.errstate(all="ignore")
 
 
 def _run_checks(run: _Run, ids) -> list[CheckRecord]:
@@ -450,7 +450,7 @@ def _run_checks(run: _Run, ids) -> list[CheckRecord]:
         if check.id not in ids:
             continue
         try:
-            with _ignore_invalid():
+            with _float_warnings_off():
                 residual = sup_norm(check.run(run))
             error = None
         except Exception as exc:  # noqa: BLE001 - the contract is never abort

@@ -85,6 +85,14 @@ def test_check_bad_t_range(capsys):
     assert main(["check", "darboux-sasakian-r3", "--t-range", "1;2"]) == 2
 
 
+def test_a_negative_t_range_start_is_written_with_an_equals_sign(capsys):
+    """argparse reads a separate "-0.5,0.5" as an option; "--t-range=-0.5,0.5"
+    is the range, as the option's help says."""
+    assert main(["check", "darboux-sasakian-r3", "--samples", "10", "--t-range=-0.5,0.5",
+                 "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["t_range"] == [-0.5, 0.5]
+
+
 @pytest.mark.parametrize("command", [["check", "darboux-sasakian-r3"],
                                      ["symplectize", "darboux-sasakian-r3", "--verify"]])
 @pytest.mark.parametrize("t_range", ["-inf,inf", "0,inf", "-1e308,1e308"])
@@ -469,6 +477,27 @@ def test_an_overflowing_factor_is_bad_input_with_one_error_line():
     assert proc.stdout == ""
     assert re.fullmatch(r"error: rescale by a=1e\+300: [^\n]*not finite[^\n]*\n",
                         proc.stderr), proc.stderr
+
+
+@pytest.mark.parametrize("factor", ["1e300", "1e-200"])
+def test_a_factor_that_breaks_the_rescaled_metric_prints_only_its_error_line(factor):
+    """On the flat bundle a = 1e300 overflows the rescaled metric and
+    a = 1e-200 divides by zero on the way to a singular one: exit 2,
+    nothing on stdout and one "error: " line on stderr, with no numpy
+    overflow or divide-by-zero warning before it."""
+    proc = _run_cli("dhomothety", "unit-tangent-flat-plane", "--a", factor, "--samples", "10")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: "), proc.stderr
+
+
+def test_an_overflowing_t_range_fails_without_warnings():
+    """exp(2t) overflows on the slices near t = 400: checks fail with inf
+    residuals, and numpy's overflow warnings are not printed."""
+    proc = _run_cli("check", "darboux-sasakian-r3", "--samples", "10", "--t-range=0,400")
+    assert proc.returncode == 1
+    assert "[FAIL]" in proc.stdout
+    assert proc.stderr == ""
 
 
 @pytest.mark.parametrize("case", ["directory", "not utf-8", "out is a directory"])

@@ -7,8 +7,10 @@ and Ricci equal to the metric; the finite-difference oracle re-derives the
 connection and curvature from metric values alone.
 """
 
+import dataclasses
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +30,8 @@ from metsymp.curvature import (
 from metsymp.errors import DegenerateMetricError, GeometryError
 from metsymp.expressions import Const, Coord, sin, sqrt
 from metsymp.fields import TensorField
+from metsymp.structfile import load_structure_file
+from metsymp.submersion import slice_christoffel_batch
 
 from fd_oracle import fd_christoffel, fd_riemann
 from loop_references import (
@@ -383,6 +387,20 @@ def test_connection_and_curvature_match_the_einsum_reference(which, request):
     structure = request.getfixturevalue(which)
     g = structure.g if which == "flat_bundle" else structure.gbar
     assert_connection_matches_reference(g, structure.chart.samples(30, seed=5))
+
+
+def test_a_connection_record_carries_its_riemann_tensor(any_entry, sasakian_symp):
+    """``riem`` is riemann_components of the record, bit for bit, on every
+    way of building one: a walk of a metric, gbar's slice restriction, and
+    a replace of the blocks it was formed from."""
+    r5 = load_structure_file(Path(__file__).parent / "data" / "sasakian_r5.txt")
+    built = [christoffel_batch(S.g, S.chart.samples(10, seed=5))
+             for S in (any_entry.structure, r5)]
+    gbar = christoffel_batch(sasakian_symp.gbar, sasakian_symp.chart.samples(10, seed=5))
+    built += [slice_christoffel_batch(gbar), dataclasses.replace(gbar, hess=2.0 * gbar.hess)]
+    for data in built:
+        assert np.array_equal(data.riem, riemann_components(data))
+    assert not np.array_equal(built[-1].riem, gbar.riem)
 
 
 def test_single_point_riemann_matches_the_reference_and_the_batch(sasakian7_symp):

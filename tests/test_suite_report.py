@@ -223,6 +223,26 @@ def test_a_suite_run_builds_one_torsion(monkeypatch, entry):
     assert not hasattr(metsymp, "natural_acs")
 
 
+@pytest.mark.parametrize("entry", ["unit-tangent-flat-plane", "darboux-sasakian-r3"])
+def test_a_suite_run_forms_one_riemann_tensor_per_connection(monkeypatch, entry):
+    """Every connection record carries its curvature, formed when it is
+    built, and no reader forms it again: as many riemann_components calls
+    as connections (six christoffel_batch walks and gbar's slice).  Every
+    name that binds either function in the package is counted."""
+    counts = {"riemann_components": 0, "christoffel_from_blocks": 0}
+    reals = {name: getattr(curvature, name) for name in counts}
+    for module in [m for name, m in sys.modules.items() if name.startswith("metsymp")]:
+        for name, real in reals.items():
+            if getattr(module, name, None) is real:
+                def counted(*args, _real=real, _name=name, **kwargs):
+                    counts[_name] += 1
+                    return _real(*args, **kwargs)
+                monkeypatch.setattr(module, name, counted)
+    rep = run_suite(catalog_load(entry), SuiteConfig(samples=10, seed=42))
+    assert rep.all_passed
+    assert counts == {"riemann_components": 7, "christoffel_from_blocks": 7}
+
+
 def test_a_run_fits_and_rescales_each_structure_once(monkeypatch, flat_bundle_entry):
     """On the non-Sasakian flat bundle: one fit of the structure, which draws
     and evaluates for itself, and one refit per rescale factor from the
