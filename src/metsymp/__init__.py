@@ -3,7 +3,8 @@
 The package is organized in layers:
 
 ``expressions`` / ``jets``
-    Closed-form component functions and exact second-order jet arithmetic.
+    Closed-form component functions and exact first- and second-order jet
+    arithmetic.
 ``charts`` / ``fields``
     Coordinate boxes, tensor fields (a scalar field is one of rank 0), and
     the exterior and Lie calculus.
@@ -56,7 +57,7 @@ from .fields import (
     raise_index,
     wedge,
 )
-from .jets import Jet2
+from .jets import Jet1, Jet2
 from .structfile import load_structure_file, parse_structure_text
 from .submersion import (
     fit_symplectization_kmu,
@@ -70,6 +71,7 @@ from .symplectization import (
     SymplecticMetricStructure,
     build_metric_symplectization,
     nijenhuis,
+    nijenhuis_values,
     slice_structure,
     translation_isomorphism_check,
     verify_liouville,

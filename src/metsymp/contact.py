@@ -8,8 +8,11 @@ chart satisfying
     d eta(X, Y) = g(X, phi Y),
 
 where xi is the Reeb field of eta.  The structure object derives xi
-symbolically from eta alone (so the first axiom is a genuine test of g)
-and derives h as half the Lie derivative of phi along xi.
+symbolically from eta alone (so the first axiom is a genuine test of g).
+The tensor h = (1/2) L_xi phi needs only first partials of xi and phi, so
+its values come from one order-1 walk of each (:func:`structure_values`),
+and no symbolic Lie derivative is built for it; ``S.h``, the symbolic
+tree, stays as the reference the tests compare those values with.
 
 The fitting routines estimate the constants of the nullity condition
 
@@ -48,6 +51,8 @@ from .fields import (
     SmoothMap,
     TensorField,
     _fill,
+    _live_partials,
+    _masked_contraction,
     exterior_derivative,
     lie_derivative,
     pullback,
@@ -143,14 +148,13 @@ def reeb_field(eta: TensorField) -> TensorField:
 
 @dataclass(frozen=True)
 class ContactMetricStructure:
-    """Bundle (eta, g, phi) with derived Reeb field xi and tensor h."""
+    """Bundle (eta, g, phi) with derived Reeb field xi."""
 
     chart: Chart
     eta: TensorField
     g: TensorField
     phi: TensorField
     xi: TensorField
-    h: TensorField
 
     @staticmethod
     def build(chart: Chart, eta: TensorField, g: TensorField, phi: TensorField
@@ -159,14 +163,22 @@ class ContactMetricStructure:
             raise GeometryError("contact structures live on odd-dimensional charts")
         if (eta.r, eta.s) != (0, 1) or (g.r, g.s) != (0, 2) or (phi.r, phi.s) != (1, 1):
             raise GeometryError("expected eta (0,1), g (0,2), phi (1,1)")
-        xi = reeb_field(eta)
-        h = lie_derivative(xi, phi).scale(0.5)
-        return ContactMetricStructure(chart, eta, g, phi, xi, h)
+        return ContactMetricStructure(chart, eta, g, phi, reeb_field(eta))
 
     @property
     def n(self) -> int:
         """The n of dimension 2n + 1."""
         return (self.chart.dim - 1) // 2
+
+    @property
+    def h(self) -> TensorField:
+        """h = (1/2) L_xi phi as a symbolic tree, built afresh on each read.
+
+        The verifiers read h's values from :func:`structure_values`, which
+        takes them from first partials of xi and phi; this tree is their
+        reference.
+        """
+        return lie_derivative(self.xi, self.phi).scale(0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -277,12 +289,39 @@ class StructureValues:
         return StructureValues(*(getattr(self, f.name)[:n] for f in fields(self)))
 
 
+def _xi_phi_h(S: ContactMetricStructure, pts: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The values of xi, phi and h = (1/2) L_xi phi at ``pts``, from one
+    order-1 walk of xi and one of phi.
+
+    In coordinates (L_xi phi)^i_j = xi^a d_a phi^i_j - (d_a xi^i) phi^a_j
+    + phi^i_a d_j xi^a, so h = (1/2)(xi^a d_a phi - (D xi) phi + phi (D xi))
+    with (D xi)^i_a = d_a xi^i.  Each sum over a skips the terms with a
+    structurally zero factor, as the symbolic Lie derivative does, so a
+    NaN in phi or xi reaches h only through terms that read it.  The values
+    of xi and phi are bit for bit their order-0 values.
+    """
+    xi, dxi = S.xi.jet_blocks(pts, 1)      # dxi[n, i, a] = d_a xi^i
+    phi, dphi = S.phi.jet_blocks(pts, 1)   # dphi[n, i, j, a] = d_a phi^i_j
+    xlive, dxlive = _live_partials(S.xi)
+    plive, dplive = _live_partials(S.phi)
+    phi_t, dxi_t = np.swapaxes(phi, 1, 2), np.swapaxes(dxi, 1, 2)
+    # each term as [n, i, j, a], summed over a
+    flow = _masked_contraction(xi[:, None, None, :], dphi, xlive & dplive)
+    left = _masked_contraction(dxi[:, :, None, :], phi_t[:, None, :, :],
+                               dxlive[:, None, :] & plive.T[None, :, :])
+    right = _masked_contraction(phi[:, :, None, :], dxi_t[:, None, :, :],
+                                plive[:, None, :] & dxlive.T[None, :, :])
+    return xi, phi, 0.5 * (flow - left + right)
+
+
 def structure_values(S: ContactMetricStructure, points: np.ndarray) -> StructureValues:
-    """The values of S's fields at ``points``, each field evaluated once; a
+    """The values of S's fields at ``points``, each field walked once; a
     point outside the chart is a ``DomainError`` that names its sample."""
     pts = _require_batch(S.chart, points)
+    xi, phi, h = _xi_phi_h(S, pts)
     return StructureValues(pts, S.eta.values(pts), exterior_derivative(S.eta).values(pts),
-                           S.g.values(pts), S.phi.values(pts), S.xi.values(pts), S.h.values(pts))
+                           S.g.values(pts), phi, xi, h)
 
 
 def verify_compatibility(values: StructureValues) -> dict[str, float]:
@@ -371,8 +410,8 @@ def fit_kappa_mu(S: ContactMetricStructure, n_samples: int = 50,
     """:func:`kmu_fit` at ``S.chart.samples(n_samples, seed)``, the one verifier
     that draws its own samples and evaluates its own fields there."""
     pts = S.chart.samples(n_samples, seed=seed)
-    return kmu_fit(christoffel_batch(S.g, pts), S.eta.values(pts), S.xi.values(pts),
-                   S.h.values(pts))
+    xi, _, h = _xi_phi_h(S, pts)
+    return kmu_fit(christoffel_batch(S.g, pts), S.eta.values(pts), xi, h)
 
 
 def kappa_mu_after_rescale(kappa: float, mu: float | None, a: float

@@ -181,8 +181,7 @@ def covariant_derivative_values(
     pts = np.asarray(points, dtype=float)
     if data is None:
         data = christoffel_batch(g, pts)
-    vals, grads, _ = T.jet_blocks(pts)
-    out = grads.copy()
+    vals, out = T.jet_blocks(pts, 1)
     gamma = data.gamma  # [n, k, i, j]
     r, s = T.r, T.s
     for p in range(r):

@@ -7,23 +7,30 @@ constants, coordinates, the four arithmetic operations, powers with a
 constant exponent, exp, sin, cos and sqrt.  Trees support
 
   * exact symbolic partial differentiation (``diff``), which is how the
-    first-order operators (d, Lie derivative, bracket, Nijenhuis) produce
-    new component functions.  Each node caches its partials, so a
-    subtree shared by many parents is differentiated once and its
-    derivative is shared by identity as well;
+    symbolic first-order operators (d, Lie derivative, bracket,
+    Nijenhuis) produce new component functions.  Each node caches its
+    partials, so a subtree shared by many parents is differentiated once
+    and its derivative is shared by identity as well;
   * substitution of expressions for the coordinates (``subs``), one
     rebuild per shared node within a call;
   * numeric evaluation by one evaluator, :func:`evaluate`, which walks the
     union of a set of roots once, iteratively, visiting each shared node
     once.  It propagates only the Taylor order its caller consumes:
-    order 0 gives plain value arrays, order 2 gives second-order jets
-    (:class:`metsymp.jets.Jet2`).  Order-0 values repeat the value part
-    of the jet arithmetic operation for operation, so they are bit for
-    bit the values of the order-2 jets.
+    order 0 gives plain value arrays, order 1 first-order jets
+    (:class:`metsymp.jets.Jet1`, value and gradient) and order 2
+    second-order jets (:class:`metsymp.jets.Jet2`).  Order-0 values
+    repeat the value part of the jet arithmetic operation for operation,
+    and a Jet1 repeats the value and gradient parts of a Jet2, so values
+    agree bit for bit at every order and gradients at orders 1 and 2.
 
 Trees are immutable.  The constructors fold constants and prune additive
 and multiplicative identities, so an operation has at most one constant
-operand and a structurally zero component is the leaf ``ZERO``.
+operand and a structurally zero component is the leaf ``ZERO``.  Every node
+also carries its ``support``, the bitmask of the coordinates its tree
+reads (bit k for coordinate k), set as it is built: a partial along a
+coordinate outside the support is structurally zero, which is what the
+numeric first-order operators read to drop the terms the symbolic ones
+never build.
 
 Every symbolic contraction (Lie derivative, bracket, interior product,
 index raising, Nijenhuis tensor, Pfaffian and cofactor expansions) is a
@@ -34,7 +41,7 @@ be taken.  The sum it builds is the tree of the plain loop
 ``total = total +- x * y`` (``ZERO + p`` is ``p``, ``ZERO - p`` is ``-p``),
 so trees and values are unchanged, up to the sign of a zero.
 
-Constants evaluate as plain floats at both orders: no array or jet is made
+Constants evaluate as plain floats at every order: no array or jet is made
 for a ``Const`` leaf, and an operation with one constant operand is a
 scalar operation on the other (``c * J`` scales a jet, it is not a full jet
 product).  A float is broadcast to the batch only where a result needs the
@@ -124,6 +131,7 @@ class Expr:
 
 class Const(Expr):
     __slots__ = ("value",)
+    support = 0
 
     def __init__(self, value: float):
         self.value = float(value)
@@ -136,11 +144,12 @@ class Const(Expr):
 
 
 class Coord(Expr):
-    __slots__ = ("index", "name")
+    __slots__ = ("index", "name", "support")
 
     def __init__(self, index: int, name: str = ""):
         self.index = index
         self.name = name or f"x{index}"
+        self.support = 1 << index
 
     def diff(self, i):
         return ONE if i == self.index else ZERO
@@ -158,7 +167,7 @@ class _Operation(Expr):
     cached partial derivative; ``_diff`` is the node's differentiation
     rule, which reads its operands' partials from their caches."""
 
-    __slots__ = ("_diffs",)
+    __slots__ = ("_diffs", "support")
 
     def diff(self, i):
         hit = self._diffs.get(i)
@@ -174,6 +183,7 @@ class _Unary(_Operation):
     def __init__(self, a: Expr):
         self.a = a
         self._diffs = _NO_DIFFS
+        self.support = a.support
 
 
 class _Binary(_Operation):
@@ -183,6 +193,7 @@ class _Binary(_Operation):
         self.a = a
         self.b = b
         self._diffs = _NO_DIFFS
+        self.support = a.support | b.support
 
 
 class Add(_Binary):
@@ -423,8 +434,8 @@ def sum_of_products(terms) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# Walks over a DAG of nodes.  Evaluation at order 0, evaluation at order 2
-# and substitution are one walk that differs only in what it does at a leaf
+# Walks over a DAG of nodes.  Evaluation at orders 0, 1 and 2 and
+# substitution are one walk that differs only in what it does at a leaf
 # and at an operation; differentiation walks to fill the per-node caches.
 # ---------------------------------------------------------------------------
 
@@ -544,6 +555,7 @@ _VALUE_RULES = {
     Sqrt: lambda e, a: np.sqrt(a),
 }
 
+# Orders 1 and 2: Jet1 and Jet2 have the same methods.
 _JET_RULES = {
     **_RING_RULES,
     Div: lambda e, a, b: a / b,
@@ -578,7 +590,8 @@ def evaluate(roots: Sequence[Expr], points, order: int = 0) -> list:
 
     ``points`` has shape ``(dim,)`` for one point or ``(n, dim)`` for a
     batch.  Order 0 returns one value array per root (a scalar for one
-    point); order 2 returns one :class:`Jet2` per root.  The roots are
+    point); order 1 returns one :class:`Jet1` and order 2 one
+    :class:`Jet2` per root.  The roots are
     walked together, so a node shared within a root or between roots is
     evaluated once.
     """
@@ -586,11 +599,11 @@ def evaluate(roots: Sequence[Expr], points, order: int = 0) -> list:
     if order == 0:
         seeds = [pts[..., k] for k in range(pts.shape[-1])]
         rules, lift = _VALUE_RULES, lambda c: np.full_like(seeds[0], c)
-    elif order == 2:
-        seeds = coordinate_jets(pts)
+    elif order in (1, 2):
+        seeds = coordinate_jets(pts, order)
         rules, lift = _JET_RULES, seeds[0].constant_like
     else:
-        raise ValueError(f"evaluation order must be 0 or 2, not {order!r}")
+        raise ValueError(f"evaluation order must be 0, 1 or 2, not {order!r}")
     done = _walk(roots, _leaf(seeds), rules, lift)
     return [lift(root.value) if isinstance(root, Const) else done[root] for root in roots]
 

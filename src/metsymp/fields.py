@@ -4,15 +4,20 @@ Components are expression trees (:mod:`metsymp.expressions`), evaluated by
 its one evaluator to the order each caller consumes.  A scalar field is a
 rank-0 ``TensorField`` (``TensorField.from_scalar``).
 ``TensorField.values`` and ``SmoothMap.__call__`` evaluate at order 0
-(values only); ``TensorField.jet_blocks`` evaluates at order 2 (value,
-gradient and Hessian), and every numeric derivative is taken from those
-jets.  The order-0 values are bit for bit the values of the order-2 jets.
-Either way, all components of a field are evaluated in one walk, so a
-node they share is evaluated once.  The first-order operators below (exterior
-derivative, Lie derivative, pullback) build their results symbolically,
-from the partials cached on each node, so derived fields remain fields and
-can be differentiated again without loss.  A field itself caches nothing:
-``inverse_metric`` builds the inverse on each call.
+(values only); ``TensorField.jet_blocks`` evaluates at order 1 (value and
+gradient) or 2 (and Hessian), as its caller needs, and every numeric
+derivative is taken from those jets.  Values agree bit for bit at every
+order, and gradients at orders 1 and 2.  Whatever the order, all
+components of a field are evaluated in one walk, so a node they share is
+evaluated once.  The first-order operators below (exterior derivative, Lie
+derivative, pullback) build their results symbolically, from the partials
+cached on each node, so derived fields remain fields and can be
+differentiated again without loss.  Where only the values of a
+first-order operator are read, its callers form them from order-1 jets
+instead (h in :mod:`metsymp.contact`, the torsion in
+:mod:`metsymp.symplectization`), with :func:`_masked_contraction`.  A
+field itself caches nothing: ``inverse_metric`` builds the inverse on
+each call.
 
 Storage.  A ``symmetric`` or ``antisymmetric`` tag means one expression per
 index orbit: all permutations of a sorted index hold the same node, odd
@@ -85,6 +90,31 @@ def sup_norm(*parts) -> float:
             return math.inf
         worst = max(worst, top)
     return worst
+
+
+def _live_partials(T: TensorField) -> tuple[np.ndarray, np.ndarray]:
+    """Where T's components and their first partials are not structurally zero.
+
+    ``live[idx]`` is False where the component is the leaf ``ZERO``, and
+    ``dlive[idx + (a,)]`` is False where its tree does not read coordinate
+    a, so that its partial along a is structurally zero.
+    """
+    comps = T.components
+    live = np.array([not e.is_zero() for e in comps.flat]).reshape(comps.shape)
+    support = np.array([e.support for e in comps.flat]).reshape(comps.shape)
+    return live, (support[..., None] >> np.arange(T.chart.dim)) & 1 == 1
+
+
+def _masked_contraction(x: np.ndarray, y: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """The sum over the last axis of ``x * y``, counting a term only where
+    ``mask`` is True; the three broadcast together.
+
+    Masks from :func:`_live_partials` drop the terms with a structurally
+    zero factor, as the symbolic operators never build them: such a term
+    is 0 even where the other factor is NaN.  No BLAS call is made, so the
+    bits do not depend on its thread count.
+    """
+    return np.where(mask, x * y, 0.0).sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -307,27 +337,24 @@ class TensorField:
             out[(Ellipsis,) + idx] = v
         return out
 
-    def jet_blocks(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Values, first and second partials of all components (order 2).
+    def jet_blocks(self, points: np.ndarray, order: int = 2) -> tuple[np.ndarray, ...]:
+        """Values and partials of all components, up to ``order`` (1 or 2).
 
-        Shapes: ``batch + comp``, ``batch + comp + (d,)`` and
-        ``batch + comp + (d, d)`` where ``comp = (dim,)*(r+s)``.
+        Shapes: ``batch + comp``, ``batch + comp + (d,)`` and, at order 2,
+        ``batch + comp + (d, d)``, where ``comp = (dim,)*(r+s)``.
         """
+        if order not in (1, 2):
+            raise ValueError(f"jet order must be 1 or 2, not {order!r}")
         pts = np.asarray(points, dtype=float)
         # walk first: the blocks are not held during the walk
-        live = self._evaluate(pts, 2)
-        batch = pts.shape[:-1]
-        d = self.chart.dim
-        comp = self.components.shape
-        vals = np.zeros(batch + comp)
-        grads = np.zeros(batch + comp + (d,))
-        hesses = np.zeros(batch + comp + (d, d))
+        live = self._evaluate(pts, order)
+        shape = pts.shape[:-1] + self.components.shape
+        blocks = [np.zeros(shape + (self.chart.dim,) * k) for k in range(order + 1)]
         for idx, j in live:
-            sel = (Ellipsis,) + idx
-            vals[sel] = j.value
-            grads[sel + (slice(None),)] = j.grad
-            hesses[sel + (slice(None), slice(None))] = j.hess
-        return vals, grads, hesses
+            parts = (j.value, j.grad, j.hess) if order == 2 else (j.value, j.grad)
+            for k, (block, part) in enumerate(zip(blocks, parts)):
+                block[(Ellipsis,) + idx + (slice(None),) * k] = part
+        return tuple(blocks)
 
     def __repr__(self):
         return f"TensorField(r={self.r}, s={self.s}, chart={self.chart.coord_names})"

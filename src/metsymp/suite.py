@@ -82,8 +82,8 @@ from .submersion import (
 from .symplectization import (
     LIOUVILLE_TOL,
     build_metric_symplectization,
-    nijenhuis,
     nijenhuis_norms,
+    nijenhuis_values,
     translation_isomorphism_check,
     verify_liouville,
     verify_symplectization_build,
@@ -312,7 +312,7 @@ def _check_symplectization_nullity(run):
 
 def _check_integrability(run):
     B, rep, pts = run.B, run.kmu, run.product_points[:30]
-    norms = nijenhuis_norms(nijenhuis(B.J), run.connection.g[:30], pts)
+    norms = nijenhuis_norms(nijenhuis_values(B.J, pts), run.connection.g[:30])
     if rep.sasakian_flag:
         return sup_norm(norms)
     # non-Sasakian: the torsion must be bounded away from zero; the residual

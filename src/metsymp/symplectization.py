@@ -57,7 +57,8 @@ from .contact import (
 from .curvature import ChristoffelData
 from .errors import DomainError, GeometryError, RankError
 from .expressions import ONE, Const, Coord, Expr, exp, sum_of_products
-from .fields import TensorField, exterior_derivative, interior_product, sup_norm
+from .fields import (TensorField, _live_partials, _masked_contraction, exterior_derivative,
+                     interior_product, sup_norm)
 
 __all__ = [
     "SymplecticMetricStructure",
@@ -68,6 +69,7 @@ __all__ = [
     "verify_liouville",
     "slice_structure",
     "nijenhuis",
+    "nijenhuis_values",
     "nijenhuis_norms",
     "translation_isomorphism_check",
     "verify_symplectization_build",
@@ -282,10 +284,13 @@ def slice_structure(B: SymplecticMetricStructure, t0: float) -> ContactMetricStr
 
 
 def nijenhuis(J: TensorField) -> TensorField:
-    """The torsion N(X,Y) = [JX,JY] - J[JX,Y] - J[X,JY] + J^2 [X,Y].
+    """The torsion N(X,Y) = [JX,JY] - J[JX,Y] - J[X,JY] + J^2 [X,Y], as a
+    symbolic tree.
 
     Built on coordinate frames, where the last term drops; tensoriality
-    extends the values to arbitrary arguments.
+    extends the values to arbitrary arguments.  The checks read the
+    torsion's values from :func:`nijenhuis_values`; this tree is their
+    reference.
     """
     if (J.r, J.s) != (1, 1):
         raise RankError("nijenhuis needs a (1,1) field")
@@ -308,14 +313,39 @@ def nijenhuis(J: TensorField) -> TensorField:
     return TensorField(J.chart, 1, 2, out)
 
 
-def nijenhuis_norms(N: TensorField, gv: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """g-norm of a (1,2) tensor at each sample, from the values ``gv`` of g at ``points``.
+def nijenhuis_values(J: TensorField, points: np.ndarray) -> np.ndarray:
+    """The values ``N[n, k, i, j]`` of the torsion of J at ``points``, from
+    one order-1 walk of J.
+
+    On coordinate frames
+    N^k_ij = J^a_i d_a J^k_j - J^a_j d_a J^k_i - J^k_a (d_i J^a_j - d_j J^a_i),
+    the components of :func:`nijenhuis`.  Each sum over a skips the terms
+    with a structurally zero factor, as :func:`nijenhuis` does, and N is
+    exactly antisymmetric in (i, j), 0 at i = j even where J is NaN.
+    """
+    if (J.r, J.s) != (1, 1):
+        raise RankError("nijenhuis_values needs a (1,1) field")
+    jv, dj = J.jet_blocks(points, 1)   # dj[n, k, j, a] = d_a J^k_j
+    live, dlive = _live_partials(J)
+    # J^a_i d_a J^k_j and J^k_a d_i J^a_j, each as [n, k, i, j, a] summed over a
+    flow = _masked_contraction(np.swapaxes(jv, 1, 2)[:, None, :, None, :], dj[:, :, None],
+                               live.T[None, :, None, :] & dlive[:, None])
+    twist = _masked_contraction(jv[:, :, None, None, :], dj.transpose(0, 3, 2, 1)[:, None],
+                                live[:, None, None, :] & dlive.transpose(2, 1, 0)[None])
+    torsion = (flow - np.swapaxes(flow, 2, 3)) - (twist - np.swapaxes(twist, 2, 3))
+    diagonal = np.arange(J.chart.dim)
+    torsion[:, :, diagonal, diagonal] = 0.0
+    return torsion
+
+
+def nijenhuis_norms(nv: np.ndarray, gv: np.ndarray) -> np.ndarray:
+    """g-norm of a (1,2) tensor at each sample, from its values ``nv`` and
+    the values ``gv`` of g there.
 
     |N|^2 = g_kc g^{ia} g^{jb} N^k_ij N^c_ab, taken as pairwise products:
     raise both lower slots of N (one batched product per upper index c),
     lower the upper slot with g, and sum against N.  Each step is n D^4.
     """
-    nv = N.values(points)
     ginv = np.linalg.inv(gv)
     n, D = gv.shape[:2]
     # raised[n, c, i, j] = g^{ia} N^c_ab g^{jb}, and lowered[n, k, (i j)] its

@@ -393,14 +393,15 @@ def assert_connection_matches_reference(g, pts):
 
 
 def fit_kappa_mu_reference(S, n_samples, seed):
-    """(kappa, mu, residual) of ``contact.fit_kappa_mu``, with its own columns."""
+    """(kappa, mu, residual) of ``contact.fit_kappa_mu``, with its own
+    columns; h is the library's, from first partials of xi and phi."""
     pts = S.chart.samples(n_samples, seed=seed)
     d = S.chart.dim
     data = christoffel_batch(S.g, pts)
     riem = riemann_components(data)
     xv = S.xi.values(pts)
     ev = S.eta.values(pts)
-    hv = S.h.values(pts)
+    hv = contact.structure_values(S, pts).h
 
     lhs = np.einsum("nlkij,nk->nlij", riem, xv)
     eye = np.eye(d)

@@ -33,8 +33,8 @@ from metsymp.submersion import (
 )
 from metsymp.symplectization import (
     build_metric_symplectization,
-    nijenhuis,
     nijenhuis_norms,
+    nijenhuis_values,
     slice_structure,
     translation_isomorphism_check,
     verify_liouville,
@@ -197,11 +197,11 @@ def test_criterion_11_slice_nullity_relation():
 
 def test_criterion_12_integrability_dichotomy():
     pts_s = B_SAS.chart.samples(40)
-    sas_norms = [nijenhuis_norms(nijenhuis(J), B_SAS.gbar.values(pts_s), pts_s)
+    sas_norms = [nijenhuis_norms(nijenhuis_values(J, pts_s), B_SAS.gbar.values(pts_s))
                  for J in (B_SAS.J, natural_acs_reference(SASAKIAN.structure))]
     sas_max = max(float(np.max(n)) for n in sas_norms)
     pts_f = B_FLAT.chart.samples(40)
-    flat_norms = [nijenhuis_norms(nijenhuis(J), B_FLAT.gbar.values(pts_f), pts_f)
+    flat_norms = [nijenhuis_norms(nijenhuis_values(J, pts_f), B_FLAT.gbar.values(pts_f))
                   for J in (B_FLAT.J, natural_acs_reference(FLAT.structure))]
     flat_min = min(float(np.min(n)) for n in flat_norms)
     ok = sas_max < 1e-8 and flat_min > 1e-2

@@ -434,13 +434,14 @@ def test_dhomothety_verify_fails_when_mu_is_defined_on_one_side_only(monkeypatch
 
 def test_dhomothety_verify_evaluates_and_fits_the_rescaled_structure_once(monkeypatch, capsys):
     """The printed refit and the rescale law read one record of D_a(S) on the
-    run's points: each of its fields is evaluated once, and D_a(S) is fitted
-    once.  (phi is S's own tree, shared by D_a(S), so it is not counted.)"""
+    run's points: each of its fields is walked once (xi at order 1, with
+    phi, for h), and D_a(S) is fitted once.  (phi is S's own tree, shared by
+    D_a(S), so it is not counted.)"""
     from metsymp import contact, curvature, fields
 
     made, evaluated, walked = [], [], []
     real_rescale, real_walk = contact.d_homothety, curvature.christoffel_batch
-    real_values = fields.TensorField.values
+    real_evaluate = fields.TensorField._evaluate
 
     def rescale(S, a):
         made.append(real_rescale(S, a))
@@ -450,21 +451,23 @@ def test_dhomothety_verify_evaluates_and_fits_the_rescaled_structure_once(monkey
         walked.append(g)
         return real_walk(g, points)
 
-    def values(self, points):
-        evaluated.append(self)
-        return real_values(self, points)
+    def evaluate(self, points, order):
+        evaluated.append((self, order))
+        return real_evaluate(self, points, order)
 
     for module in [m for name, m in sys.modules.items() if name.startswith("metsymp")]:
         for name, real, spy in [("d_homothety", real_rescale, rescale),
                                 ("christoffel_batch", real_walk, walk)]:
             if getattr(module, name, None) is real:
                 monkeypatch.setattr(module, name, spy)
-    monkeypatch.setattr(fields.TensorField, "values", values)
+    monkeypatch.setattr(fields.TensorField, "_evaluate", evaluate)
     assert main(["dhomothety", "unit-tangent-flat-plane", "--a", "2",
                  "--verify", "--samples", "15"]) == 0
     assert "[PASS] rescale verification" in capsys.readouterr().out
     (S2,) = made
-    assert [sum(e is f for e in evaluated) for f in (S2.eta, S2.xi, S2.h, S2.g)] == [1, 1, 1, 1]
+    assert [[order for e, order in evaluated if e is f] for f in (S2.eta, S2.xi)] == [[0], [1]]
+    # g once for the record, once as jets for the refit's connection
+    assert sorted(order for e, order in evaluated if e is S2.g) == [0, 2]
     assert sum(g is S2.g for g in walked) == 1
 
 

@@ -54,7 +54,7 @@ from metsymp.errors import (
     NotContactError,
     SasakianDegeneracyError,
 )
-from metsymp.expressions import ZERO, Const, Coord, _operands, _Operation, sqrt
+from metsymp.expressions import ZERO, Const, Coord, _operands, _Operation, evaluate, sqrt
 from metsymp.fields import SmoothMap, TensorField, exterior_derivative, sup_norm
 from metsymp.structfile import load_structure_file
 from metsymp.submersion import fit_symplectization_kmu, verify_currel, verify_fundamental_tensors
@@ -521,9 +521,10 @@ def test_h_norms_match_the_einsum_definition(non_sasakian, sasakian):
 
 def _reference_eigen(S, p):
     """The per-point eigenstructure of h: one evaluation and one Cholesky
-    reduction per point, kept here as the reference for the batch."""
+    reduction per point, kept here as the reference for the batch.  h is
+    the record's, from first partials of xi and phi at the one point."""
     gmat = S.g.values(p)
-    hmat = S.h.values(p)
+    hmat = structure_values(S, p[None]).h[0]
     xi = S.xi.values(p)
     sym = gmat @ hmat
     L = np.linalg.cholesky(gmat)
@@ -602,9 +603,13 @@ def test_batch_rejections_name_the_failing_sample(flat_bundle):
     where = f"sample {k} {pts[k].tolist()}"
 
     # h scaled by a factor that is zero at sample k only
-    S_h = dataclasses.replace(S, h=S.h.scale(_vanishing_at(S, pts, k)))
+    values = structure_values(S, pts)
+
+    def scaled_h(factor):
+        return dataclasses.replace(values, h=values.h * evaluate([factor], pts)[0][:, None, None])
+
     with pytest.raises(SasakianDegeneracyError, match=re.escape(where)):
-        h_eigendecomposition_batch(structure_values(S_h, pts))
+        h_eigendecomposition_batch(scaled_h(_vanishing_at(S, pts, k)))
 
     # g scaled by a factor that is negative, then zero, at sample k only;
     # |h|_g is unchanged elsewhere
@@ -621,9 +626,8 @@ def test_batch_rejections_name_the_failing_sample(flat_bundle):
     S_g = dataclasses.replace(S, g=S.g.scale(nan_at_k))
     with pytest.raises(DegenerateMetricError, match=re.escape(f"not finite at {where}")):
         h_eigendecomposition_batch(structure_values(S_g, pts))
-    S_h = dataclasses.replace(S, h=S.h.scale(nan_at_k))
     with pytest.raises(GeometryError, match=re.escape(f"h is not finite at {where}")):
-        h_eigendecomposition_batch(structure_values(S_h, pts))
+        h_eigendecomposition_batch(scaled_h(nan_at_k))
 
     # the Martinet form dz - y^2 dx is contact except on y = 0
     chart = Chart(("x", "y", "z"), ((-1, 1),) * 3)

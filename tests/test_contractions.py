@@ -5,6 +5,11 @@ builds, while a term with a structurally zero factor builds nothing.  The
 loops are kept in ``loop_references``; the builders here must give the same
 trees (node counts as the benchmark counts them) and the same values and
 jets, bit for bit.
+
+The numeric first-order operators, h = (1/2) L_xi phi from order-1 jets of
+xi and phi and the torsion N(J) from order-1 jets of J, are compared with
+the symbolic trees ``S.h`` and ``nijenhuis(J)`` they replace in the checks:
+to 1e-13 relative on finite data, and NaN exactly where the trees are.
 """
 
 import sys
@@ -14,7 +19,7 @@ import numpy as np
 import pytest
 
 from metsymp import expressions as E
-from metsymp.contact import ContactMetricStructure
+from metsymp.contact import ContactMetricStructure, structure_values
 from metsymp.expressions import ZERO, Const, Coord, Neg, sum_of_products
 from metsymp.fields import (
     TensorField,
@@ -23,7 +28,7 @@ from metsymp.fields import (
     lie_derivative,
 )
 from metsymp.structfile import load_structure_file
-from metsymp.symplectization import build_metric_symplectization, nijenhuis
+from metsymp.symplectization import build_metric_symplectization, nijenhuis, nijenhuis_values
 
 from loop_references import (
     interior_product_loop,
@@ -33,7 +38,8 @@ from loop_references import (
     node_counts,
 )
 
-SASAKIAN_R5_PATH = Path(__file__).parent / "data" / "sasakian_r5.txt"
+DATA = Path(__file__).parent / "data"
+SASAKIAN_R5_PATH = DATA / "sasakian_r5.txt"
 
 
 def test_sum_of_products_is_the_loop_tree():
@@ -69,7 +75,8 @@ def test_a_callable_factor_is_built_only_against_a_non_zero_factor():
 # ---------------------------------------------------------------------------
 
 
-@pytest.fixture(scope="module", params=["flat_bundle", "curved", "sasakian_r5", "sasakian7"])
+@pytest.fixture(scope="module",
+                params=["sasakian", "flat_bundle", "curved", "sasakian_r5", "sasakian7"])
 def structure(request):
     """A contact metric structure and its symplectization."""
     if request.param == "sasakian_r5":
@@ -109,6 +116,53 @@ def test_builders_give_the_loop_trees_values_and_jets(structure):
         assert np.array_equal(new.values(pts), old.values(pts)), name
         for got, want in zip(new.jet_blocks(pts), old.jet_blocks(pts)):
             assert np.array_equal(got, want), name
+
+
+# ---------------------------------------------------------------------------
+# the numeric first-order operators against the symbolic trees
+# ---------------------------------------------------------------------------
+
+
+def _assert_matches_tree(got, want):
+    """Equal to 1e-13 of the tree's largest entry (of 1 where that is
+    smaller, as a torsion that vanishes is roundoff), NaN where it is."""
+    assert got.shape == want.shape
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    live = ~np.isnan(want)
+    scale = max(1.0, float(np.max(np.abs(want[live]), initial=0.0)))
+    assert np.max(np.abs(got[live] - want[live]), initial=0.0) <= 1e-13 * scale
+
+
+def test_h_from_first_partials_is_the_lie_derivative_tree(structure):
+    S, _ = structure
+    pts = S.chart.samples(20, seed=4)
+    _assert_matches_tree(structure_values(S, pts).h, S.h.values(pts))
+
+
+def test_the_torsion_from_first_partials_is_the_symbolic_torsion(structure):
+    S, B = structure
+    pts = B.chart.samples(20, seed=4)
+    for J in (B.J, natural_acs_reference(S)):
+        got = nijenhuis_values(J, pts)
+        _assert_matches_tree(got, nijenhuis(J).values(pts))
+        assert np.array_equal(got, -np.swapaxes(got, 2, 3))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("name", ["nan_phi_r3.txt", "nan_eta_r3.txt"])
+def test_first_partials_are_nan_exactly_where_the_trees_are(name):
+    """A term with a structurally zero factor is dropped, as the trees never
+    build it: NaN in phi or eta reaches h and N(J) only through the terms
+    that read it, so on the NaN-phi file h stays 0."""
+    S = load_structure_file(DATA / name)
+    B = build_metric_symplectization(S)
+    pts = B.chart.samples(20, seed=4)
+    h = structure_values(S, pts[:, :-1]).h
+    _assert_matches_tree(h, S.h.values(pts[:, :-1]))
+    _assert_matches_tree(nijenhuis_values(B.J, pts), nijenhuis(B.J).values(pts))
+    assert np.isnan(B.J.values(pts)).any()
+    if name == "nan_phi_r3.txt":
+        assert not h.any()
 
 
 # ---------------------------------------------------------------------------

@@ -164,6 +164,23 @@ def test_covariant_derivative_of_scalar_is_directional(sasakian):
     assert_allclose(got, float(jets[1][0] @ X), atol=1e-13)
 
 
+def test_covariant_derivative_reads_first_partials_only(sasakian, monkeypatch):
+    """nabla T needs T's values and first partials: one order-1 walk of T,
+    and with the connection given, no other walk."""
+    pts = sasakian.chart.samples(6, seed=1)
+    data = christoffel_batch(sasakian.g, pts)
+    walks = []
+    real = TensorField._evaluate
+
+    def counting(field, points, order):
+        walks.append((field, order))
+        return real(field, points, order)
+
+    monkeypatch.setattr(TensorField, "_evaluate", counting)
+    covariant_derivative_values(sasakian.g, sasakian.phi, pts, data)
+    assert walks == [(sasakian.phi, 1)]
+
+
 def test_ricci_frame_trace_agrees_with_contraction(any_entry):
     S = any_entry.structure
     data = christoffel_batch(S.g, S.chart.samples(5))

@@ -36,7 +36,8 @@ from metsymp.contact import (
 from metsymp.curvature import ricci_components, riemann_components
 from metsymp.fields import sup_norm
 from metsymp.submersion import fit_symplectization_kmu, verify_currel
-from metsymp.symplectization import build_metric_symplectization, nijenhuis, nijenhuis_norms
+from metsymp.symplectization import (build_metric_symplectization, nijenhuis_norms,
+                                     nijenhuis_values)
 
 from inputs import kmu_inputs, product_inputs, slice_inputs
 from loop_references import eta_einstein_fit_reference
@@ -91,5 +92,5 @@ def test_symplectization_constants(curved):
     # the slice t = 0 reads (kappa_t - 2, mu_t) = (-2, -2), the base's (0, -2)
     fit = fit_symplectization_kmu(B, *slice_inputs(B, (0.0,), B.base.chart.samples(15)))
     assert_allclose([fit.kappa, fit.mu], [0.0, -2.0], atol=1e-8)
-    norms = nijenhuis_norms(nijenhuis(B.J), data.g, pts)
+    norms = nijenhuis_norms(nijenhuis_values(B.J, pts), data.g)
     assert np.min(norms) > 1e-2

@@ -11,12 +11,19 @@ from numpy.testing import assert_allclose
 from metsymp.expressions import (
     ONE,
     ZERO,
+    Add,
     Const,
     Coord,
+    Cos,
     Div,
     Exp,
     ExpressionSyntaxError,
+    Mul,
+    Neg,
+    Pow,
+    Sin,
     Sqrt,
+    Sub,
     cos,
     evaluate,
     exp,
@@ -24,7 +31,7 @@ from metsymp.expressions import (
     sin,
     sqrt,
 )
-from metsymp.jets import Jet2
+from metsymp.jets import Jet1, Jet2
 
 from loop_references import evaluate_reference
 
@@ -142,7 +149,7 @@ def test_evaluation_orders_agree_on_a_batch():
     for value, jet in zip(evaluate(roots, pts), jets):
         assert np.array_equal(value, jet.value)
     with pytest.raises(ValueError):
-        evaluate(roots, pts, order=1)
+        evaluate(roots, pts, order=3)
 
 
 def test_a_deep_tree_needs_no_recursion():
@@ -258,3 +265,73 @@ def test_hand_built_operations_on_constants_keep_their_bits(pts):
     for jet, ref in zip(evaluate(roots, pts, order=2), evaluate_reference(roots, pts, 2)):
         for mine, theirs in ((jet.value, ref.value), (jet.grad, ref.grad), (jet.hess, ref.hess)):
             _assert_same_bits(mine, theirs)
+
+
+# ---------------------------------------------------------------------------
+# Order 1 against orders 0 and 2, on hand-built DAGs of every node type
+# ---------------------------------------------------------------------------
+
+# the exponents of Pow: integer, fractional, negative, and the two that the
+# constructor folds away
+_EXPONENTS = (0.0, 1.0, 2.0, 3.0, -1.0, -2.0, 0.5, -1.5, 2.5)
+
+
+def _build_node(kind, a, b, n):
+    if kind == "pow":
+        return Pow(a, n)
+    unary = {"neg": Neg, "exp": Exp, "sin": Sin, "cos": Cos, "sqrt": Sqrt}
+    if kind in unary:
+        return unary[kind](a)
+    if kind == "div" and b.is_zero():
+        return Div(a, Sub(b, a))  # the zero leaf is no denominator; this is a / (-a)
+    return {"add": Add, "sub": Sub, "mul": Mul, "div": Div}[kind](a, b)
+
+
+@st.composite
+def _wild_dags(draw):
+    """Roots of a random DAG of all ten operation types, built by hand so
+    that nothing folds: operations on constants alone, Pow with any
+    exponent, division by zero, square roots of negatives and overflowing
+    exponentials all occur, and with them NaN and infinite values and
+    partials.  A denominator is never the leaf ``ZERO``, which no
+    constructor builds."""
+    consts = st.one_of(st.floats(-3.0, 3.0, allow_nan=False),
+                       st.sampled_from([0.0, -0.0, 1.0, 800.0])).map(Const)
+    pool = [Coord(k) for k in range(3)] + [draw(consts), draw(consts)]
+    pick = st.integers(0, 10 ** 6).map(lambda i: pool[i % len(pool)])
+    kinds = st.sampled_from(["add", "sub", "mul", "div", "neg", "pow", "exp", "sin", "cos",
+                             "sqrt"])
+    for _ in range(draw(st.integers(4, 20))):
+        pool.append(_build_node(draw(kinds), draw(pick), draw(pick),
+                                draw(st.sampled_from(_EXPONENTS))))
+    return [pool[-1]] + draw(st.lists(pick, min_size=1, max_size=4))
+
+
+def _same_values(a, b):
+    """Equal, NaN where the other is NaN, and of the same sign bit wherever
+    not NaN (a NaN's sign bit carries no value)."""
+    assert np.shape(a) == np.shape(b)
+    assert np.array_equal(a, b, equal_nan=True)
+    live = ~np.isnan(a)
+    assert np.array_equal(np.signbit(a)[live], np.signbit(b)[live])
+
+
+# many points, so that a rule computing a part in another rounding order
+# shows in some last bit
+_MANY_POINTS = np.random.default_rng(9).uniform(-1.0, 1.0, size=(200, 3))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_wild_dags())
+def test_order_one_values_and_gradients_are_those_of_orders_zero_and_two(roots):
+    with np.errstate(all="ignore"):
+        for pts in (_MANY_POINTS, _POINTS[2]):
+            values = evaluate(roots, pts)
+            firsts = evaluate(roots, pts, order=1)
+            seconds = evaluate(roots, pts, order=2)
+            for value, first, second in zip(values, firsts, seconds):
+                assert isinstance(first, Jet1)
+                _same_values(value, first.value)
+                assert first.value.tobytes() == second.value.tobytes()
+                assert first.grad.shape == second.grad.shape == np.shape(value) + (3,)
+                assert first.grad.tobytes() == second.grad.tobytes()

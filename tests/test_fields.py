@@ -455,14 +455,19 @@ def test_sup_norm_maps_any_non_finite_entry_to_inf(bad):
 
 
 # ---------------------------------------------------------------------------
-# evaluation orders: values (order 0) against jets (order 2)
+# evaluation orders: values (order 0) against jets (orders 1 and 2)
 # ---------------------------------------------------------------------------
 
 
 def _assert_values_are_the_jet_values(T, pts):
+    """Values agree at every order, and gradients at orders 1 and 2."""
     vals = T.values(pts)
-    assert np.array_equal(vals, T.jet_blocks(pts)[0], equal_nan=True)
-    assert np.array_equal(T.values(pts[0]), T.jet_blocks(pts[0])[0], equal_nan=True)
+    for p in (pts, pts[0]):
+        first, second = T.jet_blocks(p, 1), T.jet_blocks(p)
+        assert len(first) == 2 and len(second) == 3
+        assert np.array_equal(T.values(p), first[0], equal_nan=True)
+        assert first[0].tobytes() == second[0].tobytes()
+        assert first[1].tobytes() == second[1].tobytes()
     return vals
 
 
@@ -663,6 +668,10 @@ def test_jet_blocks_of_a_constant_metric(single):
     assert np.array_equal(vals, np.broadcast_to(gmat, batch + (2, 2)))
     assert grads.shape == batch + (2, 2, 2) and not grads.any()
     assert hesses.shape == batch + (2, 2, 2, 2) and not hesses.any()
+    vals1, grads1 = g.jet_blocks(pts, 1)
+    assert np.array_equal(vals1, vals) and np.array_equal(grads1, grads)
+    with pytest.raises(ValueError, match="order"):
+        g.jet_blocks(pts, 0)
 
 
 def test_jet_products_are_made_only_for_two_non_constant_operands(curved, monkeypatch):

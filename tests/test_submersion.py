@@ -510,17 +510,18 @@ def test_batched_verifiers_reject_a_doubled_line_metric(flat_bundle_symp):
 
 def test_the_nullity_fits_evaluate_h_once(flat_bundle, flat_bundle_symp, monkeypatch):
     """Both fits take the norm of h from the values they already hold, and
-    the symplectization fit reads h from its record, evaluated once for all
-    the slices its samples lie on."""
+    the symplectization fit reads h from its record, formed once for all
+    the slices its samples lie on: one order-1 walk of phi per draw."""
     calls = []
-    real = TensorField.values
+    real = TensorField._evaluate
 
-    def counting(self, points):
-        if self is flat_bundle.h:
+    def counting(self, points, order):
+        if self is flat_bundle.phi:
+            assert order == 1
             calls.append(len(points))
-        return real(self, points)
+        return real(self, points, order)
 
-    monkeypatch.setattr(TensorField, "values", counting)
+    monkeypatch.setattr(TensorField, "_evaluate", counting)
     fit_kappa_mu(flat_bundle, 10, seed=1)
     assert calls == [10]
     inputs = slice_inputs(flat_bundle_symp, (-0.5, 0.0, 0.3), flat_bundle.chart.samples(4, seed=1))

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import metsymp
-from metsymp import contact, curvature, suite
+from metsymp import contact, curvature, fields, suite, symplectization
 from metsymp.catalog import CatalogEntry, catalog_load
 from metsymp.charts import Chart
 from metsymp.contact import (
@@ -199,8 +199,8 @@ def test_nan_residuals_fail_and_are_reported_as_inf(nan_masked_sasakian_entry):
 def test_integrability_floor_off_the_sasakian_case(monkeypatch, sasakian_entry, sasakian_symp,
                                                    short_norms, expected):
     """Off h = 0 the torsion norm must clear 1e-2; a NaN norm fails."""
-    monkeypatch.setattr(suite, "nijenhuis", lambda J: J)
-    monkeypatch.setattr(suite, "nijenhuis_norms", lambda N, g, pts: np.array(short_norms))
+    monkeypatch.setattr(suite, "nijenhuis_values", lambda J, pts: J)
+    monkeypatch.setattr(suite, "nijenhuis_norms", lambda nv, g: np.array(short_norms))
     monkeypatch.setattr(suite, "build_metric_symplectization", lambda S, t_range: sasakian_symp)
     monkeypatch.setattr(suite, "fit_kappa_mu", lambda S, n, seed: KmuReport(
         kappa=0.0, mu=0.0, residual=0.0, sasakian_flag=False, lam=1.0))
@@ -213,14 +213,41 @@ def test_integrability_floor_off_the_sasakian_case(monkeypatch, sasakian_entry, 
 def test_a_suite_run_builds_one_torsion(monkeypatch, entry):
     """integrability reads the metric J's torsion only: the classical J is
     the metric one seen through F(x, t) = (x, -exp(-2t)/2), and the package
-    no longer exports it."""
+    no longer exports it.  The torsion's values come from one order-1 walk
+    of the metric J."""
     built = []
-    real = suite.nijenhuis
-    monkeypatch.setattr(suite, "nijenhuis", lambda J: built.append(J) or real(J))
+    real = suite.nijenhuis_values
+    monkeypatch.setattr(suite, "nijenhuis_values",
+                        lambda J, pts: built.append(J) or real(J, pts))
     rep = run_suite(catalog_load(entry), SuiteConfig(samples=10, seed=42))
     assert rep.all_passed
     assert len(built) == 1
     assert not hasattr(metsymp, "natural_acs")
+
+
+def test_no_run_or_refit_builds_a_symbolic_h_or_torsion(monkeypatch):
+    """h and the torsion come from first partials of xi, phi and J: a suite
+    run, and the fit of a rescaled structure, build no Lie derivative and
+    no symbolic torsion.  Every name that binds either function in the
+    package is counted; the symbolic h and N(J), read afterwards, are."""
+    counts = {"lie_derivative": 0, "nijenhuis": 0}
+    reals = {"lie_derivative": fields.lie_derivative, "nijenhuis": symplectization.nijenhuis}
+    for module in [m for name, m in sys.modules.items() if name.startswith("metsymp")]:
+        for name, real in reals.items():
+            if getattr(module, name, None) is real:
+                def counted(*args, _real=real, _name=name, **kwargs):
+                    counts[_name] += 1
+                    return _real(*args, **kwargs)
+                monkeypatch.setattr(module, name, counted)
+    for name in ("unit-tangent-flat-plane", "darboux-sasakian-r3"):
+        entry = catalog_load(name)
+        assert run_suite(entry, SuiteConfig(samples=10, seed=42)).all_passed
+        assert contact.fit_kappa_mu(contact.d_homothety(entry.structure, 2.0), 30,
+                                    seed=42).residual < 1e-6
+    assert counts == {"lie_derivative": 0, "nijenhuis": 0}
+    entry.structure.h
+    metsymp.nijenhuis(metsymp.build_metric_symplectization(entry.structure).J)
+    assert counts == {"lie_derivative": 1, "nijenhuis": 1}
 
 
 @pytest.mark.parametrize("entry", ["unit-tangent-flat-plane", "darboux-sasakian-r3"])
@@ -272,24 +299,36 @@ def test_rescaled_structures_are_built_once_per_run(monkeypatch):
     assert sorted(a for a in built if a in suite._RESCALE_FACTORS) == sorted(suite._RESCALE_FACTORS)
 
 
+def _walks(monkeypatch) -> list:
+    """(field, order) of every walk of a field's components from here on,
+    for values (order 0) and for jets alike."""
+    walks = []
+    real = TensorField._evaluate
+
+    def counting(field, points, order):
+        walks.append((field, order))
+        return real(field, points, order)
+
+    monkeypatch.setattr(TensorField, "_evaluate", counting)
+    return walks
+
+
 def test_the_rescale_check_evaluates_xi_and_h_of_the_structure_once(flat_bundle_entry,
                                                                      monkeypatch):
     """Every factor reads the same samples, so xi and h of the structure are
-    evaluated there once, not once per factor."""
+    formed there once, not once per factor: h comes with the record, from
+    one order-1 walk of xi and one of phi.  Each rescale's record walks its
+    own xi, and phi again, the tree d_homothety(S, a) shares with S."""
     run = suite._Run(flat_bundle_entry, SuiteConfig(samples=20, seed=42))
     suite._check_nullity_fit(run)
     S = run.S
-    evaluated = []
-    real = TensorField.values
-
-    def values(field, pts):
-        if field is S.xi or field is S.h:
-            evaluated.append(field)
-        return real(field, pts)
-
-    monkeypatch.setattr(TensorField, "values", values)
+    walks = _walks(monkeypatch)
     assert suite._check_rescale_equivariance(run) < 1e-6
-    assert len(evaluated) == 2 and evaluated[0] is not evaluated[1]
+    factors = len(suite._RESCALE_FACTORS)
+    assert [order for field, order in walks if field is S.xi] == [1]
+    assert [order for field, order in walks if field is S.phi] == [1] * (1 + factors)
+    rescaled_xi = [f for f, order in walks if f.r == 1 and f.s == 0 and f is not S.xi]
+    assert len(rescaled_xi) == len({id(f) for f in rescaled_xi}) == factors
 
 
 def test_index_invariance_on_shared_structures_is_bit_identical(flat_bundle_entry):
@@ -471,24 +510,20 @@ def test_a_raising_artifact_is_the_error_of_every_check_that_reads_it(monkeypatc
 
 
 def test_a_run_evaluates_each_field_once_per_record(monkeypatch, flat_bundle_entry):
-    """One run on the flat bundle evaluates each field of the structure once,
-    in the record of its values on the base draw, whose prefixes the product
-    checks read, and phi, which every d_homothety(S, a) shares, once more per
-    rescale record.  The (kappa, mu) fit evaluates h, xi and eta on its own
-    draw; the refits read the rescale records, and g reaches the fits and
-    the connections as jets."""
+    """One run on the flat bundle walks each field of the structure once
+    for the record of its values on the base draw, whose prefixes the
+    product checks read: xi and phi at order 1, for h, eta and g at order
+    0; and phi, which every d_homothety(S, a) shares, once more per rescale
+    record.  The (kappa, mu) fit walks eta, xi and phi on its own draw; the
+    refits read the rescale records, and g reaches the fit and the
+    eigenspace check as order-2 jets."""
     S = flat_bundle_entry.structure
-    names = ("h", "xi", "eta", "phi", "g")
-    counts = dict.fromkeys(names, 0)
-    real = TensorField.values
-
-    def values(field, pts):
-        counts.update((n, counts[n] + 1) for n in names if field is getattr(S, n))
-        return real(field, pts)
-
-    monkeypatch.setattr(TensorField, "values", values)
+    names = ("xi", "eta", "phi", "g")
+    walks = _walks(monkeypatch)
     assert run_suite(flat_bundle_entry, SuiteConfig(samples=50, seed=42)).all_passed
-    assert counts == {"h": 2, "xi": 2, "eta": 2, "phi": 4, "g": 1}
+    counts = {n: sorted(order for field, order in walks if field is getattr(S, n))
+              for n in names}
+    assert counts == {"xi": [1, 1], "eta": [0, 0], "phi": [1] * 5, "g": [0, 2, 2]}
 
 
 def test_a_rejected_fit_reports_no_constants(monkeypatch, flat_bundle_entry):

@@ -53,6 +53,7 @@ from metsymp.symplectization import (
     extended_slice_form,
     nijenhuis,
     nijenhuis_norms,
+    nijenhuis_values,
     slice_form_values,
     slice_structure,
     translation_isomorphism_check,
@@ -138,7 +139,9 @@ def test_acs_three_case_table(any_entry, sasakian_symp, flat_bundle_symp):
 def test_slice_values_equal_the_lifted_fields_bit_for_bit(which, request):
     """Values read from the base structure's record equal those of the
     symbolic lifts, sign bits included, and gbar's values in its connection
-    data, which the build verifier reads, equal those of gbar's own walk."""
+    data, which the build verifier reads, equal those of gbar's own walk.
+    The record's h comes from first partials of xi and phi, so it meets the
+    lift of the symbolic h to 1e-13 relative."""
     if which == "sasakian_r5":
         B = build_metric_symplectization(load_structure_file(R5_PATH))
     else:
@@ -149,12 +152,15 @@ def test_slice_values_equal_the_lifted_fields_bit_for_bit(which, request):
     eta_t, xi_t = slice_form_values(values, pts)
     pairs = [(eta_t, extended_slice_form(S, B.chart)), (xi_t, extended_slice_reeb(S, B.chart))]
     pairs += [(_lift(getattr(values, name)), extend_to_product(getattr(S, name), B.chart))
-              for name in ("eta", "xi", "g", "phi", "h")]
+              for name in ("eta", "xi", "g", "phi")]
     pairs.append((christoffel_batch(B.gbar, pts).g, B.gbar))
     for got, field in pairs:
         want = field.values(pts)
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
+    want = extend_to_product(S.h, B.chart).values(pts)
+    assert_allclose(_lift(values.h), want, rtol=0,
+                    atol=1e-13 * max(1.0, float(np.max(np.abs(want)))))
 
 
 def test_acs_squares_to_minus_identity(sasakian_symp):
@@ -179,18 +185,18 @@ def test_uniqueness_witness(any_entry, sasakian_symp, flat_bundle_symp):
 
 def test_the_build_verifier_evaluates_eta_and_xi_once(flat_bundle_symp, monkeypatch):
     """With the record built, xi_t and the contact distribution share its
-    one evaluation of xi, and eta is evaluated once, on the base coordinates
-    of the draw."""
+    one walk of xi, and eta is evaluated once, on the base coordinates of
+    the draw."""
     S = flat_bundle_symp.base
     calls = []
-    real = TensorField.values
+    real = TensorField._evaluate
 
-    def counting(self, points):
+    def counting(self, points, order):
         if self is S.eta or self is S.xi:
             calls.append(("eta" if self is S.eta else "xi", points.shape))
-        return real(self, points)
+        return real(self, points, order)
 
-    monkeypatch.setattr(TensorField, "values", counting)
+    monkeypatch.setattr(TensorField, "_evaluate", counting)
     pts = flat_bundle_symp.chart.samples(12, seed=1)
     verify_symplectization_build(flat_bundle_symp, *product_inputs(flat_bundle_symp, pts))
     assert sorted(calls) == [("eta", (12, 3)), ("xi", (12, 3))]
@@ -573,11 +579,11 @@ def test_torsions_vanish_precisely_for_sasakian(sasakian, flat_bundle,
                                                 sasakian_symp, flat_bundle_symp):
     pts_s = sasakian_symp.chart.samples(40)
     for J in (sasakian_symp.J, natural_acs_reference(sasakian)):
-        norms = nijenhuis_norms(nijenhuis(J), sasakian_symp.gbar.values(pts_s), pts_s)
+        norms = nijenhuis_norms(nijenhuis_values(J, pts_s), sasakian_symp.gbar.values(pts_s))
         assert np.max(norms) < 1e-8
     pts_f = flat_bundle_symp.chart.samples(40)
     for J in (flat_bundle_symp.J, natural_acs_reference(flat_bundle)):
-        norms = nijenhuis_norms(nijenhuis(J), flat_bundle_symp.gbar.values(pts_f), pts_f)
+        norms = nijenhuis_norms(nijenhuis_values(J, pts_f), flat_bundle_symp.gbar.values(pts_f))
         assert np.min(norms) > 1e-2
 
 
@@ -599,7 +605,8 @@ def _acs_defect(B, J_cl, pts):
                                   "sasakian_r7.txt", "curved"])
 def test_the_metric_acs_and_its_torsion_are_the_classical_ones_through_F(request, name):
     """B.J = F^*J_cl, so N(B.J) = F^*N(J_cl), (F^*N)^i_jk = N^i_jk d_j d_k / d_i:
-    one torsion decides integrability for both constructions."""
+    one torsion decides integrability for both constructions.  N(B.J) is
+    the check's, from first partials; N(J_cl) is the symbolic tree."""
     S = (load_structure_file(DATA / name) if name.endswith(".txt")
          else request.getfixturevalue(name))
     B = build_metric_symplectization(S)
@@ -607,7 +614,7 @@ def test_the_metric_acs_and_its_torsion_are_the_classical_ones_through_F(request
     pts = B.chart.samples(20, seed=42)
     assert _acs_defect(B, J_cl, pts) <= 1e-13
     w = _line_weights(pts)
-    nv = nijenhuis(B.J).values(pts)
+    nv = nijenhuis_values(B.J, pts)
     want = nijenhuis(J_cl).values(pts) * (w[:, None, :, None] * w[:, None, None, :]
                                           / w[:, :, None, None])
     assert np.max(np.abs(nv - want)) <= 1e-13 * max(1.0, np.max(np.abs(nv)))
@@ -630,10 +637,10 @@ def test_torsion_norm_matches_the_unplanned_contraction(flat_bundle, flat_bundle
     B = flat_bundle_symp
     pts = B.chart.samples(20, seed=4)
     for J in (B.J, natural_acs_reference(flat_bundle)):
-        N = nijenhuis(J)
-        norms = nijenhuis_norms(N, B.gbar.values(pts), pts)
+        nv = nijenhuis_values(J, pts)
+        norms = nijenhuis_norms(nv, B.gbar.values(pts))
         assert np.min(norms) > 1e-2
-        assert_allclose(norms, nijenhuis_norms_reference(N.values(pts), B.gbar.values(pts)),
+        assert_allclose(norms, nijenhuis_norms_reference(nv, B.gbar.values(pts)),
                         rtol=1e-13, atol=0.0)
 
 
@@ -647,8 +654,9 @@ def test_torsion_norm_is_nan_only_where_the_torsion_is(flat_bundle_symp):
     f = x0 - Const(0.5 * float(pts[k, 0] + np.partition(pts[:, 0], 1)[1]))
     N = nijenhuis(B.J).scale(sqrt(f) / sqrt(f))
     with np.errstate(invalid="ignore"):
-        norms = nijenhuis_norms(N, B.gbar.values(pts), pts)
-        want = nijenhuis_norms_reference(N.values(pts), B.gbar.values(pts))
+        nv = N.values(pts)
+        norms = nijenhuis_norms(nv, B.gbar.values(pts))
+        want = nijenhuis_norms_reference(nv, B.gbar.values(pts))
     assert np.isnan(norms[k])
     assert_allclose(np.delete(norms, k), np.delete(want, k), rtol=1e-13, atol=0.0)
 
