@@ -57,7 +57,7 @@ from .fields import (
     raise_index,
     wedge,
 )
-from .jets import Jet1, Jet2
+from .jets import Jet2
 from .structfile import load_structure_file, parse_structure_text
 from .submersion import (
     fit_symplectization_kmu,

@@ -168,20 +168,14 @@ def ricci_components(riem: np.ndarray) -> np.ndarray:
     return np.einsum("...aqap->...pq", riem)
 
 
-def covariant_derivative_values(
-    g: TensorField, T: TensorField, points: np.ndarray,
-    data: ChristoffelData | None = None,
-) -> np.ndarray:
-    """Components of nabla T at a point batch.
+def covariant_derivative_values(T: TensorField, data: ChristoffelData) -> np.ndarray:
+    """Components of nabla T at the points of a connection record.
 
     Output shape is ``(n,) + comp + (dim,)`` with the derivative slot last:
     ``out[n, ..., m]`` is the coefficient array of ``nabla_{d_m} T`` at
-    sample n.
+    ``data.points[n]``.
     """
-    pts = np.asarray(points, dtype=float)
-    if data is None:
-        data = christoffel_batch(g, pts)
-    vals, out = T.jet_blocks(pts, 1)
+    vals, out = T.jet_blocks(data.points, 1)
     gamma = data.gamma  # [n, k, i, j]
     r, s = T.r, T.s
     for p in range(r):

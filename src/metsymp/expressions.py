@@ -16,12 +16,12 @@ constant exponent, exp, sin, cos and sqrt.  Trees support
   * numeric evaluation by one evaluator, :func:`evaluate`, which walks the
     union of a set of roots once, iteratively, visiting each shared node
     once.  It propagates only the Taylor order its caller consumes:
-    order 0 gives plain value arrays, order 1 first-order jets
-    (:class:`metsymp.jets.Jet1`, value and gradient) and order 2
-    second-order jets (:class:`metsymp.jets.Jet2`).  Order-0 values
-    repeat the value part of the jet arithmetic operation for operation,
-    and a Jet1 repeats the value and gradient parts of a Jet2, so values
-    agree bit for bit at every order and gradients at orders 1 and 2.
+    order 0 gives plain value arrays, and orders 1 and 2 give jets
+    (:class:`metsymp.jets.Jet2`) whose Hessian is absent at order 1.
+    Order-0 values repeat the value part of the jet arithmetic operation
+    for operation, and a jet's value and gradient do not depend on its
+    order, so values agree bit for bit at every order and gradients at
+    orders 1 and 2.
 
 Trees are immutable.  The constructors fold constants and prune additive
 and multiplicative identities, so an operation has at most one constant
@@ -547,7 +547,9 @@ _RING_RULES = {
 # values are bit for bit the values of order-2 jets.
 _VALUE_RULES = {
     **_RING_RULES,
-    Div: lambda e, a, b: a * (1.0 / b),  # Jet2 divides by multiplying by the reciprocal
+    # Jet2 divides by multiplying by the reciprocal; a float b divides as an
+    # array would, giving inf rather than raising at zero
+    Div: lambda e, a, b: a * (np.float64(1.0) / b),
     Pow: lambda e, a: _value_power(a, e.exponent),
     Exp: lambda e, a: np.exp(a),
     Sin: lambda e, a: np.sin(a),
@@ -555,7 +557,7 @@ _VALUE_RULES = {
     Sqrt: lambda e, a: np.sqrt(a),
 }
 
-# Orders 1 and 2: Jet1 and Jet2 have the same methods.
+# Orders 1 and 2: the order rides on the jets, whose Hessian is None at order 1.
 _JET_RULES = {
     **_RING_RULES,
     Div: lambda e, a, b: a / b,
@@ -590,10 +592,9 @@ def evaluate(roots: Sequence[Expr], points, order: int = 0) -> list:
 
     ``points`` has shape ``(dim,)`` for one point or ``(n, dim)`` for a
     batch.  Order 0 returns one value array per root (a scalar for one
-    point); order 1 returns one :class:`Jet1` and order 2 one
-    :class:`Jet2` per root.  The roots are
-    walked together, so a node shared within a root or between roots is
-    evaluated once.
+    point); orders 1 and 2 return one :class:`Jet2` per root, with
+    ``hess`` None at order 1.  The roots are walked together, so a node
+    shared within a root or between roots is evaluated once.
     """
     pts = np.asarray(points, dtype=float)
     if order == 0:

@@ -4,10 +4,10 @@ Components are expression trees (:mod:`metsymp.expressions`), evaluated by
 its one evaluator to the order each caller consumes.  A scalar field is a
 rank-0 ``TensorField`` (``TensorField.from_scalar``).
 ``TensorField.values`` and ``SmoothMap.__call__`` evaluate at order 0
-(values only); ``TensorField.jet_blocks`` evaluates at order 1 (value and
-gradient) or 2 (and Hessian), as its caller needs, and every numeric
-derivative is taken from those jets.  Values agree bit for bit at every
-order, and gradients at orders 1 and 2.  Whatever the order, all
+(values only); ``TensorField.jet_blocks`` evaluates jets at order 1 (value
+and gradient, no Hessian) or 2 (and Hessian), as its caller needs, and
+every numeric derivative is taken from those jets.  Values agree bit for
+bit at every order, and gradients at orders 1 and 2.  Whatever the order, all
 components of a field are evaluated in one walk, so a node they share is
 evaluated once.  The first-order operators below (exterior derivative, Lie
 derivative, pullback) build their results symbolically, from the partials
@@ -351,8 +351,7 @@ class TensorField:
         shape = pts.shape[:-1] + self.components.shape
         blocks = [np.zeros(shape + (self.chart.dim,) * k) for k in range(order + 1)]
         for idx, j in live:
-            parts = (j.value, j.grad, j.hess) if order == 2 else (j.value, j.grad)
-            for k, (block, part) in enumerate(zip(blocks, parts)):
+            for k, (block, part) in enumerate(zip(blocks, (j.value, j.grad, j.hess))):
                 block[(Ellipsis,) + idx + (slice(None),) * k] = part
         return tuple(blocks)
 

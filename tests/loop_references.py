@@ -709,7 +709,7 @@ def evaluate_reference(roots, points, order=0):
         seeds = [pts[..., k] for k in range(pts.shape[-1])]
         const, rules = (lambda c: np.full_like(seeds[0], c)), _REFERENCE_VALUE_RULES
     else:
-        seeds = coordinate_jets(pts)
+        seeds = coordinate_jets(pts, order)
         const, rules = seeds[0].constant_like, _REFERENCE_JET_RULES
     done = E._walk(roots, lambda e: seeds[e.index] if isinstance(e, Coord) else const(e.value),
                    rules)

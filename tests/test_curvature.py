@@ -137,7 +137,7 @@ def test_metric_compatibility_and_torsion_free(any_entry):
     S = any_entry.structure
     pts = S.chart.samples(100)
     data = christoffel_batch(S.g, pts)
-    nabla_g = covariant_derivative_values(S.g, S.g, pts, data)
+    nabla_g = covariant_derivative_values(S.g, data)
     assert np.max(np.abs(nabla_g)) < 1e-9
 
     chart = S.chart
@@ -146,9 +146,10 @@ def test_metric_compatibility_and_torsion_free(any_entry):
     Y = TensorField.vector(chart, [Const(0.5), x, Const(1.0) + y * y])
     bracket = lie_bracket_loop(X, Y)
     pts = pts[:10]
+    data = christoffel_batch(S.g, pts)
     # nabla_X Y - nabla_Y X - [X, Y], the derivative slot contracted with the vector
-    torsion = (np.einsum("nkm,nm->nk", covariant_derivative_values(S.g, Y, pts), X.values(pts))
-               - np.einsum("nkm,nm->nk", covariant_derivative_values(S.g, X, pts), Y.values(pts))
+    torsion = (np.einsum("nkm,nm->nk", covariant_derivative_values(Y, data), X.values(pts))
+               - np.einsum("nkm,nm->nk", covariant_derivative_values(X, data), Y.values(pts))
                - bracket.values(pts))
     assert np.max(np.abs(torsion)) < 1e-9
 
@@ -159,7 +160,7 @@ def test_covariant_derivative_of_scalar_is_directional(sasakian):
     f = TensorField.from_scalar(chart, x * x * y + sin(y))
     p = chart.samples(1)[0]
     X = np.array([0.3, -1.0, 2.0])
-    got = covariant_derivative_values(sasakian.g, f, p[None])[0] @ X
+    got = covariant_derivative_values(f, christoffel_batch(sasakian.g, p[None]))[0] @ X
     jets = TensorField.from_scalar(chart, x * x * y + sin(y)).jet_blocks(p[None, :])
     assert_allclose(got, float(jets[1][0] @ X), atol=1e-13)
 
@@ -177,7 +178,7 @@ def test_covariant_derivative_reads_first_partials_only(sasakian, monkeypatch):
         return real(field, points, order)
 
     monkeypatch.setattr(TensorField, "_evaluate", counting)
-    covariant_derivative_values(sasakian.g, sasakian.phi, pts, data)
+    covariant_derivative_values(sasakian.phi, data)
     assert walks == [(sasakian.phi, 1)]
 
 

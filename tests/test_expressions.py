@@ -31,7 +31,7 @@ from metsymp.expressions import (
     sin,
     sqrt,
 )
-from metsymp.jets import Jet1, Jet2
+from metsymp.jets import Jet2
 
 from loop_references import evaluate_reference
 
@@ -267,6 +267,23 @@ def test_hand_built_operations_on_constants_keep_their_bits(pts):
             _assert_same_bits(mine, theirs)
 
 
+def test_a_zero_constant_denominator_divides_as_an_array_does():
+    """x0 / 0.0, built by hand (the constructors refuse it), is inf, -inf or
+    NaN at every order, as x0 / (x1 - x1) is, and does not raise."""
+    pts = np.array([[1.5, 0.2, -0.3], [-0.5, 1.0, 2.0], [0.0, 0.3, 0.1]])
+    root = Div(Coord(0), Const(0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        value, = evaluate([root], pts)
+        _assert_same_bits(value, evaluate([Div(Coord(0), Sub(Coord(1), Coord(1)))], pts)[0])
+        first, second = (evaluate([root], pts, order)[0] for order in (1, 2))
+    assert np.array_equal(value, [np.inf, -np.inf, np.nan], equal_nan=True)
+    for jet in (first, second):
+        _assert_same_bits(jet.value, value)
+        # e_0 scaled by 1 / 0
+        assert np.array_equal(jet.grad, np.tile([np.inf, np.nan, np.nan], (3, 1)), equal_nan=True)
+    assert first.hess is None and np.isnan(second.hess).all()
+
+
 # ---------------------------------------------------------------------------
 # Order 1 against orders 0 and 2, on hand-built DAGs of every node type
 # ---------------------------------------------------------------------------
@@ -282,8 +299,6 @@ def _build_node(kind, a, b, n):
     unary = {"neg": Neg, "exp": Exp, "sin": Sin, "cos": Cos, "sqrt": Sqrt}
     if kind in unary:
         return unary[kind](a)
-    if kind == "div" and b.is_zero():
-        return Div(a, Sub(b, a))  # the zero leaf is no denominator; this is a / (-a)
     return {"add": Add, "sub": Sub, "mul": Mul, "div": Div}[kind](a, b)
 
 
@@ -291,10 +306,9 @@ def _build_node(kind, a, b, n):
 def _wild_dags(draw):
     """Roots of a random DAG of all ten operation types, built by hand so
     that nothing folds: operations on constants alone, Pow with any
-    exponent, division by zero, square roots of negatives and overflowing
-    exponentials all occur, and with them NaN and infinite values and
-    partials.  A denominator is never the leaf ``ZERO``, which no
-    constructor builds."""
+    exponent, division by zero (a zero constant denominator included),
+    square roots of negatives and overflowing exponentials all occur, and
+    with them NaN and infinite values and partials."""
     consts = st.one_of(st.floats(-3.0, 3.0, allow_nan=False),
                        st.sampled_from([0.0, -0.0, 1.0, 800.0])).map(Const)
     pool = [Coord(k) for k in range(3)] + [draw(consts), draw(consts)]
@@ -330,7 +344,7 @@ def test_order_one_values_and_gradients_are_those_of_orders_zero_and_two(roots):
             firsts = evaluate(roots, pts, order=1)
             seconds = evaluate(roots, pts, order=2)
             for value, first, second in zip(values, firsts, seconds):
-                assert isinstance(first, Jet1)
+                assert first.hess is None
                 _same_values(value, first.value)
                 assert first.value.tobytes() == second.value.tobytes()
                 assert first.grad.shape == second.grad.shape == np.shape(value) + (3,)

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import metsymp.jets
 from metsymp.charts import Chart
+from metsymp.contact import structure_values
 from metsymp.expressions import Const, Coord, cos, evaluate, exp, sin, sqrt
 from metsymp.jets import Jet2
+from metsymp.symplectization import nijenhuis_values
 
 from fd_oracle import fd_gradient, fd_hessian
 
@@ -115,3 +118,23 @@ def test_difference_oracle_runs_no_jet_arithmetic(monkeypatch):
     assert_allclose(fd_gradient(f, p), [2 * 0.3 * -0.7 + np.cos(0.3), 0.3 ** 2], atol=1e-7)
     with pytest.raises(AssertionError):
         jet(f, p[None, :])
+
+
+def test_order_one_does_no_hessian_work(any_entry, monkeypatch):
+    """Order-1 walks of xi and phi, the torsion of phi and the record's h
+    (from order-1 jets of xi and phi) form no outer product, the Hessian's
+    only source; an order-2 product of coordinates does."""
+    S = any_entry.structure
+    pts = S.chart.samples(8, seed=3)
+
+    def refuse(a, b):
+        raise AssertionError("an outer product at order 1")
+
+    monkeypatch.setattr(metsymp.jets, "_outer", refuse)
+    monkeypatch.setattr(metsymp.jets, "_sym_outer", refuse)
+    for T in (S.xi, S.phi):
+        assert len(T.jet_blocks(pts, 1)) == 2
+    assert np.isfinite(nijenhuis_values(S.phi, pts)).all()
+    assert np.isfinite(structure_values(S, pts).h).all()
+    with pytest.raises(AssertionError, match="outer product"):
+        evaluate([Coord(0) * Coord(1)], pts, order=2)

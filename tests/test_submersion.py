@@ -190,8 +190,8 @@ def _oneill_by_pairs(B, E1, E2, pts, data, horizontal_e1):
         return line if onto_line else vecs - line
 
     pe1 = project(E1.values(pts), horizontal_e1)
-    nabla_v = covariant_derivative_values(B.gbar, TensorField(B.chart, 1, 0, vertical), pts, data)
-    nabla_h = covariant_derivative_values(B.gbar, TensorField(B.chart, 1, 0, horizontal), pts, data)
+    nabla_v = covariant_derivative_values(TensorField(B.chart, 1, 0, vertical), data)
+    nabla_h = covariant_derivative_values(TensorField(B.chart, 1, 0, horizontal), data)
     return (project(np.einsum("nkm,nm->nk", nabla_v, pe1), True)
             + project(np.einsum("nkm,nm->nk", nabla_h, pe1), False))
 
