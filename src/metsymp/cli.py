@@ -154,7 +154,7 @@ def _compatible(run: _Run) -> bool:
 
 def _cmd_fit(args) -> int:
     run = _Run(_load_entry_or_file(args.entry_or_file),
-               SuiteConfig(samples=args.samples, seed=args.seed))
+               SuiteConfig(samples=args.samples, seed=args.seed), factors=())
     if not _compatible(run):
         return 1
     name, rep = run.entry.name, run.kmu
@@ -173,7 +173,7 @@ def _cmd_fit(args) -> int:
 def _cmd_symplectize(args) -> int:
     t_range = _parse_t_range(args.t_range)
     run = _Run(_load_entry_or_file(args.entry),
-               SuiteConfig(samples=args.samples, seed=args.seed, t_range=t_range))
+               SuiteConfig(samples=args.samples, seed=args.seed, t_range=t_range), factors=())
     B = run.B
     names = ", ".join(B.chart.coord_names)
     print(f"{run.entry.name}: product chart ({names}), "
@@ -193,7 +193,7 @@ def _cmd_dhomothety(args) -> int:
     if not (math.isfinite(a) and a > 0):
         raise ConfigError(f"--a must be finite and positive, got {a!r}")
     run = _Run(_load_entry_or_file(args.entry),
-               SuiteConfig(samples=args.samples, seed=args.seed))
+               SuiteConfig(samples=args.samples, seed=args.seed), factors=(a,))
     if not _compatible(run):
         return 1
     n = run.cfg.samples

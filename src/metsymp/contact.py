@@ -8,11 +8,19 @@ chart satisfying
     d eta(X, Y) = g(X, phi Y),
 
 where xi is the Reeb field of eta.  The structure object derives xi
-symbolically from eta alone (so the first axiom is a genuine test of g).
-The tensor h = (1/2) L_xi phi needs only first partials of xi and phi, so
-its values come from one order-1 walk of each (:func:`structure_values`),
-and no symbolic Lie derivative is built for it; ``S.h``, the symbolic
-tree, stays as the reference the tests compare those values with.
+symbolically from eta alone (so the first axiom is a genuine test of g),
+through d eta, which it builds once and keeps.  The tensor
+h = (1/2) L_xi phi needs only first partials of xi and phi, so its values
+come from their order-1 blocks (:func:`_h_from_jets`), and no symbolic Lie
+derivative is built for it; ``S.h``, the symbolic tree, stays as the
+reference the tests compare those values with.
+
+A record of values (:class:`StructureValues`) holds eta, d eta, g, phi, xi
+and h on a batch.  :func:`structure_records` builds the records of several
+structures on one chart, such as a structure and its D-homotheties, from
+one order-1 walk of all their xi and phi and one order-0 walk of all their
+eta, d eta and g; each record is bit for bit that of its structure alone,
+and :func:`structure_values` is the one-structure case.
 
 The fitting routines estimate the constants of the nullity condition
 
@@ -23,8 +31,8 @@ as undefined whenever h vanishes identically (the condition then puts no
 constraint on mu).  The eigenstructure of h is one report of arrays over a
 sample batch, whose +lam and -lam masks pick the eigenvectors that the
 eigenspace curvature identities run over.  The verifiers read a record of
-the fields' values on a batch (:func:`structure_values`) or its arrays; only
-:func:`fit_kappa_mu` draws its own points and evaluates its own fields.
+the fields' values on a batch or its arrays; only :func:`fit_kappa_mu`
+draws its own points and evaluates its own fields, with the same h helper.
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, fields
+from typing import Sequence
 
 import numpy as np
 
@@ -53,6 +62,7 @@ from .fields import (
     _fill,
     _live_partials,
     _masked_contraction,
+    evaluate_fields,
     exterior_derivative,
     lie_derivative,
     pullback,
@@ -65,6 +75,7 @@ __all__ = [
     "HEigenReport",
     "StructureValues",
     "structure_values",
+    "structure_records",
     "reeb_field",
     "verify_compatibility",
     "is_K_contact",
@@ -110,10 +121,12 @@ def _pfaffian(A: np.ndarray, idx: tuple[int, ...], memo: dict) -> Expr:
     return total
 
 
-def reeb_field(eta: TensorField) -> TensorField:
+def reeb_field(eta: TensorField, deta: TensorField | None = None) -> TensorField:
     """The Reeb vector field of a contact form, as a closed-form field.
 
-    With A = d eta, skew of odd size D = 2n + 1, set
+    ``deta`` is d eta where the caller holds it already, as
+    :meth:`ContactMetricStructure.build` does; else it is built here.  With
+    A = d eta, skew of odd size D = 2n + 1, set
 
         v_i = (-1)^i Pf(A with row and column i removed).
 
@@ -132,7 +145,7 @@ def reeb_field(eta: TensorField) -> TensorField:
     if (eta.r, eta.s) != (0, 1):
         raise GeometryError("reeb_field needs a 1-form")
     d = eta.chart.dim
-    deta = exterior_derivative(eta).components
+    deta = (exterior_derivative(eta) if deta is None else deta).components
     full = tuple(range(d))
     memo: dict = {}
     v = []
@@ -148,13 +161,18 @@ def reeb_field(eta: TensorField) -> TensorField:
 
 @dataclass(frozen=True)
 class ContactMetricStructure:
-    """Bundle (eta, g, phi) with derived Reeb field xi."""
+    """Bundle (eta, g, phi) with derived Reeb field xi and the 2-form d eta.
+
+    ``build`` forms d eta once; the Reeb construction and every record of
+    values (:func:`structure_records`) read that one tree.
+    """
 
     chart: Chart
     eta: TensorField
     g: TensorField
     phi: TensorField
     xi: TensorField
+    deta: TensorField
 
     @staticmethod
     def build(chart: Chart, eta: TensorField, g: TensorField, phi: TensorField
@@ -163,7 +181,8 @@ class ContactMetricStructure:
             raise GeometryError("contact structures live on odd-dimensional charts")
         if (eta.r, eta.s) != (0, 1) or (g.r, g.s) != (0, 2) or (phi.r, phi.s) != (1, 1):
             raise GeometryError("expected eta (0,1), g (0,2), phi (1,1)")
-        return ContactMetricStructure(chart, eta, g, phi, reeb_field(eta))
+        deta = exterior_derivative(eta)
+        return ContactMetricStructure(chart, eta, g, phi, reeb_field(eta, deta), deta)
 
     @property
     def n(self) -> int:
@@ -174,9 +193,8 @@ class ContactMetricStructure:
     def h(self) -> TensorField:
         """h = (1/2) L_xi phi as a symbolic tree, built afresh on each read.
 
-        The verifiers read h's values from :func:`structure_values`, which
-        takes them from first partials of xi and phi; this tree is their
-        reference.
+        The verifiers read h's values from a record of values, which takes
+        them from first partials of xi and phi; this tree is their reference.
         """
         return lie_derivative(self.xi, self.phi).scale(0.5)
 
@@ -289,20 +307,18 @@ class StructureValues:
         return StructureValues(*(getattr(self, f.name)[:n] for f in fields(self)))
 
 
-def _xi_phi_h(S: ContactMetricStructure, pts: np.ndarray
-              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The values of xi, phi and h = (1/2) L_xi phi at ``pts``, from one
-    order-1 walk of xi and one of phi.
+def _h_from_jets(S: ContactMetricStructure, xi_blocks: tuple, phi_blocks: tuple) -> np.ndarray:
+    """The values of h = (1/2) L_xi phi from the order-1 blocks of xi and phi.
 
     In coordinates (L_xi phi)^i_j = xi^a d_a phi^i_j - (d_a xi^i) phi^a_j
     + phi^i_a d_j xi^a, so h = (1/2)(xi^a d_a phi - (D xi) phi + phi (D xi))
     with (D xi)^i_a = d_a xi^i.  Each sum over a skips the terms with a
-    structurally zero factor, as the symbolic Lie derivative does, so a
-    NaN in phi or xi reaches h only through terms that read it.  The values
-    of xi and phi are bit for bit their order-0 values.
+    structurally zero factor of ``S.xi`` or ``S.phi``, as the symbolic Lie
+    derivative does, so a NaN in phi or xi reaches h only through terms
+    that read it.
     """
-    xi, dxi = S.xi.jet_blocks(pts, 1)      # dxi[n, i, a] = d_a xi^i
-    phi, dphi = S.phi.jet_blocks(pts, 1)   # dphi[n, i, j, a] = d_a phi^i_j
+    xi, dxi = xi_blocks      # dxi[n, i, a] = d_a xi^i
+    phi, dphi = phi_blocks   # dphi[n, i, j, a] = d_a phi^i_j
     xlive, dxlive = _live_partials(S.xi)
     plive, dplive = _live_partials(S.phi)
     phi_t, dxi_t = np.swapaxes(phi, 1, 2), np.swapaxes(dxi, 1, 2)
@@ -312,16 +328,41 @@ def _xi_phi_h(S: ContactMetricStructure, pts: np.ndarray
                                dxlive[:, None, :] & plive.T[None, :, :])
     right = _masked_contraction(phi[:, :, None, :], dxi_t[:, None, :, :],
                                 plive[:, None, :] & dxlive.T[None, :, :])
-    return xi, phi, 0.5 * (flow - left + right)
+    return 0.5 * (flow - left + right)
+
+
+def structure_records(structures: Sequence[ContactMetricStructure], points: np.ndarray
+                      ) -> list[StructureValues]:
+    """The records of several structures on one chart at ``points``, one per
+    structure, from two walks: xi and phi of all of them at order 1, and
+    eta, d eta and g at order 0.
+
+    A field that structures share, as ``d_homothety(S, a)`` shares S's phi,
+    is evaluated once, and each record is bit for bit the record of its
+    structure alone; h comes from the blocks of xi and phi
+    (:func:`_h_from_jets`), and the values of xi and phi are their order-0
+    values.  A point outside the chart is a ``DomainError`` that names its
+    sample.
+    """
+    chart = structures[0].chart
+    if any(S.chart != chart for S in structures):
+        raise ChartMismatchError("the structures of one record walk share one chart")
+    pts = _require_batch(chart, points)
+    walked = {}
+    for order, names in ((1, ("xi", "phi")), (0, ("eta", "deta", "g"))):
+        unique = {id(f): f for S in structures for f in (getattr(S, n) for n in names)}
+        walked.update(zip(unique, evaluate_fields(list(unique.values()), pts, order)))
+    records = []
+    for S in structures:
+        xi, phi = walked[id(S.xi)], walked[id(S.phi)]
+        records.append(StructureValues(pts, walked[id(S.eta)], walked[id(S.deta)],
+                                       walked[id(S.g)], phi[0], xi[0], _h_from_jets(S, xi, phi)))
+    return records
 
 
 def structure_values(S: ContactMetricStructure, points: np.ndarray) -> StructureValues:
-    """The values of S's fields at ``points``, each field walked once; a
-    point outside the chart is a ``DomainError`` that names its sample."""
-    pts = _require_batch(S.chart, points)
-    xi, phi, h = _xi_phi_h(S, pts)
-    return StructureValues(pts, S.eta.values(pts), exterior_derivative(S.eta).values(pts),
-                           S.g.values(pts), phi, xi, h)
+    """The record of S's fields at ``points``: :func:`structure_records` of S alone."""
+    return structure_records([S], points)[0]
 
 
 def verify_compatibility(values: StructureValues) -> dict[str, float]:
@@ -410,15 +451,25 @@ def fit_kappa_mu(S: ContactMetricStructure, n_samples: int = 50,
     """:func:`kmu_fit` at ``S.chart.samples(n_samples, seed)``, the one verifier
     that draws its own samples and evaluates its own fields there."""
     pts = S.chart.samples(n_samples, seed=seed)
-    xi, _, h = _xi_phi_h(S, pts)
-    return kmu_fit(christoffel_batch(S.g, pts), S.eta.values(pts), xi, h)
+    xi, phi = evaluate_fields([S.xi, S.phi], pts, 1)
+    h = _h_from_jets(S, xi, phi)
+    return kmu_fit(christoffel_batch(S.g, pts), S.eta.values(pts), xi[0], h)
+
+
+def _require_factor(a: float, nonpositive: str) -> None:
+    """A D_a rescale needs a finite, positive factor (NaN is neither): a
+    ``GeometryError`` naming the factor, with the message ``nonpositive``
+    for a finite one at or below zero."""
+    if not math.isfinite(a):
+        raise GeometryError(f"rescale factor must be finite and positive, got {a!r}")
+    if a <= 0:
+        raise GeometryError(nonpositive)
 
 
 def kappa_mu_after_rescale(kappa: float, mu: float | None, a: float
                            ) -> tuple[float, float | None]:
     """The transformation law of the nullity constants under a D_a rescale."""
-    if a <= 0:
-        raise GeometryError("rescale factor must be positive")
+    _require_factor(a, f"rescale factor must be finite and positive, got {a!r}")
     kp = (kappa + a * a - 1.0) / (a * a)
     mp = None if mu is None else (mu + 2.0 * a - 2.0) / a
     return kp, mp
@@ -426,8 +477,7 @@ def kappa_mu_after_rescale(kappa: float, mu: float | None, a: float
 
 def d_homothety(S: ContactMetricStructure, a: float) -> ContactMetricStructure:
     """The rescaled structure (a eta, a g + a(a-1) eta (x) eta, phi)."""
-    if a <= 0:
-        raise GeometryError("d_homothety needs a positive factor")
+    _require_factor(a, "d_homothety needs a positive factor")
     A = Const(float(a))
     g2 = _rescaled_metric(S.g.components, S.eta.components, A, Const(float(a * (a - 1.0))))
     return ContactMetricStructure.build(

@@ -7,9 +7,12 @@ rank-0 ``TensorField`` (``TensorField.from_scalar``).
 (values only); ``TensorField.jet_blocks`` evaluates jets at order 1 (value
 and gradient, no Hessian) or 2 (and Hessian), as its caller needs, and
 every numeric derivative is taken from those jets.  Values agree bit for
-bit at every order, and gradients at orders 1 and 2.  Whatever the order, all
-components of a field are evaluated in one walk, so a node they share is
-evaluated once.  The first-order operators below (exterior derivative, Lie
+bit at every order, and gradients at orders 1 and 2.  Both are the
+one-field case of :func:`evaluate_fields`, which evaluates several fields
+at one point set in one walk of the union of their components, so a node
+shared within a field or between fields is evaluated once; a caller that
+reads several fields at the same points and order asks for them
+together.  The first-order operators below (exterior derivative, Lie
 derivative, pullback) build their results symbolically, from the partials
 cached on each node, so derived fields remain fields and can be
 differentiated again without loss.  Where only the values of a
@@ -62,6 +65,7 @@ from .expressions import (ONE, ZERO, Const, Coord, Expr, Neg, as_expr, evaluate,
 
 __all__ = [
     "TensorField",
+    "evaluate_fields",
     "SmoothMap",
     "exterior_derivative",
     "wedge",
@@ -322,41 +326,55 @@ class TensorField:
 
     # -- evaluation ----------------------------------------------------------
 
-    def _evaluate(self, points: np.ndarray, order: int):
-        """(index, result) for every component that is not structurally zero."""
-        live = [(idx, e) for idx, e in np.ndenumerate(self.components) if not e.is_zero()]
-        results = evaluate([e for _, e in live], points, order)
-        return [(idx, r) for (idx, _), r in zip(live, results)]
-
     def values(self, points: np.ndarray) -> np.ndarray:
-        """Component values (order 0), shape ``batch + (dim,)*(r+s)``."""
-        pts = np.asarray(points, dtype=float)
-        live = self._evaluate(pts, 0)
-        out = np.zeros(pts.shape[:-1] + self.components.shape)
-        for idx, v in live:
-            out[(Ellipsis,) + idx] = v
-        return out
+        """Component values (order 0), shape ``batch + (dim,)*(r+s)``: the
+        one-field case of :func:`evaluate_fields`."""
+        return evaluate_fields([self], points)[0]
 
     def jet_blocks(self, points: np.ndarray, order: int = 2) -> tuple[np.ndarray, ...]:
-        """Values and partials of all components, up to ``order`` (1 or 2).
+        """Values and partials of all components, up to ``order`` (1 or 2):
+        the one-field case of :func:`evaluate_fields`.
 
         Shapes: ``batch + comp``, ``batch + comp + (d,)`` and, at order 2,
         ``batch + comp + (d, d)``, where ``comp = (dim,)*(r+s)``.
         """
         if order not in (1, 2):
             raise ValueError(f"jet order must be 1 or 2, not {order!r}")
-        pts = np.asarray(points, dtype=float)
-        # walk first: the blocks are not held during the walk
-        live = self._evaluate(pts, order)
-        shape = pts.shape[:-1] + self.components.shape
-        blocks = [np.zeros(shape + (self.chart.dim,) * k) for k in range(order + 1)]
-        for idx, j in live:
-            for k, (block, part) in enumerate(zip(blocks, (j.value, j.grad, j.hess))):
-                block[(Ellipsis,) + idx + (slice(None),) * k] = part
-        return tuple(blocks)
+        return evaluate_fields([self], points, order)[0]
 
     def __repr__(self):
         return f"TensorField(r={self.r}, s={self.s}, chart={self.chart.coord_names})"
+
+
+def evaluate_fields(tensor_fields: Sequence[TensorField], points: np.ndarray,
+                    order: int = 0) -> list:
+    """Several fields at ``points``, from one walk of the union of their
+    components that are not structurally zero.
+
+    Order 0 gives one value array per field, shape ``batch + comp``;
+    orders 1 and 2 give one tuple of blocks per field: the values, the
+    gradients ``batch + comp + (d,)`` and, at order 2, the Hessians
+    ``batch + comp + (d, d)``, where ``comp = (dim,)*(r+s)``.  A node
+    shared within a field or between fields is evaluated once, and each
+    field's arrays are bit for bit those of a walk of that field alone.
+    The walk runs first: the output arrays are not held during it.
+    """
+    pts = np.asarray(points, dtype=float)
+    live = [[idx for idx, e in np.ndenumerate(T.components) if not e.is_zero()]
+            for T in tensor_fields]
+    results = iter(evaluate([T.components[idx] for T, comps in zip(tensor_fields, live)
+                             for idx in comps], pts, order))
+    out = []
+    for T, comps in zip(tensor_fields, live):
+        shape = pts.shape[:-1] + T.components.shape
+        blocks = [np.zeros(shape + (T.chart.dim,) * k) for k in range(order + 1)]
+        for idx in comps:
+            r = next(results)
+            parts = (r,) if order == 0 else (r.value, r.grad, r.hess)
+            for k, block in enumerate(blocks):
+                block[(Ellipsis,) + idx + (slice(None),) * k] = parts[k]
+        out.append(blocks[0] if order == 0 else tuple(blocks))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -10,15 +10,17 @@ recorded, never raised, so a single bad identity cannot hide the rest of
 the report.
 
 The checks of one run share a few artifacts through a per-run object: one
-sample draw and the structure's values there, the (kappa, mu) fit, the
-metric symplectization, the Boeckx index, each ``d_homothety(S, a)`` with
-its values on the first n points and the (kappa, mu) refit from them, and
-gbar's connection at the product points, a prefix of the draw with a t
-column on the t range, which all four curvature checks of the product
+sample draw and the records of values there of the structure and of each
+``d_homothety(S, a)``, from one order-0 and one order-1 walk of them all,
+the (kappa, mu) fit, the metric symplectization, the Boeckx index, the
+(kappa, mu) refit of each rescale from the first n rows of its record,
+and gbar's connection at the product points, a prefix of the draw with a
+t column on the t range, which all four curvature checks of the product
 read.  Checks read prefixes of these and hand the verifiers values.  Each
 artifact is built on first read and at most once.  When a build raises,
 every check that reads the artifact records that build's own error, not a
-missing key; a rescale's error names its factor.
+missing key; a rescale's error names its factor and fails no check of the
+structure itself.
 The commands print a run's artifacts: the D-homothety law at one factor,
 ``_Run.rescale_defects(a, n)``, is the ``rescale_equivariance`` check at
 n = 30 and ``dhomothety --verify`` at n = the run's sample count.
@@ -67,7 +69,7 @@ from .contact import (
     h_eigendecomposition_batch,
     kappa_mu_after_rescale,
     kmu_fit,
-    structure_values,
+    structure_records,
     verify_compatibility,
     verify_kmu_curvature,
 )
@@ -103,17 +105,28 @@ def _naming_factor(a: float, build):
     return named
 
 
+# the D-homothety factors of the rescale checks
+_RESCALE_FACTORS = (0.5, 2.0, math.e)
+
+
 class _Run:
     """One suite run: the entry, its config, and the artifacts its checks share.
 
     ``points`` is the run's one draw on the structure's chart, from
-    ``cfg.seed``.  An artifact is built on first read and at most once.  A
-    build that raises is remembered, and every read of it raises that same
-    error.
+    ``cfg.seed``.  ``factors`` are the D-homothety factors whose records the
+    run reads, the suite's by default and none or the one of ``--a`` for a
+    command.  The structure's record and those of its rescales come from
+    one family walk at ``points`` (:func:`structure_records`), and a
+    rescale's record on the first n points is the first n rows of its own.
+    An artifact is built on first read and at most once.  A build that
+    raises is remembered, and every read of it raises that same error; a
+    rescale that fails to build is left out of the family walk, so its
+    error names its factor and reaches no check of the structure itself.
     """
 
-    def __init__(self, entry: CatalogEntry, cfg: SuiteConfig):
-        self.entry, self.S, self.cfg = entry, entry.structure, cfg
+    def __init__(self, entry: CatalogEntry, cfg: SuiteConfig,
+                 factors: tuple[float, ...] = _RESCALE_FACTORS):
+        self.entry, self.S, self.cfg, self.factors = entry, entry.structure, cfg, factors
         self._built: dict = {}
         self.points = self.S.chart.samples(cfg.samples, seed=cfg.seed)
 
@@ -132,10 +145,28 @@ class _Run:
         """An artifact already built without error, else None; builds nothing."""
         return self._built.get(key, (None, None))[0]
 
+    def _rescale(self, a: float):
+        """``d_homothety(S, a)``, built once."""
+        return self._artifact(("rescale", a), d_homothety, self.S, a)
+
+    def _records(self):
+        """The family's records on ``points``, keyed by factor, None for the
+        structure: one walk per order for the structure and every rescale
+        in ``factors`` that builds."""
+        def build():
+            family = {None: self.S}
+            for a in self.factors:
+                try:
+                    family[a] = self._rescale(a)
+                except Exception:  # noqa: BLE001 - kept for the rescale's own reads
+                    continue
+            return dict(zip(family, structure_records(list(family.values()), self.points)))
+        return self._artifact("records", build)
+
     @property
     def values(self):
         """The structure's values on ``points``."""
-        return self._artifact("values", structure_values, self.S, self.points)
+        return self._records()[None]
 
     @property
     def kmu(self):
@@ -177,10 +208,13 @@ class _Run:
         return self._artifact("currel", verify_currel, self.B, *self.product_inputs())
 
     def rescaled(self, a: float, n: int):
-        """``d_homothety(S, a)`` and its values on the first n of ``points``."""
+        """``d_homothety(S, a)`` and its values on the first n of ``points``,
+        the first n rows of its record in the family walk; a factor outside
+        ``factors`` has none."""
         def build():
-            S2 = d_homothety(self.S, a)
-            return S2, structure_values(S2, self.points[:n])
+            if a not in self.factors:
+                raise ValueError(f"rescale factor {a!r} is not one of the run's {self.factors}")
+            return self._rescale(a), self._records()[a].prefix(n)
         return self._artifact(("rescaled", a, n), _naming_factor(a, build))
 
     def refit(self, a: float, n: int):
@@ -263,9 +297,6 @@ def _check_eigenspace_curvature(run):
         lhs = np.einsum("nlkij,nk->nlij", data.riem, values.xi)
         return sup_norm(lhs - _nullity_basis(values.eta))
     return sup_norm(*verify_kmu_curvature(values, data, rep.kappa, rep.mu).values())
-
-
-_RESCALE_FACTORS = (0.5, 2.0, math.e)
 
 
 def _check_rescale_equivariance(run):

@@ -57,8 +57,8 @@ from .contact import (
 from .curvature import ChristoffelData
 from .errors import DomainError, GeometryError, RankError
 from .expressions import ONE, Const, Coord, Expr, exp, sum_of_products
-from .fields import (TensorField, _live_partials, _masked_contraction, exterior_derivative,
-                     interior_product, sup_norm)
+from .fields import (TensorField, _live_partials, _masked_contraction, evaluate_fields,
+                     exterior_derivative, interior_product, sup_norm)
 
 __all__ = [
     "SymplecticMetricStructure",
@@ -237,8 +237,9 @@ def verify_symplectic(omega: TensorField, points: np.ndarray) -> dict[str, float
         raise GeometryError("symplectic forms need an even-dimensional chart")
     if (omega.r, omega.s) != (0, 2):
         raise RankError("expected a 2-form")
-    closed = sup_norm(exterior_derivative(omega).values(points))
-    top = _top_coefficient_abs(omega.values(points))
+    dv, ov = evaluate_fields([exterior_derivative(omega), omega], points)
+    closed = sup_norm(dv)
+    top = _top_coefficient_abs(ov)
     return {"closed": closed, "nondegenerate": sup_norm(np.maximum(SYMPLECTIC_TOL - top, 0.0))}
 
 
@@ -256,7 +257,8 @@ def verify_liouville(omega: TensorField, Y: TensorField, points: np.ndarray
         raise GeometryError("candidate field lives on the wrong chart")
     iy = interior_product(Y, omega)
     lhs = exterior_derivative(iy) + interior_product(Y, exterior_derivative(omega))
-    return {"cartan": sup_norm(lhs.values(points) - omega.values(points))}
+    lv, ov = evaluate_fields([lhs, omega], points)
+    return {"cartan": sup_norm(lv - ov)}
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +366,7 @@ def nijenhuis_norms(nv: np.ndarray, gv: np.ndarray) -> np.ndarray:
 def verify_symplectization_build(B: SymplecticMetricStructure, data: ChristoffelData,
                                  values: StructureValues) -> dict[str, float]:
     """The named residuals of the construction at the points of gbar's
-    connection data ``data``, where J and omega are evaluated once; xi_t, the
+    connection data ``data``, where J and omega are evaluated in one walk; xi_t, the
     contact distribution V and the lifted phi come from the base record ``values``:
 
     - ``J_xi_t``, ``J_d_t``, ``J_on_distribution``: the three-case table;
@@ -380,8 +382,7 @@ def verify_symplectization_build(B: SymplecticMetricStructure, data: Christoffel
     """
     pts, gv = data.points, data.g
     D, d = B.chart.dim, B.t_index
-    jv = B.J.values(pts)
-    ov = B.omega.values(pts)
+    jv, ov = evaluate_fields([B.J, B.omega], pts)
     ev, xl = values.eta, _lift(values.xi)
     xt = slice_form_values(values, pts)[1]
     # V[:, a] = d_a - eta(d_a) xi: the base coordinate fields projected onto
@@ -445,5 +446,6 @@ def translation_isomorphism_check(B: SymplecticMetricStructure, t_shift: float,
     shifted = pts.copy()
     shifted[:, -1] += t_shift
 
-    return {"omega": sup_norm(B.omega.values(shifted) - B2.omega.values(pts)),
-            "metric": sup_norm(B.gbar.values(shifted) - B2.gbar.values(pts))}
+    omega, gbar = evaluate_fields([B.omega, B.gbar], shifted)
+    omega2, gbar2 = evaluate_fields([B2.omega, B2.gbar], pts)
+    return {"omega": sup_norm(omega - omega2), "metric": sup_norm(gbar - gbar2)}

@@ -127,6 +127,14 @@ def sasakian7_symp():
 
 
 @pytest.fixture(scope="session")
+def sasakian7_entry(sasakian7_symp):
+    """The standard Sasakian R^7 as an entry, (kappa, mu) = (1, undefined)."""
+    return CatalogEntry(name="standard-sasakian-r7", structure=sasakian7_symp.base,
+                        expected_kappa=1.0, expected_mu=None,
+                        description="the standard Sasakian R^7")
+
+
+@pytest.fixture(scope="session")
 def curved_symp(curved):
     return build_metric_symplectization(curved)
 

@@ -406,23 +406,25 @@ def test_dhomothety_verify_fails_when_mu_is_defined_on_one_side_only(monkeypatch
 
     import metsymp.suite
 
-    records, fits = [], []
-    real_values, real_fit = metsymp.suite.structure_values, metsymp.suite.kmu_fit
+    import numpy as np
 
-    def values(S, points):
-        records.append(real_values(S, points))
-        return records[-1]
+    records, fits = [], []
+    real_records, real_fit = metsymp.suite.structure_records, metsymp.suite.kmu_fit
+
+    def family(structures, points):
+        records.extend(real_records(structures, points))
+        return records[-len(structures):]
 
     def fit(data, eta, xi, h):
         rep = real_fit(data, eta, xi, h)
         fits.append(rep)
         # the Sasakian model has no mu; give the refit of the rescale's record one
-        return dataclasses.replace(rep, mu=0.5) if xi is records[-1].xi else rep
+        return dataclasses.replace(rep, mu=0.5) if np.shares_memory(xi, records[-1].xi) else rep
 
     # the run's first record is the structure's, its second the rescaled
-    # structure's; the refit reads that record, the command prints the refit
-    # and the rescale law reads it
-    monkeypatch.setattr(metsymp.suite, "structure_values", values)
+    # structure's, both from one family walk; the refit reads the rows of
+    # that record, the command prints the refit and the rescale law reads it
+    monkeypatch.setattr(metsymp.suite, "structure_records", family)
     monkeypatch.setattr(metsymp.suite, "kmu_fit", fit)
     assert main(["dhomothety", "darboux-sasakian-r3", "--a", "2",
                  "--verify", "--samples", "10"]) == 1
@@ -437,11 +439,12 @@ def test_dhomothety_verify_evaluates_and_fits_the_rescaled_structure_once(monkey
     run's points: each of its fields is walked once (xi at order 1, with
     phi, for h), and D_a(S) is fitted once.  (phi is S's own tree, shared by
     D_a(S), so it is not counted.)"""
-    from metsymp import contact, curvature, fields
+    from metsymp import contact, curvature
 
-    made, evaluated, walked = [], [], []
+    from inputs import evaluate_calls, field_walks
+
+    made, walked = [], []
     real_rescale, real_walk = contact.d_homothety, curvature.christoffel_batch
-    real_evaluate = fields.TensorField._evaluate
 
     def rescale(S, a):
         made.append(real_rescale(S, a))
@@ -451,24 +454,38 @@ def test_dhomothety_verify_evaluates_and_fits_the_rescaled_structure_once(monkey
         walked.append(g)
         return real_walk(g, points)
 
-    def evaluate(self, points, order):
-        evaluated.append((self, order))
-        return real_evaluate(self, points, order)
-
     for module in [m for name, m in sys.modules.items() if name.startswith("metsymp")]:
         for name, real, spy in [("d_homothety", real_rescale, rescale),
                                 ("christoffel_batch", real_walk, walk)]:
             if getattr(module, name, None) is real:
                 monkeypatch.setattr(module, name, spy)
-    monkeypatch.setattr(fields.TensorField, "_evaluate", evaluate)
+    walks, calls = field_walks(monkeypatch), evaluate_calls(monkeypatch)
     assert main(["dhomothety", "unit-tangent-flat-plane", "--a", "2",
                  "--verify", "--samples", "15"]) == 0
     assert "[PASS] rescale verification" in capsys.readouterr().out
+    evaluated = [(field, order) for field, order, _ in walks]
+    # S and D_a(S) in one family walk per order, the fit's three walks of S,
+    # and the refit's connection
+    assert sorted(calls) == [(15, 0)] * 2 + [(15, 1)] * 2 + [(15, 2)] * 2
     (S2,) = made
     assert [[order for e, order in evaluated if e is f] for f in (S2.eta, S2.xi)] == [[0], [1]]
     # g once for the record, once as jets for the refit's connection
     assert sorted(order for e, order in evaluated if e is S2.g) == [0, 2]
     assert sum(g is S2.g for g in walked) == 1
+
+
+@pytest.mark.parametrize("argv", [["fit-kmu", "unit-tangent-flat-plane"],
+                                  ["symplectize", "unit-tangent-flat-plane", "--verify"]])
+def test_a_command_that_reads_no_rescale_builds_none(monkeypatch, argv):
+    from metsymp import contact
+
+    from inputs import spy_everywhere
+
+    made = []
+    real = contact.d_homothety
+    spy_everywhere(monkeypatch, real, lambda S, a: made.append(a) or real(S, a))
+    assert main(argv + ["--samples", "10"]) == 0
+    assert made == []
 
 
 def test_an_overflowing_factor_is_bad_input_with_one_error_line():

@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from metsymp import contact
+from metsymp.catalog import catalog_load
 from metsymp.charts import Chart
 from metsymp.contact import (
     COMPAT_TOL,
@@ -48,6 +49,7 @@ from metsymp.contact import (
 )
 from metsymp.curvature import christoffel_batch, ricci_components, riemann_components
 from metsymp.errors import (
+    ChartMismatchError,
     DegenerateMetricError,
     DomainError,
     GeometryError,
@@ -376,6 +378,66 @@ def test_d_homothety_identity_and_derived_laws(flat_bundle):
     assert sup_norm(*verify_compatibility(values).values()) < COMPAT_TOL
     with pytest.raises(GeometryError):
         d_homothety(flat_bundle, 0.0)
+
+
+@pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_a_factor_that_is_not_finite_and_positive_is_refused(flat_bundle, a):
+    """Neither the rescale nor its law takes a NaN, infinite, zero or negative
+    factor; NaN passes a plain ``a <= 0`` test.  The law's error names the
+    factor, and so does the rescale's for a factor that is not finite."""
+    with pytest.raises(GeometryError, match=f"got {re.escape(repr(a))}$"):
+        kappa_mu_after_rescale(0.0, 0.0, a)
+    named = f"got {re.escape(repr(a))}$" if not math.isfinite(a) else "positive factor"
+    with pytest.raises(GeometryError, match=named):
+        d_homothety(flat_bundle, a)
+
+
+FAMILY_SOURCES = ["darboux-sasakian-r3", "unit-tangent-flat-plane", "sasakian_r5.txt",
+                  "sasakian_r7.txt", "nan_phi_r3.txt", "nan_eta_r3.txt", "curved"]
+
+
+@pytest.mark.parametrize("source", FAMILY_SOURCES)
+def test_family_records_are_the_one_structure_records_bit_for_bit(source, request):
+    """A structure's record and those of its rescales by 0.5, 2 and e from
+    one family walk at 50 points equal, bit for bit, each structure's record
+    alone, and the first 30 rows equal its record alone at the first 30
+    points; NaN rows included."""
+    if source == "curved":
+        S = request.getfixturevalue("curved")
+    elif source.endswith(".txt"):
+        S = load_structure_file(Path(__file__).parent / "data" / source)
+    else:
+        S = catalog_load(source).structure
+    family = [S] + [d_homothety(S, a) for a in (0.5, 2.0, math.e)]
+    pts = S.chart.samples(50, seed=42)
+    with np.errstate(all="ignore"):
+        records = contact.structure_records(family, pts)
+        for T, record in zip(family, records):
+            for n in (50, 30):
+                alone, rows = structure_values(T, pts[:n]), record.prefix(n)
+                for f in dataclasses.fields(alone):
+                    assert getattr(rows, f.name).tobytes() == getattr(alone, f.name).tobytes(), \
+                        (f.name, n)
+
+
+def test_family_records_share_one_chart(flat_bundle, sasakian):
+    with pytest.raises(ChartMismatchError):
+        contact.structure_records([flat_bundle, sasakian], flat_bundle.chart.samples(3))
+
+
+def test_the_build_forms_d_eta_once_and_the_reeb_field_reads_it(monkeypatch, flat_bundle):
+    """build takes one exterior derivative, and the record reads that tree;
+    the Reeb field built from it is the Reeb field built from eta alone."""
+    calls = []
+    real = contact.exterior_derivative
+    monkeypatch.setattr(contact, "exterior_derivative",
+                        lambda alpha: calls.append(alpha) or real(alpha))
+    S = ContactMetricStructure.build(flat_bundle.chart, flat_bundle.eta, flat_bundle.g,
+                                     flat_bundle.phi)
+    structure_values(S, S.chart.samples(5))
+    assert calls == [flat_bundle.eta]
+    pts = S.chart.samples(7, seed=3)
+    assert S.xi.values(pts).tobytes() == reeb_field(flat_bundle.eta).values(pts).tobytes()
 
 
 # ---------------------------------------------------------------------------

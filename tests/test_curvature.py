@@ -34,6 +34,7 @@ from metsymp.structfile import load_structure_file
 from metsymp.submersion import slice_christoffel_batch
 
 from fd_oracle import fd_christoffel, fd_riemann
+from inputs import field_walks
 from loop_references import (
     assert_connection_matches_reference,
     dgamma_reference,
@@ -170,16 +171,9 @@ def test_covariant_derivative_reads_first_partials_only(sasakian, monkeypatch):
     and with the connection given, no other walk."""
     pts = sasakian.chart.samples(6, seed=1)
     data = christoffel_batch(sasakian.g, pts)
-    walks = []
-    real = TensorField._evaluate
-
-    def counting(field, points, order):
-        walks.append((field, order))
-        return real(field, points, order)
-
-    monkeypatch.setattr(TensorField, "_evaluate", counting)
+    walks = field_walks(monkeypatch)
     covariant_derivative_values(sasakian.phi, data)
-    assert walks == [(sasakian.phi, 1)]
+    assert [(field, order) for field, order, _ in walks] == [(sasakian.phi, 1)]
 
 
 def test_ricci_frame_trace_agrees_with_contraction(any_entry):

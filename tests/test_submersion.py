@@ -42,7 +42,7 @@ from metsymp.submersion import (
 )
 from metsymp.symplectization import slice_structure
 
-from inputs import product_inputs, slice_inputs
+from inputs import field_walks, product_inputs, slice_inputs
 from loop_references import (
     assert_connection_matches_reference,
     currel_reference,
@@ -512,22 +512,18 @@ def test_the_nullity_fits_evaluate_h_once(flat_bundle, flat_bundle_symp, monkeyp
     """Both fits take the norm of h from the values they already hold, and
     the symplectization fit reads h from its record, formed once for all
     the slices its samples lie on: one order-1 walk of phi per draw."""
-    calls = []
-    real = TensorField._evaluate
+    walks = field_walks(monkeypatch)
 
-    def counting(self, points, order):
-        if self is flat_bundle.phi:
-            assert order == 1
-            calls.append(len(points))
-        return real(self, points, order)
+    def calls():
+        assert all(order == 1 for field, order, _ in walks if field is flat_bundle.phi)
+        return [len(points) for field, _, points in walks if field is flat_bundle.phi]
 
-    monkeypatch.setattr(TensorField, "_evaluate", counting)
     fit_kappa_mu(flat_bundle, 10, seed=1)
-    assert calls == [10]
+    assert calls() == [10]
     inputs = slice_inputs(flat_bundle_symp, (-0.5, 0.0, 0.3), flat_bundle.chart.samples(4, seed=1))
-    assert calls == [10, 12]
+    assert calls() == [10, 12]
     fit_symplectization_kmu(flat_bundle_symp, *inputs)
-    assert calls == [10, 12]
+    assert calls() == [10, 12]
 
 
 def test_a_slice_outside_the_t_interval_is_a_domain_error(flat_bundle, flat_bundle_symp):

@@ -1,5 +1,6 @@
 """Suite orchestration, the report schema, and determinism."""
 
+import collections
 import dataclasses
 import itertools
 import json
@@ -21,7 +22,7 @@ from metsymp.contact import (
     verify_compatibility,
     verify_kmu_curvature,
 )
-from metsymp.errors import ConfigError
+from metsymp.errors import ConfigError, NotContactError
 from metsymp.expressions import Const
 from metsymp.fields import TensorField, sup_norm
 from metsymp.structfile import load_structure_file
@@ -40,7 +41,7 @@ from metsymp.symplectization import (
     verify_symplectization_build,
 )
 
-from inputs import kmu_inputs, product_inputs
+from inputs import evaluate_calls, field_walks, kmu_inputs, product_inputs, spy_everywhere
 
 
 # the standard Sasakian R^5 of test_dimension_five.py, as a structure file
@@ -299,35 +300,24 @@ def test_rescaled_structures_are_built_once_per_run(monkeypatch):
     assert sorted(a for a in built if a in suite._RESCALE_FACTORS) == sorted(suite._RESCALE_FACTORS)
 
 
-def _walks(monkeypatch) -> list:
-    """(field, order) of every walk of a field's components from here on,
-    for values (order 0) and for jets alike."""
-    walks = []
-    real = TensorField._evaluate
-
-    def counting(field, points, order):
-        walks.append((field, order))
-        return real(field, points, order)
-
-    monkeypatch.setattr(TensorField, "_evaluate", counting)
-    return walks
-
-
 def test_the_rescale_check_evaluates_xi_and_h_of_the_structure_once(flat_bundle_entry,
                                                                      monkeypatch):
     """Every factor reads the same samples, so xi and h of the structure are
-    formed there once, not once per factor: h comes with the record, from
-    one order-1 walk of xi and one of phi.  Each rescale's record walks its
-    own xi, and phi again, the tree d_homothety(S, a) shares with S."""
+    formed there once, not once per factor.  The structure's record and the
+    three rescale records come from one family walk per order: xi and phi
+    of all four at order 1, for h, with phi, the tree d_homothety(S, a)
+    shares with S, walked once; eta, d eta and g at order 0.  The three
+    refits are the only other walks, at order 2."""
     run = suite._Run(flat_bundle_entry, SuiteConfig(samples=20, seed=42))
     suite._check_nullity_fit(run)
     S = run.S
-    walks = _walks(monkeypatch)
+    calls, walks = evaluate_calls(monkeypatch), field_walks(monkeypatch)
     assert suite._check_rescale_equivariance(run) < 1e-6
     factors = len(suite._RESCALE_FACTORS)
-    assert [order for field, order in walks if field is S.xi] == [1]
-    assert [order for field, order in walks if field is S.phi] == [1] * (1 + factors)
-    rescaled_xi = [f for f, order in walks if f.r == 1 and f.s == 0 and f is not S.xi]
+    assert sorted(calls) == [(20, 0), (20, 1)] + [(20, 2)] * factors
+    assert [order for field, order, _ in walks if field is S.xi] == [1]
+    assert [order for field, order, _ in walks if field is S.phi] == [1]
+    rescaled_xi = [f for f, order, _ in walks if f.r == 1 and f.s == 0 and f is not S.xi]
     assert len(rescaled_xi) == len({id(f) for f in rescaled_xi}) == factors
 
 
@@ -346,6 +336,37 @@ def test_index_invariance_on_shared_structures_is_bit_identical(flat_bundle_entr
     suite._check_nullity_fit(fresh)
     assert suite._check_index_invariance(fresh) == residual
     assert all(fresh.rescaled(a, 30) is not warm[a] for a in factors)
+
+
+def test_a_rescale_that_fails_to_build_fails_only_the_checks_that_read_it(monkeypatch,
+                                                                          flat_bundle_entry):
+    """The family walk leaves out a rescale whose build raised: the two
+    rescale checks record its error with its factor, and every other check
+    passes on the structure's record and the other rescales'."""
+    real = suite.d_homothety
+
+    def rescale(S, a):
+        if a == 2.0:
+            raise NotContactError("the form is contact nowhere")
+        return real(S, a)
+
+    monkeypatch.setattr(suite, "d_homothety", rescale)
+    rep = run_suite(flat_bundle_entry, SuiteConfig(samples=10, seed=42))
+    failed = {c.id: c.error for c in rep.checks if not c.passed}
+    assert failed == dict.fromkeys(
+        ["rescale_equivariance", "index_invariance"],
+        "NotContactError: rescale by a=2: the form is contact nowhere")
+
+
+def test_a_run_reads_only_the_rescales_of_its_factors():
+    """A run whose commands read no rescale builds none, and one factor
+    outside the run's family is refused rather than walked on its own."""
+    run = suite._Run(catalog_load("unit-tangent-flat-plane"), SuiteConfig(samples=5, seed=1),
+                     factors=())
+    suite._check_compatibility(run)
+    assert list(run._built) == ["records"]
+    with pytest.raises(ValueError, match="not one of the run's"):
+        run.rescaled(2.0, 5)
 
 
 def test_index_invariance_builds_the_structures_when_the_rescale_check_raised(monkeypatch):
@@ -512,18 +533,56 @@ def test_a_raising_artifact_is_the_error_of_every_check_that_reads_it(monkeypatc
 def test_a_run_evaluates_each_field_once_per_record(monkeypatch, flat_bundle_entry):
     """One run on the flat bundle walks each field of the structure once
     for the record of its values on the base draw, whose prefixes the
-    product checks read: xi and phi at order 1, for h, eta and g at order
-    0; and phi, which every d_homothety(S, a) shares, once more per rescale
-    record.  The (kappa, mu) fit walks eta, xi and phi on its own draw; the
-    refits read the rescale records, and g reaches the fit and the
-    eigenspace check as order-2 jets."""
+    product checks read: xi and phi at order 1, for h, and eta and g at
+    order 0, each in one family walk with the fields of the three rescales,
+    whose records hold their rows on the same draw; phi, which every
+    d_homothety(S, a) shares, is walked once there.  The (kappa, mu) fit
+    walks eta, xi and phi on its own draw; the refits read the rescale
+    records, and g reaches the fit and the eigenspace check as order-2
+    jets.  The base draw gets one order-0 and one order-1 family walk, and
+    the fit one of each."""
     S = flat_bundle_entry.structure
     names = ("xi", "eta", "phi", "g")
-    walks = _walks(monkeypatch)
+    calls, walks = evaluate_calls(monkeypatch), field_walks(monkeypatch)
     assert run_suite(flat_bundle_entry, SuiteConfig(samples=50, seed=42)).all_passed
-    counts = {n: sorted(order for field, order in walks if field is getattr(S, n))
+    counts = {n: sorted(order for field, order, _ in walks if field is getattr(S, n))
               for n in names}
-    assert counts == {"xi": [1, 1], "eta": [0, 0], "phi": [1] * 5, "g": [0, 2, 2]}
+    assert counts == {"xi": [1, 1], "eta": [0, 0], "phi": [1, 1], "g": [0, 2, 2]}
+    assert calls.count((50, 0)) == calls.count((50, 1)) == 2
+
+
+@pytest.mark.parametrize("which", ["flat_bundle_entry", "sasakian7_entry"])
+def test_a_suite_run_walks_each_point_set_once_per_order(monkeypatch, request, which):
+    """The ``expressions.evaluate`` calls of one run, by (point count,
+    order), on both structures of the benchmark's suites: 15 in all.
+
+    - base draw (50): the family walks at orders 0 and 1, and the
+      (kappa, mu) fit's walks at orders 0, 1 and 2;
+    - eigenspace check (20): g's jets;
+    - rescales (30): the three refits' connections; and the torsion of J
+      (order 1) and the translation check's two point sets (order 0) on
+      the first 30 product points;
+    - product points (40): gbar's connection, J with omega in the build
+      check, and the Cartan form with omega in the Liouville check.
+    """
+    entry = request.getfixturevalue(which)
+    calls = evaluate_calls(monkeypatch)
+    assert run_suite(entry, SuiteConfig(samples=50, seed=1)).all_passed
+    assert collections.Counter(calls) == {
+        (50, 0): 2, (50, 1): 2, (50, 2): 1, (20, 2): 1,
+        (30, 0): 2, (30, 1): 1, (30, 2): 3, (40, 0): 2, (40, 2): 1}
+
+
+def test_a_run_takes_d_eta_once_per_structure(monkeypatch, flat_bundle_entry):
+    """The records read each structure's own d eta tree: the exterior
+    derivatives of one run are the one taken by each of the four rescales'
+    builds, the two of omega (the symplectization and the translation
+    check's), and the two of the Liouville check."""
+    calls = []
+    real = fields.exterior_derivative
+    spy_everywhere(monkeypatch, real, lambda alpha: calls.append(alpha) or real(alpha))
+    assert run_suite(flat_bundle_entry, SuiteConfig(samples=10, seed=42)).all_passed
+    assert len(calls) == 8
 
 
 def test_a_rejected_fit_reports_no_constants(monkeypatch, flat_bundle_entry):

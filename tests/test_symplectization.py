@@ -64,7 +64,7 @@ from metsymp.symplectization import (
 from metsymp.structfile import load_structure_file, parse_structure_text
 from metsymp.suite import SuiteConfig, run_suite
 
-from inputs import product_inputs
+from inputs import field_walks, product_inputs
 from loop_references import (
     compatible_metric_reference,
     extended_slice_reeb,
@@ -188,17 +188,11 @@ def test_the_build_verifier_evaluates_eta_and_xi_once(flat_bundle_symp, monkeypa
     one walk of xi, and eta is evaluated once, on the base coordinates of
     the draw."""
     S = flat_bundle_symp.base
-    calls = []
-    real = TensorField._evaluate
-
-    def counting(self, points, order):
-        if self is S.eta or self is S.xi:
-            calls.append(("eta" if self is S.eta else "xi", points.shape))
-        return real(self, points, order)
-
-    monkeypatch.setattr(TensorField, "_evaluate", counting)
+    walks = field_walks(monkeypatch)
     pts = flat_bundle_symp.chart.samples(12, seed=1)
     verify_symplectization_build(flat_bundle_symp, *product_inputs(flat_bundle_symp, pts))
+    calls = [("eta" if field is S.eta else "xi", points.shape) for field, _, points in walks
+             if field is S.eta or field is S.xi]
     assert sorted(calls) == [("eta", (12, 3)), ("xi", (12, 3))]
 
 
@@ -677,14 +671,11 @@ def test_translation_samples_are_one_draw(flat_bundle_symp, monkeypatch):
     onto the overlap [-1, 0.7] of the shift by 0.3, where every t keeps its
     shift inside the box.  That is, up to rounding, a draw with the same
     seed over the product box with its t interval cut to the overlap."""
-    seen = []
-    real = TensorField.values
-    monkeypatch.setattr(TensorField, "values",
-                        lambda self, points: seen.append(points) or real(self, points))
+    walks = field_walks(monkeypatch)
     chart = flat_bundle_symp.chart
     given = chart.samples(30, seed=57)
     translation_isomorphism_check(flat_bundle_symp, 0.3, given)
-    pts = seen[-1]
+    pts = walks[-1][2]
     assert np.array_equal(pts[:, :-1], given[:, :-1])
     assert_allclose(pts[:, -1], -1.0 + (given[:, -1] + 1.0) * 0.85, rtol=0, atol=1e-15)
     assert -1.0 < pts[:, -1].min() and pts[:, -1].max() + 0.3 < 1.0
