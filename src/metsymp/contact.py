@@ -31,8 +31,11 @@ as undefined whenever h vanishes identically (the condition then puts no
 constraint on mu).  The eigenstructure of h is one report of arrays over a
 sample batch, whose +lam and -lam masks pick the eigenvectors that the
 eigenspace curvature identities run over.  The verifiers read a record of
-the fields' values on a batch or its arrays; only :func:`fit_kappa_mu`
-draws its own points and evaluates its own fields, with the same h helper.
+the fields' values on a batch or its arrays; only :func:`fit_kappa_mu`,
+the standalone fit, draws its own points and evaluates its own fields,
+with the same h helper.  A suite run fits its structure by
+:func:`kmu_fit` on the structure's record instead, which is the same fit
+bit for bit at the run's samples and seed.
 """
 
 from __future__ import annotations

@@ -64,3 +64,32 @@ def field_walks(monkeypatch) -> list:
 
     spy_everywhere(monkeypatch, real, recording)
     return walks
+
+
+def wrap_structure_fit(monkeypatch, wrap) -> list:
+    """Pass the (kappa, mu) fit of each run's structure through ``wrap(fit)``,
+    where ``fit()`` computes the real fit; returns the list of its calls.
+
+    A run fits its structure by ``suite.kmu_fit`` on the structure's record,
+    the first of the run's family walk (``suite.structure_records``), and
+    fits each rescale on the rescale's record; only the structure's fits
+    are wrapped."""
+    from metsymp import suite
+
+    records, calls = [], []
+    real_records, real_fit = suite.structure_records, suite.kmu_fit
+
+    def family(structures, points):
+        walked = real_records(structures, points)
+        records.append(walked[0])
+        return walked
+
+    def fit(data, eta, xi, h):
+        if not any(xi is record.xi for record in records):
+            return real_fit(data, eta, xi, h)
+        calls.append(xi)
+        return wrap(lambda: real_fit(data, eta, xi, h))
+
+    monkeypatch.setattr(suite, "structure_records", family)
+    monkeypatch.setattr(suite, "kmu_fit", fit)
+    return calls

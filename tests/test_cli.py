@@ -159,13 +159,12 @@ def test_fit_file(tmp_path, capsys):
 def test_fit_refuses_a_residual_at_the_fit_tolerance(monkeypatch, capsys):
     import dataclasses
 
-    import metsymp.suite
     from metsymp.contact import FIT_TOL
 
+    from inputs import wrap_structure_fit
+
     # the command prints the run's (kappa, mu) fit
-    real_fit = metsymp.suite.fit_kappa_mu
-    monkeypatch.setattr(metsymp.suite, "fit_kappa_mu", lambda *args, **kwargs: dataclasses.replace(
-        real_fit(*args, **kwargs), residual=FIT_TOL))
+    wrap_structure_fit(monkeypatch, lambda fit: dataclasses.replace(fit(), residual=FIT_TOL))
     assert main(["fit-kmu", "unit-tangent-flat-plane", "--samples", "10"]) == 1
     assert "fit residual above 1.0e-06;" in capsys.readouterr().out
 
@@ -422,14 +421,15 @@ def test_dhomothety_verify_fails_when_mu_is_defined_on_one_side_only(monkeypatch
         return dataclasses.replace(rep, mu=0.5) if np.shares_memory(xi, records[-1].xi) else rep
 
     # the run's first record is the structure's, its second the rescaled
-    # structure's, both from one family walk; the refit reads the rows of
-    # that record, the command prints the refit and the rescale law reads it
+    # structure's, both from one family walk; the structure's fit reads the
+    # first and the refit the rows of the second, the command prints both
+    # and the rescale law reads them
     monkeypatch.setattr(metsymp.suite, "structure_records", family)
     monkeypatch.setattr(metsymp.suite, "kmu_fit", fit)
     assert main(["dhomothety", "darboux-sasakian-r3", "--a", "2",
                  "--verify", "--samples", "10"]) == 1
     out = capsys.readouterr().out
-    assert len(records) == 2 and len(fits) == 1
+    assert len(records) == 2 and len(fits) == 2
     assert ", 0.5), law predicts (1, undefined)" in out
     assert "[FAIL] rescale verification residual=inf" in out
 
@@ -464,9 +464,9 @@ def test_dhomothety_verify_evaluates_and_fits_the_rescaled_structure_once(monkey
                  "--verify", "--samples", "15"]) == 0
     assert "[PASS] rescale verification" in capsys.readouterr().out
     evaluated = [(field, order) for field, order, _ in walks]
-    # S and D_a(S) in one family walk per order, the fit's three walks of S,
-    # and the refit's connection
-    assert sorted(calls) == [(15, 0)] * 2 + [(15, 1)] * 2 + [(15, 2)] * 2
+    # S and D_a(S) in one family walk per order, which the fit of S and the
+    # refit read, and their two connections
+    assert sorted(calls) == [(15, 0), (15, 1)] + [(15, 2)] * 2
     (S2,) = made
     assert [[order for e, order in evaluated if e is f] for f in (S2.eta, S2.xi)] == [[0], [1]]
     # g once for the record, once as jets for the refit's connection

@@ -22,7 +22,7 @@ from metsymp.contact import (
     verify_compatibility,
     verify_kmu_curvature,
 )
-from metsymp.errors import ConfigError, NotContactError
+from metsymp.errors import ConfigError, GeometryError, NotContactError
 from metsymp.expressions import Const
 from metsymp.fields import TensorField, sup_norm
 from metsymp.structfile import load_structure_file
@@ -41,17 +41,28 @@ from metsymp.symplectization import (
     verify_symplectization_build,
 )
 
-from inputs import evaluate_calls, field_walks, kmu_inputs, product_inputs, spy_everywhere
+from inputs import (
+    evaluate_calls,
+    field_walks,
+    kmu_inputs,
+    product_inputs,
+    spy_everywhere,
+    wrap_structure_fit,
+)
 
 
-# the standard Sasakian R^5 of test_dimension_five.py, as a structure file
-SASAKIAN_R5_PATH = Path(__file__).parent / "data" / "sasakian_r5.txt"
+DATA = Path(__file__).parent / "data"
+
+
+def _file_entry(name):
+    return CatalogEntry(name=name, structure=load_structure_file(DATA / name),
+                        expected_kappa=None, expected_mu=None, description="structure file")
 
 
 @pytest.fixture(scope="module")
 def sasakian_r5_entry():
-    return CatalogEntry(name="sasakian_r5", structure=load_structure_file(SASAKIAN_R5_PATH),
-                        expected_kappa=None, expected_mu=None, description="structure file")
+    """The standard Sasakian R^5 of test_dimension_five.py, as a structure file."""
+    return _file_entry("sasakian_r5.txt")
 
 
 @pytest.fixture(scope="module")
@@ -203,7 +214,7 @@ def test_integrability_floor_off_the_sasakian_case(monkeypatch, sasakian_entry, 
     monkeypatch.setattr(suite, "nijenhuis_values", lambda J, pts: J)
     monkeypatch.setattr(suite, "nijenhuis_norms", lambda nv, g: np.array(short_norms))
     monkeypatch.setattr(suite, "build_metric_symplectization", lambda S, t_range: sasakian_symp)
-    monkeypatch.setattr(suite, "fit_kappa_mu", lambda S, n, seed: KmuReport(
+    wrap_structure_fit(monkeypatch, lambda fit: KmuReport(
         kappa=0.0, mu=0.0, residual=0.0, sasakian_flag=False, lam=1.0))
     run = suite._Run(sasakian_entry, SuiteConfig(samples=2))
     residual = suite._check_integrability(run)
@@ -272,10 +283,11 @@ def test_a_suite_run_forms_one_riemann_tensor_per_connection(monkeypatch, entry)
 
 
 def test_a_run_fits_and_rescales_each_structure_once(monkeypatch, flat_bundle_entry):
-    """On the non-Sasakian flat bundle: one fit of the structure, which draws
-    and evaluates for itself, and one refit per rescale factor from the
-    rescale's record, which index_invariance reads from rescale_equivariance;
-    every fit runs kmu_fit once.  One rescale per factor and the one the
+    """On the non-Sasakian flat bundle: one fit of the structure from its
+    record, with no call of fit_kappa_mu, which would draw and evaluate
+    again, and one refit per rescale factor from the rescale's record, which
+    index_invariance reads from rescale_equivariance; every fit runs kmu_fit
+    once.  One rescale per factor and the one the
     translation check compares with.  Every name that binds one of the
     functions in the package is counted."""
     counts = {"fit_kappa_mu": 0, "kmu_fit": 0, "d_homothety": 0}
@@ -289,7 +301,7 @@ def test_a_run_fits_and_rescales_each_structure_once(monkeypatch, flat_bundle_en
                 monkeypatch.setattr(module, name, counted)
     rep = run_suite(flat_bundle_entry, SuiteConfig(samples=10, seed=42))
     assert rep.all_passed
-    assert counts == {"fit_kappa_mu": 1, "kmu_fit": 4, "d_homothety": 4}
+    assert counts == {"fit_kappa_mu": 0, "kmu_fit": 4, "d_homothety": 4}
 
 
 def test_rescaled_structures_are_built_once_per_run(monkeypatch):
@@ -306,15 +318,16 @@ def test_the_rescale_check_evaluates_xi_and_h_of_the_structure_once(flat_bundle_
     formed there once, not once per factor.  The structure's record and the
     three rescale records come from one family walk per order: xi and phi
     of all four at order 1, for h, with phi, the tree d_homothety(S, a)
-    shares with S, walked once; eta, d eta and g at order 0.  The three
-    refits are the only other walks, at order 2."""
+    shares with S, walked once; eta, d eta and g at order 0.  The
+    structure's fit, which the rescale law reads, reads its record; its
+    connection and the three refits' are the only other walks, at order 2."""
     run = suite._Run(flat_bundle_entry, SuiteConfig(samples=20, seed=42))
-    suite._check_nullity_fit(run)
     S = run.S
     calls, walks = evaluate_calls(monkeypatch), field_walks(monkeypatch)
+    suite._check_nullity_fit(run)
     assert suite._check_rescale_equivariance(run) < 1e-6
     factors = len(suite._RESCALE_FACTORS)
-    assert sorted(calls) == [(20, 0), (20, 1)] + [(20, 2)] * factors
+    assert sorted(calls) == [(20, 0), (20, 1)] + [(20, 2)] * (1 + factors)
     assert [order for field, order, _ in walks if field is S.xi] == [1]
     assert [order for field, order, _ in walks if field is S.phi] == [1]
     rescaled_xi = [f for f, order, _ in walks if f.r == 1 and f.s == 0 and f is not S.xi]
@@ -507,17 +520,26 @@ B_READERS = ("symplectization_build", "liouville", "fundamental_tensor", "curvat
 ])
 def test_a_raising_artifact_is_the_error_of_every_check_that_reads_it(monkeypatch, artifact,
                                                                       readers):
-    """Each reader records the build's own error, and the build runs once."""
+    """Each reader records the build's own error, and the build runs once.
+    The structure's (kappa, mu) fit, the fit that fit_kappa_mu computes,
+    is the kmu_fit of the structure's record."""
     entry = catalog_load("darboux-sasakian-r3")
-    real, calls = getattr(suite, artifact), []
 
-    def build(S, *args, **kwargs):
-        if S is entry.structure:
-            calls.append(S)
-            raise RuntimeError(f"{artifact} broke")
-        return real(S, *args, **kwargs)
+    def broken(*args):
+        raise RuntimeError(f"{artifact} broke")
 
-    monkeypatch.setattr(suite, artifact, build)
+    if artifact == "fit_kappa_mu":
+        calls = wrap_structure_fit(monkeypatch, broken)
+    else:
+        real, calls = getattr(suite, artifact), []
+
+        def build(S, *args, **kwargs):
+            if S is entry.structure:
+                calls.append(S)
+                broken()
+            return real(S, *args, **kwargs)
+
+        monkeypatch.setattr(suite, artifact, build)
     rep = run_suite(entry, SuiteConfig(samples=8, seed=1))
     assert len(calls) == 1
     for c in rep.checks:
@@ -537,27 +559,27 @@ def test_a_run_evaluates_each_field_once_per_record(monkeypatch, flat_bundle_ent
     order 0, each in one family walk with the fields of the three rescales,
     whose records hold their rows on the same draw; phi, which every
     d_homothety(S, a) shares, is walked once there.  The (kappa, mu) fit
-    walks eta, xi and phi on its own draw; the refits read the rescale
-    records, and g reaches the fit and the eigenspace check as order-2
-    jets.  The base draw gets one order-0 and one order-1 family walk, and
-    the fit one of each."""
+    reads the structure's record and the refits the rescale records, and g
+    reaches the fit and the eigenspace check as order-2 jets.  The base
+    draw gets one order-0 and one order-1 family walk."""
     S = flat_bundle_entry.structure
     names = ("xi", "eta", "phi", "g")
     calls, walks = evaluate_calls(monkeypatch), field_walks(monkeypatch)
     assert run_suite(flat_bundle_entry, SuiteConfig(samples=50, seed=42)).all_passed
     counts = {n: sorted(order for field, order, _ in walks if field is getattr(S, n))
               for n in names}
-    assert counts == {"xi": [1, 1], "eta": [0, 0], "phi": [1, 1], "g": [0, 2, 2]}
-    assert calls.count((50, 0)) == calls.count((50, 1)) == 2
+    assert counts == {"xi": [1], "eta": [0], "phi": [1], "g": [0, 2, 2]}
+    assert calls.count((50, 0)) == calls.count((50, 1)) == 1
 
 
 @pytest.mark.parametrize("which", ["flat_bundle_entry", "sasakian7_entry"])
 def test_a_suite_run_walks_each_point_set_once_per_order(monkeypatch, request, which):
     """The ``expressions.evaluate`` calls of one run, by (point count,
-    order), on both structures of the benchmark's suites: 15 in all.
+    order), on both structures of the benchmark's suites: 13 in all, on
+    two draws, the base draw and the one on the product chart.
 
-    - base draw (50): the family walks at orders 0 and 1, and the
-      (kappa, mu) fit's walks at orders 0, 1 and 2;
+    - base draw (50): the family walks at orders 0 and 1, and g's jets for
+      the connection of the (kappa, mu) fit, which reads the record;
     - eigenspace check (20): g's jets;
     - rescales (30): the three refits' connections; and the torsion of J
       (order 1) and the translation check's two point sets (order 0) on
@@ -566,10 +588,13 @@ def test_a_suite_run_walks_each_point_set_once_per_order(monkeypatch, request, w
       check, and the Cartan form with omega in the Liouville check.
     """
     entry = request.getfixturevalue(which)
-    calls = evaluate_calls(monkeypatch)
+    calls, draws, real_draw = evaluate_calls(monkeypatch), [], Chart.samples
+    monkeypatch.setattr(Chart, "samples",
+                        lambda chart, n, seed=None: draws.append(n) or real_draw(chart, n, seed))
     assert run_suite(entry, SuiteConfig(samples=50, seed=1)).all_passed
+    assert draws == [50, 40]
     assert collections.Counter(calls) == {
-        (50, 0): 2, (50, 1): 2, (50, 2): 1, (20, 2): 1,
+        (50, 0): 1, (50, 1): 1, (50, 2): 1, (20, 2): 1,
         (30, 0): 2, (30, 1): 1, (30, 2): 3, (40, 0): 2, (40, 2): 1}
 
 
@@ -588,14 +613,8 @@ def test_a_run_takes_d_eta_once_per_structure(monkeypatch, flat_bundle_entry):
 def test_a_rejected_fit_reports_no_constants(monkeypatch, flat_bundle_entry):
     """A fit whose residual is not below FIT_TOL fails nullity_fit, and the
     summary reports no kappa, mu or index from it."""
-    real = suite.fit_kappa_mu
-
-    def fit(S, n, seed):
-        rep = real(S, n, seed=seed)
-        return dataclasses.replace(rep, residual=contact.FIT_TOL) if S is S0 else rep
-
-    S0 = flat_bundle_entry.structure
-    monkeypatch.setattr(suite, "fit_kappa_mu", fit)
+    wrap_structure_fit(monkeypatch,
+                       lambda fit: dataclasses.replace(fit(), residual=contact.FIT_TOL))
     rep = run_suite(flat_bundle_entry, SuiteConfig(samples=10, seed=42))
     assert [c.id for c in rep.checks if not c.passed] == ["nullity_fit"]
     assert (rep.kappa, rep.mu, rep.index) == (None, None, None)
@@ -615,10 +634,10 @@ def test_a_nan_structure_runs_the_suite_without_warnings(nan_masked_sasakian_ent
 
 @pytest.mark.parametrize("which", ["flat_bundle_entry", "sasakian_r5_entry"])
 def test_a_run_draws_its_samples_once(monkeypatch, request, which):
-    """A run draws three sample arrays: its one draw on the structure's
-    chart, the (kappa, mu) fit's draw, which equals it, and a draw on the
-    product chart whose t column, beside the first 40 base points, makes the
-    product points."""
+    """A run draws two sample arrays: its one draw on the structure's chart,
+    which the (kappa, mu) fit reads through the structure's record, and a
+    draw on the product chart whose t column, beside the first 40 base
+    points, makes the product points."""
     entry = request.getfixturevalue(which)
     draws = []
     real = Chart.samples
@@ -632,8 +651,8 @@ def test_a_run_draws_its_samples_once(monkeypatch, request, which):
     rep = run_suite(entry, SuiteConfig(samples=50, seed=42))
     assert rep.all_passed
     (run,) = runs
-    base, fit, product = draws
-    assert base is run.points and np.array_equal(fit, base)
+    base, product = draws
+    assert base is run.points is run.values.points and run.peek("kmu") is not None
     assert run.product_points.shape == (40, base.shape[1] + 1)
     assert np.array_equal(run.product_points[:, :-1], base[:40])
     assert np.array_equal(run.product_points[:, -1], product[:, -1])
@@ -651,6 +670,59 @@ def test_each_refit_is_the_fit_of_the_rescaled_structure_bit_for_bit(request, wh
     run = suite._Run(entry, SuiteConfig(samples=50, seed=7))
     for a in suite._RESCALE_FACTORS:
         assert run.refit(a, 30) == contact.fit_kappa_mu(contact.d_homothety(run.S, a), 30, seed=7)
+
+
+def _kmu_bits(rep):
+    """A (kappa, mu) report with its floats as hex strings."""
+    return (rep.kappa.hex(), None if rep.mu is None else rep.mu.hex(), rep.residual.hex(),
+            rep.sasakian_flag, None if rep.lam is None else rep.lam.hex())
+
+
+@pytest.fixture(scope="module", params=["unit-tangent-flat-plane", "darboux-sasakian-r3",
+                                        "sasakian_r5.txt", "sasakian_r7.txt", "curved"])
+def fitted_entry(request):
+    name = request.param
+    if name == "curved":
+        return CatalogEntry(name=name, structure=request.getfixturevalue("curved"),
+                            expected_kappa=0.0, expected_mu=-2.0, description="index-2 model")
+    return _file_entry(name) if name.endswith(".txt") else catalog_load(name)
+
+
+@pytest.mark.parametrize("samples", [12, 50])
+@pytest.mark.parametrize("seed", [1, 42])
+def test_the_fit_of_a_run_is_fit_kappa_mu_bit_for_bit(fitted_entry, seed, samples):
+    """A run fits its structure from its own record, the values of eta, xi
+    and h on its one draw, and g's connection there.  The report equals
+    fit_kappa_mu at the run's sample count and seed, which draws the same
+    points and walks the fields again itself, and which suite re-exports
+    but no run calls."""
+    run = suite._Run(fitted_entry, SuiteConfig(samples=samples, seed=seed))
+    assert suite.fit_kappa_mu is contact.fit_kappa_mu
+    assert _kmu_bits(run.kmu) == _kmu_bits(
+        contact.fit_kappa_mu(fitted_entry.structure, samples, seed=seed))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("seed", [1, 42])
+@pytest.mark.parametrize("name, raises", [("nan_phi_r3.txt", False), ("nan_eta_r3.txt", True)])
+def test_the_fit_of_a_nan_structure_is_the_error_or_the_report_of_fit_kappa_mu(
+        monkeypatch, name, raises, seed):
+    """Where fit_kappa_mu raises, every check that reads the run's fit
+    records its ``"<Type>: message"``; where it fits, the run's fit is its
+    report, bit for bit, and no reader of the fit records an error."""
+    entry = _file_entry(name)
+    runs = _record_runs(monkeypatch)
+    rep = run_suite(entry, SuiteConfig(samples=50, seed=seed))
+    errors = {c.id: c.error for c in rep.checks if c.id in KMU_READERS}
+    try:
+        want = contact.fit_kappa_mu(entry.structure, 50, seed=seed)
+    except GeometryError as exc:
+        assert raises
+        assert errors == dict.fromkeys(KMU_READERS, f"{type(exc).__name__}: {exc}")
+    else:
+        assert not raises
+        assert _kmu_bits(runs[0].kmu) == _kmu_bits(want)
+        assert errors == dict.fromkeys(KMU_READERS)
 
 
 @pytest.mark.parametrize("t_range", [(-1.0, 1.0), (2.0, 3.0), (0.6, 0.7)])
@@ -713,13 +785,11 @@ def test_symplectization_nullity_fails_on_a_perturbed_slice_law_or_base_fit(
         monkeypatch.setattr(suite, "build_metric_symplectization",
                             lambda S, t_range: _perturbed_slice_law(real(S, t_range)))
     else:
-        real = suite.fit_kappa_mu
-
-        def fit(S, n, seed):
-            rep = real(S, n, seed)
+        def fit(real):
+            rep = real()
             return dataclasses.replace(rep, kappa=rep.kappa + 1e-3)
 
-        monkeypatch.setattr(suite, "fit_kappa_mu", fit)
+        wrap_structure_fit(monkeypatch, fit)
     rep = run_suite(entry, SuiteConfig(samples=20, seed=42))
     check = rep.checks[CHECK_ORDER.index("symplectization_nullity")]
     assert check.error is None and not check.passed
