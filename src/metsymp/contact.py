@@ -28,12 +28,15 @@ The fitting routines estimate the constants of the nullity condition
 
 by least squares over samples and coordinate-frame pairs, with mu reported
 as undefined whenever h vanishes identically (the condition then puts no
-constraint on mu).  The eigenstructure of h is one report of arrays over a
-sample batch, whose +lam and -lam masks pick the eigenvectors that the
-eigenspace curvature identities run over.  The verifiers read a record of
-the fields' values on a batch or its arrays; only :func:`fit_kappa_mu`,
-the standalone fit, draws its own points and evaluates its own fields,
-with the same h helper.  A suite run fits its structure by
+constraint on mu).  The condition reads R(., .)xi only, so the fit and the
+eigenspace identities contract the curvature with their vectors straight
+from the metric jets (:func:`metsymp.curvature.riemann_along`) and never
+form the full Riemann tensor.  The eigenstructure of h is one report of
+arrays over a sample batch, whose +lam and -lam masks pick the
+eigenvectors that the eigenspace curvature identities run over.  The
+verifiers read a record of the fields' values on a batch or its arrays;
+only :func:`fit_kappa_mu`, the standalone fit, draws its own points and
+evaluates its own fields, with the same h helper.  A suite run fits its structure by
 :func:`kmu_fit` on the structure's record instead, which is the same fit
 bit for bit at the run's samples and seed.
 """
@@ -48,7 +51,7 @@ from typing import Sequence
 import numpy as np
 
 from .charts import Chart
-from .curvature import ChristoffelData, christoffel_batch
+from .curvature import ChristoffelData, christoffel_batch, riemann_along
 from .errors import (
     ChartMismatchError,
     DegenerateMetricError,
@@ -444,8 +447,9 @@ def nullity_fit(points: np.ndarray, lhs: np.ndarray, eta: np.ndarray, g: np.ndar
 
 def kmu_fit(data: ChristoffelData, eta: np.ndarray, xi: np.ndarray, h: np.ndarray) -> KmuReport:
     """:func:`nullity_fit` of R(X, Y) xi, from g's connection ``data`` and
-    the values of eta, xi and h at its points."""
-    lhs = np.einsum("nlkij,nk->nlij", data.riem, xi)
+    the values of eta, xi and h at its points.  R(., .)xi comes from
+    :func:`riemann_along`, so ``data.riem`` is not formed."""
+    lhs = riemann_along(data, xi[:, None])[:, 0]
     return nullity_fit(data.points, lhs, eta, data.g, h)
 
 
@@ -596,7 +600,9 @@ def verify_kmu_curvature(values: StructureValues, data: ChristoffelData, kappa: 
 
     with k = kappa and m = mu.  The residuals are keyed in that order by
     the eigenspaces of the three arguments: ``ppm``, ``mmp``, ``pmm``,
-    ``pmp``, ``ppp`` and ``mmm``.
+    ``pmp``, ``ppp`` and ``mmm``.  Every third argument is a P or an M, so
+    one :func:`riemann_along` call on the stacked eigenbases [P | M] gives
+    every R(., .)Z that they read; ``data.riem`` is not formed.
     """
     lam = math.sqrt(max(1.0 - kappa, 0.0))
     eig = h_eigendecomposition_batch(values)
@@ -612,11 +618,12 @@ def verify_kmu_curvature(values: StructureValues, data: ChristoffelData, kappa: 
         return np.where(np.take_along_axis(mask, order, axis=-1)[:, :, None], rows, 0.0)
 
     Ps, Ms = stacked(eig.plus), stacked(eig.minus)
+    along = riemann_along(data, np.concatenate([Ps, Ms], axis=1))
+    RP, RM = along[:, :Ps.shape[1]], along[:, Ps.shape[1]:]   # R(., .)P and R(., .)M
 
-    def R(X, Y, Z):
-        """R(X_a, Y_b) Z_c as [n, a, b, c, l]."""
-        t = np.einsum("nlkij,nck->nclij", data.riem, Z)
-        t = np.einsum("nclij,nai->ncalj", t, X)
+    def R(X, Y, RZ):
+        """R(X_a, Y_b) Z_c as [n, a, b, c, l], from RZ = R(., .)Z_c."""
+        t = np.einsum("nclij,nai->ncalj", RZ, X)
         return np.einsum("ncalj,nbj->nabcl", t, Y)
 
     def gp(X, Y):
@@ -636,15 +643,15 @@ def verify_kmu_curvature(values: StructureValues, data: ChristoffelData, kappa: 
     c5 = 2.0 * (1.0 + lam) - mu
     c6 = 2.0 * (1.0 - lam) - mu
     defects = {
-        "ppm": R(Ps, Ps, Ms) - (kappa - mu) * pair(gPM, phP),
-        "mmp": R(Ms, Ms, Ps) - (kappa - mu) * pair(gMP, phM),
-        "pmm": R(Ps, Ms, Ms) - (kappa * gPM[:, :, None, :, None] * phM[:, None, :, None, :]
+        "ppm": R(Ps, Ps, RM) - (kappa - mu) * pair(gPM, phP),
+        "mmp": R(Ms, Ms, RP) - (kappa - mu) * pair(gMP, phM),
+        "pmm": R(Ps, Ms, RM) - (kappa * gPM[:, :, None, :, None] * phM[:, None, :, None, :]
                                 + mu * gPM[:, :, :, None, None] * phM[:, None, None, :, :]),
-        "pmp": R(Ps, Ms, Ps) - (-kappa * gMP[:, None, :, :, None] * phP[:, :, None, None, :]
+        "pmp": R(Ps, Ms, RP) - (-kappa * gMP[:, None, :, :, None] * phP[:, :, None, None, :]
                                 - mu * np.swapaxes(gMP, 1, 2)[:, :, :, None, None]
                                 * phP[:, None, None, :, :]),
-        "ppp": R(Ps, Ps, Ps) - c5 * pair(gp(Ps, Ps), Ps),
-        "mmm": R(Ms, Ms, Ms) - c6 * pair(gp(Ms, Ms), Ms),
+        "ppp": R(Ps, Ps, RP) - c5 * pair(gp(Ps, Ps), Ps),
+        "mmm": R(Ms, Ms, RM) - c6 * pair(gp(Ms, Ms), Ms),
     }
     return {key: sup_norm(part) for key, part in defects.items()}
 

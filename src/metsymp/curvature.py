@@ -9,7 +9,8 @@ components.  Sign conventions, fixed once for the whole package:
 
 With these choices the round unit 2-sphere has sec = +1 and Ric = g.
 Component storage: ``riem[l, k, i, j]`` is the coefficient along ``d_l`` of
-``R(d_i, d_j) d_k``; every :class:`ChristoffelData` carries it as ``riem``.
+``R(d_i, d_j) d_k``; a :class:`ChristoffelData` forms it as ``riem`` on first
+read.
 
 The connection comes from the Christoffel symbols of the first kind,
 Gamma_{l,ij} = (d_i g_jl + d_j g_il - d_l g_ij) / 2, raised once:
@@ -24,7 +25,10 @@ R_akij = g_al riem[l, k, i, j] reads
 so only the metric's second partials, the two kinds of Christoffel symbols
 and one product with g^{-1} enter.  The quadratic term and the raising are
 batched matrix products over the sample axis, O(n D^5) work for n points in
-dimension D.
+dimension D.  A reader that needs R(., .)Z for c vector fields Z only, as
+the (kappa, mu) nullity condition reads R(., .)xi, contracts Z into the
+same terms before they are formed (:func:`riemann_along`): O(n c D^4) work
+and no (n, D^4) array.
 
 Orthonormal frames are built the same way: :func:`gram_schmidt_frame` runs
 modified Gram-Schmidt on a whole batch, one batched product per projection,
@@ -34,7 +38,8 @@ sample and its coordinates, as the other batch checks of the package do.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -47,6 +52,7 @@ __all__ = [
     "christoffel_from_blocks",
     "covariant_derivative_values",
     "riemann_components",
+    "riemann_along",
     "ricci_components",
     "gram_schmidt_frame",
 ]
@@ -63,7 +69,9 @@ class ChristoffelData:
     need them next; ``hess[n, i, j, m, l] = d_m d_l g_ij`` is the block the
     data was built from, not a copy; the curvature and the restriction to a
     slice (:func:`metsymp.submersion.slice_christoffel_batch`) read it.
-    ``riem`` is :func:`riemann_components` of the record, formed on every build.
+    ``riem`` is :func:`riemann_components` of the record, formed on first
+    read and kept, so a record whose readers contract R with a few vectors
+    (:func:`riemann_along`) never forms it.
     """
 
     points: np.ndarray
@@ -73,10 +81,10 @@ class ChristoffelData:
     hess: np.ndarray
     gamma_low: np.ndarray
     gamma: np.ndarray
-    riem: np.ndarray = field(init=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "riem", riemann_components(self))
+    @cached_property
+    def riem(self) -> np.ndarray:
+        return riemann_components(self)
 
 
 def christoffel_batch(g: TensorField, points: np.ndarray) -> ChristoffelData:
@@ -161,6 +169,39 @@ def riemann_components(data: ChristoffelData) -> np.ndarray:
     riem = s.reshape(n, D, D ** 3)                                   # s is spent: reuse its memory
     np.matmul(0.5 * data.ginv, r2.reshape(n, D, D ** 3), out=riem)
     return riem.reshape(n, D, D, D, D)
+
+
+def riemann_along(data: ChristoffelData, Z: np.ndarray) -> np.ndarray:
+    """out[n, c, l, i, j]: coefficient of R(d_i, d_j)Z_c along d_l, for the
+    vectors ``Z[n, c]`` at the points of the record.
+
+    Equal to ``einsum("nlkij,nck->nclij", riemann_components(data), Z)`` up
+    to roundoff, with Z^k contracted before the s of
+    :func:`riemann_components` is formed.  Writing (Z.H) for hess contracted
+    on its first slot and (H.Z) on its last (hess is symmetric in its last
+    pair) and Q[a, i, j] = Gamma_{b,ai} Gamma^b_kj Z^k, which is also
+    Z^k Gamma_{b,kj} Gamma^b_ai,
+
+        2 Z^k R_akij = W[a, j, i] - W[a, i, j],
+        W[a, i, j]   = (Z.H)[j, a, i] + (H.Z)[a, i, j] + 2 Q[a, i, j],
+
+    so the result is antisymmetric in i, j bit for bit.  Each term is one
+    batched product per sample, O(n c D^4) work in all.
+    """
+    n, D = data.gamma.shape[:2]
+    c = Z.shape[1]
+    hess = data.hess
+    zh = (Z @ hess.reshape(n, D, D ** 3)).reshape(n, c, D, D, D)       # (Z.H)[c, j, a, i]
+    hz = hess.reshape(n, D ** 3, D) @ np.swapaxes(Z, 1, 2)             # (H.Z)[(a, i, j), c]
+    zg = Z[:, None] @ data.gamma                                       # Gamma^b_kj Z^k at [n, b, c, j]
+    q = (np.swapaxes((2.0 * data.gamma_low).reshape(n, D, D * D), 1, 2)
+         @ zg.reshape(n, D, c * D))                                    # 2 Q at [n, (a, i), (c, j)]
+    w = q.reshape(n, D, D, c, D).transpose(0, 3, 1, 2, 4)              # 2 Q[c, a, i, j]
+    w += zh.transpose(0, 1, 3, 4, 2)
+    w += np.moveaxis(hz.reshape(n, D, D, D, c), -1, 1)
+    r2 = np.swapaxes(w, -1, -2) - w                                    # 2 Z^k R_akij at [n, c, a, i, j]
+    out = (0.5 * data.ginv)[:, None] @ r2.reshape(n, c, D, D * D)
+    return out.reshape(n, c, D, D, D)
 
 
 def ricci_components(riem: np.ndarray) -> np.ndarray:

@@ -75,7 +75,7 @@ from .contact import (
     verify_compatibility,
     verify_kmu_curvature,
 )
-from .curvature import christoffel_batch
+from .curvature import christoffel_batch, riemann_along
 from .errors import ConfigError, GeometryError
 from .fields import TensorField, sup_norm
 from .submersion import (
@@ -310,7 +310,7 @@ def _check_eigenspace_curvature(run):
     data = christoffel_batch(run.S.g, values.points)
     if rep.sasakian_flag:
         # kappa = 1 specialization: R(X, Y) xi = eta(Y) X - eta(X) Y
-        lhs = np.einsum("nlkij,nk->nlij", data.riem, values.xi)
+        lhs = riemann_along(data, values.xi[:, None])[:, 0]
         return sup_norm(lhs - _nullity_basis(values.eta))
     return sup_norm(*verify_kmu_curvature(values, data, rep.kappa, rep.mu).values())
 

@@ -41,6 +41,7 @@ from metsymp.contact import (
     h_eigendecomposition_batch,
     is_K_contact,
     kappa_mu_after_rescale,
+    kmu_fit,
     reeb_field,
     structure_values,
     verify_compatibility,
@@ -65,6 +66,7 @@ from metsymp.symplectization import verify_symplectization_build
 from inputs import kmu_inputs, product_inputs
 from loop_references import (
     eta_einstein_fit_reference,
+    fit_kappa_mu_reference,
     h_norms_reference,
     kmu_curvature_reference,
     reeb_field_adjugate,
@@ -362,6 +364,41 @@ def test_rescale_equivariance_random_factors(any_entry):
         assert abs(rep.kappa - kp) < 1e-6
         if mp is not None:
             assert abs(rep.mu - mp) < 1e-6
+
+
+@pytest.fixture(scope="module")
+def rescale_sources(flat_bundle, sasakian, curved):
+    return {"flat_bundle": flat_bundle, "sasakian": sasakian, "curved": curved,
+            "sasakian_r5": load_structure_file(SASAKIAN_R5_PATH)}
+
+
+def _record_fit(S, pts):
+    values, data = kmu_inputs(S, pts)
+    return kmu_fit(data, values.eta, values.xi, values.h)
+
+
+def _close(got, want, rel):
+    return (got is None) == (want is None) and (
+        got is None or abs(got - want) <= rel * max(1.0, abs(want)))
+
+
+@pytest.mark.parametrize("which", ["flat_bundle", "sasakian", "curved", "sasakian_r5"])
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(log_a=st.floats(math.log(0.1), math.log(10.0)))
+def test_the_fit_of_a_rescale_obeys_the_law_and_the_full_tensor_fit(rescale_sources, which,
+                                                                    log_a):
+    """Metamorphic: kmu_fit on d_homothety(S, a), a log-uniform in [0.1, 10],
+    gives the D-homothety law of the fit of S, and the constants of the
+    full-tensor reference fit at the same draw."""
+    S, a = rescale_sources[which], math.exp(log_a)
+    pts = S.chart.samples(12, seed=4)
+    base = _record_fit(S, pts)
+    Sa = d_homothety(S, a)
+    rep = _record_fit(Sa, pts)
+    kp, mp = kappa_mu_after_rescale(base.kappa, base.mu, a)
+    assert _close(rep.kappa, kp, 1e-9) and _close(rep.mu, mp, 1e-9)
+    kappa, mu, _ = fit_kappa_mu_reference(Sa, 12, seed=4)
+    assert _close(rep.kappa, kappa, 1e-12) and _close(rep.mu, mu, 1e-12)
 
 
 def test_d_homothety_identity_and_derived_laws(flat_bundle):

@@ -18,13 +18,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from metsymp import curvature
 from metsymp.charts import Chart
+from metsymp.contact import kmu_fit, verify_kmu_curvature
 from metsymp.curvature import (
     _symmetric_cond,
     christoffel_batch,
     covariant_derivative_values,
     gram_schmidt_frame,
     ricci_components,
+    riemann_along,
     riemann_components,
 )
 from metsymp.errors import DegenerateMetricError, GeometryError
@@ -34,7 +37,7 @@ from metsymp.structfile import load_structure_file
 from metsymp.submersion import slice_christoffel_batch
 
 from fd_oracle import fd_christoffel, fd_riemann
-from inputs import field_walks
+from inputs import field_walks, kmu_inputs
 from loop_references import (
     assert_connection_matches_reference,
     dgamma_reference,
@@ -427,3 +430,75 @@ def test_single_point_riemann_matches_the_reference_and_the_batch(sasakian7_symp
         assert riem.shape == (8, 8, 8, 8)
         assert np.max(np.abs(riem - want)) <= 1e-13 * np.max(np.abs(want))
         assert_allclose(riem, batch[k], rtol=0, atol=1e-13 * np.max(np.abs(want)))
+
+
+# ---------------------------------------------------------------------------
+# R(., .)Z contracted from the metric jets
+# ---------------------------------------------------------------------------
+
+ALONG_METRICS = ["sasakian", "flat_bundle", "curved", "sasakian_r5", "sasakian7", "sasakian7_gbar"]
+
+
+def _along_metric(which, request):
+    """(metric, chart) of a structure's g, or of gbar for ``sasakian7_gbar`` (D = 8)."""
+    if which == "sasakian_r5":
+        S = load_structure_file(Path(__file__).parent / "data" / "sasakian_r5.txt")
+    elif which.startswith("sasakian7"):
+        B = request.getfixturevalue("sasakian7_symp")
+        if which == "sasakian7_gbar":
+            return B.gbar, B.chart
+        S = B.base
+    else:
+        S = request.getfixturevalue(which)
+    return S.g, S.chart
+
+
+@pytest.mark.parametrize("which", ALONG_METRICS)
+def test_riemann_along_is_the_full_tensor_contracted(which, request):
+    g, chart = _along_metric(which, request)
+    data = christoffel_batch(g, chart.samples(15, seed=8))
+    rng = np.random.default_rng(8)
+    for c in (0, 1, 3):
+        Z = rng.standard_normal((15, c, chart.dim))
+        want = np.einsum("nlkij,nck->nclij", riemann_components(data), Z)
+        got = riemann_along(data, Z)
+        assert got.shape == (15, c) + (chart.dim,) * 3
+        assert np.max(np.abs(got - want), initial=0.0) <= 1e-13 * np.max(np.abs(want), initial=0.0)
+        # the lowered tensor is antisymmetric in its last pair bit for bit
+        assert np.array_equal(got, -np.swapaxes(got, -1, -2))
+
+
+@pytest.mark.parametrize("which", ALONG_METRICS)
+def test_riemann_along_rows_of_a_prefix_are_its_own(which, request):
+    g, chart = _along_metric(which, request)
+    pts = chart.samples(20, seed=9)
+    Z = np.random.default_rng(9).standard_normal((20, 2, chart.dim))
+    full = riemann_along(christoffel_batch(g, pts), Z)
+    assert np.array_equal(riemann_along(christoffel_batch(g, pts[:7]), Z[:7]), full[:7])
+
+
+def test_a_nan_in_one_sample_reaches_only_its_rows(sasakian7_symp):
+    B = sasakian7_symp
+    data = christoffel_batch(B.gbar, B.chart.samples(6, seed=10))
+    Z = np.random.default_rng(10).standard_normal((6, 3, B.chart.dim))
+    hess = data.hess.copy()
+    hess[4, 1, 2, 0, 3] = np.nan
+    got = riemann_along(dataclasses.replace(data, hess=hess), Z)
+    assert np.isnan(got[4]).any()
+    others = [0, 1, 2, 3, 5]
+    assert np.array_equal(got[others], riemann_along(data, Z)[others])
+
+
+def test_the_fits_leave_riem_unformed_and_a_read_forms_it_once(flat_bundle, monkeypatch):
+    """kmu_fit and the eigenspace identities read R(., .)Z only; a record
+    forms ``riem`` on its first read and keeps it."""
+    values, data = kmu_inputs(flat_bundle, flat_bundle.chart.samples(12, seed=11))
+    rep = kmu_fit(data, values.eta, values.xi, values.h)
+    verify_kmu_curvature(values, data, rep.kappa, rep.mu)
+    assert "riem" not in vars(data)
+    calls = []
+    real = curvature.riemann_components
+    monkeypatch.setattr(curvature, "riemann_components", lambda d: calls.append(d) or real(d))
+    first = data.riem
+    assert data.riem is first and calls == [data]
+    assert np.array_equal(first, real(data))

@@ -474,15 +474,20 @@ def test_the_slice_connection_is_the_base_block_of_gbar_bit_for_bit(which, reque
 @pytest.mark.parametrize("which", ["flat_bundle_symp", "sasakian_symp", "curved_symp",
                                    "sasakian7_symp"])
 def test_the_shared_nullity_fit_matches_both_reference_fits(which, request):
-    """fit_kappa_mu, through contact.nullity_fit, gives the constants of its
-    former body bit for bit.  fit_symplectization_kmu fits one family over
+    """fit_kappa_mu, through contact.nullity_fit, gives the constants of the
+    full-tensor reference to roundoff: it contracts R(., .)xi from the
+    metric jets, the reference contracts riemann_components with xi, so the
+    two differ in the last bits (3e-17 in kappa on curved_symp).
+    fit_symplectization_kmu fits one family over
     a draw across the t range; the D-homothety law at exp(2t) takes its
     base (kappa, mu) to the constants that the per-slice fit, at each of
     four slices, reads as (kappa_t - 2, mu_t)."""
     B = request.getfixturevalue(which)
     rep = fit_kappa_mu(B.base, 12, seed=2)
     kappa, mu, residual = fit_kappa_mu_reference(B.base, 12, seed=2)
-    assert (rep.kappa, rep.mu) == (kappa, mu)
+    assert abs(rep.kappa - kappa) <= 1e-14 * max(1.0, abs(kappa))
+    assert (rep.mu is None) == (mu is None)
+    assert mu is None or abs(rep.mu - mu) <= 1e-14 * max(1.0, abs(mu))
     assert abs(rep.residual - residual) <= 1e-15
     fit = fit_symplectization_kmu(B, *product_inputs(B, B.chart.samples(12, seed=2)))
     assert fit.residual < 1e-9 and fit.sasakian_flag == rep.sasakian_flag
