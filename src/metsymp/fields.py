@@ -18,9 +18,12 @@ cached on each node, so derived fields remain fields and can be
 differentiated again without loss.  Where only the values of a
 first-order operator are read, its callers form them from order-1 jets
 instead (h in :mod:`metsymp.contact`, the torsion in
-:mod:`metsymp.symplectization`), with :func:`_masked_contraction`.  A
-field itself caches nothing: ``inverse_metric`` builds the inverse on
-each call.
+:mod:`metsymp.symplectization`), with :func:`_masked_contraction`, which
+forms only the components where some term has no structurally zero factor:
+the others are the +0.0 that the sum of masked-off terms gives, and a
+formed component is summed as the dense product sums it, so the bits do
+not depend on which components are formed.  A field itself caches
+nothing: ``inverse_metric`` builds the inverse on each call.
 
 Storage.  A ``symmetric`` or ``antisymmetric`` tag means one expression per
 index orbit: all permutations of a sorted index hold the same node, odd
@@ -78,6 +81,9 @@ __all__ = [
 ]
 
 
+_max_reduce = np.maximum.reduce
+
+
 def sup_norm(*parts) -> float:
     """The residual of a check: the largest absolute entry over all parts.
 
@@ -89,10 +95,11 @@ def sup_norm(*parts) -> float:
     """
     worst = 0.0
     for part in parts:
-        top = float(np.max(np.abs(part), initial=0.0))
+        top = float(_max_reduce(np.abs(part), axis=None, initial=0.0))
         if not top < math.inf:
             return math.inf
-        worst = max(worst, top)
+        if top > worst:
+            worst = top
     return worst
 
 
@@ -117,8 +124,30 @@ def _masked_contraction(x: np.ndarray, y: np.ndarray, mask: np.ndarray) -> np.nd
     zero factor, as the symbolic operators never build them: such a term
     is 0 even where the other factor is NaN.  No BLAS call is made, so the
     bits do not depend on its thread count.
+
+    ``x`` and ``y`` carry a sample axis first; ``mask`` has the full shape
+    of the terms without it.  A row (every axis but the last) where
+    ``mask`` holds no live term is not formed: it is the +0.0 that a sum
+    of masked-off terms gives.  The live rows are gathered from each
+    operand, at index 0 on the axes where it broadcasts.  A formed row is
+    the same length-D sum of the same terms as in the dense product, and
+    the reduction of a row does not depend on how many rows the array
+    holds, so the bits, the NaNs and the signs of zero do not depend on
+    which rows are formed.
     """
-    return np.where(mask, x * y, 0.0).sum(axis=-1)
+    live = mask.any(axis=-1)
+    rows = live.nonzero()
+    out = np.zeros((max(x.shape[0], y.shape[0]),) + live.shape)
+    if not rows[0].size:
+        return out
+    # an index array, not the integer 0, so that an operand broadcast on
+    # every axis keeps the row axis
+    zero = rows[0] * 0
+    xs, ys = (a[(slice(None),) + tuple(r if size > 1 else zero
+                                       for r, size in zip(rows, a.shape[1:-1]))]
+              for a in (x, y))
+    out[(slice(None),) + rows] = np.where(mask[rows], xs * ys, 0.0).sum(axis=-1)
+    return out
 
 
 # ---------------------------------------------------------------------------

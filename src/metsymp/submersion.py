@@ -216,10 +216,14 @@ def verify_currel(B: SymplecticMetricStructure, data: ChristoffelData,
     eye = np.eye(d)
 
     # relation 1 over [n, l, c, a, b], X = d_a, Y = d_b, Z = d_c; the
-    # horizontal remainder of R(X,Y)Z is relation 2
+    # horizontal remainder of R(X,Y)Z is relation 2.  The Kronecker terms
+    # delta_lb P[a, c] - delta_la P[b, c] live on the diagonals l = b and
+    # l = a, and are added there in that order
     Pt, gtt = np.swapaxes(P, 1, 2), np.swapaxes(gt, 1, 2)             # [n, c, a]
-    rhs1 = (sl.riem + eye[:, None, None, :] * Pt[:, None, :, :, None]
-            - eye[:, None, :, None] * Pt[:, None, :, None, :])
+    rhs1 = sl.riem.copy()
+    for l in range(d):
+        rhs1[:, l, :, :, l] += Pt
+        rhs1[:, l, :, l, :] -= Pt
     coeff = (etat[:, None, None, :] * gtt[:, :, :, None]
              - etat[:, None, :, None] * gtt[:, :, None, :])             # [n, c, a, b]
     rhs1 += coeff[:, None] * xit[:, :, None, None, None]

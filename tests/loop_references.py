@@ -64,6 +64,11 @@ and both norms as the single einsum of their definition.  So is the
 sectional curvature of one plane at one point, which pins the library's
 Riemann tensor to the closed-form curvatures of the sphere and of the
 symplectization's line planes.
+
+The masked contraction behind the numeric h and torsion is kept as the
+dense product it was before it formed only the rows that hold a live
+term, and the residual reducer as it was written through ``np.max``;
+tests require the library's to match both bit for bit.
 """
 
 import itertools
@@ -287,6 +292,23 @@ def nijenhuis_norms_reference(nv, gv):
     ginv = np.linalg.inv(gv)
     sq = np.einsum("nkc,nia,njb,nkij,ncab->n", gv, ginv, ginv, nv, nv)
     return np.sqrt(np.maximum(sq, 0.0))
+
+
+def masked_contraction_dense(x, y, mask):
+    """``fields._masked_contraction`` as every term multiplied, masked and
+    summed over the last axis."""
+    return np.where(mask, x * y, 0.0).sum(axis=-1)
+
+
+def sup_norm_reference(*parts):
+    """``fields.sup_norm`` through ``np.max`` and the builtin ``max``."""
+    worst = 0.0
+    for part in parts:
+        top = float(np.max(np.abs(part), initial=0.0))
+        if not top < math.inf:
+            return math.inf
+        worst = max(worst, top)
+    return worst
 
 
 def ricci_frame_trace(data):

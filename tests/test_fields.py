@@ -1,6 +1,7 @@
 """Exterior and Lie calculus, pullbacks, contractions, and the two
 evaluation orders of a field."""
 
+import itertools
 import math
 
 import numpy as np
@@ -48,7 +49,7 @@ from metsymp.jets import Jet2
 from metsymp.structfile import StructureFileError, parse_structure_text
 from metsymp.symplectization import nijenhuis, slice_metric_field
 
-from loop_references import lie_bracket_loop, symmetrize_reference
+from loop_references import lie_bracket_loop, sup_norm_reference, symmetrize_reference
 
 
 @pytest.fixture()
@@ -452,6 +453,19 @@ def test_sup_norm_maps_any_non_finite_entry_to_inf(bad):
     assert sup_norm(bad) == math.inf
     # the order of the parts does not matter, unlike max(0.0, nan) == 0.0
     assert sup_norm(bad, 0.0) == sup_norm(0.0, bad) == math.inf
+
+
+@pytest.mark.parametrize("extra", [np.array([[0.5, -7.25]]), math.nan, math.inf, -math.inf,
+                                   np.array([1.0, math.nan]), np.array([-math.inf])])
+def test_sup_norm_is_the_np_max_formula_in_every_order(extra):
+    """Bit for bit the reduction through ``np.max`` and the builtin max,
+    sign of zero included, for every ordered selection of the parts."""
+    pool = [2.5, -0.0, [1.0, -3.0], np.array(-4.0), np.zeros((0, 3)), extra]
+    for k in range(len(pool) + 1):
+        for parts in itertools.permutations(pool, k):
+            got, want = sup_norm(*parts), sup_norm_reference(*parts)
+            assert type(got) is float
+            assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
 
 
 # ---------------------------------------------------------------------------
