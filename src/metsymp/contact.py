@@ -264,35 +264,54 @@ def _require_finite(pts: np.ndarray, error: type[GeometryError], what: str, *arr
         raise error(f"{what} is not finite at {at_sample(pts, bad[0])}")
 
 
+def _min_norm_solve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The minimum-norm least-squares solutions ``x[n]`` of a stack of
+    systems ``a[n] x = b[n]``, each (M, N), and the rank of each system.
+
+    One stacked SVD mirrors what ``np.linalg.lstsq(a[n], b[n], rcond=None)``
+    solves one system at a time: a singular value at most
+    eps max(M, N) sigma_max counts as zero, and x = V S^+ U^T b.  The two
+    contractions are einsums, so no BLAS call is made.
+    """
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    keep = s > np.finfo(float).eps * max(a.shape[-2:]) * s[:, :1]
+    coef = np.einsum("nmk,nm->nk", u, b) / np.where(keep, s, 1.0)
+    return np.einsum("nkj,nk->nj", vt, np.where(keep, coef, 0.0)), keep.sum(axis=1)
+
+
 def _reeb_from_values(dv: np.ndarray, ev: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Reeb vectors from d eta and eta evaluated on the batch ``pts``.
 
     ``dv[n, i, j] = d eta(d_i, d_j)`` and ``ev[n, i] = eta_i``.  At each
     point the rows are d eta(. , d_j) for every j plus the row eta(.) = 1;
-    the least-squares solution of this (dim+1) x dim stack is the Reeb
-    vector whenever eta is contact at the point, and the defining equations
-    are re-checked to 1e-9.  A rejection names the first failing sample; a
-    sample where eta or d eta is not finite is rejected before any solve.
+    the minimum-norm least-squares solution of this (dim+1) x dim stack is
+    the Reeb vector whenever eta is contact at the point.  All samples are
+    solved by one stacked :func:`_min_norm_solve`, with ``lstsq``'s rank
+    rule, and the defining equations are re-checked to 1e-9.  A rejection
+    names the first failing sample, singular system or residual, whichever
+    comes first; a sample where eta or d eta is not finite is rejected
+    before the solve.
     """
     _require_finite(pts, NotContactError, "eta or d eta", dv, ev)
     dim = pts.shape[1]
-    rhs = np.zeros(dim + 1)
-    rhs[-1] = 1.0
-    out = np.empty(pts.shape)
-    for k in range(pts.shape[0]):
-        rows = np.vstack([dv[k].T, ev[k][None, :]])   # d eta(xi, d_j) = xi^i dv[i, j]
-        sol, _, rank, _ = np.linalg.lstsq(rows, rhs, rcond=None)
-        if rank < dim:
+    # row j of a sample's system is d eta(., d_j): d eta(xi, d_j) = xi^i dv[i, j]
+    rows = np.concatenate([np.swapaxes(dv, 1, 2), ev[:, None, :]], axis=1)
+    rhs = np.zeros((len(pts), dim + 1))
+    rhs[:, -1] = 1.0
+    sol, rank = _min_norm_solve(rows, rhs)
+    defect = np.einsum("nji,ni->nj", rows, sol) - rhs
+    # NaN-aware: a sample whose defect is not finite fails too
+    bad = np.flatnonzero((rank < dim) | ~(np.abs(defect).max(axis=1) <= REEB_TOL))
+    if bad.size:
+        k = bad[0]
+        if rank[k] < dim:
             raise NotContactError(
                 f"the form is not contact at {at_sample(pts, k)} (singular Reeb system)")
-        residual = sup_norm(rows @ sol - rhs)
-        if residual > REEB_TOL:
-            raise NotContactError(
-                f"Reeb defining equations unsatisfied at {at_sample(pts, k)} "
-                f"(residual {residual:.3e}); the form is likely not contact here"
-            )
-        out[k] = sol
-    return out
+        raise NotContactError(
+            f"Reeb defining equations unsatisfied at {at_sample(pts, k)} "
+            f"(residual {sup_norm(defect[k]):.3e}); the form is likely not contact here"
+        )
+    return sol
 
 
 @dataclass(frozen=True)
@@ -410,9 +429,51 @@ def is_K_contact(g: np.ndarray, h: np.ndarray) -> bool:
 
 def _nullity_basis(eta: np.ndarray) -> np.ndarray:
     """A[n, l, i, j], the d_l component of eta(d_j) d_i - eta(d_i) d_j at
-    sample n, from the values ``eta[n, i]``."""
-    eye = np.eye(eta.shape[1])
-    return np.einsum("nj,li->nlij", eta, eye) - np.einsum("ni,lj->nlij", eta, eye)
+    sample n, from the values ``eta[n, i]``: eta_j on the diagonal l = i,
+    less eta_i on the diagonal l = j."""
+    n, d = eta.shape
+    diag = np.arange(d)
+    out = np.zeros((n, d, d, d))
+    out[:, diag, diag, :] = eta[:, None, :]
+    out[:, diag, :, diag] -= eta[None, :, :]    # indexed as [l = j, n, i]
+    return out
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> float:
+    """x . y as numpy's pairwise sum of the products: more accurate than a
+    running sum, and unlike BLAS dot it does not depend on the BLAS thread
+    count."""
+    return float((x * y).sum())
+
+
+def _column_lstsq(cols: Sequence[np.ndarray], y: np.ndarray) -> list[float]:
+    """The minimum-norm least-squares coefficients of one or two columns
+    ``cols`` against ``y``: the solution of ``np.linalg.lstsq(np.stack(cols,
+    axis=1), y, rcond=None)`` to roundoff, without an SVD of the tall matrix.
+
+    Gram-Schmidt on the columns gives Q R (Golub and Van Loan, Matrix
+    Computations, section 5.3); a column that is exactly dependent on the
+    ones before it leaves a zero row of R and no direction in Q.  R shares
+    the singular values of the columns, so the small system R x = Q^T y
+    is solved with lstsq's own rank rule, singular values at most
+    eps max(M, N) sigma_max counting as zero, M being the number of rows.
+    One column needs no solve: its R is one number.
+    """
+    k = len(cols)
+    R = np.zeros((k, k))
+    q = []
+    for j, col in enumerate(cols):
+        w = col
+        for i, u in enumerate(q):
+            R[i, j] = _dot(u, col)
+            w = w - R[i, j] * u
+        R[j, j] = math.sqrt(_dot(w, w))
+        q.append(w / R[j, j] if R[j, j] > 0.0 else np.zeros_like(w))
+    qty = [_dot(u, y) for u in q]
+    if k == 1:
+        return [qty[0] / float(R[0, 0]) if R[0, 0] > 0.0 else 0.0]
+    sol, *_ = np.linalg.lstsq(R, qty, rcond=np.finfo(float).eps * max(len(y), k))
+    return [float(x) for x in sol]
 
 
 def nullity_fit(points: np.ndarray, lhs: np.ndarray, eta: np.ndarray, g: np.ndarray,
@@ -424,22 +485,24 @@ def nullity_fit(points: np.ndarray, lhs: np.ndarray, eta: np.ndarray, g: np.ndar
     of ``points``; ``eta``, ``g`` and ``h`` hold the values of eta, g and h
     there.  The fit is lhs = kappa A + mu B with
     A = eta(d_j) d_i - eta(d_i) d_j and B = h A; where g and h make the
-    structure K-contact it fits kappa alone and mu is None.  The residual
-    is the sup norm of lhs - (kappa A + mu B).  A non-finite lhs, eta or h
-    is a ``GeometryError`` naming its sample, raised before the solve.
+    structure K-contact it fits kappa alone and mu is None.  The one or two
+    columns are fitted by :func:`_column_lstsq`, a Gram-Schmidt QR whose
+    minimum-norm answer is lstsq's to roundoff, bit for bit the same at
+    every BLAS thread count.  The residual is the sup norm of
+    lhs - (kappa A + mu B).  A non-finite lhs, eta or h is a
+    ``GeometryError`` naming its sample, raised before the solve.
     """
     _require_finite(points, GeometryError, "R(X, Y) xi, eta or h", lhs, eta, h)
     sasakian = is_K_contact(g, h)
     colA = _nullity_basis(eta)
     b = lhs.ravel()
     if sasakian:
-        sol, *_ = np.linalg.lstsq(colA.ravel()[:, None], b, rcond=None)
-        kappa, mu = float(sol[0]), None
+        (kappa,) = _column_lstsq([colA.ravel()], b)
+        mu = None
         residual = sup_norm(lhs - kappa * colA)
     else:
         colB = np.einsum("nj,nli->nlij", eta, h) - np.einsum("ni,nlj->nlij", eta, h)
-        sol, *_ = np.linalg.lstsq(np.stack([colA.ravel(), colB.ravel()], axis=1), b, rcond=None)
-        kappa, mu = float(sol[0]), float(sol[1])
+        kappa, mu = _column_lstsq([colA.ravel(), colB.ravel()], b)
         residual = sup_norm(lhs - (kappa * colA + mu * colB))
     lam = None if sasakian else math.sqrt(max(1.0 - kappa, 0.0))
     return KmuReport(kappa=kappa, mu=mu, residual=residual, sasakian_flag=sasakian, lam=lam)
@@ -482,13 +545,17 @@ def kappa_mu_after_rescale(kappa: float, mu: float | None, a: float
     return kp, mp
 
 
-def d_homothety(S: ContactMetricStructure, a: float) -> ContactMetricStructure:
-    """The rescaled structure (a eta, a g + a(a-1) eta (x) eta, phi)."""
+def _rescaled_forms(S: ContactMetricStructure, a: float) -> tuple[TensorField, TensorField]:
+    """a eta and a g + a(a-1) eta (x) eta: the eta and g of d_homothety(S, a)."""
     _require_factor(a, "d_homothety needs a positive factor")
     A = Const(float(a))
     g2 = _rescaled_metric(S.g.components, S.eta.components, A, Const(float(a * (a - 1.0))))
-    return ContactMetricStructure.build(
-        S.chart, S.eta.scale(A), TensorField(S.chart, 0, 2, g2, "symmetric"), S.phi)
+    return S.eta.scale(A), TensorField(S.chart, 0, 2, g2, "symmetric")
+
+
+def d_homothety(S: ContactMetricStructure, a: float) -> ContactMetricStructure:
+    """The rescaled structure (a eta, a g + a(a-1) eta (x) eta, phi)."""
+    return ContactMetricStructure.build(S.chart, *_rescaled_forms(S, a), S.phi)
 
 
 def _rescaled_metric(g: np.ndarray, eta: np.ndarray, a: Expr, b: Expr) -> np.ndarray:

@@ -158,13 +158,14 @@ def riemann_components(data: ChristoffelData) -> np.ndarray:
     reads keep j innermost, and one product with g^{-1} / 2 raises a.
     """
     n, D = data.gamma.shape[:2]
-    hess = data.hess.reshape(n, D * D, D * D)
     # the factors 2 and 1/2 are powers of two, so they round exactly
     s = (np.swapaxes((2.0 * data.gamma_low).reshape(n, D, D * D), 1, 2)
          @ data.gamma.reshape(n, D, D * D))
-    s += hess
-    s += np.swapaxes(hess, 1, 2)
     s4 = s.reshape(n, D, D, D, D)
+    # hess and its (p q) <-> (r t) transpose, added as 5-index views: a
+    # slice's hess is a non-contiguous block, which a reshape would copy
+    s4 += data.hess
+    s4 += data.hess.transpose(0, 3, 4, 1, 2)
     r2 = s4.transpose(0, 3, 1, 2, 4) - s4.transpose(0, 1, 3, 2, 4)  # 2 R_akij at [n, a, k, i, j]
     riem = s.reshape(n, D, D ** 3)                                   # s is spent: reuse its memory
     np.matmul(0.5 * data.ginv, r2.reshape(n, D, D ** 3), out=riem)

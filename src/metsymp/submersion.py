@@ -226,8 +226,9 @@ def verify_currel(B: SymplecticMetricStructure, data: ChristoffelData,
         rhs1[:, l, :, l, :] -= Pt
     coeff = (etat[:, None, None, :] * gtt[:, :, :, None]
              - etat[:, None, :, None] * gtt[:, :, None, :])             # [n, c, a, b]
-    rhs1 += coeff[:, None] * xit[:, :, None, None, None]
-    d1 = data.riem[:, :d, :d, :d, :d] - rhs1
+    for l in range(d):   # one l-slice at a time: no (n, d^4) product is formed
+        rhs1[:, l] += coeff * xit[:, l, None, None, None]
+    d1 = np.subtract(data.riem[:, :d, :d, :d, :d], rhs1, out=rhs1)   # rhs1 is spent
 
     # relation 2 over [n, c, a, b]: with K = phi^T g_t (I + h_t), the first
     # term is -(K[c, a] eta_t(Y) - K[c, b] eta_t(X))

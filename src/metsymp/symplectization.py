@@ -50,7 +50,9 @@ from .charts import Chart, product_with_line
 from .contact import (
     ContactMetricStructure,
     StructureValues,
+    _min_norm_solve,
     _require_finite,
+    _rescaled_forms,
     _rescaled_metric,
     d_homothety,
 )
@@ -142,17 +144,30 @@ def _exp_t(chart: Chart, c: float) -> Expr:
     return exp(Const(c) * Coord(chart.dim - 1, chart.coord_names[-1]))
 
 
-def extended_slice_form(S: ContactMetricStructure, chart: Chart) -> TensorField:
-    """exp(2t) eta as a 1-form on the product chart (zero dt component)."""
-    return extend_to_product(S.eta, chart).scale(_exp_t(chart, 2.0))
+def extended_slice_form(eta: TensorField, chart: Chart) -> TensorField:
+    """exp(2t) eta, for a 1-form eta of the base, as a 1-form on the product
+    chart (zero dt component)."""
+    return extend_to_product(eta, chart).scale(_exp_t(chart, 2.0))
 
 
-def slice_metric_field(S: ContactMetricStructure, chart: Chart) -> TensorField:
-    """The slice family exp(2t) g + exp(2t)(exp(2t)-1) eta (x) eta."""
+def slice_metric_field(g: TensorField, eta: TensorField, chart: Chart) -> TensorField:
+    """The slice family exp(2t) g + exp(2t)(exp(2t)-1) eta (x) eta of a
+    metric g and a 1-form eta of the base."""
     a = _exp_t(chart, 2.0)
-    comps = _rescaled_metric(extend_to_product(S.g, chart).components,
-                             extend_to_product(S.eta, chart).components, a, a * (a - Const(1.0)))
+    comps = _rescaled_metric(extend_to_product(g, chart).components,
+                             extend_to_product(eta, chart).components, a, a * (a - Const(1.0)))
     return TensorField(chart, 0, 2, comps, "symmetric")
+
+
+def _form_and_metric(eta: TensorField, g: TensorField, chart: Chart
+                     ) -> tuple[TensorField, TensorField]:
+    """omega = d(exp(2t) eta) and gbar = g_t + dt^2 on the product chart,
+    from the eta and g of the base: the slice metric family with a one at
+    (t, t), so gbar's base block holds the nodes of g_t."""
+    gbar = slice_metric_field(g, eta, chart).components.copy()
+    gbar[-1, -1] = ONE
+    return (exterior_derivative(extended_slice_form(eta, chart)),
+            TensorField(chart, 0, 2, gbar, "symmetric"))
 
 
 # ---------------------------------------------------------------------------
@@ -192,17 +207,13 @@ def build_metric_symplectization(S: ContactMetricStructure,
                                  ) -> SymplecticMetricStructure:
     """The unique compatible metric structure on the symplectization.
 
-    omega comes from the exterior derivative of exp(2t) eta and J from the
-    three-case formula above; gbar = g_t + dt^2 is the slice metric family
-    with a one at (t, t), so its base block holds the nodes of g_t.
+    omega and gbar come from :func:`_form_and_metric` and J from the
+    three-case formula above.
     """
     chart = _product_chart(S, t_range)
-    gbar = slice_metric_field(S, chart).components.copy()
-    gbar[-1, -1] = ONE
-    return SymplecticMetricStructure(
-        chart=chart, omega=exterior_derivative(extended_slice_form(S, chart)),
-        gbar=TensorField(chart, 0, 2, gbar, "symmetric"),
-        J=_product_acs(S, chart), base=S)
+    omega, gbar = _form_and_metric(S.eta, S.g, chart)
+    return SymplecticMetricStructure(chart=chart, omega=omega, gbar=gbar,
+                                     J=_product_acs(S, chart), base=S)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +389,10 @@ def verify_symplectization_build(B: SymplecticMetricStructure, data: Christoffel
       the compatibility of the slice-law gbar with J and omega;
     - ``unique_acs``: on the first ``_WITNESS_SAMPLES`` samples, w = J' d_t
       solved from omega(w, xi_t) = omega(w, V) = 0 and omega(w, d_t) = 1
-      (d_t unit and slice-orthogonal for gbar' = omega(J' ., .)), against -xi_t.
+      (d_t unit and slice-orthogonal for gbar' = omega(J' ., .)), against
+      -xi_t.  The samples' systems are one stacked minimum-norm solve
+      (:func:`contact._min_norm_solve`, lstsq's rank rule), made after
+      omega, xi_t and V are checked finite there.
     """
     pts, gv = data.points, data.g
     D, d = B.chart.dim, B.t_index
@@ -407,15 +421,14 @@ def verify_symplectization_build(B: SymplecticMetricStructure, data: Christoffel
     k = min(len(pts), _WITNESS_SAMPLES)
     _require_finite(pts[:k], GeometryError, "omega, xi_t or the contact distribution",
                     ov[:k], xt[:k], V[:k])
-    rhs = np.eye(D + 1)[-1]
-    defects = []
-    for n in range(k):
-        # omega(w, b_j) = w^c omega_{cb} b_j^b, so row j of the system
-        # matrix is omega b_j, i.e. (basis @ omega^T)[j]
-        basis = np.vstack([xt[n], V[n], et[n]])
-        sol, *_ = np.linalg.lstsq(basis @ ov[n].T, rhs, rcond=None)
-        defects.append(sol + xt[n])
-    res["unique_acs"] = sup_norm(*defects)
+    # omega(w, b_j) = w^c omega_{cb} b_j^b, so row j of a sample's system
+    # matrix is omega b_j, i.e. (basis @ omega^T)[j], with the rows
+    # b_j = xi_t, V[:, 0], ..., V[:, d - 1], d_t
+    basis = np.concatenate([xt[:k, None], V[:k], et[:k, None]], axis=1)
+    rhs = np.zeros((k, D + 1))
+    rhs[:, -1] = 1.0
+    sol, _ = _min_norm_solve(basis @ np.swapaxes(ov[:k], 1, 2), rhs)
+    res["unique_acs"] = sup_norm(sol + xt[:k])
     return res
 
 
@@ -434,10 +447,13 @@ def translation_isomorphism_check(B: SymplecticMetricStructure, t_shift: float,
     residuals are ``omega`` and ``metric``.  The shift's Jacobian is the
     identity, so the pullback of a tensor is its value at the shifted
     point.  The t column of ``points``, on B's chart, is mapped affinely
-    from B's t interval onto the part whose shift stays inside it.
+    from B's t interval onto the part whose shift stays inside it.  Of the
+    rescaled symplectization only the two compared trees are built, omega
+    and gbar from the rescaled eta and g (:func:`_form_and_metric`): no
+    rescaled structure, with its d eta and Reeb field, and no J.
     """
     lo, hi = B.chart.domain[B.t_index]
-    B2 = build_metric_symplectization(d_homothety(B.base, math.exp(2.0 * t_shift)), (lo, hi))
+    rescaled = _form_and_metric(*_rescaled_forms(B.base, math.exp(2.0 * t_shift)), B.chart)
     t_lo, t_hi = max(lo, lo - t_shift), min(hi, hi - t_shift)
     if t_lo >= t_hi:
         raise GeometryError("t shift leaves no overlap inside the product box")
@@ -447,5 +463,5 @@ def translation_isomorphism_check(B: SymplecticMetricStructure, t_shift: float,
     shifted[:, -1] += t_shift
 
     omega, gbar = evaluate_fields([B.omega, B.gbar], shifted)
-    omega2, gbar2 = evaluate_fields([B2.omega, B2.gbar], pts)
+    omega2, gbar2 = evaluate_fields(rescaled, pts)
     return {"omega": sup_norm(omega - omega2), "metric": sup_norm(gbar - gbar2)}

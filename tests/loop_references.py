@@ -69,6 +69,14 @@ The masked contraction behind the numeric h and torsion is kept as the
 dense product it was before it formed only the rows that hold a live
 term, and the residual reducer as it was written through ``np.max``;
 tests require the library's to match both bit for bit.
+
+The small least-squares solves are kept as ``np.linalg.lstsq`` calls: the
+Reeb solve and the uniqueness witness of the symplectization build one
+sample at a time, as they were before their samples were stacked into one
+SVD, and the nullity fit's one or two columns as the tall system it was
+before the library fitted them by a Gram-Schmidt QR.  Tests require the
+library's solutions to match them to roundoff, its rejections to match
+them word for word.
 """
 
 import itertools
@@ -85,7 +93,7 @@ from metsymp.curvature import (
     riemann_components,
 )
 from metsymp import expressions as E
-from metsymp.errors import DegenerateMetricError, GeometryError
+from metsymp.errors import DegenerateMetricError, GeometryError, NotContactError, at_sample
 from metsymp.expressions import ZERO, Const, Coord
 from metsymp.jets import coordinate_jets
 from metsymp.fields import (
@@ -101,6 +109,7 @@ from metsymp.fields import (
     wedge,
 )
 from metsymp.symplectization import (
+    _WITNESS_SAMPLES,
     SymplecticMetricStructure,
     _exp_t,
     build_metric_symplectization,
@@ -126,7 +135,7 @@ def compatible_metric_reference(S, J):
     """The symplectization with omega = d(exp(2t) eta) on J's chart and
     gbar(X, Y) = omega(J X, Y), symmetrized, the way the library built gbar
     before it took it from the slice law g_t + dt^2."""
-    omega = exterior_derivative(extended_slice_form(S, J.chart))
+    omega = exterior_derivative(extended_slice_form(S.eta, J.chart))
     D = J.chart.dim
 
     def entry(ab):
@@ -143,7 +152,7 @@ def slice_christoffel_reference(B, pts):
     """Connection data of g_t from its own order-2 walk of
     ``slice_metric_field``, restricted to the base slots."""
     d = B.base.chart.dim
-    vals, grads, hesses = slice_metric_field(B.base, B.chart).jet_blocks(pts)
+    vals, grads, hesses = slice_metric_field(B.base.g, B.base.eta, B.chart).jet_blocks(pts)
     return christoffel_from_blocks(pts, vals[:, :d, :d], grads[:, :d, :d, :d],
                                    hesses[:, :d, :d, :d, :d])
 
@@ -358,7 +367,7 @@ def fundamental_T_field(B):
     chart = B.chart
     D = chart.dim
     ti = B.t_index
-    etat = extended_slice_form(S, chart)
+    etat = extended_slice_form(S.eta, chart)
     xit = extended_slice_reeb(S, chart)
     comps = np.empty((D, D, D), dtype=object)
     comps[...] = Const(0.0)
@@ -414,6 +423,59 @@ def assert_connection_matches_reference(g, pts):
     assert np.max(np.abs(riemann_components(data) - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+def reeb_from_values_reference(dv, ev, pts):
+    """``contact._reeb_from_values`` one lstsq per sample: the Reeb vectors,
+    or the NotContactError of the first sample whose system is singular or
+    whose defining equations miss by more than ``REEB_TOL``."""
+    contact._require_finite(pts, NotContactError, "eta or d eta", dv, ev)
+    dim = pts.shape[1]
+    rhs = np.zeros(dim + 1)
+    rhs[-1] = 1.0
+    out = np.empty(pts.shape)
+    for k in range(pts.shape[0]):
+        rows = np.vstack([dv[k].T, ev[k][None, :]])
+        sol, _, rank, _ = np.linalg.lstsq(rows, rhs, rcond=None)
+        if rank < dim:
+            raise NotContactError(
+                f"the form is not contact at {at_sample(pts, k)} (singular Reeb system)")
+        residual = sup_norm(rows @ sol - rhs)
+        if residual > contact.REEB_TOL:
+            raise NotContactError(
+                f"Reeb defining equations unsatisfied at {at_sample(pts, k)} "
+                f"(residual {residual:.3e}); the form is likely not contact here"
+            )
+        out[k] = sol
+    return out
+
+
+def unique_acs_solutions_reference(B, data, values):
+    """The uniqueness witnesses w = J' d_t of ``verify_symplectization_build``,
+    one lstsq per sample on its first ``_WITNESS_SAMPLES``, with the xi_t
+    they are compared against: the residual ``unique_acs`` is the sup norm
+    of w + xi_t."""
+    pts = data.points
+    D, d = B.chart.dim, B.t_index
+    k = min(len(pts), _WITNESS_SAMPLES)
+    ov = B.omega.values(pts[:k])
+    xl = np.pad(values.xi[:k], [(0, 0), (0, 1)])
+    xt = xl * np.exp(-2.0 * pts[:k, -1:])
+    et = np.eye(D)[-1]
+    rhs = np.eye(D + 1)[-1]
+    sols = np.empty((k, D))
+    for n in range(k):
+        V = [np.eye(D)[a] - values.eta[n, a] * xl[n] for a in range(d)]
+        basis = np.vstack([xt[n], *V, et])
+        sols[n], *_ = np.linalg.lstsq(basis @ ov[n].T, rhs, rcond=None)
+    return sols, xt
+
+
+def column_lstsq_reference(cols, y):
+    """The nullity fit's coefficients as the tall lstsq of its stacked
+    columns, which ``contact._column_lstsq`` replaced."""
+    sol, *_ = np.linalg.lstsq(np.stack(cols, axis=1), y, rcond=None)
+    return [float(x) for x in sol]
+
+
 def fit_kappa_mu_reference(S, n_samples, seed):
     """(kappa, mu, residual) of ``contact.fit_kappa_mu``, with its own
     columns; h is the library's, from first partials of xi and phi."""
@@ -452,7 +514,7 @@ def fit_symplectization_kmu_reference(B, t, n_samples, seed):
     pts = np.concatenate([base_pts, np.full((len(base_pts), 1), float(t))], axis=1)
     riem = riemann_components(christoffel_batch(B.gbar, pts))
     xit = extended_slice_reeb(S, B.chart).values(pts)
-    etat = extended_slice_form(S, B.chart).values(pts)[:, :d]
+    etat = extended_slice_form(S.eta, B.chart).values(pts)[:, :d]
     h_base = S.h.values(base_pts)
     hv = h_base / math.exp(2.0 * t)
 
@@ -505,7 +567,7 @@ def currel_reference(B, n_samples, seed):
     sl = slice_christoffel_reference(B, pts)
     riem_t = riemann_components(sl)
     gt = sl.g
-    etat = extended_slice_form(S, B.chart).values(pts)[:, :d]
+    etat = extended_slice_form(S.eta, B.chart).values(pts)[:, :d]
     xit = extended_slice_reeb(S, B.chart).values(pts)[:, :d]
     phiv = extend_to_product(S.phi, B.chart).values(pts)[:, :d, :d]
     e2t = np.exp(2.0 * pts[:, ti])

@@ -33,6 +33,7 @@ from metsymp.charts import Chart
 from metsymp.contact import (
     COMPAT_TOL,
     ContactMetricStructure,
+    _column_lstsq,
     _reeb_from_values,
     boeckx_index,
     d_homothety,
@@ -65,11 +66,13 @@ from metsymp.symplectization import verify_symplectization_build
 
 from inputs import kmu_inputs, product_inputs
 from loop_references import (
+    column_lstsq_reference,
     eta_einstein_fit_reference,
     fit_kappa_mu_reference,
     h_norms_reference,
     kmu_curvature_reference,
     reeb_field_adjugate,
+    reeb_from_values_reference,
 )
 
 SASAKIAN_R5_PATH = Path(__file__).parent / "data" / "sasakian_r5.txt"
@@ -676,17 +679,112 @@ def test_h_eigendecomposition_batch_is_bit_identical_to_the_per_point_reference(
             assert getattr(one, name).tobytes() == got[k:k + 1].tobytes(), name
 
 
-def test_solve_reeb_batch_is_bit_identical_to_per_point_lstsq(any_entry):
+def _assert_rows_close(got, want, rtol):
+    """Each row of ``got`` within ``rtol`` of the largest entry of that row of ``want``."""
+    scale = np.abs(want).max(axis=1)
+    assert np.all(np.abs(got - want).max(axis=1) <= rtol * scale)
+
+
+def test_solve_reeb_batch_matches_the_per_sample_lstsq(any_entry):
+    """The stacked SVD solve gives each sample's lstsq solution to roundoff."""
     S = any_entry.structure
     pts = S.chart.samples(12, seed=6)
-    batch = _solve_reeb(S.eta, pts)
-    deta = exterior_derivative(S.eta)
-    rhs = np.zeros(S.chart.dim + 1)
-    rhs[-1] = 1.0
-    for p, got in zip(pts, batch):
-        rows = np.vstack([deta.values(p).T, S.eta.values(p)[None, :]])
-        want, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
-        assert got.tobytes() == want.tobytes()
+    want = reeb_from_values_reference(exterior_derivative(S.eta).values(pts),
+                                      S.eta.values(pts), pts)
+    _assert_rows_close(_solve_reeb(S.eta, pts), want, 1e-13)
+
+
+def _contact_systems(rng, n, dim):
+    """d eta and eta values at n samples whose Reeb systems are well
+    conditioned: d eta = Q diag(s_k [[0, 1], [-1, 0]], 0) Q^T with s_k in
+    [1/2, 2] and Q orthogonal, and eta = Q u with |u_last| >= 1/2, so the
+    Reeb vector is Q e_last / u_last."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, dim, dim)))
+    block = np.zeros((n, dim, dim))
+    s = rng.uniform(0.5, 2.0, (n, dim // 2))
+    block[:, range(0, dim - 1, 2), range(1, dim, 2)] = s
+    block[:, range(1, dim, 2), range(0, dim - 1, 2)] = -s
+    u = rng.uniform(-1.0, 1.0, (n, dim))
+    u[:, -1] = rng.choice([-1.0, 1.0], n) * rng.uniform(0.5, 1.0, n)
+    return q @ block @ np.swapaxes(q, 1, 2), np.einsum("nij,nj->ni", q, u)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 12), dim=st.sampled_from([3, 5, 7]),
+       broken=st.dictionaries(st.integers(0, 11), st.sampled_from(["singular", "residual"]),
+                              max_size=3))
+def test_the_stacked_reeb_solve_matches_the_per_sample_lstsq(seed, n, dim, broken):
+    """On well-conditioned contact systems the stacked solve is each sample's
+    lstsq solution to 1e-13 relative.  A sample whose eta is zero has a
+    singular system; one whose d eta is the identity has a full-rank system
+    that no vector satisfies.  With such samples the stacked solve raises
+    the NotContactError of the per-sample loop, word for word: the same
+    first failing sample, the same cause."""
+    rng = np.random.default_rng(seed)
+    dv, ev = _contact_systems(rng, n, dim)
+    pts = rng.uniform(-1.0, 1.0, (n, dim))
+    for k, how in broken.items():
+        if k < n and how == "singular":
+            ev[k] = 0.0
+        elif k < n:
+            dv[k] = np.eye(dim)
+    try:
+        want = reeb_from_values_reference(dv, ev, pts)
+    except NotContactError as exc:
+        with pytest.raises(NotContactError, match=f"^{re.escape(str(exc))}$"):
+            _reeb_from_values(dv, ev, pts)
+        return
+    _assert_rows_close(_reeb_from_values(dv, ev, pts), want, 1e-13)
+
+
+def _fit_rtol_holds(got, want, rtol=1e-12):
+    return all(abs(x - w) <= rtol * max(1.0, abs(w)) for x, w in zip(got, want))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(2, 3000),
+       scale=st.sampled_from([1e-3, 1.0, 1e3]), noise=st.sampled_from([0.0, 1e-8, 1e-3, 1.0]))
+def test_the_column_fit_matches_the_tall_lstsq_on_random_columns(seed, m, scale, noise):
+    """The nullity fit's QR gives the coefficients of the tall lstsq to 1e-12
+    relative, on one column and on two, whether y is in their span or not."""
+    rng = np.random.default_rng(seed)
+    A, B = scale * rng.standard_normal((2, m))
+    y = rng.uniform(-2.0, 2.0) * A + rng.uniform(-2.0, 2.0) * B + noise * rng.standard_normal(m)
+    for cols in ([A], [A, B]):
+        got = _column_lstsq(cols, y)
+        assert len(got) == len(cols) and all(type(x) is float for x in got)
+        assert _fit_rtol_holds(got, column_lstsq_reference(cols, y))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(2, 3000),
+       eps=st.sampled_from([1.0, 1e-2, 1e-4, 1e-6]))
+def test_the_column_fit_matches_the_tall_lstsq_when_b_is_a_small_multiple_of_a(seed, m, eps):
+    """B = eps A + noise: the component of B along A falls to 1e-6 of A."""
+    rng = np.random.default_rng(seed)
+    A, N = rng.standard_normal((2, m))
+    B = eps * A + N
+    y = rng.uniform(-2.0, 2.0) * A + rng.uniform(-2.0, 2.0) * B + 1e-3 * rng.standard_normal(m)
+    assert _fit_rtol_holds(_column_lstsq([A, B], y), column_lstsq_reference([A, B], y))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(2, 3000),
+       c=st.one_of(st.sampled_from([0.0, 2.0, -0.5]), st.floats(-5.0, 5.0)))
+def test_the_column_fit_gives_the_minimum_norm_answer_on_dependent_columns(seed, m, c):
+    """B = c A, and B = 0 at c = 0: lstsq's rank rule drops the second
+    direction, and the answer is the minimum-norm one, alpha (1, c) / (1 + c^2)
+    with alpha = A.y / A.A.  Two zero columns fit (0, 0)."""
+    rng = np.random.default_rng(seed)
+    A, y = rng.standard_normal((2, m))
+    B = c * A
+    got = _column_lstsq([A, B], y)
+    assert _fit_rtol_holds(got, column_lstsq_reference([A, B], y))
+    alpha = float(A @ y) / float(A @ A)
+    assert _fit_rtol_holds(got, [alpha / (1.0 + c * c), alpha * c / (1.0 + c * c)])
+    zero = np.zeros(m)
+    assert _column_lstsq([zero, zero], y) == [0.0, 0.0] == column_lstsq_reference([zero, zero], y)
+    assert _column_lstsq([zero], y) == [0.0] == column_lstsq_reference([zero], y)
 
 
 def _vanishing_at(S, pts, k):

@@ -522,7 +522,7 @@ def _tagged_fields(sasakian, sasakian_symp):
         "g": sasakian.g,
         "d_homothety g": d_homothety(sasakian, 2.5).g,
         "gbar": sasakian_symp.gbar,
-        "slice metric": slice_metric_field(sasakian, sasakian_symp.chart),
+        "slice metric": slice_metric_field(sasakian.g, sasakian.eta, sasakian_symp.chart),
         "L_xi g": lie_derivative(sasakian.xi, sasakian.g),
         "g + g": sasakian.g + sasakian.g.scale(3.0),
         "omega": omega,

@@ -16,10 +16,15 @@ import dataclasses
 import math
 import re
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+
+from metsymp import symplectization
 
 from metsymp.catalog import CatalogEntry, catalog_load
 from metsymp.charts import Chart
@@ -74,6 +79,7 @@ from loop_references import (
     slice_embedding,
     symplectic_top_reference,
     translation_isomorphism_reference,
+    unique_acs_solutions_reference,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -150,7 +156,8 @@ def test_slice_values_equal_the_lifted_fields_bit_for_bit(which, request):
     pts = B.chart.samples(20, seed=6)
     values = structure_values(S, pts[:, :-1])
     eta_t, xi_t = slice_form_values(values, pts)
-    pairs = [(eta_t, extended_slice_form(S, B.chart)), (xi_t, extended_slice_reeb(S, B.chart))]
+    pairs = [(eta_t, extended_slice_form(S.eta, B.chart)),
+             (xi_t, extended_slice_reeb(S, B.chart))]
     pairs += [(_lift(getattr(values, name)), extend_to_product(getattr(S, name), B.chart))
               for name in ("eta", "xi", "g", "phi")]
     pairs.append((christoffel_batch(B.gbar, pts).g, B.gbar))
@@ -181,6 +188,31 @@ def test_uniqueness_witness(any_entry, sasakian_symp, flat_bundle_symp):
     B = _symp(None, any_entry.name, sasakian_symp, flat_bundle_symp)
     res = verify_symplectization_build(B, *product_inputs(B, B.chart.samples(20)))
     assert res["unique_acs"] < 1e-8
+
+
+@settings(max_examples=30, deadline=None)
+@given(which=st.integers(0, 2), n=st.integers(1, 20), seed=st.integers(0, 2 ** 32 - 1),
+       tilt=st.sampled_from([0.0, 1e-3, 0.3]))
+def test_the_stacked_witness_solve_matches_the_per_sample_lstsq(
+        flat_bundle_symp, sasakian_symp, curved_symp, which, n, seed, tilt):
+    """The witnesses of unique_acs, solved for the first 15 samples in one
+    stacked SVD, are each sample's lstsq solution to 1e-13 relative, and
+    unique_acs is the sup norm of w + xi_t.  xi is tilted at random, so the
+    witness misses -xi_t and the residual is not roundoff."""
+    B = (flat_bundle_symp, sasakian_symp, curved_symp)[which]
+    rng = np.random.default_rng(seed)
+    data, values = product_inputs(B, B.chart.samples(n, seed=seed % 1000))
+    tilted = values.xi + tilt * rng.standard_normal(values.xi.shape)
+    values = dataclasses.replace(values, xi=tilted)
+    real, solved = symplectization._min_norm_solve, []
+    with mock.patch.object(symplectization, "_min_norm_solve",
+                           lambda a, b: solved.append(real(a, b)) or solved[-1]):
+        res = verify_symplectization_build(B, data, values)
+    want, xt = unique_acs_solutions_reference(B, data, values)
+    ((got, _),) = solved
+    assert got.shape == want.shape == (min(n, 15), B.chart.dim)
+    assert np.all(np.abs(got - want).max(axis=1) <= 1e-13 * np.abs(want).max(axis=1))
+    assert res["unique_acs"] == sup_norm(got + xt)
 
 
 def test_the_build_verifier_evaluates_eta_and_xi_once(flat_bundle_symp, monkeypatch):
